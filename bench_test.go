@@ -232,9 +232,9 @@ func BenchmarkInterRoute(b *testing.B) {
 
 // --- Forwarding hot-path micro-benchmarks ---------------------------------
 //
-// These mirror the per-packet costs the live overlay pays on every hop;
-// cmd/roflbench records them (with the per-package suites under
-// internal/) into the BENCH_*.json perf trajectory.
+// These mirror the per-packet costs the live overlay pays on every hop,
+// for go test -bench while working on a layer; the repository benchmark
+// (benchmarks/) is the gate of record.
 
 // BenchmarkWirePacketRoundTrip measures one encode+decode of a typical
 // data packet — the serialization work bracketing every forwarded hop.

@@ -230,61 +230,17 @@ func (in *Internet) RouteAnycast(src ident.ID, g ident.Group, rng *rand.Rand) (R
 	if !ok {
 		return RouteResult{}, ident.ID{}, fmt.Errorf("%w: %s", ErrUnknownID, src.Short())
 	}
-	probe := g.RandomMember(rng)
-	res := RouteResult{Traversed: []topology.ASN{srcAS}}
-	cur := srcAS
-	pos := src
-	stale := map[staleKey]bool{}
-	var target Ptr
-	var targetRoot Root
-	haveTarget := false
-	for ttl := routeTTL; ttl > 0; ttl-- {
-		as := in.ases[cur]
-		// Deliver at the first AS hosting any group member.
+	// An ordinary route toward (G, r) that stops at the first AS hosting
+	// any group member.
+	var member ident.ID
+	res, err := in.route(srcAS, src, g.RandomMember(rng), func(as *AS) bool {
 		for id := range as.VNs {
-			if ident.SameGroup(id, probe) {
-				res.Delivered = true
-				res.FinalAS = cur
-				return res, id, nil
+			if ident.GroupOf(id) == g {
+				member = id
+				return true
 			}
 		}
-		for id := range as.VNs {
-			if ident.Progress(pos, probe, id) && id.Distance(probe).Cmp(pos.Distance(probe)) < 0 {
-				pos = id
-			}
-		}
-		sel, selRoot, ok := in.selectPointer(as, pos, probe, stale)
-		if ok && sel.AS == cur {
-			pos = sel.ID
-			haveTarget = false
-			continue
-		}
-		if ok && (!haveTarget || sel.ID.Distance(probe).Cmp(target.ID.Distance(probe)) < 0) {
-			target, targetRoot, haveTarget = sel, selRoot, true
-		}
-		if !haveTarget {
-			return res, ident.ID{}, fmt.Errorf("%w: no member of the group is reachable", ErrNoRoute)
-		}
-		if target.AS == cur {
-			if _, resident := as.VNs[target.ID]; resident {
-				pos = target.ID
-			} else {
-				stale[staleKey{target, targetRoot}] = true
-			}
-			haveTarget = false
-			continue
-		}
-		path := in.pathWithin(targetRoot, cur, target.AS)
-		if len(path) < 2 {
-			stale[staleKey{target, targetRoot}] = true
-			haveTarget = false
-			continue
-		}
-		next := path[1]
-		res.ASHops++
-		in.Metrics.Count(MsgData, 1)
-		res.Traversed = append(res.Traversed, next)
-		cur = next
-	}
-	return res, ident.ID{}, ErrTTL
+		return false
+	})
+	return res, member, err
 }

@@ -6,6 +6,7 @@ import (
 
 	"rofl/internal/ident"
 	"rofl/internal/topology"
+	"rofl/internal/vring"
 )
 
 // This file implements interdomain failure handling (§2.3, §4.1): AS
@@ -79,9 +80,7 @@ func (in *Internet) FailAS(a topology.ASN) int {
 	// Caches everywhere purge pointers at the dead AS (driven by
 	// reachability change).
 	for _, as := range in.ases {
-		if as.Cache != nil {
-			as.Cache.RemoveAS(int(a))
-		}
+		as.Cache.RemoveRouter(vring.RouterID(a))
 	}
 	// Fingers pointing at dead identifiers are dropped lazily at use;
 	// sweep them here to keep state tidy.
@@ -108,9 +107,7 @@ func (in *Internet) Leave(id ident.ID) error {
 	delete(in.hostedAt, id)
 	in.unlink(vn, MsgTeardown)
 	for _, as := range in.ases {
-		if as.Cache != nil {
-			as.Cache.Remove(id)
-		}
+		as.Cache.Remove(id)
 	}
 	in.sweepFingerID(id)
 	delete(in.virtualHosts, id)
@@ -143,7 +140,7 @@ func (in *Internet) unlink(vn *VNode, counter string) {
 	self := Ptr{ID: vn.ID, AS: vn.AS}
 	for root := range vn.SuccAt {
 		ring := in.rings[root]
-		i := sort.Search(len(ring), func(k int) bool { return !ring[k].ID.Less(vn.ID) })
+		i := ringSearch(ring, vn.ID)
 		if !(i < len(ring) && ring[i] == self) {
 			continue
 		}

@@ -28,6 +28,7 @@ import (
 	"rofl/internal/ident"
 	"rofl/internal/sim"
 	"rofl/internal/topology"
+	"rofl/internal/vring"
 )
 
 // Metrics counter names charged by this package.
@@ -143,6 +144,21 @@ type Ptr struct {
 	AS topology.ASN
 }
 
+// cachePointer renders p as an entry of the shared pointer cache, whose
+// location field carries the AS number.
+func cachePointer(p Ptr) vring.Pointer {
+	return vring.Pointer{ID: p.ID, Router: vring.RouterID(p.AS)}
+}
+
+// ptrOf reads a cache entry back as an interdomain pointer.
+func ptrOf(p vring.Pointer) Ptr { return Ptr{ID: p.ID, AS: topology.ASN(p.Router)} }
+
+// ringSearch returns the lower bound of id in one level's ring, which is
+// stored ascending by identifier.
+func ringSearch(ring []Ptr, id ident.ID) int {
+	return ident.Search(len(ring), func(k int) *ident.ID { return &ring[k].ID }, id)
+}
+
 // VNode is the interdomain routing state for one joined identifier.
 type VNode struct {
 	ID       ident.ID
@@ -194,9 +210,13 @@ type Finger struct {
 
 // AS is one autonomous system in the simulation.
 type AS struct {
-	ASN   topology.ASN
-	VNs   map[ident.ID]*VNode
-	Cache *ptrCache
+	ASN topology.ASN
+	VNs map[ident.ID]*VNode
+	// Cache is the AS-granularity pointer cache of §4.1: the exact-LRU
+	// cache intradomain routers keep, with the AS number in the router
+	// field. On the data path Bloom guards it, so shortcuts never violate
+	// the isolation property.
+	Cache *vring.PointerCache
 	// Bloom summarizes all identifiers joined in this AS's
 	// down-hierarchy; maintained when the Options enable Bloom peering or
 	// caching (both need the isolation guard).
@@ -290,7 +310,7 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 		a := &AS{
 			ASN:   topology.ASN(i),
 			VNs:   make(map[ident.ID]*VNode),
-			Cache: newPtrCache(opts.CacheCapacity),
+			Cache: vring.NewPointerCache(opts.CacheCapacity),
 		}
 		in.ases[i] = a
 	}

@@ -128,7 +128,7 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 	self := Ptr{ID: id, AS: at}
 	for _, root := range roots {
 		ring := in.rings[root]
-		i := sort.Search(len(ring), func(k int) bool { return !ring[k].ID.Less(id) })
+		i := ringSearch(ring, id)
 		var pred, succ Ptr
 		haveNbrs := len(ring) > 0
 		if haveNbrs {
@@ -215,7 +215,7 @@ func (in *Internet) cacheAlong(path []topology.ASN, p Ptr) {
 	}
 	for _, a := range path {
 		if a != p.AS {
-			in.ases[a].Cache.Insert(p)
+			in.ases[a].Cache.Insert(cachePointer(p))
 		}
 	}
 }

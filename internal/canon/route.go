@@ -52,7 +52,7 @@ func (in *Internet) Route(src, dst ident.ID) (RouteResult, error) {
 	if !ok {
 		return RouteResult{}, fmt.Errorf("%w: source %s", ErrUnknownID, src.Short())
 	}
-	return in.route(srcAS, src, dst)
+	return in.route(srcAS, src, dst, nil)
 }
 
 // RouteFromAS forwards a packet injected at an arbitrary AS, using any
@@ -69,10 +69,13 @@ func (in *Internet) RouteFromAS(from topology.ASN, dst ident.ID) (RouteResult, e
 	if !found {
 		return RouteResult{}, fmt.Errorf("%w: AS %d hosts no identifiers to route from", ErrUnknownID, from)
 	}
-	return in.route(from, pos, dst)
+	return in.route(from, pos, dst, nil)
 }
 
-func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID) (RouteResult, error) {
+// route is the forwarding loop behind Route, RouteFromAS and
+// RouteAnycast. accept, when set, is asked at every AS the packet
+// reaches whether to deliver there instead of at dst's host.
+func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS) bool) (RouteResult, error) {
 	if in.failedAS[srcAS] {
 		return RouteResult{}, ErrASDown
 	}
@@ -104,16 +107,22 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID) (RouteResult, e
 
 	for ttl := routeTTL; ttl > 0; ttl-- {
 		as := in.ases[cur]
+		if accept != nil && accept(as) {
+			res.Delivered, res.FinalAS = true, cur
+			return res, nil
+		}
 		if _, here := as.VNs[dst]; here {
 			return deliver(cur)
 		}
 
 		// Free local advance: hop to the resident virtual node closest to
 		// dst without overshooting.
+		local := ident.NewScan(pos, dst)
 		for id := range as.VNs {
-			if ident.Progress(pos, dst, id) && id.Distance(dst).Cmp(pos.Distance(dst)) < 0 {
-				pos = id
-			}
+			local.Offer(id)
+		}
+		if id, ok := local.Best(); ok {
+			pos = id
 		}
 
 		sel, selRoot, ok := in.selectPointer(as, pos, dst, stale)
@@ -122,7 +131,7 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID) (RouteResult, e
 			haveTarget = false
 			continue
 		}
-		if ok && (!haveTarget || sel.ID.Distance(dst).Cmp(target.ID.Distance(dst)) < 0) {
+		if ok && (!haveTarget || ident.Closer(dst, sel.ID, target.ID)) {
 			target, targetRoot, haveTarget = sel, selRoot, true
 		}
 
@@ -176,21 +185,31 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID) (RouteResult, e
 // the choice when its entry is strictly closer and the local Bloom
 // filter confirms the destination is not in the local customer cone
 // (§4.1's isolation guard for caches).
+//
+// Candidates arrive in map order, so the ranking is total: level size,
+// then distance, then — two levels of equal size holding the same
+// identifier, or one identifier recorded at two ASes — rootLess and the
+// AS number. The choice is a function of the state alone.
 func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale map[staleKey]bool) (Ptr, Root, bool) {
 	var best Ptr
 	var bestRoot Root
 	bestSize := -1
-	var bestDist ident.ID
+	// sel ranks the candidates of the lowest level met so far.
+	sel := ident.NewScan(pos, dst)
 	consider := func(p Ptr, r Root) {
 		if stale[staleKey{p, r}] || !ident.Progress(pos, dst, p.ID) {
 			return
 		}
 		size := in.subtreeSize(r)
-		d := p.ID.Distance(dst)
-		if bestSize == -1 ||
-			size < bestSize ||
-			(size == bestSize && d.Cmp(bestDist) < 0) {
-			best, bestRoot, bestSize, bestDist = p, r, size, d
+		if bestSize != -1 && size > bestSize {
+			return
+		}
+		if size < bestSize {
+			sel = ident.NewScan(pos, dst) // a lower level displaces whatever was found above it
+		}
+		if sel.Offer(p.ID) || (p.ID == best.ID &&
+			(rootLess(r, bestRoot) || (r == bestRoot && p.AS < best.AS))) {
+			best, bestRoot, bestSize = p, r, size
 		}
 	}
 	for _, vn := range as.VNs {
@@ -207,11 +226,12 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale map[staleKey]
 	found := bestSize != -1
 
 	// Cache shortcut, Bloom-guarded.
-	if as.Cache != nil && as.Cache.Len() > 0 {
+	if as.Cache.Len() > 0 {
 		dstBelowUs := as.Bloom != nil && as.Bloom.Contains(dst[:])
 		if !dstBelowUs {
-			if c, ok := as.Cache.Lookup(pos, dst); ok && !stale[staleKey{c, Top}] {
-				if !found || c.ID.Distance(dst).Cmp(bestDist) < 0 {
+			if p, ok := as.Cache.Lookup(pos, dst); ok {
+				c := ptrOf(p)
+				if !stale[staleKey{c, Top}] && (!found || ident.Closer(dst, c.ID, best.ID)) {
 					return c, Top, true
 				}
 			}
@@ -334,7 +354,7 @@ func (in *Internet) fillCachesOnDelivery(traversed []topology.ASN, p Ptr) {
 	}
 	for _, a := range traversed {
 		if a != p.AS {
-			in.ases[a].Cache.Insert(p)
+			in.ases[a].Cache.Insert(cachePointer(p))
 		}
 	}
 }

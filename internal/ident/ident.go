@@ -4,11 +4,11 @@
 // a hash of an ed25519 public key (paper §2.1).
 //
 // The package is the single source of truth for the greedy-routing
-// predicate "closest to the destination without overshooting it"
+// decision "closest to the destination without overshooting it"
 // (Algorithm 2 in the paper); every routing layer — intradomain virtual
-// rings, interdomain Canon merging, anycast and multicast delivery —
-// reuses Progress and CloserWithoutOvershoot from here so the invariant
-// is implemented exactly once.
+// rings, interdomain Canon merging, the live protocol core, anycast and
+// multicast delivery — selects its next hop through Progress, Scan and
+// Closest (select.go), so the rule is implemented exactly once.
 package ident
 
 import (
@@ -195,27 +195,6 @@ func Progress(cur, dst, candidate ID) bool {
 		return false // already at the destination's slot
 	}
 	return Between(candidate, cur, dst)
-}
-
-// CloserWithoutOvershoot returns the element of candidates that is
-// closest to dst among those making legal greedy progress from cur, and
-// whether any candidate qualified. Ties (identical distance) keep the
-// earliest candidate, making the choice deterministic for a given slice
-// order.
-func CloserWithoutOvershoot(cur, dst ID, candidates []ID) (ID, bool) {
-	var best ID
-	found := false
-	var bestDist ID
-	for _, c := range candidates {
-		if !Progress(cur, dst, c) {
-			continue
-		}
-		d := c.Distance(dst)
-		if !found || d.Cmp(bestDist) < 0 {
-			best, bestDist, found = c, d, true
-		}
-	}
-	return best, found
 }
 
 // CommonPrefixLen returns the number of leading bits shared by a and b,

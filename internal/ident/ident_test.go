@@ -180,49 +180,6 @@ func TestProgressStrictlyDecreasesDistance(t *testing.T) {
 	}
 }
 
-func TestCloserWithoutOvershoot(t *testing.T) {
-	cur, dst := id64(10), id64(100)
-	cands := []ID{id64(5), id64(40), id64(90), id64(120), id64(100)}
-	best, ok := CloserWithoutOvershoot(cur, dst, cands)
-	if !ok || best != id64(100) {
-		t.Fatalf("best = %s ok=%v, want exactly dst", best.Short(), ok)
-	}
-	best, ok = CloserWithoutOvershoot(cur, dst, []ID{id64(40), id64(90)})
-	if !ok || best != id64(90) {
-		t.Fatalf("best = %s, want 90", best.Short())
-	}
-	if _, ok := CloserWithoutOvershoot(cur, dst, []ID{id64(5), id64(120)}); ok {
-		t.Fatal("no candidate should qualify")
-	}
-	if _, ok := CloserWithoutOvershoot(cur, dst, nil); ok {
-		t.Fatal("empty candidate set should not qualify")
-	}
-}
-
-func TestCloserWithoutOvershootNeverWorsens(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		cur, dst := Random(rng), Random(rng)
-		cands := make([]ID, 8)
-		for j := range cands {
-			cands[j] = Random(rng)
-		}
-		best, ok := CloserWithoutOvershoot(cur, dst, cands)
-		if !ok {
-			continue
-		}
-		if best.Distance(dst).Cmp(cur.Distance(dst)) >= 0 {
-			t.Fatalf("chosen hop does not reduce distance: cur=%s dst=%s best=%s", cur, dst, best)
-		}
-		// best must dominate every other legal candidate.
-		for _, c := range cands {
-			if Progress(cur, dst, c) && c.Distance(dst).Cmp(best.Distance(dst)) < 0 {
-				t.Fatalf("candidate %s beats chosen %s", c, best)
-			}
-		}
-	}
-}
-
 func TestCommonPrefixLen(t *testing.T) {
 	a := id64(0)
 	if got := CommonPrefixLen(a, a); got != Bits {
@@ -370,7 +327,7 @@ func BenchmarkCloserWithoutOvershoot(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CloserWithoutOvershoot(cur, dst, cands)
+		scanBest(cur, dst, cands)
 	}
 }
 

@@ -24,7 +24,10 @@ import (
 //     packet);
 //   - calls the graph cannot follow: interface method calls, calls
 //     through function values, and calls into stdlib packages outside a
-//     small allocation-free allowlist.
+//     small allocation-free allowlist. One function value is followed:
+//     a non-root helper's own func-typed parameter (the accessor
+//     ident.Search takes), because every hot call site must hand it a
+//     literal or a declared function, scanned where it is written.
 //
 // Allocations performed only while constructing a returned error are
 // exempt: error paths leave the steady state by definition, and the
@@ -146,6 +149,17 @@ func scanHotFunc(pass *Pass, fi *FuncInfo) {
 	}
 	escaping := escapingFuncLits(body)
 	local := localFuncLits(pass, body)
+	if !fi.Hot {
+		// Not a root, so every hot caller is in the graph and checkFuncArgs
+		// vouches for the function values it passes.
+		for _, field := range fi.Decl.Type.Params.List {
+			for _, name := range field.Names {
+				if obj := pass.Info.Defs[name]; obj != nil && isFuncType(obj.Type()) {
+					local[obj] = true
+				}
+			}
+		}
+	}
 	reported := map[ast.Node]bool{}
 
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -191,8 +205,9 @@ func scanHotFunc(pass *Pass, fi *FuncInfo) {
 }
 
 // checkHotCall classifies one call expression inside a hot function.
-// local holds variables bound to function literals inside the same body,
-// whose call sites are covered by the enclosing scan.
+// local holds variables bound to function literals inside the same body
+// (covered by the enclosing scan) and, in non-root functions, func-typed
+// parameters (covered at the call sites by checkFuncArgs).
 func checkHotCall(pass *Pass, fi *FuncInfo, call *ast.CallExpr, local map[types.Object]bool) {
 	// Type conversions: only string<->[]byte/[]rune copy.
 	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
@@ -235,6 +250,7 @@ func checkHotCall(pass *Pass, fi *FuncInfo, call *ast.CallExpr, local map[types.
 	if _, inModule := pass.Prog.Funcs[key]; inModule {
 		// Module function: it is in the hot set itself (and scanned in
 		// its own package's pass) unless pruned by //rofllint:coldpath.
+		checkFuncArgs(pass, fi, call, local)
 		return
 	}
 	if isInterfaceMethod(callee) {
@@ -250,6 +266,38 @@ func checkHotCall(pass *Pass, fi *FuncInfo, call *ast.CallExpr, local map[types.
 		return
 	}
 	pass.Reportf(call.Pos(), "call into %s.%s in hot function %s is outside the allocation-free allowlist", pkg.Path(), callee.Name(), fi.Fn.Name())
+}
+
+// checkFuncArgs vouches for the function values a hot function hands to
+// a module callee, which calls them as transparent parameters: each must
+// be a literal (scanned in place), a declared function or method value
+// (an edge in the graph), or a parameter being passed along.
+func checkFuncArgs(pass *Pass, fi *FuncInfo, call *ast.CallExpr, local map[types.Object]bool) {
+	for _, arg := range call.Args {
+		if !isFuncType(pass.TypeOf(arg)) {
+			continue
+		}
+		var obj types.Object
+		switch a := ast.Unparen(arg).(type) {
+		case *ast.FuncLit:
+			continue
+		case *ast.Ident:
+			obj = pass.Info.Uses[a]
+		case *ast.SelectorExpr:
+			obj = pass.Info.Uses[a.Sel]
+		}
+		if _, declared := obj.(*types.Func); !declared && !local[obj] {
+			pass.Reportf(arg.Pos(), "function value passed on in hot function %s is neither a literal nor a declared function; its body cannot be proven allocation-free", fi.Fn.Name())
+		}
+	}
+}
+
+func isFuncType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Signature)
+	return ok
 }
 
 // localFuncLits collects variables defined (:=) directly as function

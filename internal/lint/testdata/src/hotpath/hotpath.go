@@ -11,7 +11,10 @@ import (
 
 type buf struct{ b []byte }
 
-type holder struct{ fn func() }
+type holder struct {
+	fn func()
+	at func(int) int
+}
 
 type sink interface{ Write([]byte) (int, error) }
 
@@ -84,6 +87,20 @@ func ifaceCall(s sink, b []byte) {
 //rofllint:hotpath
 func dynCall(f func()) {
 	f() // want "dynamic call through a function value in hot function dynCall cannot be proven allocation-free"
+}
+
+// search calls its accessor parameter: transparent in a non-root helper,
+// because viaParam's call sites vouch for what they pass.
+func search(n int, at func(int) int) int { return at(n - 1) }
+
+func double(k int) int { return 2 * k }
+
+//rofllint:hotpath
+func viaParam(xs []int, h *holder) int {
+	a := search(len(xs), func(k int) int { return xs[k] }) // fine: literal scanned in place
+	b := search(len(xs), double)                            // fine: declared function, in the graph
+	c := search(len(xs), h.at)                              // want "function value passed on in hot function viaParam is neither a literal nor a declared function; its body cannot be proven allocation-free"
+	return a + b + c
 }
 
 //rofllint:hotpath

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"rofl/internal/ident"
 	"rofl/internal/netem"
 	"rofl/internal/proto"
 	"rofl/internal/wire"
@@ -18,10 +17,14 @@ func chaosRetry() RetryPolicy {
 	return RetryPolicy{Initial: 40 * time.Millisecond, Max: 400 * time.Millisecond, Multiplier: 2}
 }
 
+// uniform gives every node of a chaos cluster the same config.
+func uniform(cfg Config) func(int) Config { return func(int) Config { return cfg } }
+
 // startChaosCluster attaches n overlay nodes to the fabric and joins
 // them sequentially through node 0 — every join riding the fabric's
-// fault schedule.
-func startChaosCluster(t *testing.T, fabric *netem.Network, n int, joinTimeout time.Duration) ([]*Node, []string) {
+// fault schedule. Node i is built from cfg(i) plus its fabric endpoint
+// and the chaos retry policy.
+func startChaosCluster(t *testing.T, fabric *netem.Network, n int, joinTimeout time.Duration, cfg func(i int) Config) ([]*Node, []string) {
 	t.Helper()
 	nodes := make([]*Node, 0, n)
 	addrs := make([]string, 0, n)
@@ -31,9 +34,9 @@ func startChaosCluster(t *testing.T, fabric *netem.Network, n int, joinTimeout t
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := NewNodeTransport(ident.FromString(fmt.Sprintf("chaos-%d", i)), ep)
-		node.SetRetryPolicy(chaosRetry())
-		t.Cleanup(func() { node.Close() })
+		c := cfg(i)
+		c.Transport, c.Retry = ep, chaosRetry()
+		node := newTestNode(t, fmt.Sprintf("chaos-%d", i), c)
 		if i == 0 {
 			node.Bootstrap()
 		} else {
@@ -124,10 +127,7 @@ func TestChaosClusterLossPartitionHeal(t *testing.T) {
 	const n = 9
 	// Phase 1: every join must complete despite 20% loss (startChaos
 	// fails the test on any join error).
-	nodes, addrs := startChaosCluster(t, fabric, n, 30*time.Second)
-	for _, node := range nodes {
-		node.StartStabilize(20 * time.Millisecond)
-	}
+	nodes, addrs := startChaosCluster(t, fabric, n, 30*time.Second, uniform(Config{Stabilize: 20 * time.Millisecond}))
 	waitConverged(t, nodes, 30*time.Second, "initial convergence at 20% loss")
 	waitMembership(t, nodes, 30*time.Second)
 
@@ -186,10 +186,7 @@ func TestJoinAndSendUnderThirtyPercentLoss(t *testing.T) {
 	defer fabric.Close()
 	fabric.SetDefaults(netem.LinkParams{Loss: 0.30, Latency: time.Millisecond})
 
-	nodes, _ := startChaosCluster(t, fabric, 5, 30*time.Second)
-	for _, node := range nodes {
-		node.StartStabilize(20 * time.Millisecond)
-	}
+	nodes, _ := startChaosCluster(t, fabric, 5, 30*time.Second, uniform(Config{Stabilize: 20 * time.Millisecond}))
 	waitConverged(t, nodes, 30*time.Second, "convergence at 30% loss")
 
 	// Data packets are fire-and-forget; under loss the application
@@ -227,12 +224,9 @@ func TestJoinSurvivesLostReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bootNode := NewNodeTransport(ident.FromString("boot"), boot)
-	t.Cleanup(func() { bootNode.Close() })
+	bootNode := newTestNode(t, "boot", Config{Transport: boot})
 	bootNode.Bootstrap()
-	joiner := NewNodeTransport(ident.FromString("late"), join)
-	joiner.SetRetryPolicy(chaosRetry())
-	t.Cleanup(func() { joiner.Close() })
+	joiner := newTestNode(t, "late", Config{Transport: join, Retry: chaosRetry()})
 
 	// Sever boot→joiner: the join request arrives, the reply vanishes.
 	fabric.SetLink("em://boot", "em://joiner", netem.LinkParams{Loss: 1})
@@ -261,7 +255,7 @@ func TestJoinSurvivesLostReply(t *testing.T) {
 func TestDroppedDeliveriesCounter(t *testing.T) {
 	fabric := netem.NewNetwork(1)
 	defer fabric.Close()
-	nodes, _ := startChaosCluster(t, fabric, 2, 5*time.Second)
+	nodes, _ := startChaosCluster(t, fabric, 2, 5*time.Second, uniform(Config{}))
 	a, b := nodes[0], nodes[1]
 
 	const total = 100 // deliveries channel buffers 64
@@ -300,8 +294,7 @@ func TestRequestTableBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := NewNodeTransport(ident.FromString("solo"), ep)
-	t.Cleanup(func() { n.Close() })
+	n := newTestNode(t, "solo", Config{Transport: ep})
 	ids := make([]uint64, 0, maxInFlight)
 	for i := 0; i < maxInFlight; i++ {
 		id, _, err := n.register()
@@ -325,7 +318,7 @@ func TestRequestTableBounded(t *testing.T) {
 func TestStaleStabilizeReplyIgnored(t *testing.T) {
 	fabric := netem.NewNetwork(1)
 	defer fabric.Close()
-	nodes, addrs := startChaosCluster(t, fabric, 3, 5*time.Second)
+	nodes, addrs := startChaosCluster(t, fabric, 3, 5*time.Second, uniform(Config{}))
 	// Forge a stabilize reply to node 0 claiming a bogus predecessor,
 	// with a request ID node 0 never issued.
 	forged, err := fabric.Endpoint("em://forger")
@@ -333,8 +326,7 @@ func TestStaleStabilizeReplyIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer forged.Close()
-	evil := NewNodeTransport(ident.FromString("evil"), forged)
-	t.Cleanup(func() { evil.Close() })
+	evil := newTestNode(t, "evil", Config{Transport: forged})
 	succBefore, _, _ := nodes[0].Successor()
 	// An identifier one past node 0's own would win adoption as its new
 	// successor — if the reply were accepted.

@@ -48,7 +48,10 @@ func FuzzHandleRequest(f *testing.F) {
 	if _, err := net.Endpoint("peer"); err != nil {
 		f.Fatal(err)
 	}
-	n := NewNodeTransport(self, ep)
+	n, err := New(self, Config{Transport: ep})
+	if err != nil {
+		f.Fatal(err)
+	}
 	n.Bootstrap()
 	f.Cleanup(func() {
 		n.Close()

@@ -43,7 +43,10 @@ const benchKnown = 128
 // large ring.
 func benchNode(tb testing.TB, nKnown int) *Node {
 	tb.Helper()
-	n := NewNodeTransport(ident.FromUint64(1000), newBenchTransport())
+	n, err := New(ident.FromUint64(1000), Config{Transport: newBenchTransport()})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	tb.Cleanup(func() { n.Close() })
 	pred := proto.Peer{ID: ident.FromUint64(500), Addr: "peer:500"}
 	n.mu.Lock()
@@ -200,7 +203,7 @@ func BenchmarkStabilizeRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.stabilizeOnceRound()
+		n.tick((*proto.Core).TickStabilize)
 	}
 }
 

@@ -20,23 +20,15 @@ type LivenessParams = proto.LivenessParams
 // the stabilize-timer epochs it fronts.
 func DefaultLivenessParams() LivenessParams { return proto.DefaultLivenessParams() }
 
-// StartLiveness begins probing the node's current successor with the
-// given parameters (zero fields take defaults). Idempotent; stops at
-// Close. Probing tracks successor changes automatically: whenever the
+// startLiveness begins probing the node's current successor with the
+// parameters the core was built with, until Close; New calls it at most
+// once. Probing tracks successor changes automatically: whenever the
 // successor-group head changes (evictions, joins, repairs), the
 // detector re-arms against the new head with a fresh miss count.
-//
-// Deprecated: set Config.EnableLiveness and Config.Liveness at
-// construction.
-func (n *Node) StartLiveness(p LivenessParams) {
-	n.mu.Lock()
-	if n.closed || n.livenessStop != nil {
-		n.mu.Unlock()
-		return
-	}
+func (n *Node) startLiveness() {
 	stop := make(chan struct{})
+	n.mu.Lock()
 	n.livenessStop = stop
-	n.core.SetLiveness(p)
 	n.mu.Unlock()
 	n.wg.Add(1)
 	go func() {
@@ -49,7 +41,7 @@ func (n *Node) StartLiveness(p LivenessParams) {
 				return
 			case <-t.C:
 			}
-			n.livenessTick()
+			n.tick((*proto.Core).TickLiveness)
 		}
 	}()
 }
@@ -60,20 +52,4 @@ func (n *Node) livenessInterval() time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.core.LivenessInterval()
-}
-
-// livenessTick feeds one detector round into the core and executes what
-// it emits. A tick that fires after Close is a no-op.
-func (n *Node) livenessTick() {
-	a := getActs()
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		putActs(a)
-		return
-	}
-	n.core.TickLiveness(a)
-	n.mu.Unlock()
-	_ = n.run(a)
-	putActs(a)
 }

@@ -78,13 +78,11 @@ func TestLivenessDetectsFailureTenTimesFaster(t *testing.T) {
 	run := func(withLiveness bool) time.Duration {
 		fabric := netem.NewNetwork(42)
 		defer fabric.Close()
-		nodes, _ := startChaosCluster(t, fabric, 3, 10*time.Second)
-		for _, node := range nodes {
-			node.StartStabilize(stabilizeEvery)
-			if withLiveness {
-				node.StartLiveness(LivenessParams{MinTx: 5 * time.Millisecond, MinRx: 2 * time.Millisecond, Multiplier: 3})
-			}
-		}
+		nodes, _ := startChaosCluster(t, fabric, 3, 10*time.Second, uniform(Config{
+			Stabilize:      stabilizeEvery,
+			EnableLiveness: withLiveness,
+			Liveness:       LivenessParams{MinTx: 5 * time.Millisecond, MinRx: 2 * time.Millisecond, Multiplier: 3},
+		}))
 		waitConverged(t, nodes, 20*time.Second, "pre-failure convergence")
 		// Find the node whose successor is nodes[1], then kill nodes[1].
 		victim := nodes[1]
@@ -117,14 +115,12 @@ func TestLivenessDetectsFailureTenTimesFaster(t *testing.T) {
 func TestDeadSuccessorEmitsOneEvictionEvent(t *testing.T) {
 	fabric := netem.NewNetwork(11)
 	defer fabric.Close()
-	nodes, _ := startChaosCluster(t, fabric, 2, 5*time.Second)
+	nodes, _ := startChaosCluster(t, fabric, 2, 5*time.Second, uniform(Config{Stabilize: 20 * time.Millisecond}))
 	a, b := nodes[0], nodes[1]
 
 	reg := telemetry.NewRegistry()
 	var buf syncBuf
 	a.SetTelemetry(reg, telemetry.NewEventLog(&buf, telemetry.LevelInfo))
-	a.StartStabilize(20 * time.Millisecond)
-	b.StartStabilize(20 * time.Millisecond)
 	waitConverged(t, nodes, 10*time.Second, "two-node convergence")
 
 	b.Close()
@@ -152,9 +148,10 @@ func TestRequestTimeoutEmitsEventAndCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := NewNodeTransport(ident.FromString("lonely"), ep)
-	t.Cleanup(func() { n.Close() })
-	n.SetRetryPolicy(RetryPolicy{Initial: 10 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2})
+	n := newTestNode(t, "lonely", Config{
+		Transport: ep,
+		Retry:     RetryPolicy{Initial: 10 * time.Millisecond, Max: 40 * time.Millisecond, Multiplier: 2},
+	})
 	reg := telemetry.NewRegistry()
 	var buf syncBuf
 	n.SetTelemetry(reg, telemetry.NewEventLog(&buf, telemetry.LevelInfo))
@@ -180,15 +177,17 @@ func TestRequestTimeoutEmitsEventAndCounter(t *testing.T) {
 func TestLivenessIntervalNegotiation(t *testing.T) {
 	fabric := netem.NewNetwork(9)
 	defer fabric.Close()
-	nodes, _ := startChaosCluster(t, fabric, 2, 5*time.Second)
-	a, b := nodes[0], nodes[1]
-	a.StartStabilize(20 * time.Millisecond)
-	b.StartStabilize(20 * time.Millisecond)
+	// B (node 1) refuses probes faster than 80ms; A wants to probe at 5ms.
+	minRx := []time.Duration{2 * time.Millisecond, 80 * time.Millisecond}
+	nodes, _ := startChaosCluster(t, fabric, 2, 5*time.Second, func(i int) Config {
+		return Config{
+			Stabilize:      20 * time.Millisecond,
+			EnableLiveness: true,
+			Liveness:       LivenessParams{MinTx: 5 * time.Millisecond, MinRx: minRx[i], Multiplier: 3},
+		}
+	})
+	a := nodes[0]
 	waitConverged(t, nodes, 10*time.Second, "two-node convergence")
-
-	// B refuses probes faster than 80ms; A wants to probe at 5ms.
-	b.StartLiveness(LivenessParams{MinTx: 5 * time.Millisecond, MinRx: 80 * time.Millisecond, Multiplier: 3})
-	a.StartLiveness(LivenessParams{MinTx: 5 * time.Millisecond, MinRx: 2 * time.Millisecond, Multiplier: 3})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for a.livenessInterval() != 80*time.Millisecond {
@@ -206,12 +205,14 @@ func TestLivenessSurvivesLossWithoutFalsePositive(t *testing.T) {
 	fabric := netem.NewNetwork(77)
 	defer fabric.Close()
 	fabric.SetDefaults(netem.LinkParams{Loss: 0.10, Latency: time.Millisecond})
-	nodes, _ := startChaosCluster(t, fabric, 3, 20*time.Second)
+	nodes, _ := startChaosCluster(t, fabric, 3, 20*time.Second, uniform(Config{
+		Stabilize:      25 * time.Millisecond,
+		EnableLiveness: true,
+		Liveness:       LivenessParams{MinTx: 10 * time.Millisecond, MinRx: 5 * time.Millisecond, Multiplier: 5},
+	}))
 	reg := telemetry.NewRegistry()
 	for _, node := range nodes {
 		node.SetTelemetry(reg, nil)
-		node.StartStabilize(25 * time.Millisecond)
-		node.StartLiveness(LivenessParams{MinTx: 10 * time.Millisecond, MinRx: 5 * time.Millisecond, Multiplier: 5})
 	}
 	waitConverged(t, nodes, 20*time.Second, "convergence at 10% loss")
 
@@ -235,12 +236,11 @@ func TestLivenessSurvivesLossWithoutFalsePositive(t *testing.T) {
 func TestInstrumentedTrafficCounters(t *testing.T) {
 	fabric := netem.NewNetwork(21)
 	defer fabric.Close()
-	nodes, _ := startChaosCluster(t, fabric, 4, 10*time.Second)
+	nodes, _ := startChaosCluster(t, fabric, 4, 10*time.Second, uniform(Config{Stabilize: 20 * time.Millisecond}))
 	regs := make([]*telemetry.Registry, len(nodes))
 	for i, node := range nodes {
 		regs[i] = telemetry.NewRegistry()
 		node.SetTelemetry(regs[i], nil)
-		node.StartStabilize(20 * time.Millisecond)
 	}
 	waitConverged(t, nodes, 10*time.Second, "ring convergence")
 

@@ -82,8 +82,8 @@ const SuccessorGroupSize = proto.SuccessorGroupSize
 // Config configures a Node. The zero value is usable: it binds a UDP
 // socket on a random loopback port, uses the default retry policy, no
 // gate, a 64-entry delivery buffer, no telemetry, and starts neither
-// maintenance loop (call Bootstrap or Join, then rely on Stabilize
-// having been set, or start loops explicitly).
+// maintenance loop. Everything is fixed at construction; there are no
+// setters.
 type Config struct {
 	// Bind is the UDP listen address ("127.0.0.1:0" picks a free port).
 	// Mutually exclusive with Transport; when both are empty, Bind
@@ -101,14 +101,13 @@ type Config struct {
 	// router would drop them (§5.3).
 	Gate Gate
 	// Stabilize, when positive, starts the ring-maintenance loop at that
-	// interval as soon as the node is constructed. Zero leaves it off
-	// (StartStabilize can start it later).
+	// interval as soon as the node is constructed. Zero leaves it off.
 	Stabilize time.Duration
 	// EnableLiveness starts the BFD-style successor prober with the
 	// Liveness parameters (zero fields take defaults).
 	EnableLiveness bool
 	// Liveness shapes the failure detector; only consulted when
-	// EnableLiveness is set (StartLiveness can still start it later).
+	// EnableLiveness is set.
 	Liveness LivenessParams
 	// DeliveryBuffer is the application channel depth; zero means 64.
 	DeliveryBuffer int
@@ -130,10 +129,10 @@ type Node struct {
 	mu     sync.Mutex
 	core   *proto.Core
 	closed bool
-	retry  RetryPolicy
-	// gate is read on every local delivery; it lives outside mu (like
-	// ins) so the delivery path never takes a second lock.
-	gate atomic.Pointer[Gate]
+	// retry and gate are fixed at construction, so Join and the delivery
+	// path read them without taking mu.
+	retry RetryPolicy
+	gate  Gate
 	// pending maps an outstanding join request ID to the waiter's
 	// completion channel; bounded by maxInFlight.
 	pending map[uint64]chan error
@@ -187,13 +186,10 @@ func New(id ident.ID, cfg Config) (*Node, error) {
 		tr:         tr,
 		core:       proto.New(proto.Config{ID: id, Addr: tr.LocalAddr(), Liveness: cfg.Liveness}),
 		retry:      retry,
+		gate:       cfg.Gate,
 		pending:    make(map[uint64]chan error),
 		deliveries: make(chan Delivery, depth),
 		done:       make(chan struct{}),
-	}
-	if cfg.Gate != nil {
-		g := cfg.Gate
-		n.gate.Store(&g)
 	}
 	n.ins.Store(&Instruments{})
 	if cfg.Registry != nil || cfg.Events != nil {
@@ -202,34 +198,12 @@ func New(id ident.ID, cfg Config) (*Node, error) {
 	n.wg.Add(1)
 	go n.readLoop()
 	if cfg.Stabilize > 0 {
-		n.StartStabilize(cfg.Stabilize)
+		n.startStabilize(cfg.Stabilize)
 	}
 	if cfg.EnableLiveness {
-		n.StartLiveness(cfg.Liveness)
+		n.startLiveness()
 	}
 	return n, nil
-}
-
-// NewNode binds a node to a UDP address ("127.0.0.1:0" picks a free
-// port) and starts its receive loop.
-//
-// Deprecated: use New with Config{Bind: bind}.
-func NewNode(id ident.ID, bind string) (*Node, error) {
-	return New(id, Config{Bind: bind})
-}
-
-// NewNodeTransport binds a node to an existing transport (a netem
-// endpoint, a fault-wrapped socket, …) and starts its receive loop. The
-// node owns the transport and closes it on Close.
-//
-// Deprecated: use New with Config{Transport: tr}.
-func NewNodeTransport(id ident.ID, tr netem.Transport) *Node {
-	n, err := New(id, Config{Transport: tr})
-	if err != nil {
-		// Unreachable: with a non-nil transport New never fails.
-		panic(err)
-	}
-	return n
 }
 
 // ID returns the node's flat label.
@@ -245,28 +219,6 @@ func (n *Node) Deliveries() <-chan Delivery { return n.deliveries }
 // the application was not draining Deliveries — the read loop never
 // blocks on a slow consumer.
 func (n *Node) DroppedDeliveries() uint64 { return n.dropCount.Load() }
-
-// SetGate installs an admission gate consulted before any data packet is
-// delivered locally. Call before traffic starts.
-//
-// Deprecated: set Config.Gate at construction.
-func (n *Node) SetGate(g Gate) {
-	if g == nil {
-		n.gate.Store(nil)
-		return
-	}
-	n.gate.Store(&g)
-}
-
-// SetRetryPolicy replaces the retransmission schedule for subsequent
-// control requests. Call before Join.
-//
-// Deprecated: set Config.Retry at construction.
-func (n *Node) SetRetryPolicy(p RetryPolicy) {
-	n.mu.Lock()
-	n.retry = p
-	n.mu.Unlock()
-}
 
 // Close shuts the node down: stops the maintenance loops, closes the
 // transport (unblocking the read loop), waits for every driver
@@ -295,18 +247,12 @@ func (n *Node) Close() error {
 	return err
 }
 
-// StartStabilize runs the core's stabilization round every interval
-// (see proto.Core.TickStabilize for the protocol). Idempotent; stops at
-// Close.
-//
-// Deprecated: set Config.Stabilize at construction.
-func (n *Node) StartStabilize(interval time.Duration) {
-	n.mu.Lock()
-	if n.closed || n.stabilizeStop != nil {
-		n.mu.Unlock()
-		return
-	}
+// startStabilize runs the core's stabilization round every interval
+// (see proto.Core.TickStabilize for the protocol) until Close. New calls
+// it at most once.
+func (n *Node) startStabilize(interval time.Duration) {
 	stop := make(chan struct{})
+	n.mu.Lock()
 	n.stabilizeStop = stop
 	n.mu.Unlock()
 	n.wg.Add(1)
@@ -319,7 +265,7 @@ func (n *Node) StartStabilize(interval time.Duration) {
 			case <-stop:
 				return
 			case <-tick.C:
-				n.stabilizeOnceRound()
+				n.tick((*proto.Core).TickStabilize)
 			}
 		}
 	}()
@@ -333,20 +279,20 @@ var actsPool = sync.Pool{New: func() any { return new(proto.Actions) }}
 func getActs() *proto.Actions  { return actsPool.Get().(*proto.Actions) }
 func putActs(a *proto.Actions) { a.Reset(); actsPool.Put(a) }
 
-// stabilizeOnceRound feeds one stabilize tick into the core and
-// executes what it emits. A tick that fires after Close is a no-op.
-func (n *Node) stabilizeOnceRound() {
+// tick feeds one maintenance tick (the core's TickStabilize or
+// TickLiveness) into the core and executes what it emits. A tick that
+// fires after Close is a no-op.
+func (n *Node) tick(feed func(*proto.Core, *proto.Actions)) {
 	a := getActs()
+	defer putActs(a)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		putActs(a)
 		return
 	}
-	n.core.TickStabilize(a)
+	feed(n.core, a)
 	n.mu.Unlock()
 	_ = n.run(a)
-	putActs(a)
 }
 
 // run executes the actions one core transition emitted: transmit the
@@ -394,14 +340,10 @@ func (n *Node) run(a *proto.Actions) error {
 //
 //rofllint:coldpath deliveries, join completions, and failure-event reporting run per delivered packet or per control event, not per forwarded packet
 func (n *Node) runCold(a *proto.Actions, ins *Instruments) {
-	var gate Gate
-	if gp := n.gate.Load(); gp != nil {
-		gate = *gp
-	}
 	for i := range a.Delivers {
 		d := a.Delivers[i]
-		if gate != nil {
-			if err := gate(d.Src, d.Capability); err != nil {
+		if n.gate != nil {
+			if err := n.gate(d.Src, d.Capability); err != nil {
 				ins.GateDrops.Inc()
 				continue // default-off: drop unauthorized traffic
 			}
@@ -535,9 +477,9 @@ func (n *Node) Join(via string, timeout time.Duration) error {
 	a := getActs()
 	defer putActs(a)
 	n.mu.Lock()
-	retry := n.retry
 	n.core.StartJoin(id, via, a)
 	n.mu.Unlock()
+	retry := n.retry
 	deadline := time.Now().Add(timeout)
 	backoff := retry.Initial
 	if backoff <= 0 {

@@ -9,22 +9,25 @@ import (
 	"time"
 
 	"rofl/internal/ident"
+	"rofl/internal/proto"
 	"rofl/internal/wire"
 )
 
 const joinTimeout = 2 * time.Second
 
-// startRing boots n nodes on localhost and joins them sequentially.
+// startRing boots n zero-config nodes on localhost and joins them
+// sequentially.
 func startRing(t *testing.T, n int) []*Node {
+	t.Helper()
+	return startRingWith(t, n, Config{})
+}
+
+// startRingWith is startRing with every node built from cfg.
+func startRingWith(t *testing.T, n int, cfg Config) []*Node {
 	t.Helper()
 	nodes := make([]*Node, 0, n)
 	for i := 0; i < n; i++ {
-		id := ident.FromString(fmt.Sprintf("overlay-node-%d", i))
-		node, err := NewNode(id, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
+		node := newTestNode(t, fmt.Sprintf("overlay-node-%d", i), cfg)
 		if i == 0 {
 			node.Bootstrap()
 		} else {
@@ -37,25 +40,57 @@ func startRing(t *testing.T, n int) []*Node {
 	return nodes
 }
 
-// ringConsistent verifies that successor pointers trace the sorted order.
-func ringConsistent(t *testing.T, nodes []*Node) {
+// newTestNode builds one node labelled name from cfg, closed at test
+// end.
+func newTestNode(t *testing.T, name string, cfg Config) *Node {
 	t.Helper()
+	node, err := New(ident.FromString(name), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	return node
+}
+
+// ringFault describes the first node whose successor or predecessor
+// pointer departs from the sorted order, or returns "" for a consistent
+// ring.
+func ringFault(nodes []*Node) string {
 	sorted := append([]*Node(nil), nodes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID().Less(sorted[j].ID()) })
 	for i, node := range sorted {
 		want := sorted[(i+1)%len(sorted)].ID()
 		got, _, ok := node.Successor()
 		if !ok {
-			t.Fatalf("node %s has no successor", node.ID().Short())
+			return fmt.Sprintf("node %s has no successor", node.ID().Short())
 		}
 		if got != want {
-			t.Fatalf("node %s successor = %s want %s", node.ID().Short(), got.Short(), want.Short())
+			return fmt.Sprintf("node %s successor = %s want %s", node.ID().Short(), got.Short(), want.Short())
 		}
 		wantPred := sorted[(i-1+len(sorted))%len(sorted)].ID()
 		gotPred, _, ok := node.Predecessor()
 		if !ok || gotPred != wantPred {
-			t.Fatalf("node %s predecessor = %s want %s", node.ID().Short(), gotPred.Short(), wantPred.Short())
+			return fmt.Sprintf("node %s predecessor = %s want %s", node.ID().Short(), gotPred.Short(), wantPred.Short())
 		}
+	}
+	return ""
+}
+
+// ringIsConsistent reports whether successor and predecessor pointers
+// trace the sorted order.
+func ringIsConsistent(nodes []*Node) bool { return ringFault(nodes) == "" }
+
+// ringConsistent asserts ringIsConsistent, polling it up to a deadline
+// first: Join returns when the predecessor's reply arrives, while that
+// predecessor's notify to the joiner's successor may still be in flight.
+func ringConsistent(t *testing.T, nodes []*Node) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ringIsConsistent(nodes) && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if fault := ringFault(nodes); fault != "" {
+		t.Fatal(fault)
 	}
 }
 
@@ -113,11 +148,7 @@ func TestSendToAbsentIDIsDropped(t *testing.T) {
 func TestJoinViaNonBootstrapMember(t *testing.T) {
 	nodes := startRing(t, 4)
 	id := ident.FromString("late-joiner")
-	late, err := NewNode(id, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { late.Close() })
+	late := newTestNode(t, "late-joiner", Config{})
 	// Join through the last node, not the bootstrap.
 	if err := late.Join(nodes[3].Addr(), joinTimeout); err != nil {
 		t.Fatal(err)
@@ -138,7 +169,7 @@ func TestJoinViaNonBootstrapMember(t *testing.T) {
 }
 
 func TestCloseIsIdempotent(t *testing.T) {
-	n, err := NewNode(ident.FromString("solo"), "127.0.0.1:0")
+	n, err := New(ident.FromString("solo"), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +208,8 @@ func TestCloseThenLateEventsAreNoOps(t *testing.T) {
 
 	// Late internal events, exactly as the maintenance goroutines would
 	// fire them after losing the race with Close.
-	a.stabilizeOnceRound()
-	a.livenessTick()
+	a.tick((*proto.Core).TickStabilize)
+	a.tick((*proto.Core).TickLiveness)
 
 	// A datagram that arrives after Close is dropped, even one addressed
 	// to the node itself (which would otherwise deliver).
@@ -205,9 +236,6 @@ func TestCloseThenLateEventsAreNoOps(t *testing.T) {
 	if err := a.Join(b.Addr(), 100*time.Millisecond); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Join after Close = %v, want ErrClosed", err)
 	}
-	// Restarting maintenance on a closed node must not spawn goroutines.
-	a.StartStabilize(time.Millisecond)
-	a.StartLiveness(DefaultLivenessParams())
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,15 +251,10 @@ func TestCloseThenLateEventsAreNoOps(t *testing.T) {
 }
 
 func TestJoinTimeoutAgainstDeadAddress(t *testing.T) {
-	n, err := NewNode(ident.FromString("lost"), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
+	n := newTestNode(t, "lost", Config{})
 	// 127.0.0.1:1 is almost certainly not listening; the join must time
 	// out rather than hang.
-	err = n.Join("127.0.0.1:1", 200*time.Millisecond)
-	if err == nil {
+	if err := n.Join("127.0.0.1:1", 200*time.Millisecond); err == nil {
 		t.Fatal("join against dead address should fail")
 	}
 }
@@ -244,15 +267,15 @@ func TestRingDebugString(t *testing.T) {
 }
 
 func TestGateDropsUnauthorized(t *testing.T) {
-	nodes := startRing(t, 3)
-	dst := nodes[2]
 	authorized := ident.FromString("overlay-node-0") // nodes[0]'s label
-	dst.SetGate(func(src ident.ID, capability []byte) error {
+	// Every node carries the gate; only deliveries at dst are exercised.
+	nodes := startRingWith(t, 3, Config{Gate: func(src ident.ID, capability []byte) error {
 		if src == authorized && string(capability) == "token" {
 			return nil
 		}
 		return fmt.Errorf("denied")
-	})
+	}})
+	dst := nodes[2]
 	// Unauthorized sender: dropped.
 	if err := nodes[1].Send(dst.ID(), []byte("sneaky")); err != nil {
 		t.Fatal(err)
@@ -282,12 +305,9 @@ func TestGateDropsUnauthorized(t *testing.T) {
 
 func TestConcurrentJoinsConvergeWithStabilization(t *testing.T) {
 	// Join 7 nodes through the bootstrap CONCURRENTLY — splices race —
-	// then let stabilization repair the ring.
-	boot, err := NewNode(ident.FromString("concurrent-boot"), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { boot.Close() })
+	// and let stabilization repair the ring.
+	cfg := Config{Stabilize: 25 * time.Millisecond}
+	boot := newTestNode(t, "concurrent-boot", cfg)
 	boot.Bootstrap()
 
 	const n = 7
@@ -299,7 +319,7 @@ func TestConcurrentJoinsConvergeWithStabilization(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			node, err := NewNode(ident.FromString(fmt.Sprintf("concurrent-%d", i)), "127.0.0.1:0")
+			node, err := New(ident.FromString(fmt.Sprintf("concurrent-%d", i)), cfg)
 			if err != nil {
 				errs <- err
 				return
@@ -320,9 +340,6 @@ func TestConcurrentJoinsConvergeWithStabilization(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, node := range nodes {
-		node.StartStabilize(25 * time.Millisecond)
-	}
 	// Poll until the ring is consistent (or time out).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -355,35 +372,14 @@ func TestConcurrentJoinsConvergeWithStabilization(t *testing.T) {
 	}
 }
 
-// ringIsConsistent is the non-fatal variant of ringConsistent.
-func ringIsConsistent(nodes []*Node) bool {
-	sorted := append([]*Node(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID().Less(sorted[j].ID()) })
-	for i, node := range sorted {
-		want := sorted[(i+1)%len(sorted)].ID()
-		got, _, ok := node.Successor()
-		if !ok || got != want {
-			return false
-		}
-	}
-	return true
-}
-
 func TestStabilizeIdempotentOnConsistentRing(t *testing.T) {
-	nodes := startRing(t, 4)
-	for _, n := range nodes {
-		n.StartStabilize(20 * time.Millisecond)
-		n.StartStabilize(20 * time.Millisecond) // double start is a no-op
-	}
+	nodes := startRingWith(t, 4, Config{Stabilize: 20 * time.Millisecond})
 	time.Sleep(300 * time.Millisecond)
 	ringConsistent(t, nodes)
 }
 
 func TestSuccessorFailoverHealsRing(t *testing.T) {
-	nodes := startRing(t, 5)
-	for _, n := range nodes {
-		n.StartStabilize(20 * time.Millisecond)
-	}
+	nodes := startRingWith(t, 5, Config{Stabilize: 20 * time.Millisecond})
 	// Wait until every node's successor group has fallback entries —
 	// failover needs group depth, and group refresh rides on
 	// stabilization replies (condition-based to stay robust under CPU

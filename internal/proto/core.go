@@ -403,12 +403,6 @@ func (c *Core) TickStabilize(a *Actions) {
 	}
 }
 
-// SetLiveness replaces the liveness parameters (zero fields take
-// defaults) — the knob behind the overlay's StartLiveness.
-func (c *Core) SetLiveness(p LivenessParams) {
-	c.liveness = p.normalize()
-}
-
 // LivenessInterval is the negotiated transmit interval toward the
 // current monitoring target: max(local MinTx, remote advertised MinRx).
 // The driver paces its liveness ticks by it.
@@ -560,14 +554,10 @@ func (c *Core) ForwardData(pkt *wire.Packet, a *Actions) {
 // joiner, which cannot.
 func (c *Core) forwardExcept(pkt *wire.Packet, exclude ident.ID, a *Actions) {
 	var best *Peer
-	var bestDist ident.ID
+	sel := ident.NewScan(c.id, pkt.Dst)
 	consider := func(e *Peer) {
-		if e.ID == c.id || e.ID == exclude || !ident.Progress(c.id, pkt.Dst, e.ID) {
-			return
-		}
-		d := e.ID.Distance(pkt.Dst)
-		if best == nil || d.Cmp(bestDist) < 0 {
-			best, bestDist = e, d
+		if e.ID != exclude && sel.Offer(e.ID) {
+			best = e
 		}
 	}
 	for i := range c.succs {

@@ -13,7 +13,7 @@ package proto_test
 // wait for the fabric to go idle, collect every inbox, replay in
 // fabric send-sequence order. With zero-fault zero-latency links the
 // dispatcher's (due, seq) order equals global send order, which equals
-// the sim engine's FIFO schedule order, so the waves line up exactly.
+// the sim driver's in-flight FIFO order, so the waves line up exactly.
 
 import (
 	"fmt"
@@ -25,7 +25,6 @@ import (
 	"rofl/internal/ident"
 	"rofl/internal/netem"
 	"rofl/internal/proto"
-	"rofl/internal/sim"
 	"rofl/internal/vring"
 	"rofl/internal/wire"
 )
@@ -94,7 +93,7 @@ func runEqSchedule(d eqDriver) {
 type simDriver struct{ ring *vring.ProtoRing }
 
 func newSimDriver() *simDriver {
-	return &simDriver{ring: vring.NewProtoRing(sim.NewEngine(1), 1, nil)}
+	return &simDriver{ring: vring.NewProtoRing(1, nil)}
 }
 
 // The sim driver ignores the schedule's transport address: its fabric

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"rofl/internal/ident"
 )
@@ -101,10 +100,13 @@ func (s *peerSet) get(id ident.ID) (Peer, bool) {
 // at returns the i-th peer in ascending ID order.
 func (s *peerSet) at(i int) Peer { return s.byID[s.ids[i]] }
 
+// idAt reads the sorted slice for ident's searches.
+func (s *peerSet) idAt(k int) *ident.ID { return &s.ids[k] }
+
 // search returns the position of id in the sorted slice (or where it
 // would be inserted).
 func (s *peerSet) search(id ident.ID) int {
-	return sort.Search(len(s.ids), func(k int) bool { return !s.ids[k].Less(id) })
+	return ident.Search(len(s.ids), s.idAt, id)
 }
 
 // insert adds a peer or refreshes the address of a known one.
@@ -181,39 +183,23 @@ func (s *peerSet) pick(rng *rand.Rand, skip func(ident.ID) bool) (Peer, bool) {
 
 // bestProgress returns the remembered peer closest to dst that makes
 // legal greedy progress from cur (candidate ∈ (cur, dst], Algorithm 2),
-// skipping exclude. The sorted slice turns this into one O(log n)
-// binary search — the largest ID at or before dst in circular order —
-// followed by at most a short counter-clockwise walk past excluded
-// entries: the same lookup structure vring's pointer cache uses, here
-// over the core's known set.
+// skipping exclude. The sorted slice turns this into ident.Closest's one
+// O(log n) search — the same lookup vring's pointer cache uses, here
+// over the core's known set — plus at most one step counter-clockwise
+// when the winner is the excluded peer.
 //
 //rofllint:hotpath
 func (s *peerSet) bestProgress(cur, dst, exclude ident.ID) (Peer, bool) {
 	m := len(s.ids)
-	if m == 0 {
+	i, ok := ident.Closest(m, s.idAt, cur, dst)
+	if ok && s.ids[i] == exclude {
+		// Walking counter-clockwise only ever shrinks progress; if the next
+		// peer down fails the test, no remembered peer qualifies.
+		i = (i - 1 + m) % m
+		ok = s.ids[i] != exclude && ident.Progress(cur, dst, s.ids[i])
+	}
+	if !ok {
 		return Peer{}, false
 	}
-	// First ID linearly greater than dst; its predecessor (circularly)
-	// is the closest candidate that does not overshoot.
-	i := sort.Search(m, func(k int) bool { return dst.Less(s.ids[k]) })
-	idx := i - 1
-	if idx < 0 {
-		idx = m - 1
-	}
-	for tries := 0; tries < m; tries++ {
-		id := s.ids[idx]
-		if !ident.Progress(cur, dst, id) {
-			// Walking counter-clockwise only ever shrinks progress; once
-			// it fails, no remembered peer qualifies.
-			return Peer{}, false
-		}
-		if id != exclude {
-			return s.byID[id], true
-		}
-		idx--
-		if idx < 0 {
-			idx = m - 1
-		}
-	}
-	return Peer{}, false
+	return s.byID[s.ids[i]], true
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // This file extends the discrete-event substrate from parallel *trials*
-// (ForEach + Metrics.Merge, one independent Engine per trial) to a
+// (ForEach + Metrics.Merge, one independent seed per trial) to a
 // parallel *single network*: one simulated system whose nodes are
 // sharded across per-core workers, exchanging events at virtual-clock
 // barriers, with results provably independent of the shard count.

@@ -1,19 +1,19 @@
-// Package sim provides the deterministic discrete-event substrate the
-// ROFL evaluation runs on: a virtual clock, an event heap, a seeded RNG,
+// Package sim provides the deterministic substrate the ROFL evaluation
+// runs on: virtual time, the one discrete-event engine (ShardedEngine),
 // and the message accounting the paper's figures are built from.
 //
 // The paper measures join overhead and convergence cost in
 // "network-level messages" — one control message traversing k physical
 // links counts as k packets (§6.1) — and join latency as the critical
 // path of parallel control messages over weighted links (§6.2, Fig 5c).
-// Engine exposes exactly those quantities, so every experiment driver is
+// Metrics holds exactly those quantities, so every experiment driver is
 // a pure function of (topology, workload, seed).
 //
 // Two parallel execution modes keep that purity:
 //
-//   - ForEach + Metrics.Merge run independent trials (one Engine per
-//     seed) across a worker pool; tables are byte-identical at any
-//     worker count because trial seeds derive from the trial index.
+//   - ForEach + Metrics.Merge run independent trials (one seed each)
+//     across a worker pool; tables are byte-identical at any worker
+//     count because trial seeds derive from the trial index.
 //   - ShardedEngine (shard.go) parallelizes a single network: nodes are
 //     sharded across workers that exchange messages at virtual-clock
 //     barriers every Lookahead window, and runs are byte-identical at
@@ -21,103 +21,13 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
 // Time is virtual time in milliseconds. Link weights are interpreted as
 // one-way latencies in the same unit.
 type Time float64
-
-// Engine is a single-threaded discrete-event scheduler. The zero value is
-// not usable; construct with NewEngine.
-type Engine struct {
-	now     Time
-	queue   eventHeap
-	seq     uint64 // tie-breaker: FIFO among same-time events
-	rng     *rand.Rand
-	Metrics Metrics
-}
-
-// NewEngine returns an engine whose RNG is seeded deterministically.
-func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:     rand.New(rand.NewSource(seed)),
-		Metrics: NewMetrics(),
-	}
-}
-
-// Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
-
-// Rand returns the engine's deterministic RNG.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Schedule enqueues fn to run after delay. A negative delay is treated as
-// zero. Events scheduled for the same instant run in FIFO order.
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.seq++
-	heap.Push(&e.queue, &event{at: e.now + delay, seq: e.seq, fn: fn})
-}
-
-// Run drains the event queue to completion and returns the final virtual
-// time. It is safe to call repeatedly: new events scheduled by handlers
-// are processed before Run returns.
-func (e *Engine) Run() Time {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		ev.fn()
-	}
-	return e.now
-}
-
-// RunUntil processes events with timestamps <= deadline, leaving later
-// events queued, and advances the clock to deadline.
-func (e *Engine) RunUntil(deadline Time) {
-	for e.queue.Len() > 0 && e.queue[0].at <= deadline {
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		ev.fn()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.queue.Len() }
-
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
 
 // --- Metrics -------------------------------------------------------------
 

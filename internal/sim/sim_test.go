@@ -7,17 +7,33 @@ import (
 	"testing/quick"
 )
 
-func TestScheduleOrdering(t *testing.T) {
-	e := NewEngine(1)
-	var got []int
-	e.Schedule(5, func() { got = append(got, 3) })
-	e.Schedule(1, func() { got = append(got, 1) })
-	e.Schedule(3, func() { got = append(got, 2) })
-	end := e.Run()
-	if end != 5 {
-		t.Fatalf("final time = %v want 5", end)
+// The scheduler contract below — time order, same-time FIFO, nested
+// scheduling, the negative-delay clamp, run-to-run determinism — is
+// pinned on ShardedEngine's one-shard (sequential) case with self-timers,
+// which are exempt from the lookahead clamp and so keep exact delays.
+
+// timers primes one self-timer per delay on node 0 of a one-shard
+// engine, Kind numbering them in priming order.
+func timers(h Handler, delays ...Time) *ShardedEngine {
+	e := NewSharded(1, 1, 1, nil, h)
+	for i, d := range delays {
+		e.Prime(d, Msg{Kind: uint16(i)})
 	}
-	want := []int{1, 2, 3}
+	return e
+}
+
+func TestScheduleOrdering(t *testing.T) {
+	var got []uint16
+	var last Time
+	e := timers(handlerFunc(func(sc *ShardContext, m Msg) {
+		got = append(got, m.Kind)
+		last = sc.Now()
+	}), 5, 1, 3)
+	end := e.Run()
+	if last != 5 || end < last {
+		t.Fatalf("last event at %v, run ended at %v; want 5 and a barrier past it", last, end)
+	}
+	want := []uint16{1, 2, 0}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v want %v", got, want)
@@ -26,89 +42,55 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestSameTimeFIFO(t *testing.T) {
-	e := NewEngine(1)
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(7, func() { got = append(got, i) })
+	var got []uint16
+	delays := make([]Time, 10)
+	for i := range delays {
+		delays[i] = 7
 	}
-	e.Run()
+	timers(handlerFunc(func(sc *ShardContext, m Msg) { got = append(got, m.Kind) }), delays...).Run()
 	for i := range got {
-		if got[i] != i {
+		if got[i] != uint16(i) {
 			t.Fatalf("same-time events not FIFO: %v", got)
 		}
 	}
 }
 
 func TestNestedScheduling(t *testing.T) {
-	e := NewEngine(1)
 	depth := 0
-	var step func()
-	step = func() {
+	var last Time
+	timers(handlerFunc(func(sc *ShardContext, m Msg) {
 		depth++
+		last = sc.Now()
 		if depth < 5 {
-			e.Schedule(1, step)
+			sc.Send(1, m)
 		}
-	}
-	e.Schedule(0, step)
-	end := e.Run()
+	}), 0).Run()
 	if depth != 5 {
 		t.Fatalf("depth = %d want 5", depth)
 	}
-	if end != 4 {
-		t.Fatalf("end = %v want 4", end)
+	if last != 4 {
+		t.Fatalf("last event at %v want 4", last)
 	}
 }
 
 func TestNegativeDelayClamped(t *testing.T) {
-	e := NewEngine(1)
-	ran := false
-	e.Schedule(-10, func() { ran = true })
-	if e.Run() != 0 || !ran {
-		t.Fatal("negative delay should run at t=0")
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine(1)
-	var got []Time
-	for _, d := range []Time{1, 2, 3, 10} {
-		d := d
-		e.Schedule(d, func() { got = append(got, d) })
-	}
-	e.RunUntil(3)
-	if len(got) != 3 {
-		t.Fatalf("got %v, want first three", got)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("clock = %v want 3", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d want 1", e.Pending())
-	}
-	e.Run()
-	if len(got) != 4 || e.Now() != 10 {
-		t.Fatalf("remaining event not delivered: %v now=%v", got, e.Now())
+	var at []Time
+	timers(handlerFunc(func(sc *ShardContext, m Msg) {
+		at = append(at, sc.Now())
+		if len(at) == 1 {
+			sc.Send(-10, m)
+		}
+	}), -10).Run()
+	if len(at) != 2 || at[0] != 0 || at[1] != 0 {
+		t.Fatalf("negative delays should run at t=0 and at the sender's now: %v", at)
 	}
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
-	run := func() []float64 {
-		e := NewEngine(42)
-		var out []float64
-		for i := 0; i < 100; i++ {
-			e.Schedule(Time(e.Rand().Float64()*10), func() {
-				out = append(out, e.Rand().Float64())
-			})
-		}
-		e.Run()
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed must produce identical traces")
-		}
+	a, _, endA := runToy(t, 37, 2, nil)
+	b, _, endB := runToy(t, 37, 2, nil)
+	if a != b || endA != endB {
+		t.Fatal("same seed must produce identical traces")
 	}
 }
 
@@ -343,10 +325,11 @@ func TestSummaryString(t *testing.T) {
 
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ReportAllocs()
+	h := handlerFunc(func(*ShardContext, Msg) {})
 	for i := 0; i < b.N; i++ {
-		e := NewEngine(1)
+		e := NewSharded(1, 1, 1, nil, h)
 		for j := 0; j < 1000; j++ {
-			e.Schedule(Time(j%17), func() {})
+			e.Prime(Time(j%17), Msg{})
 		}
 		e.Run()
 	}

@@ -1,8 +1,6 @@
 package vring
 
 import (
-	"sort"
-
 	"rofl/internal/ident"
 	"rofl/internal/topology"
 )
@@ -19,31 +17,6 @@ type Pointer struct {
 
 // RouterID aliases the topology node index of a router.
 type RouterID = topology.NodeID
-
-// bestMatch returns the index of the element of sorted (ascending by ID)
-// that is closest to dst without overshooting it, given the packet's
-// current ring position pos. It returns ok=false when no element makes
-// greedy progress. The key identity: candidate ∈ (pos, dst] iff
-// Distance(candidate, dst) < Distance(pos, dst), so checking the global
-// distance minimizer suffices.
-func bestMatch(pos, dst ident.ID, sorted []Pointer) (int, bool) {
-	n := len(sorted)
-	if n == 0 {
-		return 0, false
-	}
-	// Largest ID <= dst in linear order; wraps to the last element when
-	// dst precedes everything (circularly that element is closest).
-	i := sort.Search(n, func(k int) bool { return dst.Less(sorted[k].ID) })
-	idx := i - 1
-	if idx < 0 {
-		idx = n - 1
-	}
-	c := sorted[idx].ID
-	if !ident.Progress(pos, dst, c) {
-		return 0, false
-	}
-	return idx, true
-}
 
 // PointerCache is the bounded cache of overheard pointers each router
 // keeps (§2.2 "the pointer-cache of routers is limited in size, and
@@ -146,12 +119,12 @@ func (c *PointerCache) HitRate() float64 {
 	return float64(c.hits) / float64(total)
 }
 
+// idAt reads the sorted entries for ident's searches.
+func (c *PointerCache) idAt(k int) *ident.ID { return &c.entries[k].ID }
+
 func (c *PointerCache) find(id ident.ID) (int, bool) {
-	i := sort.Search(len(c.entries), func(k int) bool { return !c.entries[k].ID.Less(id) })
-	if i < len(c.entries) && c.entries[i].ID == id {
-		return i, true
-	}
-	return i, false
+	i := ident.Search(len(c.entries), c.idAt, id)
+	return i, i < len(c.entries) && c.entries[i].ID == id
 }
 
 // Insert records a pointer, updating the router of an existing entry or
@@ -268,26 +241,14 @@ func (c *PointerCache) RemoveRouter(r RouterID) int {
 //
 //rofllint:hotpath
 func (c *PointerCache) Lookup(pos, dst ident.ID) (Pointer, bool) {
-	// View the entries as pointers without copying: bestMatch needs IDs
-	// in sorted order, which c.entries maintains.
-	n := len(c.entries)
-	if n == 0 {
+	i, ok := ident.Closest(len(c.entries), c.idAt, pos, dst)
+	if !ok {
 		c.misses++
 		return Pointer{}, false
 	}
-	i := sort.Search(n, func(k int) bool { return dst.Less(c.entries[k].ID) })
-	idx := i - 1
-	if idx < 0 {
-		idx = n - 1
-	}
-	e := c.entries[idx]
-	if !ident.Progress(pos, dst, e.ID) {
-		c.misses++
-		return Pointer{}, false
-	}
-	c.touch(idx)
+	c.touch(i)
 	c.hits++
-	return e.Pointer, true
+	return c.entries[i].Pointer, true
 }
 
 // Each returns every cached pointer in ascending ID order (for memory

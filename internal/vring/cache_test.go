@@ -128,25 +128,27 @@ func TestCacheEach(t *testing.T) {
 	}
 }
 
+// TestBestMatch pins the cache's closest-without-overshoot lookup (the
+// sorted form of Algorithm 2, ident.Closest) on the cases the cache
+// carried its own search for.
 func TestBestMatch(t *testing.T) {
-	sorted := []Pointer{
-		{ID: id64(10)}, {ID: id64(20)}, {ID: id64(30)},
+	c := NewPointerCache(8)
+	for _, v := range []uint64{10, 20, 30} {
+		c.Insert(Pointer{ID: id64(v), Router: RouterID(v)})
 	}
-	idx, ok := bestMatch(id64(5), id64(25), sorted)
-	if !ok || sorted[idx].ID != id64(20) {
-		t.Fatalf("idx=%d ok=%v", idx, ok)
+	if p, ok := c.Lookup(id64(5), id64(25)); !ok || p.ID != id64(20) || p.Router != 20 {
+		t.Fatalf("p=%+v ok=%v", p, ok)
 	}
 	// dst before all entries: wraps to last (30), which from pos 5 toward
 	// 3 is progress (30 in (5, 3] circularly).
-	idx, ok = bestMatch(id64(5), id64(3), sorted)
-	if !ok || sorted[idx].ID != id64(30) {
-		t.Fatalf("wrap: idx=%d ok=%v", idx, ok)
+	if p, ok := c.Lookup(id64(5), id64(3)); !ok || p.ID != id64(30) {
+		t.Fatalf("wrap: p=%+v ok=%v", p, ok)
 	}
 	// No progress possible.
-	if _, ok := bestMatch(id64(25), id64(27), sorted); ok {
+	if _, ok := c.Lookup(id64(25), id64(27)); ok {
 		t.Fatal("nothing in (25,27]")
 	}
-	if _, ok := bestMatch(id64(0), id64(5), nil); ok {
+	if _, ok := NewPointerCache(8).Lookup(id64(0), id64(5)); ok {
 		t.Fatal("empty set")
 	}
 }

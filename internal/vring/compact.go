@@ -327,8 +327,10 @@ func NewCompactRing(isp *topology.ISP, cfg CompactConfig) *CompactRing {
 		for i := 0; i < e; i++ {
 			child := ident.Handle(m + i)
 			cid := r.ids[child]
-			rank := sort.Search(m, func(k int) bool { return cid.Less(r.ids[sorted[k]]) })
-			p := sorted[(rank-1+m)%m]
+			// Ring predecessor: the largest member below the child, wrapping
+			// (Floor's -1) to the last one.
+			rank := ident.Floor(m, func(k int) *ident.ID { return &r.ids[sorted[k]] }, cid)
+			p := sorted[(rank+m)%m]
 			path := ls.Path(topology.NodeID(r.router[p]), topology.NodeID(r.router[child]))
 			off := uint32(len(r.routeSlab))
 			for _, node := range path {
@@ -589,7 +591,7 @@ func (r *CompactRing) cacheInsert(router uint32, h ident.Handle) {
 	id := r.ids[h]
 	b := r.bucketOf(c, id)
 	bkt := c.buckets[b]
-	i := sort.Search(len(bkt), func(k int) bool { return !r.ids[bkt[k].h].Less(id) })
+	i := ident.Search(len(bkt), func(k int) *ident.ID { return &r.ids[bkt[k].h] }, id)
 	c.clock++
 	if i < len(bkt) && bkt[i].h == h {
 		bkt[i].stamp = c.clock
@@ -641,11 +643,11 @@ func (r *CompactRing) cacheLookup(router uint32, pos, dst ident.ID) (ident.Handl
 		if step == 0 {
 			// Largest cached ID <= dst within dst's own bucket; if the
 			// whole bucket is above dst, keep walking down.
-			i := sort.Search(len(bkt), func(k int) bool { return dst.Less(r.ids[bkt[k].h]) })
-			if i == 0 {
+			i := ident.Floor(len(bkt), func(k int) *ident.ID { return &r.ids[bkt[k].h] }, dst)
+			if i < 0 {
 				continue
 			}
-			cand = bkt[i-1].h
+			cand = bkt[i].h
 		} else {
 			cand = bkt[len(bkt)-1].h
 		}
@@ -744,14 +746,10 @@ func (r *CompactRing) finishProbe(res *ProbeResult, from, to ident.Handle) {
 func (r *CompactRing) selectCompact(pos ident.Handle, cur uint32, dst ident.ID) (ident.Handle, bool) {
 	posID := r.ids[pos]
 	best := ident.NoHandle
-	var bestDist ident.ID
+	sel := ident.NewScan(posID, dst)
 	consider := func(c ident.Handle) {
-		if c == ident.NoHandle || !ident.Progress(posID, dst, r.ids[c]) {
-			return
-		}
-		d := r.ids[c].Distance(dst)
-		if best == ident.NoHandle || d.Cmp(bestDist) < 0 {
-			best, bestDist = c, d
+		if c != ident.NoHandle && sel.Offer(r.ids[c]) {
+			best = c
 		}
 	}
 	base := int(pos) * r.cfg.SuccessorGroup

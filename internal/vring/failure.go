@@ -207,9 +207,13 @@ func (n *Network) refillGroup(vn *VirtualNode, ms []Pointer, counter string) {
 	}
 }
 
+// memberSearch returns the lower bound of id in the sorted member list.
+func memberSearch(ms []Pointer, id ident.ID) int {
+	return ident.Search(len(ms), func(k int) *ident.ID { return &ms[k].ID }, id)
+}
+
 func findMember(ms []Pointer, id ident.ID) (int, bool) {
-	i := sort.Search(len(ms), func(k int) bool { return !ms[k].ID.Less(id) })
-	if i < len(ms) && ms[i].ID == id {
+	if i := memberSearch(ms, id); i < len(ms) && ms[i].ID == id {
 		return i, true
 	}
 	return 0, false
@@ -533,8 +537,7 @@ func (n *Network) reparkEphemerals(comp map[RouterID]bool, ms []Pointer) {
 // predecessorIndex returns the index of the member that is id's ring
 // predecessor: the largest member strictly less than id, circularly.
 func predecessorIndex(ms []Pointer, id ident.ID) int {
-	i := sort.Search(len(ms), func(k int) bool { return !ms[k].ID.Less(id) })
-	return (i - 1 + len(ms)) % len(ms)
+	return (memberSearch(ms, id) - 1 + len(ms)) % len(ms)
 }
 
 func hasParked(vn *VirtualNode, id ident.ID) bool {

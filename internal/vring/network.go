@@ -376,7 +376,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 			continue
 		}
 		if ok {
-			if !haveTarget || best.ID.Distance(dst).Cmp(target.ID.Distance(dst)) < 0 {
+			if !haveTarget || ident.Closer(dst, best.ID, target.ID) {
 				target, targetVN, haveTarget = best, bestVN, true
 			}
 		}
@@ -461,15 +461,10 @@ func (n *Network) learnControl(learn []Pointer) []Pointer {
 func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale map[ident.ID]bool) (Pointer, *VirtualNode, bool) {
 	var best Pointer
 	var bestVN *VirtualNode
-	var bestDist ident.ID
-	found := false
+	sel := ident.NewScan(pos, dst)
 	consider := func(p Pointer, vn *VirtualNode) {
-		if stale[p.ID] || !ident.Progress(pos, dst, p.ID) {
-			return
-		}
-		d := p.ID.Distance(dst)
-		if !found || d.Cmp(bestDist) < 0 {
-			best, bestVN, bestDist, found = p, vn, d, true
+		if !stale[p.ID] && sel.Offer(p.ID) {
+			best, bestVN = p, vn
 		}
 	}
 	for _, vn := range r.VNs {
@@ -489,15 +484,12 @@ func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale map[ident.ID
 			consider(vn.Pred, vn)
 		}
 	}
+	// Offered last, the cache beats ring state only when strictly closer
+	// (precedence).
 	if p, ok := r.Cache.Lookup(pos, dst); ok {
-		// Cache beats ring state only when strictly closer (precedence).
-		if !stale[p.ID] {
-			d := p.ID.Distance(dst)
-			if !found || d.Cmp(bestDist) < 0 {
-				best, bestVN, found = p, nil, true
-			}
-		}
+		consider(p, nil)
 	}
+	_, found := sel.Best()
 	return best, bestVN, found
 }
 

@@ -9,23 +9,28 @@ import (
 
 // ProtoRing is the simulation driver of the transport-agnostic protocol
 // core: the same proto.Core state machine internal/overlay drives over
-// real sockets, here stepped under the sim engine's virtual clock. Every
-// emitted packet is marshaled to wire bytes and scheduled as a
-// constant-latency event, every maintenance tick is fed in lockstep
-// index order, and every transition's notes land in one shared journal —
-// so a seeded run is a pure function of its schedule, byte-comparable
-// against the same schedule driven through a netem fabric (the
-// cross-driver equivalence test in internal/proto).
+// real sockets, here stepped on a virtual clock. Every emitted packet is
+// marshaled to wire bytes and queued as a datagram arriving one constant
+// latency later, every maintenance tick is fed in lockstep index order,
+// and every transition's notes land in one shared journal — so a seeded
+// run is a pure function of its schedule, byte-comparable against the
+// same schedule driven through a netem fabric (the cross-driver
+// equivalence test in internal/proto).
 //
-// The driver is single-threaded by construction: cores only transition
-// inside engine events or the caller's own step methods, so no lock
-// guards them.
+// With one latency for every link, arrival order is send order, so the
+// fabric is a plain FIFO of in-flight datagrams rather than an event
+// heap. The driver is single-threaded by construction: cores only
+// transition while the queue drains or inside the caller's own step
+// methods, so no lock guards them.
 type ProtoRing struct {
-	eng     *sim.Engine
 	latency sim.Time
-	journal *proto.Journal
-	intern  *ident.Intern
-	slots   []*protoSlot
+	now     sim.Time
+	// inflight holds the datagrams on the wire in arrival order; run
+	// drains it to quiescence.
+	inflight []datagram
+	journal  *proto.Journal
+	intern   *ident.Intern
+	slots    []*protoSlot
 	// acts is the one Actions buffer every transition reuses; dispatch
 	// drains it (marshaling sends into independent byte slices) before
 	// the next transition runs.
@@ -43,15 +48,22 @@ type protoSlot struct {
 	core  *proto.Core
 }
 
-// NewProtoRing builds an empty driver over eng. Packets arrive latency
-// virtual milliseconds after they are sent; journal (optional) receives
-// every transition's notes.
-func NewProtoRing(eng *sim.Engine, latency sim.Time, journal *proto.Journal) *ProtoRing {
+// datagram is one marshaled packet on the wire: its bytes are
+// independent of the sender's state from the moment it is sent.
+type datagram struct {
+	at       sim.Time // arrival time
+	to, from string
+	buf      []byte
+}
+
+// NewProtoRing builds an empty driver. Packets arrive latency virtual
+// milliseconds after they are sent; journal (optional) receives every
+// transition's notes.
+func NewProtoRing(latency sim.Time, journal *proto.Journal) *ProtoRing {
 	if journal == nil {
 		journal = &proto.Journal{}
 	}
 	return &ProtoRing{
-		eng:     eng,
 		latency: latency,
 		journal: journal,
 		intern:  ident.NewIntern(),
@@ -81,13 +93,6 @@ func (r *ProtoRing) AddNode(id ident.ID) int {
 	return s.index
 }
 
-// Core exposes slot i's protocol state machine (nil while killed), for
-// assertions.
-func (r *ProtoRing) Core(i int) *proto.Core { return r.slots[i].core }
-
-// Addr returns slot i's permanent fabric address.
-func (r *ProtoRing) Addr(i int) string { return r.slots[i].addr }
-
 // Alive reports whether slot i currently runs a core.
 func (r *ProtoRing) Alive(i int) bool { return r.slots[i].core != nil }
 
@@ -108,7 +113,7 @@ func (r *ProtoRing) Join(i, via int) {
 	r.journal.Markf("join %d via %d", i, via)
 	s.core.StartJoin(s.core.NextReqID(), r.slots[via].addr, &r.acts)
 	r.dispatch(s)
-	r.eng.Run()
+	r.run()
 }
 
 // Kill crashes slot i: the core vanishes and packets in flight toward
@@ -130,30 +135,22 @@ func (r *ProtoRing) Restart(i, via int) {
 // TickStabilize feeds one stabilization tick to every live slot in
 // index order, then runs the fabric to quiescence — one lockstep
 // maintenance round.
-func (r *ProtoRing) TickStabilize() {
-	for _, s := range r.slots {
-		if s.core == nil {
-			continue
-		}
-		r.journal.Markf("tick %d", s.index)
-		s.core.TickStabilize(&r.acts)
-		r.dispatch(s)
-	}
-	r.eng.Run()
-}
+func (r *ProtoRing) TickStabilize() { r.tickAll("tick", (*proto.Core).TickStabilize) }
 
 // TickLiveness feeds one BFD liveness tick to every live slot in index
 // order, then runs the fabric to quiescence.
-func (r *ProtoRing) TickLiveness() {
+func (r *ProtoRing) TickLiveness() { r.tickAll("bfd", (*proto.Core).TickLiveness) }
+
+func (r *ProtoRing) tickAll(mark string, tick func(*proto.Core, *proto.Actions)) {
 	for _, s := range r.slots {
 		if s.core == nil {
 			continue
 		}
-		r.journal.Markf("bfd %d", s.index)
-		s.core.TickLiveness(&r.acts)
+		r.journal.Markf("%s %d", mark, s.index)
+		tick(s.core, &r.acts)
 		r.dispatch(s)
 	}
-	r.eng.Run()
+	r.run()
 }
 
 // Send originates a data payload from slot i toward dst and runs the
@@ -163,12 +160,35 @@ func (r *ProtoRing) Send(i int, dst ident.ID, payload []byte) {
 	r.journal.Markf("send %d", s.index)
 	s.core.Originate(dst, payload, nil, &r.acts)
 	r.dispatch(s)
-	r.eng.Run()
+	r.run()
 }
 
-// dispatch records one transition's notes and schedules its sends: each
+// run delivers in-flight datagrams in arrival order — including those
+// the deliveries themselves send — until none remain. A datagram toward
+// an unknown or crashed slot, or one that does not decode, is dropped
+// like UDP.
+func (r *ProtoRing) run() {
+	for len(r.inflight) > 0 {
+		d := r.inflight[0]
+		r.inflight = r.inflight[1:]
+		r.now = d.at
+		h, ok := proto.ParseHandleAddr(d.to)
+		if !ok || int(h) >= len(r.slots) || r.slots[h].core == nil {
+			continue
+		}
+		var pkt wire.Packet
+		if err := pkt.DecodeFromBytes(d.buf); err != nil {
+			continue
+		}
+		dst := r.slots[h]
+		dst.core.HandlePacket(&pkt, d.from, &r.acts)
+		r.dispatch(dst)
+	}
+}
+
+// dispatch records one transition's notes and queues its sends: each
 // packet is marshaled now (the bytes in flight are independent of the
-// sender's state, as on a real wire) and delivered after the constant
+// sender's state, as on a real wire) and arrives after the constant
 // fabric latency. The shared Actions buffer is drained for the next
 // transition.
 func (r *ProtoRing) dispatch(s *protoSlot) {
@@ -179,28 +199,7 @@ func (r *ProtoRing) dispatch(s *protoSlot) {
 		if err != nil {
 			continue // malformed packets vanish, as a socket would reject them
 		}
-		to, from := snd.Addr, s.addr
-		r.eng.Schedule(r.latency, func() { r.deliver(to, from, buf) })
+		r.inflight = append(r.inflight, datagram{at: r.now + r.latency, to: snd.Addr, from: s.addr, buf: buf})
 	}
 	r.acts.Reset()
-}
-
-// deliver decodes one arriving datagram into the destination core; the
-// cascade of actions it triggers dispatches recursively through the
-// engine.
-func (r *ProtoRing) deliver(to, from string, buf []byte) {
-	h, ok := proto.ParseHandleAddr(to)
-	if !ok || int(h) >= len(r.slots) {
-		return // unknown destination: dropped like UDP
-	}
-	dst := r.slots[h]
-	if dst.core == nil {
-		return // crashed destination: dropped like UDP
-	}
-	var pkt wire.Packet
-	if err := pkt.DecodeFromBytes(buf); err != nil {
-		return
-	}
-	dst.core.HandlePacket(&pkt, from, &r.acts)
-	r.dispatch(dst)
 }

@@ -328,14 +328,6 @@ func NewOverlayNode(id ID, cfg NodeConfig) (*OverlayNode, error) {
 // real UDP, an emulated netem fabric, or a fault-injecting wrapper.
 type OverlayTransport = netem.Transport
 
-// NewOverlayNodeTransport binds a node to an existing transport; the
-// node owns it and closes it on Close.
-//
-// Deprecated: use NewOverlayNode with NodeConfig{Transport: tr}.
-func NewOverlayNodeTransport(id ID, tr OverlayTransport) *OverlayNode {
-	return overlay.NewNodeTransport(id, tr)
-}
-
 // ListenUDPTransport binds a real-UDP transport ("127.0.0.1:0" picks a
 // free port).
 func ListenUDPTransport(bind string) (OverlayTransport, error) {
