@@ -13,9 +13,10 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
+	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|Anycast|Negotiat' ./internal/canon
 
 race:
-	$(GO) test -race -shuffle=on ./internal/sim/... ./internal/experiments/... ./internal/vring/...
+	$(GO) test -race -shuffle=on ./internal/sim/... ./internal/experiments/... ./internal/vring/... ./internal/canon/... ./internal/topology/...
 	$(GO) test -race -shuffle=on ./internal/proto/... ./internal/netem/... ./internal/overlay/...
 	$(GO) test -race -shuffle=on ./internal/telemetry/... ./internal/cluster/...
 

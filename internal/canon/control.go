@@ -3,6 +3,7 @@ package canon
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"rofl/internal/ident"
 	"rofl/internal/topology"
@@ -74,96 +75,15 @@ func (in *Internet) RouteNegotiated(n Negotiation) ([]topology.ASN, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownID, n.Dst.Short())
 	}
-	path := in.pathNegotiated(srcAS, dstAS, n.Allowed)
+	// Any peering link inside the negotiated set may be crossed.
+	path := in.policyPath(srcAS, dstAS,
+		func(a topology.ASN) bool { return n.Allowed[a] },
+		func(_, _ topology.ASN) bool { return true })
 	if path == nil {
 		return nil, fmt.Errorf("%w: negotiated set has no working path", ErrNoRoute)
 	}
 	in.Metrics.Count(MsgData, int64(len(path)-1))
-	return path, nil
-}
-
-// pathNegotiated is a valley-free BFS restricted to the allowed AS set,
-// permitting one peering crossing anywhere inside the set.
-func (in *Internet) pathNegotiated(from, to topology.ASN, allowed map[topology.ASN]bool) []topology.ASN {
-	if from == to {
-		return []topology.ASN{from}
-	}
-	type state struct {
-		as topology.ASN
-		ph int // 0 ascending, 1 descending
-	}
-	visited := map[state]bool{}
-	parent := map[state]state{}
-	start := state{from, 0}
-	visited[start] = true
-	queue := []state{start}
-	var goal state
-	found := false
-	for len(queue) > 0 && !found {
-		cur := queue[0]
-		queue = queue[1:]
-		push := func(b topology.ASN, ph int) {
-			if !allowed[b] || in.failedAS[b] {
-				return
-			}
-			st := state{b, ph}
-			if visited[st] {
-				return
-			}
-			visited[st] = true
-			parent[st] = cur
-			if b == to {
-				goal, found = st, true
-				return
-			}
-			queue = append(queue, st)
-		}
-		if cur.ph == 0 {
-			for _, p := range in.activeProviders(cur.as) {
-				push(p, 0)
-				if found {
-					break
-				}
-			}
-			if !found {
-				for _, q := range in.G.Peers(cur.as) {
-					if in.linkUp(cur.as, q) {
-						push(q, 1)
-						if found {
-							break
-						}
-					}
-				}
-			}
-		}
-		if !found {
-			for _, c := range in.G.Customers(cur.as) {
-				if in.linkUp(cur.as, c) {
-					push(c, 1)
-					if found {
-						break
-					}
-				}
-			}
-		}
-	}
-	if !found {
-		return nil
-	}
-	var rev []topology.ASN
-	for st := goal; ; st = parent[st] {
-		rev = append(rev, st.as)
-		if st == start {
-			break
-		}
-	}
-	out := make([]topology.ASN, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		if len(out) == 0 || out[len(out)-1] != rev[i] {
-			out = append(out, rev[i])
-		}
-	}
-	return out
+	return slices.Clone(path), nil
 }
 
 // SuffixJoin is the result of a traffic-engineering multi-suffix join.
@@ -183,7 +103,7 @@ type SuffixJoin struct {
 // provider its join pinned, so shifting suffixes shifts load between
 // access links.
 func (in *Internet) JoinGroupTE(g ident.Group, suffixes []uint32, at topology.ASN) (SuffixJoin, error) {
-	provs := in.activeProviders(at)
+	provs := in.activeProviders(nil, at)
 	if len(provs) == 0 {
 		return SuffixJoin{}, fmt.Errorf("canon: AS %d has no active providers", at)
 	}
@@ -231,16 +151,14 @@ func (in *Internet) RouteAnycast(src ident.ID, g ident.Group, rng *rand.Rand) (R
 		return RouteResult{}, ident.ID{}, fmt.Errorf("%w: %s", ErrUnknownID, src.Short())
 	}
 	// An ordinary route toward (G, r) that stops at the first AS hosting
-	// any group member.
+	// any group member; of several at one AS, the smallest identifier.
 	var member ident.ID
 	res, err := in.route(srcAS, src, g.RandomMember(rng), func(as *AS) bool {
-		for id := range as.VNs {
-			if ident.GroupOf(id) == g {
-				member = id
-				return true
-			}
+		id, ok := lowestResident(as, func(id ident.ID) bool { return ident.GroupOf(id) == g })
+		if ok {
+			member = id
 		}
-		return false
+		return ok
 	})
 	return res, member, err
 }

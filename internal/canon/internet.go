@@ -22,6 +22,7 @@ package canon
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"rofl/internal/bloom"
@@ -286,6 +287,8 @@ type Internet struct {
 	// (§4.1: "an ISP may host virtual servers on behalf of a customer
 	// ISP, which it can maintain during that customer's outages").
 	virtualHosts map[ident.ID]topology.ASN
+
+	search pathSearch
 }
 
 // New builds an Internet over the annotated AS graph.
@@ -304,6 +307,10 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 		failedLink:   make(map[[2]topology.ASN]bool),
 		failedAS:     make([]bool, g.NumASes()),
 		virtualHosts: make(map[ident.ID]topology.ASN),
+		search: pathSearch{
+			seen:   make([]bool, 2*g.NumASes()),
+			parent: make([]int32, 2*g.NumASes()),
+		},
 	}
 	in.ases = make([]*AS, g.NumASes())
 	for i := range in.ases {
@@ -404,141 +411,26 @@ func (in *Internet) linkUp(a, b topology.ASN) bool {
 	if in.failedAS[a] || in.failedAS[b] {
 		return false
 	}
-	return !in.failedLink[linkKey(a, b)]
+	return len(in.failedLink) == 0 || !in.failedLink[linkKey(a, b)]
 }
 
-// activeProviders returns a's usable upstream links: primary providers
-// first; backup links only when every primary link is down (§4.2
-// "backup links ... an AS joins ... through one of its providers, and
-// uses the other providers as backup, in case the primary provider
-// fails").
-func (in *Internet) activeProviders(a topology.ASN) []topology.ASN {
-	var primary []topology.ASN
-	for _, p := range in.G.PrimaryProviders(a) {
+// activeProviders returns, in buf's storage, a's usable upstream links:
+// primary providers first; backup links only when every primary link is
+// down (§4.2 "backup links ... an AS joins ... through one of its
+// providers, and uses the other providers as backup, in case the primary
+// provider fails").
+func (in *Internet) activeProviders(buf []topology.ASN, a topology.ASN) []topology.ASN {
+	buf = buf[:0]
+	primary := len(in.G.PrimaryProviders(a))
+	for i, p := range in.G.Providers(a) {
+		if i == primary && len(buf) > 0 {
+			break
+		}
 		if in.linkUp(a, p) {
-			primary = append(primary, p)
+			buf = append(buf, p)
 		}
 	}
-	if len(primary) > 0 {
-		return primary
-	}
-	var backup []topology.ASN
-	for _, p := range in.G.Providers(a) {
-		if in.G.Relation(a, p) == topology.RelBackup && in.linkUp(a, p) {
-			backup = append(backup, p)
-		}
-	}
-	return backup
-}
-
-// pathWithin returns the shortest policy-compliant AS path from `from`
-// to `to` that never leaves root's subtree: ascend provider links,
-// optionally cross the root's own peering link (RootPeer) or one tier-1
-// peering link (RootTop), then descend customer links. Returns nil when
-// no such path exists — e.g. across a partition.
-func (in *Internet) pathWithin(root Root, from, to topology.ASN) []topology.ASN {
-	if from == to {
-		return []topology.ASN{from}
-	}
-	if !in.inSubtree(root, from) || !in.inSubtree(root, to) {
-		return nil
-	}
-	if in.failedAS[from] || in.failedAS[to] {
-		return nil
-	}
-	n := in.G.NumASes()
-	const phases = 2 // 0 ascending, 1 descending
-	visited := make([]bool, n*phases)
-	parent := make([]int32, n*phases)
-	for i := range parent {
-		parent[i] = -1
-	}
-	idx := func(a topology.ASN, ph int) int { return int(a)*phases + ph }
-	start := idx(from, 0)
-	visited[start] = true
-	queue := []int{start}
-	goal := -1
-	for len(queue) > 0 && goal == -1 {
-		cur := queue[0]
-		queue = queue[1:]
-		a := topology.ASN(cur / phases)
-		ph := cur % phases
-		push := func(b topology.ASN, nph int) {
-			if in.failedAS[b] || !in.inSubtree(root, b) {
-				return
-			}
-			i := idx(b, nph)
-			if visited[i] {
-				return
-			}
-			visited[i] = true
-			parent[i] = int32(cur)
-			if b == to {
-				goal = i
-				return
-			}
-			queue = append(queue, i)
-		}
-		if ph == 0 {
-			for _, p := range in.activeProviders(a) {
-				push(p, 0)
-				if goal != -1 {
-					break
-				}
-			}
-			if goal == -1 {
-				// Peer crossings permitted by the root.
-				for _, q := range in.G.Peers(a) {
-					if !in.linkUp(a, q) {
-						continue
-					}
-					allowed := false
-					switch root.Kind {
-					case RootPeer:
-						allowed = (a == root.A && q == root.B) || (a == root.B && q == root.A)
-					case RootTop:
-						allowed = in.G.Tier(a) == 1 && in.G.Tier(q) == 1
-					}
-					if allowed {
-						push(q, 1)
-						if goal != -1 {
-							break
-						}
-					}
-				}
-			}
-		}
-		if goal == -1 {
-			for _, c := range in.G.Customers(a) {
-				if !in.linkUp(a, c) {
-					continue
-				}
-				// A backup customer link carries traffic only while the
-				// customer's primary access links are all down (§4.2).
-				if in.G.Relation(c, a) == topology.RelBackup && in.hasPrimaryUp(c) {
-					continue
-				}
-				push(c, 1)
-				if goal != -1 {
-					break
-				}
-			}
-		}
-	}
-	if goal == -1 {
-		return nil
-	}
-	var rev []topology.ASN
-	for i := goal; i != -1; i = int(parent[i]) {
-		rev = append(rev, topology.ASN(i/phases))
-	}
-	out := make([]topology.ASN, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		if len(out) == 0 || out[len(out)-1] != rev[i] {
-			out = append(out, rev[i])
-		}
-	}
-	return out
+	return buf
 }
 
 // hasPrimaryUp reports whether AS c still has a usable primary provider
@@ -552,11 +444,113 @@ func (in *Internet) hasPrimaryUp(c topology.ASN) bool {
 	return false
 }
 
+// pathSearch is policyPath's reusable state. A search state is 2*AS +
+// phase: phase 0 may still ascend, phase 1 only descends.
+type pathSearch struct {
+	seen   []bool
+	parent []int32
+	queue  []int32 // states in visit order; the last search's are the ones seen
+	provs  []topology.ASN
+	path   []topology.ASN
+}
+
+// policyPath is the one valley-free search under every join and route:
+// the shortest path from `from` to `to` over ASes that are `inside`,
+// ascending provider links (§4.2: backup ones only while every primary
+// one is down), crossing at most one peering link that `mayCross`
+// admits, then descending customer links. It visits neighbours in
+// ascending AS order, so ties between equal-length paths are a function
+// of the graph alone. The result is nil when no such path exists and is
+// valid only until the next search on this Internet.
+func (in *Internet) policyPath(from, to topology.ASN, inside func(topology.ASN) bool, mayCross func(a, q topology.ASN) bool) []topology.ASN {
+	s := &in.search
+	if from == to {
+		s.path = append(s.path[:0], from)
+		return s.path
+	}
+	if !inside(to) || in.failedAS[to] {
+		return nil
+	}
+	for _, st := range s.queue {
+		s.seen[st] = false
+	}
+	s.queue = s.queue[:0]
+	cur, found := int32(-1), false // the state being expanded (none above the start)
+	// push visits (b, phase) from cur and reports whether the search is
+	// over.
+	push := func(b topology.ASN, phase int32) bool {
+		st := int32(b)*2 + phase
+		if in.failedAS[b] || s.seen[st] || !inside(b) {
+			return false
+		}
+		s.seen[st] = true
+		s.parent[st] = cur
+		s.queue = append(s.queue, st)
+		found = b == to
+		return found
+	}
+	push(from, 0) // refused, and the search empty, when from is failed or outside
+search:
+	for head := 0; head < len(s.queue); head++ {
+		cur = s.queue[head]
+		a := topology.ASN(cur / 2)
+		if cur%2 == 0 {
+			s.provs = in.activeProviders(s.provs, a)
+			for _, p := range s.provs {
+				if push(p, 0) {
+					break search
+				}
+			}
+			for _, q := range in.G.Peers(a) {
+				if in.linkUp(a, q) && mayCross(a, q) && push(q, 1) {
+					break search
+				}
+			}
+		}
+		backup := in.G.CustomerIsBackup(a)
+		for i, c := range in.G.Customers(a) {
+			// A backup customer link carries traffic only while the
+			// customer's primary access links are all down (§4.2).
+			if !in.linkUp(a, c) || backup[i] && in.hasPrimaryUp(c) {
+				continue
+			}
+			if push(c, 1) {
+				break search
+			}
+		}
+	}
+	if !found {
+		return nil
+	}
+	s.path = s.path[:0]
+	for st := s.queue[len(s.queue)-1]; st != -1; st = s.parent[st] {
+		s.path = append(s.path, topology.ASN(st/2))
+	}
+	slices.Reverse(s.path)
+	return s.path
+}
+
+// pathWithin returns the shortest policy-compliant AS path from `from`
+// to `to` that never leaves root's subtree; the only peering link it may
+// cross is the root's own (RootPeer) or one between tier-1s (RootTop).
+// Nil when no such path exists — e.g. across a partition. Like
+// policyPath's, the result is valid until the next search.
+func (in *Internet) pathWithin(root Root, from, to topology.ASN) []topology.ASN {
+	return in.policyPath(from, to,
+		func(a topology.ASN) bool { return in.inSubtree(root, a) },
+		func(a, q topology.ASN) bool {
+			switch root.Kind {
+			case RootPeer:
+				return (a == root.A && q == root.B) || (a == root.B && q == root.A)
+			case RootTop:
+				return in.G.Tier(a) == 1 && in.G.Tier(q) == 1
+			default:
+				return false
+			}
+		})
+}
+
 // hopsWithin is pathWithin's hop count, or -1.
 func (in *Internet) hopsWithin(root Root, from, to topology.ASN) int {
-	p := in.pathWithin(root, from, to)
-	if p == nil {
-		return -1
-	}
-	return len(p) - 1
+	return len(in.pathWithin(root, from, to)) - 1
 }

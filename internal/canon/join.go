@@ -44,7 +44,7 @@ func (in *Internet) rootsFor(x topology.ASN, s Strategy) []Root {
 		roots := []Root{asRoot(x)}
 		cur := x
 		for in.G.Tier(cur) != 1 {
-			provs := in.activeProviders(cur)
+			provs := in.activeProviders(nil, cur)
 			if len(provs) == 0 {
 				break
 			}
@@ -143,13 +143,11 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 			if seenSuccs[succ.ID] {
 				msgs += 2
 			} else {
-				if h := in.hopsWithin(root, at, pred.AS); h > 0 {
-					msgs += 2 * h
-					in.cacheAlong(in.pathWithin(root, at, pred.AS), self)
-				}
-				if h := in.hopsWithin(root, at, succ.AS); h > 0 {
-					msgs += 2 * h
-					in.cacheAlong(in.pathWithin(root, at, succ.AS), self)
+				for _, nbr := range [2]Ptr{pred, succ} {
+					if path := in.pathWithin(root, at, nbr.AS); len(path) > 1 {
+						msgs += 2 * (len(path) - 1)
+						in.cacheAlong(path, self)
+					}
 				}
 				seenSuccs[succ.ID] = true
 			}

@@ -58,18 +58,26 @@ func (in *Internet) Route(src, dst ident.ID) (RouteResult, error) {
 // RouteFromAS forwards a packet injected at an arbitrary AS, using any
 // resident virtual node as the starting ring position.
 func (in *Internet) RouteFromAS(from topology.ASN, dst ident.ID) (RouteResult, error) {
-	var pos ident.ID
-	found := false
-	for id := range in.ases[from].VNs {
-		//rofllint:ignore identcmp canonical minimum-ID selection to pick a start position deterministically; not a routing decision
-		if !found || id.Less(pos) {
-			pos, found = id, true
-		}
-	}
+	pos, found := lowestResident(in.ases[from], nil)
 	if !found {
 		return RouteResult{}, fmt.Errorf("%w: AS %d hosts no identifiers to route from", ErrUnknownID, from)
 	}
 	return in.route(from, pos, dst, nil)
+}
+
+// lowestResident returns the smallest identifier hosted at as that keep
+// (when set) admits — the total order that makes a pick among residents
+// independent of map iteration.
+func lowestResident(as *AS, keep func(ident.ID) bool) (ident.ID, bool) {
+	var low ident.ID
+	found := false
+	for id := range as.VNs {
+		//rofllint:ignore identcmp canonical minimum-ID selection to pick a resident deterministically; not a routing decision
+		if (keep == nil || keep(id)) && (!found || id.Less(low)) {
+			low, found = id, true
+		}
+	}
+	return low, found
 }
 
 // route is the forwarding loop behind Route, RouteFromAS and

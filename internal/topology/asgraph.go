@@ -3,7 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // ASN identifies an autonomous system in an ASGraph.
@@ -47,11 +47,31 @@ func (r Relation) String() string {
 
 // ASGraph is an annotated AS-level topology. The paper models "each AS as
 // a single node" interdomain (§6.1); we do the same.
+//
+// The neighbour accessors (Providers, PrimaryProviders, Customers,
+// CustomerIsBackup, PrimaryCustomers, Peers, Neighbors) return slices of
+// an index SetRelation maintains. They are read-only: callers range over
+// them and must not modify or append to them. SetRelation replaces the
+// slices of the two ASes it touches rather than editing them, so a graph
+// nobody is mutating is safe to read from several goroutines and a slice
+// obtained earlier keeps its contents.
 type ASGraph struct {
 	n     int
 	rel   []map[ASN]Relation // rel[a][b] = relation of b as seen from a
+	adj   []adjacency        // rel[a] split by relation, each list ascending
 	hosts []int              // skitter-substitute host counts
 	tier  []int              // 1 = core clique, 2 = transit, 3 = stub
+}
+
+// adjacency is one AS's neighbours by relation.
+type adjacency struct {
+	providers        []ASN // primary, then backup
+	primary          int   // providers[:primary] are the primary ones
+	customers        []ASN
+	customerIsBackup []bool // parallel to customers: the customer's backup link
+	primaryCustomers []ASN
+	peers            []ASN
+	all              []ASN
 }
 
 // NewASGraph returns an empty AS graph with n ASes and no adjacencies.
@@ -59,6 +79,7 @@ func NewASGraph(n int) *ASGraph {
 	g := &ASGraph{
 		n:     n,
 		rel:   make([]map[ASN]Relation, n),
+		adj:   make([]adjacency, n),
 		hosts: make([]int, n),
 		tier:  make([]int, n),
 	}
@@ -72,13 +93,46 @@ func NewASGraph(n int) *ASGraph {
 func (g *ASGraph) NumASes() int { return g.n }
 
 // SetRelation installs a directed pair: as seen from a, b is rel; the
-// reverse direction is set to the inverse relation automatically.
+// reverse direction is set to the inverse relation automatically. It
+// rebuilds the adjacency index of both ends, at a cost of their degree.
 func (g *ASGraph) SetRelation(a, b ASN, rel Relation) {
 	if a == b {
 		panic("topology: AS self-adjacency")
 	}
 	g.rel[a][b] = rel
 	g.rel[b][a] = inverse(rel)
+	g.reindex(a)
+	g.reindex(b)
+}
+
+// reindex rebuilds a's adjacency from rel[a], in fresh slices.
+func (g *ASGraph) reindex(a ASN) {
+	x := adjacency{all: make([]ASN, 0, len(g.rel[a]))}
+	for b := range g.rel[a] {
+		x.all = append(x.all, b)
+	}
+	slices.Sort(x.all)
+	var backup []ASN
+	for _, b := range x.all {
+		switch g.rel[a][b] {
+		case RelProvider:
+			x.providers = append(x.providers, b)
+		case RelBackup:
+			backup = append(backup, b)
+		case RelCustomer:
+			viaBackup := g.rel[b][a] == RelBackup
+			x.customers = append(x.customers, b)
+			x.customerIsBackup = append(x.customerIsBackup, viaBackup)
+			if !viaBackup {
+				x.primaryCustomers = append(x.primaryCustomers, b)
+			}
+		case RelPeer:
+			x.peers = append(x.peers, b)
+		}
+	}
+	x.primary = len(x.providers)
+	x.providers = append(x.providers, backup...)
+	g.adj[a] = x
 }
 
 func inverse(r Relation) Relation {
@@ -99,84 +153,34 @@ func inverse(r Relation) Relation {
 // Relation returns how a sees b.
 func (g *ASGraph) Relation(a, b ASN) Relation { return g.rel[a][b] }
 
-// Providers returns a's providers (including backup providers last),
-// sorted for determinism.
-func (g *ASGraph) Providers(a ASN) []ASN {
-	var primary, backup []ASN
-	for b, r := range g.rel[a] {
-		switch r {
-		case RelProvider:
-			primary = append(primary, b)
-		case RelBackup:
-			backup = append(backup, b)
-		}
-	}
-	sortASNs(primary)
-	sortASNs(backup)
-	return append(primary, backup...)
-}
+// Providers returns a's providers, primary ones ascending and then the
+// backup ones ascending. Like every neighbour accessor, read-only.
+func (g *ASGraph) Providers(a ASN) []ASN { return g.adj[a].providers }
 
-// PrimaryProviders returns a's non-backup providers.
+// PrimaryProviders returns a's non-backup providers, ascending: the
+// leading part of Providers(a).
 func (g *ASGraph) PrimaryProviders(a ASN) []ASN {
-	var out []ASN
-	for b, r := range g.rel[a] {
-		if r == RelProvider {
-			out = append(out, b)
-		}
-	}
-	sortASNs(out)
-	return out
+	x := &g.adj[a]
+	return x.providers[:x.primary:x.primary]
 }
 
-// Customers returns a's customers, sorted.
-func (g *ASGraph) Customers(a ASN) []ASN {
-	var out []ASN
-	for b, r := range g.rel[a] {
-		if r == RelCustomer {
-			out = append(out, b)
-		}
-	}
-	sortASNs(out)
-	return out
-}
+// Customers returns a's customers, ascending.
+func (g *ASGraph) Customers(a ASN) []ASN { return g.adj[a].customers }
+
+// CustomerIsBackup is parallel to Customers(a): whether that customer
+// attaches to a over its backup link.
+func (g *ASGraph) CustomerIsBackup(a ASN) []bool { return g.adj[a].customerIsBackup }
 
 // PrimaryCustomers returns a's customers attached over primary (non
-// backup) links, sorted. Customer cones built from these are what join
+// backup) links, ascending. Customer cones built from these are what join
 // strategies cover, since backup links are excluded from joins (§4.2).
-func (g *ASGraph) PrimaryCustomers(a ASN) []ASN {
-	var out []ASN
-	for b, r := range g.rel[a] {
-		if r == RelCustomer && g.rel[b][a] == RelProvider {
-			out = append(out, b)
-		}
-	}
-	sortASNs(out)
-	return out
-}
+func (g *ASGraph) PrimaryCustomers(a ASN) []ASN { return g.adj[a].primaryCustomers }
 
-// Peers returns a's peers, sorted.
-func (g *ASGraph) Peers(a ASN) []ASN {
-	var out []ASN
-	for b, r := range g.rel[a] {
-		if r == RelPeer {
-			out = append(out, b)
-		}
-	}
-	sortASNs(out)
-	return out
-}
+// Peers returns a's peers, ascending.
+func (g *ASGraph) Peers(a ASN) []ASN { return g.adj[a].peers }
 
-// Neighbors returns every adjacent AS regardless of relation, sorted.
-func (g *ASGraph) Neighbors(a ASN) []ASN {
-	out := make([]ASN, 0, len(g.rel[a]))
-	for b := range g.rel[a] {
-		out = append(out, b)
-	}
-	sortASNs(out)
-	return out
-}
-
-func sortASNs(s []ASN) { sort.Slice(s, func(i, j int) bool { return s[i] < s[j] }) }
+// Neighbors returns every adjacent AS regardless of relation, ascending.
+func (g *ASGraph) Neighbors(a ASN) []ASN { return g.adj[a].all }
 
 // SetHosts records the (skitter-substitute) host count of an AS.
 func (g *ASGraph) SetHosts(a ASN, n int) { g.hosts[a] = n }
@@ -253,7 +257,7 @@ func (g *ASGraph) UpHierarchyLevels(x ASN, includeBackup bool) [][]ASN {
 		if len(next) == 0 {
 			break
 		}
-		sortASNs(next)
+		slices.Sort(next)
 		levels = append(levels, next)
 		cur = next
 	}
@@ -295,7 +299,7 @@ func (g *ASGraph) downHierarchy(root ASN, customers func(ASN) []ASN) []ASN {
 			}
 		}
 	}
-	sortASNs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -411,6 +415,6 @@ func pickDistinct(pool []ASN, k int, rng *rand.Rand) []ASN {
 	for i := 0; i < k; i++ {
 		out[i] = pool[perm[i]]
 	}
-	sortASNs(out)
+	slices.Sort(out)
 	return out
 }

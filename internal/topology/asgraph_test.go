@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -237,4 +240,126 @@ func TestASSelfAdjacencyPanics(t *testing.T) {
 		}
 	}()
 	g.SetRelation(1, 1, RelPeer)
+}
+
+// checkAdjacency compares every neighbour accessor of every AS with what
+// the relation map says, scanning it in ascending AS order.
+func checkAdjacency(t *testing.T, g *ASGraph, stage string) {
+	t.Helper()
+	for i := 0; i < g.NumASes(); i++ {
+		a := ASN(i)
+		var primary, backup, customers, primaryCustomers, peers, all []ASN
+		var isBackup []bool
+		for j := 0; j < g.NumASes(); j++ {
+			b := ASN(j)
+			r, ok := g.rel[a][b]
+			if !ok {
+				continue
+			}
+			all = append(all, b)
+			switch r {
+			case RelProvider:
+				primary = append(primary, b)
+			case RelBackup:
+				backup = append(backup, b)
+			case RelPeer:
+				peers = append(peers, b)
+			case RelCustomer:
+				customers = append(customers, b)
+				isBackup = append(isBackup, g.rel[b][a] == RelBackup)
+				if g.rel[b][a] == RelProvider {
+					primaryCustomers = append(primaryCustomers, b)
+				}
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []ASN
+		}{
+			{"Providers", g.Providers(a), append(slices.Clone(primary), backup...)},
+			{"PrimaryProviders", g.PrimaryProviders(a), primary},
+			{"Customers", g.Customers(a), customers},
+			{"PrimaryCustomers", g.PrimaryCustomers(a), primaryCustomers},
+			{"Peers", g.Peers(a), peers},
+			{"Neighbors", g.Neighbors(a), all},
+		} {
+			if !slices.Equal(c.got, c.want) {
+				t.Fatalf("%s: %s(%d) = %v, the relation map says %v", stage, c.name, a, c.got, c.want)
+			}
+		}
+		if got := g.CustomerIsBackup(a); !slices.Equal(got, isBackup) {
+			t.Fatalf("%s: CustomerIsBackup(%d) = %v, the relation map says %v", stage, a, got, isBackup)
+		}
+	}
+}
+
+// TestAdjacencyIndexFollowsSetRelation interleaves SetRelation calls —
+// new links and links whose relation changes — with full comparisons of
+// the index against the map.
+func TestAdjacencyIndexFollowsSetRelation(t *testing.T) {
+	const n = 24
+	g := NewASGraph(n)
+	checkAdjacency(t, g, "empty")
+	rng := rand.New(rand.NewSource(5))
+	rels := []Relation{RelProvider, RelCustomer, RelPeer, RelBackup}
+	var held, heldWas []ASN
+	for step := 0; step < 400; step++ {
+		if step == 200 {
+			held = g.Neighbors(0)
+			heldWas = slices.Clone(held)
+		}
+		a, b := ASN(rng.Intn(n)), ASN(rng.Intn(n))
+		if a == b {
+			continue
+		}
+		g.SetRelation(a, b, rels[rng.Intn(len(rels))])
+		if step%20 == 0 {
+			checkAdjacency(t, g, "interleaved")
+		}
+	}
+	checkAdjacency(t, g, "final")
+	if len(held) == 0 || !slices.Equal(held, heldWas) {
+		t.Fatalf("a slice obtained as %v reads %v after later SetRelation calls", heldWas, held)
+	}
+	checkAdjacency(t, GenAS(DefaultASGen()), "GenAS")
+}
+
+// TestFinishedGraphIsSafeToReadConcurrently is for the race detector: a
+// graph nobody mutates is read by several goroutines at once, as the
+// experiment drivers' parallel trials do.
+func TestFinishedGraphIsSafeToReadConcurrently(t *testing.T) {
+	g := GenAS(DefaultASGen())
+	var wg sync.WaitGroup
+	sums := make([]int, 4)
+	for w := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < g.NumASes(); i++ {
+				a := ASN(i)
+				sums[w] += len(g.Providers(a)) + len(g.PrimaryProviders(a)) + len(g.Customers(a)) +
+					len(g.CustomerIsBackup(a)) + len(g.PrimaryCustomers(a)) + len(g.Peers(a)) +
+					len(g.Neighbors(a)) + len(g.UpHierarchyLevels(a, true)) + len(g.DownHierarchy(a))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, s := range sums[1:] {
+		if s != sums[0] {
+			t.Fatalf("readers disagree: %v", sums)
+		}
+	}
+}
+
+func BenchmarkASGraphCustomers(b *testing.B) {
+	g := GenAS(DefaultASGen())
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += len(g.Customers(ASN(i % g.NumASes())))
+	}
+	if n < 0 {
+		b.Fatal(n)
+	}
 }
