@@ -52,8 +52,8 @@ func figure3() {
 
 	fmt.Println("identifier 8 (hosted in AS 4) keeps one successor per level:")
 	vn := in.AS(4).VNs[id8]
-	for _, root := range vn.Roots(in) {
-		s := vn.SuccAt[root]
+	for _, root := range vn.Roots() {
+		s, _ := vn.Succ(root)
 		fmt.Printf("  level %-12v → successor %d (in AS %d)\n", root, s.ID.Low64(), s.AS)
 	}
 

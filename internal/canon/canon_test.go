@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"rofl/internal/baseline/bgppolicy"
@@ -74,15 +76,15 @@ func TestJoinFigure3Successors(t *testing.T) {
 	if vn8 == nil {
 		t.Fatal("8 not joined")
 	}
-	if got := vn8.SuccAt[asRoot(4)]; got.ID != id20 {
+	if got, _ := vn8.Succ(asRoot(4)); got.ID != id20 {
 		t.Fatalf("succ at AS4 = %s want 20", got.ID.Short())
 	}
-	if got := vn8.SuccAt[asRoot(2)]; got.ID != id16 {
+	if got, _ := vn8.Succ(asRoot(2)); got.ID != id16 {
 		t.Fatalf("succ at AS2 = %s want 16", got.ID.Short())
 	}
 	// At the global level the first ID clockwise of 8 overall is 14
 	// (hosted in AS 3).
-	if got := vn8.SuccAt[Top]; got.ID != id14 {
+	if got, _ := vn8.Succ(Top); got.ID != id14 {
 		t.Fatalf("succ at Top = %s want 14", got.ID.Short())
 	}
 	if err := in.CheckRings(); err != nil {
@@ -669,27 +671,71 @@ func TestCheckIsolationStateCatchesCorruption(t *testing.T) {
 	in := newSmall(t, DefaultOptions())
 	a := ident.FromString("a")
 	b := ident.FromString("b")
+	e := ident.FromString("e")
 	if _, err := in.Join(a, 4, Multihomed); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.Join(b, 3, Multihomed); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.CheckIsolationState(); err != nil {
-		t.Fatalf("clean state flagged: %v", err)
+	if _, err := in.Join(e, 4, Ephemeral); err != nil {
+		t.Fatal(err)
 	}
-	// Corrupt: point a's AS4-level successor at the node in AS 3 —
-	// outside subtree(4).
-	vn := in.vnOf(a)
-	vn.SuccAt[asRoot(4)] = Ptr{ID: b, AS: 3}
-	if err := in.CheckIsolationState(); err == nil {
-		t.Fatal("corrupted pointer not caught")
+	clean := func() {
+		t.Helper()
+		if err := in.CheckIsolationState(); err != nil {
+			t.Fatalf("clean state flagged: %v", err)
+		}
+		if err := in.CheckRings(); err != nil {
+			t.Fatalf("clean state flagged: %v", err)
+		}
+	}
+	clean()
+	// plant inserts p into AS 4's ring behind the join's back and returns
+	// the undo.
+	lv := in.level(asRoot(4))
+	plant := func(p Ptr) (undo func()) {
+		i := lv.search(p.ID)
+		lv.ring = slices.Insert(lv.ring, i, p)
+		return func() { lv.ring = slices.Delete(lv.ring, i, i+1) }
+	}
+
+	// A foreign member: a's neighbour at level AS4 becomes the node in
+	// AS 3 — outside subtree(4).
+	undo := plant(Ptr{ID: b, AS: 3})
+	if err := in.CheckIsolationState(); !errors.Is(err, ErrRingBroken) {
+		t.Fatalf("member outside the subtree not caught: %v", err)
+	}
+	if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) {
+		t.Fatalf("member outside the subtree not caught by CheckRings: %v", err)
+	}
+	undo()
+	clean()
+
+	// A member that never joined the level: e is hosted inside the
+	// subtree but joined the global ring only. Isolation holds; the ring
+	// does not.
+	undo = plant(Ptr{ID: e, AS: 4})
+	if err := in.CheckIsolationState(); err != nil {
+		t.Fatalf("a member inside the subtree breaks no isolation: %v", err)
+	}
+	if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) || !strings.Contains(err.Error(), "never joined") {
+		t.Fatalf("ring holding a member that never joined it not caught: %v", err)
+	}
+	undo()
+	clean()
+
+	// The converse: a node that joined a level whose ring has lost it.
+	i := lv.search(a)
+	lv.ring = slices.Delete(lv.ring, i, i+1)
+	if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) || !strings.Contains(err.Error(), "does not hold it") {
+		t.Fatalf("node missing from a ring it joined not caught: %v", err)
 	}
 }
 
 func TestAccessorsAndStrings(t *testing.T) {
 	in := newSmall(t, DefaultOptions())
-	if in.Options().BloomFPRate != 0.01 {
+	if in.Options() != DefaultOptions() {
 		t.Fatal("Options round trip")
 	}
 	a := ident.FromString("acc")
@@ -703,9 +749,12 @@ func TestAccessorsAndStrings(t *testing.T) {
 		t.Fatalf("RingSize(Top) = %d", in.RingSize(Top))
 	}
 	vn := in.vnOf(a)
-	roots := vn.Roots(in)
+	roots := vn.Roots()
 	if len(roots) == 0 || roots[len(roots)-1] != Top {
 		t.Fatalf("Roots = %v (Top must sort last)", roots)
+	}
+	if _, ok := vn.Succ(asRoot(3)); ok {
+		t.Fatal("a node under AS 2 has no successor in AS 3's ring")
 	}
 	for _, r := range []Root{asRoot(7), peerRoot(9, 3), Top, {Kind: RootKind(9)}} {
 		if r.String() == "" {

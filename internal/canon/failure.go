@@ -2,6 +2,7 @@ package canon
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rofl/internal/ident"
@@ -131,34 +132,22 @@ func (in *Internet) sweepFingerID(id ident.ID) {
 	}
 }
 
-// unlink removes vn from every ring it joined, splicing the ring's
-// *current* neighbors together (not vn's possibly stale pointers — when
-// several co-hosted identifiers die together, an already-removed
-// neighbor's pointers would otherwise poison the splice) and charging
-// the per-level notification cost.
+// unlink removes vn from every ring it joined — which alone makes its
+// neighbours there each other's successor and predecessor — and charges
+// the per-level notification cost between them.
 func (in *Internet) unlink(vn *VNode, counter string) {
 	self := Ptr{ID: vn.ID, AS: vn.AS}
-	for root := range vn.SuccAt {
-		ring := in.rings[root]
-		i := ringSearch(ring, vn.ID)
-		if !(i < len(ring) && ring[i] == self) {
+	for _, lv := range vn.levels {
+		i := lv.search(vn.ID)
+		if !(i < len(lv.ring) && lv.ring[i] == self) {
 			continue
 		}
-		ring = append(ring[:i], ring[i+1:]...)
-		in.rings[root] = ring
-		if len(ring) == 0 {
+		pred, succ := lv.neighbours(vn.ID)
+		lv.ring = slices.Delete(lv.ring, i, i+1)
+		if len(lv.ring) == 0 {
 			continue
 		}
-		n := len(ring)
-		pred := ring[(i-1+n)%n]
-		succ := ring[i%n]
-		if pvn := in.vnOf(pred.ID); pvn != nil {
-			pvn.SuccAt[root] = succ
-		}
-		if svn := in.vnOf(succ.ID); svn != nil {
-			svn.PredAt[root] = pred
-		}
-		if h := in.hopsWithin(root, pred.AS, succ.AS); h > 0 {
+		if h := in.hopsWithin(lv.root, pred.AS, succ.AS); h > 0 {
 			in.Metrics.Count(counter, int64(h))
 		} else {
 			in.Metrics.Count(counter, 1)
@@ -183,14 +172,15 @@ func (in *Internet) sweepFingers(deadAS topology.ASN) {
 	}
 }
 
-// CheckRings verifies every ring level: members sorted by identifier
-// must each point at the adjacent member with SuccAt/PredAt, all members
-// must be alive, hosted where the oracle says, and inside the level's
-// subtree. This is the interdomain analogue of the paper's simulator
+// CheckRings verifies every ring level: members strictly ascending by
+// identifier, all alive, hosted where the oracle says, inside the level's
+// subtree, and each a node that joined the level; and, the other way
+// round, every node in the ring of every level it joined, its levels
+// lowest first. This is the interdomain analogue of the paper's simulator
 // consistency checks.
 func (in *Internet) CheckRings() error {
-	for root, ring := range in.rings {
-		for i, p := range ring {
+	for root, lv := range in.levels {
+		for i, p := range lv.ring {
 			if in.failedAS[p.AS] {
 				return fmt.Errorf("%w: dead AS %d still in ring %v", ErrRingBroken, p.AS, root)
 			}
@@ -204,22 +194,24 @@ func (in *Internet) CheckRings() error {
 			if vn == nil {
 				return fmt.Errorf("%w: ring %v member %s missing VNode", ErrRingBroken, root, p.ID.Short())
 			}
-			wantSucc := ring[(i+1)%len(ring)]
-			wantPred := ring[(i-1+len(ring))%len(ring)]
-			if got := vn.SuccAt[root]; got != wantSucc {
-				return fmt.Errorf("%w: ring %v: %s succ = %s want %s",
-					ErrRingBroken, root, p.ID.Short(), got.ID.Short(), wantSucc.ID.Short())
+			if !slices.Contains(vn.levels, lv) {
+				return fmt.Errorf("%w: ring %v holds %s, which never joined it", ErrRingBroken, root, p.ID.Short())
 			}
-			if got := vn.PredAt[root]; got != wantPred {
-				return fmt.Errorf("%w: ring %v: %s pred = %s want %s",
-					ErrRingBroken, root, p.ID.Short(), got.ID.Short(), wantPred.ID.Short())
+			//rofllint:ignore identcmp asserting sorted storage, the documented Less use; the check verifies linear order on purpose
+			if i > 0 && !lv.ring[i-1].ID.Less(p.ID) {
+				return fmt.Errorf("%w: ring %v not sorted at %d", ErrRingBroken, root, i)
 			}
 		}
-		// Sortedness of the ring storage itself.
-		for i := 1; i < len(ring); i++ {
-			//rofllint:ignore identcmp asserting sorted storage, the documented Less use; the check verifies linear order on purpose
-			if !ring[i-1].ID.Less(ring[i].ID) {
-				return fmt.Errorf("%w: ring %v not sorted at %d", ErrRingBroken, root, i)
+	}
+	for _, as := range in.ases {
+		for _, vn := range as.VNs {
+			for k, lv := range vn.levels {
+				if i := lv.search(vn.ID); i == len(lv.ring) || lv.ring[i] != (Ptr{ID: vn.ID, AS: vn.AS}) {
+					return fmt.Errorf("%w: %s joined ring %v, which does not hold it", ErrRingBroken, vn.ID.Short(), lv.root)
+				}
+				if k > 0 && !vn.levels[k-1].below(lv) {
+					return fmt.Errorf("%w: %s lists ring %v out of order", ErrRingBroken, vn.ID.Short(), lv.root)
+				}
 			}
 		}
 	}
@@ -227,31 +219,33 @@ func (in *Internet) CheckRings() error {
 }
 
 // RingSize returns the membership count of a level (0 when absent).
-func (in *Internet) RingSize(r Root) int { return len(in.rings[r]) }
+func (in *Internet) RingSize(r Root) int {
+	if lv := in.levels[r]; lv != nil {
+		return len(lv.ring)
+	}
+	return 0
+}
 
 // CheckIsolationState verifies the paper's isolation invariant on the
 // routing state itself (§4.1: "if this table is correctly maintained,
 // the isolation property is preserved"): every ring pointer at level R
-// must connect two ASes inside subtree(R), and every finger must carry a
-// root whose subtree contains both its owner and its target. Packets
-// only ever follow such pointers along policy paths confined to the
-// pointer's subtree, so state-level isolation is what bounds where
-// traffic can go.
+// must connect two ASes inside subtree(R) — ring pointers being the
+// ring's adjacent members, every member of R's ring must lie inside
+// subtree(R) — and every finger must carry a root whose subtree contains
+// both its owner and its target. Packets only ever follow such pointers
+// along policy paths confined to the pointer's subtree, so state-level
+// isolation is what bounds where traffic can go.
 func (in *Internet) CheckIsolationState() error {
+	for root, lv := range in.levels {
+		for _, p := range lv.ring {
+			if !in.inSubtree(root, p.AS) {
+				return fmt.Errorf("%w: ring %v member %s at AS %d escapes the subtree",
+					ErrRingBroken, root, p.ID.Short(), p.AS)
+			}
+		}
+	}
 	for _, as := range in.ases {
 		for _, vn := range as.VNs {
-			for root, p := range vn.SuccAt {
-				if !in.inSubtree(root, vn.AS) || !in.inSubtree(root, p.AS) {
-					return fmt.Errorf("%w: succ pointer %s→%s escapes subtree %v",
-						ErrRingBroken, vn.ID.Short(), p.ID.Short(), root)
-				}
-			}
-			for root, p := range vn.PredAt {
-				if !in.inSubtree(root, vn.AS) || !in.inSubtree(root, p.AS) {
-					return fmt.Errorf("%w: pred pointer %s→%s escapes subtree %v",
-						ErrRingBroken, vn.ID.Short(), p.ID.Short(), root)
-				}
-			}
 			for _, f := range vn.Fingers {
 				if !in.inSubtree(f.Root, vn.AS) || !in.inSubtree(f.Root, f.AS) {
 					return fmt.Errorf("%w: finger %s→%s escapes subtree %v",

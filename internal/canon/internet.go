@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"rofl/internal/bloom"
 	"rofl/internal/ident"
@@ -154,10 +153,35 @@ func cachePointer(p Ptr) vring.Pointer {
 // ptrOf reads a cache entry back as an interdomain pointer.
 func ptrOf(p vring.Pointer) Ptr { return Ptr{ID: p.ID, AS: topology.ASN(p.Router)} }
 
-// ringSearch returns the lower bound of id in one level's ring, which is
-// stored ascending by identifier.
-func ringSearch(ring []Ptr, id ident.ID) int {
-	return ident.Search(len(ring), func(k int) *ident.ID { return &ring[k].ID }, id)
+// level is one ring of the Canon hierarchy: the members that joined the
+// subtree under root, ascending by identifier. The ring is the level's
+// only state — a member's successor and predecessor there are the entries
+// either side of it, recorded nowhere else.
+type level struct {
+	root Root
+	size int // ASes in root's subtree; levels are ranked lowest (smallest) first
+	ring []Ptr
+}
+
+// search returns the lower bound of id in the ring.
+func (lv *level) search(id ident.ID) int {
+	return ident.Search(len(lv.ring), func(k int) *ident.ID { return &lv.ring[k].ID }, id)
+}
+
+// neighbours returns the predecessor and successor of the member id: the
+// ring entries around it, which are the member itself in a ring of one.
+func (lv *level) neighbours(id ident.ID) (pred, succ Ptr) {
+	n := len(lv.ring)
+	i := lv.search(id)
+	return lv.ring[(i+n-1)%n], lv.ring[(i+1)%n]
+}
+
+// below orders levels lowest first: by subtree size, then rootLess.
+func (lv *level) below(o *level) bool {
+	if lv.size != o.size {
+		return lv.size < o.size
+	}
+	return rootLess(lv.root, o.root)
 }
 
 // VNode is the interdomain routing state for one joined identifier.
@@ -166,9 +190,8 @@ type VNode struct {
 	AS       topology.ASN
 	Strategy Strategy
 
-	// SuccAt / PredAt hold the ring neighbors at every joined level.
-	SuccAt map[Root]Ptr
-	PredAt map[Root]Ptr
+	// levels are the rings this node joined, lowest first.
+	levels []*level
 
 	// Fingers are proximity-based prefix-table entries, each annotated
 	// with the lowest root whose subtree contains both endpoints (the
@@ -178,19 +201,23 @@ type VNode struct {
 
 // Roots lists the levels this node joined, lowest (smallest subtree)
 // first.
-func (v *VNode) Roots(in *Internet) []Root {
-	out := make([]Root, 0, len(v.SuccAt))
-	for r := range v.SuccAt {
-		out = append(out, r)
+func (v *VNode) Roots() []Root {
+	out := make([]Root, len(v.levels))
+	for i, lv := range v.levels {
+		out[i] = lv.root
 	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := in.subtreeSize(out[i]), in.subtreeSize(out[j])
-		if si != sj {
-			return si < sj
-		}
-		return rootLess(out[i], out[j])
-	})
 	return out
+}
+
+// Succ returns the node's successor at one level it joined.
+func (v *VNode) Succ(root Root) (Ptr, bool) {
+	for _, lv := range v.levels {
+		if lv.root == root {
+			_, succ := lv.neighbours(v.ID)
+			return succ, true
+		}
+	}
+	return Ptr{}, false
 }
 
 func rootLess(a, b Root) bool {
@@ -236,8 +263,6 @@ type Options struct {
 	// BloomPeering switches peering support from virtual-AS joins
 	// (option 1) to Bloom filters with backtracking (option 2, §4.2).
 	BloomPeering bool
-	// BloomFPRate is the per-filter false-positive target.
-	BloomFPRate float64
 	// RandomFingers disables proximity-aware finger selection (ablation:
 	// each slot takes an arbitrary matching identifier instead of the
 	// lowest-level, nearest one).
@@ -252,7 +277,6 @@ func DefaultOptions() Options {
 		FingerBudget:  0,
 		CacheCapacity: 0,
 		BloomPeering:  false,
-		BloomFPRate:   0.01,
 		Seed:          1,
 	}
 }
@@ -266,8 +290,8 @@ type Internet struct {
 	rng  *rand.Rand
 	ases []*AS
 
-	// rings holds, per level, the sorted list of members that joined it.
-	rings map[Root][]Ptr
+	// levels holds every ring level a join has named.
+	levels map[Root]*level
 
 	// hostedAt is the oracle mapping identifiers to hosting ASes, used
 	// for verification and stretch denominators only.
@@ -275,8 +299,6 @@ type Internet struct {
 
 	// below[a] is the customer-cone membership bitset of AS a.
 	below [][]bool
-	// subtreeSizes memoizes subtree cardinalities per root.
-	subtreeSizes map[Root]int
 
 	// failedLink marks failed AS adjacencies (A < B normalized).
 	failedLink map[[2]topology.ASN]bool
@@ -293,17 +315,13 @@ type Internet struct {
 
 // New builds an Internet over the annotated AS graph.
 func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
-	if opts.BloomFPRate <= 0 || opts.BloomFPRate >= 1 {
-		opts.BloomFPRate = 0.01
-	}
 	in := &Internet{
 		G:            g,
 		Metrics:      m,
 		opts:         opts,
 		rng:          rand.New(rand.NewSource(opts.Seed)),
-		rings:        make(map[Root][]Ptr),
+		levels:       make(map[Root]*level),
 		hostedAt:     make(map[ident.ID]topology.ASN),
-		subtreeSizes: make(map[Root]int),
 		failedLink:   make(map[[2]topology.ASN]bool),
 		failedAS:     make([]bool, g.NumASes()),
 		virtualHosts: make(map[ident.ID]topology.ASN),
@@ -342,7 +360,7 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 			if expect < 16 {
 				expect = 16
 			}
-			in.ases[i].Bloom = bloom.NewForCapacity(expect, opts.BloomFPRate)
+			in.ases[i].Bloom = bloom.NewForCapacity(expect, bloomFPRate)
 		}
 	}
 	return in
@@ -377,24 +395,20 @@ func (in *Internet) inSubtree(r Root, a topology.ASN) bool {
 	}
 }
 
-// subtreeSize returns the number of ASes in root r's subtree, memoized.
-func (in *Internet) subtreeSize(r Root) int {
-	if s, ok := in.subtreeSizes[r]; ok {
-		return s
-	}
-	var s int
-	switch r.Kind {
-	case RootTop:
-		s = in.G.NumASes()
-	default:
+// level returns root r's ring level, creating it — empty, with the
+// subtree counted once — the first time r is named.
+func (in *Internet) level(r Root) *level {
+	lv := in.levels[r]
+	if lv == nil {
+		lv = &level{root: r}
 		for a := 0; a < in.G.NumASes(); a++ {
 			if in.inSubtree(r, topology.ASN(a)) {
-				s++
+				lv.size++
 			}
 		}
+		in.levels[r] = lv
 	}
-	in.subtreeSizes[r] = s
-	return s
+	return lv
 }
 
 // --- Policy-compliant AS paths -------------------------------------------

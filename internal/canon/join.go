@@ -3,6 +3,7 @@ package canon
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rofl/internal/ident"
@@ -108,43 +109,29 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 	if _, dup := in.hostedAt[id]; dup {
 		return JoinResult{}, fmt.Errorf("%w: %s", ErrDuplicateID, id.Short())
 	}
-	vn := &VNode{
-		ID: id, AS: at, Strategy: s,
-		SuccAt: make(map[Root]Ptr),
-		PredAt: make(map[Root]Ptr),
+	vn := &VNode{ID: id, AS: at, Strategy: s}
+	for _, root := range in.rootsFor(at, s) {
+		vn.levels = append(vn.levels, in.level(root))
 	}
-	msgs := 0
-	levels := 0
-	seenSuccs := map[ident.ID]bool{}
-	roots := in.rootsFor(at, s)
 	// Join lowest levels first, as the recursive bottom-up merge does.
-	sort.Slice(roots, func(i, j int) bool {
-		si, sj := in.subtreeSize(roots[i]), in.subtreeSize(roots[j])
-		if si != sj {
-			return si < sj
-		}
-		return rootLess(roots[i], roots[j])
-	})
+	sort.Slice(vn.levels, func(i, j int) bool { return vn.levels[i].below(vn.levels[j]) })
+	msgs := 0
+	seenSuccs := map[ident.ID]bool{}
 	self := Ptr{ID: id, AS: at}
-	for _, root := range roots {
-		ring := in.rings[root]
-		i := ringSearch(ring, id)
-		var pred, succ Ptr
-		haveNbrs := len(ring) > 0
-		if haveNbrs {
-			pred = ring[(i-1+len(ring))%len(ring)]
-			succ = ring[i%len(ring)]
-		}
+	for _, lv := range vn.levels {
+		i := lv.search(id)
 		// Message accounting: route to the predecessor within this
 		// level's subtree and back, then notify the successor and get an
 		// ack. A lookup resolving to an already-seen successor is
-		// eliminated after a single confirmation (2 messages).
-		if haveNbrs {
+		// eliminated after a single confirmation (2 messages). The first
+		// member of a level has nobody to tell.
+		if n := len(lv.ring); n > 0 {
+			pred, succ := lv.ring[(i+n-1)%n], lv.ring[i%n]
 			if seenSuccs[succ.ID] {
 				msgs += 2
 			} else {
 				for _, nbr := range [2]Ptr{pred, succ} {
-					if path := in.pathWithin(root, at, nbr.AS); len(path) > 1 {
+					if path := in.pathWithin(lv.root, at, nbr.AS); len(path) > 1 {
 						msgs += 2 * (len(path) - 1)
 						in.cacheAlong(path, self)
 					}
@@ -152,27 +139,8 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 				seenSuccs[succ.ID] = true
 			}
 		}
-		// Splice the ring state.
-		if haveNbrs {
-			vn.PredAt[root] = pred
-			vn.SuccAt[root] = succ
-			if pvn := in.vnOf(pred.ID); pvn != nil {
-				pvn.SuccAt[root] = self
-			}
-			if svn := in.vnOf(succ.ID); svn != nil {
-				svn.PredAt[root] = self
-			}
-		} else {
-			// First member of this level: self-ring.
-			vn.PredAt[root] = self
-			vn.SuccAt[root] = self
-		}
-		// Insert into the sorted ring.
-		ring = append(ring, Ptr{})
-		copy(ring[i+1:], ring[i:])
-		ring[i] = self
-		in.rings[root] = ring
-		levels++
+		// Taking its sorted place in the ring is the whole splice.
+		lv.ring = slices.Insert(lv.ring, i, self)
 	}
 
 	in.ases[at].VNs[id] = vn
@@ -202,7 +170,7 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 
 	in.Metrics.Count(MsgJoin, int64(msgs))
 	in.Metrics.Sample(SampleJoinMsgs, float64(msgs))
-	return JoinResult{VN: vn, Msgs: msgs, Levels: levels}, nil
+	return JoinResult{VN: vn, Msgs: msgs, Levels: len(vn.levels)}, nil
 }
 
 // cacheAlong deposits a pointer in the caches of every AS a control
@@ -260,7 +228,7 @@ func (in *Internet) acquireFingers(vn *VNode, budget int) []Finger {
 		if hops < 0 {
 			continue
 		}
-		key := [2]int{in.subtreeSize(root), hops}
+		key := [2]int{in.level(root).size, hops}
 		if in.opts.RandomFingers {
 			// Ablation: ignore proximity and level, keep the smallest
 			// identifier per slot (deterministic but arbitrary).
@@ -345,13 +313,13 @@ func (in *Internet) backInsertFinger(newVN *VNode) int {
 				oldHops := oldSize
 				if ovn := in.vnOf(old.ID); ovn != nil {
 					if oldRoot, okOld := in.lowestCommonRoot(ovn, vn.AS); okOld {
-						oldSize = in.subtreeSize(oldRoot)
+						oldSize = in.level(oldRoot).size
 						if h := in.hopsWithin(oldRoot, vn.AS, old.AS); h >= 0 {
 							oldHops = h
 						}
 					}
 				}
-				newSize := in.subtreeSize(root)
+				newSize := in.level(root).size
 				if newSize < oldSize || (newSize == oldSize && hops < oldHops) {
 					vn.Fingers[slotIdx] = cand
 					msgs++
@@ -369,16 +337,10 @@ func (in *Internet) lowestCommonRoot(other *VNode, fromAS topology.ASN) (Root, b
 	if other == nil {
 		return Root{}, false
 	}
-	var best Root
-	bestSize := -1
-	for r := range other.SuccAt {
-		if !in.inSubtree(r, fromAS) {
-			continue
-		}
-		s := in.subtreeSize(r)
-		if bestSize == -1 || s < bestSize || (s == bestSize && rootLess(r, best)) {
-			best, bestSize = r, s
+	for _, lv := range other.levels {
+		if in.inSubtree(lv.root, fromAS) {
+			return lv.root, true
 		}
 	}
-	return best, bestSize != -1
+	return Root{}, false
 }

@@ -29,7 +29,12 @@ type RouteResult struct {
 	FinalAS topology.ASN
 }
 
-const routeTTL = 4096
+const (
+	// routeTTL bounds the forwarding steps of one packet.
+	routeTTL = 4096
+	// bloomFPRate is the per-filter false-positive target.
+	bloomFPRate = 0.01
+)
 
 // staleKey marks one pointer unusable at one specific ring level during
 // a single routing attempt.
@@ -194,8 +199,8 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 // filter confirms the destination is not in the local customer cone
 // (§4.1's isolation guard for caches).
 //
-// Candidates arrive in map order, so the ranking is total: level size,
-// then distance, then — two levels of equal size holding the same
+// Resident nodes arrive in map order, so the ranking is total: level
+// size, then distance, then — two levels of equal size holding the same
 // identifier, or one identifier recorded at two ASes — rootLess and the
 // AS number. The choice is a function of the state alone.
 func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale map[staleKey]bool) (Ptr, Root, bool) {
@@ -204,12 +209,11 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale map[staleKey]
 	bestSize := -1
 	// sel ranks the candidates of the lowest level met so far.
 	sel := ident.NewScan(pos, dst)
-	consider := func(p Ptr, r Root) {
-		if stale[staleKey{p, r}] || !ident.Progress(pos, dst, p.ID) {
+	consider := func(p Ptr, r Root, size int) {
+		if bestSize != -1 && size > bestSize {
 			return
 		}
-		size := in.subtreeSize(r)
-		if bestSize != -1 && size > bestSize {
+		if stale[staleKey{p, r}] || !ident.Progress(pos, dst, p.ID) {
 			return
 		}
 		if size < bestSize {
@@ -221,14 +225,16 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale map[staleKey]
 		}
 	}
 	for _, vn := range as.VNs {
-		for r, p := range vn.SuccAt {
-			consider(p, r)
-		}
-		for r, p := range vn.PredAt {
-			consider(p, r)
+		for _, lv := range vn.levels {
+			if bestSize != -1 && lv.size > bestSize {
+				break // levels ascend: nothing above the best one found can win
+			}
+			pred, succ := lv.neighbours(vn.ID)
+			consider(succ, lv.root, lv.size)
+			consider(pred, lv.root, lv.size)
 		}
 		for _, f := range vn.Fingers {
-			consider(f.Ptr, f.Root)
+			consider(f.Ptr, f.Root, in.level(f.Root).size)
 		}
 	}
 	found := bestSize != -1

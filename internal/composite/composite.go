@@ -45,15 +45,16 @@ var (
 	ErrNoBorder    = errors.New("composite: AS has no border routers")
 )
 
+// bordersPerAS is how many backbone routers act as border routers in
+// each AS.
+const bordersPerAS = 2
+
 // Options configures the composite system.
 type Options struct {
 	// Intra configures every AS's internal network.
 	Intra vring.Options
 	// Inter configures the interdomain layer.
 	Inter canon.Options
-	// BordersPerAS is how many backbone routers act as border routers in
-	// each AS.
-	BordersPerAS int
 	// ISPTemplate shapes each AS's internal topology; Name and Seed are
 	// overridden per AS.
 	ISPTemplate topology.ISPConfig
@@ -64,9 +65,8 @@ type Options struct {
 // ISP topologies inside each AS.
 func DefaultOptions() Options {
 	return Options{
-		Intra:        vring.DefaultOptions(),
-		Inter:        canon.DefaultOptions(),
-		BordersPerAS: 2,
+		Intra: vring.DefaultOptions(),
+		Inter: canon.DefaultOptions(),
 		ISPTemplate: topology.ISPConfig{
 			Routers: 24, PoPs: 4, BackbonePerPoP: 2, PoPDegree: 2,
 			IntraPoPDelay: 0.5, InterPoPDelay: 4, Hosts: 50, ZipfS: 1.2,
@@ -101,9 +101,6 @@ type Global struct {
 // AS, which needs border routers to relay). The border-router existence
 // flood inside each AS is charged to MsgBorderFlood.
 func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Global {
-	if opts.BordersPerAS < 1 {
-		opts.BordersPerAS = 1
-	}
 	gl := &Global{
 		ASGraph: g,
 		Inter:   canon.New(g, m, opts.Inter),
@@ -122,10 +119,7 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Global {
 		net := vring.New(isp.Graph, m, opts.Intra)
 		d := &Domain{ASN: asn, ISP: isp, Net: net}
 		// Border routers: the first backbone routers, deterministic.
-		nb := opts.BordersPerAS
-		if nb > len(isp.Backbone) {
-			nb = len(isp.Backbone)
-		}
+		nb := min(bordersPerAS, len(isp.Backbone))
 		d.Borders = append(d.Borders, isp.Backbone[:nb]...)
 		// §4.1: "we have border routers flood their existence
 		// internally" — one flood per border router.

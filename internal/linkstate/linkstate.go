@@ -25,17 +25,10 @@ type Map struct {
 
 	failedLink map[[2]topology.NodeID]bool
 	failedNode []bool
-	version    uint64 // bumped on every topology change
 
-	sptCache map[topology.NodeID]*cachedSPT
-
-	linkDownFns []func(a, b topology.NodeID)
-	nodeDownFns []func(n topology.NodeID)
-}
-
-type cachedSPT struct {
-	version uint64
-	spt     topology.SPT
+	// sptCache holds shortest-path trees of the current failure state;
+	// every topology change empties it.
+	sptCache map[topology.NodeID]topology.SPT
 }
 
 // MsgLinkState is the metrics counter charged for LSA flooding.
@@ -48,28 +41,12 @@ func New(g *topology.Graph, m sim.Metrics) *Map {
 		metrics:    m,
 		failedLink: make(map[[2]topology.NodeID]bool),
 		failedNode: make([]bool, g.NumNodes()),
-		sptCache:   make(map[topology.NodeID]*cachedSPT),
+		sptCache:   make(map[topology.NodeID]topology.SPT),
 	}
 }
 
 // Graph returns the underlying static topology.
 func (m *Map) Graph() *topology.Graph { return m.g }
-
-// Version increases monotonically with every failure or repair; routing
-// layers use it to invalidate derived state.
-func (m *Map) Version() uint64 { return m.version }
-
-// OnLinkDown registers a callback invoked when a link fails. The paper's
-// routing layer uses this to tear down cached pointers whose source
-// routes traverse the link (§3.2).
-func (m *Map) OnLinkDown(fn func(a, b topology.NodeID)) {
-	m.linkDownFns = append(m.linkDownFns, fn)
-}
-
-// OnNodeDown registers a callback invoked when a router fails.
-func (m *Map) OnNodeDown(fn func(n topology.NodeID)) {
-	m.nodeDownFns = append(m.nodeDownFns, fn)
-}
 
 func linkKey(a, b topology.NodeID) [2]topology.NodeID {
 	if a > b {
@@ -97,16 +74,13 @@ func (m *Map) floodCost() {
 	m.metrics.Count(MsgLinkState, int64(2*m.g.NumEdges()))
 }
 
+// bump drops every cached tree after a topology change; recomputation
+// is lazy.
 func (m *Map) bump() {
-	m.version++
-	// Drop the whole SPT cache; recomputation is lazy.
-	for k := range m.sptCache {
-		delete(m.sptCache, k)
-	}
+	clear(m.sptCache)
 }
 
-// FailLink marks the a–b link down, floods the LSA, and fires link-down
-// callbacks.
+// FailLink marks the a–b link down and floods the LSA.
 func (m *Map) FailLink(a, b topology.NodeID) {
 	k := linkKey(a, b)
 	if m.failedLink[k] {
@@ -115,9 +89,6 @@ func (m *Map) FailLink(a, b topology.NodeID) {
 	m.failedLink[k] = true
 	m.bump()
 	m.floodCost()
-	for _, fn := range m.linkDownFns {
-		fn(a, b)
-	}
 }
 
 // RestoreLink brings the a–b link back.
@@ -131,9 +102,7 @@ func (m *Map) RestoreLink(a, b topology.NodeID) {
 	m.floodCost()
 }
 
-// FailNode marks router n down, floods, and fires node-down callbacks.
-// Routers "monitor link-state advertisements and delete pointers to IDs
-// residing at unreachable routers" (§3.2) via OnNodeDown.
+// FailNode marks router n down and floods the LSA.
 func (m *Map) FailNode(n topology.NodeID) {
 	if m.failedNode[n] {
 		return
@@ -141,9 +110,6 @@ func (m *Map) FailNode(n topology.NodeID) {
 	m.failedNode[n] = true
 	m.bump()
 	m.floodCost()
-	for _, fn := range m.nodeDownFns {
-		fn(n)
-	}
 }
 
 // RestoreNode brings router n back.
@@ -157,11 +123,11 @@ func (m *Map) RestoreNode(n topology.NodeID) {
 }
 
 func (m *Map) spt(src topology.NodeID) topology.SPT {
-	if c, ok := m.sptCache[src]; ok && c.version == m.version {
-		return c.spt
+	if spt, ok := m.sptCache[src]; ok {
+		return spt
 	}
 	spt := m.g.Dijkstra(src, m.Up)
-	m.sptCache[src] = &cachedSPT{version: m.version, spt: spt}
+	m.sptCache[src] = spt
 	return spt
 }
 
@@ -237,33 +203,6 @@ func (m *Map) Component(start topology.NodeID) []topology.NodeID {
 	return out
 }
 
-// SamePartition reports whether a and b are currently in the same
-// network-layer partition.
-func (m *Map) SamePartition(a, b topology.NodeID) bool {
-	return m.Reachable(a, b)
-}
-
-// PathOK reports whether every consecutive hop of a recorded source
-// route is still usable — the validity check applied to cached pointers
-// before forwarding over them.
-func (m *Map) PathOK(path []topology.NodeID) bool {
-	if len(path) == 0 {
-		return false
-	}
-	if m.failedNode[path[0]] {
-		return false
-	}
-	for i := 1; i < len(path); i++ {
-		if m.failedNode[path[i]] || !m.Up(path[i-1], path[i]) {
-			return false
-		}
-		if !m.g.HasEdge(path[i-1], path[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // String summarizes the map state.
 func (m *Map) String() string {
 	down := 0
@@ -272,5 +211,5 @@ func (m *Map) String() string {
 			down++
 		}
 	}
-	return fmt.Sprintf("linkstate{v=%d failedLinks=%d failedNodes=%d}", m.version, len(m.failedLink), down)
+	return fmt.Sprintf("linkstate{failedLinks=%d failedNodes=%d}", len(m.failedLink), down)
 }

@@ -98,10 +98,10 @@ func TestPartitionAndComponent(t *testing.T) {
 	ls, _ := newMap(t)
 	ls.FailLink(0, 1)
 	ls.FailLink(2, 3)
-	if ls.SamePartition(0, 2) {
+	if ls.Reachable(0, 2) {
 		t.Fatal("0 and 2 must be partitioned")
 	}
-	if !ls.SamePartition(1, 2) || !ls.SamePartition(0, 3) {
+	if !ls.Reachable(1, 2) || !ls.Reachable(0, 3) {
 		t.Fatal("halves must stay internally connected")
 	}
 	c0 := ls.Component(0)
@@ -114,62 +114,16 @@ func TestPartitionAndComponent(t *testing.T) {
 	}
 }
 
-func TestCallbacks(t *testing.T) {
+func TestFailureInvalidatesCachedPaths(t *testing.T) {
 	ls, _ := newMap(t)
-	var links [][2]topology.NodeID
-	var nodes []topology.NodeID
-	ls.OnLinkDown(func(a, b topology.NodeID) { links = append(links, [2]topology.NodeID{a, b}) })
-	ls.OnNodeDown(func(n topology.NodeID) { nodes = append(nodes, n) })
-	ls.FailLink(0, 1)
-	ls.FailNode(2)
-	if len(links) != 1 || links[0] != [2]topology.NodeID{0, 1} {
-		t.Fatalf("link callbacks = %v", links)
-	}
-	if len(nodes) != 1 || nodes[0] != 2 {
-		t.Fatalf("node callbacks = %v", nodes)
-	}
-}
-
-func TestVersionBumpsAndCacheInvalidation(t *testing.T) {
-	ls, _ := newMap(t)
-	v0 := ls.Version()
-	_ = ls.Hops(0, 2) // warm cache
+	_, _ = ls.Hops(0, 2), ls.Hops(1, 2) // warm the cache
 	ls.FailLink(1, 2)
-	if ls.Version() == v0 {
-		t.Fatal("version must bump on failure")
-	}
 	if h := ls.Hops(0, 2); h != 2 {
 		// still 2 via 3: 0-3-2
 		t.Fatalf("post-failure hops = %d want 2", h)
 	}
 	if h := ls.Hops(1, 2); h != 3 {
 		t.Fatalf("1->2 must detour: %d", h)
-	}
-}
-
-func TestPathOK(t *testing.T) {
-	ls, _ := newMap(t)
-	good := []topology.NodeID{0, 1, 2}
-	if !ls.PathOK(good) {
-		t.Fatal("intact path must be OK")
-	}
-	ls.FailLink(1, 2)
-	if ls.PathOK(good) {
-		t.Fatal("path over failed link must be rejected")
-	}
-	ls.RestoreLink(1, 2)
-	ls.FailNode(1)
-	if ls.PathOK(good) {
-		t.Fatal("path through failed node must be rejected")
-	}
-	if ls.PathOK(nil) {
-		t.Fatal("empty path is not OK")
-	}
-	if ls.PathOK([]topology.NodeID{0, 2}) {
-		t.Fatal("path over non-existent edge must be rejected")
-	}
-	if !ls.PathOK([]topology.NodeID{0}) {
-		t.Fatal("single live node is a valid degenerate path")
 	}
 }
 

@@ -1,9 +1,8 @@
 package vring
 
 import (
-	"fmt"
+	"container/list"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"rofl/internal/ident"
@@ -34,9 +33,6 @@ func TestCacheInsertLookup(t *testing.T) {
 	p, ok = c.Lookup(id64(0), id64(90))
 	if !ok || p.ID != id64(90) {
 		t.Fatal("exact match should hit")
-	}
-	if c.HitRate() <= 0 || c.HitRate() >= 1 {
-		t.Fatalf("hit rate = %v", c.HitRate())
 	}
 }
 
@@ -153,78 +149,96 @@ func TestBestMatch(t *testing.T) {
 	}
 }
 
-// scanLRUCache reimplements the pre-heap eviction policy — a full
-// linear scan for the minimum lastUsed stamp on every at-capacity
-// insert — both as the reference model for the stress test below and as
-// the baseline for BenchmarkCacheInsertAtCapacity*.
-type scanLRUCache struct {
-	cap     int
-	entries []cacheEntry
-	clock   uint64
+// listLRU is the textbook LRU the cache is held to: a map for membership
+// and a container/list for recency, most recent at the front. It shares
+// no code and no representation with PointerCache (no stamps, no sorted
+// slice, no scan).
+type listLRU struct {
+	cap   int
+	order *list.List // of Pointer
+	byID  map[ident.ID]*list.Element
 }
 
-func (c *scanLRUCache) find(id ident.ID) (int, bool) {
-	i := sort.Search(len(c.entries), func(k int) bool { return !c.entries[k].ID.Less(id) })
-	if i < len(c.entries) && c.entries[i].ID == id {
-		return i, true
-	}
-	return i, false
+func newListLRU(capacity int) *listLRU {
+	return &listLRU{cap: capacity, order: list.New(), byID: make(map[ident.ID]*list.Element)}
 }
 
-func (c *scanLRUCache) Insert(p Pointer) {
-	if c.cap <= 0 {
+func (m *listLRU) insert(p Pointer) {
+	if e, ok := m.byID[p.ID]; ok {
+		e.Value = p
+		m.order.MoveToFront(e)
 		return
 	}
-	c.clock++
-	if i, ok := c.find(p.ID); ok {
-		c.entries[i].Router = p.Router
-		c.entries[i].lastUsed = c.clock
-		return
+	if m.order.Len() >= m.cap {
+		m.remove(m.order.Back().Value.(Pointer).ID)
 	}
-	if len(c.entries) >= c.cap {
-		victim := 0
-		for i := 1; i < len(c.entries); i++ {
-			if c.entries[i].lastUsed < c.entries[victim].lastUsed {
-				victim = i
-			}
+	m.byID[p.ID] = m.order.PushFront(p)
+}
+
+func (m *listLRU) touch(id ident.ID) { m.order.MoveToFront(m.byID[id]) }
+
+func (m *listLRU) remove(id ident.ID) {
+	if e, ok := m.byID[id]; ok {
+		m.order.Remove(e)
+		delete(m.byID, id)
+	}
+}
+
+func (m *listLRU) removeRouter(r RouterID) (removed int) {
+	for id, e := range m.byID {
+		if e.Value.(Pointer).Router == r {
+			m.remove(id)
+			removed++
 		}
-		c.entries = append(c.entries[:victim], c.entries[victim+1:]...)
 	}
-	i, _ := c.find(p.ID)
-	c.entries = append(c.entries, cacheEntry{})
-	copy(c.entries[i+1:], c.entries[i:])
-	c.entries[i] = cacheEntry{Pointer: p, lastUsed: c.clock}
+	return removed
 }
 
-// The heap-backed cache must evict exactly the entries the linear-scan
-// policy would, under a workload mixing inserts, updates and removals.
+// The min-stamp scan must keep exactly the entries a list-ordered LRU
+// keeps, under a workload mixing inserts, updates, lookups (which touch),
+// removals and router invalidations.
 func TestCacheEvictionMatchesLinearScanModel(t *testing.T) {
 	const capacity = 24
 	c := NewPointerCache(capacity)
-	model := &scanLRUCache{cap: capacity}
+	model := newListLRU(capacity)
 	rng := rand.New(rand.NewSource(11))
+	key := func() ident.ID { return id64(uint64(rng.Intn(3 * capacity))) } // small keyspace so updates and evictions mix
+	evictions := 0
 	for step := 0; step < 8000; step++ {
-		switch rng.Intn(10) {
-		case 0: // remove a random live entry from both
-			if len(model.entries) > 0 {
-				id := model.entries[rng.Intn(len(model.entries))].ID
-				c.Remove(id)
-				i, _ := model.find(id)
-				model.entries = append(model.entries[:i], model.entries[i+1:]...)
+		switch rng.Intn(20) {
+		case 0, 1:
+			id := key()
+			c.Remove(id)
+			model.remove(id)
+		case 2:
+			r := RouterID(rng.Intn(50))
+			if got, want := c.RemoveRouter(r), model.removeRouter(r); got != want {
+				t.Fatalf("step %d: RemoveRouter(%d) = %d, model %d", step, r, got, want)
 			}
-		default: // insert (small keyspace so updates and evictions mix)
-			p := Pointer{ID: id64(uint64(rng.Intn(3 * capacity))), Router: RouterID(rng.Intn(50))}
+		case 3, 4, 5:
+			if p, ok := c.Lookup(key(), key()); ok {
+				model.touch(p.ID)
+			}
+		default:
+			p := Pointer{ID: key(), Router: RouterID(rng.Intn(50))}
+			if _, known := model.byID[p.ID]; !known && c.Len() == capacity {
+				evictions++
+			}
 			c.Insert(p)
-			model.Insert(p)
+			model.insert(p)
 		}
-		if c.Len() != len(model.entries) {
-			t.Fatalf("step %d: len %d != model %d", step, c.Len(), len(model.entries))
+		if c.Len() != len(model.byID) {
+			t.Fatalf("step %d: len %d != model %d", step, c.Len(), len(model.byID))
 		}
-		for i, e := range model.entries {
-			if c.entries[i].ID != e.ID || c.entries[i].Router != e.Router {
-				t.Fatalf("step %d: entry %d diverged: %v vs model %v", step, i, c.entries[i], e)
+		c.Each(func(p Pointer) bool {
+			if e, ok := model.byID[p.ID]; !ok || e.Value.(Pointer) != p {
+				t.Fatalf("step %d: cache holds %v, model does not", step, p)
 			}
-		}
+			return true
+		})
+	}
+	if evictions < 1000 {
+		t.Fatalf("only %d inserts evicted; the workload no longer exercises eviction", evictions)
 	}
 }
 
@@ -238,44 +252,21 @@ func benchFillIDs(n int) []ident.ID {
 }
 
 // BenchmarkCacheInsertAtCapacity measures steady-state inserts into a
-// full cache, where every insert evicts. The heap-backed LRU makes this
-// O(log cap) amortized; the LinearScan variant below is the old O(cap)
-// policy for comparison.
+// full cache, where every insert scans for the victim, at the largest
+// capacity a driver fills (Fig 6a, Fig 8c: 1,000 entries).
 func BenchmarkCacheInsertAtCapacity(b *testing.B) {
-	for _, capacity := range []int{1000, 70000} {
-		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
-			c := NewPointerCache(capacity)
-			for _, id := range benchFillIDs(capacity) {
-				c.Insert(Pointer{ID: id, Router: 1})
-			}
-			fresh := benchFillIDs(1 << 16)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := fresh[i&(1<<16-1)]
-				id[0] = byte(i >> 16) // keep keys fresh so every insert evicts
-				c.Insert(Pointer{ID: id, Router: 2})
-			}
-		})
+	const capacity = 1000
+	c := NewPointerCache(capacity)
+	for _, id := range benchFillIDs(capacity) {
+		c.Insert(Pointer{ID: id, Router: 1})
 	}
-}
-
-func BenchmarkCacheInsertAtCapacityLinearScan(b *testing.B) {
-	for _, capacity := range []int{1000, 70000} {
-		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
-			c := &scanLRUCache{cap: capacity}
-			for _, id := range benchFillIDs(capacity) {
-				c.Insert(Pointer{ID: id, Router: 1})
-			}
-			fresh := benchFillIDs(1 << 16)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := fresh[i&(1<<16-1)]
-				id[0] = byte(i >> 16)
-				c.Insert(Pointer{ID: id, Router: 2})
-			}
-		})
+	fresh := benchFillIDs(1 << 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := fresh[i&(1<<16-1)]
+		id[0] = byte(i >> 16) // keep keys fresh so every insert evicts
+		c.Insert(Pointer{ID: id, Router: 2})
 	}
 }
 
@@ -305,7 +296,7 @@ func TestCacheStressSortedInvariant(t *testing.T) {
 }
 
 // BenchmarkCacheLookupHit measures the forwarding-time cache probe at
-// capacity: a binary search over the sorted entries plus the LRU touch.
+// capacity: a binary search over the sorted entries plus the recency stamp.
 func BenchmarkCacheLookupHit(b *testing.B) {
 	const capacity = 1000
 	c := NewPointerCache(capacity)
@@ -326,9 +317,8 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 }
 
 // TestLookupSteadyStateAllocs pins the forwarding-time cache probe at
-// zero allocations: after warmup the LRU heap's backing array has
-// reached its high-water mark, and neither the binary search nor the
-// touch may allocate again.
+// zero allocations: neither the binary search nor the touch may
+// allocate.
 func TestLookupSteadyStateAllocs(t *testing.T) {
 	const capacity = 512
 	c := NewPointerCache(capacity)
@@ -337,10 +327,6 @@ func TestLookupSteadyStateAllocs(t *testing.T) {
 		c.Insert(Pointer{ID: id, Router: 1})
 	}
 	pos := ident.FromString("alloc-pos")
-	// Warm up past a full heap-rebuild cycle so slice capacities settle.
-	for i := 0; i < 16*capacity; i++ {
-		c.Lookup(pos, ids[i%capacity])
-	}
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		c.Lookup(pos, ids[i%capacity])

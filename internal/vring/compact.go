@@ -83,12 +83,6 @@ type CompactConfig struct {
 	SuccessorGroup int
 	// CacheCapacity bounds each router's pointer cache, in entries.
 	CacheCapacity int
-	// StabilizeEvery is the virtual time between a node's stabilize
-	// rounds.
-	StabilizeEvery sim.Time
-	// Lookahead is the sharded engine's minimum inter-node delay and
-	// barrier window; physical latencies below it are clamped up.
-	Lookahead sim.Time
 	// Shards is the shard count (1 reproduces the serial run; results
 	// are byte-identical at any value).
 	Shards int
@@ -97,9 +91,18 @@ type CompactConfig struct {
 	// Journal records convergence transitions (tests only: a 1M-host
 	// run would journal tens of millions of entries).
 	Journal bool
-	// TTL bounds measurement-probe forwarding steps.
-	TTL int
 }
+
+const (
+	// compactStabilizeEvery is the virtual time between a node's
+	// stabilize rounds.
+	compactStabilizeEvery sim.Time = 10
+	// compactLookahead is the sharded engine's minimum inter-node delay
+	// and barrier window; physical latencies below it are clamped up.
+	compactLookahead sim.Time = 1
+	// compactTTL bounds measurement-probe forwarding steps.
+	compactTTL = 4096
+)
 
 // DefaultCompactConfig mirrors the Network defaults at compact scale.
 func DefaultCompactConfig() CompactConfig {
@@ -108,11 +111,8 @@ func DefaultCompactConfig() CompactConfig {
 		EphemeralEvery: 0,
 		SuccessorGroup: 3,
 		CacheCapacity:  8192,
-		StabilizeEvery: 10,
-		Lookahead:      1,
 		Shards:         1,
 		Seed:           1,
-		TTL:            4096,
 	}
 }
 
@@ -224,17 +224,8 @@ func NewCompactRing(isp *topology.ISP, cfg CompactConfig) *CompactRing {
 	if cfg.SuccessorGroup > MaxCompactSuccessors {
 		cfg.SuccessorGroup = MaxCompactSuccessors
 	}
-	if cfg.StabilizeEvery <= 0 {
-		cfg.StabilizeEvery = 10
-	}
-	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = 1
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 4096
 	}
 
 	m := cfg.Hosts
@@ -360,13 +351,13 @@ func NewCompactRing(isp *topology.ISP, cfg CompactConfig) *CompactRing {
 	// Sharded engine: nodes grouped by hosting router so each router's
 	// cache is shard-private; prime one jittered stabilize timer per
 	// member.
-	r.eng = sim.NewSharded(n, cfg.Shards, cfg.Lookahead, r.router, r)
+	r.eng = sim.NewSharded(n, cfg.Shards, compactLookahead, r.router, r)
 	if cfg.Journal {
 		r.eng.EnableJournal()
 	}
 	if m > 1 {
 		for h := 0; h < m; h++ {
-			jitter := sim.Time(sim.SplitMix64(&r.rngs[h])%1024) / 1024 * cfg.StabilizeEvery
+			jitter := sim.Time(sim.SplitMix64(&r.rngs[h])%1024) / 1024 * compactStabilizeEvery
 			r.eng.Prime(jitter, sim.Msg{Src: uint32(h), Dst: uint32(h), Kind: cmTimer})
 		}
 	}
@@ -550,8 +541,8 @@ func (r *CompactRing) onSuccList(sc *sim.ShardContext, m sim.Msg) {
 		r.stable[u]++
 	}
 	if r.stable[u] < 2 {
-		jitter := sim.Time(sim.SplitMix64(&r.rngs[u])%1024) / 1024 * r.cfg.StabilizeEvery
-		sc.Send(r.cfg.StabilizeEvery+jitter, sim.Msg{Src: uint32(u), Dst: uint32(u), Kind: cmTimer})
+		jitter := sim.Time(sim.SplitMix64(&r.rngs[u])%1024) / 1024 * compactStabilizeEvery
+		sc.Send(compactStabilizeEvery+jitter, sim.Msg{Src: uint32(u), Dst: uint32(u), Kind: cmTimer})
 	} else {
 		sc.Journal(CJStable, uint32(u), uint32(keep), 0)
 	}
@@ -694,7 +685,7 @@ func (r *CompactRing) Probe(from ident.Handle, dst ident.ID) (ProbeResult, error
 	res := ProbeResult{}
 	pos := from
 	cur := r.router[from]
-	for ttl := r.cfg.TTL; ttl > 0; ttl-- {
+	for ttl := compactTTL; ttl > 0; ttl-- {
 		if resident && int(t) < r.members && r.router[t] == cur {
 			res.Delivered = true
 			r.finishProbe(&res, from, t)
@@ -774,7 +765,7 @@ func (r *CompactRing) ProbeJoin(from ident.Handle, joining ident.ID) (int, error
 	pos := from
 	cur := r.router[from]
 	msgs := 0
-	for ttl := r.cfg.TTL; ttl > 0; ttl-- {
+	for ttl := compactTTL; ttl > 0; ttl-- {
 		best, ok := r.selectCompact(pos, cur, joining)
 		if !ok {
 			// pos is the joining ID's predecessor; complete the splice

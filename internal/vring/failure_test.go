@@ -216,7 +216,7 @@ func TestPartitionSplitAndMerge(t *testing.T) {
 			outside = RouterID(i)
 		}
 	}
-	if n.LS.SamePartition(inside, outside) {
+	if n.LS.Reachable(inside, outside) {
 		t.Fatal("PoP still connected after cut")
 	}
 
@@ -235,7 +235,7 @@ func TestPartitionSplitAndMerge(t *testing.T) {
 		} else {
 			from = outside
 		}
-		if !n.LS.SamePartition(from, host) {
+		if !n.LS.Reachable(from, host) {
 			continue
 		}
 		if _, err := n.Route(from, id); err != nil {
@@ -355,7 +355,7 @@ func TestChurnConvergence(t *testing.T) {
 	refresh()
 	for _, id := range aliveList {
 		host, _ := n.HostingRouter(id)
-		if !n.LS.SamePartition(isp.Backbone[0], host) {
+		if !n.LS.Reachable(isp.Backbone[0], host) {
 			continue
 		}
 		if _, err := n.Route(isp.Backbone[0], id); err != nil {

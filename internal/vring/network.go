@@ -51,6 +51,9 @@ const (
 	SampleStretch     = "vring-stretch"
 )
 
+// routeTTL bounds forwarding hops per packet.
+const routeTTL = 1024
+
 // Options tunes the protocol knobs the paper evaluates.
 type Options struct {
 	// SuccessorGroup is the number of successors each virtual node keeps
@@ -66,8 +69,6 @@ type Options struct {
 	// SnoopData additionally fills caches from delivered data packets —
 	// off in the paper's runs; exposed for the ablation benches.
 	SnoopData bool
-	// TTL bounds forwarding hops per packet.
-	TTL int
 	// Seed feeds the deterministic RNG.
 	Seed int64
 }
@@ -79,7 +80,6 @@ func DefaultOptions() Options {
 		CacheCapacity:  70000, // ≈9 Mbit of 128-bit IDs (§6.2)
 		CacheControl:   true,
 		SnoopData:      false,
-		TTL:            1024,
 		Seed:           1,
 	}
 }
@@ -180,9 +180,6 @@ var (
 func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 	if opts.SuccessorGroup < 1 {
 		opts.SuccessorGroup = 1
-	}
-	if opts.TTL <= 0 {
-		opts.TTL = 1024
 	}
 	n := &Network{
 		LS:         linkstate.New(g, m),
@@ -330,7 +327,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 	var target Pointer
 	var targetVN *VirtualNode
 	haveTarget := false
-	for ttl := n.opts.TTL; ttl > 0; ttl-- {
+	for ttl := routeTTL; ttl > 0; ttl-- {
 		r := n.Routers[cur]
 		if accept != nil {
 			if vn, ok := accept(r); ok {

@@ -150,7 +150,7 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d: %s lost from oracle", step, id.Short())
 			}
 			from := isp.Backbone[rng.Intn(len(isp.Backbone))]
-			if !n.LS.NodeUp(from) || !n.LS.SamePartition(from, host) {
+			if !n.LS.NodeUp(from) || !n.LS.Reachable(from, host) {
 				continue
 			}
 			res, err := n.Route(from, id)
@@ -163,7 +163,7 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 	refresh()
 	for _, id := range list {
 		host, _ := n.HostingRouter(id)
-		if !n.LS.SamePartition(isp.Backbone[0], host) {
+		if !n.LS.Reachable(isp.Backbone[0], host) {
 			continue
 		}
 		if _, err := n.Route(isp.Backbone[0], id); err != nil {

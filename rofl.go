@@ -146,7 +146,7 @@ type VirtualNode = vring.VirtualNode
 // DefaultNetworkOptions mirrors the paper's simulation defaults:
 // successor groups of 3, 70k-entry pointer caches (≈9 Mbit of 128-bit
 // IDs, §6.2) filled from control traffic only (no data snooping),
-// TTL 1024, seed 1. Every Default* constructor in this package follows
+// seed 1. Every Default* constructor in this package follows
 // the same convention: the returned struct is the reference
 // configuration, and any field may be overridden before use.
 func DefaultNetworkOptions() NetworkOptions { return vring.DefaultOptions() }
