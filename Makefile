@@ -46,6 +46,7 @@ cluster-smoke:
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzHandleRequest -fuzztime=10s ./internal/overlay
+	$(GO) test -fuzz=FuzzArithmeticMatchesReference -fuzztime=10s ./internal/ident
 
 # Sharded single-network smoke: converge a 100k-host compact ring
 # sharded 8 ways and probe it, under a hard timeout. The full

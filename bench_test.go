@@ -3,6 +3,7 @@ package rofl_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"rofl"
@@ -139,21 +140,48 @@ func BenchmarkScaling(b *testing.B) {
 
 // --- Protocol micro-benchmarks --------------------------------------------
 
+// benchRingHosts is the population the repository benchmark joins on AS
+// 1221 (benchmarks/wl_fidelity.go).
+const benchRingHosts = 4000
+
+// benchRing joins benchRingHosts random identifiers on AS 1221, placed as
+// the Fig 5-6 drivers and the repository benchmark place them: access
+// routers weighted by isp.HostsAt, so the heavy routers hold hundreds of
+// residents and the per-router resident scan is part of what is timed
+// (round-robin leaves ~2 residents per router and hides it). It returns
+// the joined identifiers and the placement, for joining more.
+func benchRing(b *testing.B) (*rofl.Network, *rofl.ISP, []rofl.ID, func() (rofl.ID, rofl.RouterID)) {
+	isp := rofl.GenISP(rofl.AS1221())
+	net := rofl.NewNetwork(isp.Graph, rofl.NewMetrics(), rofl.DefaultNetworkOptions())
+	var cum []int
+	total := 0
+	for _, h := range isp.HostsAt {
+		total += max(h, 1) // every access router stays sample-able
+		cum = append(cum, total)
+	}
+	rng := rand.New(rand.NewSource(1))
+	place := func() (rofl.ID, rofl.RouterID) {
+		return ident.Random(rng), isp.Access[sort.SearchInts(cum, rng.Intn(total)+1)]
+	}
+	ids := make([]rofl.ID, benchRingHosts)
+	for i := range ids {
+		id, at := place()
+		if _, err := net.JoinHost(id, at); err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return net, isp, ids, place
+}
+
 // BenchmarkIntraJoin measures one intradomain host join on the paper's
 // AS 1221 topology with warm caches.
 func BenchmarkIntraJoin(b *testing.B) {
-	isp := rofl.GenISP(rofl.AS1221())
-	net := rofl.NewNetwork(isp.Graph, rofl.NewMetrics(), rofl.DefaultNetworkOptions())
-	for i := 0; i < 500; i++ {
-		if _, err := net.JoinHost(rofl.IDFromString(fmt.Sprintf("warm-%d", i)), isp.Access[i%len(isp.Access)]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	net, _, _, place := benchRing(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := rofl.IDFromString(fmt.Sprintf("bench-%d", i))
-		if _, err := net.JoinHost(id, isp.Access[i%len(isp.Access)]); err != nil {
+		if _, err := net.JoinHost(place()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,17 +190,8 @@ func BenchmarkIntraJoin(b *testing.B) {
 // BenchmarkIntraRoute measures one intradomain data-packet route with
 // warm caches.
 func BenchmarkIntraRoute(b *testing.B) {
-	isp := rofl.GenISP(rofl.AS1221())
-	net := rofl.NewNetwork(isp.Graph, rofl.NewMetrics(), rofl.DefaultNetworkOptions())
-	var ids []rofl.ID
-	for i := 0; i < 500; i++ {
-		id := rofl.IDFromString(fmt.Sprintf("h-%d", i))
-		if _, err := net.JoinHost(id, isp.Access[i%len(isp.Access)]); err != nil {
-			b.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	rng := rand.New(rand.NewSource(1))
+	net, isp, ids, _ := benchRing(b)
+	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -98,53 +99,62 @@ func (id ID) Short() string { return hex.EncodeToString(id[:4]) + "…" }
 // IsZero reports whether id is the all-zero identifier.
 func (id ID) IsZero() bool { return id == Zero }
 
+// u128 is an identifier, or the distance between two, as machine words.
+// All ordering and arithmetic below runs on this form; ID stays the
+// stored and exported array, so identifiers remain map keys, compare
+// with == and go on the wire byte for byte.
+type u128 struct{ hi, lo uint64 }
+
+func (id ID) words() u128 {
+	return u128{binary.BigEndian.Uint64(id[:8]), binary.BigEndian.Uint64(id[8:])}
+}
+
+func (a u128) id() (id ID) {
+	binary.BigEndian.PutUint64(id[:8], a.hi)
+	binary.BigEndian.PutUint64(id[8:], a.lo)
+	return id
+}
+
+func (a u128) less(b u128) bool { return a.hi < b.hi || (a.hi == b.hi && a.lo < b.lo) }
+
+// sub returns a - b mod 2^128.
+func (a u128) sub(b u128) u128 {
+	lo, borrow := bits.Sub64(a.lo, b.lo, 0)
+	hi, _ := bits.Sub64(a.hi, b.hi, borrow)
+	return u128{hi, lo}
+}
+
+// span returns the clockwise distance from→to, (to - from) mod 2^128.
+func span(from, to ID) u128 { return to.words().sub(from.words()) }
+
 // Cmp compares two identifiers as 128-bit big-endian integers, returning
 // -1, 0, or +1. Linear order is only meaningful for tie-breaking and
 // sorted storage; routing must use Distance / Between, which respect the
 // circular topology.
 func (id ID) Cmp(other ID) int {
-	for i := 0; i < Size; i++ {
-		switch {
-		case id[i] < other[i]:
-			return -1
-		case id[i] > other[i]:
-			return 1
-		}
+	a, b := id.words(), other.words()
+	switch {
+	case a.less(b):
+		return -1
+	case b.less(a):
+		return 1
 	}
 	return 0
 }
 
 // Less reports id < other in linear order.
-func (id ID) Less(other ID) bool { return id.Cmp(other) < 0 }
+func (id ID) Less(other ID) bool { return id.words().less(other.words()) }
 
 // Add returns id + other mod 2^128.
 func (id ID) Add(other ID) ID {
-	var out ID
-	var carry uint16
-	for i := Size - 1; i >= 0; i-- {
-		s := uint16(id[i]) + uint16(other[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
-	return out
+	a, b := id.words(), other.words()
+	lo, carry := bits.Add64(a.lo, b.lo, 0)
+	hi, _ := bits.Add64(a.hi, b.hi, carry)
+	return u128{hi, lo}.id()
 }
 
 // Sub returns id - other mod 2^128.
-func (id ID) Sub(other ID) ID {
-	var out ID
-	var borrow int16
-	for i := Size - 1; i >= 0; i-- {
-		d := int16(id[i]) - int16(other[i]) - borrow
-		if d < 0 {
-			d += 256
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-		out[i] = byte(d)
-	}
-	return out
-}
+func (id ID) Sub(other ID) ID { return span(other, id).id() }
 
 // Next returns the identifier immediately clockwise of id (id+1).
 func (id ID) Next() ID { return id.Add(one) }
@@ -161,7 +171,7 @@ var one = func() ID {
 // Distance returns the clockwise distance from id to other: the number of
 // namespace positions a packet at id must still cover to reach other,
 // i.e. (other - id) mod 2^128. Distance(x, x) == 0.
-func (id ID) Distance(other ID) ID { return other.Sub(id) }
+func (id ID) Distance(other ID) ID { return span(id, other).id() }
 
 // Between reports whether x lies in the half-open clockwise interval
 // (a, b]. This is the Chord successor convention: the successor of k is
@@ -173,9 +183,8 @@ func Between(x, a, b ID) bool {
 	if a == b {
 		return x != a
 	}
-	da := a.Distance(x)
-	db := a.Distance(b)
-	return da.Cmp(Zero) > 0 && da.Cmp(db) <= 0
+	dx, db := span(a, x), span(a, b)
+	return dx != (u128{}) && !db.less(dx)
 }
 
 // BetweenOpen reports whether x lies strictly inside the clockwise
@@ -201,20 +210,11 @@ func Progress(cur, dst, candidate ID) bool {
 // in [0, Bits]. Prefix finger tables (paper §4.1) key their rows on this
 // value.
 func CommonPrefixLen(a, b ID) int {
-	for i := 0; i < Size; i++ {
-		x := a[i] ^ b[i]
-		if x == 0 {
-			continue
-		}
-		n := i * 8
-		for mask := byte(0x80); mask != 0; mask >>= 1 {
-			if x&mask != 0 {
-				return n
-			}
-			n++
-		}
+	x, y := a.words(), b.words()
+	if x.hi != y.hi {
+		return bits.LeadingZeros64(x.hi ^ y.hi)
 	}
-	return Bits
+	return 64 + bits.LeadingZeros64(x.lo^y.lo)
 }
 
 // DigitBits is the width of one finger-table digit. With 4-bit digits an

@@ -360,3 +360,213 @@ func TestMarshalersRoundTrip(t *testing.T) {
 		t.Fatal("short binary must fail")
 	}
 }
+
+// --- Reference oracle for the two-word arithmetic -------------------------
+//
+// The byte-at-a-time loops the package computed with before it moved to
+// machine words, kept verbatim: slow, obviously right, and independent
+// of encoding/binary and math/bits.
+
+func refCmp(id, other ID) int {
+	for i := 0; i < Size; i++ {
+		switch {
+		case id[i] < other[i]:
+			return -1
+		case id[i] > other[i]:
+			return 1
+		}
+	}
+	return 0
+}
+
+func refAdd(id, other ID) ID {
+	var out ID
+	var carry uint16
+	for i := Size - 1; i >= 0; i-- {
+		s := uint16(id[i]) + uint16(other[i]) + carry
+		out[i] = byte(s)
+		carry = s >> 8
+	}
+	return out
+}
+
+func refSub(id, other ID) ID {
+	var out ID
+	var borrow int16
+	for i := Size - 1; i >= 0; i-- {
+		d := int16(id[i]) - int16(other[i]) - borrow
+		if d < 0 {
+			d += 256
+			borrow = 1
+		} else {
+			borrow = 0
+		}
+		out[i] = byte(d)
+	}
+	return out
+}
+
+func refBetween(x, a, b ID) bool {
+	if a == b {
+		return x != a
+	}
+	da := refSub(x, a)
+	db := refSub(b, a)
+	return refCmp(da, Zero) > 0 && refCmp(da, db) <= 0
+}
+
+func refProgress(cur, dst, candidate ID) bool {
+	if cur == dst {
+		return false // already at the destination's slot
+	}
+	return refBetween(candidate, cur, dst)
+}
+
+func refCommonPrefixLen(a, b ID) int {
+	for i := 0; i < Size; i++ {
+		x := a[i] ^ b[i]
+		if x == 0 {
+			continue
+		}
+		n := i * 8
+		for mask := byte(0x80); mask != 0; mask >>= 1 {
+			if x&mask != 0 {
+				return n
+			}
+			n++
+		}
+	}
+	return Bits
+}
+
+// checkArithmetic holds every rewritten function to the reference on one
+// triple, in each role a triple can play.
+func checkArithmetic(t *testing.T, a, b, c ID) {
+	t.Helper()
+	if got, want := a.Cmp(b), refCmp(a, b); got != want {
+		t.Fatalf("Cmp(%s,%s) = %d want %d", a, b, got, want)
+	}
+	if got, want := a.Less(b), refCmp(a, b) < 0; got != want {
+		t.Fatalf("Less(%s,%s) = %v want %v", a, b, got, want)
+	}
+	if got, want := a.Add(b), refAdd(a, b); got != want {
+		t.Fatalf("Add(%s,%s) = %s want %s", a, b, got, want)
+	}
+	if got, want := a.Sub(b), refSub(a, b); got != want {
+		t.Fatalf("Sub(%s,%s) = %s want %s", a, b, got, want)
+	}
+	if got, want := a.Distance(b), refSub(b, a); got != want {
+		t.Fatalf("Distance(%s,%s) = %s want %s", a, b, got, want)
+	}
+	if got, want := a.Next(), refAdd(a, one); got != want {
+		t.Fatalf("Next(%s) = %s want %s", a, got, want)
+	}
+	if got, want := a.Prev(), refSub(a, one); got != want {
+		t.Fatalf("Prev(%s) = %s want %s", a, got, want)
+	}
+	if got, want := Between(a, b, c), refBetween(a, b, c); got != want {
+		t.Fatalf("Between(%s,%s,%s) = %v want %v", a, b, c, got, want)
+	}
+	if got, want := BetweenOpen(a, b, c), refBetween(a, b, c) && a != c; got != want {
+		t.Fatalf("BetweenOpen(%s,%s,%s) = %v want %v", a, b, c, got, want)
+	}
+	if got, want := Progress(a, b, c), refProgress(a, b, c); got != want {
+		t.Fatalf("Progress(%s,%s,%s) = %v want %v", a, b, c, got, want)
+	}
+	if got, want := Closer(a, b, c), refCmp(refSub(a, b), refSub(a, c)) < 0; got != want {
+		t.Fatalf("Closer(%s,%s,%s) = %v want %v", a, b, c, got, want)
+	}
+	if got, want := CommonPrefixLen(a, b), refCommonPrefixLen(a, b); got != want {
+		t.Fatalf("CommonPrefixLen(%s,%s) = %d want %d", a, b, got, want)
+	}
+}
+
+// arithmeticBoundaries is where a carry or borrow crosses the word seam
+// or the namespace origin: zero, one, all-ones, 2^64-1, 2^64, 2^64+1 and
+// 2^127, each with its two neighbours.
+func arithmeticBoundaries() []ID {
+	pow64 := ID{7: 1}
+	centres := []ID{Zero, one, Max, id64(^uint64(0)), pow64, pow64.Next(), {0: 0x80}}
+	var out []ID
+	for _, c := range centres {
+		out = append(out, refSub(c, one), c, refAdd(c, one))
+	}
+	return out
+}
+
+func TestArithmeticMatchesReference(t *testing.T) {
+	// Every ordered triple of boundary values: a == b, cur == dst and
+	// arcs that wrap through zero all occur among them.
+	bs := arithmeticBoundaries()
+	for _, a := range bs {
+		for _, b := range bs {
+			for _, c := range bs {
+				checkArithmetic(t, a, b, c)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 100000; i++ {
+		a, b, c := Random(rng), Random(rng), Random(rng)
+		switch i % 8 { // uniform draws never collide or share a high word
+		case 1:
+			b = a
+		case 2:
+			c = b
+		case 3:
+			copy(b[:8], a[:8])
+		case 4:
+			copy(b[8:], a[8:])
+			copy(c[:8], a[:8])
+		case 5:
+			c = bs[rng.Intn(len(bs))]
+		}
+		checkArithmetic(t, a, b, c)
+	}
+}
+
+func FuzzArithmeticMatchesReference(f *testing.F) {
+	bs := arithmeticBoundaries()
+	for i := range bs {
+		a, b, c := bs[i], bs[(i+1)%len(bs)], bs[(i+5)%len(bs)]
+		f.Add(a[:], b[:], c[:])
+		f.Add(a[:], a[:], c[:])
+	}
+	f.Fuzz(func(t *testing.T, ab, bb, cb []byte) {
+		var a, b, c ID
+		if a.UnmarshalBinary(ab) != nil || b.UnmarshalBinary(bb) != nil || c.UnmarshalBinary(cb) != nil {
+			t.Skip("not three 16-byte identifiers")
+		}
+		checkArithmetic(t, a, b, c)
+	})
+}
+
+// The word form counts leading zeros of an XOR; hold it to the old
+// byte-then-bit loop at every prefix length, with the first differing
+// bit followed by agreement, disagreement and noise.
+func TestCommonPrefixLenEveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for n := 0; n <= Bits; n++ {
+		for trial := 0; trial < 64; trial++ {
+			a := Random(rng)
+			b := a
+			if n < Bits {
+				b[n/8] ^= 0x80 >> (n % 8)
+				switch trial % 3 { // what follows the first differing bit
+				case 1:
+					for i := n + 1; i < Bits; i++ {
+						b[i/8] ^= 0x80 >> (i % 8)
+					}
+				case 2:
+					noise := Random(rng)
+					for i := n + 1; i < Bits; i++ {
+						b[i/8] ^= noise[i/8] & (0x80 >> (i % 8))
+					}
+				}
+			}
+			if got := CommonPrefixLen(a, b); got != n || got != refCommonPrefixLen(a, b) {
+				t.Fatalf("CommonPrefixLen(%s,%s) = %d want %d (reference %d)", a, b, got, n, refCommonPrefixLen(a, b))
+			}
+		}
+	}
+}

@@ -13,42 +13,52 @@ import "sort"
 
 // Closer reports whether a is strictly closer to dst than b, in
 // clockwise distance still to cover.
-func Closer(dst, a, b ID) bool {
-	return a.Distance(dst).Cmp(b.Distance(dst)) < 0
-}
+func Closer(dst, a, b ID) bool { return span(a, dst).less(span(b, dst)) }
 
 // Scan is Algorithm 2 over a stream of candidates: Offer each one in
 // precedence order (ring pointers before cache entries, §2.2) and read
 // the winner from Best. A candidate must make legal Progress from cur;
 // a strictly closer one displaces the incumbent and a tie keeps it,
 // which is what gives earlier offers precedence.
+//
+// Everything is measured clockwise from cur: a candidate at distance d
+// is legal iff 0 < d <= cur→dst, and since it then has cur→dst - d left
+// to cover, the closest to dst is the one with the largest d. Holding
+// cur→dst and cur→best makes Offer one subtraction.
 type Scan struct {
-	cur, dst ID
-	best     ID
-	left     ID // best's remaining distance to dst
-	found    bool
+	cur  u128
+	dst  u128 // cur→dst
+	far  u128 // cur→best; zero until a candidate qualifies
+	best ID
 }
 
 // NewScan starts a selection for a packet at ring position cur heading
 // for dst.
-func NewScan(cur, dst ID) Scan { return Scan{cur: cur, dst: dst} }
+func NewScan(cur, dst ID) Scan {
+	c := cur.words()
+	return Scan{cur: c, dst: dst.words().sub(c)}
+}
 
 // Offer presents one candidate and reports whether it became the
 // incumbent, so callers can keep their own payload in step.
 func (s *Scan) Offer(c ID) bool {
-	if !Progress(s.cur, s.dst, c) {
-		return false
+	d := c.words().sub(s.cur)
+	if s.dst.less(d) || !s.far.less(d) {
+		return false // overshoots dst, or no farther along than the incumbent (or than cur)
 	}
-	left := c.Distance(s.dst)
-	if s.found && left.Cmp(s.left) >= 0 {
-		return false
-	}
-	s.best, s.left, s.found = c, left, true
+	s.best, s.far = c, d
 	return true
 }
 
+// Beats reports whether Offer(c) would make c the incumbent: a caller
+// with a veto of its own asks first and vetoes only would-be winners.
+func (s *Scan) Beats(c ID) bool {
+	d := c.words().sub(s.cur)
+	return !s.dst.less(d) && s.far.less(d)
+}
+
 // Best returns the incumbent and whether any candidate qualified.
-func (s *Scan) Best() (ID, bool) { return s.best, s.found }
+func (s *Scan) Best() (ID, bool) { return s.best, s.far != (u128{}) }
 
 // Search returns the smallest index in [0, n) whose identifier is >= id
 // in linear order, or n: the find-by-ID lower bound over identifiers

@@ -179,3 +179,82 @@ func TestSelectZeroAllocs(t *testing.T) {
 		t.Fatalf("selection allocates: %v allocs/run", allocs)
 	}
 }
+
+// refScan is Scan as it stood before Offer became one subtraction: the
+// legality test and the remaining distance computed separately for every
+// candidate, on the reference byte arithmetic. Kept as the decision's
+// oracle.
+type refScan struct {
+	cur, dst ID
+	best     ID
+	left     ID // best's remaining distance to dst
+	found    bool
+}
+
+func (s *refScan) refOffer(c ID) bool {
+	if !refProgress(s.cur, s.dst, c) {
+		return false
+	}
+	left := refSub(s.dst, c)
+	if s.found && refCmp(left, s.left) >= 0 {
+		return false
+	}
+	s.best, s.left, s.found = c, left, true
+	return true
+}
+
+// A faster Offer may not change one decision: over candidate streams
+// with duplicates, exact ties, candidates equal to cur and dst, and arcs
+// straddling zero, it accepts and rejects exactly where the reference
+// does and ends on the same Best.
+func TestScanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	bs := arithmeticBoundaries()
+	pick := func() ID {
+		if rng.Intn(4) == 0 {
+			return bs[rng.Intn(len(bs))]
+		}
+		return Random(rng)
+	}
+	for i := 0; i < 20000; i++ {
+		cur, dst := pick(), pick()
+		switch i % 8 {
+		case 1:
+			dst = cur
+		case 2:
+			dst = cur.Next() // the narrowest arc
+		case 3:
+			dst = cur.Prev() // the widest: everything but cur is legal
+		case 4:
+			cur, dst = Max.Sub(id64(uint64(rng.Intn(8)))), id64(uint64(rng.Intn(8))) // straddles zero
+		}
+		cands := make([]ID, 1+rng.Intn(16))
+		for j := range cands {
+			switch rng.Intn(8) {
+			case 0:
+				cands[j] = cur
+			case 1:
+				cands[j] = dst
+			case 2:
+				cands[j] = cands[rng.Intn(j+1)] // a duplicate: an exact tie
+			case 3:
+				cands[j] = cur.Add(id64(uint64(rng.Intn(16)))) // just past cur
+			case 4:
+				cands[j] = dst.Sub(id64(uint64(rng.Intn(16))).Sub(id64(8))) // around dst, both sides
+			default:
+				cands[j] = pick()
+			}
+		}
+		got, want := NewScan(cur, dst), refScan{cur: cur, dst: dst}
+		for j, c := range cands {
+			beats := got.Beats(c)
+			if g, w := got.Offer(c), want.refOffer(c); g != w || beats != w {
+				t.Fatalf("cur=%s dst=%s offer %d (%s): took=%v, Beats said %v, reference %v", cur, dst, j, c, g, beats, w)
+			}
+		}
+		best, ok := got.Best()
+		if ok != want.found || (ok && best != want.best) {
+			t.Fatalf("cur=%s dst=%s: Best = (%s,%v), reference (%s,%v)", cur, dst, best, ok, want.best, want.found)
+		}
+	}
+}

@@ -177,13 +177,20 @@ func (m *Map) Latency(src, dst topology.NodeID) float64 {
 
 // NextHop returns the first router after src on the shortest path to
 // dst, and whether one exists. Forwarding in Algorithm 2 resolves the
-// chosen virtual-node pointer to a physical next hop through this.
+// chosen virtual-node pointer to a physical next hop through this, once
+// per physical hop: it climbs the src-rooted tree from dst until the
+// parent is src — Path(src, dst)[1] without building the path.
 func (m *Map) NextHop(src, dst topology.NodeID) (topology.NodeID, bool) {
-	p := m.Path(src, dst)
-	if len(p) < 2 {
+	if m.failedNode[src] || m.failedNode[dst] {
 		return 0, false
 	}
-	return p[1], true
+	parent := m.spt(src).Parent
+	for hop := dst; hop != -1; hop = parent[hop] {
+		if parent[hop] == src {
+			return hop, true
+		}
+	}
+	return 0, false // dst is src itself, or outside its partition
 }
 
 // Component returns the set of routers reachable from start under the

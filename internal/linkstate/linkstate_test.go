@@ -139,6 +139,47 @@ func TestNextHopUnreachable(t *testing.T) {
 	}
 }
 
+// NextHop climbs the tree instead of building the path; it must name
+// the router Path puts second, and none exactly when Path has no second
+// router — over every ordered pair of a full ISP topology: all-up, with
+// a backbone link down, and with a backbone router down and an access
+// router cut off (alive, but in a partition of its own).
+func TestNextHopMatchesPath(t *testing.T) {
+	isp := topology.GenISP(topology.AS1221)
+	ls := New(isp.Graph, sim.NewMetrics())
+	check := func(state string) {
+		t.Helper()
+		n := topology.NodeID(isp.Graph.NumNodes())
+		for a := topology.NodeID(0); a < n; a++ {
+			for b := topology.NodeID(0); b < n; b++ {
+				p := ls.Path(a, b)
+				hop, ok := ls.NextHop(a, b)
+				if ok != (len(p) >= 2) || (ok && hop != p[1]) {
+					t.Fatalf("%s: NextHop(%d,%d) = (%d,%v), Path = %v", state, a, b, hop, ok, p)
+				}
+			}
+		}
+	}
+	check("all up")
+	bb := isp.Backbone[0]
+	ls.FailLink(bb, isp.Graph.Neighbors(bb)[0].To)
+	check("one link down")
+	ls.FailNode(isp.Backbone[1])
+	cut := isp.Access[0]
+	for _, e := range isp.Graph.Neighbors(cut) {
+		ls.FailLink(cut, e.To)
+	}
+	if ls.Reachable(bb, cut) || !ls.NodeUp(cut) {
+		t.Fatal("the cut-off access router should be alive and unreachable")
+	}
+	check("one link and one node down, one router cut off")
+
+	src, dst := isp.Access[1], isp.Access[len(isp.Access)-1]
+	if allocs := testing.AllocsPerRun(100, func() { ls.NextHop(src, dst) }); allocs != 0 {
+		t.Fatalf("NextHop allocates: %v allocs/run", allocs)
+	}
+}
+
 func TestStringRenders(t *testing.T) {
 	ls, _ := newMap(t)
 	ls.FailLink(0, 1)

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"rofl/internal/ident"
@@ -315,12 +316,11 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 	cur := from
 	pos := n.Routers[from].ID
 	posRouter := from
-	stale := map[ident.ID]bool{} // pointers observed broken this routing attempt
-	// A join's lookup must not chase the cache pointers it plants for the
-	// not-yet-resident joining identifier.
-	for _, a := range avoid {
-		stale[a] = true
-	}
+	// Pointers observed broken this routing attempt, seeded with avoid: a
+	// join's lookup must not chase the cache pointers it plants for the
+	// not-yet-resident joining identifier. The capacity is clipped so an
+	// append copies instead of writing into the caller's slice.
+	stale := staleSet(avoid[:len(avoid):len(avoid)])
 	// The pointer the packet is currently heading for; re-evaluated at
 	// every transit router and replaced whenever a strictly closer
 	// identifier is known locally.
@@ -351,7 +351,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 				out.Delivered, out.VN, out.Final, out.FinalPos = true, vn, p.Router, dst
 				return out, nil
 			}
-			stale[dst] = true
+			stale.add(dst)
 		}
 
 		// Re-run Algorithm 2's selection at *every* router the packet
@@ -369,7 +369,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 				posRouter = cur
 				continue
 			}
-			stale[best.ID] = true
+			stale.add(best.ID)
 			continue
 		}
 		if ok {
@@ -407,7 +407,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 				pos = target.ID
 				posRouter = cur
 			} else {
-				stale[target.ID] = true
+				stale.add(target.ID)
 				if targetVN == nil {
 					r.Cache.Remove(target.ID)
 				}
@@ -418,7 +418,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 		next, okHop := n.LS.NextHop(cur, target.Router)
 		if !okHop {
 			// Target unreachable in the current failure state.
-			stale[target.ID] = true
+			stale.add(target.ID)
 			r.Cache.Remove(target.ID)
 			haveTarget = false
 			continue
@@ -442,6 +442,21 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 	return out, ErrTTLExceeded
 }
 
+// staleSet is the identifiers one routing attempt must not select. It
+// holds the avoid list plus what the walk finds broken — none on a
+// healthy route, one on a join — and every candidate at every router is
+// tested against it, so it is a slice scanned in place: hashing a
+// 16-byte key per candidate cost more than the selection itself.
+type staleSet []ident.ID
+
+func (s staleSet) has(id ident.ID) bool { return slices.Contains(s, id) }
+
+func (s *staleSet) add(id ident.ID) {
+	if !s.has(id) {
+		*s = append(*s, id)
+	}
+}
+
 // learnControl gates the pointers control messages deposit in caches
 // along their path on the CacheControl option.
 func (n *Network) learnControl(learn []Pointer) []Pointer {
@@ -455,15 +470,12 @@ func (n *Network) learnControl(learn []Pointer) []Pointer {
 // dst without overshooting pos→dst. Ring pointers are scanned before the
 // cache so they win ties (pointer precedence, §2.2). Returns the chosen
 // pointer and the resident VN it came from (nil if from the cache).
-func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale map[ident.ID]bool) (Pointer, *VirtualNode, bool) {
+func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (Pointer, *VirtualNode, bool) {
 	var best Pointer
 	var bestVN *VirtualNode
 	sel := ident.NewScan(pos, dst)
-	consider := func(p Pointer, vn *VirtualNode) {
-		if !stale[p.ID] && sel.Offer(p.ID) {
-			best, bestVN = p, vn
-		}
-	}
+	// The test is written out per site: a helper closing over sel keeps it
+	// in memory, a fifth of a join. stale is asked only of would-be winners.
 	for _, vn := range r.VNs {
 		// Ephemeral hosts "cannot serve as successor or predecessor to
 		// other IDs" (§2.2): they carry no ring pointers, so using one as
@@ -473,18 +485,22 @@ func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale map[ident.ID
 		if vn.Ephemeral {
 			continue
 		}
-		consider(Pointer{ID: vn.ID, Router: r.Node}, vn)
-		for _, s := range vn.Succs {
-			consider(s, vn)
+		if sel.Beats(vn.ID) && !stale.has(vn.ID) && sel.Offer(vn.ID) {
+			best, bestVN = Pointer{ID: vn.ID, Router: r.Node}, vn
 		}
-		if vn.Pred != (Pointer{}) {
-			consider(vn.Pred, vn)
+		for i := range vn.Succs {
+			if s := &vn.Succs[i]; sel.Beats(s.ID) && !stale.has(s.ID) && sel.Offer(s.ID) {
+				best, bestVN = *s, vn
+			}
+		}
+		if vn.Pred != (Pointer{}) && sel.Beats(vn.Pred.ID) && !stale.has(vn.Pred.ID) && sel.Offer(vn.Pred.ID) {
+			best, bestVN = vn.Pred, vn
 		}
 	}
 	// Offered last, the cache beats ring state only when strictly closer
 	// (precedence).
-	if p, ok := r.Cache.Lookup(pos, dst); ok {
-		consider(p, nil)
+	if p, ok := r.Cache.Lookup(pos, dst); ok && sel.Beats(p.ID) && !stale.has(p.ID) && sel.Offer(p.ID) {
+		best, bestVN = p, nil
 	}
 	_, found := sel.Best()
 	return best, bestVN, found

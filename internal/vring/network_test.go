@@ -340,6 +340,77 @@ func TestLookupTerminatesAtPredecessor(t *testing.T) {
 	}
 }
 
+// The walk's exclusion list is a slice, so it must still behave as a
+// set, and what it excludes must stay excluded: an identifier in avoid
+// is never selected, however attractive a cached pointer to it looks.
+// That is the join-lookup guard — a join plants pointers to the joining
+// identifier along its own path before the identifier is resident.
+func TestStaleSetAndAvoid(t *testing.T) {
+	var s staleSet
+	a, b := ident.FromString("stale-a"), ident.FromString("stale-b")
+	s.add(a)
+	s.add(b)
+	s.add(a)
+	if len(s) != 2 || !s.has(a) || !s.has(b) || s.has(ident.FromString("stale-c")) {
+		t.Fatalf("an identifier added twice must be held once: %v", s)
+	}
+
+	planted, isp := newTestNet(t, DefaultOptions())
+	joinN(t, planted, isp, 40)
+	joining := ident.FromString("joining-host")
+	lure := Pointer{ID: joining, Router: isp.Access[3]}
+	for _, r := range planted.Routers {
+		r.Cache.Insert(lure)
+	}
+	// Selection: the lure is a legal, perfect candidate everywhere (it is
+	// the destination), and is refused exactly when listed.
+	for _, r := range planted.Routers {
+		if best, _, ok := planted.selectNextHop(r, r.ID, joining, nil); !ok || best != lure {
+			t.Fatalf("router %d: unguarded selection = %v ok=%v, want the planted pointer", r.Node, best, ok)
+		}
+		if best, _, ok := planted.selectNextHop(r, r.ID, joining, staleSet{joining}); ok && best.ID == joining {
+			t.Fatalf("router %d selected an avoided identifier", r.Node)
+		}
+	}
+	// The walk: with the identifier avoided, a lookup from anywhere still
+	// sticks at the true ring predecessor and never visits the lure's
+	// router on the lure's account (it removes no cache entry there).
+	ms := planted.members()
+	pred := ms[predecessorIndex(ms, joining)].ID
+	for _, from := range isp.Access {
+		out, err := planted.greedy(from, joining, MsgJoin, nil, false, joining)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Delivered || out.StuckVN == nil || out.StuckVN.ID != pred {
+			t.Fatalf("from %d: lookup stuck at %v, want predecessor %s", from, out.StuckVN, pred.Short())
+		}
+	}
+	for _, r := range planted.Routers {
+		if p, ok := r.Cache.Lookup(joining.Prev(), joining); !ok || p != lure {
+			t.Fatalf("router %d: the avoided pointer was chased and dropped", r.Node)
+		}
+	}
+	// The caller's slice is seeded from, never written to: lure a second
+	// lookup to an unresident identifier so the walk records it as broken.
+	other := ident.FromString("other-host")
+	broken := Pointer{ID: other.Prev(), Router: isp.Access[5]}
+	for _, r := range planted.Routers {
+		r.Cache.Insert(broken)
+	}
+	avoid := make([]ident.ID, 1, 4)
+	avoid[0] = joining
+	if _, err := planted.greedy(isp.Access[0], other, MsgJoin, nil, false, avoid...); err != nil {
+		t.Fatal(err)
+	}
+	if _, kept := planted.Routers[broken.Router].Cache.Lookup(broken.ID.Prev(), broken.ID); kept {
+		t.Fatal("the broken pointer was never chased, so nothing was recorded")
+	}
+	if spare := avoid[:2][1]; spare != (ident.ID{}) {
+		t.Fatalf("the walk wrote %s into its caller's avoid slice", spare.Short())
+	}
+}
+
 func mustSucc(t *testing.T, vn *VirtualNode) Pointer {
 	t.Helper()
 	s, ok := vn.Succ()
