@@ -733,6 +733,49 @@ func TestCheckIsolationStateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckRingsCatchesResidentCorruption plants faults in an AS's
+// resident table beneath correct rings: two residents out of identifier
+// order, and a resident the oracle does not host there.
+func TestCheckRingsCatchesResidentCorruption(t *testing.T) {
+	in := newSmall(t, DefaultOptions())
+	a := ident.FromString("a")
+	for _, id := range []ident.ID{a, ident.FromString("c")} {
+		if _, err := in.Join(id, 4, Multihomed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := in.Join(ident.FromString("b"), 3, Multihomed); err != nil {
+		t.Fatal(err)
+	}
+	clean := func() {
+		t.Helper()
+		if err := in.CheckRings(); err != nil {
+			t.Fatalf("clean state flagged: %v", err)
+		}
+	}
+	caught := func(what, msg string) {
+		t.Helper()
+		if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) || !strings.Contains(err.Error(), msg) {
+			t.Fatalf("%s not caught: %v", what, err)
+		}
+	}
+	clean()
+
+	vns := in.AS(4).VNs
+	vns[0], vns[1] = vns[1], vns[0]
+	caught("resident out of order", "out of order")
+	vns[0], vns[1] = vns[1], vns[0]
+	clean()
+
+	as := in.AS(4)
+	ghost := &VNode{ID: ident.FromString("ghost"), AS: 4}
+	i := as.search(ghost.ID)
+	as.VNs = slices.Insert(as.VNs, i, ghost)
+	caught("resident hosted nowhere", "not hosted there")
+	as.VNs = slices.Delete(as.VNs, i, i+1)
+	clean()
+}
+
 func TestAccessorsAndStrings(t *testing.T) {
 	in := newSmall(t, DefaultOptions())
 	if in.Options() != DefaultOptions() {

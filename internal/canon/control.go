@@ -154,11 +154,13 @@ func (in *Internet) RouteAnycast(src ident.ID, g ident.Group, rng *rand.Rand) (R
 	// any group member; of several at one AS, the smallest identifier.
 	var member ident.ID
 	res, err := in.route(srcAS, src, g.RandomMember(rng), func(as *AS) bool {
-		id, ok := lowestResident(as, func(id ident.ID) bool { return ident.GroupOf(id) == g })
-		if ok {
-			member = id
+		for _, vn := range as.VNs {
+			if ident.GroupOf(vn.ID) == g {
+				member = vn.ID
+				return true
+			}
 		}
-		return ok
+		return false
 	})
 	return res, member, err
 }

@@ -3,7 +3,6 @@ package canon
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"rofl/internal/ident"
 	"rofl/internal/topology"
@@ -62,18 +61,12 @@ func (in *Internet) FailAS(a topology.ASN) int {
 	}
 	in.failedAS[a] = true
 	dead := in.ases[a].VNs
-	in.ases[a].VNs = make(map[ident.ID]*VNode)
-	ids := make([]ident.ID, 0, len(dead))
-	for id := range dead {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	in.ases[a].VNs = nil
 	var migrate []*VNode
-	for _, id := range ids {
-		delete(in.hostedAt, id)
-		in.unlink(dead[id], MsgRepair)
-		if standby, ok := in.virtualHosts[id]; ok && !in.failedAS[standby] {
-			vn := dead[id]
+	for _, vn := range dead {
+		delete(in.hostedAt, vn.ID)
+		in.unlink(vn, MsgRepair)
+		if standby, ok := in.virtualHosts[vn.ID]; ok && !in.failedAS[standby] {
 			vn.AS = standby
 			migrate = append(migrate, vn)
 		}
@@ -88,7 +81,7 @@ func (in *Internet) FailAS(a topology.ASN) int {
 	in.sweepFingers(a)
 	// Standby providers re-join the migrated identifiers from their own
 	// position in the hierarchy.
-	removed := len(ids) - len(migrate)
+	removed := len(dead) - len(migrate)
 	for _, vn := range migrate {
 		if _, err := in.Join(vn.ID, vn.AS, vn.Strategy); err != nil {
 			removed++ // migration failed; the identifier is gone after all
@@ -103,8 +96,10 @@ func (in *Internet) Leave(id ident.ID) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
 	}
-	vn := in.ases[a].VNs[id]
-	delete(in.ases[a].VNs, id)
+	host := in.ases[a]
+	i := host.search(id)
+	vn := host.VNs[i]
+	host.VNs = slices.Delete(host.VNs, i, i+1)
 	delete(in.hostedAt, id)
 	in.unlink(vn, MsgTeardown)
 	for _, as := range in.ases {
@@ -172,13 +167,33 @@ func (in *Internet) sweepFingers(deadAS topology.ASN) {
 	}
 }
 
-// CheckRings verifies every ring level: members strictly ascending by
-// identifier, all alive, hosted where the oracle says, inside the level's
-// subtree, and each a node that joined the level; and, the other way
-// round, every node in the ring of every level it joined, its levels
-// lowest first. This is the interdomain analogue of the paper's simulator
-// consistency checks.
+// CheckRings verifies every AS's resident table, strictly ascending by
+// identifier and hosted where the oracle says, with every node in the
+// ring of every level it joined, its levels lowest first; and, the other
+// way round, every ring level: members strictly ascending, all alive,
+// hosted where the oracle says, inside the level's subtree, and each a
+// node that joined the level. This is the interdomain analogue of the
+// paper's simulator consistency checks.
 func (in *Internet) CheckRings() error {
+	for _, as := range in.ases {
+		for i, vn := range as.VNs {
+			// A lower bound landing on each index is strict ascent.
+			if as.search(vn.ID) != i {
+				return fmt.Errorf("%w: AS %d residents out of order at %s", ErrRingBroken, as.ASN, vn.ID.Short())
+			}
+			if host, ok := in.hostedAt[vn.ID]; !ok || host != as.ASN || vn.AS != as.ASN {
+				return fmt.Errorf("%w: %s resident at AS %d is not hosted there", ErrRingBroken, vn.ID.Short(), as.ASN)
+			}
+			for k, lv := range vn.levels {
+				if i := lv.search(vn.ID); i == len(lv.ring) || lv.ring[i] != (Ptr{ID: vn.ID, AS: vn.AS}) {
+					return fmt.Errorf("%w: %s joined ring %v, which does not hold it", ErrRingBroken, vn.ID.Short(), lv.root)
+				}
+				if k > 0 && !vn.levels[k-1].below(lv) {
+					return fmt.Errorf("%w: %s lists ring %v out of order", ErrRingBroken, vn.ID.Short(), lv.root)
+				}
+			}
+		}
+	}
 	for root, lv := range in.levels {
 		for i, p := range lv.ring {
 			if in.failedAS[p.AS] {
@@ -190,7 +205,7 @@ func (in *Internet) CheckRings() error {
 			if !in.inSubtree(root, p.AS) {
 				return fmt.Errorf("%w: ring %v member %s outside subtree", ErrRingBroken, root, p.ID.Short())
 			}
-			vn := in.ases[p.AS].VNs[p.ID]
+			vn := in.ases[p.AS].Resident(p.ID)
 			if vn == nil {
 				return fmt.Errorf("%w: ring %v member %s missing VNode", ErrRingBroken, root, p.ID.Short())
 			}
@@ -200,18 +215,6 @@ func (in *Internet) CheckRings() error {
 			//rofllint:ignore identcmp asserting sorted storage, the documented Less use; the check verifies linear order on purpose
 			if i > 0 && !lv.ring[i-1].ID.Less(p.ID) {
 				return fmt.Errorf("%w: ring %v not sorted at %d", ErrRingBroken, root, i)
-			}
-		}
-	}
-	for _, as := range in.ases {
-		for _, vn := range as.VNs {
-			for k, lv := range vn.levels {
-				if i := lv.search(vn.ID); i == len(lv.ring) || lv.ring[i] != (Ptr{ID: vn.ID, AS: vn.AS}) {
-					return fmt.Errorf("%w: %s joined ring %v, which does not hold it", ErrRingBroken, vn.ID.Short(), lv.root)
-				}
-				if k > 0 && !vn.levels[k-1].below(lv) {
-					return fmt.Errorf("%w: %s lists ring %v out of order", ErrRingBroken, vn.ID.Short(), lv.root)
-				}
 			}
 		}
 	}

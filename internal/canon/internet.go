@@ -239,7 +239,9 @@ type Finger struct {
 // AS is one autonomous system in the simulation.
 type AS struct {
 	ASN topology.ASN
-	VNs map[ident.ID]*VNode
+	// VNs are the identifiers joined here, ascending by ID; Resident
+	// finds one.
+	VNs []*VNode
 	// Cache is the AS-granularity pointer cache of §4.1: the exact-LRU
 	// cache intradomain routers keep, with the AS number in the router
 	// field. On the data path Bloom guards it, so shortcuts never violate
@@ -249,6 +251,19 @@ type AS struct {
 	// down-hierarchy; maintained when the Options enable Bloom peering or
 	// caching (both need the isolation guard).
 	Bloom *bloom.Filter
+}
+
+// search returns the lower bound of id in the resident table.
+func (as *AS) search(id ident.ID) int {
+	return ident.Search(len(as.VNs), func(k int) *ident.ID { return &as.VNs[k].ID }, id)
+}
+
+// Resident returns the node of id if id is joined at this AS, else nil.
+func (as *AS) Resident(id ident.ID) *VNode {
+	if i := as.search(id); i < len(as.VNs) && as.VNs[i].ID == id {
+		return as.VNs[i]
+	}
+	return nil
 }
 
 // Options tunes the interdomain knobs the paper sweeps.
@@ -332,12 +347,10 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 	}
 	in.ases = make([]*AS, g.NumASes())
 	for i := range in.ases {
-		a := &AS{
+		in.ases[i] = &AS{
 			ASN:   topology.ASN(i),
-			VNs:   make(map[ident.ID]*VNode),
 			Cache: vring.NewPointerCache(opts.CacheCapacity),
 		}
-		in.ases[i] = a
 	}
 	// Customer-cone bitsets, over primary links only: joins exclude
 	// backup links, so subtree membership must too, or the isolation

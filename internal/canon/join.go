@@ -143,12 +143,13 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 		lv.ring = slices.Insert(lv.ring, i, self)
 	}
 
-	in.ases[at].VNs[id] = vn
+	as := in.ases[at]
+	as.VNs = slices.Insert(as.VNs, as.search(id), vn)
 	in.hostedAt[id] = at
 
 	// Ancestor Bloom filters learn the new identifier (§4.1: "these
 	// bloom filters are also updated during the join process").
-	if in.ases[at].Bloom != nil {
+	if as.Bloom != nil {
 		for a := range in.G.UpHierarchy(at, false) {
 			if f := in.ases[a].Bloom; f != nil {
 				f.Add(id[:])
@@ -192,7 +193,7 @@ func (in *Internet) vnOf(id ident.ID) *VNode {
 	if !ok {
 		return nil
 	}
-	return in.ases[a].VNs[id]
+	return in.ases[a].Resident(id)
 }
 
 // acquireFingers fills a Pastry-style prefix table: slot (row, col)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"rofl/internal/ident"
@@ -91,7 +90,8 @@ func (r *refSplice) compare(t *testing.T, in *Internet, stage string) {
 	}
 	nodes := 0
 	for _, as := range in.ases {
-		for id, vn := range as.VNs {
+		for _, vn := range as.VNs {
+			id := vn.ID
 			nodes++
 			if len(r.succAt[id]) != len(vn.levels) {
 				t.Fatalf("%s: %s joined %d levels, reference %d", stage, id.Short(), len(vn.levels), len(r.succAt[id]))
@@ -118,10 +118,9 @@ func (r *refSplice) compare(t *testing.T, in *Internet, stage string) {
 func (r *refSplice) failAS(t *testing.T, in *Internet, a topology.ASN) (migrated int) {
 	t.Helper()
 	var ids []ident.ID
-	for id := range in.AS(a).VNs {
-		ids = append(ids, id)
+	for _, vn := range in.AS(a).VNs {
+		ids = append(ids, vn.ID)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	removed := in.FailAS(a)
 	for _, id := range ids {
 		r.unlink(t, Ptr{ID: id, AS: a})
@@ -211,10 +210,9 @@ func TestNeighboursMatchReferenceSplice(t *testing.T) {
 	// stub's first provider.
 	victim := populated()
 	var residents []ident.ID
-	for id := range in.AS(victim).VNs {
-		residents = append(residents, id)
+	for _, vn := range in.AS(victim).VNs {
+		residents = append(residents, vn.ID)
 	}
-	sort.Slice(residents, func(i, j int) bool { return residents[i].Less(residents[j]) })
 	standby := g.PrimaryProviders(victim)[0]
 	for i := 0; i < len(residents); i += 2 {
 		if err := in.HostVirtual(residents[i], standby); err != nil {

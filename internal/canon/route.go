@@ -2,6 +2,7 @@ package canon
 
 import (
 	"fmt"
+	"slices"
 
 	"rofl/internal/ident"
 	"rofl/internal/topology"
@@ -43,6 +44,18 @@ type staleKey struct {
 	Root Root
 }
 
+// staleSet is the (pointer, level) pairs one routing attempt found
+// broken — none on a healthy route — so it is a slice scanned in place.
+type staleSet []staleKey
+
+func (s staleSet) has(k staleKey) bool { return slices.Contains(s, k) }
+
+func (s *staleSet) add(k staleKey) {
+	if !s.has(k) {
+		*s = append(*s, k)
+	}
+}
+
 // Route forwards a packet from the joined identifier src toward dst,
 // using augmented greedy routing (§2.3): at each AS, among the resident
 // virtual nodes' ring pointers and fingers, pick the identifier closest
@@ -63,26 +76,11 @@ func (in *Internet) Route(src, dst ident.ID) (RouteResult, error) {
 // RouteFromAS forwards a packet injected at an arbitrary AS, using any
 // resident virtual node as the starting ring position.
 func (in *Internet) RouteFromAS(from topology.ASN, dst ident.ID) (RouteResult, error) {
-	pos, found := lowestResident(in.ases[from], nil)
-	if !found {
+	vns := in.ases[from].VNs
+	if len(vns) == 0 {
 		return RouteResult{}, fmt.Errorf("%w: AS %d hosts no identifiers to route from", ErrUnknownID, from)
 	}
-	return in.route(from, pos, dst, nil)
-}
-
-// lowestResident returns the smallest identifier hosted at as that keep
-// (when set) admits — the total order that makes a pick among residents
-// independent of map iteration.
-func lowestResident(as *AS, keep func(ident.ID) bool) (ident.ID, bool) {
-	var low ident.ID
-	found := false
-	for id := range as.VNs {
-		//rofllint:ignore identcmp canonical minimum-ID selection to pick a resident deterministically; not a routing decision
-		if (keep == nil || keep(id)) && (!found || id.Less(low)) {
-			low, found = id, true
-		}
-	}
-	return low, found
+	return in.route(from, vns[0].ID, dst, nil)
 }
 
 // route is the forwarding loop behind Route, RouteFromAS and
@@ -97,7 +95,7 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 	// Staleness is per (pointer, level): a pointer can be unreachable
 	// within one level's subtree (its policy path is down) while the same
 	// target is perfectly reachable at a higher level.
-	stale := map[staleKey]bool{}
+	var stale staleSet
 	checkedPeer := map[topology.ASN]bool{}
 	var peerCrossings []Root
 	// The pointer the packet is heading for, re-evaluated at every AS it
@@ -124,18 +122,14 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 			res.Delivered, res.FinalAS = true, cur
 			return res, nil
 		}
-		if _, here := as.VNs[dst]; here {
+		if as.Resident(dst) != nil {
 			return deliver(cur)
 		}
 
 		// Free local advance: hop to the resident virtual node closest to
 		// dst without overshooting.
-		local := ident.NewScan(pos, dst)
-		for id := range as.VNs {
-			local.Offer(id)
-		}
-		if id, ok := local.Best(); ok {
-			pos = id
+		if i, ok := ident.Closest(len(as.VNs), func(k int) *ident.ID { return &as.VNs[k].ID }, pos, dst); ok {
+			pos = as.VNs[i].ID
 		}
 
 		sel, selRoot, ok := in.selectPointer(as, pos, dst, stale)
@@ -163,17 +157,17 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		}
 		if target.AS == cur {
 			// Arrived: confirm the target still hosts the identifier.
-			if _, resident := as.VNs[target.ID]; resident {
+			if as.Resident(target.ID) != nil {
 				pos = target.ID
 			} else {
-				stale[staleKey{target, targetRoot}] = true
+				stale.add(staleKey{target, targetRoot})
 			}
 			haveTarget = false
 			continue
 		}
 		path := in.pathWithin(targetRoot, cur, target.AS)
 		if len(path) < 2 {
-			stale[staleKey{target, targetRoot}] = true
+			stale.add(staleKey{target, targetRoot})
 			haveTarget = false
 			continue
 		}
@@ -199,11 +193,11 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 // filter confirms the destination is not in the local customer cone
 // (§4.1's isolation guard for caches).
 //
-// Resident nodes arrive in map order, so the ranking is total: level
-// size, then distance, then — two levels of equal size holding the same
-// identifier, or one identifier recorded at two ASes — rootLess and the
-// AS number. The choice is a function of the state alone.
-func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale map[staleKey]bool) (Ptr, Root, bool) {
+// Resident nodes are offered in identifier order, and the ranking is
+// total besides: level size, then distance, then — two levels of equal
+// size holding the same identifier, or one identifier recorded at two
+// ASes — rootLess and the AS number.
+func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Ptr, Root, bool) {
 	var best Ptr
 	var bestRoot Root
 	bestSize := -1
@@ -213,7 +207,7 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale map[staleKey]
 		if bestSize != -1 && size > bestSize {
 			return
 		}
-		if stale[staleKey{p, r}] || !ident.Progress(pos, dst, p.ID) {
+		if stale.has(staleKey{p, r}) || !ident.Progress(pos, dst, p.ID) {
 			return
 		}
 		if size < bestSize {
@@ -245,7 +239,7 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale map[staleKey]
 		if !dstBelowUs {
 			if p, ok := as.Cache.Lookup(pos, dst); ok {
 				c := ptrOf(p)
-				if !stale[staleKey{c, Top}] && (!found || ident.Closer(dst, c.ID, best.ID)) {
+				if !stale.has(staleKey{c, Top}) && (!found || ident.Closer(dst, c.ID, best.ID)) {
 					return c, Top, true
 				}
 			}

@@ -57,7 +57,7 @@ func (a *Anycast) AddMember(suffix uint32, at vring.RouterID) (vring.JoinResult,
 
 // Send routes a packet to any member of the group: the destination
 // carries a random suffix and delivery happens at the first router
-// hosting any (G, *) identifier.
+// hosting any (G, *) identifier — of several there, the lowest.
 func (a *Anycast) Send(from vring.RouterID, rng *rand.Rand) (vring.Outcome, error) {
 	dst := a.Group.RandomMember(rng)
 	out, err := a.Net.RouteMatch(from, dst, func(r *vring.Router) (*vring.VirtualNode, bool) {
@@ -126,12 +126,10 @@ func (m *Multicast) Join(suffix uint32, at vring.RouterID) error {
 	// ourselves as a waypoint), stopping at the first router already on
 	// the tree or hosting another member.
 	accept := func(r *vring.Router) (*vring.VirtualNode, bool) {
-		if m.inTree[r.Node] {
-			// Any resident virtual node will do as the "delivery" point;
-			// the router itself is what matters.
-			for _, vn := range r.VNs {
-				return vn, true
-			}
+		if m.inTree[r.Node] && len(r.VNs) > 0 {
+			// Any resident virtual node will do as the "delivery" point,
+			// so the lowest; the router itself is what matters.
+			return r.VNs[0], true
 		}
 		for _, vn := range r.VNs {
 			if !vn.Default && ident.SameGroup(vn.ID, id) && vn.ID != id {

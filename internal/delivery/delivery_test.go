@@ -57,6 +57,29 @@ func TestAnycastReachesSomeMember(t *testing.T) {
 	}
 }
 
+// TestAnycastPicksLowestMemberAtRouter: of two members hosted at the
+// router a packet reaches first, it is delivered to the lower, every time.
+func TestAnycastPicksLowestMemberAtRouter(t *testing.T) {
+	n, isp, _ := testNet(t)
+	g := ident.GroupFromString("pair")
+	any := NewAnycast(n, g)
+	for _, suffix := range []uint32{2, 1} {
+		if _, err := any.AddMember(suffix, isp.Access[5]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 50; i++ {
+		out, err := any.Send(isp.Access[0], rng)
+		if err != nil {
+			t.Fatalf("anycast send %d: %v", i, err)
+		}
+		if out.VN.ID != g.Member(1) {
+			t.Fatalf("send %d delivered to suffix %d, want the lower member, suffix 1", i, ident.Suffix(out.VN.ID))
+		}
+	}
+}
+
 func TestAnycastEmptyGroup(t *testing.T) {
 	n, isp, _ := testNet(t)
 	any := NewAnycast(n, ident.GroupFromString("empty"))

@@ -2,6 +2,7 @@ package vring
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rofl/internal/ident"
@@ -106,18 +107,13 @@ func (n *Network) pointerHolders(id ident.ID) map[RouterID]bool {
 		if !n.LS.NodeUp(r.Node) {
 			continue
 		}
-		hold := false
+		_, hold := r.parkedAt(id)
 		for _, vn := range r.VNs {
 			if vn.Pred.ID == id {
 				hold = true
 			}
 			for _, s := range vn.Succs {
 				if s.ID == id {
-					hold = true
-				}
-			}
-			for _, p := range vn.Parked {
-				if p.ID == id {
 					hold = true
 				}
 			}
@@ -148,6 +144,7 @@ func (n *Network) scrubID(id ident.ID, counter string) {
 			continue
 		}
 		r.Cache.Remove(id)
+		r.unpark(func(e parking) bool { return e.ID == id })
 		for _, vn := range r.VNs {
 			// Successor groups: shift down past the dead identifier.
 			kept := vn.Succs[:0]
@@ -169,23 +166,12 @@ func (n *Network) scrubID(id ident.ID, counter string) {
 					_, pred := ringTargets(ms, i, n.opts.SuccessorGroup)
 					vn.Pred = pred
 					if pred != (Pointer{}) {
-						if h, _, ok := n.hop(pred.Router, r.Node, counter, nil, false); ok {
-							_ = h
-						}
+						n.hop(pred.Router, r.Node, counter, nil, false)
 					}
 				} else {
 					vn.Pred = Pointer{}
 				}
 			}
-			// Parked ephemerals pointing at the dead identifier.
-			keptP := vn.Parked[:0]
-			for _, p := range vn.Parked {
-				if p.ID == id {
-					continue
-				}
-				keptP = append(keptP, p)
-			}
-			vn.Parked = keptP
 		}
 	}
 }
@@ -240,7 +226,8 @@ func (n *Network) removeHost(id ident.ID, counter string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
 	}
-	vn := n.Routers[host].VNs[id]
+	r := n.Routers[host]
+	vn := r.Resident(id)
 	if vn == nil {
 		delete(n.hostedAt, id)
 		return fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
@@ -252,8 +239,9 @@ func (n *Network) removeHost(id ident.ID, counter string) error {
 	holders := n.pointerHolders(id)
 	n.Metrics.Count(counter, int64(n.directedFloodCost(host, holders)))
 
-	orphans := append([]Pointer(nil), vn.Parked...)
-	delete(n.Routers[host].VNs, id)
+	orphans := r.unpark(func(e parking) bool { return e.parent == id })
+	i := r.search(id)
+	r.VNs = slices.Delete(r.VNs, i, i+1)
 	delete(n.hostedAt, id)
 	n.scrubID(id, counter)
 	n.reparkOrphans(orphans, counter)
@@ -262,7 +250,7 @@ func (n *Network) removeHost(id ident.ID, counter string) error {
 
 // reparkOrphans re-attaches still-alive ephemeral children to their
 // current ring predecessor after their old parking spot disappeared.
-func (n *Network) reparkOrphans(orphans []Pointer, counter string) {
+func (n *Network) reparkOrphans(orphans []parking, counter string) {
 	if len(orphans) == 0 {
 		return
 	}
@@ -275,12 +263,8 @@ func (n *Network) reparkOrphans(orphans []Pointer, counter string) {
 			continue
 		}
 		pred := ms[predecessorIndex(ms, e.ID)]
-		pvn := n.Routers[pred.Router].VNs[pred.ID]
-		if pvn != nil && !hasParked(pvn, e.ID) {
-			pvn.Parked = append(pvn.Parked, e)
-			if h, _, ok := n.hop(e.Router, pred.Router, counter, nil, false); ok {
-				_ = h
-			}
+		if n.Routers[pred.Router].park(pred.ID, e.Pointer) {
+			n.hop(e.Router, pred.Router, counter, nil, false)
 		}
 	}
 }
@@ -293,7 +277,7 @@ func (n *Network) MoveHost(id ident.ID, to RouterID) (JoinResult, error) {
 	if !ok {
 		return JoinResult{}, fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
 	}
-	eph := n.Routers[host].VNs[id].Ephemeral
+	eph := n.Routers[host].Resident(id).Ephemeral
 	if err := n.removeHost(id, MsgTeardown); err != nil {
 		return JoinResult{}, err
 	}
@@ -313,20 +297,6 @@ func (n *Network) FailRouter(node RouterID) error {
 		return ErrRouterDown
 	}
 	r := n.Routers[node]
-	// Collect resident identifiers before tearing anything down.
-	type resident struct {
-		id  ident.ID
-		eph bool
-	}
-	var residents []resident
-	for _, vn := range r.VNs {
-		if vn.Default {
-			continue
-		}
-		residents = append(residents, resident{vn.ID, vn.Ephemeral})
-	}
-	defaultID := r.ID
-
 	n.LS.FailNode(node) // LSA flood charged by linkstate
 
 	// LSA-driven cache purge at every surviving router.
@@ -338,38 +308,42 @@ func (n *Network) FailRouter(node RouterID) error {
 
 	// The dead router's state is gone; parked children of its virtual
 	// nodes survive at their own routers and need a new parking spot.
-	var orphans []Pointer
-	for id, vn := range r.VNs {
-		orphans = append(orphans, vn.Parked...)
-		delete(n.hostedAt, id)
-	}
-	r.VNs = make(map[ident.ID]*VirtualNode)
+	dead, orphans := r.VNs, r.parked
+	r.VNs, r.parked = nil, nil
 	r.Cache = NewPointerCache(n.opts.CacheCapacity)
+	for _, vn := range dead {
+		delete(n.hostedAt, vn.ID)
+	}
 
-	// Ring neighbors repair around the dead identifiers (including the
-	// default virtual node's router-ID).
-	n.scrubID(defaultID, MsgRepair)
-	for _, res := range residents {
-		n.scrubID(res.id, MsgRepair)
+	// Ring neighbors repair around the dead identifiers, the default
+	// virtual node's router-ID first.
+	n.scrubID(r.ID, MsgRepair)
+	for _, vn := range dead {
+		if !vn.Default {
+			n.scrubID(vn.ID, MsgRepair)
+		}
 	}
 
 	n.reparkOrphans(orphans, MsgRepair)
 
 	// Hosts fail over: the end host and remote routers deterministically
 	// pick the next alive, reachable router on the pre-agreed list.
-	for _, res := range residents {
+	for _, vn := range dead {
+		if vn.Default {
+			continue
+		}
 		target, ok := n.failoverTarget(node)
 		if !ok {
 			continue // no alive router reachable; host stays down
 		}
 		var err error
-		if res.eph {
-			_, err = n.JoinEphemeral(res.id, target)
+		if vn.Ephemeral {
+			_, err = n.JoinEphemeral(vn.ID, target)
 		} else {
-			_, err = n.JoinHost(res.id, target)
+			_, err = n.JoinHost(vn.ID, target)
 		}
 		if err != nil {
-			return fmt.Errorf("failover rejoin of %s: %w", res.id.Short(), err)
+			return fmt.Errorf("failover rejoin of %s: %w", vn.ID.Short(), err)
 		}
 	}
 	return nil
@@ -463,7 +437,7 @@ func (n *Network) RepairPartitions() int {
 func (n *Network) repairComponent(comp map[RouterID]bool, ms []Pointer) {
 	// Zero-node advertisements ride on link-state floods: free.
 	for i, p := range ms {
-		vn := n.Routers[p.Router].VNs[p.ID]
+		vn := n.Routers[p.Router].Resident(p.ID)
 		succs, pred := ringTargets(ms, i, n.opts.SuccessorGroup)
 		// Only a wrong immediate successor or predecessor counts as ring
 		// damage needing a charged repair join; deeper successor-group
@@ -477,19 +451,12 @@ func (n *Network) repairComponent(comp map[RouterID]bool, ms []Pointer) {
 		if broken && len(succs) > 0 {
 			n.chargeProbe(vn.Router, succs[0].ID, MsgRepair)
 		}
-		// Drop parked entries that now live outside this component.
-		kept := vn.Parked[:0]
-		for _, q := range vn.Parked {
-			if comp[q.Router] {
-				kept = append(kept, q)
-			}
-		}
-		vn.Parked = kept
 	}
-	// Cache entries pointing outside the component are detectably
-	// unreachable via link state; purge them (free).
+	// Parked and cache entries pointing outside the component are
+	// detectably unreachable via link state; purge them (free).
 	for node := range comp {
 		r := n.Routers[node]
+		r.unpark(func(e parking) bool { return !comp[e.Router] })
 		var purge []ident.ID
 		r.Cache.Each(func(p Pointer) bool {
 			if !comp[p.Router] {
@@ -515,20 +482,15 @@ func (n *Network) reparkEphemerals(comp map[RouterID]bool, ms []Pointer) {
 			if !vn.Ephemeral {
 				continue
 			}
-			predIdx := predecessorIndex(ms, vn.ID)
-			pred := ms[predIdx]
-			pvn := n.Routers[pred.Router].VNs[pred.ID]
-			if !hasParked(pvn, vn.ID) {
-				pvn.Parked = append(pvn.Parked, Pointer{ID: vn.ID, Router: vn.Router})
+			pred := ms[predecessorIndex(ms, vn.ID)]
+			if n.Routers[pred.Router].park(pred.ID, Pointer{ID: vn.ID, Router: vn.Router}) {
 				n.chargeProbe(vn.Router, pred.ID, MsgRepair)
 			}
 			// Remove stale parkings at other members.
-			for _, m := range ms {
-				if m == pred {
-					continue
-				}
-				mvn := n.Routers[m.Router].VNs[m.ID]
-				removeParked(mvn, vn.ID)
+			for other := range comp {
+				n.Routers[other].unpark(func(e parking) bool {
+					return e.ID == vn.ID && (other != pred.Router || e.parent != pred.ID)
+				})
 			}
 		}
 	}
@@ -540,32 +502,35 @@ func predecessorIndex(ms []Pointer, id ident.ID) int {
 	return (memberSearch(ms, id) - 1 + len(ms)) % len(ms)
 }
 
-func hasParked(vn *VirtualNode, id ident.ID) bool {
-	for _, p := range vn.Parked {
-		if p.ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-func removeParked(vn *VirtualNode, id ident.ID) {
-	kept := vn.Parked[:0]
-	for _, p := range vn.Parked {
-		if p.ID != id {
-			kept = append(kept, p)
-		}
-	}
-	vn.Parked = kept
-}
-
 // CheckRing verifies the ring invariants the paper's simulator checks
 // after every convergence event: within each network-layer component,
 // the stable members sorted by identifier must form exactly one ring
 // (successor[0] and predecessor of every member point to the adjacent
 // member), and every ephemeral host must be parked at its ring
-// predecessor. It returns nil iff all invariants hold.
+// predecessor. Beneath the ring, every router's two tables must be
+// strictly ascending, every resident hosted there, and every parking
+// owned by a stable resident of that router. It returns nil iff all
+// invariants hold.
 func (n *Network) CheckRing() error {
+	for _, r := range n.Routers {
+		for i, vn := range r.VNs {
+			// A lower bound landing on each index is strict ascent.
+			if r.search(vn.ID) != i {
+				return fmt.Errorf("%w: router %d residents out of order at %s", ErrRingCorrupted, r.Node, vn.ID.Short())
+			}
+			if host, ok := n.hostedAt[vn.ID]; !ok || host != r.Node || vn.Router != r.Node {
+				return fmt.Errorf("%w: %s resident at router %d is not hosted there", ErrRingCorrupted, vn.ID.Short(), r.Node)
+			}
+		}
+		for i, e := range r.parked {
+			if j, _ := r.parkedAt(e.ID); j != i {
+				return fmt.Errorf("%w: router %d parkings out of order at %s", ErrRingCorrupted, r.Node, e.ID.Short())
+			}
+			if p := r.Resident(e.parent); p == nil || p.Ephemeral {
+				return fmt.Errorf("%w: %s parked at router %d, no stable resident %s there", ErrRingCorrupted, e.ID.Short(), r.Node, e.parent.Short())
+			}
+		}
+	}
 	ms := n.members()
 	seen := map[RouterID]bool{}
 	for _, r := range n.Routers {
@@ -587,7 +552,7 @@ func (n *Network) CheckRing() error {
 
 func (n *Network) checkComponent(comp map[RouterID]bool, ms []Pointer) error {
 	for i, p := range ms {
-		vn := n.Routers[p.Router].VNs[p.ID]
+		vn := n.Routers[p.Router].Resident(p.ID)
 		succs, pred := ringTargets(ms, i, n.opts.SuccessorGroup)
 		if len(ms) > 1 {
 			if len(vn.Succs) == 0 || len(succs) == 0 || vn.Succs[0] != succs[0] {
@@ -611,8 +576,8 @@ func (n *Network) checkComponent(comp map[RouterID]bool, ms []Pointer) error {
 				continue
 			}
 			pred := ms[predecessorIndex(ms, vn.ID)]
-			pvn := n.Routers[pred.Router].VNs[pred.ID]
-			if !hasParked(pvn, vn.ID) {
+			pr := n.Routers[pred.Router]
+			if i, ok := pr.parkedAt(vn.ID); !ok || pr.parked[i].parent != pred.ID {
 				return fmt.Errorf("%w: ephemeral %s not parked at predecessor %s",
 					ErrRingCorrupted, vn.ID.Short(), pred.ID.Short())
 			}

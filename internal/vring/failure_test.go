@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rofl/internal/ident"
@@ -76,13 +77,62 @@ func TestFailEphemeralHost(t *testing.T) {
 	if err := n.CheckRing(); err != nil {
 		t.Fatal(err)
 	}
-	// No vn anywhere should still park it.
+	// No router should still park it.
 	for _, r := range n.Routers {
-		for _, vn := range r.VNs {
-			if hasParked(vn, eph) {
-				t.Fatal("stale parking survived teardown")
-			}
+		if _, ok := r.parkedAt(eph); ok {
+			t.Fatal("stale parking survived teardown")
 		}
+	}
+}
+
+// TestCheckRingCatchesTableCorruption plants the faults a router's own
+// tables can hold beneath a correct ring: a resident out of identifier
+// order, and a parking no stable resident of that router owns.
+func TestCheckRingCatchesTableCorruption(t *testing.T) {
+	n, isp := newTestNet(t, DefaultOptions())
+	joinN(t, n, isp, 10)
+	eph := ident.FromString("corrupt-eph")
+	if _, err := n.JoinEphemeral(eph, isp.Access[1]); err != nil {
+		t.Fatal(err)
+	}
+	clean := func() {
+		t.Helper()
+		if err := n.CheckRing(); err != nil {
+			t.Fatalf("clean state flagged: %v", err)
+		}
+	}
+	caught := func(what, msg string) {
+		t.Helper()
+		if err := n.CheckRing(); !errors.Is(err, ErrRingCorrupted) || !strings.Contains(err.Error(), msg) {
+			t.Fatalf("%s not caught: %v", what, err)
+		}
+	}
+	clean()
+
+	var r *Router
+	for _, c := range n.Routers {
+		if len(c.VNs) >= 2 {
+			r = c
+			break
+		}
+	}
+	if r == nil {
+		t.Fatal("no router hosts two identifiers")
+	}
+	r.VNs[0], r.VNs[1] = r.VNs[1], r.VNs[0]
+	caught("resident out of order", "out of order")
+	r.VNs[0], r.VNs[1] = r.VNs[1], r.VNs[0]
+	clean()
+
+	// An orphan parking at the ephemeral's router: its parent is resident
+	// nowhere, and then it is the ephemeral itself.
+	host, _ := n.HostingRouter(eph)
+	child := Pointer{ID: ident.FromString("never-joined"), Router: host}
+	for _, parent := range []ident.ID{ident.FromString("departed"), eph} {
+		n.Routers[host].park(parent, child)
+		caught("orphan parking", "no stable resident")
+		n.Routers[host].unpark(func(e parking) bool { return e.ID == child.ID })
+		clean()
 	}
 }
 
@@ -413,7 +463,7 @@ func TestMoveEphemeralHost(t *testing.T) {
 		t.Fatalf("moved to %d want %d", host, isp.Access[5])
 	}
 	// Still ephemeral after the move: never a ring member.
-	vn := n.Routers[host].VNs[id]
+	vn := n.Routers[host].Resident(id)
 	if !vn.Ephemeral {
 		t.Fatal("ephemeral flag lost in move")
 	}

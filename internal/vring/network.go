@@ -31,10 +31,6 @@ import (
 	"rofl/internal/topology"
 )
 
-// debugJoin enables an oracle cross-check of every join's predecessor
-// lookup (tests only).
-var debugJoin = false
-
 // Metrics counter names charged by this package. One control message
 // traversing k physical links counts k (paper §6.1 methodology).
 const (
@@ -99,9 +95,6 @@ type VirtualNode struct {
 	Succs []Pointer
 	// Pred is the predecessor pointer.
 	Pred Pointer
-	// Parked holds ephemeral identifiers whose predecessor this node is;
-	// the node keeps a source route to each (§2.2 "Ephemeral hosts").
-	Parked []Pointer
 }
 
 // Succ returns the immediate successor pointer and whether one exists.
@@ -112,22 +105,82 @@ func (v *VirtualNode) Succ() (Pointer, bool) {
 	return v.Succs[0], true
 }
 
-// Router is one physical router: a set of resident virtual nodes plus a
-// bounded pointer cache.
+// Router is one physical router: its resident virtual nodes and the
+// ephemerals parked at them, each in a table ascending by identifier,
+// plus a bounded pointer cache.
 type Router struct {
-	Node  RouterID
-	ID    ident.ID // router-ID; doubles as the default virtual node's ID
-	VNs   map[ident.ID]*VirtualNode
-	Cache *PointerCache
+	Node RouterID
+	ID   ident.ID       // router-ID; doubles as the default virtual node's ID
+	VNs  []*VirtualNode // residents, ascending by ID
+	// parked holds, once each and ascending by ID, the ephemerals whose
+	// ring predecessor is resident here and keeps a source route to them
+	// (§2.2 "Ephemeral hosts").
+	parked []parking
+	Cache  *PointerCache
+}
+
+// parking is one parked ephemeral and the resident it is parked at.
+type parking struct {
+	Pointer
+	parent ident.ID
+}
+
+// search returns the lower bound of id among the residents.
+func (r *Router) search(id ident.ID) int {
+	return ident.Search(len(r.VNs), func(k int) *ident.ID { return &r.VNs[k].ID }, id)
+}
+
+// Resident returns the virtual node of id if id is resident here, else nil.
+func (r *Router) Resident(id ident.ID) *VirtualNode {
+	if i := r.search(id); i < len(r.VNs) && r.VNs[i].ID == id {
+		return r.VNs[i]
+	}
+	return nil
+}
+
+// parkedAt returns the index of id's parking here, or where it belongs,
+// and whether id is parked here.
+func (r *Router) parkedAt(id ident.ID) (int, bool) {
+	i := ident.Search(len(r.parked), func(k int) *ident.ID { return &r.parked[k].ID }, id)
+	return i, i < len(r.parked) && r.parked[i].ID == id
+}
+
+// park parks child at the resident parent, in place of any parking of
+// child here, and reports whether the table changed.
+func (r *Router) park(parent ident.ID, child Pointer) bool {
+	e := parking{child, parent}
+	i, ok := r.parkedAt(child.ID)
+	if !ok {
+		r.parked = slices.Insert(r.parked, i, e)
+		return true
+	}
+	changed := r.parked[i] != e
+	r.parked[i] = e
+	return changed
+}
+
+// unpark deletes the parkings drop selects and returns them.
+func (r *Router) unpark(drop func(parking) bool) []parking {
+	var out []parking
+	kept := r.parked[:0]
+	for _, e := range r.parked {
+		if drop(e) {
+			out = append(out, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	r.parked = kept
+	return out
 }
 
 // MemoryEntries counts the routing-state entries this router holds —
-// the paper's Fig 6c metric: ring pointers and parked routes on resident
-// virtual nodes, plus cached pointers.
+// the paper's Fig 6c metric: ring pointers of resident virtual nodes,
+// parked routes, plus cached pointers.
 func (r *Router) MemoryEntries() int {
-	n := r.Cache.Len()
+	n := r.Cache.Len() + len(r.parked)
 	for _, vn := range r.VNs {
-		n += len(vn.Succs) + len(vn.Parked)
+		n += len(vn.Succs)
 		if vn.Pred != (Pointer{}) {
 			n++
 		}
@@ -198,7 +251,7 @@ func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 		n.Routers[i] = &Router{
 			Node:  RouterID(i),
 			ID:    rid,
-			VNs:   make(map[ident.ID]*VirtualNode),
+			VNs:   []*VirtualNode{{ID: rid, Router: RouterID(i), Default: true}},
 			Cache: NewPointerCache(opts.CacheCapacity),
 		}
 	}
@@ -207,14 +260,12 @@ func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 	m.Count(MsgBootstrap, int64(2*g.NumEdges()*g.NumNodes()))
 	members := make([]Pointer, 0, len(n.Routers))
 	for _, r := range n.Routers {
-		vn := &VirtualNode{ID: r.ID, Router: r.Node, Default: true}
-		r.VNs[r.ID] = vn
 		n.hostedAt[r.ID] = r.Node
 		members = append(members, Pointer{ID: r.ID, Router: r.Node})
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].ID.Less(members[j].ID) })
 	for i, p := range members {
-		vn := n.Routers[p.Router].VNs[p.ID]
+		vn := n.Routers[p.Router].VNs[0]
 		for k := 1; k <= opts.SuccessorGroup && k < len(members); k++ {
 			vn.Succs = append(vn.Succs, members[(i+k)%len(members)])
 		}
@@ -337,17 +388,18 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 		}
 		// Deliver: destination resident here, or parked here as an
 		// ephemeral child of a resident node.
-		if vn, ok := r.VNs[dst]; ok {
+		if vn := r.Resident(dst); vn != nil {
 			out.Delivered, out.VN, out.Final, out.FinalPos = true, vn, cur, dst
 			return out, nil
 		}
-		if p, ok := parkedAt(r, dst); ok {
+		if i, ok := r.parkedAt(dst); ok {
+			p := r.parked[i]
 			h, lat, up := n.hop(cur, p.Router, counter, learn, countTraversals)
 			if up {
 				out.Msgs += h
 				out.Latency += lat
 				out.Path = appendHopPath(out.Path, n.LS.Path(cur, p.Router))
-				vn := n.Routers[p.Router].VNs[dst]
+				vn := n.Routers[p.Router].Resident(dst)
 				out.Delivered, out.VN, out.Final, out.FinalPos = true, vn, p.Router, dst
 				return out, nil
 			}
@@ -364,7 +416,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 			// member: a cached pointer may name an ephemeral resident,
 			// which has no onward ring state (§2.2) and must not become
 			// the packet's position.
-			if vnB := r.VNs[best.ID]; vnB != nil && !vnB.Ephemeral {
+			if vnB := r.Resident(best.ID); vnB != nil && !vnB.Ephemeral {
 				pos = best.ID
 				posRouter = cur
 				continue
@@ -395,7 +447,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 				}
 			}
 			out.Final, out.FinalPos = cur, pos
-			out.StuckVN = r.VNs[pos]
+			out.StuckVN = r.Resident(pos)
 			return out, nil
 		}
 		if target.Router == cur {
@@ -403,7 +455,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 			// resident and advance the position; tolerate staleness
 			// during churn. Ephemeral residents are delivery endpoints,
 			// never positions (§2.2).
-			if vnT, resident := r.VNs[target.ID]; resident && !vnT.Ephemeral {
+			if vnT := r.Resident(target.ID); vnT != nil && !vnT.Ephemeral {
 				pos = target.ID
 				posRouter = cur
 			} else {
@@ -467,9 +519,10 @@ func (n *Network) learnControl(learn []Pointer) []Pointer {
 }
 
 // selectNextHop scans the router's state for the candidate closest to
-// dst without overshooting pos→dst. Ring pointers are scanned before the
-// cache so they win ties (pointer precedence, §2.2). Returns the chosen
-// pointer and the resident VN it came from (nil if from the cache).
+// dst without overshooting pos→dst. Residents are scanned in identifier
+// order, and ring pointers before the cache so they win ties (pointer
+// precedence, §2.2). Returns the chosen pointer and the resident VN it
+// came from (nil if from the cache).
 func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (Pointer, *VirtualNode, bool) {
 	var best Pointer
 	var bestVN *VirtualNode
@@ -504,17 +557,6 @@ func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (P
 	}
 	_, found := sel.Best()
 	return best, bestVN, found
-}
-
-func parkedAt(r *Router, id ident.ID) (Pointer, bool) {
-	for _, vn := range r.VNs {
-		for _, p := range vn.Parked {
-			if p.ID == id {
-				return p, true
-			}
-		}
-	}
-	return Pointer{}, false
 }
 
 // --- Joining (Algorithm 1) ------------------------------------------------
@@ -574,15 +616,6 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 	if pred == nil {
 		return JoinResult{}, fmt.Errorf("%w: no predecessor found for %s", ErrRingCorrupted, id.Short())
 	}
-	if debugJoin {
-		ms := n.members()
-		idx := predecessorIndex(ms, id)
-		if ms[idx].ID != pred.ID {
-			panic(fmt.Sprintf("WRONG SPLICE joining %s: stuck at %s (eph=%v def=%v router=%d) want %s@%d; pos=%s final=%d msgs=%d",
-				id.Short(), pred.ID.Short(), pred.Ephemeral, pred.Default, pred.Router,
-				ms[idx].ID.Short(), ms[idx].Router, out.FinalPos.Short(), out.Final, out.Msgs))
-		}
-	}
 	msgs := out.Msgs
 	latency := out.Latency
 
@@ -597,40 +630,33 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 	vn := &VirtualNode{ID: id, Router: at, Ephemeral: ephemeral}
 	self := Pointer{ID: id, Router: at}
 
+	r, predRouter := n.Routers[at], n.Routers[pred.Router]
+	r.VNs = slices.Insert(r.VNs, r.search(id), vn)
+	n.hostedAt[id] = at
 	if ephemeral {
 		// Ephemeral hosts only park a backpointer at the predecessor.
-		pred.Parked = append(pred.Parked, self)
-		n.Routers[at].VNs[id] = vn
-		n.hostedAt[id] = at
+		predRouter.park(pred.ID, self)
 		latency += l2
-		res := JoinResult{VN: vn, Msgs: msgs, Latency: latency}
 		n.Metrics.Sample(SampleJoinMsgs, float64(msgs))
 		n.Metrics.Sample(SampleJoinLatency, latency)
-		return res, nil
+		return JoinResult{VN: vn, Msgs: msgs, Latency: latency}, nil
 	}
 
 	// Splice: the new node inherits the predecessor's successor group;
 	// the predecessor's immediate successor becomes the new node.
-	vn.Succs = append([]Pointer(nil), pred.Succs...)
-	trimGroup(&vn.Succs, n.opts.SuccessorGroup)
+	vn.Succs = slices.Clone(pred.Succs[:min(len(pred.Succs), n.opts.SuccessorGroup)])
 	vn.Pred = Pointer{ID: pred.ID, Router: pred.Router}
 	pred.Succs = prependGroup(pred.Succs, self, n.opts.SuccessorGroup)
 
 	// Parked ephemerals in (id, oldSuccessor) now have the new node as
 	// their ring predecessor; hand their parking over (§2.2 keeps
 	// ephemeral state at the predecessor).
-	keptParked := pred.Parked[:0]
-	for _, e := range pred.Parked {
-		if ident.BetweenOpen(e.ID, pred.ID, id) {
-			keptParked = append(keptParked, e)
-		} else {
-			vn.Parked = append(vn.Parked, e)
-		}
+	handed := predRouter.unpark(func(e parking) bool {
+		return e.parent == pred.ID && !ident.BetweenOpen(e.ID, pred.ID, id)
+	})
+	for _, e := range handed {
+		r.park(id, e.Pointer)
 	}
-	pred.Parked = keptParked
-
-	n.Routers[at].VNs[id] = vn
-	n.hostedAt[id] = at
 
 	// Notify the successor to update its predecessor pointer; the
 	// predecessor sends this in parallel with its reply to the gateway,
@@ -651,7 +677,7 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 			}
 		}
 	}
-	latency += maxf(l2, l34)
+	latency += max(l2, l34)
 
 	n.Metrics.Sample(SampleJoinMsgs, float64(msgs))
 	n.Metrics.Sample(SampleJoinLatency, latency)
@@ -662,13 +688,7 @@ func (n *Network) vnAt(p Pointer) *VirtualNode {
 	if p.Router < 0 || int(p.Router) >= len(n.Routers) {
 		return nil
 	}
-	return n.Routers[p.Router].VNs[p.ID]
-}
-
-func trimGroup(g *[]Pointer, max int) {
-	if len(*g) > max {
-		*g = (*g)[:max]
-	}
+	return n.Routers[p.Router].Resident(p.ID)
 }
 
 func prependGroup(g []Pointer, p Pointer, max int) []Pointer {
@@ -684,13 +704,6 @@ func prependGroup(g []Pointer, p Pointer, max int) []Pointer {
 		out = append(out, e)
 	}
 	return out
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- Data routing ----------------------------------------------------------
@@ -712,7 +725,7 @@ func (n *Network) Route(from RouterID, dst ident.ID) (RouteResult, error) {
 	host, known := n.hostedAt[dst]
 	var learn []Pointer
 	if n.opts.SnoopData && known {
-		if vn := n.Routers[host].VNs[dst]; vn != nil && !vn.Ephemeral {
+		if vn := n.Routers[host].Resident(dst); vn != nil && !vn.Ephemeral {
 			learn = []Pointer{{ID: dst, Router: host}}
 		}
 	}

@@ -14,9 +14,10 @@ import (
 // independent seeds, hundreds of interleaved churn events each, with the
 // ring checker run after every single event — the closest laptop-scale
 // analogue of the paper's "10 million partitions, converged in every
-// case" validation. Runs abbreviated under -short.
+// case" validation. A join spliced at the wrong predecessor fails the
+// check at that step. Runs abbreviated under -short.
 func TestChurnSoakMultiSeed(t *testing.T) {
-	seeds := []int64{101, 202, 303, 404, 505}
+	seeds := []int64{101, 202, 303, 404, 505, 777}
 	steps := 250
 	if testing.Short() {
 		seeds = seeds[:2]
