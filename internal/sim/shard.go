@@ -99,6 +99,7 @@ type ShardContext struct {
 	heap    msgHeap
 	outbox  [][]Msg // per-destination-shard send buffers, reused
 	journal []JournalEntry
+	events  int64 // messages handled by this shard
 }
 
 // Now returns the virtual time of the event being handled.
@@ -154,6 +155,7 @@ func (sc *ShardContext) runWindow(barrier Time, h Handler) {
 		sc.now = m.At
 		sc.curAt, sc.curSrc, sc.curSeq, sc.sub = m.At, m.Src, m.Seq, 0
 		h.HandleMsg(sc, m)
+		sc.events++
 	}
 }
 
@@ -292,6 +294,15 @@ func (e *ShardedEngine) minPending() (Time, bool) {
 		}
 	}
 	return min, found
+}
+
+// Events returns the number of messages handled so far, summed over
+// shards; each is handled once, by its owner, at any shard count.
+func (e *ShardedEngine) Events() (n int64) {
+	for _, sc := range e.shards {
+		n += sc.events
+	}
+	return n
 }
 
 // MergedMetrics folds the per-shard sinks into a fresh Metrics in shard

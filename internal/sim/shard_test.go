@@ -143,6 +143,46 @@ func excerptDiff(a, b string) string {
 	return fmt.Sprintf("length differs: %d vs %d lines", len(al), len(bl))
 }
 
+// echoProto is the engine-cost workload: each node's timer pings a fixed
+// peer, the peer replies, and the reply re-arms the timer, for a fixed
+// number of rounds — three events per node per round, exactly.
+type echoProto struct{ nodes, rounds uint32 }
+
+func (p echoProto) HandleMsg(sc *ShardContext, m Msg) {
+	switch m.Kind {
+	case tpTimer:
+		peer := uint32((uint64(m.Dst)*2654435761 + 1) % uint64(p.nodes))
+		sc.Send(1, Msg{Src: m.Dst, Dst: peer, Kind: tpPing, Hop: m.Hop})
+	case tpPing:
+		sc.Send(1, Msg{Src: m.Dst, Dst: m.Src, Kind: tpPong, Hop: m.Hop})
+	case tpPong:
+		if uint32(m.Hop)+1 < p.rounds {
+			sc.Send(10, Msg{Src: m.Dst, Dst: m.Dst, Kind: tpTimer, Hop: m.Hop + 1})
+		}
+	}
+}
+
+// TestShardedEventCount: Events counts every handled message once, at
+// any shard count and affinity.
+func TestShardedEventCount(t *testing.T) {
+	const nodes, rounds = 101, 4
+	for _, affinity := range [][]uint32{nil, makeAffinity(nodes, 7)} {
+		for _, shards := range []int{1, 2, 8} {
+			e := NewSharded(nodes, shards, 1, affinity, echoProto{nodes: nodes, rounds: rounds})
+			for n := 0; n < nodes; n++ {
+				e.Prime(Time(n%16)/16, Msg{Src: uint32(n), Dst: uint32(n), Kind: tpTimer})
+			}
+			if got := e.Events(); got != 0 {
+				t.Fatalf("%d events before Run", got)
+			}
+			e.Run()
+			if got, want := e.Events(), int64(3*nodes*rounds); got != want {
+				t.Fatalf("%d shards (affinity=%v): %d events, want %d", shards, affinity != nil, got, want)
+			}
+		}
+	}
+}
+
 // TestShardedLookaheadClamp: inter-node messages are clamped to at
 // least the lookahead — uniformly, even when src and dst share a shard
 // — while self-messages keep their short delays.

@@ -381,24 +381,51 @@ func (r *CompactRing) Run() sim.Time {
 // with contents of control messages"). The sharded run itself deposits
 // only at endpoint routers — transit routers belong to other shards,
 // and depositing there would break the caches' shard privacy — so the
-// on-path deposits are replayed here in one serial pass, in member
-// handle order, which is deterministic and shard-count invariant.
+// on-path deposits are replayed here, after the run, in member handle
+// order. A cache's contents depend only on the order of inserts into it.
 // joinResidueDeposits approximates the transit-router count of one
 // greedy join walk: the routers a random joiner's control traffic
 // crossed, each of which cached the joiner's pointer.
 const joinResidueDeposits = 32
 
 func (r *CompactRing) warmCaches() {
-	for u := 0; u < r.members; u++ {
+	const warmBlock = 8192
+	lists := make([][]ident.Handle, r.nrouters)
+	// inBlocks gathers warmBlock members serially, queueing each deposit
+	// on its router's list, then drains every list in order on the shard
+	// that owns the router (router % shards, the engine's rule).
+	inBlocks := func(gather func(u int)) {
+		for lo := 0; lo < r.members; lo += warmBlock {
+			for u := lo; u < min(lo+warmBlock, r.members); u++ {
+				gather(u)
+			}
+			sim.ForEach(r.cfg.Shards, r.cfg.Shards, func(s int) {
+				for rt := s; rt < r.nrouters; rt += r.cfg.Shards {
+					for _, h := range lists[rt] {
+						r.cacheInsert(uint32(rt), h)
+					}
+					lists[rt] = lists[rt][:0]
+				}
+			})
+		}
+	}
+	// queuePath queues h at every router the a→b shortest path transits
+	// (excluding the origin, matching Network.hop).
+	queuePath := func(a, b uint32, h ident.Handle) {
+		for _, node := range r.ls.Path(topology.NodeID(a), topology.NodeID(b))[1:] {
+			lists[node] = append(lists[node], h)
+		}
+	}
+	inBlocks(func(u int) {
 		if r.nsucc[u] == 0 {
-			continue
+			return
 		}
 		s0 := r.succs[u*r.cfg.SuccessorGroup]
 		// One stabilize round-trip: u's cmGetSucc toward succ0, then the
 		// cmSuccList reply — each deposits its sender along the path.
-		r.depositAlong(r.router[u], r.router[s0], ident.Handle(u))
-		r.depositAlong(r.router[s0], r.router[u], s0)
-	}
+		queuePath(r.router[u], r.router[s0], ident.Handle(u))
+		queuePath(r.router[s0], r.router[u], s0)
+	})
 	// Join-epoch residue. The ring is constructed already wired (each
 	// member knows succ0), so the event run never replays the join walks
 	// that, in Network, deposit every joiner's pointer across the
@@ -406,25 +433,14 @@ func (r *CompactRing) warmCaches() {
 	// an essentially uniform router sample, so the residue is
 	// reconstructed from a seeded stream: without it, caches hold only
 	// ring-neighbor pointers and stretch collapses to successor
-	// stepping. Serial, member order, shard-count invariant.
-	for u := 0; u < r.members; u++ {
+	// stepping.
+	inBlocks(func(u int) {
 		st := uint64(r.cfg.Seed)<<20 ^ uint64(u)*0x9e3779b97f4a7c15
 		for t := 0; t < joinResidueDeposits; t++ {
-			r.cacheInsert(uint32(sim.SplitMix64(&st)%uint64(r.nrouters)), ident.Handle(u))
+			rt := sim.SplitMix64(&st) % uint64(r.nrouters)
+			lists[rt] = append(lists[rt], ident.Handle(u))
 		}
-	}
-}
-
-// depositAlong inserts h into the cache of every router the a→b
-// shortest path transits (excluding the origin, matching Network.hop).
-func (r *CompactRing) depositAlong(a, b uint32, h ident.Handle) {
-	if a == b {
-		return
-	}
-	path := r.ls.Path(topology.NodeID(a), topology.NodeID(b))
-	for _, node := range path[1:] {
-		r.cacheInsert(uint32(node), h)
-	}
+	})
 }
 
 // HandleMsg dispatches one protocol event. It is the allocation-free
@@ -572,8 +588,8 @@ func (r *CompactRing) bucketOf(c *compactCache, id ident.ID) int {
 
 // cacheInsert records a member pointer in a router's cache (refresh on
 // duplicate, bucket-local LRU eviction at capacity). Insertion order at
-// any one cache is the (At, Src, Seq) processing order of its owning
-// shard, which is shard-count invariant — so cache contents are too.
+// any one cache — its shard's (At, Src, Seq) order, then its warmCaches
+// list — is shard-count invariant, so cache contents are too.
 func (r *CompactRing) cacheInsert(router uint32, h ident.Handle) {
 	c := &r.caches[router]
 	if c.buckets == nil {

@@ -2,6 +2,7 @@ package vring
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -27,8 +28,8 @@ func smallCompactConfig() CompactConfig {
 }
 
 // compactState renders the complete post-run routing state of every
-// member in handle order — successor groups, predecessor, stability —
-// for byte-comparison across shard counts.
+// member in handle order — successor groups, predecessor — and then
+// every router's pointer cache, for byte-comparison across shard counts.
 func compactState(r *CompactRing) string {
 	var b strings.Builder
 	for h := 0; h < r.Members(); h++ {
@@ -38,7 +39,143 @@ func compactState(r *CompactRing) string {
 		}
 		fmt.Fprintf(&b, " p%d\n", r.Pred(ident.Handle(h)))
 	}
+	for rt := range r.caches {
+		b.WriteString(cacheText(r, rt))
+	}
 	return b.String()
+}
+
+// cacheText renders one router's cache exactly: clock and size, then
+// each bucket's capacity and (handle, stamp) slots in slot order.
+func cacheText(r *CompactRing, router int) string {
+	c := &r.caches[router]
+	var b strings.Builder
+	fmt.Fprintf(&b, "cache %d clock=%d size=%d\n", router, c.clock, c.size)
+	for i, bkt := range c.buckets {
+		if cap(bkt) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, " b%d cap=%d", i, cap(bkt))
+		for _, s := range bkt {
+			fmt.Fprintf(&b, " %d@%d", s.h, s.stamp)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// refWarmCaches is the serial warm-up the blocked, sharded warmCaches
+// must reproduce: every member's stabilize round-trip deposits in
+// handle order, then every member's join-epoch residue, each inserted
+// the moment it is generated.
+func refWarmCaches(r *CompactRing) {
+	depositAlong := func(a, b uint32, h ident.Handle) {
+		if a == b {
+			return
+		}
+		for _, node := range r.ls.Path(topology.NodeID(a), topology.NodeID(b))[1:] {
+			r.cacheInsert(uint32(node), h)
+		}
+	}
+	for u := 0; u < r.members; u++ {
+		if r.nsucc[u] == 0 {
+			continue
+		}
+		s0 := r.succs[u*r.cfg.SuccessorGroup]
+		depositAlong(r.router[u], r.router[s0], ident.Handle(u))
+		depositAlong(r.router[s0], r.router[u], s0)
+	}
+	for u := 0; u < r.members; u++ {
+		st := uint64(r.cfg.Seed)<<20 ^ uint64(u)*0x9e3779b97f4a7c15
+		for t := 0; t < joinResidueDeposits; t++ {
+			r.cacheInsert(uint32(sim.SplitMix64(&st)%uint64(r.nrouters)), ident.Handle(u))
+		}
+	}
+}
+
+// converged builds a ring and runs only its sharded engine, leaving the
+// caches as the run's endpoint deposits left them, before any warm-up.
+func converged(isp *topology.ISP, cfg CompactConfig) *CompactRing {
+	r := NewCompactRing(isp, cfg)
+	r.eng.Run()
+	return r
+}
+
+// diffCaches returns the first router whose cache differs between a
+// and b, rendered both ways, or "" when every cache is identical.
+func diffCaches(a, b *CompactRing) string {
+	for rt := range a.caches {
+		if x, y := cacheText(a, rt), cacheText(b, rt); x != y {
+			return fmt.Sprintf("got:\n%.600s\nwant:\n%.600s", x, y)
+		}
+	}
+	return ""
+}
+
+// TestWarmCachesMatchesSerialReference: the blocked, sharded warm-up
+// leaves every router's cache — slots, stamps, bucket capacities, clock
+// and size — exactly as the serial reference does, at every shard count,
+// on a ring whose caches never fill and on one that evicts.
+func TestWarmCachesMatchesSerialReference(t *testing.T) {
+	isp := compactTestISP()
+	evicting := smallCompactConfig()
+	evicting.Hosts, evicting.CacheCapacity, evicting.EphemeralEvery = 2000, 64, 20
+	for _, base := range []CompactConfig{smallCompactConfig(), evicting} {
+		for _, seed := range []int64{7, 11} {
+			cfg := base
+			cfg.Seed = seed
+			ref := converged(isp, cfg)
+			refWarmCaches(ref)
+			for _, shards := range []int{1, 2, 3, 8} {
+				cfg.Shards = shards
+				r := converged(isp, cfg)
+				r.warmCaches()
+				if d := diffCaches(r, ref); d != "" {
+					t.Fatalf("hosts=%d capacity=%d seed=%d shards=%d: caches differ from the serial reference\n%s",
+						cfg.Hosts, cfg.CacheCapacity, seed, shards, d)
+				}
+			}
+		}
+	}
+}
+
+// TestWarmCachesBoundedMemory: at 100k hosts the blocked warm-up
+// allocates only its per-router lists beyond what the serial reference
+// does — a fixed block's worth of handles, not one per deposit — and
+// still matches it exactly.
+func TestWarmCachesBoundedMemory(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("100k-host allocation budget in -short or -race mode")
+	}
+	isp := topology.GenISP(topology.AS1221)
+	cfg := DefaultCompactConfig()
+	cfg.Hosts = 100000
+	cfg.EphemeralEvery = 100
+	cfg.Shards = 2
+	allocated := func(warm func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		warm()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	ref := converged(isp, cfg)
+	refBytes := allocated(func() { refWarmCaches(ref) })
+	r := converged(isp, cfg)
+	gotBytes := allocated(r.warmCaches)
+	// One block's lists hold ~8192 x 40 handles (32 residue deposits and
+	// a few path deposits per member), ~1.3 MB; append growth about
+	// doubles what they allocate. Unblocked, 100k hosts queue ~4M
+	// handles: 16 MB held, ~32 MB allocated.
+	const slack = 6 << 20
+	t.Logf("warm-up allocated %.2f MB, serial reference %.2f MB", float64(gotBytes)/1e6, float64(refBytes)/1e6)
+	if gotBytes > refBytes+slack {
+		t.Errorf("warmCaches allocated %.1f MB, the serial reference %.1f MB; budget +%d MB",
+			float64(gotBytes)/1e6, float64(refBytes)/1e6, slack>>20)
+	}
+	if d := diffCaches(r, ref); d != "" {
+		t.Fatalf("caches differ from the serial reference at 100k hosts\n%s", d)
+	}
 }
 
 func compactMetricsTable(m sim.Metrics) string {
@@ -107,24 +244,28 @@ func TestCompactRingConverges(t *testing.T) {
 
 // TestCompactShardInvariance is the PR-10 analogue of the cross-driver
 // journal gate: at a fixed seed, the rendered journal, the merged
-// metrics table, the complete final routing state, and the finish time
-// must be byte-identical for 1, 2, and 8 shards.
+// metrics table, the complete final routing state (pointer caches
+// included), the event count and the finish time must be byte-identical
+// for 1, 2, and 8 shards.
 func TestCompactShardInvariance(t *testing.T) {
 	isp := compactTestISP()
-	run := func(shards int) (string, string, string, sim.Time) {
+	run := func(shards int) (string, string, string, int64, sim.Time) {
 		cfg := smallCompactConfig()
 		cfg.Shards = shards
 		cfg.Journal = true
 		r := NewCompactRing(isp, cfg)
 		end := r.Run()
-		return r.JournalText(), compactMetricsTable(r.Metrics()), compactState(r), end
+		return r.JournalText(), compactMetricsTable(r.Metrics()), compactState(r), r.eng.Events(), end
 	}
-	refJ, refM, refS, refEnd := run(1)
-	if len(refJ) == 0 {
-		t.Fatal("reference journal empty; invariance test is vacuous")
+	refJ, refM, refS, refEv, refEnd := run(1)
+	if len(refJ) == 0 || refEv == 0 {
+		t.Fatal("reference journal or event count empty; invariance test is vacuous")
 	}
 	for _, shards := range []int{2, 8} {
-		j, m, s, end := run(shards)
+		j, m, s, ev, end := run(shards)
+		if ev != refEv {
+			t.Errorf("event count diverged at %d shards: %d vs %d", shards, ev, refEv)
+		}
 		if j != refJ {
 			t.Errorf("journal diverged at %d shards (lens %d vs %d)", shards, len(j), len(refJ))
 		}
