@@ -1,15 +1,14 @@
 // Command rofllint runs ROFL's project-specific static-analysis suite
-// over the repository: determinism of the seeded packages, lock
-// discipline in the protocol packages, wire round-trip completeness,
-// circular (never linear) comparison of flat labels, allocation-free
-// hot paths (callgraph-aware), metric-catalog discipline, atomic-access
-// discipline, and provable goroutine joining.
+// over the repository: determinism of the seeded packages, circular
+// (never linear) comparison of flat labels, allocation-free hot paths
+// (callgraph-aware), and metric-catalog discipline.
 //
 // Usage:
 //
 //	go run ./cmd/rofllint ./...
 //	go run ./cmd/rofllint -json ./...     # SARIF-lite machine output
 //	go run ./cmd/rofllint -ignores ./...  # per-analyzer suppression counts
+//	go run ./cmd/rofllint -h              # flags and analyzers
 //
 // When a DESIGN.md exists in the working directory, every
 // //rofllint:metrics catalog constant is additionally cross-checked
@@ -23,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -33,13 +33,22 @@ func main() {
 	list := flag.Bool("l", false, "list analyzers and their scopes, then exit")
 	jsonOut := flag.Bool("json", false, "emit findings as SARIF-lite JSON on stdout")
 	ignores := flag.Bool("ignores", false, "print per-analyzer suppression counts (the ignore budget), then exit")
+	suite := lint.Suite()
+	listSuite := func(w io.Writer) {
+		for _, sa := range suite {
+			fmt.Fprintf(w, "%-14s %s\n", sa.Analyzer.Name, sa.Analyzer.Doc)
+		}
+	}
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: rofllint [flags] [packages]\n")
+		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "analyzers:\n")
+		listSuite(flag.CommandLine.Output())
+	}
 	flag.Parse()
 
-	suite := lint.Suite()
 	if *list {
-		for _, sa := range suite {
-			fmt.Printf("%-14s %s\n", sa.Analyzer.Name, sa.Analyzer.Doc)
-		}
+		listSuite(os.Stdout)
 		return
 	}
 

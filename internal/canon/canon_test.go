@@ -560,6 +560,59 @@ func TestBackupLinkActivatesOnlyOnFailure(t *testing.T) {
 	}
 }
 
+// A failure under the pointer a route has selected makes that pointer
+// stale at its level: the route must mark it, then deliver through
+// another level or report ErrNoRoute — never spin on the same pointer
+// until the TTL runs out. Stub 5 is multihomed to 2 and 3; a (100) at 4
+// and b (200) at 5 share levels AS2, AS1 and Top, and AS2 is the lowest.
+func TestRouteAroundStalePointer(t *testing.T) {
+	a, b := ident.FromUint64(100), ident.FromUint64(200)
+	cases := []struct {
+		name string
+		fail func(in *Internet)
+		dst  ident.ID
+		want []topology.ASN // the delivered path; nil wants ErrNoRoute
+	}{
+		// Only AS2's path 4-2-5 used the link; AS1's delivers.
+		{"policy link", func(in *Internet) { in.FailASLink(5, 2) }, b, []topology.ASN{4, 2, 1, 3, 5}},
+		// 4's only provider is gone: no level has a path.
+		{"transit AS", func(in *Internet) { in.FailAS(2) }, b, nil},
+		// No failure: the packet reaches the absent label's predecessor,
+		// b, and stops there.
+		{"absent destination", func(*Internet) {}, ident.FromUint64(300), nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := topology.NewASGraph(6)
+			g.SetRelation(2, 1, topology.RelProvider)
+			g.SetRelation(3, 1, topology.RelProvider)
+			g.SetRelation(4, 2, topology.RelProvider)
+			g.SetRelation(5, 2, topology.RelProvider)
+			g.SetRelation(5, 3, topology.RelProvider)
+			g.SetTier(1, 1)
+			g.SetTier(2, 2)
+			g.SetTier(3, 2)
+			g.SetTier(4, 3)
+			g.SetTier(5, 3)
+			in := New(g, sim.NewMetrics(), DefaultOptions())
+			if _, err := in.Join(a, 4, Multihomed); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := in.Join(b, 5, Multihomed); err != nil {
+				t.Fatal(err)
+			}
+			c.fail(in)
+			res, err := in.Route(a, c.dst)
+			switch {
+			case c.want == nil && !errors.Is(err, ErrNoRoute):
+				t.Fatalf("route = %+v, %v; want ErrNoRoute", res, err)
+			case c.want != nil && (err != nil || !res.Delivered || !slices.Equal(res.Traversed, c.want)):
+				t.Fatalf("route = %+v, %v; want delivery along %v", res, err, c.want)
+			}
+		})
+	}
+}
+
 func TestRouteFromAS(t *testing.T) {
 	in := newSmall(t, DefaultOptions())
 	a := ident.FromString("a")

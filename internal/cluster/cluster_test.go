@@ -3,6 +3,7 @@ package cluster
 import (
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -242,6 +243,44 @@ func TestKillRestartAccounting(t *testing.T) {
 	}
 	if evictions == 0 {
 		t.Fatal("no eviction was counted for the killed node")
+	}
+}
+
+// Close joins everything a supervised lifetime started — every
+// incarnation's node loops, metrics server and delivery drainer — so a
+// cluster that churned leaves the goroutine count where it was. Under
+// churn a goroutine leaked per incarnation would grow without bound.
+func TestSupervisorCloseJoinsGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	// Kill and Close both wait for node loops, so the whole lifetime runs
+	// under one deadline: a loop that ignores its stop hangs it.
+	done := make(chan error, 1)
+	go func() {
+		sup := New(Config{N: 3, Seed: 12, Stabilize: 10 * time.Millisecond, EnableLiveness: true})
+		err := sup.Start()
+		if err == nil {
+			err = sup.Kill(1)
+		}
+		if err == nil {
+			err = sup.Restart(1)
+		}
+		sup.Close()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the supervised lifetime did not finish: a node loop or drainer ignores its stop")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked across a supervised lifetime: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

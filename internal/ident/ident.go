@@ -96,9 +96,6 @@ func (id ID) String() string { return hex.EncodeToString(id[:]) }
 // in logs and test failures.
 func (id ID) Short() string { return hex.EncodeToString(id[:4]) + "…" }
 
-// IsZero reports whether id is the all-zero identifier.
-func (id ID) IsZero() bool { return id == Zero }
-
 // u128 is an identifier, or the distance between two, as machine words.
 // All ordering and arithmetic below runs on this form; ID stays the
 // stored and exported array, so identifiers remain map keys, compare

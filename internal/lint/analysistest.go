@@ -75,8 +75,8 @@ func RunTest(t *testing.T, a *Analyzer) {
 		t.Fatalf("type-checking corpus: %v", err)
 	}
 	pkg := &Package{ImportPath: a.Name, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}
-	// The corpus package is its own whole program: hot-path roots,
-	// atomic fields, and catalogs are all declared inside it.
+	// The corpus package is its own whole program: hot-path roots and
+	// catalogs are declared inside it.
 	prog := NewProgram([]*Package{pkg})
 	got, err := RunAnalyzer(a, prog, pkg)
 	if err != nil {

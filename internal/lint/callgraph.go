@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the conservative call-graph/reachability layer the
-// whole-program analyzers (hotpath, golifetime, metricname) build on.
+// whole-program analyzers (hotpath, metricname) build on.
 // A Program indexes every function declared in the loaded packages and
 // the module-internal functions each one references, keyed by a
 // package-path-qualified name so that the same function is recognized
@@ -36,10 +36,10 @@ import (
 
 // FuncInfo is one declared function or method in the loaded program.
 type FuncInfo struct {
-	Key  string         // funcKey of the declared function
-	Fn   *types.Func    // the declaring package's object
-	Decl *ast.FuncDecl  // declaration, always with a body
-	Pkg  *Package       // the package that declares it
+	Key  string        // funcKey of the declared function
+	Fn   *types.Func   // the declaring package's object
+	Decl *ast.FuncDecl // declaration, always with a body
+	Pkg  *Package      // the package that declares it
 
 	// Hot and Cold record the //rofllint:hotpath and
 	// //rofllint:coldpath annotations on the declaration.
@@ -70,9 +70,6 @@ type Program struct {
 
 	catOnce  sync.Once
 	catalogs map[string]*catalogIndex
-
-	atomicOnce   sync.Once
-	atomicFields map[string]bool
 }
 
 // NewProgram indexes pkgs into a function registry and conservative

@@ -1,17 +1,12 @@
 // Package lint is ROFL's project-specific static-analysis suite. It
-// enforces invariants no stock linter knows about — the properties the
-// reproduction's correctness arguments lean on:
+// enforces the invariants no stock linter knows about and no short test
+// can check as well — the properties the reproduction's correctness
+// arguments lean on:
 //
 //   - determinism: the simulation, experiment, and netem fault-schedule
 //     paths must be pure functions of their seeds (no wall clock, no
 //     global math/rand, no map-iteration order leaking into output, no
 //     select races);
-//   - lockorder: overlay and vring code must never perform a blocking
-//     operation (transport send/recv, channel op, sleep) while holding a
-//     mutex;
-//   - wirecomplete: every field of a wire message struct must be written
-//     by its encoder and read by its decoder, and wire types must not be
-//     constructed with unkeyed composite literals;
 //   - identcmp: flat labels are points on a circle; linear byte-order
 //     comparisons of ident.ID outside the ident package are forbidden
 //     unless they are documented tie-breaks or sorted-storage probes;
@@ -21,11 +16,11 @@
 //   - metricname: metric handles are nil-safe, so a typo'd series name
 //     silently no-ops; every Registry resolution and EventLog event
 //     type must be a constant from the package's //rofllint:metrics
-//     catalog, cross-checked against DESIGN.md §9;
-//   - atomicmix: a field ever touched via sync/atomic must never be
-//     read or written plainly;
-//   - golifetime: every go statement in the runtime packages must be
-//     provably joined (deferred WaitGroup.Done or stop-channel select).
+//     catalog, cross-checked against DESIGN.md §9.
+//
+// Properties the code satisfies by construction, or that a short test
+// pins as well, are guarded by tests instead; DESIGN.md §8 lists each
+// guard and the mutation that fails it.
 //
 // The framework is a deliberately small, dependency-free subset of
 // golang.org/x/tools/go/analysis (the container builds offline), sharing
@@ -76,7 +71,7 @@ type Pass struct {
 	// Prog is the whole loaded program: every package the driver
 	// loaded, indexed into the conservative call graph. Intraprocedural
 	// analyzers ignore it; the callgraph-aware ones (hotpath,
-	// golifetime, metricname) resolve cross-package facts through it.
+	// metricname) resolve cross-package facts through it.
 	Prog *Program
 
 	diags []Diagnostic
@@ -242,32 +237,19 @@ type ScopedAnalyzer struct {
 //     compared byte-for-byte across runs; the proto core in particular
 //     promises identical transitions across drivers, so any ambient
 //     clock or RNG in it is a bug by contract;
-//   - lockorder runs on the concurrent protocol packages (overlay,
-//     vring) and on telemetry and cluster, which hold locks around
-//     registry and supervisor state;
-//   - wirecomplete and identcmp run everywhere (identcmp excludes the
-//     ident package itself, which implements the comparison helpers);
-//   - hotpath and atomicmix run everywhere: hot-path reachability
-//     crosses package boundaries (wire, vring, ident, telemetry are all
-//     reachable from the overlay's read loop), and atomic discipline is
-//     a property of any field anywhere;
+//   - identcmp runs everywhere except the ident package itself, which
+//     implements the comparison helpers;
+//   - hotpath runs everywhere: hot-path reachability crosses package
+//     boundaries (wire, vring, ident, telemetry are all reachable from
+//     the overlay's read loop);
 //   - metricname runs on the packages that resolve telemetry series and
-//     emit events (overlay, cluster, netem);
-//   - golifetime runs on the goroutine-spawning runtime packages
-//     (overlay, cluster, telemetry), where the supervisor restarts
-//     nodes across incarnations and a leaked goroutine per churn event
-//     would be an unbounded leak, and on proto, whose purity contract
-//     forbids spawning goroutines at all.
+//     emit events (overlay, cluster, netem).
 func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{DeterminismAnalyzer, pathIsAny("rofl/internal/sim", "rofl/internal/experiments", "rofl/internal/netem", "rofl/internal/telemetry", "rofl/internal/cluster", "rofl/internal/proto")},
-		{LockOrderAnalyzer, pathIsAny("rofl/internal/overlay", "rofl/internal/vring", "rofl/internal/telemetry", "rofl/internal/cluster")},
-		{WireCompleteAnalyzer, func(string) bool { return true }},
 		{IdentCmpAnalyzer, func(p string) bool { return p != "rofl/internal/ident" }},
 		{HotPathAnalyzer, func(string) bool { return true }},
 		{MetricNameAnalyzer, pathIsAny("rofl/internal/overlay", "rofl/internal/cluster", "rofl/internal/netem")},
-		{AtomicMixAnalyzer, func(string) bool { return true }},
-		{GoLifetimeAnalyzer, pathIsAny("rofl/internal/overlay", "rofl/internal/cluster", "rofl/internal/telemetry", "rofl/internal/proto")},
 	}
 }
 

@@ -13,14 +13,10 @@ import (
 	"testing"
 )
 
-func TestDeterminism(t *testing.T)  { RunTest(t, DeterminismAnalyzer) }
-func TestLockOrder(t *testing.T)    { RunTest(t, LockOrderAnalyzer) }
-func TestWireComplete(t *testing.T) { RunTest(t, WireCompleteAnalyzer) }
-func TestIdentCmp(t *testing.T)     { RunTest(t, IdentCmpAnalyzer) }
-func TestHotPath(t *testing.T)      { RunTest(t, HotPathAnalyzer) }
-func TestMetricName(t *testing.T)   { RunTest(t, MetricNameAnalyzer) }
-func TestAtomicMix(t *testing.T)    { RunTest(t, AtomicMixAnalyzer) }
-func TestGoLifetime(t *testing.T)   { RunTest(t, GoLifetimeAnalyzer) }
+func TestDeterminism(t *testing.T) { RunTest(t, DeterminismAnalyzer) }
+func TestIdentCmp(t *testing.T)    { RunTest(t, IdentCmpAnalyzer) }
+func TestHotPath(t *testing.T)     { RunTest(t, HotPathAnalyzer) }
+func TestMetricName(t *testing.T)  { RunTest(t, MetricNameAnalyzer) }
 
 // checkSource type-checks one import-free source file into a Package
 // for tests that need a program smaller than a corpus.
@@ -171,6 +167,40 @@ func TestIgnoreBudget(t *testing.T) {
 	}
 }
 
+// Every atomic in the module is typed (atomic.Uint64 and friends), so a
+// plain read or write of an atomic field does not compile. A call to a
+// package-level sync/atomic function (atomic.AddUint64(&x.f, 1), ...)
+// would reopen that door: the same field could then be read plainly
+// elsewhere, a race the race detector only sees on the schedules it
+// happens to run.
+func TestNoFunctionStyleAtomics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module type-check is not short")
+	}
+	prog, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeOf(pkg.Info, call)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+					return true
+				}
+				if fn.Type().(*types.Signature).Recv() == nil {
+					t.Errorf("%s: atomic.%s is a function-style atomic; use a typed atomic (atomic.Int64, atomic.Uint64, ...) for the field", pkg.Fset.Position(call.Pos()), fn.Name())
+				}
+				return true
+			})
+		}
+	}
+}
+
 // A suppression without a reason is itself a diagnostic: suppressions
 // stay audited.
 func TestDirectiveRequiresReason(t *testing.T) {
@@ -179,7 +209,7 @@ func TestDirectiveRequiresReason(t *testing.T) {
 func f() {
 	//rofllint:ignore determinism
 	_ = 1
-	//rofllint:ignore determinism,lockorder the schedule is wall-clock by design
+	//rofllint:ignore determinism,hotpath the schedule is wall-clock by design
 	_ = 2
 }
 `
@@ -198,7 +228,7 @@ func f() {
 	if len(dirs) != 1 {
 		t.Fatalf("want 1 well-formed directive, got %d", len(dirs))
 	}
-	if !dirs[0].analyzers["determinism"] || !dirs[0].analyzers["lockorder"] {
+	if !dirs[0].analyzers["determinism"] || !dirs[0].analyzers["hotpath"] {
 		t.Errorf("directive should cover both analyzers: %v", dirs[0].analyzers)
 	}
 }
@@ -217,13 +247,14 @@ func TestSuiteScopes(t *testing.T) {
 		{"determinism", "rofl/internal/sim", true},
 		{"determinism", "rofl/internal/netem", true},
 		{"determinism", "rofl/internal/overlay", false},
-		{"lockorder", "rofl/internal/overlay", true},
-		{"lockorder", "rofl/internal/vring", true},
-		{"lockorder", "rofl/internal/sim", false},
-		{"wirecomplete", "rofl/internal/wire", true},
-		{"wirecomplete", "rofl/internal/canon", true},
 		{"identcmp", "rofl/internal/ident", false},
 		{"identcmp", "rofl/internal/canon", true},
+		{"hotpath", "rofl/internal/wire", true},
+		{"metricname", "rofl/internal/overlay", true},
+		{"metricname", "rofl/internal/vring", false},
+	}
+	if len(byName) != 4 {
+		t.Errorf("suite has %d analyzers, want exactly determinism, identcmp, hotpath and metricname", len(byName))
 	}
 	for _, c := range cases {
 		sa, ok := byName[c.analyzer]

@@ -3,6 +3,7 @@ package overlay
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -167,6 +168,36 @@ func TestRequestTimeoutEmitsEventAndCounter(t *testing.T) {
 	}
 	if got := countEvents(t, &buf, "request_timeout"); got != 1 {
 		t.Fatalf("request_timeout events = %d, want 1\n%s", got, buf.String())
+	}
+}
+
+// A policy that leaves Multiplier at zero retries at a constant Initial
+// until the deadline; it used to compute a zero wait after the first
+// retransmit and report the budget exhausted at once.
+func TestJoinRetriesWithMultiplierBelowOne(t *testing.T) {
+	fabric := netem.NewNetwork(6)
+	defer fabric.Close()
+	ep, err := fabric.Endpoint("em://patient")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 400 * time.Millisecond
+	n := newTestNode(t, "patient", Config{
+		Transport: ep,
+		Retry:     RetryPolicy{Initial: 10 * time.Millisecond, Max: 50 * time.Millisecond},
+	})
+	reg := telemetry.NewRegistry()
+	n.SetTelemetry(reg, nil)
+
+	start := time.Now()
+	if err := n.Join("em://silent", budget); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("join through a silent address = %v, want ErrTimeout", err)
+	}
+	if elapsed := time.Since(start); elapsed < budget/2 {
+		t.Fatalf("join gave up after %v of a %v budget", elapsed, budget)
+	}
+	if got := reg.Counter(metricRetransmit).Value(); got < 5 {
+		t.Fatalf("retransmits = %d, want at least 5 at a constant 10ms wait", got)
 	}
 }
 

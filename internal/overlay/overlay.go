@@ -59,7 +59,8 @@ type Gate func(src ident.ID, capability []byte) error
 // RetryPolicy shapes the retransmission schedule of control requests:
 // the first retransmit fires after Initial, each subsequent wait is
 // multiplied by Multiplier and capped at Max, until the caller's
-// deadline expires.
+// deadline expires. A Multiplier below 1, zero included, holds every
+// wait at Initial.
 type RetryPolicy struct {
 	Initial    time.Duration
 	Max        time.Duration
@@ -524,7 +525,9 @@ func (n *Node) Join(via string, timeout time.Duration) error {
 			if !time.Now().Before(deadline) {
 				return exhausted(attempt)
 			}
-			backoff = time.Duration(float64(backoff) * retry.Multiplier)
+			if retry.Multiplier > 1 {
+				backoff = time.Duration(float64(backoff) * retry.Multiplier)
+			}
 			if retry.Max > 0 && backoff > retry.Max {
 				backoff = retry.Max
 			}

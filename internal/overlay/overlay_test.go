@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -247,6 +248,116 @@ func TestCloseThenLateEventsAreNoOps(t *testing.T) {
 	}
 	if err := b.Send(a.ID(), []byte("into the void")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// closeWithin closes n and fails the test if Close does not return in
+// time: Close waits for every driver goroutine, so a loop that ignores
+// its stop channel hangs it.
+func closeWithin(t *testing.T, n *Node, d time.Duration) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- n.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(d):
+		t.Fatalf("Close did not return within %v: a driver goroutine ignores its stop", d)
+	}
+}
+
+// Every goroutine a node starts — the read loop and both maintenance
+// loops — is joined by Close, so repeated lifecycles leave the
+// goroutine count where it was.
+func TestNodeCloseJoinsDriverGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := Config{Stabilize: 5 * time.Millisecond, EnableLiveness: true}
+	for i := 0; i < 5; i++ {
+		boot, err := New(ident.FromString(fmt.Sprintf("lifecycle-boot-%d", i)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot.Bootstrap()
+		n, err := New(ident.FromString(fmt.Sprintf("lifecycle-%d", i)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Join(boot.Addr(), joinTimeout); err != nil {
+			t.Fatal(err)
+		}
+		closeWithin(t, n, 5*time.Second)
+		closeWithin(t, boot, 5*time.Second)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked across node lifecycles: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// gatedTransport holds every Send until release is closed, reporting
+// the kind of each packet that enters.
+type gatedTransport struct {
+	*benchTransport
+	entered chan wire.Type
+	release chan struct{}
+}
+
+func (g *gatedTransport) Send(addr string, p []byte) error {
+	var pkt wire.Packet
+	if pkt.DecodeFromBytes(p) == nil {
+		select {
+		case g.entered <- pkt.Type:
+		default:
+		}
+	}
+	<-g.release
+	return nil
+}
+
+// The node lock guards the core, never a transmit: a data send and a
+// stabilize tick both stuck in the transport leave the node readable.
+// A transmit under the lock would keep the second sender out of the
+// transport and block Status and SuccessorGroup behind the first.
+func TestNoTransmitUnderNodeLock(t *testing.T) {
+	// Two senders can be held at once: the data send and the one
+	// stabilize loop, each stopped at its first packet.
+	tr := &gatedTransport{benchTransport: newBenchTransport(), entered: make(chan wire.Type, 2), release: make(chan struct{})}
+	n, err := New(ident.FromUint64(1000), Config{Transport: tr, Stabilize: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	defer close(tr.release) // before Close, which waits for the blocked senders
+	n.mu.Lock()
+	n.core.InstallRing([]proto.Peer{{ID: ident.FromUint64(2000), Addr: "peer:2000"}, {ID: ident.FromUint64(3000), Addr: "peer:3000"}}, nil)
+	n.mu.Unlock()
+	go n.Send(ident.FromUint64(2500), []byte("held"))
+
+	blocked := map[wire.Type]bool{}
+	timeout := time.After(5 * time.Second)
+	for !blocked[wire.TypeData] || !blocked[wire.TypeStabilize] {
+		select {
+		case typ := <-tr.entered:
+			blocked[typ] = true
+		case <-timeout:
+			t.Fatalf("senders in the transport: %v; want a data send and a stabilize tick at once (a transmit under the node lock keeps the second out)", blocked)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		n.Status()
+		n.SuccessorGroup()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Status and SuccessorGroup blocked while sends wait in the transport")
 	}
 }
 

@@ -183,9 +183,6 @@ func (c *Core) Bootstrap() {
 	c.pred = &self
 }
 
-// Bootstrapped reports whether the core holds any ring state.
-func (c *Core) Bootstrapped() bool { return len(c.succs) > 0 }
-
 // Successor returns the immediate successor.
 func (c *Core) Successor() (Peer, bool) {
 	if len(c.succs) == 0 {

@@ -1,12 +1,39 @@
 package proto
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rofl/internal/ident"
 	"rofl/internal/wire"
 )
+
+// The core is a pure state machine: drivers own every goroutine, and the
+// cross-driver journal gate relies on transitions that run to completion
+// on the caller's stack. A go statement anywhere in the package breaks
+// that contract.
+func TestNoGoStatements(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement in the protocol core; spawn goroutines in the driver", fset.Position(g.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
 
 func testCore(v uint64) *Core {
 	c := New(Config{ID: ident.FromUint64(v), Addr: testPeer(v).Addr})

@@ -219,12 +219,6 @@ func (e *ShardedEngine) ownerOf(node uint32) int {
 	return int(a % uint32(e.nshards))
 }
 
-// Shards returns the shard count.
-func (e *ShardedEngine) Shards() int { return e.nshards }
-
-// Lookahead returns the minimum inter-node delay / window length.
-func (e *ShardedEngine) Lookahead() Time { return e.lookahead }
-
 // EnableJournal turns on transition journaling (off by default: a
 // million-node run would record tens of millions of entries).
 func (e *ShardedEngine) EnableJournal() { e.journalOn = true }

@@ -56,7 +56,7 @@ func TestRegistryStrictModeIsOptIn(t *testing.T) {
 
 // Close must join the Serve goroutine: after Close returns, the
 // acceptor must be gone. Regression test for the unjoined goroutine the
-// golifetime analyzer surfaced — under the cluster supervisor a leaked
+// former golifetime analyzer surfaced — under the cluster supervisor a leaked
 // acceptor per node incarnation is an unbounded leak.
 func TestServerCloseJoinsServeGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()

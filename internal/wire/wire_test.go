@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +46,48 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(q.Capability, p.Capability) || !bytes.Equal(q.Payload, p.Payload) {
 		t.Fatal("variable sections mismatch")
+	}
+}
+
+// TestRoundTripEveryField sets each field of Packet alone to a non-zero
+// value and requires the encoding to change and the decode to give the
+// packet back. A field the encoder forgets leaves the bytes equal to the
+// base packet's; one the decoder forgets comes back zero. The field list
+// is read by reflection, and a kind the test cannot fill fails it, so a
+// new field cannot join Packet without joining this test.
+func TestRoundTripEveryField(t *testing.T) {
+	base := Packet{Type: TypeData} // the zero Type does not encode
+	baseBytes := mustMarshal(t, &base)
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		p := base
+		v := reflect.ValueOf(&p).Elem().Field(i)
+		switch {
+		case f.Type == reflect.TypeOf(Type(0)):
+			v.Set(reflect.ValueOf(TypeAck))
+		case f.Type == reflect.TypeOf(ident.ID{}):
+			v.Set(reflect.ValueOf(ident.FromString(f.Name)))
+		case f.Type.Kind() == reflect.Uint8 || f.Type.Kind() == reflect.Uint64:
+			v.SetUint(uint64(0xa0 + i))
+		case f.Type == reflect.TypeOf([]uint32(nil)):
+			v.Set(reflect.ValueOf([]uint32{uint32(7000 + i), 1239}))
+		case f.Type == reflect.TypeOf([]byte(nil)):
+			v.SetBytes([]byte(f.Name))
+		default:
+			t.Fatalf("field %s has type %s, which this test cannot fill; teach it a non-zero value", f.Name, f.Type)
+		}
+		got := mustMarshal(t, &p)
+		if bytes.Equal(got, baseBytes) {
+			t.Errorf("field %s: the encoding ignores it", f.Name)
+		}
+		var q Packet
+		if err := q.DecodeFromBytes(got); err != nil {
+			t.Fatalf("field %s: %v", f.Name, err)
+		}
+		if !reflect.DeepEqual(q, p) {
+			t.Errorf("field %s: decoded %+v, want %+v", f.Name, q, p)
+		}
 	}
 }
 

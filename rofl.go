@@ -299,7 +299,8 @@ type NodeConfig = overlay.Config
 
 // RetryPolicy shapes the retransmission schedule of overlay control
 // requests: first retransmit after Initial, each wait multiplied by
-// Multiplier and capped at Max, until the caller's deadline expires.
+// Multiplier and capped at Max, until the caller's deadline expires; a
+// Multiplier below 1 holds every wait at Initial.
 type RetryPolicy = overlay.RetryPolicy
 
 // DefaultRetryPolicy is tuned for LAN/loopback latencies: 120ms first
