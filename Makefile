@@ -13,7 +13,7 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
-	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|Anycast|Negotiat' ./internal/canon ./internal/delivery
+	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|TestInterdomainSoakReplays|Anycast|Negotiat' ./internal/canon ./internal/delivery
 
 race:
 	$(GO) test -race -shuffle=on ./internal/sim/... ./internal/experiments/... ./internal/vring/... ./internal/canon/... ./internal/topology/...

@@ -560,13 +560,30 @@ func TestBackupLinkActivatesOnlyOnFailure(t *testing.T) {
 	}
 }
 
+// twoLevelInternet is smallAS with stub 5 multihomed to 2 and 3, and a
+// (100) joined at 4 and b (200) at 5: they share levels AS2, AS1 and Top,
+// and AS2 is the lowest.
+func twoLevelInternet(t *testing.T) (in *Internet, a, b ident.ID) {
+	t.Helper()
+	g := smallAS()
+	g.SetRelation(5, 3, topology.RelProvider)
+	in = New(g, sim.NewMetrics(), DefaultOptions())
+	a, b = ident.FromUint64(100), ident.FromUint64(200)
+	if _, err := in.Join(a, 4, Multihomed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Join(b, 5, Multihomed); err != nil {
+		t.Fatal(err)
+	}
+	return in, a, b
+}
+
 // A failure under the pointer a route has selected makes that pointer
 // stale at its level: the route must mark it, then deliver through
 // another level or report ErrNoRoute — never spin on the same pointer
-// until the TTL runs out. Stub 5 is multihomed to 2 and 3; a (100) at 4
-// and b (200) at 5 share levels AS2, AS1 and Top, and AS2 is the lowest.
+// until the TTL runs out. The Internet is twoLevelInternet's.
 func TestRouteAroundStalePointer(t *testing.T) {
-	a, b := ident.FromUint64(100), ident.FromUint64(200)
+	b := ident.FromUint64(200)
 	cases := []struct {
 		name string
 		fail func(in *Internet)
@@ -583,24 +600,7 @@ func TestRouteAroundStalePointer(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			g := topology.NewASGraph(6)
-			g.SetRelation(2, 1, topology.RelProvider)
-			g.SetRelation(3, 1, topology.RelProvider)
-			g.SetRelation(4, 2, topology.RelProvider)
-			g.SetRelation(5, 2, topology.RelProvider)
-			g.SetRelation(5, 3, topology.RelProvider)
-			g.SetTier(1, 1)
-			g.SetTier(2, 2)
-			g.SetTier(3, 2)
-			g.SetTier(4, 3)
-			g.SetTier(5, 3)
-			in := New(g, sim.NewMetrics(), DefaultOptions())
-			if _, err := in.Join(a, 4, Multihomed); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := in.Join(b, 5, Multihomed); err != nil {
-				t.Fatal(err)
-			}
+			in, a, _ := twoLevelInternet(t)
 			c.fail(in)
 			res, err := in.Route(a, c.dst)
 			switch {

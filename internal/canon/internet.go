@@ -168,6 +168,16 @@ func (lv *level) search(id ident.ID) int {
 	return ident.Search(len(lv.ring), func(k int) *ident.ID { return &lv.ring[k].ID }, id)
 }
 
+// floor returns the index of the last member at or before id on the
+// circle: the largest one <= id, or the last one when every member is
+// above id. The ring must not be empty.
+func (lv *level) floor(id ident.ID) int {
+	if i := ident.Floor(len(lv.ring), func(k int) *ident.ID { return &lv.ring[k].ID }, id); i >= 0 {
+		return i
+	}
+	return len(lv.ring) - 1
+}
+
 // neighbours returns the predecessor and successor of the member id: the
 // ring entries around it, which are the member itself in a ring of one.
 func (lv *level) neighbours(id ident.ID) (pred, succ Ptr) {
@@ -312,8 +322,10 @@ type Internet struct {
 	// for verification and stretch denominators only.
 	hostedAt map[ident.ID]topology.ASN
 
-	// below[a] is the customer-cone membership bitset of AS a.
-	below [][]bool
+	// below is every AS's customer cone over primary links, the subtree a
+	// ring level covers; cone is the full one, backup links included,
+	// which bounds where any descent can go.
+	below, cone cones
 
 	// failedLink marks failed AS adjacencies (A < B normalized).
 	failedLink map[[2]topology.ASN]bool
@@ -352,17 +364,11 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 			Cache: vring.NewPointerCache(opts.CacheCapacity),
 		}
 	}
-	// Customer-cone bitsets, over primary links only: joins exclude
-	// backup links, so subtree membership must too, or the isolation
-	// bookkeeping would expect rings that were never joined.
-	in.below = make([][]bool, g.NumASes())
-	for i := 0; i < g.NumASes(); i++ {
-		set := make([]bool, g.NumASes())
-		for _, d := range g.DownHierarchyPrimary(topology.ASN(i)) {
-			set[d] = true
-		}
-		in.below[i] = set
-	}
+	// Subtree membership is over primary links only: joins exclude backup
+	// links, so it must too, or the isolation bookkeeping would expect
+	// rings that were never joined.
+	in.below = newCones(g, g.PrimaryCustomers)
+	in.cone = newCones(g, g.Customers)
 	// Bloom filters sized to each AS's expected customer-cone host count.
 	if opts.BloomPeering || opts.CacheCapacity > 0 {
 		for i := range in.ases {
@@ -394,15 +400,52 @@ func (in *Internet) HostingAS(id ident.ID) (topology.ASN, bool) {
 // NumJoined returns the number of joined identifiers.
 func (in *Internet) NumJoined() int { return len(in.hostedAt) }
 
+// cones is one customer-cone bitset per AS in one flat slice: row a has
+// bit d set when d is a or lies below it.
+type cones struct {
+	words int // uint64s per row
+	bits  []uint64
+}
+
+// newCones builds every AS's cone over the customer links customers
+// lists.
+func newCones(g *topology.ASGraph, customers func(topology.ASN) []topology.ASN) cones {
+	n := g.NumASes()
+	c := cones{words: (n + 63) / 64}
+	c.bits = make([]uint64, n*c.words)
+	var queue []topology.ASN
+	for a := range n {
+		root := topology.ASN(a)
+		c.add(root, root)
+		queue = append(queue[:0], root)
+		for k := 0; k < len(queue); k++ {
+			for _, d := range customers(queue[k]) {
+				if !c.has(root, d) {
+					c.add(root, d)
+					queue = append(queue, d)
+				}
+			}
+		}
+	}
+	return c
+}
+
+func (c cones) add(a, d topology.ASN) { c.bits[int(a)*c.words+int(d)>>6] |= 1 << (uint(d) & 63) }
+
+// has reports whether d lies in a's cone.
+func (c cones) has(a, d topology.ASN) bool {
+	return c.bits[int(a)*c.words+int(d)>>6]>>(uint(d)&63)&1 != 0
+}
+
 // inSubtree reports whether AS a lies inside root r's subtree.
 func (in *Internet) inSubtree(r Root, a topology.ASN) bool {
 	switch r.Kind {
 	case RootTop:
 		return true
 	case RootAS:
-		return in.below[r.A][a]
+		return in.below.has(r.A, a)
 	case RootPeer:
-		return in.below[r.A][a] || in.below[r.B][a]
+		return in.below.has(r.A, a) || in.below.has(r.B, a)
 	default:
 		return false
 	}
@@ -489,6 +532,12 @@ type pathSearch struct {
 // ascending AS order, so ties between equal-length paths are a function
 // of the graph alone. The result is nil when no such path exists and is
 // valid only until the next search on this Internet.
+//
+// A descending state at c is never pushed when `to` is outside c's full
+// customer cone: every descent from it stays in that cone, so it and all
+// its successors are dead ends. The states kept are therefore closed under
+// predecessors, which leaves the visit order among them, the parent of
+// each, and so the path, what the unpruned search gives.
 func (in *Internet) policyPath(from, to topology.ASN, inside func(topology.ASN) bool, mayCross func(a, q topology.ASN) bool) []topology.ASN {
 	s := &in.search
 	if from == to {
@@ -507,7 +556,7 @@ func (in *Internet) policyPath(from, to topology.ASN, inside func(topology.ASN) 
 	// over.
 	push := func(b topology.ASN, phase int32) bool {
 		st := int32(b)*2 + phase
-		if in.failedAS[b] || s.seen[st] || !inside(b) {
+		if in.failedAS[b] || s.seen[st] || phase == 1 && !in.cone.has(b, to) || !inside(b) {
 			return false
 		}
 		s.seen[st] = true

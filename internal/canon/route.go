@@ -56,6 +56,11 @@ func (s *staleSet) add(k staleKey) {
 	}
 }
 
+// testHookSelect, nil outside tests, sees each selectPointer decision
+// route makes, with its inputs, so a test can hold it to the exhaustive
+// scan.
+var testHookSelect func(in *Internet, as *AS, pos, dst ident.ID, stale staleSet, got Ptr, gotRoot Root, ok bool)
+
 // Route forwards a packet from the joined identifier src toward dst,
 // using augmented greedy routing (§2.3): at each AS, among the resident
 // virtual nodes' ring pointers and fingers, pick the identifier closest
@@ -133,6 +138,9 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		}
 
 		sel, selRoot, ok := in.selectPointer(as, pos, dst, stale)
+		if testHookSelect != nil {
+			testHookSelect(in, as, pos, dst, stale, sel, selRoot, ok)
+		}
 		if ok && sel.AS == cur {
 			pos = sel.ID
 			haveTarget = false
@@ -193,10 +201,17 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 // filter confirms the destination is not in the local customer cone
 // (§4.1's isolation guard for caches).
 //
-// Resident nodes are offered in identifier order, and the ranking is
-// total besides: level size, then distance, then — two levels of equal
-// size holding the same identifier, or one identifier recorded at two
-// ASes — rootLess and the AS number.
+// The ranking is total: level size, then distance, then — two levels of
+// equal size holding the same identifier, or one identifier recorded at
+// two ASes — rootLess and the AS number. So the winner does not depend on
+// the order candidates are offered in.
+//
+// It requires what route's free local advance leaves: no resident of as
+// in (pos, dst]. A resident's ring neighbour inside (pos, dst] is then one
+// of two members per level (DESIGN.md §5): A, the first after pos, iff
+// its predecessor is hosted at as, and B, the last at or before dst, iff
+// its successor is. CheckRings makes a member hosted at as a resident
+// that joined the level.
 func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Ptr, Root, bool) {
 	var best Ptr
 	var bestRoot Root
@@ -218,14 +233,22 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Pt
 			best, bestRoot, bestSize = p, r, size
 		}
 	}
+	var seen []*level // the last resident's levels, already offered
 	for _, vn := range as.VNs {
-		for _, lv := range vn.levels {
-			if bestSize != -1 && lv.size > bestSize {
-				break // levels ascend: nothing above the best one found can win
+		if !slices.Equal(vn.levels, seen) {
+			seen = vn.levels
+			for _, lv := range vn.levels {
+				if bestSize != -1 && lv.size > bestSize {
+					break // levels ascend: nothing above the best one found can win
+				}
+				n := len(lv.ring)
+				if i := lv.floor(pos); lv.ring[i].AS == as.ASN {
+					consider(lv.ring[(i+1)%n], lv.root, lv.size) // A
+				}
+				if i := lv.floor(dst); lv.ring[(i+1)%n].AS == as.ASN {
+					consider(lv.ring[i], lv.root, lv.size) // B
+				}
 			}
-			pred, succ := lv.neighbours(vn.ID)
-			consider(succ, lv.root, lv.size)
-			consider(pred, lv.root, lv.size)
 		}
 		for _, f := range vn.Fingers {
 			consider(f.Ptr, f.Root, in.level(f.Root).size)
@@ -271,7 +294,7 @@ func (in *Internet) tryBloomPeering(cur topology.ASN, dst ident.ID, checked map[
 		res.ASHops++
 		in.Metrics.Count(MsgData, 1)
 		res.Traversed = append(res.Traversed, q)
-		if joined && in.below[q][dstAS] {
+		if joined && in.below.has(q, dstAS) {
 			// Descend q's customer cone to the destination.
 			down := in.pathWithin(asRoot(q), q, dstAS)
 			if down != nil {
@@ -341,7 +364,7 @@ func (in *Internet) isolationOK(srcAS topology.ASN, dst ident.ID, traversed []to
 func (in *Internet) nearAllowedPeer(root Root, a topology.ASN) bool {
 	for p := 0; p < in.G.NumASes(); p++ {
 		pa := topology.ASN(p)
-		if !in.below[pa][a] {
+		if !in.below.has(pa, a) {
 			continue
 		}
 		for _, q := range in.G.Peers(pa) {

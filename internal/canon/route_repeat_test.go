@@ -9,11 +9,11 @@ import (
 	"rofl/internal/topology"
 )
 
-// TestRouteRepeatsRunToRun: selectPointer meets its candidates in map
-// order, so its ranking must be total. Two Internets built from one seed,
-// with hosts at transit ASes as well as stubs (where two ring levels of
-// equal subtree size can hold the same identifier), must route every
-// pair over the identical AS path.
+// TestRouteRepeatsRunToRun: selectPointer's ranking is total, so no
+// choice falls to the order it meets candidates in. Two Internets built
+// from one seed, with hosts at transit ASes as well as stubs (where two
+// ring levels of equal subtree size can hold the same identifier), must
+// route every pair over the identical AS path.
 func TestRouteRepeatsRunToRun(t *testing.T) {
 	const hosts, pairs = 3000, 1500
 	build := func() (*Internet, []ident.ID) {
