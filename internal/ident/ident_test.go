@@ -476,6 +476,9 @@ func checkArithmetic(t *testing.T, a, b, c ID) {
 	if got, want := Closer(a, b, c), refCmp(refSub(a, b), refSub(a, c)) < 0; got != want {
 		t.Fatalf("Closer(%s,%s,%s) = %v want %v", a, b, c, got, want)
 	}
+	if got, want := Within(a, b, c), refCmp(refSub(b, a), c) <= 0; got != want {
+		t.Fatalf("Within(%s,%s,%s) = %v want %v", a, b, c, got, want)
+	}
 	if got, want := CommonPrefixLen(a, b), refCommonPrefixLen(a, b); got != want {
 		t.Fatalf("CommonPrefixLen(%s,%s) = %d want %d", a, b, got, want)
 	}

@@ -15,6 +15,11 @@ import "sort"
 // clockwise distance still to cover.
 func Closer(dst, a, b ID) bool { return span(a, dst).less(span(b, dst)) }
 
+// Within reports whether the clockwise distance from→to is at most d, a
+// distance held as an ID: the test a caller's bound on pointer spans is
+// kept and read with.
+func Within(from, to, d ID) bool { return !d.words().less(span(from, to)) }
+
 // Scan is Algorithm 2 over a stream of candidates: Offer each one in
 // precedence order (ring pointers before cache entries, §2.2) and read
 // the winner from Best. A candidate must make legal Progress from cur;

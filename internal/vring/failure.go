@@ -156,20 +156,20 @@ func (n *Network) scrubID(id ident.ID, counter string) {
 				}
 				kept = append(kept, s)
 			}
-			vn.Succs = kept
 			if had {
+				r.setRing(vn, kept, vn.Pred)
 				n.refillGroup(vn, ms, counter)
 			}
 			if vn.Pred.ID == id {
 				// New predecessor is the dead node's predecessor.
 				if i, ok := findMember(ms, vn.ID); ok {
 					_, pred := ringTargets(ms, i, n.opts.SuccessorGroup)
-					vn.Pred = pred
+					r.setRing(vn, vn.Succs, pred)
 					if pred != (Pointer{}) {
 						n.hop(pred.Router, r.Node, counter, nil, false)
 					}
 				} else {
-					vn.Pred = Pointer{}
+					r.setRing(vn, vn.Succs, Pointer{})
 				}
 			}
 		}
@@ -187,7 +187,7 @@ func (n *Network) refillGroup(vn *VirtualNode, ms []Pointer, counter string) {
 	}
 	succs, _ := ringTargets(ms, i, n.opts.SuccessorGroup)
 	emptied := len(vn.Succs) == 0
-	vn.Succs = succs
+	n.Routers[vn.Router].setRing(vn, succs, vn.Pred)
 	if emptied && len(succs) > 0 {
 		n.chargeProbe(vn.Router, succs[0].ID, counter)
 	}
@@ -437,7 +437,8 @@ func (n *Network) RepairPartitions() int {
 func (n *Network) repairComponent(comp map[RouterID]bool, ms []Pointer) {
 	// Zero-node advertisements ride on link-state floods: free.
 	for i, p := range ms {
-		vn := n.Routers[p.Router].Resident(p.ID)
+		r := n.Routers[p.Router]
+		vn := r.Resident(p.ID)
 		succs, pred := ringTargets(ms, i, n.opts.SuccessorGroup)
 		// Only a wrong immediate successor or predecessor counts as ring
 		// damage needing a charged repair join; deeper successor-group
@@ -446,8 +447,7 @@ func (n *Network) repairComponent(comp map[RouterID]bool, ms []Pointer) {
 		broken := vn.Pred != pred ||
 			(len(succs) > 0 && (len(vn.Succs) == 0 || vn.Succs[0] != succs[0])) ||
 			(len(succs) == 0 && len(vn.Succs) != 0)
-		vn.Succs = succs
-		vn.Pred = pred
+		r.setRing(vn, succs, pred)
 		if broken && len(succs) > 0 {
 			n.chargeProbe(vn.Router, succs[0].ID, MsgRepair)
 		}

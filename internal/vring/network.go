@@ -95,6 +95,9 @@ type VirtualNode struct {
 	Succs []Pointer
 	// Pred is the predecessor pointer.
 	Pred Pointer
+	// Succs and Pred are read-only outside this package: inside it every
+	// write goes through Router.setRing, which keeps the hosting router's
+	// bounds, and so selectNextHop, exact.
 }
 
 // Succ returns the immediate successor pointer and whether one exists.
@@ -107,7 +110,8 @@ func (v *VirtualNode) Succ() (Pointer, bool) {
 
 // Router is one physical router: its resident virtual nodes and the
 // ephemerals parked at them, each in a table ascending by identifier,
-// plus a bounded pointer cache.
+// a bounded pointer cache, and two bounds on its residents' ring
+// pointer spans.
 type Router struct {
 	Node RouterID
 	ID   ident.ID       // router-ID; doubles as the default virtual node's ID
@@ -117,6 +121,25 @@ type Router struct {
 	// (§2.2 "Ephemeral hosts").
 	parked []parking
 	Cache  *PointerCache
+	// reach is at least the clockwise distance from any stable resident to
+	// any of its successors, and back at least the distance from any
+	// resident's predecessor to that resident. Both only grow (setRing), so
+	// they hold in every state, consistent ring or not; window reads them.
+	reach, back ident.ID
+}
+
+// setRing writes resident vn's ring pointers and raises the router's
+// bounds to cover them. It is the only writer of Succs and Pred.
+func (r *Router) setRing(vn *VirtualNode, succs []Pointer, pred Pointer) {
+	vn.Succs, vn.Pred = succs, pred
+	for _, s := range vn.Succs {
+		if !ident.Within(vn.ID, s.ID, r.reach) {
+			r.reach = vn.ID.Distance(s.ID)
+		}
+	}
+	if vn.Pred != (Pointer{}) && !ident.Within(vn.Pred.ID, vn.ID, r.back) {
+		r.back = vn.Pred.ID.Distance(vn.ID)
+	}
 }
 
 // parking is one parked ephemeral and the resident it is parked at.
@@ -265,11 +288,12 @@ func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].ID.Less(members[j].ID) })
 	for i, p := range members {
-		vn := n.Routers[p.Router].VNs[0]
+		r := n.Routers[p.Router]
+		var succs []Pointer
 		for k := 1; k <= opts.SuccessorGroup && k < len(members); k++ {
-			vn.Succs = append(vn.Succs, members[(i+k)%len(members)])
+			succs = append(succs, members[(i+k)%len(members)])
 		}
-		vn.Pred = members[(i-1+len(members))%len(members)]
+		r.setRing(r.VNs[0], succs, members[(i-1+len(members))%len(members)])
 	}
 	// Failover order: routers sorted by router-ID (pre-agreed and
 	// deterministic).
@@ -411,6 +435,9 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 		// packet toward strictly closer identifiers, which is what pulls
 		// stretch toward 1 as caches grow (§3.3, Fig 6a).
 		best, bestVN, ok := n.selectNextHop(r, pos, dst, stale)
+		if testHookSelect != nil {
+			testHookSelect(r, pos, dst, stale, best, bestVN, ok)
+		}
 		if ok && best.Router == cur {
 			// Advance position locally at no cost — but only onto a ring
 			// member: a cached pointer may name an ephemeral resident,
@@ -518,36 +545,45 @@ func (n *Network) learnControl(learn []Pointer) []Pointer {
 	return learn
 }
 
+// testHookSelect, nil outside tests, sees each selectNextHop decision the
+// greedy walk makes, with its inputs, so a test can hold it to the
+// exhaustive scan.
+var testHookSelect func(r *Router, pos, dst ident.ID, stale staleSet, got Pointer, gotVN *VirtualNode, ok bool)
+
 // selectNextHop scans the router's state for the candidate closest to
 // dst without overshooting pos→dst. Residents are scanned in identifier
 // order, and ring pointers before the cache so they win ties (pointer
-// precedence, §2.2). Returns the chosen pointer and the resident VN it
-// came from (nil if from the cache).
+// precedence, §2.2); only the residents of window are read, which hold
+// the winner and every tie with it. Returns the chosen pointer and the
+// resident VN it came from (nil if from the cache).
 func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (Pointer, *VirtualNode, bool) {
 	var best Pointer
 	var bestVN *VirtualNode
 	sel := ident.NewScan(pos, dst)
+	head, tail := r.window(pos, dst, stale)
 	// The test is written out per site: a helper closing over sel keeps it
 	// in memory, a fifth of a join. stale is asked only of would-be winners.
-	for _, vn := range r.VNs {
-		// Ephemeral hosts "cannot serve as successor or predecessor to
-		// other IDs" (§2.2): they carry no ring pointers, so using one as
-		// a greedy waypoint would strand the packet — and a join lookup
-		// stuck at one would splice the ring at the wrong predecessor.
-		// Exact-match delivery to them is handled before selection.
-		if vn.Ephemeral {
-			continue
-		}
-		if sel.Beats(vn.ID) && !stale.has(vn.ID) && sel.Offer(vn.ID) {
-			best, bestVN = Pointer{ID: vn.ID, Router: r.Node}, vn
-		}
-		for i := range vn.Succs {
-			if s := &vn.Succs[i]; sel.Beats(s.ID) && !stale.has(s.ID) && sel.Offer(s.ID) {
-				best, bestVN = *s, vn
+	for _, run := range [2][]*VirtualNode{head, tail} {
+		for _, vn := range run {
+			// Ephemeral hosts "cannot serve as successor or predecessor to
+			// other IDs" (§2.2): they carry no ring pointers, so using one as
+			// a greedy waypoint would strand the packet — and a join lookup
+			// stuck at one would splice the ring at the wrong predecessor.
+			// Exact-match delivery to them is handled before selection.
+			if vn.Ephemeral {
+				continue
 			}
-		}
-		if vn.Pred != (Pointer{}) && sel.Beats(vn.Pred.ID) && !stale.has(vn.Pred.ID) && sel.Offer(vn.Pred.ID) {
-			best, bestVN = vn.Pred, vn
+			if sel.Beats(vn.ID) && !stale.has(vn.ID) && sel.Offer(vn.ID) {
+				best, bestVN = Pointer{ID: vn.ID, Router: r.Node}, vn
+			}
+			for i := range vn.Succs {
+				if s := &vn.Succs[i]; sel.Beats(s.ID) && !stale.has(s.ID) && sel.Offer(s.ID) {
+					best, bestVN = *s, vn
+				}
+			}
+			if vn.Pred != (Pointer{}) && sel.Beats(vn.Pred.ID) && !stale.has(vn.Pred.ID) && sel.Offer(vn.Pred.ID) {
+				best, bestVN = vn.Pred, vn
+			}
 		}
 	}
 	// Offered last, the cache beats ring state only when strictly closer
@@ -557,6 +593,58 @@ func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (P
 	}
 	_, found := sel.Best()
 	return best, bestVN, found
+}
+
+// window returns the residents whose pointers can win selectNextHop's
+// scan, as at most two runs of r.VNs that together ascend by index.
+// Let b0 be the legal resident (in (pos, dst]) closest to dst that is
+// neither ephemeral nor stale, or pos if there is none: the winner, and
+// every tie with it, is no farther from dst than b0. A resident's
+// successors lie within reach after it, so a resident holding such a
+// successor is at most reach farther from dst than b0; its predecessor
+// lies within back before it, so a resident holding such a predecessor
+// is no farther from dst than b0, or within back past dst. Walking back
+// from dst's floor and forward past it reads exactly those residents.
+// Nothing here assumes a consistent ring.
+func (r *Router) window(pos, dst ident.ID, stale staleSet) (head, tail []*VirtualNode) {
+	n := len(r.VNs)
+	if n == 0 {
+		return nil, nil
+	}
+	// at(k) is the k-th resident back from dst's floor, wrapping: distance
+	// to dst ascends with k, and at(-1) is the first one past dst.
+	f := ident.Floor(n, func(k int) *ident.ID { return &r.VNs[k].ID }, dst) + n
+	at := func(k int) *VirtualNode { return r.VNs[(f-k)%n] }
+	b0, nb := pos, 0
+	for ; nb < n; nb++ {
+		v := at(nb)
+		if !ident.Progress(pos, dst, v.ID) {
+			break
+		}
+		if !v.Ephemeral && !stale.has(v.ID) {
+			b0 = v.ID
+			nb++
+			break
+		}
+	}
+	// Past b0, distance to dst exceeds b0's by exactly the distance to b0,
+	// so this reads "at most reach farther" with no sum to overflow.
+	for nb < n && ident.Within(at(nb).ID, b0, r.reach) {
+		nb++
+	}
+	nf := 0
+	for nb+nf < n && ident.Within(dst, at(-1-nf).ID, r.back) {
+		nf++
+	}
+	if nb+nf == n {
+		return r.VNs, nil
+	}
+	lo := (f - nb + 1) % n // the run is lo .. hi-1, wrapping
+	hi := lo + nb + nf
+	if hi <= n {
+		return r.VNs[lo:hi], nil
+	}
+	return r.VNs[:hi-n], r.VNs[lo:]
 }
 
 // --- Joining (Algorithm 1) ------------------------------------------------
@@ -644,9 +732,8 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 
 	// Splice: the new node inherits the predecessor's successor group;
 	// the predecessor's immediate successor becomes the new node.
-	vn.Succs = slices.Clone(pred.Succs[:min(len(pred.Succs), n.opts.SuccessorGroup)])
-	vn.Pred = Pointer{ID: pred.ID, Router: pred.Router}
-	pred.Succs = prependGroup(pred.Succs, self, n.opts.SuccessorGroup)
+	r.setRing(vn, slices.Clone(pred.Succs[:min(len(pred.Succs), n.opts.SuccessorGroup)]), Pointer{ID: pred.ID, Router: pred.Router})
+	predRouter.setRing(pred, prependGroup(pred.Succs, self, n.opts.SuccessorGroup), pred.Pred)
 
 	// Parked ephemerals in (id, oldSuccessor) now have the new node as
 	// their ring predecessor; hand their parking over (§2.2 keeps
@@ -668,7 +755,7 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 			h3, l3, up3 := n.hop(pred.Router, s.Router, MsgJoin, learn, false)
 			if up3 {
 				msgs += h3
-				svn.Pred = self
+				n.Routers[s.Router].setRing(svn, svn.Succs, self)
 				h4, l4, up4 := n.hop(s.Router, at, MsgJoin, nil, false)
 				if up4 {
 					msgs += h4

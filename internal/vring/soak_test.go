@@ -3,6 +3,7 @@ package vring
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rofl/internal/ident"
@@ -15,24 +16,51 @@ import (
 // ring checker run after every single event — the closest laptop-scale
 // analogue of the paper's "10 million partitions, converged in every
 // case" validation. A join spliced at the wrong predecessor fails the
-// check at that step. Runs abbreviated under -short.
+// check at that step, and every selectNextHop decision is held to the
+// exhaustive scan (checkSelections; the hook is package-wide, so the
+// seeds run one at a time). Runs abbreviated under -short.
 func TestChurnSoakMultiSeed(t *testing.T) {
-	seeds := []int64{101, 202, 303, 404, 505, 777}
-	steps := 250
-	if testing.Short() {
-		seeds = seeds[:2]
-		steps = 80
-	}
+	seeds, steps := soakPlan()
 	for _, seed := range seeds {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
+			calls := checkSelections(t)
 			soakOneSeed(t, seed, steps)
+			t.Logf("%d decisions", calls.all)
 		})
 	}
 }
 
-func soakOneSeed(t *testing.T, seed int64, steps int) {
+// soakPlan returns the soak's seeds and the churn events per seed.
+func soakPlan() ([]int64, int) {
+	if testing.Short() {
+		return []int64{101, 202}, 80
+	}
+	return []int64{101, 202, 303, 404, 505, 777}, 250
+}
+
+// TestChurnSoakReplays: one seed of the churn soak, run twice, ends with
+// every counter and the host count the same, so a failing seed
+// reproduces.
+func TestChurnSoakReplays(t *testing.T) {
+	_, steps := soakPlan()
+	a, b := soakOneSeed(t, 101, steps), soakOneSeed(t, 101, steps)
+	names := a.Metrics.CounterNames()
+	if !slices.Equal(names, b.Metrics.CounterNames()) {
+		t.Fatalf("counters %v, then %v", names, b.Metrics.CounterNames())
+	}
+	for _, name := range names {
+		if x, y := a.Metrics.Counter(name), b.Metrics.Counter(name); x != y {
+			t.Fatalf("counter %s: %d, then %d", name, x, y)
+		}
+	}
+	if x, y := a.NumHosts(), b.NumHosts(); x != y {
+		t.Fatalf("%d hosts, then %d", x, y)
+	}
+}
+
+// soakOneSeed runs steps seeded churn events on a fresh network, checking
+// the ring after each, routes to every survivor, and returns the network.
+func soakOneSeed(t *testing.T, seed int64, steps int) *Network {
 	isp := topology.GenISP(topology.ISPConfig{
 		Name: fmt.Sprintf("soak-%d", seed), Routers: 36, PoPs: 6, BackbonePerPoP: 2,
 		PoPDegree: 2, IntraPoPDelay: 0.5, InterPoPDelay: 4, Hosts: 80, ZipfS: 1.2, Seed: seed,
@@ -43,15 +71,7 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 	n := New(isp.Graph, m, opts)
 	rng := rand.New(rand.NewSource(seed))
 
-	alive := map[ident.ID]bool{}
-	ephemeral := map[ident.ID]bool{}
-	var list []ident.ID
-	refresh := func() {
-		list = list[:0]
-		for id := range alive {
-			list = append(list, id)
-		}
-	}
+	var live []ident.ID // joined and still hosted, in join order
 	next := 0
 	check := func(step int, what string) {
 		if err := n.CheckRing(); err != nil {
@@ -70,7 +90,7 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 			if _, err := n.JoinHost(id, at); err != nil {
 				t.Fatalf("step %d join: %v", step, err)
 			}
-			alive[id] = true
+			live = append(live, id)
 			check(step, "join")
 		case op < 5: // ephemeral join
 			id := ident.FromString(fmt.Sprintf("soak-eph-%d-%d", seed, next))
@@ -82,15 +102,14 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 			if _, err := n.JoinEphemeral(id, at); err != nil {
 				t.Fatalf("step %d eph join: %v", step, err)
 			}
-			alive[id] = true
-			ephemeral[id] = true
+			live = append(live, id)
 			check(step, "ephemeral join")
 		case op < 8: // removal (leave or crash)
-			refresh()
-			if len(list) == 0 {
+			if len(live) == 0 {
 				continue
 			}
-			id := list[rng.Intn(len(list))]
+			i := rng.Intn(len(live))
+			id := live[i]
 			var err error
 			if rng.Intn(2) == 0 {
 				err = n.LeaveHost(id)
@@ -100,15 +119,13 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 			if err != nil {
 				t.Fatalf("step %d remove: %v", step, err)
 			}
-			delete(alive, id)
-			delete(ephemeral, id)
+			live = slices.Delete(live, i, i+1)
 			check(step, "removal")
 		case op < 9: // mobility
-			refresh()
-			if len(list) == 0 {
+			if len(live) == 0 {
 				continue
 			}
-			id := list[rng.Intn(len(list))]
+			id := live[rng.Intn(len(live))]
 			to := isp.Access[rng.Intn(len(isp.Access))]
 			if !n.LS.NodeUp(to) {
 				continue
@@ -141,11 +158,10 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 			n.RepairPartitions()
 			check(step, "link restore")
 		default: // data-plane probe: everything alive and reachable routes
-			refresh()
-			if len(list) == 0 {
+			if len(live) == 0 {
 				continue
 			}
-			id := list[rng.Intn(len(list))]
+			id := live[rng.Intn(len(live))]
 			host, ok := n.HostingRouter(id)
 			if !ok {
 				t.Fatalf("step %d: %s lost from oracle", step, id.Short())
@@ -161,8 +177,7 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 		}
 	}
 	// Final sweep: every survivor reachable.
-	refresh()
-	for _, id := range list {
+	for _, id := range live {
 		host, _ := n.HostingRouter(id)
 		if !n.LS.Reachable(isp.Backbone[0], host) {
 			continue
@@ -171,4 +186,5 @@ func soakOneSeed(t *testing.T, seed int64, steps int) {
 			t.Fatalf("final route to %s: %v", id.Short(), err)
 		}
 	}
+	return n
 }
