@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint chaos fuzz benchmarks-check cluster-smoke scale-smoke audit loc
+.PHONY: all build test race lint chaos fuzz benchmarks-check cluster-smoke scale-smoke full-golden audit loc
 
 all: build test lint
 
@@ -54,6 +54,14 @@ fuzz:
 # (SCALING.md documents the published curves).
 scale-smoke:
 	timeout 300 $(GO) run ./cmd/roflsim -fig scaling -scalehosts 100000 -shards 8 -pairs 500
+
+# Every experiment at full scale, as CSV, byte for byte against the
+# committed tables (~25 s on 2 vCPU). The scaling rows converge and
+# probe a 10^6-host compact ring, so its state is pinned at that size.
+# Regenerate the file with the same command only when a table is meant
+# to move, and explain the diff in EXPERIMENTS.md.
+full-golden:
+	$(GO) run ./cmd/roflsim -all -csv | diff -u internal/experiments/testdata/full.golden.csv -
 
 # The repository benchmark (BENCHMARK.json, benchmarks/README.md) is a
 # nested module outside ./..., so nothing above builds it: vet it and

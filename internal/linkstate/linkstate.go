@@ -149,6 +149,14 @@ func (m *Map) Path(src, dst topology.NodeID) []topology.NodeID {
 	return m.spt(src).PathTo(dst)
 }
 
+// Parents returns the parent array of the current src-rooted
+// shortest-path tree: walking parent[n] from dst reaches src along
+// Path(src, dst) reversed, without building the path. The array is the
+// map's cached tree; callers must not write to it.
+func (m *Map) Parents(src topology.NodeID) []topology.NodeID {
+	return m.spt(src).Parent
+}
+
 // Hops returns the hop count of the current shortest src→dst path, or -1
 // if unreachable.
 func (m *Map) Hops(src, dst topology.NodeID) int {

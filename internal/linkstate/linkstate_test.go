@@ -141,7 +141,9 @@ func TestNextHopUnreachable(t *testing.T) {
 
 // NextHop climbs the tree instead of building the path; it must name
 // the router Path puts second, and none exactly when Path has no second
-// router — over every ordered pair of a full ISP topology: all-up, with
+// router. Parents is the same tree: climbing it from dst must retrace
+// Path backwards to src. Both over every ordered pair of a full ISP
+// topology: all-up, with
 // a backbone link down, and with a backbone router down and an access
 // router cut off (alive, but in a partition of its own).
 func TestNextHopMatchesPath(t *testing.T) {
@@ -156,6 +158,16 @@ func TestNextHopMatchesPath(t *testing.T) {
 				hop, ok := ls.NextHop(a, b)
 				if ok != (len(p) >= 2) || (ok && hop != p[1]) {
 					t.Fatalf("%s: NextHop(%d,%d) = (%d,%v), Path = %v", state, a, b, hop, ok, p)
+				}
+				if p == nil {
+					continue
+				}
+				parent, n, i := ls.Parents(a), b, len(p)-1
+				for ; i > 0 && n == p[i]; i-- {
+					n = parent[n]
+				}
+				if i > 0 || n != a {
+					t.Fatalf("%s: climbing Parents(%d) from %d stops at %d, Path = %v", state, a, b, n, p)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package vring
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,8 +29,9 @@ import (
 //  2. Slab allocation. Events are value Msgs in the sharded engine's
 //     reused heaps; parked ephemeral state and its packed source
 //     routes are append-only slabs; caches are bucketed slot arrays.
-//     Steady-state simulation performs no allocation on the event path
-//     (guarded by the hotpath analyzer via (*CompactRing).HandleMsg).
+//     The event path allocates only by amortised append to one pointer
+//     deposit list per router, which Run drains and releases (guarded
+//     by the hotpath analyzer via (*CompactRing).HandleMsg).
 //  3. Sharding. Convergence runs on sim.ShardedEngine with nodes
 //     grouped by hosting router (affinity = router index), so each
 //     router's pointer cache is owned by exactly one shard and the run
@@ -126,12 +128,13 @@ type cacheSlot struct {
 
 // compactCache is a bucketed approximate-LRU pointer cache over
 // interned handles. Entries hash into buckets by ID prefix (IDs are
-// uniform, so buckets stay balanced); each bucket is a small ID-sorted
-// slab, giving O(log bucket) lookup and O(bucket) insert instead of the
-// O(capacity) memmove a single sorted slice would cost at 10^4–10^5
-// entries. Eviction is LRU *within the insertion bucket* — a documented
-// approximation of global LRU that keeps every operation bucket-local
-// and deterministic.
+// uniform, so buckets stay balanced); each bucket is a small slab of at
+// most bucketCap slots. Nothing reads a cache until Run returns, so a
+// bucket is kept in stamp order while it is written (an O(bucket)
+// handle scan per insert, one ID load to pick the bucket) and sorted by
+// ID once at the end, giving O(log bucket) lookup. Eviction is LRU *within the
+// insertion bucket* — a documented approximation of global LRU that
+// keeps every operation bucket-local and deterministic.
 type compactCache struct {
 	buckets   [][]cacheSlot
 	bucketCap int
@@ -201,6 +204,11 @@ type CompactRing struct {
 	ls       *linkstate.Map
 
 	caches []compactCache // per router
+	// deposits queues each router's pending cache inserts. Handlers run
+	// on the router's own shard, so a list holds that shard's (At, Src,
+	// Seq) order, which is shard-count invariant; warmCaches drains the
+	// lists and releases them.
+	deposits [][]ident.Handle
 
 	eng     *sim.ShardedEngine
 	msgs    sim.Metrics // merged engine metrics after Run
@@ -342,6 +350,7 @@ func NewCompactRing(isp *topology.ISP, cfg CompactConfig) *CompactRing {
 	for i := range r.caches {
 		r.caches[i] = newCompactCache(cfg.CacheCapacity)
 	}
+	r.deposits = make([][]ident.Handle, r.nrouters)
 	r.rngs = make([]uint64, n)
 	for h := 0; h < n; h++ {
 		r.rngs[h] = uint64(cfg.Seed)<<32 ^ uint64(h) ^ 0xdeadbeefcafef00d
@@ -375,45 +384,58 @@ func (r *CompactRing) Run() sim.Time {
 	return t
 }
 
-// warmCaches applies the §3.1 on-path pointer deposits of one
-// steady-state stabilize round: every router a control message
-// transits learns the sender's pointer ("we fill pointer caches only
-// with contents of control messages"). The sharded run itself deposits
-// only at endpoint routers — transit routers belong to other shards,
-// and depositing there would break the caches' shard privacy — so the
-// on-path deposits are replayed here, after the run, in member handle
-// order. A cache's contents depend only on the order of inserts into it.
 // joinResidueDeposits approximates the transit-router count of one
 // greedy join walk: the routers a random joiner's control traffic
 // crossed, each of which cached the joiner's pointer.
 const joinResidueDeposits = 32
 
+// warmCaches fills the pointer caches and leaves them readable. First
+// come the event run's endpoint deposits, already queued on each
+// router's list in its shard's (At, Src, Seq) order. Then come the §3.1
+// on-path deposits of one steady-state stabilize round: every router a
+// control message transits learns the sender's pointer ("we fill
+// pointer caches only with contents of control messages"). The run
+// deposits only at endpoint routers — transit routers belong to other
+// shards, and depositing there would break the caches' shard privacy —
+// so the on-path deposits are made here, in member handle order. A
+// cache's contents depend only on the order of inserts into it. Last,
+// every bucket is sorted by ID and the lists are released.
 func (r *CompactRing) warmCaches() {
 	const warmBlock = 8192
-	lists := make([][]ident.Handle, r.nrouters)
+	lists := r.deposits
+	// onShards runs f for every router on the shard that owns it
+	// (router % shards, the engine's rule).
+	onShards := func(f func(rt uint32)) {
+		sim.ForEach(r.cfg.Shards, r.cfg.Shards, func(s int) {
+			for rt := s; rt < r.nrouters; rt += r.cfg.Shards {
+				f(uint32(rt))
+			}
+		})
+	}
+	drain := func(rt uint32) {
+		for _, h := range lists[rt] {
+			r.cacheInsert(rt, h)
+		}
+		lists[rt] = lists[rt][:0]
+	}
 	// inBlocks gathers warmBlock members serially, queueing each deposit
-	// on its router's list, then drains every list in order on the shard
-	// that owns the router (router % shards, the engine's rule).
+	// on its router's list, then drains every list in order on its shard.
+	// The first drain also takes the run's deposits, ahead of the block's.
 	inBlocks := func(gather func(u int)) {
 		for lo := 0; lo < r.members; lo += warmBlock {
 			for u := lo; u < min(lo+warmBlock, r.members); u++ {
 				gather(u)
 			}
-			sim.ForEach(r.cfg.Shards, r.cfg.Shards, func(s int) {
-				for rt := s; rt < r.nrouters; rt += r.cfg.Shards {
-					for _, h := range lists[rt] {
-						r.cacheInsert(uint32(rt), h)
-					}
-					lists[rt] = lists[rt][:0]
-				}
-			})
+			onShards(drain)
 		}
 	}
 	// queuePath queues h at every router the a→b shortest path transits
-	// (excluding the origin, matching Network.hop).
+	// (excluding the origin, matching Network.hop), climbing a's
+	// shortest-path tree from b; each router gets h once.
 	queuePath := func(a, b uint32, h ident.Handle) {
-		for _, node := range r.ls.Path(topology.NodeID(a), topology.NodeID(b))[1:] {
-			lists[node] = append(lists[node], h)
+		parent := r.ls.Parents(topology.NodeID(a))
+		for n := topology.NodeID(b); n != topology.NodeID(a); n = parent[n] {
+			lists[n] = append(lists[n], h)
 		}
 	}
 	inBlocks(func(u int) {
@@ -441,11 +463,14 @@ func (r *CompactRing) warmCaches() {
 			lists[rt] = append(lists[rt], ident.Handle(u))
 		}
 	})
+	onShards(r.sortCache)
+	r.deposits = nil
 }
 
-// HandleMsg dispatches one protocol event. It is the allocation-free
-// event hot path of the compact ring: everything it reaches operates on
-// pre-sized slabs and value messages.
+// HandleMsg dispatches one protocol event. It is the event hot path of
+// the compact ring: everything it reaches operates on pre-sized slabs
+// and value messages, except the per-router deposit lists, which grow
+// by amortised append.
 //
 //rofllint:hotpath
 func (r *CompactRing) HandleMsg(sc *sim.ShardContext, m sim.Msg) {
@@ -480,12 +505,13 @@ func (r *CompactRing) onTimer(sc *sim.ShardContext, m sim.Msg) {
 }
 
 // onGetSucc serves a successor-list request at node v: adopt the
-// requester as predecessor if it is closer, fill the local router's
-// cache with the sender pointer (control traffic fills caches, §3.1),
+// requester as predecessor if it is closer, deposit the sender pointer
+// for the local router's cache (control traffic fills caches, §3.1),
 // and reply with the successor group.
 func (r *CompactRing) onGetSucc(sc *sim.ShardContext, m sim.Msg) {
 	v, u := ident.Handle(m.Dst), ident.Handle(m.Src)
-	r.cacheInsert(r.router[v], u)
+	rt := r.router[v]
+	r.deposits[rt] = append(r.deposits[rt], u)
 	p := r.pred[v]
 	if p == ident.NoHandle || ident.BetweenOpen(r.ids[u], r.ids[p], r.ids[v]) {
 		r.pred[v] = u
@@ -509,7 +535,8 @@ func (r *CompactRing) onGetSucc(sc *sim.ShardContext, m sim.Msg) {
 // until two consecutive rounds change nothing.
 func (r *CompactRing) onSuccList(sc *sim.ShardContext, m sim.Msg) {
 	u, v := ident.Handle(m.Dst), ident.Handle(m.Src)
-	r.cacheInsert(r.router[u], v)
+	rt := r.router[u]
+	r.deposits[rt] = append(r.deposits[rt], v)
 
 	// Candidate pool: current group, the replying successor, and its
 	// advertised group — at most 4+1+4 handles, in fixed storage.
@@ -587,43 +614,42 @@ func (r *CompactRing) bucketOf(c *compactCache, id ident.ID) int {
 }
 
 // cacheInsert records a member pointer in a router's cache (refresh on
-// duplicate, bucket-local LRU eviction at capacity). Insertion order at
-// any one cache — its shard's (At, Src, Seq) order, then its warmCaches
-// list — is shard-count invariant, so cache contents are too.
+// duplicate, bucket-local LRU eviction at capacity). While a cache is
+// written its buckets are in stamp order, oldest first: a refresh moves
+// the slot to the tail with the new stamp, and an eviction drops the
+// head. sortCache then restores the ID order cacheLookup reads.
 func (r *CompactRing) cacheInsert(router uint32, h ident.Handle) {
 	c := &r.caches[router]
 	if c.buckets == nil {
 		return
 	}
-	id := r.ids[h]
-	b := r.bucketOf(c, id)
+	b := r.bucketOf(c, r.ids[h])
 	bkt := c.buckets[b]
-	i := ident.Search(len(bkt), func(k int) *ident.ID { return &r.ids[bkt[k].h] }, id)
 	c.clock++
-	if i < len(bkt) && bkt[i].h == h {
-		bkt[i].stamp = c.clock
-		return
+	for i, s := range bkt {
+		if s.h == h {
+			copy(bkt[i:], bkt[i+1:])
+			bkt[len(bkt)-1] = cacheSlot{h: h, stamp: c.clock}
+			return
+		}
 	}
 	if len(bkt) >= c.bucketCap {
-		// Evict the oldest stamp in this bucket.
-		victim := 0
-		for k := 1; k < len(bkt); k++ {
-			if bkt[k].stamp < bkt[victim].stamp {
-				victim = k
-			}
-		}
-		copy(bkt[victim:], bkt[victim+1:])
+		copy(bkt, bkt[1:])
 		bkt = bkt[:len(bkt)-1]
 		c.size--
-		if victim < i {
-			i--
-		}
 	}
-	bkt = append(bkt, cacheSlot{})
-	copy(bkt[i+1:], bkt[i:])
-	bkt[i] = cacheSlot{h: h, stamp: c.clock}
-	c.buckets[b] = bkt
+	c.buckets[b] = append(bkt, cacheSlot{h: h, stamp: c.clock})
 	c.size++
+}
+
+// sortCache puts every bucket of a router's cache in ID order, the
+// layout cacheLookup reads. Slots keep their stamps and buckets their
+// capacities, so the cache is then exactly what ID-sorted inserts of
+// the same sequence would have built.
+func (r *CompactRing) sortCache(router uint32) {
+	for _, bkt := range r.caches[router].buckets {
+		slices.SortFunc(bkt, func(x, y cacheSlot) int { return r.ids[x.h].Cmp(r.ids[y.h]) })
+	}
 }
 
 // cacheLookup returns the cached member closest to dst without

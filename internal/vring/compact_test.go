@@ -1,6 +1,7 @@
 package vring
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sort"
@@ -64,17 +65,64 @@ func cacheText(r *CompactRing, router int) string {
 	return b.String()
 }
 
+// refCacheInsert is the insert rule cacheInsert and sortCache must
+// reproduce: every bucket kept in ID order at every insert, a refresh
+// restamping its slot in place, an eviction removing the oldest stamp
+// wherever it sits.
+func (r *CompactRing) refCacheInsert(router uint32, h ident.Handle) {
+	c := &r.caches[router]
+	if c.buckets == nil {
+		return
+	}
+	id := r.ids[h]
+	b := r.bucketOf(c, id)
+	bkt := c.buckets[b]
+	i := ident.Search(len(bkt), func(k int) *ident.ID { return &r.ids[bkt[k].h] }, id)
+	c.clock++
+	if i < len(bkt) && bkt[i].h == h {
+		bkt[i].stamp = c.clock
+		return
+	}
+	if len(bkt) >= c.bucketCap {
+		// Evict the oldest stamp in this bucket.
+		victim := 0
+		for k := 1; k < len(bkt); k++ {
+			if bkt[k].stamp < bkt[victim].stamp {
+				victim = k
+			}
+		}
+		copy(bkt[victim:], bkt[victim+1:])
+		bkt = bkt[:len(bkt)-1]
+		c.size--
+		if victim < i {
+			i--
+		}
+	}
+	bkt = append(bkt, cacheSlot{})
+	copy(bkt[i+1:], bkt[i:])
+	bkt[i] = cacheSlot{h: h, stamp: c.clock}
+	c.buckets[b] = bkt
+	c.size++
+}
+
 // refWarmCaches is the serial warm-up the blocked, sharded warmCaches
-// must reproduce: every member's stabilize round-trip deposits in
-// handle order, then every member's join-epoch residue, each inserted
-// the moment it is generated.
+// must reproduce: the event run's deposits, router by router, then
+// every member's stabilize round-trip deposits in handle order, then
+// every member's join-epoch residue, each inserted through
+// refCacheInsert the moment it is generated.
 func refWarmCaches(r *CompactRing) {
+	for rt, list := range r.deposits {
+		for _, h := range list {
+			r.refCacheInsert(uint32(rt), h)
+		}
+	}
+	r.deposits = nil
 	depositAlong := func(a, b uint32, h ident.Handle) {
 		if a == b {
 			return
 		}
 		for _, node := range r.ls.Path(topology.NodeID(a), topology.NodeID(b))[1:] {
-			r.cacheInsert(uint32(node), h)
+			r.refCacheInsert(uint32(node), h)
 		}
 	}
 	for u := 0; u < r.members; u++ {
@@ -88,7 +136,77 @@ func refWarmCaches(r *CompactRing) {
 	for u := 0; u < r.members; u++ {
 		st := uint64(r.cfg.Seed)<<20 ^ uint64(u)*0x9e3779b97f4a7c15
 		for t := 0; t < joinResidueDeposits; t++ {
-			r.cacheInsert(uint32(sim.SplitMix64(&st)%uint64(r.nrouters)), ident.Handle(u))
+			r.refCacheInsert(uint32(sim.SplitMix64(&st)%uint64(r.nrouters)), ident.Handle(u))
+		}
+	}
+}
+
+// TestCacheInsertMatchesReference: stamp-ordered inserts followed by
+// sortCache leave a cache exactly as refCacheInsert does — slots,
+// stamps, bucket capacities, clock and size — for seeded handle
+// sequences with repeats, on a cache that never fills and on caches
+// that evict.
+func TestCacheInsertMatchesReference(t *testing.T) {
+	isp := compactTestISP()
+	cfg := smallCompactConfig()
+	cfg.Hosts, cfg.EphemeralEvery = 2000, 0
+	for _, tc := range []struct {
+		capacity, pool int
+		evicts         bool
+	}{
+		{8192, 300, false},
+		{512, 2000, true},
+		{64, 2000, true},
+		{16, 40, true}, // one bucket
+	} {
+		cfg.CacheCapacity = tc.capacity
+		for seed := uint64(1); seed <= 3; seed++ {
+			got, ref := NewCompactRing(isp, cfg), NewCompactRing(isp, cfg)
+			distinct := map[ident.Handle]bool{}
+			st := seed
+			for i := 0; i < 20*tc.pool; i++ {
+				h := ident.Handle(sim.SplitMix64(&st) % uint64(tc.pool))
+				distinct[h] = true
+				got.cacheInsert(0, h)
+				ref.refCacheInsert(0, h)
+			}
+			got.sortCache(0)
+			if evicted := ref.caches[0].size < len(distinct); evicted != tc.evicts {
+				t.Fatalf("capacity=%d pool=%d: evicted=%v, want %v", tc.capacity, tc.pool, evicted, tc.evicts)
+			}
+			if x, y := cacheText(got, 0), cacheText(ref, 0); x != y {
+				t.Fatalf("capacity=%d pool=%d seed=%d: cache differs from the reference\ngot:\n%.600s\nwant:\n%.600s",
+					tc.capacity, tc.pool, seed, x, y)
+			}
+		}
+	}
+}
+
+// TestCompactStateDigest pins the complete post-Run state — every
+// successor group, predecessor, cache slot, stamp, bucket capacity,
+// clock and size — to the digests of the state built when every
+// deposit went straight through refCacheInsert's rule, at 1 and 8
+// shards, on a ring whose caches never fill and on one that evicts.
+func TestCompactStateDigest(t *testing.T) {
+	isp := compactTestISP()
+	evicting := smallCompactConfig()
+	evicting.Hosts, evicting.CacheCapacity, evicting.EphemeralEvery = 2000, 64, 20
+	for _, tc := range []struct {
+		cfg  CompactConfig
+		want string
+	}{
+		{smallCompactConfig(), "6b5230be0acea616acb490208a83081272ad8ab9a447805ce38a34696ce79865"},
+		{evicting, "0b7ae66ad206ab3f88b3d7d1198d312296d89b15e626bc813c98832007942b1c"},
+	} {
+		for _, shards := range []int{1, 8} {
+			cfg := tc.cfg
+			cfg.Shards = shards
+			r := NewCompactRing(isp, cfg)
+			r.Run()
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(compactState(r)))); got != tc.want {
+				t.Errorf("hosts=%d capacity=%d shards=%d: state digest %s, want %s",
+					cfg.Hosts, cfg.CacheCapacity, shards, got, tc.want)
+			}
 		}
 	}
 }
@@ -139,10 +257,11 @@ func TestWarmCachesMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestWarmCachesBoundedMemory: at 100k hosts the blocked warm-up
-// allocates only its per-router lists beyond what the serial reference
-// does — a fixed block's worth of handles, not one per deposit — and
-// still matches it exactly.
+// TestWarmCachesBoundedMemory: at 100k hosts Run as a whole — the event
+// run's deposit lists and the blocked warm-up's — allocates little more
+// than it did when the run inserted into the caches directly, releases
+// every deposit list before it returns, and leaves the caches exactly
+// as the serial reference does.
 func TestWarmCachesBoundedMemory(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("100k-host allocation budget in -short or -race mode")
@@ -152,27 +271,29 @@ func TestWarmCachesBoundedMemory(t *testing.T) {
 	cfg.Hosts = 100000
 	cfg.EphemeralEvery = 100
 	cfg.Shards = 2
-	allocated := func(warm func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		warm()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+	r := NewCompactRing(isp, cfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.Run()
+	runtime.ReadMemStats(&after)
+	gotBytes := after.TotalAlloc - before.TotalAlloc
+	// Run allocated 65.5 MB when the event run inserted straight into
+	// the caches and the warm-up built every path with ls.Path. The run
+	// now queues its ~0.8 M deposits, ~3.2 MB that append growth about
+	// doubles. One warm-up block's lists hold ~8192 x 40 handles, ~1.3
+	// MB; unblocked, 100k hosts would queue ~4 M handles, ~32 MB
+	// allocated.
+	const directRunBytes, slack = 65.5e6, 8 << 20
+	t.Logf("Run allocated %.2f MB; %.1f MB with direct inserts", float64(gotBytes)/1e6, directRunBytes/1e6)
+	if gotBytes > directRunBytes+slack {
+		t.Errorf("Run allocated %.1f MB, %.1f MB with direct inserts; budget +%d MB",
+			float64(gotBytes)/1e6, directRunBytes/1e6, slack>>20)
+	}
+	if r.deposits != nil {
+		t.Error("Run returned with its deposit lists still held")
 	}
 	ref := converged(isp, cfg)
-	refBytes := allocated(func() { refWarmCaches(ref) })
-	r := converged(isp, cfg)
-	gotBytes := allocated(r.warmCaches)
-	// One block's lists hold ~8192 x 40 handles (32 residue deposits and
-	// a few path deposits per member), ~1.3 MB; append growth about
-	// doubles what they allocate. Unblocked, 100k hosts queue ~4M
-	// handles: 16 MB held, ~32 MB allocated.
-	const slack = 6 << 20
-	t.Logf("warm-up allocated %.2f MB, serial reference %.2f MB", float64(gotBytes)/1e6, float64(refBytes)/1e6)
-	if gotBytes > refBytes+slack {
-		t.Errorf("warmCaches allocated %.1f MB, the serial reference %.1f MB; budget +%d MB",
-			float64(gotBytes)/1e6, float64(refBytes)/1e6, slack>>20)
-	}
+	refWarmCaches(ref)
 	if d := diffCaches(r, ref); d != "" {
 		t.Fatalf("caches differ from the serial reference at 100k hosts\n%s", d)
 	}
@@ -410,6 +531,7 @@ func TestCompactCacheEviction(t *testing.T) {
 	for h := 0; h < r.Members(); h++ {
 		r.cacheInsert(0, ident.Handle(h))
 	}
+	r.sortCache(0)
 	c := &r.caches[0]
 	budget := c.bucketCap * len(c.buckets)
 	if c.size > budget {
