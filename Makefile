@@ -14,6 +14,7 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|TestInterdomainSoakReplays|TestChurnSoakReplays|Anycast|Negotiat' ./internal/canon ./internal/delivery ./internal/vring
+	$(GO) test -count=20 -shuffle=on -run 'TestForward|TestProbeReply|TestPeerSetBestProgress|TestCrossDriverJournalEquivalence' ./internal/proto
 
 race:
 	$(GO) test -race -shuffle=on ./internal/sim/... ./internal/experiments/... ./internal/vring/... ./internal/canon/... ./internal/topology/...

@@ -178,6 +178,47 @@ func TestChaosClusterLossPartitionHeal(t *testing.T) {
 	}
 }
 
+// TestChaosDeliveryAfterKill: every survivor remembers the dead node in
+// its pointer cache, which now carries packets on every hop. Once the
+// ring reconverges around the corpse, a single send between any two
+// survivors must arrive — no packet may be handed to the dead node.
+func TestChaosDeliveryAfterKill(t *testing.T) {
+	fabric := netem.NewNetwork(0xDEAD)
+	defer fabric.Close()
+	fabric.SetDefaults(netem.LinkParams{Latency: time.Millisecond})
+
+	const n = 8
+	nodes, _ := startChaosCluster(t, fabric, n, 10*time.Second,
+		uniform(Config{Stabilize: 20 * time.Millisecond, EnableLiveness: true}))
+	waitConverged(t, nodes, 30*time.Second, "initial convergence")
+	waitMembership(t, nodes, 30*time.Second)
+
+	victim := nodes[n/2]
+	victim.Close()
+	survivors := append(append([]*Node{}, nodes[:n/2]...), nodes[n/2+1:]...)
+	waitConverged(t, survivors, 30*time.Second, "reconvergence after kill")
+
+	for i, src := range survivors {
+		for j, dst := range survivors {
+			if i == j {
+				continue
+			}
+			msg := []byte(fmt.Sprintf("after-kill %d->%d", i, j))
+			if err := src.Send(dst.ID(), msg); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case d := <-dst.Deliveries():
+				if string(d.Payload) != string(msg) {
+					t.Fatalf("payload = %q want %q", d.Payload, msg)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("delivery %s->%s lost after the kill", src.ID().Short(), dst.ID().Short())
+			}
+		}
+	}
+}
+
 // TestJoinAndSendUnderThirtyPercentLoss exercises the retry path harder:
 // five nodes join through 30% loss, converge, and deliver data with an
 // application-level retry loop.

@@ -3,8 +3,8 @@
 // membership (join, Chord-style stabilization, successor/predecessor
 // failure eviction, quarantine against dead-peer resurrection,
 // membership gossip and repair probes) and greedy data forwarding over
-// ring pointers with a pointer-cache fallback (paper §2.2, §3,
-// Algorithm 2), plus BFD-style liveness negotiation.
+// ring pointers and a pointer cache of remembered peers (paper §2.2,
+// §3, Algorithm 2), plus BFD-style liveness negotiation.
 //
 // The core is pure in the systems sense: every transition is an
 // explicit event — a decoded packet, a stabilize tick, a liveness tick,
@@ -104,9 +104,10 @@ type Core struct {
 	// evicted-as-dead successors — and feeds the stabilization-time
 	// repair probes that let two rings separated by a partition find
 	// each other again after it heals (the paper's §3.3 ring-merge).
-	// Its sorted index also serves as a pointer cache for forwarding:
-	// when no ring pointer makes greedy progress, the closest
-	// remembered peer is tried before dropping.
+	// Its sorted index also serves as the pointer cache Algorithm 2
+	// consults on every hop: the closest remembered peer that is not
+	// suspect (see knownPeer) takes the packet when it is strictly
+	// closer to the destination than every ring pointer.
 	known *peerSet
 	rng   *rand.Rand
 
@@ -128,6 +129,11 @@ type Core struct {
 	// immediately, so a healed partition or a false positive recovers at
 	// network speed.
 	quar map[ident.ID]int
+	// probeTarget is the peer the last repair probe went to while
+	// probePending says no packet from it has arrived since; the next
+	// stabilize round then marks it suspect.
+	probeTarget  ident.ID
+	probePending bool
 
 	pendingJoins map[uint64]*joinAttempt
 
@@ -304,13 +310,26 @@ func (c *Core) noteStab(id uint64) {
 	}
 }
 
+// heardFrom records a packet the peer id sent about itself — a join,
+// stabilize request or reply, liveness probe or reply. That is proof of
+// life: it lifts the quarantine and the suspect mark and answers an
+// outstanding repair probe. Hearsay (gossip, a third party's pointers)
+// never calls it.
+func (c *Core) heardFrom(id ident.ID) {
+	delete(c.quar, id)
+	c.known.setSuspect(id, false)
+	if c.probePending && c.probeTarget == id {
+		c.probePending = false
+	}
+}
+
 // dropSuccessor removes dead from the head of the successor group,
 // shifting the group down (collapsing to a self-ring when it empties)
 // and clearing a predecessor pointer naming the same peer. The dead
-// peer stays in known so a later repair probe can find it again if it
-// was only partitioned away. The caller owns reporting: each removal
-// is noted exactly once, by whichever detector (stabilize tick or
-// liveness tick) declared the death.
+// peer stays in known, suspect, so a later repair probe can find it
+// again if it was only partitioned away. The caller owns reporting:
+// each removal is noted exactly once, by whichever detector (stabilize
+// tick or liveness tick) declared the death.
 func (c *Core) dropSuccessor(dead Peer) {
 	if len(c.succs) == 0 || c.succs[0].ID != dead.ID {
 		return
@@ -325,10 +344,12 @@ func (c *Core) dropSuccessor(dead Peer) {
 	c.succMisses = 0
 	c.lastSucc = nil
 	c.quar[dead.ID] = quarantineRounds
+	c.known.setSuspect(dead.ID, true)
 }
 
 // TickStabilize runs one Chord-style stabilization round: age the
-// quarantine, account predecessor and successor silence (clearing or
+// quarantine, mark the last repair probe's target suspect if it never
+// answered, account predecessor and successor silence (clearing or
 // evicting past their thresholds), ask the successor for its current
 // predecessor with gossip riding along, and probe one remembered peer
 // outside the successor group so rings that diverged — most importantly
@@ -352,6 +373,10 @@ func (c *Core) TickStabilize(a *Actions) {
 			c.quar[id] = left - 1
 		}
 	}
+	if c.probePending {
+		c.known.setSuspect(c.probeTarget, true)
+		c.probePending = false
+	}
 	// A predecessor that has not sent us a stabilize request in many
 	// rounds is dead or unreachable; clear it so a live claimant can be
 	// adopted (a stale pointer would otherwise block better askers
@@ -362,6 +387,7 @@ func (c *Core) TickStabilize(a *Actions) {
 			p := *c.pred
 			c.pred = nil
 			c.predMisses = 0
+			c.known.setSuspect(p.ID, true)
 			a.note(NotePredCleared, p.ID, p.Addr, ReasonStabilizeSilence)
 		}
 	}
@@ -392,6 +418,7 @@ func (c *Core) TickStabilize(a *Actions) {
 	if probe, ok := c.pickProbe(); ok {
 		id := c.NextReqID()
 		c.noteStab(id)
+		c.probeTarget, c.probePending = probe.ID, true
 		a.send(probe.Addr, &wire.Packet{
 			Type: wire.TypeStabilize, TTL: wire.DefaultTTL,
 			Dst: probe.ID, Src: c.id, ReqID: id,
@@ -536,9 +563,9 @@ func (c *Core) HandlePacket(pkt *wire.Packet, from string, a *Actions) {
 	}
 }
 
-// ForwardData implements greedy next-hop choice over the core's ring
-// pointers: closest to pkt.Dst without overshooting our own position
-// (Algorithm 2).
+// ForwardData implements Algorithm 2's next-hop choice: the ring
+// pointer or remembered peer closest to pkt.Dst without overshooting
+// it, measured from our own position.
 func (c *Core) ForwardData(pkt *wire.Packet, a *Actions) {
 	c.forwardExcept(pkt, c.id, a)
 }
@@ -549,40 +576,33 @@ func (c *Core) ForwardData(pkt *wire.Packet, a *Actions) {
 // reply was lost, a retried request must reach the joiner's
 // predecessor — which can answer — rather than short-circuiting to the
 // joiner, which cannot.
+//
+// One scan offers the ring pointers first, then the known index's
+// closest non-suspect peer (an O(log n) lookup): the pointer cache §2.2
+// assigns to opportunistically learned state. The cached peer wins
+// only when strictly closer, so a tie keeps the ring pointer.
 func (c *Core) forwardExcept(pkt *wire.Packet, exclude ident.ID, a *Actions) {
-	var best *Peer
+	var next Peer
 	sel := ident.NewScan(c.id, pkt.Dst)
-	consider := func(e *Peer) {
-		if e.ID != exclude && sel.Offer(e.ID) {
-			best = e
-		}
-	}
 	for i := range c.succs {
-		consider(&c.succs[i])
-	}
-	if c.pred != nil {
-		consider(c.pred)
-	}
-	if best == nil {
-		if e, ok := c.known.bestProgress(c.id, pkt.Dst, exclude); ok {
-			// No ring pointer makes progress — before dropping, consult the
-			// sorted known index for the closest remembered peer that does
-			// (an O(log n) lookup). This is the pointer-cache role §2.2
-			// assigns to opportunistically learned state: at worst the peer
-			// is dead and the packet is lost exactly as it would have been
-			// dropped here; at best it short-cuts to the destination's ring
-			// segment during churn.
-			a.note(NoteForward, e.ID, e.Addr, "")
-			a.send(e.Addr, pkt)
-			return
+		if c.succs[i].ID != exclude && sel.Offer(c.succs[i].ID) {
+			next = c.succs[i]
 		}
+	}
+	if c.pred != nil && c.pred.ID != exclude && sel.Offer(c.pred.ID) {
+		next = *c.pred
+	}
+	if e, ok := c.known.bestProgress(c.id, pkt.Dst, exclude); ok && sel.Offer(e.ID) {
+		next = e
+	}
+	if _, ok := sel.Best(); !ok {
 		// We are the destination's predecessor and it is not present:
 		// drop (the overlay has no parked ephemerals).
 		a.note(NoteNoRoute, pkt.Dst, "", "")
 		return
 	}
-	a.note(NoteForward, best.ID, best.Addr, "")
-	a.send(best.Addr, pkt)
+	a.note(NoteForward, next.ID, next.Addr, "")
+	a.send(next.Addr, pkt)
 }
 
 // handleJoin runs at every node a join request traverses. If the joining
@@ -606,7 +626,7 @@ func (c *Core) handleJoin(pkt *wire.Packet, a *Actions) {
 	if len(c.succs) == 0 {
 		return // not bootstrapped yet
 	}
-	delete(c.quar, joiner.ID) // a joiner is alive by definition
+	c.heardFrom(joiner.ID) // a joiner is alive by definition
 	c.learn(joiner)
 	succ := c.succs[0]
 	isPred := succ.ID == c.id || ident.Between(joiner.ID, c.id, succ.ID)
@@ -741,7 +761,7 @@ func (c *Core) handleStabilize(pkt *wire.Packet, a *Actions) {
 	}
 	// The request carries the asker first, then gossiped peers.
 	asker := es[0]
-	delete(c.quar, asker.ID) // the asker spoke for itself: proof of life
+	c.heardFrom(asker.ID) // the asker spoke for itself: proof of life
 	for _, e := range es {
 		c.learn(e)
 	}
@@ -780,10 +800,10 @@ func (c *Core) handleStabilize(pkt *wire.Packet, a *Actions) {
 }
 
 // handleStabilizeReply folds a stabilize answer into the ring: splice
-// in better successors the responder reported, and refresh the
-// successor group. Replies outside the recent-request window are
-// stale and ignored; quarantined peers cannot be resurrected by
-// hearsay.
+// in better successors the responder reported and, when the responder
+// is the current successor, rebuild the group's tail from its list.
+// Replies outside the recent-request window are stale and ignored;
+// quarantined peers cannot be resurrected by hearsay.
 //
 //rofllint:coldpath stabilize control message, one per ring-maintenance round, not per forwarded packet
 func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
@@ -796,7 +816,7 @@ func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
 		return // stale, duplicated, or unsolicited reply
 	}
 	delete(c.recentStab, pkt.ReqID)
-	delete(c.quar, pkt.Src) // the responder spoke for itself: proof of life
+	c.heardFrom(pkt.Src) // the responder spoke for itself: proof of life
 	c.learn(responder)
 	for _, e := range es {
 		c.learn(e)
@@ -804,7 +824,8 @@ func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
 	if len(c.succs) == 0 {
 		return
 	}
-	if pkt.Src == c.succs[0].ID {
+	fromSucc := pkt.Src == c.succs[0].ID
+	if fromSucc {
 		c.succMisses = 0 // the successor is alive
 	}
 	// Adopt any candidate — the responder itself or anyone it reported —
@@ -823,7 +844,13 @@ func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
 			c.succs = append([]Peer{cand}, c.succs...)
 		}
 	}
-	// Refresh the successor group: head, then the responder and its own
+	if !fromSucc {
+		// A repair probe's responder sits anywhere on the ring: its list
+		// says nothing about what follows our head, so the tail stays.
+		c.succs = c.succs[:min(len(c.succs), SuccessorGroupSize)]
+		return
+	}
+	// Refresh the successor group: head, then the successor and its own
 	// successor list in order. Built in a fresh slice — appending into
 	// c.succs' backing array would alias state a driver may have handed
 	// out.
@@ -851,7 +878,7 @@ func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
 //
 //rofllint:coldpath liveness control message, paced by the BFD interval, not per forwarded packet
 func (c *Core) handleLivenessProbe(pkt *wire.Packet, from string, a *Actions) {
-	delete(c.quar, pkt.Src) // a probing peer is alive by definition
+	c.heardFrom(pkt.Src) // a probing peer is alive by definition
 	if c.pred != nil && pkt.Src == c.pred.ID {
 		c.predMisses = 0
 	}
@@ -870,7 +897,7 @@ func (c *Core) handleLivenessProbe(pkt *wire.Packet, from string, a *Actions) {
 //
 //rofllint:coldpath liveness control message, paced by the BFD interval, not per forwarded packet
 func (c *Core) handleLivenessReply(pkt *wire.Packet, from string) {
-	delete(c.quar, pkt.Src) // an answering peer is alive by definition
+	c.heardFrom(pkt.Src) // an answering peer is alive by definition
 	if c.bfdTarget.ID != pkt.Src {
 		return // stale reply from a previous target
 	}

@@ -135,41 +135,248 @@ func sendAddrs(a *Actions) []string {
 	return out
 }
 
-// TestForwardFallsBackToKnownIndex: when no ring pointer makes greedy
-// progress, the forwarder consults the sorted known index instead of
-// dropping, and respects the exclusion.
-func TestForwardFallsBackToKnownIndex(t *testing.T) {
-	c := testCore(1000)
-	c.InstallRing([]Peer{testPeer(5000)}, nil) // overshoots dst: no ring progress
-	c.Learn(testPeer(500))
-	c.Learn(testPeer(2500))
-	c.Learn(testPeer(2999))
+// dataTo is a fresh data packet for dst.
+func dataTo(dst uint64) *wire.Packet {
+	return &wire.Packet{Type: wire.TypeData, TTL: wire.DefaultTTL,
+		Dst: ident.FromUint64(dst), Src: ident.FromUint64(1)}
+}
 
-	pkt := &wire.Packet{
-		Type: wire.TypeData, TTL: wire.DefaultTTL,
-		Dst: ident.FromUint64(3000), Src: ident.FromUint64(1),
+// forwardsTo runs one forwarding decision toward dst and returns the
+// address the packet left for, or "" when it was dropped.
+func forwardsTo(t *testing.T, c *Core, dst uint64) string {
+	t.Helper()
+	var a Actions
+	c.ForwardData(dataTo(dst), &a)
+	switch len(a.Sends) {
+	case 0:
+		return ""
+	case 1:
+		return a.Sends[0].Addr
+	}
+	t.Fatalf("one forward emitted %d sends", len(a.Sends))
+	return ""
+}
+
+// TestForwardCachedPeerStrictlyCloserWins: Algorithm 2 over ring
+// pointers and the known index — a remembered peer closer to the
+// destination than every ring pointer takes the packet, whether or not
+// a ring pointer makes progress; with nothing legal anywhere the packet
+// drops with a note.
+func TestForwardCachedPeerStrictlyCloserWins(t *testing.T) {
+	c := testCore(1000)
+	c.InstallRing([]Peer{testPeer(2000)}, nil)
+	c.Learn(testPeer(500))
+	c.Learn(testPeer(2999))
+	if got := forwardsTo(t, c, 3000); got != "peer:2999" {
+		t.Fatalf("forwarded to %q, want the closer cached peer:2999 over ring pointer 2000", got)
+	}
+	c.InstallRing([]Peer{testPeer(5000)}, nil) // overshoots dst: no ring progress
+	if got := forwardsTo(t, c, 3000); got != "peer:2999" {
+		t.Fatalf("forwarded to %q, want cached peer:2999 past an overshooting ring", got)
 	}
 	var a Actions
-	c.ForwardData(pkt, &a)
-	if got := sendAddrs(&a); len(got) != 1 || got[0] != "peer:2999" {
-		t.Fatalf("forwarded to %v, want known-index hop peer:2999", got)
-	}
-	a.Reset()
-	c.forwardExcept(pkt, ident.FromUint64(2999), &a)
-	if got := sendAddrs(&a); len(got) != 1 || got[0] != "peer:2500" {
-		t.Fatalf("excluded forward went to %v, want peer:2500", got)
-	}
-	// With the destination's whole arc unknown, the packet still drops —
-	// and says so in a note.
-	a.Reset()
-	drop := &wire.Packet{Type: wire.TypeData, TTL: wire.DefaultTTL,
-		Dst: ident.FromUint64(1100), Src: ident.FromUint64(1)}
-	c.ForwardData(drop, &a)
+	c.ForwardData(dataTo(1100), &a) // the destination's whole arc is unknown
 	if len(a.Sends) != 0 {
 		t.Fatal("packet with no legal hop anywhere must be dropped")
 	}
 	if len(a.Notes) != 1 || a.Notes[0].Kind != NoteNoRoute {
 		t.Fatalf("drop must emit a no-route note, got %+v", a.Notes)
+	}
+}
+
+// TestForwardTieKeepsRingPointer: ring pointers are offered first and a
+// cached peer must be strictly closer to win, so when the known index's
+// winner is a ring pointer the ring pointer's entry carries the packet.
+func TestForwardTieKeepsRingPointer(t *testing.T) {
+	c := testCore(1000)
+	c.Learn(Peer{ID: ident.FromUint64(2999), Addr: "cache:2999"})
+	c.InstallRing([]Peer{{ID: ident.FromUint64(2999), Addr: "ring:2999"}}, nil)
+	if got := forwardsTo(t, c, 3000); got != "ring:2999" {
+		t.Fatalf("forwarded to %q, want the ring pointer's entry on a tie", got)
+	}
+}
+
+// TestForwardHonoursExclude: the barred identifier takes the packet
+// neither as ring pointer nor as cached peer.
+func TestForwardHonoursExclude(t *testing.T) {
+	c := testCore(1000)
+	c.InstallRing([]Peer{testPeer(2999)}, nil)
+	c.Learn(testPeer(2999))
+	c.Learn(testPeer(2500))
+	var a Actions
+	c.forwardExcept(dataTo(3000), ident.FromUint64(2999), &a)
+	if got := sendAddrs(&a); len(got) != 1 || got[0] != "peer:2500" {
+		t.Fatalf("excluded forward went to %v, want peer:2500", got)
+	}
+	a.Reset()
+	c.forwardExcept(dataTo(3000), ident.FromUint64(2500), &a)
+	if got := sendAddrs(&a); len(got) != 1 || got[0] != "peer:2999" {
+		t.Fatalf("forward excluding another peer went to %v, want peer:2999", got)
+	}
+}
+
+// answerStabilizes plays every stabilize target in a except skip: each
+// replies naming c as its predecessor, with nothing after it.
+func answerStabilizes(c *Core, a *Actions, skip ident.ID) {
+	var replies []*wire.Packet
+	for _, snd := range a.Sends {
+		if snd.Pkt.Type == wire.TypeStabilize && snd.Pkt.Dst != skip {
+			replies = append(replies, &wire.Packet{
+				Type: wire.TypeStabilizeReply, TTL: wire.DefaultTTL,
+				Dst: c.ID(), Src: snd.Pkt.Dst, ReqID: snd.Pkt.ReqID,
+				Payload: EncodePeers([]Peer{{ID: c.ID(), Addr: c.Addr()}}),
+			})
+		}
+	}
+	for _, r := range replies {
+		c.HandlePacket(r, testPeer(r.Src.Low64()).Addr, new(Actions))
+	}
+}
+
+// TestForwardSkipsSuspectUntilItsOwnPacket: a peer this core holds
+// evidence against — evicted as successor, cleared as predecessor, or
+// silent to a repair probe — stays in known but takes no packet from
+// the pointer cache until a packet of its own arrives.
+func TestForwardSkipsSuspectUntilItsOwnPacket(t *testing.T) {
+	t.Run("evicted successor", func(t *testing.T) {
+		c := testCore(1000)
+		pred := testPeer(500)
+		c.InstallRing([]Peer{testPeer(2999), testPeer(5000)}, &pred)
+		for _, v := range []uint64{500, 2500, 2999, 5000} {
+			c.Learn(testPeer(v))
+		}
+		var a Actions
+		for r := 0; r <= c.liveness.Multiplier; r++ {
+			c.TickLiveness(&a)
+		}
+		if s, _ := c.Successor(); s.ID != ident.FromUint64(5000) {
+			t.Fatalf("successor after liveness eviction = %v, want 5000", s.ID)
+		}
+		if got := forwardsTo(t, c, 3000); got != "peer:2500" {
+			t.Fatalf("forwarded to %q, want peer:2500 around the evicted successor", got)
+		}
+		c.HandlePacket(&wire.Packet{Type: wire.TypeLivenessReply, TTL: wire.DefaultTTL,
+			Dst: c.ID(), Src: ident.FromUint64(2999), ReqID: 1}, "peer:2999", &a)
+		if got := forwardsTo(t, c, 3000); got != "peer:2999" {
+			t.Fatalf("forwarded to %q, want peer:2999 once its own reply arrived", got)
+		}
+	})
+	t.Run("cleared predecessor", func(t *testing.T) {
+		c := suspectPredecessor(t)
+		c.HandlePacket(&wire.Packet{Type: wire.TypeLiveness, TTL: wire.DefaultTTL,
+			Dst: c.ID(), Src: ident.FromUint64(500), ReqID: 1}, "peer:500", new(Actions))
+		if got := forwardsTo(t, c, 600); got != "peer:500" {
+			t.Fatalf("forwarded to %q, want peer:500 once its own probe arrived", got)
+		}
+	})
+	t.Run("unanswered probe", func(t *testing.T) {
+		c := testCore(1000)
+		c.InstallRing([]Peer{testPeer(2000)}, nil)
+		c.Learn(testPeer(2000))
+		c.Learn(testPeer(2999)) // the only peer a repair probe may pick
+		var a Actions
+		c.TickStabilize(&a)
+		if got := forwardsTo(t, c, 3000); got != "peer:2999" {
+			t.Fatalf("forwarded to %q, want peer:2999 while its probe is still young", got)
+		}
+		a.Reset()
+		c.TickStabilize(&a) // the probe went unanswered for a round
+		if got := forwardsTo(t, c, 3000); got != "peer:2000" {
+			t.Fatalf("forwarded to %q, want ring pointer 2000 past the silent probe target", got)
+		}
+		answerStabilizes(c, &a, ident.FromUint64(2000)) // 2999 answers the second probe
+		if got := forwardsTo(t, c, 3000); got != "peer:2999" {
+			t.Fatalf("forwarded to %q, want peer:2999 once it answered", got)
+		}
+	})
+}
+
+// suspectPredecessor builds core 1000 whose predecessor 500 went silent
+// long enough to be cleared, answering every other stabilize and every
+// repair probe until the round that clears it — so the mark comes from
+// the clearing alone.
+func suspectPredecessor(t *testing.T) *Core {
+	t.Helper()
+	c := testCore(1000)
+	pred := testPeer(500)
+	c.InstallRing([]Peer{testPeer(2000)}, &pred)
+	c.Learn(testPeer(500)) // the only peer a repair probe may pick
+	c.Learn(testPeer(2000))
+	if got := forwardsTo(t, c, 600); got != "peer:500" {
+		t.Fatalf("forwarded to %q, want predecessor 500", got)
+	}
+	var a Actions
+	for r := 0; r <= predFailThreshold; r++ {
+		a.Reset()
+		c.TickStabilize(&a)
+		if _, ok := c.Predecessor(); ok {
+			answerStabilizes(c, &a, ident.ID{})
+		} else {
+			answerStabilizes(c, &a, pred.ID)
+		}
+	}
+	if _, ok := c.Predecessor(); ok {
+		t.Fatal("predecessor not cleared after predFailThreshold silent rounds")
+	}
+	if got := forwardsTo(t, c, 600); got != "peer:2000" {
+		t.Fatalf("forwarded to %q, want ring pointer 2000 past the cleared predecessor", got)
+	}
+	return c
+}
+
+// TestForwardSuspectNotClearedByGossip: hearsay about a suspect peer —
+// here the successor gossiping it in a stabilize request — leaves the
+// mark in place.
+func TestForwardSuspectNotClearedByGossip(t *testing.T) {
+	c := suspectPredecessor(t)
+	c.HandlePacket(&wire.Packet{Type: wire.TypeStabilize, TTL: wire.DefaultTTL,
+		Dst: c.ID(), Src: ident.FromUint64(2000), ReqID: 7,
+		Payload: EncodePeers([]Peer{testPeer(2000), testPeer(500)})}, "peer:2000", new(Actions))
+	if got := forwardsTo(t, c, 600); got != "peer:2000" {
+		t.Fatalf("forwarded to %q after gossip, want peer:2000: hearsay must not clear the mark", got)
+	}
+}
+
+// stabilizeReply registers reqID as outstanding at c and returns
+// responder's answer to it: list is the responder's predecessor, then
+// its successors.
+func stabilizeReply(c *Core, responder, reqID uint64, list ...uint64) *wire.Packet {
+	es := make([]Peer, 0, len(list))
+	for _, v := range list {
+		es = append(es, testPeer(v))
+	}
+	c.noteStab(reqID)
+	return &wire.Packet{Type: wire.TypeStabilizeReply, TTL: wire.DefaultTTL,
+		Dst: c.ID(), Src: ident.FromUint64(responder), ReqID: reqID, Payload: EncodePeers(es)}
+}
+
+func groupIDs(c *Core) []uint64 {
+	out := make([]uint64, 0, len(c.succs))
+	for _, p := range c.succs {
+		out = append(out, p.ID.Low64())
+	}
+	return out
+}
+
+// TestProbeReplyLeavesTailAlone: only the current successor's reply
+// rebuilds the successor group's tail. A repair probe's responder lies
+// anywhere on the ring, so its reply may splice a closer head in but
+// never replaces the tail with its own neighbours.
+func TestProbeReplyLeavesTailAlone(t *testing.T) {
+	c := testCore(1000)
+	c.InstallRing([]Peer{testPeer(2000), testPeer(3000), testPeer(4000)}, nil)
+	var a Actions
+	c.HandlePacket(stabilizeReply(c, 7000, 101, 6000, 8000, 9000), "peer:7000", &a)
+	if got := groupIDs(c); !reflect.DeepEqual(got, []uint64{2000, 3000, 4000}) {
+		t.Fatalf("group after a far probe reply = %v, want [2000 3000 4000]", got)
+	}
+	c.HandlePacket(stabilizeReply(c, 7000, 102, 1500, 8000, 9000), "peer:7000", &a)
+	if got := groupIDs(c); !reflect.DeepEqual(got, []uint64{1500, 2000, 3000}) {
+		t.Fatalf("group after a probe reply naming 1500 = %v, want [1500 2000 3000]", got)
+	}
+	c.HandlePacket(stabilizeReply(c, 1500, 103, 1000, 2500, 3500), "peer:1500", &a)
+	if got := groupIDs(c); !reflect.DeepEqual(got, []uint64{1500, 2500, 3500}) {
+		t.Fatalf("group after the successor's reply = %v, want [1500 2500 3500]", got)
 	}
 }
 

@@ -77,12 +77,23 @@ func containsID(es []Peer, id ident.ID) bool {
 // All methods assume the caller serializes access (the core is not
 // goroutine-safe by design; the driver owns the lock).
 type peerSet struct {
-	byID map[ident.ID]Peer
+	byID map[ident.ID]knownPeer
 	ids  []ident.ID // sorted ascending (linear order; used only for storage, never routing)
 }
 
+// knownPeer is one remembered peer and its suspect mark. The core sets
+// the mark once it holds evidence the peer died: it evicted the peer as
+// successor, cleared it as predecessor, or a repair probe to it went
+// unanswered for a round. A suspect peer is still sampled, probed and
+// gossiped, but bestProgress never offers it as a next hop; only
+// Core.heardFrom clears the mark.
+type knownPeer struct {
+	Peer
+	suspect bool
+}
+
 func newPeerSet() *peerSet {
-	return &peerSet{byID: make(map[ident.ID]Peer)}
+	return &peerSet{byID: make(map[ident.ID]knownPeer)}
 }
 
 func (s *peerSet) len() int { return len(s.ids) }
@@ -94,11 +105,11 @@ func (s *peerSet) contains(id ident.ID) bool {
 
 func (s *peerSet) get(id ident.ID) (Peer, bool) {
 	e, ok := s.byID[id]
-	return e, ok
+	return e.Peer, ok
 }
 
 // at returns the i-th peer in ascending ID order.
-func (s *peerSet) at(i int) Peer { return s.byID[s.ids[i]] }
+func (s *peerSet) at(i int) Peer { return s.byID[s.ids[i]].Peer }
 
 // idAt reads the sorted slice for ident's searches.
 func (s *peerSet) idAt(k int) *ident.ID { return &s.ids[k] }
@@ -109,17 +120,29 @@ func (s *peerSet) search(id ident.ID) int {
 	return ident.Search(len(s.ids), s.idAt, id)
 }
 
-// insert adds a peer or refreshes the address of a known one.
+// insert adds a peer or refreshes the address of a known one; a
+// refresh keeps the suspect mark, since hearing of a peer is not
+// hearing from it.
 func (s *peerSet) insert(e Peer) {
-	if _, ok := s.byID[e.ID]; ok {
-		s.byID[e.ID] = e
+	if k, ok := s.byID[e.ID]; ok {
+		k.Peer = e
+		s.byID[e.ID] = k
 		return
 	}
 	i := s.search(e.ID)
 	s.ids = append(s.ids, ident.ID{})
 	copy(s.ids[i+1:], s.ids[i:])
 	s.ids[i] = e.ID
-	s.byID[e.ID] = e
+	s.byID[e.ID] = knownPeer{Peer: e}
+}
+
+// setSuspect sets or clears the suspect mark of a remembered peer; an
+// unknown ID is ignored.
+func (s *peerSet) setSuspect(id ident.ID, suspect bool) {
+	if k, ok := s.byID[id]; ok && k.suspect != suspect {
+		k.suspect = suspect
+		s.byID[id] = k
+	}
 }
 
 func (s *peerSet) remove(id ident.ID) {
@@ -143,7 +166,7 @@ func (s *peerSet) sampleInto(out []Peer, k int, rng *rand.Rand, skip func(ident.
 	if m <= k {
 		for _, id := range s.ids {
 			if (skip == nil || !skip(id)) && !containsID(out, id) {
-				out = append(out, s.byID[id])
+				out = append(out, s.byID[id].Peer)
 			}
 		}
 		return out
@@ -157,7 +180,7 @@ func (s *peerSet) sampleInto(out []Peer, k int, rng *rand.Rand, skip func(ident.
 		if (skip != nil && skip(id)) || containsID(out, id) {
 			continue
 		}
-		out = append(out, s.byID[id])
+		out = append(out, s.byID[id].Peer)
 	}
 	return out
 }
@@ -176,30 +199,31 @@ func (s *peerSet) pick(rng *rand.Rand, skip func(ident.ID) bool) (Peer, bool) {
 		if skip != nil && skip(id) {
 			continue
 		}
-		return s.byID[id], true
+		return s.byID[id].Peer, true
 	}
 	return Peer{}, false
 }
 
 // bestProgress returns the remembered peer closest to dst that makes
 // legal greedy progress from cur (candidate ∈ (cur, dst], Algorithm 2),
-// skipping exclude. The sorted slice turns this into ident.Closest's one
-// O(log n) search — the same lookup vring's pointer cache uses, here
-// over the core's known set — plus at most one step counter-clockwise
-// when the winner is the excluded peer.
+// skipping exclude and suspect peers. The sorted slice turns this into
+// ident.Closest's one O(log n) search — the same lookup vring's pointer
+// cache uses, here over the core's known set — plus one step
+// counter-clockwise per skipped peer.
 //
 //rofllint:hotpath
 func (s *peerSet) bestProgress(cur, dst, exclude ident.ID) (Peer, bool) {
 	m := len(s.ids)
 	i, ok := ident.Closest(m, s.idAt, cur, dst)
-	if ok && s.ids[i] == exclude {
-		// Walking counter-clockwise only ever shrinks progress; if the next
-		// peer down fails the test, no remembered peer qualifies.
+	// Walking counter-clockwise only ever shrinks progress, so the first
+	// peer that may take the packet is the answer; once a peer fails the
+	// progress test, none further down passes it.
+	for n := 0; ok && n < m; n++ {
+		if e := s.byID[s.ids[i]]; e.ID != exclude && !e.suspect {
+			return e.Peer, true
+		}
 		i = (i - 1 + m) % m
-		ok = s.ids[i] != exclude && ident.Progress(cur, dst, s.ids[i])
+		ok = ident.Progress(cur, dst, s.ids[i])
 	}
-	if !ok {
-		return Peer{}, false
-	}
-	return s.byID[s.ids[i]], true
+	return Peer{}, false
 }

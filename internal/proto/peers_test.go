@@ -91,6 +91,20 @@ func TestPeerSetBestProgress(t *testing.T) {
 	if _, ok := newPeerSet().bestProgress(cur, dst, cur); ok {
 		t.Fatal("empty set returned a candidate")
 	}
+	// Suspects are walked past like the excluded peer; a refresh keeps
+	// the mark, clearing it restores the peer.
+	s.setSuspect(ident.FromUint64(2999), true)
+	s.insert(Peer{ID: ident.FromUint64(2999), Addr: "peer:gossiped"})
+	if e, ok := s.bestProgress(cur, dst, cur); !ok || e.ID != ident.FromUint64(2500) {
+		t.Fatalf("bestProgress past suspect 2999 = %+v %v, want 2500", e, ok)
+	}
+	if _, ok := s.bestProgress(cur, dst, ident.FromUint64(2500)); ok {
+		t.Fatal("bestProgress returned a candidate with 2999 suspect and 2500 excluded")
+	}
+	s.setSuspect(ident.FromUint64(2999), false)
+	if e, ok := s.bestProgress(cur, dst, cur); !ok || e.Addr != "peer:gossiped" {
+		t.Fatalf("bestProgress after clearing = %+v %v, want 2999 at its refreshed address", e, ok)
+	}
 }
 
 // TestPeerSetSampleSmall: a set no larger than the fanout is returned
