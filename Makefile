@@ -13,7 +13,7 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
-	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|TestInterdomainSoakReplays|TestChurnSoakReplays|Anycast|Negotiat' ./internal/canon ./internal/delivery ./internal/vring
+	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|TestRouteFollowsPlannedSegment|TestSegmentHopsMatchFreshSearch|TestInterdomainSoakReplays|TestChurnSoakReplays|Anycast|Negotiat' ./internal/canon ./internal/delivery ./internal/vring
 	$(GO) test -count=20 -shuffle=on -run 'TestForward|TestProbeReply|TestPeerSetBestProgress|TestCrossDriverJournalEquivalence' ./internal/proto
 
 race:

@@ -61,7 +61,7 @@ func (in *Internet) FailAS(a topology.ASN) int {
 	}
 	in.failedAS[a] = true
 	dead := in.ases[a].VNs
-	in.ases[a].VNs = nil
+	in.ases[a].VNs, in.ases[a].levelLists = nil, nil
 	var migrate []*VNode
 	for _, vn := range dead {
 		delete(in.hostedAt, vn.ID)
@@ -100,6 +100,7 @@ func (in *Internet) Leave(id ident.ID) error {
 	i := host.search(id)
 	vn := host.VNs[i]
 	host.VNs = slices.Delete(host.VNs, i, i+1)
+	host.dropLevels(vn.levels)
 	delete(in.hostedAt, id)
 	in.unlink(vn, MsgTeardown)
 	for _, as := range in.ases {
@@ -169,7 +170,9 @@ func (in *Internet) sweepFingers(deadAS topology.ASN) {
 
 // CheckRings verifies every AS's resident table, strictly ascending by
 // identifier and hosted where the oracle says, with every node in the
-// ring of every level it joined, its levels lowest first; and, the other
+// ring of every level it joined, its levels lowest first, and the AS's
+// level lists exactly its residents' distinct ones, each stored once and
+// shared by every resident that holds it; and, the other
 // way round, every ring level: members strictly ascending, all alive,
 // hosted where the oracle says, inside the level's subtree, and each a
 // node that joined the level. This is the interdomain analogue of the
@@ -191,6 +194,18 @@ func (in *Internet) CheckRings() error {
 				if k > 0 && !vn.levels[k-1].below(lv) {
 					return fmt.Errorf("%w: %s lists ring %v out of order", ErrRingBroken, vn.ID.Short(), lv.root)
 				}
+			}
+			if k := slices.IndexFunc(as.levelLists, func(l []*level) bool { return slices.Equal(l, vn.levels) }); k < 0 ||
+				len(vn.levels) > 0 && &as.levelLists[k][0] != &vn.levels[0] {
+				return fmt.Errorf("%w: AS %d does not share %s's level list", ErrRingBroken, as.ASN, vn.ID.Short())
+			}
+		}
+		for k, l := range as.levelLists {
+			if !slices.ContainsFunc(as.VNs, func(vn *VNode) bool { return slices.Equal(vn.levels, l) }) {
+				return fmt.Errorf("%w: AS %d keeps a level list no resident joined", ErrRingBroken, as.ASN)
+			}
+			if slices.ContainsFunc(as.levelLists[k+1:], func(o []*level) bool { return slices.Equal(o, l) }) {
+				return fmt.Errorf("%w: AS %d stores one level list twice", ErrRingBroken, as.ASN)
 			}
 		}
 	}

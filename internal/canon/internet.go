@@ -261,6 +261,36 @@ type AS struct {
 	// down-hierarchy; maintained when the Options enable Bloom peering or
 	// caching (both need the isolation guard).
 	Bloom *bloom.Filter
+
+	// levelLists are the distinct level lists of VNs, each stored once:
+	// residents that joined the same levels share one slice, so
+	// selectPointer reads each list once however many residents hold it.
+	// Its ranking is total, so their order (newest first) is free.
+	levelLists [][]*level
+}
+
+// shareLevels returns the AS's list equal to levels, recording levels as
+// a new one when no resident holds it yet.
+func (as *AS) shareLevels(levels []*level) []*level {
+	for _, l := range as.levelLists {
+		if slices.Equal(l, levels) {
+			return l
+		}
+	}
+	levels = slices.Clip(levels) // shared: an append must not write into it
+	as.levelLists = slices.Insert(as.levelLists, 0, levels)
+	return levels
+}
+
+// dropLevels forgets levels, a departed resident's list, once no
+// remaining resident holds it.
+func (as *AS) dropLevels(levels []*level) {
+	for _, vn := range as.VNs {
+		if slices.Equal(vn.levels, levels) {
+			return
+		}
+	}
+	as.levelLists = slices.DeleteFunc(as.levelLists, func(l []*level) bool { return slices.Equal(l, levels) })
 }
 
 // search returns the lower bound of id in the resident table.
@@ -338,6 +368,9 @@ type Internet struct {
 	virtualHosts map[ident.ID]topology.ASN
 
 	search pathSearch
+	// seg is the segment the route in progress follows; route resets it,
+	// so nothing in it outlives one route.
+	seg segment
 }
 
 // New builds an Internet over the annotated AS graph.

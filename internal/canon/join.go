@@ -115,6 +115,8 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 	}
 	// Join lowest levels first, as the recursive bottom-up merge does.
 	sort.Slice(vn.levels, func(i, j int) bool { return vn.levels[i].below(vn.levels[j]) })
+	as := in.ases[at]
+	vn.levels = as.shareLevels(vn.levels)
 	msgs := 0
 	seenSuccs := map[ident.ID]bool{}
 	self := Ptr{ID: id, AS: at}
@@ -143,7 +145,6 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 		lv.ring = slices.Insert(lv.ring, i, self)
 	}
 
-	as := in.ases[at]
 	as.VNs = slices.Insert(as.VNs, as.search(id), vn)
 	in.hostedAt[id] = at
 

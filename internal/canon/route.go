@@ -61,6 +61,38 @@ func (s *staleSet) add(k staleKey) {
 // scan.
 var testHookSelect func(in *Internet, as *AS, pos, dst ident.ID, stale staleSet, got Ptr, gotRoot Root, ok bool)
 
+// testHookHop, nil outside tests, sees each hop route takes from a
+// stored segment rather than a fresh search: the segment's root and
+// destination AS, the AS the packet came from, the one it stands at,
+// and the hop taken.
+var testHookHop func(in *Internet, root Root, to, prev, cur, next topology.ASN)
+
+// segment is the AS path route planned last, toward the AS `to` inside
+// root's subtree, with the packet at path[at]. While the target keeps
+// that root and AS, the packet follows it instead of searching again
+// (DESIGN.md §5): the AS-level source route of the paper's §4.
+type segment struct {
+	path []topology.ASN
+	root Root
+	to   topology.ASN
+	at   int
+}
+
+// plan stores path, a fresh search's result, as the segment from its
+// first AS.
+func (s *segment) plan(path []topology.ASN, root Root, to topology.ASN) {
+	s.path, s.root, s.to, s.at = append(s.path[:0], path...), root, to, 0
+}
+
+// next returns the segment's hop from cur, if cur is where the packet
+// stands on a segment toward to inside root that goes on from there.
+func (s *segment) next(root Root, to, cur topology.ASN) (topology.ASN, bool) {
+	if s.root != root || s.to != to || s.at+1 >= len(s.path) || s.path[s.at] != cur {
+		return 0, false
+	}
+	return s.path[s.at+1], true
+}
+
 // Route forwards a packet from the joined identifier src toward dst,
 // using augmented greedy routing (§2.3): at each AS, among the resident
 // virtual nodes' ring pointers and fingers, pick the identifier closest
@@ -109,6 +141,15 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 	var target Ptr
 	var targetRoot Root
 	haveTarget := false
+	// The segment toward the target, planned by the last search; a stale
+	// mark drops it.
+	seg := &in.seg
+	seg.path = seg.path[:0]
+	markStale := func() {
+		stale.add(staleKey{target, targetRoot})
+		haveTarget = false
+		seg.path = seg.path[:0]
+	}
 
 	deliver := func(at topology.ASN) (RouteResult, error) {
 		res.Delivered = true
@@ -167,20 +208,27 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 			// Arrived: confirm the target still hosts the identifier.
 			if as.Resident(target.ID) != nil {
 				pos = target.ID
+				haveTarget = false
 			} else {
-				stale.add(staleKey{target, targetRoot})
+				markStale()
 			}
-			haveTarget = false
 			continue
 		}
-		path := in.pathWithin(targetRoot, cur, target.AS)
-		if len(path) < 2 {
-			stale.add(staleKey{target, targetRoot})
-			haveTarget = false
-			continue
+		// One AS-level hop toward the target: the planned segment's next,
+		// or the first of a new plan when the target's AS or root moved.
+		next, planned := seg.next(targetRoot, target.AS, cur)
+		if !planned {
+			path := in.pathWithin(targetRoot, cur, target.AS)
+			if len(path) < 2 {
+				markStale()
+				continue
+			}
+			seg.plan(path, targetRoot, target.AS)
+			next = path[1]
+		} else if testHookHop != nil {
+			testHookHop(in, targetRoot, target.AS, seg.path[seg.at-1], cur, next)
 		}
-		// One AS-level hop toward the target.
-		next := path[1]
+		seg.at++
 		res.ASHops++
 		in.Metrics.Count(MsgData, 1)
 		res.Traversed = append(res.Traversed, next)
@@ -211,7 +259,8 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 // of two members per level (DESIGN.md §5): A, the first after pos, iff
 // its predecessor is hosted at as, and B, the last at or before dst, iff
 // its successor is. CheckRings makes a member hosted at as a resident
-// that joined the level.
+// that joined the level, and as's level lists exactly its residents'
+// distinct ones.
 func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Ptr, Root, bool) {
 	var best Ptr
 	var bestRoot Root
@@ -233,23 +282,21 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Pt
 			best, bestRoot, bestSize = p, r, size
 		}
 	}
-	var seen []*level // the last resident's levels, already offered
-	for _, vn := range as.VNs {
-		if !slices.Equal(vn.levels, seen) {
-			seen = vn.levels
-			for _, lv := range vn.levels {
-				if bestSize != -1 && lv.size > bestSize {
-					break // levels ascend: nothing above the best one found can win
-				}
-				n := len(lv.ring)
-				if i := lv.floor(pos); lv.ring[i].AS == as.ASN {
-					consider(lv.ring[(i+1)%n], lv.root, lv.size) // A
-				}
-				if i := lv.floor(dst); lv.ring[(i+1)%n].AS == as.ASN {
-					consider(lv.ring[i], lv.root, lv.size) // B
-				}
+	for _, levels := range as.levelLists {
+		for _, lv := range levels {
+			if bestSize != -1 && lv.size > bestSize {
+				break // levels ascend: nothing above the best one found can win
+			}
+			n := len(lv.ring)
+			if i := lv.floor(pos); lv.ring[i].AS == as.ASN {
+				consider(lv.ring[(i+1)%n], lv.root, lv.size) // A
+			}
+			if i := lv.floor(dst); lv.ring[(i+1)%n].AS == as.ASN {
+				consider(lv.ring[i], lv.root, lv.size) // B
 			}
 		}
+	}
+	for _, vn := range as.VNs {
 		for _, f := range vn.Fingers {
 			consider(f.Ptr, f.Root, in.level(f.Root).size)
 		}

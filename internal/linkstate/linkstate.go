@@ -62,7 +62,7 @@ func (m *Map) Up(a, b topology.NodeID) bool {
 	if m.failedNode[a] || m.failedNode[b] {
 		return false
 	}
-	return !m.failedLink[linkKey(a, b)]
+	return len(m.failedLink) == 0 || !m.failedLink[linkKey(a, b)]
 }
 
 // NodeUp reports whether router n is alive.

@@ -7,7 +7,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -142,11 +141,11 @@ func (g *Graph) Dijkstra(src NodeID, up LinkFilter) SPT {
 	}
 	t.Dist[src] = 0
 	t.Hops[src] = 0
-	pq := &distHeap{{node: src, dist: 0}}
+	pq := make(distHeap, 1, n)
+	pq[0] = distItem{node: src, dist: 0}
 	done := make([]bool, n)
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
-		u := item.node
+	for len(pq) > 0 {
+		u := pq.pop().node
 		if done[u] {
 			continue
 		}
@@ -161,7 +160,7 @@ func (g *Graph) Dijkstra(src NodeID, up LinkFilter) SPT {
 				t.Dist[e.To] = nd
 				t.Hops[e.To] = t.Hops[u] + 1
 				t.Parent[e.To] = u
-				heap.Push(pq, distItem{node: e.To, dist: nd})
+				pq.push(distItem{node: e.To, dist: nd})
 			}
 		}
 	}
@@ -200,17 +199,45 @@ type distItem struct {
 	dist float64
 }
 
+// distHeap is a binary min-heap on dist. push and pop are container/heap's
+// Push and Pop step for step, without boxing each item in an interface,
+// so items of equal distance leave in container/heap's order and every
+// tree is the one it builds.
 type distHeap []distItem
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
+func (h *distHeap) push(it distItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if q[j].dist >= q[i].dist {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if q[j].dist >= q[i].dist {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Connected reports whether every node is reachable from node 0 over

@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -235,6 +237,107 @@ func TestZipfSpread(t *testing.T) {
 	}
 	if ZipfSpread(10, 0, 1.2, rng) != nil {
 		t.Fatal("zero bins should return nil")
+	}
+}
+
+// refDijkstra is Dijkstra as it stood on container/heap, each item boxed
+// in an interface: the reference the monomorphic heap is held to.
+func refDijkstra(g *Graph, src NodeID, up LinkFilter) SPT {
+	n := g.NumNodes()
+	t := SPT{
+		Src:    src,
+		Dist:   make([]float64, n),
+		Hops:   make([]int, n),
+		Parent: make([]NodeID, n),
+	}
+	for i := range t.Dist {
+		t.Dist[i] = math.Inf(1)
+		t.Parent[i] = -1
+		t.Hops[i] = -1
+	}
+	t.Dist[src] = 0
+	t.Hops[src] = 0
+	pq := &refHeap{{node: src, dist: 0}}
+	done := make([]bool, n)
+	for pq.Len() > 0 {
+		u := heap.Pop(pq).(distItem).node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for _, e := range g.adj[u] {
+			if up != nil && !up(u, e.To) {
+				continue
+			}
+			nd := t.Dist[u] + e.Weight
+			if nd < t.Dist[e.To] ||
+				(nd == t.Dist[e.To] && t.Hops[u]+1 < t.Hops[e.To]) {
+				t.Dist[e.To] = nd
+				t.Hops[e.To] = t.Hops[u] + 1
+				t.Parent[e.To] = u
+				heap.Push(pq, distItem{node: e.To, dist: nd})
+			}
+		}
+	}
+	return t
+}
+
+type refHeap []distItem
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// TestDijkstraMatchesReference: the monomorphic heap pops equal distances
+// in container/heap's order, so every tree of every evaluation ISP, from
+// every source, healthy and with links and routers failed, is the
+// reference's to the last parent.
+func TestDijkstraMatchesReference(t *testing.T) {
+	for _, cfg := range EvalISPs() {
+		g := GenISP(cfg).Graph
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		failedNode := make([]bool, g.NumNodes())
+		failedLink := map[[2]NodeID]bool{}
+		for range g.NumNodes() / 20 {
+			failedNode[rng.Intn(g.NumNodes())] = true
+			a := NodeID(rng.Intn(g.NumNodes()))
+			if nb := g.Neighbors(a); len(nb) > 0 {
+				b := nb[rng.Intn(len(nb))].To
+				failedLink[[2]NodeID{min(a, b), max(a, b)}] = true
+			}
+		}
+		underFailures := func(a, b NodeID) bool {
+			return !failedNode[a] && !failedNode[b] && !failedLink[[2]NodeID{min(a, b), max(a, b)}]
+		}
+		for _, up := range []LinkFilter{nil, underFailures} {
+			for src := range NodeID(g.NumNodes()) {
+				got, want := g.Dijkstra(src, up), refDijkstra(g, src, up)
+				if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Hops, want.Hops) || !slices.Equal(got.Parent, want.Parent) {
+					t.Fatalf("%s from %d (failures %v): tree differs from the reference", cfg.Name, src, up != nil)
+				}
+			}
+		}
+	}
+}
+
+// TestDijkstraAllocations: a tree costs its three result slices, the
+// done marks and one heap, not an allocation per relaxed edge.
+func TestDijkstraAllocations(t *testing.T) {
+	g := GenISP(AS1239).Graph
+	src := NodeID(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		g.Dijkstra(src, nil)
+		src = (src + 1) % NodeID(g.NumNodes())
+	})
+	if allocs > 5 {
+		t.Fatalf("Dijkstra: %.1f allocations, want at most 5", allocs)
 	}
 }
 
