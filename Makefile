@@ -3,13 +3,16 @@
 
 GO ?= go
 
-.PHONY: all build test race lint chaos fuzz benchmarks-check cluster-smoke scale-smoke full-golden audit loc
+.PHONY: all build test race lint chaos fuzz benchmarks-check cluster-smoke scale-smoke full-golden audit loc loc-check
 
 all: build test lint
 
+# The build also fails on any tracked Go file gofmt would rewrite.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
+		if [ -n "$$unformatted" ]; then echo "not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test -shuffle=on ./...
@@ -78,6 +81,15 @@ audit:
 	bash scripts/audit.sh
 
 # The line count of record: non-test Go outside benchmarks/, by the
-# command CHANGES.md has quoted since PR 12. CI's build job echoes it.
+# command CHANGES.md has quoted since PR 12.
+LOC = git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmarks/' | xargs cat | wc -l
+
 loc:
-	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmarks/' | xargs cat | wc -l
+	@$(LOC)
+
+# The count may not exceed the committed loc.budget, so growth is a
+# reviewed diff: a change that raises the budget says so in CHANGES.md.
+# CI's build job runs this.
+loc-check:
+	@n=$$($(LOC)); b=$$(cat loc.budget); echo "non-test Go lines: $$n (loc.budget $$b)"; \
+		if [ "$$n" -gt "$$b" ]; then echo "make loc exceeds loc.budget; cut code or raise the budget and say why in CHANGES.md"; exit 1; fi

@@ -1,15 +1,21 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rofl/internal/netem"
 	"rofl/internal/overlay"
+	"rofl/internal/telemetry"
 )
 
 // TestScheduleDeterministicAndWellFormed checks the schedule is a pure
@@ -246,25 +252,41 @@ func TestKillRestartAccounting(t *testing.T) {
 	}
 }
 
-// Close joins everything a supervised lifetime started — every
-// incarnation's node loops, metrics server and delivery drainer — so a
-// cluster that churned leaves the goroutine count where it was. Under
-// churn a goroutine leaked per incarnation would grow without bound.
+// TestSupervisorCloseJoinsGoroutines runs one supervised lifetime:
+// start 3 nodes with liveness on, converge, kill one until its
+// neighbours report it, restart it, close. Every goroutine it started
+// — each incarnation's node loops, metrics server and delivery drainer
+// — must be gone once Close returns; under churn a goroutine leaked per
+// incarnation would grow without bound. And its telemetry must be the
+// namespace DESIGN.md §9 documents: the members' registries, plus one
+// fabric registry, scrape to exactly the series table, and the events
+// it emits are the event table's.
 func TestSupervisorCloseJoinsGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	var events eventSink
+	var scrapes []string
 	// Kill and Close both wait for node loops, so the whole lifetime runs
 	// under one deadline: a loop that ignores its stop hangs it.
 	done := make(chan error, 1)
 	go func() {
-		sup := New(Config{N: 3, Seed: 12, Stabilize: 10 * time.Millisecond, EnableLiveness: true})
+		sup := New(Config{N: 3, Seed: 12, Stabilize: 10 * time.Millisecond, EnableLiveness: true, Events: &events})
 		err := sup.Start()
 		if err == nil {
+			err = sup.AwaitConverged(10 * time.Second)
+		}
+		if err == nil {
 			err = sup.Kill(1)
+		}
+		if err == nil {
+			err = events.await(10*time.Second, "succ_evicted", "pred_cleared")
 		}
 		if err == nil {
 			err = sup.Restart(1)
 		}
 		sup.Close()
+		for _, m := range sup.Members() {
+			scrapes = append(scrapes, scrape(t, m.Registry()))
+		}
 		done <- err
 	}()
 	select {
@@ -272,7 +294,7 @@ func TestSupervisorCloseJoinsGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(20 * time.Second):
+	case <-time.After(30 * time.Second):
 		t.Fatal("the supervised lifetime did not finish: a node loop or drainer ignores its stop")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -282,6 +304,138 @@ func TestSupervisorCloseJoinsGoroutines(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+
+	fabric := telemetry.NewRegistry()
+	netem.NewInstruments(fabric)
+	scrapes = append(scrapes, scrape(t, fabric))
+	docSeries, docEvents := designNamespace(t)
+	scraped := map[string]bool{}
+	for _, text := range scrapes {
+		for _, line := range strings.Split(text, "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			series := line[:strings.LastIndexByte(line, ' ')]
+			if !docSeries[series] {
+				t.Errorf("scraped series %s is not in DESIGN.md §9's series table", series)
+			}
+			scraped[series] = true
+		}
+	}
+	for series := range docSeries {
+		if !scraped[series] {
+			t.Errorf("DESIGN.md §9 documents series %s, but no wired registry has it", series)
+		}
+	}
+	emitted := events.types(t)
+	for ev := range emitted {
+		if !docEvents[ev] {
+			t.Errorf("emitted event %s is not in DESIGN.md §9's event table", ev)
+		}
+	}
+	// request_timeout needs a join whose retry budget runs out, which a
+	// healthy lifetime never has; overlay's
+	// TestRequestTimeoutEmitsEventAndCounter asserts it by name.
+	const assertedElsewhere = "request_timeout"
+	for ev := range docEvents {
+		if !emitted[ev] && ev != assertedElsewhere {
+			t.Errorf("DESIGN.md §9 documents event %s, but the lifetime never emitted it", ev)
+		}
+	}
+}
+
+// eventSink is the supervisor's event log writer, readable while the
+// cluster writes to it.
+type eventSink struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (s *eventSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+// types returns the event type of every line written so far.
+func (s *eventSink) types(t *testing.T) map[string]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(s.buf.String()), "\n") {
+		var ev struct{ Event string }
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event line %q: %v", line, err)
+		}
+		out[ev.Event] = true
+	}
+	return out
+}
+
+// await polls until every named event type has been written.
+func (s *eventSink) await(timeout time.Duration, want ...string) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		s.mu.Lock()
+		text := s.buf.String()
+		s.mu.Unlock()
+		missing := ""
+		for _, ev := range want {
+			if !strings.Contains(text, `"event":"`+ev+`"`) {
+				missing = ev
+			}
+		}
+		if missing == "" {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("no %s event within %v", missing, timeout)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func scrape(t *testing.T, reg *telemetry.Registry) string {
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Error(err)
+	}
+	return b.String()
+}
+
+// designNamespace reads the series and event tables of DESIGN.md §9:
+// the first code span of each table row, a series when it starts with
+// rofl_, an event type otherwise.
+func designNamespace(t *testing.T) (series, events map[string]bool) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	start := strings.Index(doc, "\n## 9.")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §9")
+	}
+	sec := doc[start+1:]
+	if end := strings.Index(sec, "\n## "); end >= 0 {
+		sec = sec[:end]
+	}
+	series, events = map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(sec, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		name, _, _ := strings.Cut(line[len("| `"):], "`")
+		if strings.HasPrefix(name, "rofl_") {
+			series[name] = true
+		} else {
+			events[name] = true
+		}
+	}
+	if len(series) == 0 || len(events) == 0 {
+		t.Fatalf("DESIGN.md §9: %d series and %d event rows parsed", len(series), len(events))
+	}
+	return series, events
 }
 
 // TestFaultWrappedClusterConverges runs a small cluster whose uplinks

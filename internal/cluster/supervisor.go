@@ -123,8 +123,6 @@ func (m *Member) UplinkStats() netem.LinkStats {
 
 // The supervisor's event catalog: every structured event type it emits
 // to the cluster journal (documented in DESIGN.md §9).
-//
-//rofllint:metrics
 const (
 	eventNodeStarted      = "node_started"
 	eventNodeKilled       = "node_killed"

@@ -1,13 +1,12 @@
 package lint
 
 // CountIgnores tallies the program's suppression surface: how many
-// //rofllint:ignore directives exist per analyzer, plus the number of
-// //rofllint:coldpath reachability prunes (under the key "coldpath").
-// CI diffs the output against a committed golden file so that growing
-// the suppression count is a reviewed decision, not drift.
-func CountIgnores(prog *Program) map[string]int {
+// //rofllint:ignore directives exist per analyzer. CI diffs the output
+// against a committed golden file so that growing the suppression count
+// is a reviewed decision, not drift.
+func CountIgnores(pkgs []*Package) map[string]int {
 	counts := map[string]int{}
-	for _, pkg := range prog.Packages {
+	for _, pkg := range pkgs {
 		dirs, bad := parseDirectives(pkg.Fset, pkg.Files)
 		for _, dir := range dirs {
 			for name := range dir.analyzers {
@@ -20,11 +19,6 @@ func CountIgnores(prog *Program) map[string]int {
 		counts["malformed"] += len(bad)
 		if counts["malformed"] == 0 {
 			delete(counts, "malformed")
-		}
-	}
-	for _, fi := range prog.Funcs {
-		if fi.Cold {
-			counts["coldpath"]++
 		}
 	}
 	return counts

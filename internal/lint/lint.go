@@ -9,18 +9,14 @@
 //     select races);
 //   - identcmp: flat labels are points on a circle; linear byte-order
 //     comparisons of ident.ID outside the ident package are forbidden
-//     unless they are documented tie-breaks or sorted-storage probes;
-//   - hotpath: functions annotated //rofllint:hotpath and everything
-//     statically reachable from them must be allocation-free — the
-//     static, whole-graph version of the AllocsPerRun spot checks;
-//   - metricname: metric handles are nil-safe, so a typo'd series name
-//     silently no-ops; every Registry resolution and EventLog event
-//     type must be a constant from the package's //rofllint:metrics
-//     catalog, cross-checked against DESIGN.md §9.
+//     unless they are documented tie-breaks or sorted-storage probes.
 //
-// Properties the code satisfies by construction, or that a short test
-// pins as well, are guarded by tests instead; DESIGN.md §8 lists each
-// guard and the mutation that fails it.
+// Both are intraprocedural. Properties the code satisfies by
+// construction, or that a short test pins as well, are guarded by tests
+// instead: allocation-free hot paths by testing.AllocsPerRun guards, the
+// documented metric and event namespace by a live scrape checked against
+// DESIGN.md §9. DESIGN.md §8 lists each guard and the mutation that
+// fails it.
 //
 // The framework is a deliberately small, dependency-free subset of
 // golang.org/x/tools/go/analysis (the container builds offline), sharing
@@ -68,11 +64,6 @@ type Pass struct {
 	// ImportPath is the package's import path (the corpus package name
 	// under analysistest).
 	ImportPath string
-	// Prog is the whole loaded program: every package the driver
-	// loaded, indexed into the conservative call graph. Intraprocedural
-	// analyzers ignore it; the callgraph-aware ones (hotpath,
-	// metricname) resolve cross-package facts through it.
-	Prog *Program
 
 	diags []Diagnostic
 }
@@ -173,11 +164,8 @@ func suppressed(d Diagnostic, dirs []ignoreDirective) bool {
 
 // RunAnalyzer applies a to pkg and returns the surviving diagnostics:
 // findings not covered by an ignore directive, plus one diagnostic per
-// malformed directive. prog is the whole loaded program (the call graph
-// spanning every package the driver loaded); pass it even when running
-// a single analyzer over a single package so the callgraph-aware
-// analyzers can resolve cross-package reachability.
-func RunAnalyzer(a *Analyzer, prog *Program, pkg *Package) ([]Diagnostic, error) {
+// malformed directive.
+func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer:   a,
 		Fset:       pkg.Fset,
@@ -185,7 +173,6 @@ func RunAnalyzer(a *Analyzer, prog *Program, pkg *Package) ([]Diagnostic, error)
 		Pkg:        pkg.Types,
 		Info:       pkg.Info,
 		ImportPath: pkg.ImportPath,
-		Prog:       prog,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
@@ -238,18 +225,11 @@ type ScopedAnalyzer struct {
 //     promises identical transitions across drivers, so any ambient
 //     clock or RNG in it is a bug by contract;
 //   - identcmp runs everywhere except the ident package itself, which
-//     implements the comparison helpers;
-//   - hotpath runs everywhere: hot-path reachability crosses package
-//     boundaries (wire, vring, ident, telemetry are all reachable from
-//     the overlay's read loop);
-//   - metricname runs on the packages that resolve telemetry series and
-//     emit events (overlay, cluster, netem).
+//     implements the comparison helpers.
 func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{DeterminismAnalyzer, pathIsAny("rofl/internal/sim", "rofl/internal/experiments", "rofl/internal/netem", "rofl/internal/telemetry", "rofl/internal/cluster", "rofl/internal/proto")},
 		{IdentCmpAnalyzer, func(p string) bool { return p != "rofl/internal/ident" }},
-		{HotPathAnalyzer, func(string) bool { return true }},
-		{MetricNameAnalyzer, pathIsAny("rofl/internal/overlay", "rofl/internal/cluster", "rofl/internal/netem")},
 	}
 }
 

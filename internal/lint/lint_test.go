@@ -15,77 +15,11 @@ import (
 
 func TestDeterminism(t *testing.T) { RunTest(t, DeterminismAnalyzer) }
 func TestIdentCmp(t *testing.T)    { RunTest(t, IdentCmpAnalyzer) }
-func TestHotPath(t *testing.T)     { RunTest(t, HotPathAnalyzer) }
-func TestMetricName(t *testing.T)  { RunTest(t, MetricNameAnalyzer) }
 
-// checkSource type-checks one import-free source file into a Package
-// for tests that need a program smaller than a corpus.
-func checkSource(t *testing.T, importPath, src string) *Package {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, importPath+".go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	tpkg, err := (&types.Config{}).Check(importPath, fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Package{ImportPath: importPath, Dir: ".", Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
-}
-
-// Deleting a //rofllint:hotpath annotation from a pinned root must be a
-// finding: the checked graph must not silently shrink.
-func TestHotPathRequiredRoots(t *testing.T) {
-	old := requiredHotRoots
-	requiredHotRoots = map[string][]string{
-		"roots": {"(*T).Fast", "(*T).Gone", "(*T).Missing"},
-	}
-	defer func() { requiredHotRoots = old }()
-
-	pkg := checkSource(t, "roots", `package roots
-
-type T struct{}
-
-//rofllint:hotpath
-func (t *T) Fast() {}
-
-func (t *T) Gone() {}
-`)
-	diags, err := RunAnalyzer(HotPathAnalyzer, NewProgram([]*Package{pkg}), pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs []string
-	for _, d := range diags {
-		msgs = append(msgs, d.Message)
-	}
-	joined := strings.Join(msgs, "\n")
-	if !strings.Contains(joined, "(*T).Gone is a required hot-path root and must carry //rofllint:hotpath") {
-		t.Errorf("missing un-annotated-root finding in:\n%s", joined)
-	}
-	if !strings.Contains(joined, "required hot-path root roots.(*T).Missing not found") {
-		t.Errorf("missing missing-root finding in:\n%s", joined)
-	}
-	if len(diags) != 2 {
-		t.Errorf("want exactly 2 findings, got %d:\n%s", len(diags), joined)
-	}
-}
-
-// loadRepo loads and indexes the real module once for the tests that
-// assert whole-repo properties.
-var loadRepo = sync.OnceValues(func() (*Program, error) {
-	pkgs, err := Load("../..", "./...")
-	if err != nil {
-		return nil, err
-	}
-	return NewProgram(pkgs), nil
+// loadRepo loads the real module once for the tests that assert
+// whole-repo properties.
+var loadRepo = sync.OnceValues(func() ([]*Package, error) {
+	return Load("../..", "./...")
 })
 
 // The committed repository must be lint-clean: the full suite over the
@@ -96,16 +30,16 @@ func TestModuleLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is not short")
 	}
-	prog, err := loadRepo()
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range prog.Packages {
+	for _, pkg := range pkgs {
 		for _, sa := range Suite() {
 			if !sa.Applies(pkg.ImportPath) {
 				continue
 			}
-			diags, err := RunAnalyzer(sa.Analyzer, prog, pkg)
+			diags, err := RunAnalyzer(sa.Analyzer, pkg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,27 +50,6 @@ func TestModuleLintClean(t *testing.T) {
 	}
 }
 
-// Every catalog constant must be documented in DESIGN.md §9.
-func TestCrossCheckDesign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is not short")
-	}
-	prog, err := loadRepo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	design, err := os.ReadFile("../../DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Catalogs()) == 0 {
-		t.Fatal("no //rofllint:metrics catalogs found in the module; the overlay and netem instrument catalogs should be annotated")
-	}
-	for _, d := range CrossCheckDesign(prog, design) {
-		t.Errorf("%s", d)
-	}
-}
-
 // The suppression surface is budgeted: per-analyzer ignore counts must
 // match the committed golden file, so growing the budget is a reviewed
 // diff, not drift.
@@ -144,7 +57,7 @@ func TestIgnoreBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is not short")
 	}
-	prog, err := loadRepo()
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +65,7 @@ func TestIgnoreBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := CountIgnores(prog)
+	counts := CountIgnores(pkgs)
 	keys := make([]string, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
@@ -177,19 +90,23 @@ func TestNoFunctionStyleAtomics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is not short")
 	}
-	prog, err := loadRepo()
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range prog.Packages {
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				fn := calleeOf(pkg.Info, call)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
 					return true
 				}
 				if fn.Type().(*types.Signature).Recv() == nil {
@@ -209,7 +126,7 @@ func TestDirectiveRequiresReason(t *testing.T) {
 func f() {
 	//rofllint:ignore determinism
 	_ = 1
-	//rofllint:ignore determinism,hotpath the schedule is wall-clock by design
+	//rofllint:ignore determinism,identcmp the schedule is wall-clock by design
 	_ = 2
 }
 `
@@ -228,7 +145,7 @@ func f() {
 	if len(dirs) != 1 {
 		t.Fatalf("want 1 well-formed directive, got %d", len(dirs))
 	}
-	if !dirs[0].analyzers["determinism"] || !dirs[0].analyzers["hotpath"] {
+	if !dirs[0].analyzers["determinism"] || !dirs[0].analyzers["identcmp"] {
 		t.Errorf("directive should cover both analyzers: %v", dirs[0].analyzers)
 	}
 }
@@ -249,12 +166,9 @@ func TestSuiteScopes(t *testing.T) {
 		{"determinism", "rofl/internal/overlay", false},
 		{"identcmp", "rofl/internal/ident", false},
 		{"identcmp", "rofl/internal/canon", true},
-		{"hotpath", "rofl/internal/wire", true},
-		{"metricname", "rofl/internal/overlay", true},
-		{"metricname", "rofl/internal/vring", false},
 	}
-	if len(byName) != 4 {
-		t.Errorf("suite has %d analyzers, want exactly determinism, identcmp, hotpath and metricname", len(byName))
+	if len(byName) != 2 {
+		t.Errorf("suite has %d analyzers, want exactly determinism and identcmp", len(byName))
 	}
 	for _, c := range cases {
 		sa, ok := byName[c.analyzer]

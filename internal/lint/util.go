@@ -1,15 +1,9 @@
 package lint
 
 import (
-	"errors"
 	"go/ast"
 	"go/types"
 )
-
-// errNoProgram is returned by callgraph-aware analyzers invoked without
-// a Program (RunAnalyzer always supplies one; a nil Program means a
-// driver bug, not a finding).
-var errNoProgram = errors.New("analyzer needs a Program; run it through RunAnalyzer with NewProgram(pkgs)")
 
 // pkgFuncCall reports whether call invokes a package-level function of
 // the package with the given import path, returning the function name.

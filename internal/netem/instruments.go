@@ -20,8 +20,6 @@ type Instruments struct {
 // The fabric's metric catalog: the fate counter series registered by
 // NewInstruments. A single family split by the fate label, matching the
 // LinkStats fields (documented in DESIGN.md §9).
-//
-//rofllint:metrics
 const (
 	metricFateSent       = `rofl_netem_packet_total{fate="sent"}`
 	metricFateDelivered  = `rofl_netem_packet_total{fate="delivered"}`

@@ -104,7 +104,8 @@ func BenchmarkForwardDataInstrumented(b *testing.B) {
 // TestForwardInstrumentedZeroAllocs pins the observability tax at zero
 // allocations per forwarded packet: counters are pre-resolved atomic
 // handles, not map lookups, so attaching a registry must not put the
-// data path on the heap.
+// data path on the heap. The same holds for the read loop's whole body
+// on a transit datagram: decode, handle, forward.
 func TestForwardInstrumentedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode defeats sync.Pool reuse, so alloc counts are meaningless")
@@ -128,7 +129,25 @@ func TestForwardInstrumentedZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("instrumented forward allocates %.2f per op, want 0", allocs)
 	}
-	if got := reg.Counter(metricForward).Value(); got == 0 {
+	// The read loop's body on a transit datagram: decode into the
+	// loop's packet, then handle it with the loop's Actions.
+	raw, err := pkt.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rx wire.Packet
+	a := getActs()
+	defer putActs(a)
+	before := reg.Counter(metricForward).Value()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := rx.DecodeFromBytes(raw); err != nil {
+			t.Fatal(err)
+		}
+		n.handle(&rx, "peer:77", a)
+	}); allocs != 0 {
+		t.Fatalf("decode and handle of a transit datagram allocates %.2f per op, want 0", allocs)
+	}
+	if got := reg.Counter(metricForward).Value(); got == 0 || got == before {
 		t.Fatal("forward counter did not move")
 	}
 }

@@ -338,8 +338,6 @@ func (n *Node) run(a *proto.Actions) error {
 // deliveries (gate check, payload copy, non-blocking channel hand-off),
 // join completions, and the counters and structured events behind
 // evictions, predecessor clears, and served joins.
-//
-//rofllint:coldpath deliveries, join completions, and failure-event reporting run per delivered packet or per control event, not per forwarded packet
 func (n *Node) runCold(a *proto.Actions, ins *Instruments) {
 	for i := range a.Delivers {
 		d := a.Delivers[i]
@@ -587,7 +585,7 @@ func (n *Node) send(addr string, pkt *wire.Packet) error {
 		return fmt.Errorf("overlay: marshal: %w", err)
 	}
 	*bp = buf
-	err = n.tr.Send(addr, buf) //rofllint:ignore hotpath transport boundary; Send is contractually synchronous or copying, and the UDP/netem implementations do not allocate per send
+	err = n.tr.Send(addr, buf)
 	sendBufs.Put(bp)
 	if err != nil {
 		return fmt.Errorf("overlay: sending to %s: %w", addr, err)
@@ -595,7 +593,6 @@ func (n *Node) send(addr string, pkt *wire.Packet) error {
 	return nil
 }
 
-//rofllint:hotpath
 func (n *Node) readLoop() {
 	defer n.wg.Done()
 	// The loop owns one receive buffer (when the transport can fill a
@@ -606,7 +603,7 @@ func (n *Node) readLoop() {
 	recvInto, buffered := n.tr.(netem.BufferedTransport)
 	var recvBuf []byte
 	if buffered {
-		recvBuf = make([]byte, 64*1024) //rofllint:ignore hotpath one-time buffer allocated before the loop, reused for every datagram
+		recvBuf = make([]byte, 64*1024)
 	}
 	var pkt wire.Packet
 	a := getActs()
@@ -617,10 +614,10 @@ func (n *Node) readLoop() {
 		var err error
 		if buffered {
 			var ln int
-			ln, from, err = recvInto.RecvInto(recvBuf) //rofllint:ignore hotpath transport boundary; RecvInto exists precisely so the loop's buffer is reused instead of allocated per datagram
+			ln, from, err = recvInto.RecvInto(recvBuf)
 			buf = recvBuf[:ln]
 		} else {
-			buf, from, err = n.tr.Recv() //rofllint:ignore hotpath transport boundary; the unbuffered Recv contract hands over a transport-owned slice
+			buf, from, err = n.tr.Recv()
 		}
 		if err != nil {
 			return // closed
@@ -640,8 +637,6 @@ func (n *Node) readLoop() {
 //
 // The caller owns a: the read loop holds one Actions buffer for its
 // whole life, so the per-datagram path never touches the pool.
-//
-//rofllint:hotpath
 func (n *Node) handle(pkt *wire.Packet, from string, a *proto.Actions) {
 	n.mu.Lock()
 	if n.closed {

@@ -39,8 +39,6 @@ type Instruments struct {
 // registers and every structured event type it emits, in one place
 // (documented in DESIGN.md §9). Families with a reason/kind dimension
 // share a name and split by label.
-//
-//rofllint:metrics
 const (
 	metricForward          = "rofl_overlay_forward_total"
 	metricDropNoRoute      = `rofl_overlay_drop_total{reason="no_route"}`

@@ -530,8 +530,6 @@ func (c *Core) Originate(dst ident.ID, payload, capability []byte, a *Actions) {
 // address is the transport-level sender, used where the protocol
 // answers the socket it heard from. Emitted Sends may alias pkt; the
 // driver transmits them before reusing pkt for the next datagram.
-//
-//rofllint:hotpath
 func (c *Core) HandlePacket(pkt *wire.Packet, from string, a *Actions) {
 	switch pkt.Type {
 	case wire.TypeData:
@@ -612,8 +610,6 @@ func (c *Core) forwardExcept(pkt *wire.Packet, exclude ident.ID, a *Actions) {
 // forward greedily (never to the joiner itself). The splice is
 // idempotent: a retransmitted request from a joiner we already adopted
 // produces the same reply again and mutates nothing.
-//
-//rofllint:coldpath join control message, one per membership change; the splice and reply marshal are not per-packet work
 func (c *Core) handleJoin(pkt *wire.Packet, a *Actions) {
 	src, err := DecodePeers(pkt.Payload)
 	if err != nil || len(src) != 1 {
@@ -679,8 +675,6 @@ func (c *Core) handleJoin(pkt *wire.Packet, a *Actions) {
 // handleJoinReply completes a pending join attempt: the first reply
 // carrying a pending request ID installs the ring pointers; stale,
 // duplicated, or aborted replies are ignored.
-//
-//rofllint:coldpath join control message, one per membership change, not per forwarded packet
 func (c *Core) handleJoinReply(pkt *wire.Packet, a *Actions) {
 	if _, ok := c.pendingJoins[pkt.ReqID]; !ok {
 		return // stale, duplicated, or unsolicited reply
@@ -728,8 +722,6 @@ func (c *Core) applyJoinReply(pkt *wire.Packet) error {
 
 // handleNotify processes the ring-splice notification a predecessor
 // sends its old successor after adopting a joiner.
-//
-//rofllint:coldpath ring-splice notification, one per membership change, not per forwarded packet
 func (c *Core) handleNotify(pkt *wire.Packet) {
 	es, err := DecodePeers(pkt.Payload)
 	if err != nil || len(es) != 1 {
@@ -752,8 +744,6 @@ func (c *Core) handleNotify(pkt *wire.Packet) {
 // handleStabilize answers a stabilize request: learn the asker and its
 // gossip, adopt the asker as predecessor or successor where it
 // improves the ring, and reply with our predecessor and successor set.
-//
-//rofllint:coldpath stabilize control message, one per ring-maintenance round, not per forwarded packet
 func (c *Core) handleStabilize(pkt *wire.Packet, a *Actions) {
 	es, err := DecodePeers(pkt.Payload)
 	if err != nil || len(es) < 1 {
@@ -804,8 +794,6 @@ func (c *Core) handleStabilize(pkt *wire.Packet, a *Actions) {
 // is the current successor, rebuild the group's tail from its list.
 // Replies outside the recent-request window are stale and ignored;
 // quarantined peers cannot be resurrected by hearsay.
-//
-//rofllint:coldpath stabilize control message, one per ring-maintenance round, not per forwarded packet
 func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
 	es, err := DecodePeers(pkt.Payload)
 	if err != nil || len(es) < 1 {
@@ -875,8 +863,6 @@ func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
 // proves it is alive (BFD asynchronous mode with the passive role). A
 // probe from the current predecessor also refreshes the predecessor
 // liveness signal the stabilize detector reads.
-//
-//rofllint:coldpath liveness control message, paced by the BFD interval, not per forwarded packet
 func (c *Core) handleLivenessProbe(pkt *wire.Packet, from string, a *Actions) {
 	c.heardFrom(pkt.Src) // a probing peer is alive by definition
 	if c.pred != nil && pkt.Src == c.pred.ID {
@@ -894,8 +880,6 @@ func (c *Core) handleLivenessProbe(pkt *wire.Packet, from string, a *Actions) {
 // advertised MinRx as the negotiation floor. A liveness reply is also
 // proof enough for the stabilize-tick detector: a successor that
 // answers probes must not be evicted for losing stabilize replies.
-//
-//rofllint:coldpath liveness control message, paced by the BFD interval, not per forwarded packet
 func (c *Core) handleLivenessReply(pkt *wire.Packet, from string) {
 	c.heardFrom(pkt.Src) // an answering peer is alive by definition
 	if c.bfdTarget.ID != pkt.Src {

@@ -184,6 +184,45 @@ func TestForwardCachedPeerStrictlyCloserWins(t *testing.T) {
 	}
 }
 
+// TestHandlePacketZeroAllocs: a data packet in transit and one
+// delivered locally cost the core no allocation once the driver's
+// reused Actions has grown, with the known index at its bound. The
+// transit case picks a remembered peer, so bestProgress runs to a hit.
+func TestHandlePacketZeroAllocs(t *testing.T) {
+	c := testCore(1000)
+	pred := testPeer(500)
+	c.InstallRing([]Peer{testPeer(2000), testPeer(3000), testPeer(4000)}, &pred)
+	for i := 0; i < maxKnown; i++ {
+		c.Learn(testPeer(uint64(10000 + i)))
+	}
+	for _, tc := range []struct {
+		name string
+		dst  uint64
+		want NoteKind
+	}{
+		{"transit", 10050, NoteForward},
+		{"deliver", 1000, NoteDeliver},
+	} {
+		pkt := dataTo(tc.dst)
+		pkt.Payload = make([]byte, 64)
+		var a Actions
+		run := func() {
+			a.Reset()
+			pkt.TTL = wire.DefaultTTL
+			c.HandlePacket(pkt, "peer:77", &a)
+		}
+		if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+			t.Errorf("%s: HandlePacket allocates %.2f per op, want 0", tc.name, allocs)
+		}
+		if len(a.Notes) != 1 || a.Notes[0].Kind != tc.want {
+			t.Fatalf("%s: notes %+v, want one %v", tc.name, a.Notes, tc.want)
+		}
+		if tc.want == NoteForward && a.Sends[0].Addr != "peer:10050" {
+			t.Fatalf("transit left for %q, want the remembered peer:10050", a.Sends[0].Addr)
+		}
+	}
+}
+
 // TestForwardTieKeepsRingPointer: ring pointers are offered first and a
 // cached peer must be strictly closer to win, so when the known index's
 // winner is a ring pointer the ring pointer's entry carries the packet.

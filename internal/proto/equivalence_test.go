@@ -46,8 +46,8 @@ type eqDriver interface {
 
 const eqNodes = 5
 
-func eqID(i int) ident.ID     { return ident.FromString(fmt.Sprintf("eq-node-%d", i)) }
-func eqAddr(i int) string     { return fmt.Sprintf("n%03d", i) }
+func eqID(i int) ident.ID       { return ident.FromString(fmt.Sprintf("eq-node-%d", i)) }
+func eqAddr(i int) string       { return fmt.Sprintf("n%03d", i) }
 func eqPayload(s string) []byte { return []byte(s) }
 
 // runEqSchedule is the one churn schedule both drivers replay: build a
@@ -99,15 +99,15 @@ func newSimDriver() *simDriver {
 // The sim driver ignores the schedule's transport address: its fabric
 // addresses derive from intern handles (proto.HandleAddr). Journals
 // never contain addresses, so equivalence is unaffected.
-func (d *simDriver) addNode(id ident.ID, addr string) { d.ring.AddNode(id) }
-func (d *simDriver) bootstrap(i int)                  { d.ring.Bootstrap(i) }
-func (d *simDriver) join(i, via int)                  { d.ring.Join(i, via) }
-func (d *simDriver) tickStabilize()                   { d.ring.TickStabilize() }
-func (d *simDriver) tickLiveness()                    { d.ring.TickLiveness() }
+func (d *simDriver) addNode(id ident.ID, addr string)   { d.ring.AddNode(id) }
+func (d *simDriver) bootstrap(i int)                    { d.ring.Bootstrap(i) }
+func (d *simDriver) join(i, via int)                    { d.ring.Join(i, via) }
+func (d *simDriver) tickStabilize()                     { d.ring.TickStabilize() }
+func (d *simDriver) tickLiveness()                      { d.ring.TickLiveness() }
 func (d *simDriver) send(i int, dst ident.ID, p []byte) { d.ring.Send(i, dst, p) }
-func (d *simDriver) kill(i int)                       { d.ring.Kill(i) }
-func (d *simDriver) restart(i, via int)               { d.ring.Restart(i, via) }
-func (d *simDriver) journal() string                  { return d.ring.Journal() }
+func (d *simDriver) kill(i int)                         { d.ring.Kill(i) }
+func (d *simDriver) restart(i, via int)                 { d.ring.Restart(i, via) }
+func (d *simDriver) journal() string                    { return d.ring.Journal() }
 
 // --- netem side -----------------------------------------------------
 

@@ -210,8 +210,6 @@ func (s *peerSet) pick(rng *rand.Rand, skip func(ident.ID) bool) (Peer, bool) {
 // ident.Closest's one O(log n) search — the same lookup vring's pointer
 // cache uses, here over the core's known set — plus one step
 // counter-clockwise per skipped peer.
-//
-//rofllint:hotpath
 func (s *peerSet) bestProgress(cur, dst, exclude ident.ID) (Peer, bool) {
 	m := len(s.ids)
 	i, ok := ident.Closest(m, s.idAt, cur, dst)

@@ -21,8 +21,8 @@ import (
 //   - Events are plain value Msgs — no closures, no pointers — stored
 //     in per-shard slab-backed heaps and outboxes whose backing arrays
 //     are reused for the lifetime of the run. After warm-up the event
-//     loop performs no allocation (the hotpath analyzer guards the
-//     Send/push/pop path).
+//     loop performs no allocation (TestShardedSteadyStateAllocs guards
+//     the Send/push/pop path).
 //   - Every message between *different* nodes takes at least Lookahead
 //     virtual time; self-messages (timers) may use any delay. The run
 //     advances in windows of Lookahead, with a barrier between windows
@@ -113,8 +113,6 @@ func (sc *ShardContext) Shard() int { return sc.shard }
 // different node are clamped to at least the engine's Lookahead —
 // uniformly, whether or not the destination happens to live on the same
 // shard, so timing never depends on the node→shard assignment.
-//
-//rofllint:hotpath
 func (sc *ShardContext) Send(delay Time, m Msg) {
 	e := sc.eng
 	if delay < 0 {
@@ -209,8 +207,6 @@ func NewSharded(nodes, shards int, lookahead Time, affinity []uint32, h Handler)
 }
 
 // ownerOf maps a node to its owning shard.
-//
-//rofllint:hotpath
 func (e *ShardedEngine) ownerOf(node uint32) int {
 	a := node
 	if e.affinity != nil {
@@ -342,8 +338,6 @@ func (e *ShardedEngine) Journal() []JournalEntry {
 // nodes); handlers use it for jitter and sampling so that randomness is
 // a pure function of the node's seed and message history, independent
 // of sharding.
-//
-//rofllint:hotpath
 func SplitMix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
@@ -370,7 +364,6 @@ func msgLess(a, b *Msg) bool {
 	return a.Seq < b.Seq
 }
 
-//rofllint:hotpath
 func (h *msgHeap) push(m Msg) {
 	*h = append(*h, m)
 	s := *h
@@ -385,7 +378,6 @@ func (h *msgHeap) push(m Msg) {
 	}
 }
 
-//rofllint:hotpath
 func (h *msgHeap) pop() Msg {
 	s := *h
 	top := s[0]

@@ -237,8 +237,8 @@ func TestShardedHeapOrder(t *testing.T) {
 }
 
 // TestShardedSteadyStateAllocs: after the first window has sized the
-// heaps and outboxes, the event loop must not allocate. This is the
-// runtime check backing the hotpath analyzer's static one.
+// heaps and outboxes, the event loop must not allocate: Send, ownerOf,
+// the heap's push and pop, and the toy handler's SplitMix64 draws.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	p := newToy(64, 7)
 	e := NewSharded(64, 1, 1, nil, p)

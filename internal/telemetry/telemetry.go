@@ -36,8 +36,6 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//rofllint:hotpath
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v.Add(1)
@@ -45,8 +43,6 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n.
-//
-//rofllint:hotpath
 func (c *Counter) Add(n uint64) {
 	if c != nil {
 		c.v.Add(n)
@@ -68,8 +64,6 @@ type Gauge struct {
 }
 
 // Set replaces the gauge value.
-//
-//rofllint:hotpath
 func (g *Gauge) Set(v int64) {
 	if g != nil {
 		g.v.Store(v)
@@ -77,8 +71,6 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Add moves the gauge by delta (negative to decrease).
-//
-//rofllint:hotpath
 func (g *Gauge) Add(delta int64) {
 	if g != nil {
 		g.v.Add(delta)
@@ -114,8 +106,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one sample. Nil-safe and allocation-free.
-//
-//rofllint:hotpath
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -167,9 +157,6 @@ type Registry struct {
 	// tagged with its kind — maintained at registration so rendering
 	// never iterates a map (deterministic output, analyzer-clean).
 	names []seriesRef
-	// strict, when non-nil, is the closed set of series names this
-	// registry may create. See SetStrict.
-	strict map[string]bool
 }
 
 type seriesRef struct {
@@ -183,34 +170,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-	}
-}
-
-// SetStrict closes the registry's namespace to the given catalog: any
-// later attempt to create a series under a name not in the catalog
-// panics. Strict mode is a test-only safety net — get-or-create lookup
-// means a typo'd name silently registers a dead series in production,
-// and strict tests are how that class of bug surfaces (the static
-// metricname analyzer is the compile-time half of the same defense).
-// Series already registered before the call remain valid. Passing no
-// names closes the namespace to exactly the already-registered set.
-func (r *Registry) SetStrict(catalog ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.strict = make(map[string]bool, len(catalog)+len(r.names))
-	for _, ref := range r.names {
-		r.strict[ref.key] = true
-	}
-	for _, name := range catalog {
-		r.strict[name] = true
-	}
-}
-
-// checkStrict panics when strict mode forbids creating name. Caller
-// holds r.mu.
-func (r *Registry) checkStrict(name string) {
-	if r.strict != nil && !r.strict[name] {
-		panic("telemetry: strict registry resolved unknown series " + strconv.Quote(name) + "; fix the name or add it to the catalog")
 	}
 }
 
@@ -236,7 +195,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	r.checkStrict(name)
 	c = new(Counter)
 	r.counters[name] = c
 	r.insertName(name, 0)
@@ -257,7 +215,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	r.checkStrict(name)
 	g = new(Gauge)
 	r.gauges[name] = g
 	r.insertName(name, 1)
@@ -279,7 +236,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	r.checkStrict(name)
 	h = newHistogram(bounds)
 	r.hists[name] = h
 	r.insertName(name, 2)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +58,27 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	}
 	if l.Enabled(LevelError) {
 		t.Fatal("nil event log must be disabled")
+	}
+}
+
+// Handle updates run per forwarded packet, so each one must stay an
+// atomic operation on a pre-resolved handle: no allocation.
+func TestHandleUpdatesZeroAllocs(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("rofl_test_total")
+	g := reg.Gauge("rofl_test_gauge")
+	h := reg.Histogram("rofl_test_seconds", []float64{0.1, 1, 10})
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Inc()
+		c.Add(2)
+		g.Set(7)
+		g.Add(-1)
+		h.Observe(0.5)
+	}); allocs != 0 {
+		t.Fatalf("handle updates allocate %.2f per op, want 0", allocs)
+	}
+	if c.Value() == 0 || g.Value() != 6 || h.Count() == 0 {
+		t.Fatal("handle updates did not land")
 	}
 }
 
@@ -261,5 +283,34 @@ func TestServerEndpoints(t *testing.T) {
 	mu.Unlock()
 	if code, _ := get("/healthz"); code != 503 {
 		t.Fatalf("/healthz while draining = %d want 503", code)
+	}
+}
+
+// Close must join the Serve goroutine: after Close returns, the
+// acceptor must be gone. Regression test for the unjoined goroutine the
+// former golifetime analyzer surfaced — under the cluster supervisor a leaked
+// acceptor per node incarnation is an unbounded leak.
+func TestServerCloseJoinsServeGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		srv, err := NewServer("127.0.0.1:0", NewRegistry(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close waits for Serve to return, so no acceptor goroutines can
+	// accumulate. Allow brief scheduler noise before declaring a leak.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked across Server lifecycles: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

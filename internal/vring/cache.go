@@ -122,8 +122,6 @@ func (c *PointerCache) RemoveRouter(r RouterID) int {
 
 // Lookup returns the cached pointer closest to dst without overshooting,
 // given current position pos, marking it recently used.
-//
-//rofllint:hotpath
 func (c *PointerCache) Lookup(pos, dst ident.ID) (Pointer, bool) {
 	i, ok := ident.Closest(len(c.entries), c.idAt, pos, dst)
 	if !ok {

@@ -31,7 +31,7 @@ import (
 //     routes are append-only slabs; caches are bucketed slot arrays.
 //     The event path allocates only by amortised append to one pointer
 //     deposit list per router, which Run drains and releases (guarded
-//     by the hotpath analyzer via (*CompactRing).HandleMsg).
+//     by TestWarmCachesBoundedMemory's mallocs-per-message budget).
 //  3. Sharding. Convergence runs on sim.ShardedEngine with nodes
 //     grouped by hosting router (affinity = router index), so each
 //     router's pointer cache is owned by exactly one shard and the run
@@ -471,8 +471,6 @@ func (r *CompactRing) warmCaches() {
 // the compact ring: everything it reaches operates on pre-sized slabs
 // and value messages, except the per-router deposit lists, which grow
 // by amortised append.
-//
-//rofllint:hotpath
 func (r *CompactRing) HandleMsg(sc *sim.ShardContext, m sim.Msg) {
 	switch m.Kind {
 	case cmTimer:

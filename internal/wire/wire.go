@@ -178,10 +178,8 @@ func (p *Packet) AppendTo(dst []byte) ([]byte, error) {
 // Marshal serializes into a fresh buffer. Hot senders that must not
 // allocate use AppendTo with a pooled buffer instead; the fresh buffer
 // here is Marshal's documented contract.
-//
-//rofllint:hotpath
 func (p *Packet) Marshal() ([]byte, error) {
-	return p.AppendTo(make([]byte, 0, p.EncodedLen())) //rofllint:ignore hotpath the fresh buffer is Marshal's contract; zero-alloc callers use AppendTo with a pooled buffer
+	return p.AppendTo(make([]byte, 0, p.EncodedLen()))
 }
 
 // DecodeFromBytes parses b into p, copying the variable-length sections
@@ -189,8 +187,6 @@ func (p *Packet) Marshal() ([]byte, error) {
 // b must contain one whole packet and nothing else, or ErrTrailing is
 // returned. Decoding reuses p's slice capacity, so a packet reused
 // across datagrams decodes without allocating in steady state.
-//
-//rofllint:hotpath
 func (p *Packet) DecodeFromBytes(b []byte) error {
 	if len(b) < fixedHeaderLen {
 		return fmt.Errorf("%w: %d < %d header bytes", ErrTruncated, len(b), fixedHeaderLen)
