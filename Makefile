@@ -14,10 +14,13 @@ build:
 	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
 		if [ -n "$$unformatted" ]; then echo "not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 
+# The last line runs every Go benchmark once, so a b.Fatal in one fails
+# the target.
 test:
 	$(GO) test -shuffle=on ./...
-	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|TestRouteFollowsPlannedSegment|TestSegmentHopsMatchFreshSearch|TestInterdomainSoakReplays|TestChurnSoakReplays|Anycast|Negotiat' ./internal/canon ./internal/delivery ./internal/vring
+	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|TestRouteFollowsPlannedSegment|TestSegmentHopsMatchFreshSearch|TestInterdomainSoakReplays|TestChurnSoakReplays|TestJoinLevelsMatchRootsFor|TestJoinAllocations|Anycast|Negotiat' ./internal/canon ./internal/delivery ./internal/vring
 	$(GO) test -count=20 -shuffle=on -run 'TestForward|TestProbeReply|TestPeerSetBestProgress|TestCrossDriverJournalEquivalence' ./internal/proto
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 race:
 	$(GO) test -race -shuffle=on ./internal/sim/... ./internal/experiments/... ./internal/vring/... ./internal/canon/... ./internal/topology/...

@@ -76,7 +76,7 @@ func (in *Internet) RouteNegotiated(n Negotiation) ([]topology.ASN, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownID, n.Dst.Short())
 	}
 	// Any peering link inside the negotiated set may be crossed.
-	path := in.policyPath(srcAS, dstAS,
+	path, _ := in.policyPaths(srcAS, dstAS, dstAS,
 		func(a topology.ASN) bool { return n.Allowed[a] },
 		func(_, _ topology.ASN) bool { return true })
 	if path == nil {

@@ -78,7 +78,7 @@ func (in *Internet) FailAS(a topology.ASN) int {
 	}
 	// Fingers pointing at dead identifiers are dropped lazily at use;
 	// sweep them here to keep state tidy.
-	in.sweepFingers(a)
+	in.sweepFingers(func(f Finger) bool { return f.AS == a })
 	// Standby providers re-join the migrated identifiers from their own
 	// position in the hierarchy.
 	removed := len(dead) - len(migrate)
@@ -106,24 +106,16 @@ func (in *Internet) Leave(id ident.ID) error {
 	for _, as := range in.ases {
 		as.Cache.Remove(id)
 	}
-	in.sweepFingerID(id)
+	in.sweepFingers(func(f Finger) bool { return f.ID == id })
 	delete(in.virtualHosts, id)
 	return nil
 }
 
-// sweepFingerID drops finger entries pointing at one departed
-// identifier.
-func (in *Internet) sweepFingerID(id ident.ID) {
+// sweepFingers drops the finger entries gone reports.
+func (in *Internet) sweepFingers(gone func(Finger) bool) {
 	for _, as := range in.ases {
 		for _, vn := range as.VNs {
-			kept := vn.Fingers[:0]
-			for _, f := range vn.Fingers {
-				if f.ID == id {
-					continue
-				}
-				kept = append(kept, f)
-			}
-			vn.Fingers = kept
+			vn.Fingers = slices.DeleteFunc(vn.Fingers, gone)
 		}
 	}
 }
@@ -147,23 +139,6 @@ func (in *Internet) unlink(vn *VNode, counter string) {
 			in.Metrics.Count(counter, int64(h))
 		} else {
 			in.Metrics.Count(counter, 1)
-		}
-	}
-}
-
-// sweepFingers drops finger entries pointing at identifiers hosted in a
-// dead AS.
-func (in *Internet) sweepFingers(deadAS topology.ASN) {
-	for _, as := range in.ases {
-		for _, vn := range as.VNs {
-			kept := vn.Fingers[:0]
-			for _, f := range vn.Fingers {
-				if f.AS == deadAS {
-					continue
-				}
-				kept = append(kept, f)
-			}
-			vn.Fingers = kept
 		}
 	}
 }

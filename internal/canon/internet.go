@@ -277,7 +277,6 @@ func (as *AS) shareLevels(levels []*level) []*level {
 			return l
 		}
 	}
-	levels = slices.Clip(levels) // shared: an append must not write into it
 	as.levelLists = slices.Insert(as.levelLists, 0, levels)
 	return levels
 }
@@ -347,6 +346,8 @@ type Internet struct {
 
 	// levels holds every ring level a join has named.
 	levels map[Root]*level
+	// joinLists are joinLevels' lists, by AS and strategy.
+	joinLists map[joinKey][]*level
 
 	// hostedAt is the oracle mapping identifiers to hosting ASes, used
 	// for verification and stretch denominators only.
@@ -381,6 +382,7 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 		opts:         opts,
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		levels:       make(map[Root]*level),
+		joinLists:    make(map[joinKey][]*level),
 		hostedAt:     make(map[ident.ID]topology.ASN),
 		failedLink:   make(map[[2]topology.ASN]bool),
 		failedAS:     make([]bool, g.NumASes()),
@@ -547,56 +549,97 @@ func (in *Internet) hasPrimaryUp(c topology.ASN) bool {
 	return false
 }
 
-// pathSearch is policyPath's reusable state. A search state is 2*AS +
-// phase: phase 0 may still ascend, phase 1 only descends.
+// pathSearch is policyPaths' reusable state. A search state is 2*AS +
+// phase: phase 0 may still ascend, phase 1 only descends. A search seeks
+// to and also, and ends each at the state it reached it at.
 type pathSearch struct {
-	seen   []bool
-	parent []int32
-	queue  []int32 // states in visit order; the last search's are the ones seen
-	provs  []topology.ASN
-	path   []topology.ASN
+	seen           []bool
+	parent         []int32
+	queue          []int32 // states in visit order; the last search's are the ones seen
+	provs          []topology.ASN
+	to, also       topology.ASN
+	toEnd, alsoEnd int32
+	path, alsoPath []topology.ASN
 }
 
-// policyPath is the one valley-free search under every join and route:
-// the shortest path from `from` to `to` over ASes that are `inside`,
-// ascending provider links (§4.2: backup ones only while every primary
-// one is down), crossing at most one peering link that `mayCross`
-// admits, then descending customer links. It visits neighbours in
-// ascending AS order, so ties between equal-length paths are a function
-// of the graph alone. The result is nil when no such path exists and is
-// valid only until the next search on this Internet.
+// policyPaths is the one valley-free search under every join and route:
+// the shortest paths from `from` to `to` and to `also` (the same AS for
+// one path) over ASes that are `inside`, ascending provider links (§4.2:
+// backup ones only while every primary one is down), crossing at most
+// one peering link that `mayCross` admits, then descending customer
+// links. It visits neighbours in ascending AS order, so ties between
+// equal-length paths are a function of the graph alone. A path is nil
+// when no such path exists, and valid only until the next search on this
+// Internet.
 //
-// A descending state at c is never pushed when `to` is outside c's full
-// customer cone: every descent from it stays in that cone, so it and all
-// its successors are dead ends. The states kept are therefore closed under
-// predecessors, which leaves the visit order among them, the parent of
-// each, and so the path, what the unpruned search gives.
-func (in *Internet) policyPath(from, to topology.ASN, inside func(topology.ASN) bool, mayCross func(a, q topology.ASN) bool) []topology.ASN {
+// A descending state at c is never pushed when neither target is inside
+// c's full customer cone: every descent from it stays in that cone, so it
+// and all its successors are dead ends. The states kept are therefore
+// closed under predecessors, which leaves the visit order among them and
+// the parent of each what the unpruned search gives: each path is the one
+// a search for its target alone returns.
+func (in *Internet) policyPaths(from, to, also topology.ASN, inside func(topology.ASN) bool, mayCross func(a, q topology.ASN) bool) (toPath, alsoPath []topology.ASN) {
 	s := &in.search
-	if from == to {
-		s.path = append(s.path[:0], from)
-		return s.path
+	// A target's end is the start when it is `from`, -2 out of reach, and
+	// -1 while it is sought.
+	start := int32(from) * 2
+	end := func(d topology.ASN) int32 {
+		switch {
+		case d == from:
+			return start
+		case !inside(d) || in.failedAS[d]:
+			return -2
+		}
+		return -1
 	}
-	if !inside(to) || in.failedAS[to] {
-		return nil
+	s.to, s.also, s.toEnd = to, also, end(to)
+	s.alsoEnd = s.toEnd
+	if also != to {
+		s.alsoEnd = end(also)
 	}
+	s.parent[start] = -1 // a path to `from` is `from`, pushed or not
+	if s.toEnd == -1 || s.alsoEnd == -1 {
+		in.reach(from, inside, mayCross)
+	}
+	s.path = s.walk(s.path, s.toEnd)
+	if s.alsoEnd == s.toEnd {
+		return s.path, s.path
+	}
+	s.alsoPath = s.walk(s.alsoPath, s.alsoEnd)
+	return s.path, s.alsoPath
+}
+
+// reach is policyPaths' search: it runs until both targets have an end.
+func (in *Internet) reach(from topology.ASN, inside func(topology.ASN) bool, mayCross func(a, q topology.ASN) bool) {
+	s := &in.search
 	for _, st := range s.queue {
 		s.seen[st] = false
 	}
 	s.queue = s.queue[:0]
-	cur, found := int32(-1), false // the state being expanded (none above the start)
-	// push visits (b, phase) from cur and reports whether the search is
-	// over.
+	cur := int32(-1) // the state being expanded (none above the start)
+	// push visits (b, phase) from cur and reports whether b is a target.
 	push := func(b topology.ASN, phase int32) bool {
 		st := int32(b)*2 + phase
-		if in.failedAS[b] || s.seen[st] || phase == 1 && !in.cone.has(b, to) || !inside(b) {
+		if in.failedAS[b] || s.seen[st] || phase == 1 && !in.cone.has(b, s.to) && (s.also == s.to || !in.cone.has(b, s.also)) || !inside(b) {
 			return false
 		}
 		s.seen[st] = true
 		s.parent[st] = cur
 		s.queue = append(s.queue, st)
-		found = b == to
-		return found
+		return b == s.to || b == s.also
+	}
+	// reached ends a target first met at the state push just queued and
+	// reports whether the search is over. Inside push it would keep push
+	// from being inlined.
+	reached := func() bool {
+		st := s.queue[len(s.queue)-1]
+		if s.toEnd == -1 && topology.ASN(st/2) == s.to {
+			s.toEnd = st
+		}
+		if s.alsoEnd == -1 && topology.ASN(st/2) == s.also {
+			s.alsoEnd = st
+		}
+		return s.toEnd != -1 && s.alsoEnd != -1
 	}
 	push(from, 0) // refused, and the search empty, when from is failed or outside
 search:
@@ -606,12 +649,12 @@ search:
 		if cur%2 == 0 {
 			s.provs = in.activeProviders(s.provs, a)
 			for _, p := range s.provs {
-				if push(p, 0) {
+				if push(p, 0) && reached() {
 					break search
 				}
 			}
 			for _, q := range in.G.Peers(a) {
-				if in.linkUp(a, q) && mayCross(a, q) && push(q, 1) {
+				if in.linkUp(a, q) && mayCross(a, q) && push(q, 1) && reached() {
 					break search
 				}
 			}
@@ -623,29 +666,39 @@ search:
 			if !in.linkUp(a, c) || backup[i] && in.hasPrimaryUp(c) {
 				continue
 			}
-			if push(c, 1) {
+			if push(c, 1) && reached() {
 				break search
 			}
 		}
 	}
-	if !found {
+}
+
+// walk rebuilds into buf the path to state end, nil for a negative one.
+func (s *pathSearch) walk(buf []topology.ASN, end int32) []topology.ASN {
+	if end < 0 {
 		return nil
 	}
-	s.path = s.path[:0]
-	for st := s.queue[len(s.queue)-1]; st != -1; st = s.parent[st] {
-		s.path = append(s.path, topology.ASN(st/2))
+	buf = buf[:0]
+	for st := end; st != -1; st = s.parent[st] {
+		buf = append(buf, topology.ASN(st/2))
 	}
-	slices.Reverse(s.path)
-	return s.path
+	slices.Reverse(buf)
+	return buf
 }
 
 // pathWithin returns the shortest policy-compliant AS path from `from`
 // to `to` that never leaves root's subtree; the only peering link it may
 // cross is the root's own (RootPeer) or one between tier-1s (RootTop).
 // Nil when no such path exists — e.g. across a partition. Like
-// policyPath's, the result is valid until the next search.
+// policyPaths', the result is valid until the next search.
 func (in *Internet) pathWithin(root Root, from, to topology.ASN) []topology.ASN {
-	return in.policyPath(from, to,
+	path, _ := in.pathsWithin(root, from, to, to)
+	return path
+}
+
+// pathsWithin is pathWithin to two targets in one search.
+func (in *Internet) pathsWithin(root Root, from, to, also topology.ASN) (toPath, alsoPath []topology.ASN) {
+	return in.policyPaths(from, to, also,
 		func(a topology.ASN) bool { return in.inSubtree(root, a) },
 		func(a, q topology.ASN) bool {
 			switch root.Kind {

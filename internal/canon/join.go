@@ -54,37 +54,20 @@ func (in *Internet) rootsFor(x topology.ASN, s Strategy) []Root {
 		}
 		return append(roots, Top)
 	case Multihomed, Peering:
-		up := in.G.UpHierarchyLevels(x, false)
-		var roots []Root
-		seen := map[Root]bool{}
-		for _, level := range up {
+		var roots []Root // UpHierarchyLevels lists each AS once
+		for _, level := range in.G.UpHierarchyLevels(x, false) {
 			for _, a := range level {
-				r := asRoot(a)
-				if !seen[r] {
-					seen[r] = true
-					roots = append(roots, r)
+				roots = append(roots, asRoot(a))
+				if s != Peering || in.opts.BloomPeering || in.G.Tier(a) == 1 {
+					continue
 				}
-			}
-		}
-		if s == Peering && !in.opts.BloomPeering {
-			// Virtual ASes for peering links adjacent to the
-			// up-hierarchy (Fig 4a). The tier-1 clique is covered by the
-			// single Top virtual AS, so only lower peerings get their
-			// own.
-			for _, level := range up {
-				for _, a := range level {
-					if in.G.Tier(a) == 1 {
-						continue
-					}
-					for _, q := range in.G.Peers(a) {
-						if in.G.Tier(q) == 1 {
-							continue
-						}
-						r := peerRoot(a, q)
-						if !seen[r] {
-							seen[r] = true
-							roots = append(roots, r)
-						}
+				// Virtual ASes for peering links adjacent to the
+				// up-hierarchy (Fig 4a). The tier-1 clique is covered by
+				// the single Top virtual AS, so only lower peerings get
+				// their own.
+				for _, q := range in.G.Peers(a) {
+					if r := peerRoot(a, q); in.G.Tier(q) != 1 && !slices.Contains(roots, r) {
+						roots = append(roots, r)
 					}
 				}
 			}
@@ -93,6 +76,31 @@ func (in *Internet) rootsFor(x topology.ASN, s Strategy) []Root {
 	default:
 		return []Root{Top}
 	}
+}
+
+// joinKey names one AS's level list under one strategy.
+type joinKey struct {
+	as topology.ASN
+	s  Strategy
+}
+
+// joinLevels returns the levels a join at x under s covers, lowest first
+// as the bottom-up merge joins them, clipped: residents share the list.
+// Only a SingleHomed join's follow the live graph (the provider chain it
+// climbs); the others' are fixed at New, so each AS computes them once.
+func (in *Internet) joinLevels(x topology.ASN, s Strategy) []*level {
+	if levels, ok := in.joinLists[joinKey{x, s}]; ok {
+		return levels
+	}
+	var levels []*level
+	for _, root := range in.rootsFor(x, s) {
+		levels = append(levels, in.level(root))
+	}
+	sort.Slice(levels, func(i, j int) bool { return levels[i].below(levels[j]) })
+	if levels = slices.Clip(levels); s != SingleHomed {
+		in.joinLists[joinKey{x, s}] = levels
+	}
+	return levels
 }
 
 // Join splices id into the rings selected by the strategy, discovering a
@@ -109,14 +117,8 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 	if _, dup := in.hostedAt[id]; dup {
 		return JoinResult{}, fmt.Errorf("%w: %s", ErrDuplicateID, id.Short())
 	}
-	vn := &VNode{ID: id, AS: at, Strategy: s}
-	for _, root := range in.rootsFor(at, s) {
-		vn.levels = append(vn.levels, in.level(root))
-	}
-	// Join lowest levels first, as the recursive bottom-up merge does.
-	sort.Slice(vn.levels, func(i, j int) bool { return vn.levels[i].below(vn.levels[j]) })
 	as := in.ases[at]
-	vn.levels = as.shareLevels(vn.levels)
+	vn := &VNode{ID: id, AS: at, Strategy: s, levels: as.shareLevels(in.joinLevels(at, s))}
 	msgs := 0
 	seenSuccs := map[ident.ID]bool{}
 	self := Ptr{ID: id, AS: at}
@@ -132,8 +134,9 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 			if seenSuccs[succ.ID] {
 				msgs += 2
 			} else {
-				for _, nbr := range [2]Ptr{pred, succ} {
-					if path := in.pathWithin(lv.root, at, nbr.AS); len(path) > 1 {
+				predPath, succPath := in.pathsWithin(lv.root, at, pred.AS, succ.AS)
+				for _, path := range [2][]topology.ASN{predPath, succPath} {
+					if len(path) > 1 {
 						msgs += 2 * (len(path) - 1)
 						in.cacheAlong(path, self)
 					}

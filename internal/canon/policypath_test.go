@@ -157,24 +157,32 @@ func allRoots(g *topology.ASGraph) []Root {
 }
 
 // comparePaths checks pathWithin and hopsWithin against the reference
-// for every (root, from, to), and reports how many pairs had a path.
+// for every (root, from, to), and pathsWithin for every (root, from, to,
+// the AS after to); it reports how many pairs had a path.
 func comparePaths(t *testing.T, in *Internet, stage string) int {
 	t.Helper()
 	n := in.G.NumASes()
 	connected := 0
+	same := func(got, want []topology.ASN) bool {
+		return slices.Equal(got, want) && (got == nil) == (want == nil)
+	}
 	for _, root := range allRoots(in.G) {
 		for from := 0; from < n; from++ {
 			if !in.inSubtree(root, topology.ASN(from)) {
 				continue
 			}
 			for to := 0; to < n; to++ {
-				f, d := topology.ASN(from), topology.ASN(to)
+				f, d, e := topology.ASN(from), topology.ASN(to), topology.ASN((to+1)%n)
 				want := refPathWithin(in, root, f, d)
-				if got := in.pathWithin(root, f, d); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				if got := in.pathWithin(root, f, d); !same(got, want) {
 					t.Fatalf("%s: pathWithin(%v, %d, %d) = %v, reference %v", stage, root, f, d, got, want)
 				}
 				if got := in.hopsWithin(root, f, d); got != len(want)-1 {
 					t.Fatalf("%s: hopsWithin(%v, %d, %d) = %d, reference path %v", stage, root, f, d, got, want)
+				}
+				wantAlso := refPathWithin(in, root, f, e)
+				if got, gotAlso := in.pathsWithin(root, f, d, e); !same(got, want) || !same(gotAlso, wantAlso) {
+					t.Fatalf("%s: pathsWithin(%v, %d, %d, %d) = %v, %v, reference %v, %v", stage, root, f, d, e, got, gotAlso, want, wantAlso)
 				}
 				if want != nil {
 					connected++
