@@ -2,10 +2,15 @@ package vring
 
 import (
 	"container/list"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"rofl/internal/ident"
+	"rofl/internal/sim"
+	"rofl/internal/topology"
 )
 
 func id64(v uint64) ident.ID { return ident.FromUint64(v) }
@@ -194,52 +199,281 @@ func (m *listLRU) removeRouter(r RouterID) (removed int) {
 	return removed
 }
 
-// The min-stamp scan must keep exactly the entries a list-ordered LRU
-// keeps, under a workload mixing inserts, updates, lookups (which touch),
-// removals and router invalidations.
-func TestCacheEvictionMatchesLinearScanModel(t *testing.T) {
-	const capacity = 24
-	c := NewPointerCache(capacity)
-	model := newListLRU(capacity)
-	rng := rand.New(rand.NewSource(11))
-	key := func() ident.ID { return id64(uint64(rng.Intn(3 * capacity))) } // small keyspace so updates and evictions mix
-	evictions := 0
-	for step := 0; step < 8000; step++ {
-		switch rng.Intn(20) {
-		case 0, 1:
-			id := key()
-			c.Remove(id)
-			model.remove(id)
-		case 2:
-			r := RouterID(rng.Intn(50))
+// checkCache holds c to the model after a step: entries ascending, in
+// runs of 1..runMax whose first is their first entry, as many as the
+// model holds and, when full is set, the same ones with the same routers.
+func checkCache(t testing.TB, step int, c *PointerCache, model *listLRU, full bool) {
+	t.Helper()
+	if c.Len() != len(model.byID) {
+		t.Fatalf("step %d: len %d != model %d", step, c.Len(), len(model.byID))
+	}
+	n := 0
+	for k, run := range c.runs {
+		if len(run.e) == 0 || len(run.e) > runMax || run.first != run.e[0].ID {
+			t.Fatalf("step %d: run %d of %d holds %d entries, first %s", step, k, len(c.runs), len(run.e), run.first.Short())
+		}
+		for i := range run.e {
+			if n > 0 && !prevID(c, k, i).Less(run.e[i].ID) {
+				t.Fatalf("step %d: run %d slot %d: %s after %s", step, k, i, run.e[i].ID, prevID(c, k, i))
+			}
+			n++
+		}
+	}
+	if n != c.Len() {
+		t.Fatalf("step %d: runs hold %d entries, Len %d", step, n, c.Len())
+	}
+	if !full {
+		return
+	}
+	c.Each(func(p Pointer) bool {
+		if e, ok := model.byID[p.ID]; !ok || e.Value.(Pointer) != p {
+			t.Fatalf("step %d: cache holds %v, model does not", step, p)
+		}
+		return true
+	})
+}
+
+// prevID is the ID before slot i of run k, in the previous run when i
+// is 0.
+func prevID(c *PointerCache, k, i int) ident.ID {
+	if i > 0 {
+		return c.runs[k].e[i-1].ID
+	}
+	prev := c.runs[k-1].e
+	return prev[len(prev)-1].ID
+}
+
+// checkLookup holds Lookup to an exhaustive closest-without-overshoot
+// scan over Each, and touches the winner in the model.
+func checkLookup(t testing.TB, step int, c *PointerCache, model *listLRU, pos, dst ident.ID) {
+	t.Helper()
+	sel := ident.NewScan(pos, dst)
+	c.Each(func(p Pointer) bool { sel.Offer(p.ID); return true })
+	want, wantOK := sel.Best()
+	p, ok := c.Lookup(pos, dst)
+	if ok != wantOK || ok && p.ID != want {
+		t.Fatalf("step %d: Lookup(%s, %s) = %s (%v), exhaustive scan %s (%v)", step, pos.Short(), dst.Short(), p.ID.Short(), ok, want.Short(), wantOK)
+	}
+	if ok {
+		model.touch(p.ID)
+	}
+}
+
+// removeBlock removes up to count consecutive entries from the one at or
+// after from, the deletion pattern that empties whole runs.
+func removeBlock(c *PointerCache, model *listLRU, from ident.ID, count int) {
+	var ids []ident.ID
+	c.Each(func(p Pointer) bool {
+		if !p.ID.Less(from) {
+			ids = append(ids, p.ID)
+		}
+		return len(ids) < count
+	})
+	for _, id := range ids {
+		c.Remove(id)
+		model.remove(id)
+	}
+}
+
+// runModel drives c and a listLRU of its capacity with a seeded mix of
+// inserts, updates, lookups, removals, block removals and router
+// invalidations, checking every step, and returns the number of inserts
+// that evicted and the number of steps that dropped a run.
+func runModel(t *testing.T, c *PointerCache, key func(*rand.Rand) ident.ID, steps int, seed int64) (evictions, dropped int) {
+	t.Helper()
+	model := newListLRU(c.cap)
+	rng := rand.New(rand.NewSource(seed))
+	// One router per two entries of capacity (at least 50), so a router
+	// invalidation drops a few entries at any capacity.
+	routers := max(50, c.cap/2)
+	for step := 0; step < steps; step++ {
+		runs := len(c.runs)
+		switch k := rng.Intn(1000); {
+		case k == 0:
+			removeBlock(c, model, key(rng), 1+rng.Intn(2*runMax))
+		case k < 50:
+			r := RouterID(rng.Intn(routers))
 			if got, want := c.RemoveRouter(r), model.removeRouter(r); got != want {
 				t.Fatalf("step %d: RemoveRouter(%d) = %d, model %d", step, r, got, want)
 			}
-		case 3, 4, 5:
-			if p, ok := c.Lookup(key(), key()); ok {
-				model.touch(p.ID)
-			}
+		case k < 150:
+			id := key(rng)
+			c.Remove(id)
+			model.remove(id)
+		case k < 300:
+			checkLookup(t, step, c, model, key(rng), key(rng))
 		default:
-			p := Pointer{ID: key(), Router: RouterID(rng.Intn(50))}
-			if _, known := model.byID[p.ID]; !known && c.Len() == capacity {
+			p := Pointer{ID: key(rng), Router: RouterID(rng.Intn(routers))}
+			if _, known := model.byID[p.ID]; !known && c.Len() == c.cap {
 				evictions++
 			}
 			c.Insert(p)
 			model.insert(p)
 		}
-		if c.Len() != len(model.byID) {
-			t.Fatalf("step %d: len %d != model %d", step, c.Len(), len(model.byID))
+		if len(c.runs) < runs {
+			dropped++
 		}
-		c.Each(func(p Pointer) bool {
-			if e, ok := model.byID[p.ID]; !ok || e.Value.(Pointer) != p {
-				t.Fatalf("step %d: cache holds %v, model does not", step, p)
+		// Comparing every entry with the model at every step would make
+		// the 5,000-entry runs quadratic; a wrong eviction leaves a wrong
+		// entry that outlives the next full check.
+		checkCache(t, step, c, model, c.Len() <= 500 || step%50 == 0 || step == steps-1)
+	}
+	return evictions, dropped
+}
+
+// The min-stamp scan must keep exactly the entries a list-ordered LRU
+// keeps, and Lookup must return what an exhaustive scan does, under a
+// workload mixing inserts, updates, lookups (which touch), removals and
+// router invalidations. Capacity 24 stays within one run; 300 and 5,000
+// split runs and, through block removals, empty them. Keys come from a
+// pool three times the capacity, so updates and evictions mix: random
+// identifiers, and a FromUint64 keyspace whose high words are all zero.
+func TestCacheEvictionMatchesLinearScanModel(t *testing.T) {
+	for _, capacity := range []int{24, 300, 5000} {
+		for _, space := range []string{"random", "uint64"} {
+			t.Run(fmt.Sprintf("%d/%s", capacity, space), func(t *testing.T) {
+				t.Parallel()
+				if capacity > 300 && raceEnabled {
+					t.Skip("single-goroutine model; the race detector makes 5,000 entries take half a minute")
+				}
+				pool := make([]ident.ID, 3*capacity)
+				rng := rand.New(rand.NewSource(int64(capacity)))
+				for i := range pool {
+					if pool[i] = id64(uint64(i)); space == "random" {
+						pool[i] = ident.Random(rng)
+					}
+				}
+				key := func(rng *rand.Rand) ident.ID { return pool[rng.Intn(len(pool))] }
+				steps := max(8000, 4*capacity)
+				evictions, dropped := runModel(t, NewPointerCache(capacity), key, steps, 11)
+				if evictions < 1000 {
+					t.Fatalf("only %d of %d steps evicted; the workload no longer exercises eviction", evictions, steps)
+				}
+				if capacity > runMax && dropped == 0 {
+					t.Fatal("no step dropped a run; the workload no longer empties runs")
+				}
+				t.Logf("%d evictions, %d steps dropped a run", evictions, dropped)
+			})
+		}
+	}
+}
+
+// TestCacheStampWrap starts the clock 16 touches short of 2^32: the
+// stamps are renumbered by rank as it wraps, and eviction still matches
+// the model on either side of it.
+func TestCacheStampWrap(t *testing.T) {
+	for _, capacity := range []int{24, 300} {
+		c := NewPointerCache(capacity)
+		c.clock = math.MaxUint32 - 15
+		key := func(rng *rand.Rand) ident.ID { return id64(uint64(rng.Intn(3 * capacity))) }
+		evictions, _ := runModel(t, c, key, 4000, 5)
+		if c.clock > uint32(8000) || evictions == 0 {
+			t.Fatalf("capacity %d: clock %d after the run with %d evictions; it never wrapped or never evicted", capacity, c.clock, evictions)
+		}
+	}
+}
+
+// TestCacheInsertShiftBounded counts the entries each Insert moves on
+// the benchmark ring (1,000 hosts, then the 3,000 measured joins). With
+// one cache-wide sorted slice the measured joins moved 4,759.0 entries
+// per join (14.3M in all, up to 2,948 in one insert) for 15.24 inserts
+// per join, and left 65,991 cache entries. Runs bound every insert by
+// runMax and leave the same entries.
+func TestCacheInsertShiftBounded(t *testing.T) {
+	isp := topology.GenISP(topology.AS1221)
+	n := New(isp.Graph, sim.NewMetrics(), DefaultOptions())
+	rng := rand.New(rand.NewSource(1))
+	joinBenchRing(t, n, isp, rng, 1000)
+	moved, inserts, most := 0, 0, 0
+	testHookShift = func(m int) { moved, inserts, most = moved+m, inserts+1, max(most, m) }
+	t.Cleanup(func() { testHookShift = nil })
+	const joins = 3000
+	joinBenchRing(t, n, isp, rng, joins)
+	entries := 0
+	for _, r := range n.Routers {
+		entries += r.Cache.Len()
+	}
+	t.Logf("%.1f entries moved and %.2f inserts per join, at most %d in one insert; %d cache entries",
+		float64(moved)/joins, float64(inserts)/joins, most, entries)
+	if most > runMax {
+		t.Fatalf("one insert moved %d entries; want at most %d", most, runMax)
+	}
+	if moved > 400*joins {
+		t.Fatalf("%d entries moved over %d joins; want at most 400 per join", moved, joins)
+	}
+	if entries != 65991 {
+		t.Fatalf("%d cache entries after the joins; want 65991", entries)
+	}
+}
+
+// TestCacheEntrySize pins the entry at an ID, an int32 router and a
+// uint32 stamp.
+func TestCacheEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(cacheEntry{}); got != 24 {
+		t.Fatalf("cacheEntry is %d bytes; want 24", got)
+	}
+}
+
+// TestInsertWarmAllocs: an insert into a warm cache allocates only when
+// it splits a run, once in dozens of inserts.
+func TestInsertWarmAllocs(t *testing.T) {
+	c := NewPointerCache(1 << 20)
+	for _, id := range benchFillIDs(2000) {
+		c.Insert(Pointer{ID: id, Router: 1})
+	}
+	rng := rand.New(rand.NewSource(9))
+	avg := testing.AllocsPerRun(1000, func() { c.Insert(Pointer{ID: ident.Random(rng), Router: 2}) })
+	if avg > 0.1 {
+		t.Fatalf("PointerCache.Insert into a warm cache allocates %v per op; want at most 0.1", avg)
+	}
+}
+
+// FuzzCacheMatchesModel drives Insert, Lookup, Remove and RemoveRouter
+// from op bytes against listLRU, at a capacity above runMax so runs
+// split, with bursts of inserts so short inputs reach it.
+func FuzzCacheMatchesModel(f *testing.F) {
+	f.Add([]byte{0, 2, 1, 2, 2, 9, 9, 0, 5, 5, 3, 7, 7, 4, 1, 2, 5, 3, 0})
+	f.Add([]byte{40, 2, 0, 1, 2, 0, 2, 2, 0, 3, 2, 0, 4, 3, 0, 9, 4, 0, 0, 5, 1, 0, 3, 0, 200})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 || len(ops) > 300 {
+			return // at most 100 ops keeps an exec, and minimizing one, fast
+		}
+		c := NewPointerCache(runMax + 1 + int(ops[0])*4)
+		model := newListLRU(c.cap)
+		key := func(a, b byte) ident.ID {
+			s := uint64(a)<<8 | uint64(b)
+			return id64(sim.SplitMix64(&s))
+		}
+		for step, k := 0, 1; k+2 < len(ops); step, k = step+1, k+3 {
+			op, a, b := ops[k], ops[k+1], ops[k+2]
+			switch op % 6 {
+			case 0, 1:
+				p := Pointer{ID: key(a, b), Router: RouterID(op >> 4)}
+				c.Insert(p)
+				model.insert(p)
+			case 2:
+				for i := range 2 * runMax {
+					p := Pointer{ID: key(a+byte(i), b^byte(i>>2)), Router: RouterID(i % 16)}
+					c.Insert(p)
+					model.insert(p)
+				}
+			case 3:
+				checkLookup(t, step, c, model, key(a, b), key(b, a))
+			case 4:
+				if op&8 != 0 {
+					removeBlock(c, model, key(a, b), int(op>>4)*8)
+				} else {
+					c.Remove(key(a, b))
+					model.remove(key(a, b))
+				}
+			case 5:
+				if got, want := c.RemoveRouter(RouterID(a%16)), model.removeRouter(RouterID(a%16)); got != want {
+					t.Fatalf("step %d: RemoveRouter = %d, model %d", step, got, want)
+				}
 			}
-			return true
-		})
-	}
-	if evictions < 1000 {
-		t.Fatalf("only %d inserts evicted; the workload no longer exercises eviction", evictions)
-	}
+			checkCache(t, step, c, model, true)
+		}
+	})
 }
 
 func benchFillIDs(n int) []ident.ID {
@@ -267,6 +501,26 @@ func BenchmarkCacheInsertAtCapacity(b *testing.B) {
 		id := fresh[i&(1<<16-1)]
 		id[0] = byte(i >> 16) // keep keys fresh so every insert evicts
 		c.Insert(Pointer{ID: id, Router: 2})
+	}
+}
+
+// BenchmarkCacheInsertGrowing measures inserts into a cache that never
+// fills, the sim_vring_join case under the default 70,000-entry cap: each
+// round grows a fresh cache to 2,000 entries, about what a core router
+// of the benchmark ring holds, with the round's set-up off the timer.
+func BenchmarkCacheInsertGrowing(b *testing.B) {
+	const round = 2000
+	ids := benchFillIDs(1 << 16)
+	c := NewPointerCache(DefaultOptions().CacheCapacity)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%round == 0 && i > 0 {
+			b.StopTimer()
+			c = NewPointerCache(DefaultOptions().CacheCapacity)
+			b.StartTimer()
+		}
+		c.Insert(Pointer{ID: ids[i&(1<<16-1)], Router: 1})
 	}
 }
 

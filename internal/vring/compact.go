@@ -119,8 +119,8 @@ func DefaultCompactConfig() CompactConfig {
 }
 
 // cacheSlot is one pointer-cache entry: an interned member handle plus
-// an LRU stamp. 8 bytes, versus the 24-byte ID+router entry of
-// PointerCache.
+// an LRU stamp. 8 bytes, versus the 24-byte ID, router and stamp entry
+// of PointerCache.
 type cacheSlot struct {
 	h     ident.Handle
 	stamp uint32

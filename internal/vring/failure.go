@@ -118,14 +118,7 @@ func (n *Network) pointerHolders(id ident.ID) map[RouterID]bool {
 				}
 			}
 		}
-		r.Cache.Each(func(p Pointer) bool {
-			if p.ID == id {
-				hold = true
-				return false
-			}
-			return true
-		})
-		if hold {
+		if hold || r.Cache.Has(id) {
 			holders[r.Node] = true
 		}
 	}

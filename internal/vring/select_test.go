@@ -75,6 +75,28 @@ func checkSelections(t *testing.T) *selectCalls {
 	return &n
 }
 
+// joinBenchRing joins count hosts with the placement of the root
+// package's benchRing: random identifiers on AS 1221's access routers,
+// weighted by HostsAt. Two calls on one rng place the hosts one call of
+// their total would.
+func joinBenchRing(t *testing.T, n *Network, isp *topology.ISP, rng *rand.Rand, count int) []ident.ID {
+	t.Helper()
+	var cum []int
+	total := 0
+	for _, h := range isp.HostsAt {
+		total += max(h, 1)
+		cum = append(cum, total)
+	}
+	ids := make([]ident.ID, count)
+	for i := range ids {
+		ids[i] = ident.Random(rng)
+		if _, err := n.JoinHost(ids[i], isp.Access[sort.SearchInts(cum, rng.Intn(total)+1)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
+}
+
 // TestSelectNextHopMatchesExhaustiveScan compares selectNextHop with the
 // exhaustive scan at every router of every greedy walk: joins and routes
 // on the repository benchmark's ring, router failures with failover, and
@@ -84,24 +106,10 @@ func checkSelections(t *testing.T) *selectCalls {
 func TestSelectNextHopMatchesExhaustiveScan(t *testing.T) {
 	t.Run("benchmark ring", func(t *testing.T) {
 		calls := checkSelections(t)
-		// The placement of the root package's benchRing: 4,000 random
-		// identifiers on AS 1221's access routers, weighted by HostsAt.
 		isp := topology.GenISP(topology.AS1221)
 		n := New(isp.Graph, sim.NewMetrics(), DefaultOptions())
-		var cum []int
-		total := 0
-		for _, h := range isp.HostsAt {
-			total += max(h, 1)
-			cum = append(cum, total)
-		}
 		rng := rand.New(rand.NewSource(1))
-		ids := make([]ident.ID, 4000)
-		for i := range ids {
-			ids[i] = ident.Random(rng)
-			if _, err := n.JoinHost(ids[i], isp.Access[sort.SearchInts(cum, rng.Intn(total)+1)]); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ids := joinBenchRing(t, n, isp, rng, 4000)
 		joins := calls.all
 		for i := 0; i < 5000; i++ {
 			if _, err := n.Route(isp.Access[rng.Intn(len(isp.Access))], ids[rng.Intn(len(ids))]); err != nil {
