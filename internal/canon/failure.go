@@ -202,7 +202,6 @@ func (in *Internet) CheckRings() error {
 			if !slices.Contains(vn.levels, lv) {
 				return fmt.Errorf("%w: ring %v holds %s, which never joined it", ErrRingBroken, root, p.ID.Short())
 			}
-			//rofllint:ignore identcmp asserting sorted storage, the documented Less use; the check verifies linear order on purpose
 			if i > 0 && !lv.ring[i-1].ID.Less(p.ID) {
 				return fmt.Errorf("%w: ring %v not sorted at %d", ErrRingBroken, root, i)
 			}

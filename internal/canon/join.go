@@ -241,10 +241,10 @@ func (in *Internet) acquireFingers(vn *VNode, budget int) []Finger {
 		}
 		cur, exists := bestKey[k]
 		// Ties break on identifier so the result is independent of map
-		// iteration order.
+		// iteration order. Any total order works; linear ID order is the
+		// one both sides of the protocol use.
 		better := !exists || key[0] < cur[0] ||
 			(key[0] == cur[0] && key[1] < cur[1]) ||
-			//rofllint:ignore identcmp documented tie-break: any total order works, both sides of the protocol use this one
 			(key == cur && id.Less(best[k].ID))
 		if better {
 			bestKey[k] = key

@@ -153,7 +153,8 @@ func (m *Multicast) Join(suffix uint32, at vring.RouterID) error {
 			if mid == id {
 				continue
 			}
-			//rofllint:ignore identcmp canonical minimum-ID member selection independent of map order; not a routing decision
+			// The minimum ID: a choice map order cannot move, not a
+			// routing decision.
 			if !found || mid.Less(target) {
 				target, found = mid, true
 			}

@@ -70,7 +70,8 @@ func (f *Fault) Send(addr string, p []byte) error {
 		f.mu.Unlock()
 		return ErrClosed
 	}
-	//rofllint:ignore determinism wall clock is only the delivery base time; every fate draw comes from f.rng
+	// The wall clock is only the delivery base time; every fate draw
+	// comes from f.rng.
 	delays, stats := plan(f.rng, f.params, len(p), time.Now(), &f.busyUntil)
 	stats.Delivered = uint64(len(delays)) // no inbox on the far side to drop at
 	f.stats.add(stats)

@@ -88,7 +88,9 @@ func NewNetwork(seed int64) *Network {
 }
 
 // dispatch delivers queued packets when they come due, in (due, seq)
-// order.
+// order. It runs on the wall clock by design: every fate and delay was
+// drawn from the link's seeded rng at send time, so which select case
+// wins moves only delivery jitter, never a fate.
 func (n *Network) dispatch() {
 	defer n.wg.Done()
 	for {
@@ -99,7 +101,6 @@ func (n *Network) dispatch() {
 		}
 		if n.queue.Len() == 0 {
 			n.mu.Unlock()
-			//rofllint:ignore determinism dispatcher wake vs shutdown; packet fates are already drawn from the link seed, only wall-clock delivery jitter varies
 			select {
 			case <-n.wake:
 				continue
@@ -107,13 +108,11 @@ func (n *Network) dispatch() {
 				return
 			}
 		}
-		//rofllint:ignore determinism delivery runs on the wall clock by design; fates and delays were drawn from the seeded rng at send time
 		now := time.Now()
 		next := n.queue.peek()
 		if next.due.After(now) {
 			n.mu.Unlock()
 			t := time.NewTimer(next.due.Sub(now))
-			//rofllint:ignore determinism timer vs wake vs shutdown; whichever fires first re-checks the seeded queue, no fate depends on the winner
 			select {
 			case <-t.C:
 			case <-n.wake: // an earlier packet may have been scheduled
@@ -217,7 +216,6 @@ func (n *Network) Close() error {
 	n.queue = nil
 	eps := make([]*Endpoint, 0, len(n.eps))
 	for _, e := range n.eps {
-		//rofllint:ignore determinism teardown closes every endpoint exactly once; close order is unobservable
 		eps = append(eps, e)
 	}
 	n.mu.Unlock()
@@ -341,7 +339,8 @@ func (e *Endpoint) Send(addr string, p []byte) error {
 	if l.override != nil {
 		params = *l.override
 	}
-	//rofllint:ignore determinism wall clock is only the delivery base time; every fate draw comes from the per-link seeded rng
+	// The wall clock is only the delivery base time; every fate draw
+	// comes from the per-link seeded rng.
 	now := time.Now()
 	delays, stats := plan(l.rng, params, len(p), now, &l.busyUntil)
 	l.stats.add(stats)
@@ -368,7 +367,6 @@ func (e *Endpoint) Send(addr string, p []byte) error {
 
 // Recv blocks until a datagram arrives or the endpoint closes.
 func (e *Endpoint) Recv() ([]byte, string, error) {
-	//rofllint:ignore determinism arrival vs close is an inherent race of the transport surface; the nested drain keeps delivery lossless either way
 	select {
 	case d := <-e.inbox:
 		return d.payload, d.from, nil

@@ -76,7 +76,6 @@ func (m Metrics) Reset() {
 func (m Metrics) CounterNames() []string {
 	names := make([]string, 0, len(m.counters))
 	for k := range m.counters {
-		//rofllint:ignore determinism sorted before return; map order never escapes
 		names = append(names, k)
 	}
 	sort.Strings(names)
@@ -87,7 +86,6 @@ func (m Metrics) CounterNames() []string {
 func (m Metrics) SampleNames() []string {
 	names := make([]string, 0, len(m.samples))
 	for k := range m.samples {
-		//rofllint:ignore determinism sorted before return; map order never escapes
 		names = append(names, k)
 	}
 	sort.Strings(names)

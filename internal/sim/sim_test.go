@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -94,6 +95,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
+// Both name lists are collected from a map and sorted. The names go in
+// out of order, so a list returned in map iteration order fails; `make
+// test` also repeats the test twenty times, shuffled.
 func TestMetricsCounters(t *testing.T) {
 	m := NewMetrics()
 	m.Count("join", 3)
@@ -102,9 +106,18 @@ func TestMetricsCounters(t *testing.T) {
 	if m.Counter("join") != 5 || m.Counter("data") != 1 || m.Counter("absent") != 0 {
 		t.Fatalf("counters wrong: join=%d data=%d", m.Counter("join"), m.Counter("data"))
 	}
-	names := m.CounterNames()
-	if len(names) != 2 || names[0] != "data" || names[1] != "join" {
-		t.Fatalf("names = %v", names)
+	want := []string{"data", "evict", "hops", "join", "leave", "stale"}
+	for _, name := range []string{"stale", "leave", "hops", "evict"} {
+		m.Count(name, 1)
+		m.Sample(name, 1)
+	}
+	m.Sample("join", 1)
+	m.Sample("data", 1)
+	if got := m.CounterNames(); !slices.Equal(got, want) {
+		t.Fatalf("CounterNames = %v, want %v", got, want)
+	}
+	if got := m.SampleNames(); !slices.Equal(got, want) {
+		t.Fatalf("SampleNames = %v, want %v", got, want)
 	}
 	m.Reset()
 	if m.Counter("join") != 0 {

@@ -41,10 +41,9 @@ func (l Level) String() string {
 // deterministic clock). Events below the minimum level are dropped
 // before any formatting work.
 //
-// The clock is injectable so tests — and the rofllint determinism
-// analyzer — can pin timestamps; operational deployments use
-// NewEventLog, whose wall-clock default is the only wall-clock read in
-// the package.
+// The clock is injectable so tests can pin timestamps; operational
+// deployments use NewEventLog, whose wall-clock default is the only
+// wall-clock read in the package.
 //
 // All methods are safe on a nil receiver (no-ops), so instrumented code
 // can emit unconditionally.
@@ -59,7 +58,6 @@ type EventLog struct {
 // NewEventLog writes events at or above min to w, stamped with the wall
 // clock.
 func NewEventLog(w io.Writer, min Level) *EventLog {
-	//rofllint:ignore determinism operational event timestamps come from the wall clock by design; seeded tests inject a fixed clock via NewEventLogClock
 	return NewEventLogClock(w, min, time.Now)
 }
 

@@ -13,8 +13,7 @@
 // Rendering is deterministic: the registry keeps its series in sorted
 // order at registration time (never iterating a Go map), so two scrapes
 // of identical state are byte-identical — the property the cluster
-// supervisor's reproducibility tests lean on, and the reason the
-// rofllint determinism analyzer runs over this package.
+// supervisor's reproducibility tests lean on.
 package telemetry
 
 import (
@@ -155,7 +154,7 @@ type Registry struct {
 	hists    map[string]*Histogram
 	// names holds every registered series key in sorted order, each
 	// tagged with its kind — maintained at registration so rendering
-	// never iterates a map (deterministic output, analyzer-clean).
+	// never iterates a map (deterministic output).
 	names []seriesRef
 }
 

@@ -25,7 +25,6 @@ run() { GOCOVERDIR="$tmp/cov" "$@" >/dev/null; }
 run "$tmp/bin/roflsim" -all -quick
 for dir in examples/*; do run "$tmp/bin/$(basename "$dir")"; done
 run "$tmp/bin/rofltopo" -isp all
-run "$tmp/bin/rofllint" ./...
 run "$tmp/bin/roflnode" cluster -n 20 -seed 1 -churn
 run "$tmp/bin/roflsim" -fig scaling -scalehosts 20000
 run "$tmp/bin/roflperf" -seconds 2 -out "$tmp/perf"
