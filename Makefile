@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzHandleRequest -fuzztime=10s ./internal/overlay
 	$(GO) test -fuzz=FuzzArithmeticMatchesReference -fuzztime=10s ./internal/ident
 	$(GO) test -run FuzzCacheMatchesModel -fuzz=FuzzCacheMatchesModel -fuzztime=10s ./internal/vring
+	$(GO) test -run FuzzCompactCacheBuild -fuzz=FuzzCompactCacheBuild -fuzztime=10s ./internal/vring
 
 # Sharded single-network smoke: converge a 100k-host compact ring
 # sharded 8 ways and probe it, under a hard timeout. The full

@@ -76,6 +76,9 @@ func (t *Intern) ID(h Handle) ID {
 	return t.ids[h]
 }
 
+// IDs returns the table's own ID slab, by handle; callers only read it.
+func (t *Intern) IDs() []ID { return t.ids }
+
 // Len returns the number of interned identifiers; handles 0..Len()-1
 // are valid.
 func (t *Intern) Len() int { return len(t.ids) }

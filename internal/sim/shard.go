@@ -242,11 +242,15 @@ func (e *ShardedEngine) Prime(delay Time, m Msg) {
 // sequentially drains every outbox into the destination heaps (the
 // order is irrelevant to the result — heap order is the total
 // (At, Src, Seq) key — but draining serially keeps the exchange
-// race-free by construction).
+// race-free by construction). A drained run releases every heap and
+// outbox array: nothing reads them again.
 func (e *ShardedEngine) Run() Time {
 	for {
 		min, ok := e.minPending()
 		if !ok {
+			for _, sc := range e.shards {
+				sc.heap, sc.outbox = nil, nil
+			}
 			return e.now
 		}
 		barrier := Time(math.Floor(float64(min/e.lookahead))+1) * e.lookahead

@@ -183,6 +183,55 @@ func TestShardedEventCount(t *testing.T) {
 	}
 }
 
+// TestRunReleasesQueues: once Run drains, no shard holds heap or outbox
+// capacity, and what a run is read for afterwards — Events, Journal and
+// MergedMetrics — is what the handler saw: one event per handled
+// message, and the same journal and metrics at 1, 2 and 8 shards.
+func TestRunReleasesQueues(t *testing.T) {
+	const nodes = 37
+	var ref string
+	for _, shards := range []int{1, 2, 8} {
+		toy := newToy(nodes, 42)
+		var handled [8]int64 // per shard: a shard's messages are handled by one worker
+		e := NewSharded(nodes, shards, 1, nil, handlerFunc(func(sc *ShardContext, m Msg) {
+			handled[sc.Shard()]++
+			toy.HandleMsg(sc, m)
+		}))
+		e.EnableJournal()
+		for u := 0; u < nodes; u++ {
+			e.Prime(Time(u)/10, Msg{Src: uint32(u), Dst: uint32(u), Kind: tpTimer, Hop: 3})
+		}
+		e.Run()
+		for _, sc := range e.shards {
+			if cap(sc.heap) != 0 {
+				t.Errorf("%d shards: shard %d holds heap capacity %d after Run", shards, sc.shard, cap(sc.heap))
+			}
+			for d, box := range sc.outbox {
+				if cap(box) != 0 {
+					t.Errorf("%d shards: shard %d holds outbox %d capacity %d after Run", shards, sc.shard, d, cap(box))
+				}
+			}
+		}
+		var sum int64
+		for _, n := range handled {
+			sum += n
+		}
+		if got := e.Events(); got != sum || sum == 0 {
+			t.Errorf("%d shards: Events() = %d, handler saw %d", shards, got, sum)
+		}
+		var b strings.Builder
+		for _, j := range e.Journal() {
+			fmt.Fprintf(&b, "%.4f %d %d %d k%d n%d a%d b%d\n", float64(j.At), j.Src, j.Seq, j.Sub, j.Kind, j.Node, j.A, j.B)
+		}
+		got := b.String() + metricsTable(e.MergedMetrics())
+		if ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Errorf("%d shards: journal or metrics after Run differ from 1 shard's", shards)
+		}
+	}
+}
+
 // TestShardedLookaheadClamp: inter-node messages are clamped to at
 // least the lookahead — uniformly, even when src and dst share a shard
 // — while self-messages keep their short delays.

@@ -30,7 +30,7 @@ import (
 //     reused heaps; parked ephemeral state and its packed source
 //     routes are append-only slabs; caches are bucketed slot arrays.
 //     The event path allocates only by amortised append to one pointer
-//     deposit list per router, which Run drains and releases (guarded
+//     deposit list per router, which Run reads and releases (guarded
 //     by TestWarmCachesBoundedMemory's mallocs-per-message budget).
 //  3. Sharding. Convergence runs on sim.ShardedEngine with nodes
 //     grouped by hosting router (affinity = router index), so each
@@ -129,12 +129,10 @@ type cacheSlot struct {
 // compactCache is a bucketed approximate-LRU pointer cache over
 // interned handles. Entries hash into buckets by ID prefix (IDs are
 // uniform, so buckets stay balanced); each bucket is a small slab of at
-// most bucketCap slots. Nothing reads a cache until Run returns, so a
-// bucket is kept in stamp order while it is written (an O(bucket)
-// handle scan per insert, one ID load to pick the bucket) and sorted by
-// ID once at the end, giving O(log bucket) lookup. Eviction is LRU *within the
-// insertion bucket* — a documented approximation of global LRU that
-// keeps every operation bucket-local and deterministic.
+// most bucketCap slots, in ID order for O(log bucket) lookup, and built
+// once by Run (warmCaches). Eviction is LRU *within the insertion
+// bucket* — a documented approximation of global LRU that keeps every
+// operation bucket-local and deterministic.
 type compactCache struct {
 	buckets   [][]cacheSlot
 	bucketCap int
@@ -173,7 +171,7 @@ func newCompactCache(capacity int) compactCache {
 type CompactRing struct {
 	cfg     CompactConfig
 	intern  *ident.Intern
-	ids     []ident.ID // ids[h]; alias of the intern slab order
+	ids     []ident.ID // ids[h]; aliases the intern's ID slab
 	members int        // handles [0, members) are ring members; the rest are ephemerals
 
 	// Per-node protocol state, all handle-indexed slabs.
@@ -206,8 +204,8 @@ type CompactRing struct {
 	caches []compactCache // per router
 	// deposits queues each router's pending cache inserts. Handlers run
 	// on the router's own shard, so a list holds that shard's (At, Src,
-	// Seq) order, which is shard-count invariant; warmCaches drains the
-	// lists and releases them.
+	// Seq) order, which is shard-count invariant; warmCaches reads the
+	// lists, as a router's oldest deposits, and releases them.
 	deposits [][]ident.Handle
 
 	eng     *sim.ShardedEngine
@@ -263,10 +261,7 @@ func NewCompactRing(isp *topology.ISP, cfg CompactConfig) *CompactRing {
 		r.intern.Handle(ident.FromBytes(seedBuf[:]))
 		seedBuf[0] ^= 0xa5
 	}
-	r.ids = make([]ident.ID, n)
-	for h := 0; h < n; h++ {
-		r.ids[h] = r.intern.ID(ident.Handle(h))
-	}
+	r.ids = r.intern.IDs()
 
 	// Placement: uniform over access routers, from a seeded stream.
 	g := isp.Graph
@@ -389,20 +384,14 @@ func (r *CompactRing) Run() sim.Time {
 // crossed, each of which cached the joiner's pointer.
 const joinResidueDeposits = 32
 
-// warmCaches fills the pointer caches and leaves them readable. First
-// come the event run's endpoint deposits, already queued on each
-// router's list in its shard's (At, Src, Seq) order. Then come the §3.1
-// on-path deposits of one steady-state stabilize round: every router a
-// control message transits learns the sender's pointer ("we fill
-// pointer caches only with contents of control messages"). The run
-// deposits only at endpoint routers — transit routers belong to other
-// shards, and depositing there would break the caches' shard privacy —
-// so the on-path deposits are made here, in member handle order. A
-// cache's contents depend only on the order of inserts into it. Last,
-// every bucket is sorted by ID and the lists are released.
+// warmCaches fills the pointer caches and leaves them readable. A
+// router's deposits are, oldest first: the event run's, in its shard's
+// (At, Src, Seq) order; the §3.1 on-path deposits of one stabilize round
+// (the run deposits only at endpoint routers, which its shard owns); the
+// join-epoch residue. A cache depends only on that sequence, so it is
+// built newest-first, every list read backward.
 func (r *CompactRing) warmCaches() {
 	const warmBlock = 8192
-	lists := r.deposits
 	// onShards runs f for every router on the shard that owns it
 	// (router % shards, the engine's rule).
 	onShards := func(f func(rt uint32)) {
@@ -412,21 +401,19 @@ func (r *CompactRing) warmCaches() {
 			}
 		})
 	}
-	drain := func(rt uint32) {
-		for _, h := range lists[rt] {
-			r.cacheInsert(rt, h)
-		}
-		lists[rt] = lists[rt][:0]
-	}
-	// inBlocks gathers warmBlock members serially, queueing each deposit
-	// on its router's list, then drains every list in order on its shard.
-	// The first drain also takes the run's deposits, ahead of the block's.
+	onShards(func(rt uint32) { r.caches[rt].startBuild() })
+	lists := make([][]ident.Handle, r.nrouters)
+	// inBlocks gathers warmBlock members serially, last block first, onto
+	// per-router lists, then hands each list to its cache on its shard.
 	inBlocks := func(gather func(u int)) {
-		for lo := 0; lo < r.members; lo += warmBlock {
+		for lo := (r.members - 1) / warmBlock * warmBlock; lo >= 0; lo -= warmBlock {
 			for u := lo; u < min(lo+warmBlock, r.members); u++ {
 				gather(u)
 			}
-			onShards(drain)
+			onShards(func(rt uint32) {
+				r.takeOlder(&r.caches[rt], lists[rt])
+				lists[rt] = lists[rt][:0]
+			})
 		}
 	}
 	// queuePath queues h at every router the a→b shortest path transits
@@ -438,16 +425,6 @@ func (r *CompactRing) warmCaches() {
 			lists[n] = append(lists[n], h)
 		}
 	}
-	inBlocks(func(u int) {
-		if r.nsucc[u] == 0 {
-			return
-		}
-		s0 := r.succs[u*r.cfg.SuccessorGroup]
-		// One stabilize round-trip: u's cmGetSucc toward succ0, then the
-		// cmSuccList reply — each deposits its sender along the path.
-		queuePath(r.router[u], r.router[s0], ident.Handle(u))
-		queuePath(r.router[s0], r.router[u], s0)
-	})
 	// Join-epoch residue. The ring is constructed already wired (each
 	// member knows succ0), so the event run never replays the join walks
 	// that, in Network, deposit every joiner's pointer across the
@@ -463,7 +440,20 @@ func (r *CompactRing) warmCaches() {
 			lists[rt] = append(lists[rt], ident.Handle(u))
 		}
 	})
-	onShards(r.sortCache)
+	inBlocks(func(u int) {
+		if r.nsucc[u] == 0 {
+			return
+		}
+		s0 := r.succs[u*r.cfg.SuccessorGroup]
+		// One stabilize round-trip: u's cmGetSucc toward succ0, then the
+		// cmSuccList reply — each deposits its sender along the path.
+		queuePath(r.router[u], r.router[s0], ident.Handle(u))
+		queuePath(r.router[s0], r.router[u], s0)
+	})
+	onShards(func(rt uint32) {
+		r.takeOlder(&r.caches[rt], r.deposits[rt])
+		r.finishBuild(&r.caches[rt])
+	})
 	r.deposits = nil
 }
 
@@ -611,42 +601,85 @@ func (r *CompactRing) bucketOf(c *compactCache, id ident.ID) int {
 	return int(binary.BigEndian.Uint32(id[:4]) >> c.shift)
 }
 
-// cacheInsert records a member pointer in a router's cache (refresh on
-// duplicate, bucket-local LRU eviction at capacity). While a cache is
-// written its buckets are in stamp order, oldest first: a refresh moves
-// the slot to the tail with the new stamp, and an eviction drops the
-// head. sortCache then restores the ID order cacheLookup reads.
-func (r *CompactRing) cacheInsert(router uint32, h ident.Handle) {
-	c := &r.caches[router]
-	if c.buckets == nil {
-		return
+// capFor[n] is the capacity of a slice appended to one slot at a time.
+var capFor = func() (caps [cacheBucketTarget + 1]int) {
+	var s []cacheSlot
+	for n := 1; n <= cacheBucketTarget; n++ {
+		s = append(s, cacheSlot{})
+		caps[n] = cap(s)
 	}
-	b := r.bucketOf(c, r.ids[h])
-	bkt := c.buckets[b]
-	c.clock++
-	for i, s := range bkt {
-		if s.h == h {
-			copy(bkt[i:], bkt[i+1:])
-			bkt[len(bkt)-1] = cacheSlot{h: h, stamp: c.clock}
-			return
-		}
+	return caps
+}()
+
+// startBuild begins a newest-first build (then takeOlder, finishBuild):
+// one slab per router, each bucket its own capFor[bucketCap] stretch.
+func (c *compactCache) startBuild() {
+	stride := capFor[c.bucketCap]
+	slab := make([]cacheSlot, len(c.buckets)*stride)
+	for b := range c.buckets {
+		c.buckets[b] = slab[b*stride : b*stride : (b+1)*stride]
 	}
-	if len(bkt) >= c.bucketCap {
-		copy(bkt, bkt[1:])
-		bkt = bkt[:len(bkt)-1]
-		c.size--
-	}
-	c.buckets[b] = append(bkt, cacheSlot{h: h, stamp: c.clock})
-	c.size++
 }
 
-// sortCache puts every bucket of a router's cache in ID order, the
-// layout cacheLookup reads. Slots keep their stamps and buckets their
-// capacities, so the cache is then exactly what ID-sorted inserts of
-// the same sequence would have built.
-func (r *CompactRing) sortCache(router uint32) {
-	for _, bkt := range r.caches[router].buckets {
-		slices.SortFunc(bkt, func(x, y cacheSlot) int { return r.ids[x.h].Cmp(r.ids[y.h]) })
+// takeOlder offers list's deposits, last to first, as the next-older
+// ones. LRU leaves a bucket its bucketCap most recent distinct handles,
+// so a handle is kept if its bucket has room and lacks it, stamped with
+// its position counted from the newest; once all are full, only count.
+func (r *CompactRing) takeOlder(c *compactCache, list []ident.Handle) {
+	full := len(c.buckets) * c.bucketCap
+	for i := len(list) - 1; i >= 0 && c.buckets != nil; i-- {
+		if c.size == full {
+			c.clock += uint32(i + 1)
+			return
+		}
+		h := list[i]
+		c.clock++
+		b := r.bucketOf(c, r.ids[h])
+		bkt := c.buckets[b]
+		if len(bkt) == c.bucketCap || slices.ContainsFunc(bkt, func(s cacheSlot) bool { return s.h == h }) {
+			continue
+		}
+		c.buckets[b] = append(bkt, cacheSlot{h: h, stamp: c.clock})
+		c.size++
+	}
+}
+
+// finishBuild sorts and restamps each bucket and caps one of n slots at
+// capFor[n]. A cache over an eighth empty moves to a slab of exactly
+// those capacities; a fuller one keeps its slab, the spare slots of its
+// few short buckets held but not charged.
+func (r *CompactRing) finishBuild(c *compactCache) {
+	need := 0
+	for _, bkt := range c.buckets {
+		r.finishBucket(bkt, c.clock)
+		need += capFor[len(bkt)]
+	}
+	var slab []cacheSlot
+	if held := len(c.buckets) * capFor[c.bucketCap]; (held-need)*8 > held {
+		slab = make([]cacheSlot, need)
+	}
+	for b, bkt := range c.buckets {
+		n := len(bkt)
+		if slab != nil {
+			copy(slab, bkt)
+			bkt, slab = slab, slab[capFor[n]:]
+		}
+		c.buckets[b] = bkt[:n:capFor[n]]
+	}
+}
+
+// finishBucket makes each stamp its deposit's 1-based position in the
+// router's sequence of clock deposits, and insertion-sorts the bucket
+// by 64-bit ID prefix, comparing full IDs only when prefixes tie.
+func (r *CompactRing) finishBucket(bkt []cacheSlot, clock uint32) {
+	var keys [cacheBucketTarget]uint64
+	for i := range bkt {
+		bkt[i].stamp = clock + 1 - bkt[i].stamp
+		keys[i] = binary.BigEndian.Uint64(r.ids[bkt[i].h][:8])
+		for j := i; j > 0 && (keys[j] < keys[j-1] || keys[j] == keys[j-1] && r.ids[bkt[j].h].Less(r.ids[bkt[j-1].h])); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+			bkt[j], bkt[j-1] = bkt[j-1], bkt[j]
+		}
 	}
 }
 

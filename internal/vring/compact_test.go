@@ -65,7 +65,7 @@ func cacheText(r *CompactRing, router int) string {
 	return b.String()
 }
 
-// refCacheInsert is the insert rule cacheInsert and sortCache must
+// refCacheInsert is the insert rule the newest-first build must
 // reproduce: every bucket kept in ID order at every insert, a refresh
 // restamping its slot in place, an eviction removing the oldest stamp
 // wherever it sits.
@@ -141,11 +141,24 @@ func refWarmCaches(r *CompactRing) {
 	}
 }
 
-// TestCacheInsertMatchesReference: stamp-ordered inserts followed by
-// sortCache leave a cache exactly as refCacheInsert does — slots,
-// stamps, bucket capacities, clock and size — for seeded handle
-// sequences with repeats, on a cache that never fills and on caches
-// that evict.
+// buildCache builds router's cache newest-first from seq, its deposits
+// oldest first, handing seq to takeOlder in pieces of at most chunk
+// deposits, the newest piece first, as warmCaches hands over its lists.
+func (r *CompactRing) buildCache(router uint32, seq []ident.Handle, chunk int) {
+	c := &r.caches[router]
+	c.startBuild()
+	for hi := len(seq); hi > 0; hi -= chunk {
+		r.takeOlder(c, seq[max(0, hi-chunk):hi])
+	}
+	r.finishBuild(c)
+}
+
+// TestCacheInsertMatchesReference: the newest-first build leaves a
+// cache exactly as refCacheInsert's inserts do — slots, stamps, bucket
+// capacities, clock and size — for seeded handle sequences with
+// repeats, handed over whole, one deposit at a time and in pieces, on a
+// cache that never fills, on caches that evict, and on one whose
+// bucketCap (12) is not a capacity append growth gives.
 func TestCacheInsertMatchesReference(t *testing.T) {
 	isp := compactTestISP()
 	cfg := smallCompactConfig()
@@ -157,20 +170,21 @@ func TestCacheInsertMatchesReference(t *testing.T) {
 		{8192, 300, false},
 		{512, 2000, true},
 		{64, 2000, true},
-		{16, 40, true}, // one bucket
+		{16, 40, true},  // one bucket
+		{48, 300, true}, // 4 buckets of 12, capFor[12] = 16
 	} {
 		cfg.CacheCapacity = tc.capacity
 		for seed := uint64(1); seed <= 3; seed++ {
 			got, ref := NewCompactRing(isp, cfg), NewCompactRing(isp, cfg)
 			distinct := map[ident.Handle]bool{}
+			seq := make([]ident.Handle, 20*tc.pool)
 			st := seed
-			for i := 0; i < 20*tc.pool; i++ {
-				h := ident.Handle(sim.SplitMix64(&st) % uint64(tc.pool))
-				distinct[h] = true
-				got.cacheInsert(0, h)
-				ref.refCacheInsert(0, h)
+			for i := range seq {
+				seq[i] = ident.Handle(sim.SplitMix64(&st) % uint64(tc.pool))
+				distinct[seq[i]] = true
+				ref.refCacheInsert(0, seq[i])
 			}
-			got.sortCache(0)
+			got.buildCache(0, seq, []int{len(seq), 1, 97}[seed-1])
 			if evicted := ref.caches[0].size < len(distinct); evicted != tc.evicts {
 				t.Fatalf("capacity=%d pool=%d: evicted=%v, want %v", tc.capacity, tc.pool, evicted, tc.evicts)
 			}
@@ -180,6 +194,35 @@ func TestCacheInsertMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzCompactCacheBuild holds the newest-first build to refCacheInsert
+// on arbitrary deposit streams (two bytes a handle, so repeats are
+// common) at arbitrary capacities, handed over in arbitrary pieces:
+// every slot, stamp, bucket capacity, clock and size must match.
+func FuzzCompactCacheBuild(f *testing.F) {
+	isp := compactTestISP()
+	cfg := smallCompactConfig()
+	cfg.Hosts, cfg.EphemeralEvery = 2000, 0
+	got, ref := NewCompactRing(isp, cfg), NewCompactRing(isp, cfg)
+	f.Add(uint16(48), uint8(5), []byte("\x00\x01\x00\x02\x00\x01\x07\xcf\x00\x02"))
+	f.Add(uint16(16), uint8(1), []byte("abcdabcdefghijklmnopqrstuvwxyzab"))
+	f.Add(uint16(0), uint8(3), []byte("\x01\x02\x03\x04"))
+	f.Add(uint16(1000), uint8(0), []byte("\xff\xff\x00\x00\x12\x34\x00\x00"))
+	f.Fuzz(func(t *testing.T, capacity uint16, chunk uint8, stream []byte) {
+		got.caches[0] = newCompactCache(int(capacity % 2048))
+		ref.caches[0] = newCompactCache(int(capacity % 2048))
+		seq := make([]ident.Handle, len(stream)/2)
+		for i := range seq {
+			seq[i] = ident.Handle(int(stream[2*i])<<8|int(stream[2*i+1])) % ident.Handle(cfg.Hosts)
+			ref.refCacheInsert(0, seq[i])
+		}
+		got.buildCache(0, seq, int(chunk)+1)
+		if x, y := cacheText(got, 0), cacheText(ref, 0); x != y {
+			t.Fatalf("capacity=%d chunk=%d: cache differs from the reference\ngot:\n%.600s\nwant:\n%.600s",
+				capacity%2048, int(chunk)+1, x, y)
+		}
+	})
 }
 
 // TestCompactStateDigest pins the complete post-Run state — every
@@ -258,10 +301,9 @@ func TestWarmCachesMatchesSerialReference(t *testing.T) {
 }
 
 // TestWarmCachesBoundedMemory: at 100k hosts Run as a whole — the event
-// run's deposit lists and the blocked warm-up's — allocates little more
-// than it did when the run inserted into the caches directly, releases
-// every deposit list before it returns, and leaves the caches exactly
-// as the serial reference does.
+// run's deposit lists, the warm-up's block lists and one cache slab per
+// router — allocates little, releases every deposit list before it
+// returns, and leaves the caches exactly as the serial reference does.
 func TestWarmCachesBoundedMemory(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("100k-host allocation budget in -short or -race mode")
@@ -278,28 +320,27 @@ func TestWarmCachesBoundedMemory(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	gotBytes := after.TotalAlloc - before.TotalAlloc
 	// HandleMsg runs once per event on pre-sized slabs; only the deposit
-	// lists grow, by amortised append. Run measured 819.5k mallocs over
-	// 3,138,984 control messages, 0.261 per message: ~4.9k in the event
-	// run, the rest in the warm-up's lists and cache buckets. One
-	// allocation per handled event would add at least 1.
-	const mallocsPerMsgBudget = 0.30
+	// lists grow, by amortised append. Run measured ~9.0k mallocs over
+	// 3,138,984 control messages, 0.003 per message: the lists' growth
+	// and one cache slab per router. One allocation per handled event
+	// would add at least 0.37.
+	const mallocsPerMsgBudget = 0.01
 	ctl := r.Metrics().Counter(MsgCompactControl)
 	mallocsPerMsg := float64(after.Mallocs-before.Mallocs) / float64(ctl)
 	t.Logf("Run: %d mallocs over %d control messages, %.3f per message", after.Mallocs-before.Mallocs, ctl, mallocsPerMsg)
 	if mallocsPerMsg > mallocsPerMsgBudget {
 		t.Errorf("Run made %.3f mallocs per control message, budget %.2f", mallocsPerMsg, mallocsPerMsgBudget)
 	}
-	// Run allocated 65.5 MB when the event run inserted straight into
-	// the caches and the warm-up built every path with ls.Path. The run
-	// now queues its ~0.8 M deposits, ~3.2 MB that append growth about
-	// doubles. One warm-up block's lists hold ~8192 x 40 handles, ~1.3
-	// MB; unblocked, 100k hosts would queue ~4 M handles, ~32 MB
-	// allocated.
-	const directRunBytes, slack = 65.5e6, 8 << 20
-	t.Logf("Run allocated %.2f MB; %.1f MB with direct inserts", float64(gotBytes)/1e6, directRunBytes/1e6)
-	if gotBytes > directRunBytes+slack {
-		t.Errorf("Run allocated %.1f MB, %.1f MB with direct inserts; budget +%d MB",
-			float64(gotBytes)/1e6, directRunBytes/1e6, slack>>20)
+	// Run allocated 36.3 MB: the event run's ~0.8 M queued deposits
+	// (~3.2 MB, which append growth about doubles), one warm-up block's
+	// lists (~8192 x 40 handles, ~1.3 MB; unblocked, 100k hosts would
+	// queue ~4 M handles, ~32 MB), the 318 cache slabs (~20.8 MB) and
+	// the engine's heaps.
+	const runBytes, slack = 36.3e6, 8 << 20
+	t.Logf("Run allocated %.2f MB; reference %.1f MB", float64(gotBytes)/1e6, runBytes/1e6)
+	if gotBytes > runBytes+slack {
+		t.Errorf("Run allocated %.1f MB, reference %.1f MB; budget +%d MB",
+			float64(gotBytes)/1e6, runBytes/1e6, slack>>20)
 	}
 	if r.deposits != nil {
 		t.Error("Run returned with its deposit lists still held")
@@ -321,6 +362,16 @@ func compactMetricsTable(m sim.Metrics) string {
 		fmt.Fprintf(&b, "smp %s n=%d p50=%.6f p99=%.6f\n", name, s.N, s.P50, s.P99)
 	}
 	return b.String()
+}
+
+// TestCompactIDsAliasIntern: the ring reads IDs from the intern's own
+// slab, which Footprint charges once, not from an uncharged copy.
+func TestCompactIDsAliasIntern(t *testing.T) {
+	r := NewCompactRing(compactTestISP(), smallCompactConfig())
+	ids := r.intern.IDs()
+	if len(r.ids) != len(ids) || &r.ids[0] != &ids[0] {
+		t.Fatal("CompactRing.ids is a copy of the intern's ID slab, not an alias")
+	}
 }
 
 // TestCompactRingConverges checks the stabilized ring against the
@@ -532,18 +583,20 @@ func TestCompactFootprintBudget(t *testing.T) {
 	}
 }
 
-// TestCompactCacheEviction fills one router's cache past capacity and
-// checks it stays bounded while remaining able to answer lookups.
+// TestCompactCacheEviction builds one router's cache from more distinct
+// handles than it holds and checks it stays bounded while remaining
+// able to answer lookups.
 func TestCompactCacheEviction(t *testing.T) {
 	isp := compactTestISP()
 	cfg := smallCompactConfig()
 	cfg.Hosts = 2000
 	cfg.CacheCapacity = 64
 	r := NewCompactRing(isp, cfg)
-	for h := 0; h < r.Members(); h++ {
-		r.cacheInsert(0, ident.Handle(h))
+	seq := make([]ident.Handle, r.Members())
+	for h := range seq {
+		seq[h] = ident.Handle(h)
 	}
-	r.sortCache(0)
+	r.buildCache(0, seq, len(seq))
 	c := &r.caches[0]
 	budget := c.bucketCap * len(c.buckets)
 	if c.size > budget {
