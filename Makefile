@@ -77,8 +77,9 @@ benchmarks-check:
 	cd benchmarks && $(GO) vet . && $(GO) test -count=1 .
 
 # Functions at 0 % in the union of tier-1 coverage and coverage-built
-# runs of every command, example and the benchmark (~1.5 min on 2 vCPU;
-# CI runs it as a non-gating job and uploads the list).
+# runs of every command, example and the benchmark, then the functions
+# only tests reach (~1.5 min on 2 vCPU; CI runs it as a non-gating job
+# and uploads both lists).
 audit:
 	bash scripts/audit.sh
 

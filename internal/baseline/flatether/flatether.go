@@ -20,17 +20,11 @@ import (
 	"rofl/internal/topology"
 )
 
-// Metrics counter names charged by this package.
-const (
-	MsgJoin = "flatether-join"
-	MsgData = "flatether-data"
-)
+// MsgJoin is the Metrics counter charged for join floods.
+const MsgJoin = "flatether-join"
 
-// Errors returned by Network operations.
-var (
-	ErrDuplicateID = errors.New("flatether: identifier already joined")
-	ErrUnknownID   = errors.New("flatether: identifier unknown")
-)
+// ErrDuplicateID is returned when a host joins twice.
+var ErrDuplicateID = errors.New("flatether: identifier already joined")
 
 // Network is a CMU-ETHERNET-style flat routing domain.
 type Network struct {
@@ -64,37 +58,3 @@ func (n *Network) JoinHost(id ident.ID, at topology.NodeID) (int, error) {
 	n.Metrics.Count(MsgJoin, int64(msgs))
 	return msgs, nil
 }
-
-// LeaveHost withdraws a host, flooding the withdrawal.
-func (n *Network) LeaveHost(id ident.ID) (int, error) {
-	if _, ok := n.hostAt[id]; !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
-	}
-	delete(n.hostAt, id)
-	msgs := 2 * n.LS.Graph().NumEdges()
-	n.Metrics.Count(MsgJoin, int64(msgs))
-	return msgs, nil
-}
-
-// Route forwards over the shortest path — every router knows every host,
-// so stretch is exactly 1.
-func (n *Network) Route(from topology.NodeID, dst ident.ID) (int, error) {
-	at, ok := n.hostAt[dst]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownID, dst.Short())
-	}
-	h := n.LS.Hops(from, at)
-	if h < 0 {
-		return 0, fmt.Errorf("flatether: %s unreachable", dst.Short())
-	}
-	n.Metrics.Count(MsgData, int64(h))
-	return h, nil
-}
-
-// MemoryEntriesPerRouter returns the forwarding-state entries each
-// router holds: one per host in the network, at every router. ROFL's
-// Fig 6c comparison divides this by its own per-router footprint.
-func (n *Network) MemoryEntriesPerRouter() int { return len(n.hostAt) }
-
-// NumHosts returns the number of attached hosts.
-func (n *Network) NumHosts() int { return len(n.hostAt) }

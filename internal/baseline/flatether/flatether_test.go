@@ -34,44 +34,3 @@ func TestJoinFloodsEverything(t *testing.T) {
 		t.Fatalf("dup join: %v", err)
 	}
 }
-
-func TestRouteIsShortestPath(t *testing.T) {
-	n, isp := testNet(t)
-	id := ident.FromString("h")
-	at := isp.Access[5]
-	if _, err := n.JoinHost(id, at); err != nil {
-		t.Fatal(err)
-	}
-	from := isp.Backbone[0]
-	h, err := n.Route(from, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != n.LS.Hops(from, at) {
-		t.Fatalf("hops = %d want shortest %d", h, n.LS.Hops(from, at))
-	}
-	if _, err := n.Route(from, ident.FromString("ghost")); !errors.Is(err, ErrUnknownID) {
-		t.Fatalf("unknown dst: %v", err)
-	}
-}
-
-func TestMemoryScalesWithHosts(t *testing.T) {
-	n, isp := testNet(t)
-	for i := 0; i < 50; i++ {
-		if _, err := n.JoinHost(ident.FromUint64(uint64(i+1)), isp.Access[i%len(isp.Access)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n.MemoryEntriesPerRouter() != 50 || n.NumHosts() != 50 {
-		t.Fatalf("memory = %d hosts = %d", n.MemoryEntriesPerRouter(), n.NumHosts())
-	}
-	if _, err := n.LeaveHost(ident.FromUint64(1)); err != nil {
-		t.Fatal(err)
-	}
-	if n.MemoryEntriesPerRouter() != 49 {
-		t.Fatal("leave must shrink the table")
-	}
-	if _, err := n.LeaveHost(ident.FromUint64(1)); !errors.Is(err, ErrUnknownID) {
-		t.Fatalf("double leave: %v", err)
-	}
-}

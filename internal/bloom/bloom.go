@@ -11,17 +11,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/bits"
 )
 
 // Filter is a classic Bloom filter over byte-slice keys. It uses
 // Kirsch–Mitzenmacher double hashing over two FNV-1a digests, which keeps
 // insertion and lookup allocation-free after construction.
 type Filter struct {
-	bits  []uint64
-	m     uint64 // number of bits
-	k     uint   // number of hash functions
-	count int    // inserted keys (for stats; not a multiset count)
+	bits []uint64
+	m    uint64 // number of bits
+	k    uint   // number of hash functions
 }
 
 // New creates a filter with m bits and k hash functions. m is rounded up
@@ -77,7 +75,6 @@ func (f *Filter) Add(key []byte) {
 		idx := (a + uint64(i)*b) % f.m
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
-	f.count++
 }
 
 // Contains reports whether key may have been inserted (false positives
@@ -93,46 +90,6 @@ func (f *Filter) Contains(key []byte) bool {
 	return true
 }
 
-// Union merges other into f. Both filters must have identical geometry.
-// Border routers aggregate their customers' filters this way when
-// summarizing a subtree.
-func (f *Filter) Union(other *Filter) error {
-	if f.m != other.m || f.k != other.k {
-		return fmt.Errorf("bloom: geometry mismatch (%d/%d vs %d/%d)", f.m, f.k, other.m, other.k)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.count += other.count
-	return nil
-}
-
-// Reset clears all bits.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.count = 0
-}
-
 // SizeBits returns the filter's size in bits — the per-AS state the
 // paper reports (e.g. "74 Mbits of bloom filter state per AS", §6.4).
 func (f *Filter) SizeBits() uint64 { return f.m }
-
-// Count returns how many Add calls the filter absorbed.
-func (f *Filter) Count() int { return f.count }
-
-// FillRatio returns the fraction of set bits, a cheap estimator of the
-// realized false-positive rate (fp ≈ fill^k).
-func (f *Filter) FillRatio() float64 {
-	var set int
-	for _, w := range f.bits {
-		set += bits.OnesCount64(w)
-	}
-	return float64(set) / float64(f.m)
-}
-
-// EstimatedFalsePositiveRate returns fill^k.
-func (f *Filter) EstimatedFalsePositiveRate() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}

@@ -50,55 +50,12 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 	if rate > target*3 {
 		t.Fatalf("false positive rate %.4f far above target %.4f", rate, target)
 	}
-	if est := f.EstimatedFalsePositiveRate(); est > target*3 {
-		t.Fatalf("estimated fp rate %.4f too high", est)
-	}
 }
 
 func TestEmptyFilterContainsNothing(t *testing.T) {
 	f := New(1024, 3)
 	if f.Contains([]byte("anything")) {
 		t.Fatal("empty filter must be empty")
-	}
-	if f.Count() != 0 || f.FillRatio() != 0 {
-		t.Fatal("empty filter stats wrong")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := New(1024, 3)
-	b := New(1024, 3)
-	a.Add([]byte("in-a"))
-	b.Add([]byte("in-b"))
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Contains([]byte("in-a")) || !a.Contains([]byte("in-b")) {
-		t.Fatal("union must contain both sets")
-	}
-	if a.Count() != 2 {
-		t.Fatalf("count = %d", a.Count())
-	}
-}
-
-func TestUnionGeometryMismatch(t *testing.T) {
-	a := New(1024, 3)
-	b := New(2048, 3)
-	if err := a.Union(b); err == nil {
-		t.Fatal("mismatched geometry must error")
-	}
-	c := New(1024, 4)
-	if err := a.Union(c); err == nil {
-		t.Fatal("mismatched k must error")
-	}
-}
-
-func TestReset(t *testing.T) {
-	f := New(1024, 3)
-	f.Add([]byte("x"))
-	f.Reset()
-	if f.Contains([]byte("x")) || f.Count() != 0 {
-		t.Fatal("reset must clear the filter")
 	}
 }
 

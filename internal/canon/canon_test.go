@@ -525,7 +525,7 @@ func TestMultihomingFailover(t *testing.T) {
 		}
 	}
 	in.RestoreASLink(4, 2)
-	if in.LinkFailed(4, 2) {
+	if in.failedLink[linkKey(4, 2)] {
 		t.Fatal("restore failed")
 	}
 }
@@ -831,7 +831,7 @@ func TestCheckRingsCatchesResidentCorruption(t *testing.T) {
 
 func TestAccessorsAndStrings(t *testing.T) {
 	in := newSmall(t, DefaultOptions())
-	if in.Options() != DefaultOptions() {
+	if in.opts != DefaultOptions() {
 		t.Fatal("Options round trip")
 	}
 	a := ident.FromString("acc")
@@ -841,8 +841,8 @@ func TestAccessorsAndStrings(t *testing.T) {
 	if in.NumJoined() != 1 {
 		t.Fatalf("NumJoined = %d", in.NumJoined())
 	}
-	if in.RingSize(Top) != 1 {
-		t.Fatalf("RingSize(Top) = %d", in.RingSize(Top))
+	if n := len(in.levels[Top].ring); n != 1 {
+		t.Fatalf("Top ring holds %d, want 1", n)
 	}
 	vn := in.vnOf(a)
 	roots := vn.Roots()

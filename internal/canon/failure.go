@@ -27,11 +27,6 @@ func (in *Internet) RestoreASLink(a, b topology.ASN) {
 	delete(in.failedLink, linkKey(a, b))
 }
 
-// LinkFailed reports whether the adjacency is currently failed.
-func (in *Internet) LinkFailed(a, b topology.ASN) bool {
-	return in.failedLink[linkKey(a, b)]
-}
-
 // HostVirtual arranges for a provider AS to stand by as a virtual host
 // for an identifier (§4.1): if the identifier's own AS fails, the
 // provider takes over hosting and the identifier stays reachable. The
@@ -208,14 +203,6 @@ func (in *Internet) CheckRings() error {
 		}
 	}
 	return nil
-}
-
-// RingSize returns the membership count of a level (0 when absent).
-func (in *Internet) RingSize(r Root) int {
-	if lv := in.levels[r]; lv != nil {
-		return len(lv.ring)
-	}
-	return 0
 }
 
 // CheckIsolationState verifies the paper's isolation invariant on the

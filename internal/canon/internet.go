@@ -420,9 +420,6 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 	return in
 }
 
-// Options returns the configuration.
-func (in *Internet) Options() Options { return in.opts }
-
 // AS returns the simulation state of one AS.
 func (in *Internet) AS(a topology.ASN) *AS { return in.ases[a] }
 

@@ -177,8 +177,8 @@ func TestNeighboursMatchReferenceSplice(t *testing.T) {
 	for i := 0; i < 160; i++ {
 		join("join")
 	}
-	if in.RingSize(Top) != 160 {
-		t.Fatalf("Top ring holds %d of 160", in.RingSize(Top))
+	if n := len(in.levels[Top].ring); n != 160 {
+		t.Fatalf("Top ring holds %d of 160", n)
 	}
 
 	for i := 0; i < 30; i++ {

@@ -156,7 +156,7 @@ func TestMetricsEndpointsServeLiveCounters(t *testing.T) {
 	for {
 		done := true
 		for _, m := range members {
-			if m.Drained() < want {
+			if m.drained.Load() < want {
 				done = false
 			}
 		}
@@ -245,7 +245,7 @@ func TestKillRestartAccounting(t *testing.T) {
 	}
 	evictions := uint64(0)
 	for _, mem := range sup.Members() {
-		evictions += mem.Registry().Counter(`rofl_overlay_eviction_total{kind="successor"}`).Value()
+		evictions += mem.reg.Counter(`rofl_overlay_eviction_total{kind="successor"}`).Value()
 	}
 	if evictions == 0 {
 		t.Fatal("no eviction was counted for the killed node")
@@ -285,7 +285,7 @@ func TestSupervisorCloseJoinsGoroutines(t *testing.T) {
 		}
 		sup.Close()
 		for _, m := range sup.Members() {
-			scrapes = append(scrapes, scrape(t, m.Registry()))
+			scrapes = append(scrapes, scrape(t, m.reg))
 		}
 		done <- err
 	}()
@@ -457,7 +457,7 @@ func TestFaultWrappedClusterConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range sup.Members() {
-		if m.UplinkStats().Sent == 0 {
+		if m.reg.Counter(`rofl_netem_packet_total{fate="sent"}`).Value() == 0 {
 			t.Fatalf("node %d uplink saw no traffic", m.Index)
 		}
 	}
@@ -467,7 +467,7 @@ func TestFaultWrappedClusterConverges(t *testing.T) {
 	for {
 		lost := uint64(0)
 		for _, m := range sup.Members() {
-			lost += m.Registry().Counter(`rofl_netem_packet_total{fate="lost"}`).Value()
+			lost += m.reg.Counter(`rofl_netem_packet_total{fate="lost"}`).Value()
 		}
 		if lost > 0 {
 			break

@@ -84,13 +84,6 @@ func (m *Member) ID() ident.ID { return m.id }
 // Alive reports whether the member currently runs a node.
 func (m *Member) Alive() bool { return m.alive.Load() }
 
-// Registry returns the member's cumulative telemetry registry.
-func (m *Member) Registry() *telemetry.Registry { return m.reg }
-
-// Drained returns how many data deliveries the supervisor's drainer
-// consumed on the member's behalf, across all incarnations.
-func (m *Member) Drained() uint64 { return m.drained.Load() }
-
 // Node returns the current overlay node, or nil while killed.
 func (m *Member) Node() *overlay.Node {
 	m.mu.Lock()
@@ -107,18 +100,6 @@ func (m *Member) MetricsURL() string {
 		return ""
 	}
 	return m.srv.URL() + "/metrics"
-}
-
-// UplinkStats returns the current incarnation's fault-schedule
-// counters; zero when faults are disabled or the member is down.
-func (m *Member) UplinkStats() netem.LinkStats {
-	m.mu.Lock()
-	f := m.faultStat
-	m.mu.Unlock()
-	if f == nil {
-		return netem.LinkStats{}
-	}
-	return f.Stats()
 }
 
 // The supervisor's event catalog: every structured event type it emits

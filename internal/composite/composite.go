@@ -135,12 +135,6 @@ func (g *Global) Domain(a topology.ASN) (*Domain, bool) {
 	return d, ok
 }
 
-// HostAS returns the AS a joined host lives in.
-func (g *Global) HostAS(id ident.ID) (topology.ASN, bool) {
-	a, ok := g.hostAS[id]
-	return a, ok
-}
-
 // nearestBorder returns the border router closest (by hops) to `from`.
 func (d *Domain) nearestBorder(from vring.RouterID) (vring.RouterID, int, error) {
 	best := vring.RouterID(-1)
@@ -288,6 +282,3 @@ func (g *Global) CheckAll() error {
 	}
 	return g.Inter.CheckIsolationState()
 }
-
-// NumHosts returns the number of joined hosts across all ASes.
-func (g *Global) NumHosts() int { return len(g.hostAS) }

@@ -66,8 +66,8 @@ func TestCompositeJoinChargesBothLayers(t *testing.T) {
 	if gl.Metrics.Counter(MsgBorderFlood) == 0 {
 		t.Fatal("border flood not charged")
 	}
-	if gl.NumHosts() != 2 {
-		t.Fatalf("hosts = %d", gl.NumHosts())
+	if len(gl.hostAS) != 2 {
+		t.Fatalf("hosts = %d", len(gl.hostAS))
 	}
 }
 
@@ -112,8 +112,8 @@ func TestCompositeCrossASRouting(t *testing.T) {
 		if !res.Delivered {
 			t.Fatal("not delivered")
 		}
-		srcAS, _ := gl.HostAS(src)
-		dstAS, _ := gl.HostAS(dst)
+		srcAS := gl.hostAS[src]
+		dstAS := gl.hostAS[dst]
 		if srcAS != dstAS {
 			crossSeen = true
 			if res.InterHops <= 0 {

@@ -235,23 +235,6 @@ func (id ID) Digit(i int) int {
 	return int(b & 0x0f)
 }
 
-// WithDigit returns a copy of id whose i-th digit is replaced by d. It is
-// used to compute the target region for finger-table slot (i, d).
-func (id ID) WithDigit(i, d int) ID {
-	if d < 0 || d >= 1<<DigitBits {
-		panic(fmt.Sprintf("ident: digit value %d out of range", d))
-	}
-	out := id
-	b := out[i/2]
-	if i%2 == 0 {
-		b = (b & 0x0f) | byte(d)<<4
-	} else {
-		b = (b & 0xf0) | byte(d)
-	}
-	out[i/2] = b
-	return out
-}
-
 // --- Group identifiers (paper §5.1–5.2) ---------------------------------
 //
 // Anycast and multicast reuse the flat namespace by giving every member

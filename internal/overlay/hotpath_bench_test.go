@@ -62,6 +62,22 @@ func benchNode(tb testing.TB, nKnown int) *Node {
 	return n
 }
 
+// forward routes an already-built packet through the core: one greedy
+// next-hop decision plus marshal and send, the unit these benchmarks
+// time.
+func (n *Node) forward(pkt *wire.Packet) error {
+	a := getActs()
+	defer putActs(a)
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return ErrClosed
+	}
+	n.core.ForwardData(pkt, a)
+	n.mu.Unlock()
+	return n.run(a)
+}
+
 // BenchmarkForwardData measures one greedy next-hop decision plus
 // marshal and (sunk) send — the per-hop cost of the data path.
 func BenchmarkForwardData(b *testing.B) {
@@ -86,7 +102,7 @@ func BenchmarkForwardData(b *testing.B) {
 // (expected: a couple of atomic adds, zero allocations).
 func BenchmarkForwardDataInstrumented(b *testing.B) {
 	n := benchNode(b, benchKnown)
-	n.SetTelemetry(telemetry.NewRegistry(), nil)
+	n.setTelemetry(telemetry.NewRegistry(), nil)
 	pkt := &wire.Packet{
 		Type: wire.TypeData, TTL: wire.DefaultTTL,
 		Dst: ident.FromUint64(3500), Src: ident.FromUint64(77),
@@ -112,7 +128,7 @@ func TestForwardInstrumentedZeroAllocs(t *testing.T) {
 	}
 	n := benchNode(t, benchKnown)
 	reg := telemetry.NewRegistry()
-	n.SetTelemetry(reg, nil)
+	n.setTelemetry(reg, nil)
 	pkt := &wire.Packet{
 		Type: wire.TypeData, TTL: wire.DefaultTTL,
 		Dst: ident.FromUint64(3500), Src: ident.FromUint64(77),

@@ -15,11 +15,6 @@ import (
 // the protocol core).
 type LivenessParams = proto.LivenessParams
 
-// DefaultLivenessParams detects a dead successor in roughly
-// (Multiplier+1)×MinTx ≈ 40ms on a LAN — two orders of magnitude under
-// the stabilize-timer epochs it fronts.
-func DefaultLivenessParams() LivenessParams { return proto.DefaultLivenessParams() }
-
 // startLiveness begins probing the node's current successor with the
 // parameters the core was built with, until Close; New calls it at most
 // once. Probing tracks successor changes automatically: whenever the

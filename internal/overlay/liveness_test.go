@@ -121,7 +121,7 @@ func TestDeadSuccessorEmitsOneEvictionEvent(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	var buf syncBuf
-	a.SetTelemetry(reg, telemetry.NewEventLog(&buf, telemetry.LevelInfo))
+	a.setTelemetry(reg, telemetry.NewEventLog(&buf, telemetry.LevelInfo))
 	waitConverged(t, nodes, 10*time.Second, "two-node convergence")
 
 	b.Close()
@@ -155,7 +155,7 @@ func TestRequestTimeoutEmitsEventAndCounter(t *testing.T) {
 	})
 	reg := telemetry.NewRegistry()
 	var buf syncBuf
-	n.SetTelemetry(reg, telemetry.NewEventLog(&buf, telemetry.LevelInfo))
+	n.setTelemetry(reg, telemetry.NewEventLog(&buf, telemetry.LevelInfo))
 
 	if err := n.Join("em://void", 200*time.Millisecond); err == nil {
 		t.Fatal("join to a black hole must time out")
@@ -187,7 +187,7 @@ func TestJoinRetriesWithMultiplierBelowOne(t *testing.T) {
 		Retry:     RetryPolicy{Initial: 10 * time.Millisecond, Max: 50 * time.Millisecond},
 	})
 	reg := telemetry.NewRegistry()
-	n.SetTelemetry(reg, nil)
+	n.setTelemetry(reg, nil)
 
 	start := time.Now()
 	if err := n.Join("em://silent", budget); !errors.Is(err, ErrTimeout) {
@@ -243,7 +243,7 @@ func TestLivenessSurvivesLossWithoutFalsePositive(t *testing.T) {
 	}))
 	reg := telemetry.NewRegistry()
 	for _, node := range nodes {
-		node.SetTelemetry(reg, nil)
+		node.setTelemetry(reg, nil)
 	}
 	waitConverged(t, nodes, 20*time.Second, "convergence at 10% loss")
 
@@ -271,7 +271,7 @@ func TestInstrumentedTrafficCounters(t *testing.T) {
 	regs := make([]*telemetry.Registry, len(nodes))
 	for i, node := range nodes {
 		regs[i] = telemetry.NewRegistry()
-		node.SetTelemetry(regs[i], nil)
+		node.setTelemetry(regs[i], nil)
 	}
 	waitConverged(t, nodes, 10*time.Second, "ring convergence")
 

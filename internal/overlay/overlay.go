@@ -113,7 +113,7 @@ type Config struct {
 	// DeliveryBuffer is the application channel depth; zero means 64.
 	DeliveryBuffer int
 	// Registry, when set, wires the node's counters into it at
-	// construction (SetTelemetry can rewire later).
+	// construction.
 	Registry *telemetry.Registry
 	// Events, when set, receives the node's structured events.
 	Events *telemetry.EventLog
@@ -141,7 +141,7 @@ type Node struct {
 	deliveries chan Delivery
 	dropCount  atomic.Uint64 // deliveries dropped on a full channel
 
-	// ins is the telemetry wiring, swapped atomically so SetTelemetry
+	// ins is the telemetry wiring, swapped atomically so setTelemetry
 	// is safe against a running read loop. Never nil: an unwired node
 	// carries a zero Instruments (all handles nil and nil-safe), which
 	// keeps the hot path branch-free and allocation-free.
@@ -194,7 +194,7 @@ func New(id ident.ID, cfg Config) (*Node, error) {
 	}
 	n.ins.Store(&Instruments{})
 	if cfg.Registry != nil || cfg.Events != nil {
-		n.SetTelemetry(cfg.Registry, cfg.Events)
+		n.setTelemetry(cfg.Registry, cfg.Events)
 	}
 	n.wg.Add(1)
 	go n.readLoop()
@@ -550,22 +550,6 @@ func (n *Node) SendWithCapability(dst ident.ID, payload, capability []byte) erro
 		return ErrClosed
 	}
 	n.core.Originate(dst, payload, capability, a)
-	n.mu.Unlock()
-	return n.run(a)
-}
-
-// forward routes an already-built packet through the core — the
-// benchmark entry point for one greedy next-hop decision plus marshal
-// and send.
-func (n *Node) forward(pkt *wire.Packet) error {
-	a := getActs()
-	defer putActs(a)
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrClosed
-	}
-	n.core.ForwardData(pkt, a)
 	n.mu.Unlock()
 	return n.run(a)
 }

@@ -5,10 +5,10 @@ import (
 )
 
 // Instruments bundles the telemetry handles the node updates as it
-// runs. Handles are resolved once at wiring time (SetTelemetry) and
+// runs. Handles are resolved once at wiring time (setTelemetry) and
 // updated with single atomic adds, so instrumentation costs the hot
 // path no allocations and no map lookups; unset handles are nil and
-// nil-safe. The struct is swapped in atomically, letting SetTelemetry
+// nil-safe. The struct is swapped in atomically, letting setTelemetry
 // race harmlessly with a running read loop.
 type Instruments struct {
 	// Data path.
@@ -62,11 +62,11 @@ const (
 	eventJoinServed     = "join_served"
 )
 
-// SetTelemetry wires the node's counters into reg and its structured
+// setTelemetry wires the node's counters into reg and its structured
 // events into log. Either may be nil (events-only or counters-only
 // wiring). Safe to call while the node runs; per-packet updates switch
 // to the new handles atomically.
-func (n *Node) SetTelemetry(reg *telemetry.Registry, log *telemetry.EventLog) {
+func (n *Node) setTelemetry(reg *telemetry.Registry, log *telemetry.EventLog) {
 	ins := &Instruments{Events: log}
 	if reg != nil {
 		ins.Forwards = reg.Counter(metricForward)

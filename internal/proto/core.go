@@ -175,12 +175,6 @@ func New(cfg Config) *Core {
 	}
 }
 
-// ID returns the core's flat label.
-func (c *Core) ID() ident.ID { return c.id }
-
-// Addr returns the core's own transport address.
-func (c *Core) Addr() string { return c.addr }
-
 // Bootstrap makes this core the first ring member: it is its own
 // successor and predecessor.
 func (c *Core) Bootstrap() {

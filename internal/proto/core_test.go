@@ -262,8 +262,8 @@ func answerStabilizes(c *Core, a *Actions, skip ident.ID) {
 		if snd.Pkt.Type == wire.TypeStabilize && snd.Pkt.Dst != skip {
 			replies = append(replies, &wire.Packet{
 				Type: wire.TypeStabilizeReply, TTL: wire.DefaultTTL,
-				Dst: c.ID(), Src: snd.Pkt.Dst, ReqID: snd.Pkt.ReqID,
-				Payload: EncodePeers([]Peer{{ID: c.ID(), Addr: c.Addr()}}),
+				Dst: c.id, Src: snd.Pkt.Dst, ReqID: snd.Pkt.ReqID,
+				Payload: EncodePeers([]Peer{{ID: c.id, Addr: c.addr}}),
 			})
 		}
 	}
@@ -295,7 +295,7 @@ func TestForwardSkipsSuspectUntilItsOwnPacket(t *testing.T) {
 			t.Fatalf("forwarded to %q, want peer:2500 around the evicted successor", got)
 		}
 		c.HandlePacket(&wire.Packet{Type: wire.TypeLivenessReply, TTL: wire.DefaultTTL,
-			Dst: c.ID(), Src: ident.FromUint64(2999), ReqID: 1}, "peer:2999", &a)
+			Dst: c.id, Src: ident.FromUint64(2999), ReqID: 1}, "peer:2999", &a)
 		if got := forwardsTo(t, c, 3000); got != "peer:2999" {
 			t.Fatalf("forwarded to %q, want peer:2999 once its own reply arrived", got)
 		}
@@ -303,7 +303,7 @@ func TestForwardSkipsSuspectUntilItsOwnPacket(t *testing.T) {
 	t.Run("cleared predecessor", func(t *testing.T) {
 		c := suspectPredecessor(t)
 		c.HandlePacket(&wire.Packet{Type: wire.TypeLiveness, TTL: wire.DefaultTTL,
-			Dst: c.ID(), Src: ident.FromUint64(500), ReqID: 1}, "peer:500", new(Actions))
+			Dst: c.id, Src: ident.FromUint64(500), ReqID: 1}, "peer:500", new(Actions))
 		if got := forwardsTo(t, c, 600); got != "peer:500" {
 			t.Fatalf("forwarded to %q, want peer:500 once its own probe arrived", got)
 		}
@@ -369,7 +369,7 @@ func suspectPredecessor(t *testing.T) *Core {
 func TestForwardSuspectNotClearedByGossip(t *testing.T) {
 	c := suspectPredecessor(t)
 	c.HandlePacket(&wire.Packet{Type: wire.TypeStabilize, TTL: wire.DefaultTTL,
-		Dst: c.ID(), Src: ident.FromUint64(2000), ReqID: 7,
+		Dst: c.id, Src: ident.FromUint64(2000), ReqID: 7,
 		Payload: EncodePeers([]Peer{testPeer(2000), testPeer(500)})}, "peer:2000", new(Actions))
 	if got := forwardsTo(t, c, 600); got != "peer:2000" {
 		t.Fatalf("forwarded to %q after gossip, want peer:2000: hearsay must not clear the mark", got)
@@ -386,7 +386,7 @@ func stabilizeReply(c *Core, responder, reqID uint64, list ...uint64) *wire.Pack
 	}
 	c.noteStab(reqID)
 	return &wire.Packet{Type: wire.TypeStabilizeReply, TTL: wire.DefaultTTL,
-		Dst: c.ID(), Src: ident.FromUint64(responder), ReqID: reqID, Payload: EncodePeers(es)}
+		Dst: c.id, Src: ident.FromUint64(responder), ReqID: reqID, Payload: EncodePeers(es)}
 }
 
 func groupIDs(c *Core) []uint64 {
@@ -464,14 +464,14 @@ func TestJoinSpliceAcrossTwoCores(t *testing.T) {
 
 	var a Actions
 	id := joiner.NextReqID()
-	joiner.StartJoin(id, boot.Addr(), &a)
-	if len(a.Sends) != 1 || a.Sends[0].Addr != boot.Addr() {
+	joiner.StartJoin(id, boot.addr, &a)
+	if len(a.Sends) != 1 || a.Sends[0].Addr != boot.addr {
 		t.Fatalf("join must send one request to the bootstrap, got %+v", a.Sends)
 	}
 	req := a.Sends[0].Pkt
 
 	var b Actions
-	boot.HandlePacket(req, joiner.Addr(), &b)
+	boot.HandlePacket(req, joiner.addr, &b)
 	var reply *wire.Packet
 	for _, s := range b.Sends {
 		if s.Pkt.Type == wire.TypeJoinReply {
@@ -492,27 +492,27 @@ func TestJoinSpliceAcrossTwoCores(t *testing.T) {
 	}
 
 	a.Reset()
-	joiner.HandlePacket(reply, boot.Addr(), &a)
+	joiner.HandlePacket(reply, boot.addr, &a)
 	if len(a.Joins) != 1 || a.Joins[0].ReqID != id || a.Joins[0].Err != nil {
 		t.Fatalf("join completion = %+v, want ReqID %d with nil error", a.Joins, id)
 	}
-	if s, ok := joiner.Successor(); !ok || s.ID != boot.ID() {
+	if s, ok := joiner.Successor(); !ok || s.ID != boot.id {
 		t.Fatal("joiner did not adopt the bootstrap as successor")
 	}
-	if p, ok := joiner.Predecessor(); !ok || p.ID != boot.ID() {
+	if p, ok := joiner.Predecessor(); !ok || p.ID != boot.id {
 		t.Fatal("joiner did not adopt the bootstrap as predecessor")
 	}
-	if s, ok := boot.Successor(); !ok || s.ID != joiner.ID() {
+	if s, ok := boot.Successor(); !ok || s.ID != joiner.id {
 		t.Fatal("bootstrap did not adopt the joiner as successor")
 	}
-	if p, ok := boot.Predecessor(); !ok || p.ID != joiner.ID() {
+	if p, ok := boot.Predecessor(); !ok || p.ID != joiner.id {
 		t.Fatal("bootstrap did not adopt the joiner as predecessor")
 	}
 
 	// A duplicate (retransmitted) reply for the completed request is
 	// ignored: the attempt is no longer pending.
 	a.Reset()
-	joiner.HandlePacket(reply, boot.Addr(), &a)
+	joiner.HandlePacket(reply, boot.addr, &a)
 	if len(a.Joins) != 0 {
 		t.Fatalf("stale join reply re-completed the attempt: %+v", a.Joins)
 	}
@@ -527,7 +527,7 @@ func TestStaleStabilizeReplyIgnoredByCore(t *testing.T) {
 	tempting := ident.FromUint64(1001) // would win adoption if accepted
 	forged := &wire.Packet{
 		Type: wire.TypeStabilizeReply, TTL: wire.DefaultTTL,
-		Dst: c.ID(), Src: tempting, ReqID: 0xdead,
+		Dst: c.id, Src: tempting, ReqID: 0xdead,
 		Payload: EncodePeers([]Peer{{ID: tempting, Addr: "peer:evil"}}),
 	}
 	var a Actions

@@ -103,14 +103,6 @@ func (s *peerSet) contains(id ident.ID) bool {
 	return ok
 }
 
-func (s *peerSet) get(id ident.ID) (Peer, bool) {
-	e, ok := s.byID[id]
-	return e.Peer, ok
-}
-
-// at returns the i-th peer in ascending ID order.
-func (s *peerSet) at(i int) Peer { return s.byID[s.ids[i]].Peer }
-
 // idAt reads the sorted slice for ident's searches.
 func (s *peerSet) idAt(k int) *ident.ID { return &s.ids[k] }
 

@@ -43,8 +43,8 @@ func TestPeerSetBasics(t *testing.T) {
 	}
 	// Sorted ascending regardless of insertion order.
 	for i, want := range []uint64{10, 20, 30, 40, 50} {
-		if got := s.at(i).ID; got != ident.FromUint64(want) {
-			t.Fatalf("at(%d) = %v, want %d", i, got, want)
+		if got := s.ids[i]; got != ident.FromUint64(want) {
+			t.Fatalf("ids[%d] = %v, want %d", i, got, want)
 		}
 	}
 	// Re-inserting refreshes the address without duplicating.
@@ -52,7 +52,7 @@ func TestPeerSetBasics(t *testing.T) {
 	if s.len() != 5 {
 		t.Fatalf("duplicate insert grew the set to %d", s.len())
 	}
-	if e, ok := s.get(ident.FromUint64(30)); !ok || e.Addr != "peer:new" {
+	if e, ok := s.byID[ident.FromUint64(30)]; !ok || e.Addr != "peer:new" {
 		t.Fatalf("address not refreshed: %+v %v", e, ok)
 	}
 	s.remove(ident.FromUint64(30))

@@ -70,7 +70,7 @@ func TestMergeFoldsAllState(t *testing.T) {
 	if got := len(b.Samples("lat")); got != 2 {
 		t.Errorf("merge aliased source sample slice; source now has %d", got)
 	}
-	// CDF/summary over merged samples sees the full multiset — the
+	// A summary over merged samples sees the full multiset — the
 	// min-observation interaction fixed in PR 1 must survive merging.
 	s := Summarize(a.Samples("lat"))
 	if s.N != 4 || s.Min != 1 {

@@ -302,7 +302,7 @@ func (e *ShardedEngine) Events() (n int64) {
 // MergedMetrics folds the per-shard sinks into a fresh Metrics in shard
 // order. Counter totals and sample multisets are shard-count invariant;
 // sample *order* within a set is not, and every consumer (Summarize,
-// Quantile, CDF) sorts first — the same contract Metrics.Merge
+// Quantile) sorts first — the same contract Metrics.Merge
 // documents for the trial pool.
 func (e *ShardedEngine) MergedMetrics() Metrics {
 	m := NewMetrics()

@@ -99,7 +99,7 @@ func (m Metrics) SampleNames() []string {
 // on when it folds per-worker sinks together in trial-index order.
 // Counter totals and sample multisets are independent of the merge
 // order; only the position of samples within a set depends on it, and
-// every consumer (Summarize, Quantile, CDF) sorts first. other is not
+// every consumer (Summarize, Quantile) sorts first. other is not
 // modified.
 func (m Metrics) Merge(other Metrics) {
 	for _, k := range other.CounterNames() {
@@ -165,36 +165,6 @@ func Quantile(sorted []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// CDF returns (value, cumulative-fraction) pairs suitable for plotting a
-// CDF like the paper's Figures 5b, 5c and 8b, downsampled to at most
-// points entries. The last pair is always the maximum observation at
-// rank n, and with points > 1 the first is always the minimum at rank 1,
-// so a downsampled curve spans the full observed range.
-func CDF(vs []float64, points int) [][2]float64 {
-	if len(vs) == 0 || points <= 0 {
-		return nil
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	n := len(s)
-	if points > n {
-		points = n
-	}
-	if points == 1 {
-		return [][2]float64{{s[n-1], 1}}
-	}
-	out := make([][2]float64, 0, points)
-	out = append(out, [2]float64{s[0], 1 / float64(n)})
-	for i := 1; i < points; i++ {
-		idx := (i + 1) * n / points
-		if idx > n {
-			idx = n
-		}
-		out = append(out, [2]float64{s[idx-1], float64(idx) / float64(n)})
-	}
-	return out
 }
 
 // String renders a summary compactly for logs and experiment tables.

@@ -189,63 +189,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	vs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	pts := CDF(vs, 5)
-	if len(pts) != 5 {
-		t.Fatalf("points = %v", pts)
-	}
-	last := pts[len(pts)-1]
-	if last[0] != 10 || last[1] != 1.0 {
-		t.Fatalf("last point = %v, want (10, 1.0)", last)
-	}
-	// Fractions must be nondecreasing.
-	for i := 1; i < len(pts); i++ {
-		if pts[i][1] < pts[i-1][1] || pts[i][0] < pts[i-1][0] {
-			t.Fatalf("CDF not monotone: %v", pts)
-		}
-	}
-	if CDF(nil, 5) != nil || CDF(vs, 0) != nil {
-		t.Fatal("degenerate CDF inputs should return nil")
-	}
-	// More points requested than samples: clamp.
-	if got := CDF([]float64{1, 2}, 10); len(got) != 2 {
-		t.Fatalf("clamped CDF = %v", got)
-	}
-}
-
-// Regression for the downsampling bug: the first emitted point used to
-// sit at rank len(s)/points, so every downsampled curve started above
-// the true minimum.
-func TestCDFKeepsMinimumWhenDownsampling(t *testing.T) {
-	vs := make([]float64, 100)
-	for i := range vs {
-		vs[i] = float64(i + 1) // 1..100
-	}
-	pts := CDF(vs, 10)
-	if len(pts) != 10 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0] != [2]float64{1, 0.01} {
-		t.Fatalf("first point = %v, want the minimum at rank 1 (1, 0.01)", pts[0])
-	}
-	if last := pts[len(pts)-1]; last != [2]float64{100, 1} {
-		t.Fatalf("last point = %v, want the maximum (100, 1)", last)
-	}
-	// Full resolution still enumerates every rank exactly once.
-	full := CDF([]float64{3, 1, 2}, 3)
-	want := [][2]float64{{1, 1.0 / 3}, {2, 2.0 / 3}, {3, 1}}
-	for i := range want {
-		if full[i] != want[i] {
-			t.Fatalf("full-resolution CDF = %v, want %v", full, want)
-		}
-	}
-	// A single requested point degenerates to the maximum.
-	if one := CDF(vs, 1); len(one) != 1 || one[0] != [2]float64{100, 1} {
-		t.Fatalf("1-point CDF = %v", one)
-	}
-}
-
 // Golden values pinning Quantile's linear interpolation between ranks
 // (position q*(n-1), R-7), which its doc comment used to misname
 // "nearest-rank".

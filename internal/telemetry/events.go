@@ -105,17 +105,11 @@ func (l *EventLog) Emit(lvl Level, event string, kv ...any) {
 	_, _ = l.w.Write(b)
 }
 
-// Debug emits at LevelDebug.
-func (l *EventLog) Debug(event string, kv ...any) { l.Emit(LevelDebug, event, kv...) }
-
 // Info emits at LevelInfo.
 func (l *EventLog) Info(event string, kv ...any) { l.Emit(LevelInfo, event, kv...) }
 
 // Warn emits at LevelWarn.
 func (l *EventLog) Warn(event string, kv ...any) { l.Emit(LevelWarn, event, kv...) }
-
-// Error emits at LevelError.
-func (l *EventLog) Error(event string, kv ...any) { l.Emit(LevelError, event, kv...) }
 
 // appendJSONValue renders one field value. Strings, booleans, integers,
 // floats, durations, errors, and Stringers are rendered natively;

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 )
@@ -270,16 +269,10 @@ func (g *ASGraph) InUpHierarchy(x, y ASN, includeBackup bool) bool {
 	return ok
 }
 
-// DownHierarchy returns the set of ASes at or below root via customer
-// links (root included) — the subtree whose hosts a Bloom filter at root
-// summarizes (§4.2).
-func (g *ASGraph) DownHierarchy(root ASN) []ASN {
-	return g.downHierarchy(root, g.Customers)
-}
-
-// DownHierarchyPrimary is DownHierarchy restricted to primary customer
-// links — the customer cone joins actually cover, since backup links are
-// excluded from joins.
+// DownHierarchyPrimary returns the set of ASes at or below root via
+// primary customer links (root included) — the subtree whose hosts a
+// Bloom filter at root summarizes (§4.2), and the customer cone joins
+// actually cover, since backup links are excluded from joins.
 func (g *ASGraph) DownHierarchyPrimary(root ASN) []ASN {
 	return g.downHierarchy(root, g.PrimaryCustomers)
 }
@@ -301,15 +294,6 @@ func (g *ASGraph) downHierarchy(root ASN, customers func(ASN) []ASN) []ASN {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// String summarizes the graph.
-func (g *ASGraph) String() string {
-	links := 0
-	for a := 0; a < g.n; a++ {
-		links += len(g.rel[a])
-	}
-	return fmt.Sprintf("asgraph{ases=%d links=%d}", g.n, links/2)
 }
 
 // ASGenConfig parameterizes the Internet-like AS topology generator.

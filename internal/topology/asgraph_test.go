@@ -131,15 +131,15 @@ func TestUpHierarchyBackupInclusion(t *testing.T) {
 
 func TestDownHierarchy(t *testing.T) {
 	g := smallAS()
-	down := g.DownHierarchy(2)
+	down := g.downHierarchy(2, g.Customers)
 	if len(down) != 3 { // 2, 4, 5
 		t.Fatalf("down = %v", down)
 	}
-	whole := g.DownHierarchy(1)
+	whole := g.downHierarchy(1, g.Customers)
 	if len(whole) != 5 {
 		t.Fatalf("down(1) = %v", whole)
 	}
-	leaf := g.DownHierarchy(4)
+	leaf := g.downHierarchy(4, g.Customers)
 	if len(leaf) != 1 || leaf[0] != 4 {
 		t.Fatalf("down(leaf) = %v", leaf)
 	}
@@ -339,7 +339,7 @@ func TestFinishedGraphIsSafeToReadConcurrently(t *testing.T) {
 				a := ASN(i)
 				sums[w] += len(g.Providers(a)) + len(g.PrimaryProviders(a)) + len(g.Customers(a)) +
 					len(g.CustomerIsBackup(a)) + len(g.PrimaryCustomers(a)) + len(g.Peers(a)) +
-					len(g.Neighbors(a)) + len(g.UpHierarchyLevels(a, true)) + len(g.DownHierarchy(a))
+					len(g.Neighbors(a)) + len(g.UpHierarchyLevels(a, true)) + len(g.DownHierarchyPrimary(a))
 			}
 		}()
 	}

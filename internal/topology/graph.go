@@ -7,7 +7,6 @@
 package topology
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -303,9 +302,4 @@ func (g *Graph) DiameterHops(samples int, rng *rand.Rand) int {
 		}
 	}
 	return max
-}
-
-// String summarizes the graph.
-func (g *Graph) String() string {
-	return fmt.Sprintf("graph{nodes=%d links=%d}", g.NumNodes(), g.NumEdges())
 }

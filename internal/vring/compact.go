@@ -2,10 +2,8 @@ package vring
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"rofl/internal/ident"
 	"rofl/internal/linkstate"
@@ -684,8 +682,11 @@ func (r *CompactRing) finishBucket(bkt []cacheSlot, clock uint32) {
 }
 
 // cacheLookup returns the cached member closest to dst without
-// overshooting the current position, scanning at most a few buckets
-// counter-clockwise from dst's. Used by measurement probes (serial).
+// overshooting the current position: the largest cached ID at or below
+// dst, circularly. It walks the buckets counter-clockwise from dst's
+// once round the ring; the last step re-reads dst's own bucket whole,
+// for when every cached ID lies above dst. Used by measurement probes
+// (serial).
 func (r *CompactRing) cacheLookup(router uint32, pos, dst ident.ID) (ident.Handle, bool) {
 	c := &r.caches[router]
 	if c.buckets == nil || c.size == 0 {
@@ -693,8 +694,7 @@ func (r *CompactRing) cacheLookup(router uint32, pos, dst ident.ID) (ident.Handl
 	}
 	nb := len(c.buckets)
 	b := r.bucketOf(c, dst)
-	const maxScan = 64
-	for step := 0; step < maxScan && step < nb; step++ {
+	for step := 0; step <= nb; step++ {
 		bi := b - step
 		if bi < 0 {
 			bi += nb
@@ -719,19 +719,6 @@ func (r *CompactRing) cacheLookup(router uint32, pos, dst ident.ID) (ident.Handl
 			return ident.NoHandle, false
 		}
 		return cand, true
-	}
-	// Nothing at or below dst within the scan budget: wrap to the
-	// global maximum (circularly the closest candidate below dst).
-	for bi := nb - 1; bi >= 0; bi-- {
-		bkt := c.buckets[bi]
-		if len(bkt) == 0 {
-			continue
-		}
-		cand := bkt[len(bkt)-1].h
-		if ident.Progress(pos, dst, r.ids[cand]) {
-			return cand, true
-		}
-		return ident.NoHandle, false
 	}
 	return ident.NoHandle, false
 }
@@ -944,22 +931,4 @@ func (r *CompactRing) Footprint() Footprint {
 	f.Intern = r.intern.Bytes()
 	f.RNG = cap(r.rngs) * 8
 	return f
-}
-
-// JournalText renders the convergence journal (enabled via
-// CompactConfig.Journal) in global processing order. The
-// shard-invariance test byte-compares this across shard counts.
-func (r *CompactRing) JournalText() string {
-	var b strings.Builder
-	for _, e := range r.eng.Journal() {
-		switch e.Kind {
-		case CJPredAdopt:
-			fmt.Fprintf(&b, "t=%.3f %s pred-adopt %s\n", float64(e.At), r.ids[e.Node].Short(), r.ids[e.A].Short())
-		case CJSuccAdopt:
-			fmt.Fprintf(&b, "t=%.3f %s succ-merge from=%s n=%d\n", float64(e.At), r.ids[e.Node].Short(), r.ids[e.A].Short(), e.B)
-		case CJStable:
-			fmt.Fprintf(&b, "t=%.3f %s stable n=%d\n", float64(e.At), r.ids[e.Node].Short(), e.A)
-		}
-	}
-	return b.String()
 }

@@ -2,6 +2,7 @@ package vring
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -61,6 +62,24 @@ func cacheText(r *CompactRing, router int) string {
 			fmt.Fprintf(&b, " %d@%d", s.h, s.stamp)
 		}
 		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// journalText renders the convergence journal (enabled via
+// CompactConfig.Journal) in global processing order, for the
+// shard-invariance test to byte-compare across shard counts.
+func journalText(r *CompactRing) string {
+	var b strings.Builder
+	for _, e := range r.eng.Journal() {
+		switch e.Kind {
+		case CJPredAdopt:
+			fmt.Fprintf(&b, "t=%.3f %s pred-adopt %s\n", float64(e.At), r.ids[e.Node].Short(), r.ids[e.A].Short())
+		case CJSuccAdopt:
+			fmt.Fprintf(&b, "t=%.3f %s succ-merge from=%s n=%d\n", float64(e.At), r.ids[e.Node].Short(), r.ids[e.A].Short(), e.B)
+		case CJStable:
+			fmt.Fprintf(&b, "t=%.3f %s stable n=%d\n", float64(e.At), r.ids[e.Node].Short(), e.A)
+		}
 	}
 	return b.String()
 }
@@ -421,7 +440,7 @@ func TestCompactRingConverges(t *testing.T) {
 	if r.Metrics().Counter(MsgCompactControl) == 0 {
 		t.Fatal("convergence charged no control messages")
 	}
-	if !strings.Contains(r.JournalText(), "stable") {
+	if !strings.Contains(journalText(r), "stable") {
 		t.Fatal("journal records no stable transitions")
 	}
 }
@@ -439,7 +458,7 @@ func TestCompactShardInvariance(t *testing.T) {
 		cfg.Journal = true
 		r := NewCompactRing(isp, cfg)
 		end := r.Run()
-		return r.JournalText(), compactMetricsTable(r.Metrics()), compactState(r), r.eng.Events(), end
+		return journalText(r), compactMetricsTable(r.Metrics()), compactState(r), r.eng.Events(), end
 	}
 	refJ, refM, refS, refEv, refEnd := run(1)
 	if len(refJ) == 0 || refEv == 0 {
@@ -616,6 +635,65 @@ func TestCompactCacheEviction(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no lookup ever found a cached candidate")
+	}
+}
+
+// TestCompactCacheLookupExactFloor: a lookup returns the largest cached
+// ID at or below dst, circularly, however many empty buckets lie
+// between. On a 128-bucket cache holding one handle in a low bucket and
+// one in the top bucket, dst 70 buckets above the low one must find the
+// low handle (a walk bounded at 64 buckets wrapped to the top one and
+// missed); with every entry above dst in dst's own bucket, the lookup
+// returns that bucket's maximum.
+func TestCompactCacheLookupExactFloor(t *testing.T) {
+	isp := compactTestISP()
+	cfg := smallCompactConfig()
+	cfg.Hosts, cfg.CacheCapacity, cfg.EphemeralEvery = 2000, 2048, 0
+	r := NewCompactRing(isp, cfg)
+	c := &r.caches[0]
+	nb := len(c.buckets)
+	if nb != 128 {
+		t.Fatalf("%d buckets, want 128", nb)
+	}
+	const low = 3
+	inBucket := func(b int) []ident.Handle {
+		var hs []ident.Handle
+		for h := 0; h < r.Members(); h++ {
+			if r.bucketOf(c, r.ids[h]) == b {
+				hs = append(hs, ident.Handle(h))
+			}
+		}
+		if len(hs) < 2 {
+			t.Fatalf("bucket %d holds %d members, want at least 2", b, len(hs))
+		}
+		return hs
+	}
+	bucketStart := func(b int) ident.ID {
+		var id ident.ID
+		binary.BigEndian.PutUint32(id[:4], uint32(b)<<c.shift)
+		return id
+	}
+
+	lowH, topH := inBucket(low)[0], inBucket(nb - 1)[0]
+	r.buildCache(0, []ident.Handle{lowH, topH}, 2)
+	dst := bucketStart(low + 70)
+	got, ok := r.cacheLookup(0, r.ids[lowH].Prev(), dst)
+	if !ok || got != lowH {
+		t.Fatalf("dst 70 buckets above the low handle: got %d ok=%v, want %d", got, ok, lowH)
+	}
+
+	hs := inBucket(nb / 2)
+	r.caches[0] = newCompactCache(cfg.CacheCapacity)
+	r.buildCache(0, hs, len(hs))
+	maxH := hs[0]
+	for _, h := range hs {
+		if r.ids[maxH].Less(r.ids[h]) {
+			maxH = h
+		}
+	}
+	got, ok = r.cacheLookup(0, r.ids[maxH].Prev(), bucketStart(nb/2))
+	if !ok || got != maxH {
+		t.Fatalf("every entry above dst: got %d ok=%v, want the bucket maximum %d", got, ok, maxH)
 	}
 }
 

@@ -211,10 +211,6 @@ func (r *Router) MemoryEntries() int {
 	return n
 }
 
-// ResidentIDs counts identifiers resident at this router (including the
-// default virtual node).
-func (r *Router) ResidentIDs() int { return len(r.VNs) }
-
 // Network is one AS running intradomain ROFL over a router topology.
 type Network struct {
 	LS      *linkstate.Map
@@ -304,9 +300,6 @@ func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 	return n
 }
 
-// Options returns the network's configuration.
-func (n *Network) Options() Options { return n.opts }
-
 // HostingRouter returns where id is resident (oracle; for verification
 // and stretch denominators).
 func (n *Network) HostingRouter(id ident.ID) (RouterID, bool) {
@@ -316,11 +309,6 @@ func (n *Network) HostingRouter(id ident.ID) (RouterID, bool) {
 
 // Traversals returns per-router data-packet transit counts (Fig 6b).
 func (n *Network) Traversals() []int64 { return n.traversals }
-
-// NumHosts returns the number of non-default resident identifiers.
-func (n *Network) NumHosts() int {
-	return len(n.hostedAt) - len(n.Routers) // default VNs excluded
-}
 
 // --- Greedy forwarding (Algorithm 2) -------------------------------------
 

@@ -21,6 +21,11 @@ func testISP() *topology.ISP {
 	})
 }
 
+// numHosts counts the non-default resident identifiers.
+func numHosts(n *Network) int {
+	return len(n.hostedAt) - len(n.Routers) // default VNs excluded
+}
+
 func newTestNet(t *testing.T, opts Options) (*Network, *topology.ISP) {
 	t.Helper()
 	isp := testISP()
@@ -51,8 +56,8 @@ func TestBootstrapRingConsistent(t *testing.T) {
 	if n.Metrics.Counter(MsgBootstrap) == 0 {
 		t.Fatal("bootstrap flood not charged")
 	}
-	if n.NumHosts() != 0 {
-		t.Fatalf("fresh network has %d hosts", n.NumHosts())
+	if numHosts(n) != 0 {
+		t.Fatalf("fresh network has %d hosts", numHosts(n))
 	}
 }
 
@@ -62,8 +67,8 @@ func TestJoinMaintainsRing(t *testing.T) {
 	if err := n.CheckRing(); err != nil {
 		t.Fatalf("ring broken after joins: %v", err)
 	}
-	if n.NumHosts() != 50 {
-		t.Fatalf("hosts = %d", n.NumHosts())
+	if numHosts(n) != 50 {
+		t.Fatalf("hosts = %d", numHosts(n))
 	}
 }
 
@@ -269,7 +274,7 @@ func TestMemoryAccounting(t *testing.T) {
 	total := 0
 	for _, r := range n.Routers {
 		total += r.MemoryEntries()
-		if r.ResidentIDs() < 1 {
+		if len(r.VNs) < 1 {
 			t.Fatal("every router hosts at least its default VN")
 		}
 	}
@@ -423,7 +428,7 @@ func mustSucc(t *testing.T, vn *VirtualNode) Pointer {
 func TestOptionsAccessors(t *testing.T) {
 	opts := DefaultOptions()
 	n, _ := newTestNet(t, opts)
-	if n.Options().CacheCapacity != opts.CacheCapacity {
+	if n.opts.CacheCapacity != opts.CacheCapacity {
 		t.Fatal("Options() must round-trip")
 	}
 	if n.Routers[0].Cache.cap != opts.CacheCapacity {

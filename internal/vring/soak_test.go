@@ -53,7 +53,7 @@ func TestChurnSoakReplays(t *testing.T) {
 			t.Fatalf("counter %s: %d, then %d", name, x, y)
 		}
 	}
-	if x, y := a.NumHosts(), b.NumHosts(); x != y {
+	if x, y := numHosts(a), numHosts(b); x != y {
 		t.Fatalf("%d hosts, then %d", x, y)
 	}
 }

@@ -236,49 +236,6 @@ func (p *Packet) DecodeFromBytes(b []byte) error {
 	return nil
 }
 
-// Clone returns a deep copy of p: the copy shares no slice backing with
-// the original, so it stays valid after the original is reused to
-// decode the next datagram.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.ASRoute != nil {
-		q.ASRoute = append(make([]uint32, 0, len(p.ASRoute)), p.ASRoute...)
-	}
-	if p.Capability != nil {
-		q.Capability = append(make([]byte, 0, len(p.Capability)), p.Capability...)
-	}
-	if p.Payload != nil {
-		q.Payload = append(make([]byte, 0, len(p.Payload)), p.Payload...)
-	}
-	return &q
-}
-
-// PushAS appends asn to the in-packet source route, as each AS does when
-// relaying (§2.3: "it is marked with an AS-level source route denoting
-// the path traversed until that point"). Consecutive duplicates are
-// collapsed.
-func (p *Packet) PushAS(asn uint32) error {
-	if n := len(p.ASRoute); n > 0 && p.ASRoute[n-1] == asn {
-		return nil
-	}
-	if len(p.ASRoute) >= MaxASRoute {
-		return fmt.Errorf("%w: AS route full", ErrTooLong)
-	}
-	p.ASRoute = append(p.ASRoute, asn)
-	return nil
-}
-
-// TraversedAS reports whether asn already appears in the source route —
-// the loop check routers apply before relaying.
-func (p *Packet) TraversedAS(asn uint32) bool {
-	for _, a := range p.ASRoute {
-		if a == asn {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders a packet compactly for logs.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s %s→%s ttl=%d route=%v", p.Type, p.Src.Short(), p.Dst.Short(), p.TTL, p.ASRoute)

@@ -197,29 +197,6 @@ func TestMarshalValidation(t *testing.T) {
 	}
 }
 
-func TestPushAS(t *testing.T) {
-	var p Packet
-	if err := p.PushAS(100); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.PushAS(100); err != nil { // duplicate collapsed
-		t.Fatal(err)
-	}
-	if len(p.ASRoute) != 1 {
-		t.Fatalf("route = %v", p.ASRoute)
-	}
-	if err := p.PushAS(200); err != nil {
-		t.Fatal(err)
-	}
-	if !p.TraversedAS(100) || !p.TraversedAS(200) || p.TraversedAS(300) {
-		t.Fatal("TraversedAS wrong")
-	}
-	p.ASRoute = make([]uint32, MaxASRoute)
-	if err := p.PushAS(999); !errors.Is(err, ErrTooLong) {
-		t.Fatalf("full route: %v", err)
-	}
-}
-
 func TestDecodeReusesBuffers(t *testing.T) {
 	p := samplePacket()
 	buf, _ := p.Marshal()
@@ -326,22 +303,6 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 		if !errors.Is(err, ErrTrailing) {
 			t.Fatalf("%d trailing bytes: want ErrTrailing, got %v", len(extra), err)
 		}
-	}
-}
-
-func TestClone(t *testing.T) {
-	p := samplePacket()
-	q := p.Clone()
-	if !bytes.Equal(mustMarshal(t, p), mustMarshal(t, q)) {
-		t.Fatal("clone differs from original")
-	}
-	// Mutating the original's slices must not reach the clone.
-	p.Payload[0] ^= 0xff
-	p.Capability[0] ^= 0xff
-	p.ASRoute[0]++
-	r := samplePacket()
-	if !bytes.Equal(mustMarshal(t, q), mustMarshal(t, r)) {
-		t.Fatal("clone shares backing arrays with the original")
 	}
 }
 

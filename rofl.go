@@ -94,14 +94,8 @@ func GenAS(cfg ASGenConfig) *ASGraph { return topology.GenAS(cfg) }
 func DefaultASGen() ASGenConfig { return topology.DefaultASGen() }
 
 // AS1221 returns the paper's AS 1221 evaluation topology config
-// (318 routers); likewise AS1239 (604), AS3257 (240) and AS3967 (201).
+// (318 routers).
 func AS1221() ISPConfig { return topology.AS1221 }
-
-// AS1239 returns the paper's largest evaluation ISP config.
-func AS1239() ISPConfig { return topology.AS1239 }
-
-// AS3257 returns the paper's AS 3257 evaluation ISP config.
-func AS3257() ISPConfig { return topology.AS3257 }
 
 // AS3967 returns the paper's AS 3967 evaluation ISP config.
 func AS3967() ISPConfig { return topology.AS3967 }
@@ -290,7 +284,7 @@ type OverlayNode = overlay.Node
 // NodeConfig configures an overlay node. Like the other option structs
 // (NetworkOptions, InternetOptions, GlobalOptions), the zero value is
 // usable: it binds a UDP socket on a random loopback port
-// ("127.0.0.1:0"), retries control requests with DefaultRetryPolicy
+// ("127.0.0.1:0"), retries control requests with the default policy
 // (120ms first retry, doubling to a 2s cap), installs no admission
 // gate, buffers 64 deliveries, wires no telemetry, and starts neither
 // maintenance loop. Set Stabilize and EnableLiveness (or start from
@@ -300,16 +294,13 @@ type NodeConfig = overlay.Config
 // RetryPolicy shapes the retransmission schedule of overlay control
 // requests: first retransmit after Initial, each wait multiplied by
 // Multiplier and capped at Max, until the caller's deadline expires; a
-// Multiplier below 1 holds every wait at Initial.
+// Multiplier below 1 holds every wait at Initial. The zero value means
+// the default policy.
 type RetryPolicy = overlay.RetryPolicy
-
-// DefaultRetryPolicy is tuned for LAN/loopback latencies: 120ms first
-// retry, doubling to a 2s cap.
-func DefaultRetryPolicy() RetryPolicy { return overlay.DefaultRetryPolicy() }
 
 // DefaultNodeConfig returns the production overlay defaults: a UDP
 // socket on a random loopback port, a 250ms stabilization loop, and
-// the BFD-style liveness detector with DefaultLivenessParams. The zero
+// the BFD-style liveness detector with its default parameters. The zero
 // NodeConfig differs only in leaving both maintenance loops off.
 func DefaultNodeConfig() NodeConfig {
 	return NodeConfig{
@@ -349,22 +340,12 @@ func WrapFaultTransport(inner OverlayTransport, params FaultParams, seed int64) 
 	return netem.WrapFault(inner, params, seed)
 }
 
-// EmulatedNetwork is an in-process datagram fabric with deterministic
-// fault injection — the harness the overlay's chaos tests run on.
-type EmulatedNetwork = netem.Network
-
-// NewEmulatedNetwork creates a fabric whose fault decisions derive from
-// seed.
-func NewEmulatedNetwork(seed int64) *EmulatedNetwork {
-	return netem.NewNetwork(seed)
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry & observability
 // ---------------------------------------------------------------------------
 
-// TelemetryRegistry holds named counters, gauges, and histograms and
-// renders them in Prometheus text format.
+// TelemetryRegistry holds named counters and renders them in
+// Prometheus text format.
 type TelemetryRegistry = telemetry.Registry
 
 // NewTelemetryRegistry returns an empty metrics registry.
@@ -401,11 +382,9 @@ type OverlayStatus = overlay.Status
 
 // LivenessParams shapes the overlay's BFD-style adaptive failure
 // detector: probe intervals are negotiated per-pair and a successor is
-// declared dead after Multiplier unanswered probes.
+// declared dead after Multiplier unanswered probes. Zero fields take the
+// defaults, which detect a dead successor in roughly 40ms.
 type LivenessParams = overlay.LivenessParams
-
-// DefaultLivenessParams detects a dead successor in roughly 40ms.
-func DefaultLivenessParams() LivenessParams { return overlay.DefaultLivenessParams() }
 
 // NewFaultInstruments resolves per-fate packet counters in reg for use
 // with FaultTransport.SetInstruments.
