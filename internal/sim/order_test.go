@@ -1,0 +1,382 @@
+package sim
+
+import (
+	"container/heap"
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+)
+
+// orderProto is a random schedule for the queue-order oracle. Each
+// handled message sends up to two more while its node's budget lasts,
+// with delays drawn from the node's own stream:
+//   - zero-delay self-timers, sent only from a timer, so that every
+//     shard's handling order stays strictly ascending;
+//   - sub-Lookahead self-timers;
+//   - sends to any node at or a few windows past Lookahead, on a grid
+//     of quarter windows, so that At values tie across sources;
+//   - self-timers and sends further ahead than the bucket ring reaches.
+type orderProto struct {
+	lookahead Time
+	rngs      []uint64
+	budget    []int
+	handled   [][]Msg // per node, in handling order
+
+	// Per shard, engine runs only: the last handled key, and the first
+	// pair handled out of order.
+	last  []Msg
+	seen  []bool
+	fault []string
+}
+
+const orderBudget = 24
+
+func newOrderProto(nodes, shards int, lookahead Time, seed uint64) *orderProto {
+	p := &orderProto{
+		lookahead: lookahead,
+		rngs:      make([]uint64, nodes),
+		budget:    make([]int, nodes),
+		handled:   make([][]Msg, nodes),
+		last:      make([]Msg, shards),
+		seen:      make([]bool, shards),
+		fault:     make([]string, shards),
+	}
+	for u := range p.rngs {
+		p.rngs[u] = seed*0x9e3779b97f4a7c15 ^ uint64(u)
+		p.budget[u] = orderBudget
+	}
+	return p
+}
+
+// primes returns each node's initial timer, on the quarter-window grid.
+func (p *orderProto) primes() []Msg {
+	out := make([]Msg, len(p.rngs))
+	for u := range out {
+		q := SplitMix64(&p.rngs[u]) % 16
+		out[u] = Msg{At: p.lookahead * Time(q) / 4, Src: uint32(u), Dst: uint32(u)}
+	}
+	return out
+}
+
+// orderEnv is what the schedule needs from a queue: the ShardContext's
+// methods, which the reference queue implements too.
+type orderEnv interface {
+	Now() Time
+	Send(delay Time, m Msg)
+	Journal(kind uint16, node, a, b uint32)
+}
+
+func (p *orderProto) react(env orderEnv, m Msg) {
+	u := m.Dst
+	p.handled[u] = append(p.handled[u], m)
+	env.Journal(m.Kind, u, m.Src, uint32(m.Seq))
+	nodes := uint64(len(p.rngs))
+	for n := 0; n < 2 && p.budget[u] > 0; n++ {
+		r := SplitMix64(&p.rngs[u])
+		p.budget[u]--
+		out := Msg{Src: u, Dst: u, Kind: uint16(r % 7)}
+		var delay Time
+		switch out.Kind {
+		case 0: // a zero-delay timer
+		case 1, 2: // a sub-Lookahead self-timer
+			delay = p.lookahead * Time(1+r>>8%7) / 8
+		case 3, 4: // another node (maybe u itself), clamped to Lookahead
+			out.Dst = uint32(r >> 8 % nodes)
+		case 5: // another node, on the quarter-window grid
+			out.Dst = uint32(r >> 8 % nodes)
+			delay = p.lookahead * Time(4+r>>24%12) / 4
+		case 6: // past the ring's span, to any node
+			out.Dst = uint32(r >> 8 % nodes)
+			delay = p.lookahead * Time(ringSpan+r>>24%40)
+		}
+		if out.Dst == u && delay == 0 && m.Src != m.Dst {
+			delay = p.lookahead / 8 // zero delay only from a timer
+		}
+		env.Send(delay, out)
+	}
+}
+
+// HandleMsg is the engine side: it checks the shard's order, then
+// reacts.
+func (p *orderProto) HandleMsg(sc *ShardContext, m Msg) {
+	s := sc.Shard()
+	if p.seen[s] && !msgLess(&p.last[s], &m) && p.fault[s] == "" {
+		p.fault[s] = fmt.Sprintf("shard %d handled %+v after %+v", s, m, p.last[s])
+	}
+	p.last[s], p.seen[s] = m, true
+	p.react(sc, m)
+}
+
+// refQueue is the reference: one global heap, no shards, no windows. It
+// applies Send's rules itself: delays clamp at zero, a message to
+// another node clamps to Lookahead and never lands before the end of
+// the window its sender is handled in.
+type refQueue struct {
+	lookahead Time
+	now       Time
+	cur       Msg
+	sub       uint32
+	seq       []uint64
+	q         refHeap
+	journal   []JournalEntry
+}
+
+type refHeap []Msg
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	return a.Seq < b.Seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(Msg)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	m := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return m
+}
+
+// windowEnd returns the barrier that closes the window holding at: the
+// first multiple (w+1)·Lookahead above it.
+func (r *refQueue) windowEnd(at Time) Time {
+	w := int64(at/r.lookahead) - 2
+	if w < 0 {
+		w = 0
+	}
+	for at >= Time(w+1)*r.lookahead {
+		w++
+	}
+	return Time(w+1) * r.lookahead
+}
+
+func (r *refQueue) Now() Time { return r.now }
+
+func (r *refQueue) Send(delay Time, m Msg) {
+	if delay < 0 {
+		delay = 0
+	}
+	if m.Dst != m.Src && delay < r.lookahead {
+		delay = r.lookahead
+	}
+	m.At = r.now + delay
+	if end := r.windowEnd(r.now); m.Dst != m.Src && m.At < end {
+		m.At = end
+	}
+	m.Seq = r.seq[m.Src]
+	r.seq[m.Src]++
+	heap.Push(&r.q, m)
+}
+
+func (r *refQueue) Journal(kind uint16, node, a, b uint32) {
+	r.journal = append(r.journal, JournalEntry{
+		At: r.cur.At, Src: r.cur.Src, Seq: r.cur.Seq, Sub: r.sub,
+		Kind: kind, Node: node, A: a, B: b,
+	})
+	r.sub++
+}
+
+// runRef runs the schedule on the reference queue and returns its
+// journal, sorted, and the end of the last window anything was handled
+// in.
+func runRef(p *orderProto) ([]JournalEntry, Time) {
+	r := &refQueue{lookahead: p.lookahead, seq: make([]uint64, len(p.rngs))}
+	for _, m := range p.primes() {
+		m.Seq = r.seq[m.Src]
+		r.seq[m.Src]++
+		heap.Push(&r.q, m)
+	}
+	var end Time
+	for r.q.Len() > 0 {
+		m := heap.Pop(&r.q).(Msg)
+		r.now, r.cur, r.sub = m.At, m, 0
+		p.react(r, m)
+		end = r.windowEnd(m.At)
+	}
+	sort.Slice(r.journal, func(i, j int) bool {
+		a, b := &r.journal[i], &r.journal[j]
+		if a.At != b.At {
+			return a.At < b.At
+		}
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
+		}
+		return a.Sub < b.Sub
+	})
+	return r.journal, end
+}
+
+// orderCoverage counts what a schedule exercised, so the oracle cannot
+// pass vacuously.
+type orderCoverage struct {
+	events, heapPath, zeroDelay, ties int64
+}
+
+// checkQueueOrder runs one schedule on the engine and on the reference
+// and reports the first difference.
+func checkQueueOrder(nodes, shards int, lookahead Time, seed uint64) (orderCoverage, error) {
+	p := newOrderProto(nodes, shards, lookahead, seed)
+	ref := newOrderProto(nodes, shards, lookahead, seed)
+	e := NewSharded(nodes, shards, lookahead, nil, p)
+	e.EnableJournal()
+	for _, m := range p.primes() {
+		e.Prime(m.At, m)
+	}
+	end := e.Run()
+	refJournal, refEnd := runRef(ref)
+
+	var cov orderCoverage
+	cov.events, cov.heapPath = e.Events(), e.HeapPathEvents()
+	for _, f := range p.fault {
+		if f != "" {
+			return cov, fmt.Errorf("out of order: %s", f)
+		}
+	}
+	for u := range p.handled {
+		got, want := p.handled[u], ref.handled[u]
+		if len(got) != len(want) {
+			return cov, fmt.Errorf("node %d handled %d messages, reference %d", u, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return cov, fmt.Errorf("node %d message %d: %+v, reference %+v", u, i, got[i], want[i])
+			}
+			if i > 0 && want[i].At == want[i-1].At {
+				if want[i].Src != want[i-1].Src {
+					cov.ties++
+				} else if want[i].Src == uint32(u) {
+					cov.zeroDelay++
+				}
+			}
+		}
+	}
+	journal := e.Journal()
+	if len(journal) != len(refJournal) {
+		return cov, fmt.Errorf("journal has %d entries, reference %d", len(journal), len(refJournal))
+	}
+	for i := range journal {
+		if journal[i] != refJournal[i] {
+			return cov, fmt.Errorf("journal entry %d: %+v, reference %+v", i, journal[i], refJournal[i])
+		}
+	}
+	if end != refEnd {
+		return cov, fmt.Errorf("run ended at %v, reference %v", end, refEnd)
+	}
+	return cov, nil
+}
+
+// TestShardedQueueOrder holds the bucketed queue to a heap-only
+// reference on random schedules at Lookahead 1 and 0.3, on 1, 2 and 3
+// shards: every shard handles its events in strictly ascending
+// (At, Src, Seq) order, and each node's handled sequence, the sorted
+// journal and the final time equal the reference's.
+func TestShardedQueueOrder(t *testing.T) {
+	var cov orderCoverage
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, lookahead := range []Time{1, 0.3} {
+			for shards := 1; shards <= 3; shards++ {
+				c, err := checkQueueOrder(5+int(seed)*3, shards, lookahead, seed)
+				if err != nil {
+					t.Fatalf("seed %d, Lookahead %v, %d shards: %v", seed, lookahead, shards, err)
+				}
+				cov.events += c.events
+				cov.heapPath += c.heapPath
+				cov.zeroDelay += c.zeroDelay
+				cov.ties += c.ties
+			}
+		}
+	}
+	t.Logf("%d events, %d through the heap, %d zero-delay timers, %d At ties across sources",
+		cov.events, cov.heapPath, cov.zeroDelay, cov.ties)
+	if cov.heapPath == 0 || cov.heapPath == cov.events || cov.zeroDelay == 0 || cov.ties == 0 {
+		t.Fatalf("schedules do not cover both queue paths, zero delays and ties: %+v", cov)
+	}
+}
+
+// FuzzShardedQueueOrder runs the oracle of TestShardedQueueOrder on
+// arbitrary schedules.
+func FuzzShardedQueueOrder(f *testing.F) {
+	f.Add(uint64(1), uint8(7), uint8(1), false)
+	f.Add(uint64(2), uint8(30), uint8(2), true)
+	f.Add(uint64(3), uint8(1), uint8(3), true)
+	f.Fuzz(func(t *testing.T, seed uint64, nodes, shards uint8, fine bool) {
+		lookahead := Time(1)
+		if fine {
+			lookahead = 0.3
+		}
+		if _, err := checkQueueOrder(1+int(nodes%48), 1+int(shards%3), lookahead, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestWindowOfMatchesBarrier: an event is filed under the window whose
+// barrier comparison holds it, At < barrier(w) and not At < barrier(w-1),
+// on both sides of every barrier, also where the quotient At/Lookahead
+// rounds across one; and Run reaches an event that sits on such a
+// barrier.
+func TestWindowOfMatchesBarrier(t *testing.T) {
+	var crossed int
+	for _, lookahead := range []Time{1, 0.3, 0.1} {
+		e := NewSharded(1, 1, lookahead, nil, handlerFunc(func(*ShardContext, Msg) {}))
+		for w := int64(0); w < 5000; w++ {
+			at, below := e.barrier(w), Time(math.Nextafter(float64(e.barrier(w)), 0))
+			if got := e.windowOf(at); got != w+1 {
+				t.Fatalf("Lookahead %v: windowOf(barrier(%d) = %v) = %d, want %d", lookahead, w, at, got, w+1)
+			}
+			if got := e.windowOf(below); got != w {
+				t.Fatalf("Lookahead %v: windowOf(%v, just below barrier(%d)) = %d, want %d", lookahead, below, w, got, w)
+			}
+			if int64(at/lookahead) != w+1 || int64(below/lookahead) != w {
+				crossed++
+			}
+		}
+	}
+	if crossed == 0 {
+		t.Fatal("no quotient rounded across a barrier; the check is vacuous")
+	}
+	// 31·0.3 is barrier(30), whose quotient rounds to 30.999…: a Run
+	// whose window index is that quotient's floor reopens window 30 for
+	// ever and never reaches the event.
+	handled := 0
+	e := NewSharded(1, 1, 0.3, nil, handlerFunc(func(*ShardContext, Msg) { handled++ }))
+	e.Prime(Time(31)*0.3, Msg{})
+	if end := e.Run(); handled != 1 || end != Time(32)*0.3 {
+		t.Fatalf("an event on barrier(30): handled %d times, run ended at %v", handled, end)
+	}
+}
+
+// TestSortSlots: a bucket sorts to (At, Src, Seq) order, by the
+// quicksort and by its fallback to the library sort, on keys that tie on
+// At and on Src.
+func TestSortSlots(t *testing.T) {
+	var st uint64 = 3
+	slab := make([]Msg, 3000)
+	for i := range slab {
+		slab[i] = Msg{At: Time(SplitMix64(&st) % 8), Src: uint32(SplitMix64(&st) % 5), Seq: uint64(i)}
+	}
+	for _, n := range []int{0, 1, 2, 12, 13, 100, 3000} {
+		for _, depth := range []int{0, 64} {
+			b := make([]uint32, n)
+			for i := range b {
+				b[i] = uint32(len(slab) - 1 - i)
+			}
+			sortSlots(b, slab, depth)
+			for i := 1; i < n; i++ {
+				if !msgLess(&slab[b[i-1]], &slab[b[i]]) {
+					t.Fatalf("%d slots, depth %d: slot %d (%+v) sorts after %+v", n, depth, i, slab[b[i]], slab[b[i-1]])
+				}
+			}
+		}
+	}
+}

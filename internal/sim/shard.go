@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -18,11 +19,18 @@ import (
 //   - A node is a dense uint32 handle (ident.Handle by convention).
 //     All mutable protocol state is owned by exactly one node, and a
 //     node is owned by exactly one shard, so no locks are needed.
-//   - Events are plain value Msgs — no closures, no pointers — stored
-//     in per-shard slab-backed heaps and outboxes whose backing arrays
-//     are reused for the lifetime of the run. After warm-up the event
-//     loop performs no allocation (TestShardedSteadyStateAllocs guards
-//     the Send/push/pop path).
+//   - Events are plain value Msgs — no closures, no pointers. A shard
+//     files each event under its window: one 1 to ringSpan windows
+//     past the open one is stored once in the shard's slab, its slot
+//     appended unsorted to that window's bucket, and a bucket is sorted
+//     once, when its window opens. A binary heap is the exact path for
+//     the rest: an event in the window already open (a sub-Lookahead
+//     self-timer) or beyond the ring's reach. The window's reader
+//     merges the heap with the sorted bucket under one key. Slab,
+//     buckets, heap and outboxes reuse their backing arrays for the
+//     lifetime of the run, so after warm-up the event loop performs no
+//     allocation (TestShardedSteadyStateAllocs guards the Send, filing,
+//     sort and read path).
 //   - Every message between *different* nodes takes at least Lookahead
 //     virtual time; self-messages (timers) may use any delay. The run
 //     advances in windows of Lookahead, with a barrier between windows
@@ -30,15 +38,16 @@ import (
 //     another node is therefore always delivered in window k+1 or
 //     later, so no shard can receive an event in its past.
 //   - Messages carry a (Src, Seq) pair — Seq from a per-node send
-//     counter — and each shard processes its heap in (At, Src, Seq)
+//     counter — and each shard processes its queue in (At, Src, Seq)
 //     order, a total order independent of sharding. A node therefore
 //     sees exactly the same delivery sequence at any shard count, which
 //     is what makes merged metrics, final state, and the sorted journal
 //     byte-identical for 1, 2, or 64 shards.
 
 // Msg is one simulated event: a message between nodes, or a self-timer
-// when Src == Dst. It is a pure value — the event heap and cross-shard
-// outboxes are flat []Msg slabs, never per-event allocations.
+// when Src == Dst. It is a pure value — the event slab, heap and
+// cross-shard outboxes are flat []Msg arrays, never per-event
+// allocations.
 //
 // Kind, Hop and Args are opaque to the engine; the Handler gives them
 // meaning. Args is sized for a ROFL successor-group advertisement
@@ -76,7 +85,7 @@ type JournalEntry struct {
 }
 
 // ShardContext is the per-shard execution context handed to the
-// Handler: the shard's private metrics sink, its event heap and
+// Handler: the shard's private metrics sink, its event queue and
 // outboxes, and the key of the message being handled. One context is
 // touched by exactly one worker at a time.
 type ShardContext struct {
@@ -96,11 +105,29 @@ type ShardContext struct {
 	curSeq uint64
 	sub    uint32
 
-	heap    msgHeap
+	// The event queue. open is the window being read (-1 before Run).
+	// An event 1 to ringSpan windows past it sits in slab, its slot in
+	// ring[window%len(ring)], and bit window%len(ring) of full is set
+	// while that bucket is non-empty; pool holds drained bucket arrays.
+	// Every other event takes heap, and heapPath counts those.
+	open     int64
+	slab     []Msg
+	free     []uint32 // slab slots free for reuse
+	ring     [ringSpan + 1][]uint32
+	full     uint64
+	pool     [][]uint32
+	heap     msgHeap
+	heapPath int64
+
 	outbox  [][]Msg // per-destination-shard send buffers, reused
 	journal []JournalEntry
 	events  int64 // messages handled by this shard
 }
+
+// ringSpan is how many windows past the open one a shard's bucket ring
+// reaches. The ring has a slot for each window from the open one to
+// ringSpan past it, so no slot ever holds two windows' events.
+const ringSpan = 63
 
 // Now returns the virtual time of the event being handled.
 func (sc *ShardContext) Now() Time { return sc.now }
@@ -122,14 +149,68 @@ func (sc *ShardContext) Send(delay Time, m Msg) {
 		delay = e.lookahead
 	}
 	m.At = sc.now + delay
+	// now + Lookahead can round below the open window's barrier when
+	// Lookahead is not a binary fraction; another node's message never
+	// lands in the window being read.
+	if m.Dst != m.Src && m.At < e.barrier(sc.open) {
+		m.At = e.barrier(sc.open)
+	}
 	m.Seq = e.seqOf[m.Src]
 	e.seqOf[m.Src]++
 	d := e.ownerOf(m.Dst)
 	if d == sc.shard {
-		sc.heap.push(m)
+		sc.enqueue(m)
 		return
 	}
 	sc.outbox[d] = append(sc.outbox[d], m)
+}
+
+// enqueue files m under its window: into the bucket ring when the
+// window is 1 to ringSpan past the open one, else onto the heap.
+func (sc *ShardContext) enqueue(m Msg) {
+	w := sc.eng.windowOf(m.At)
+	if ahead := w - sc.open; ahead < 1 || ahead > ringSpan {
+		sc.heap.push(m)
+		sc.heapPath++
+		return
+	}
+	var slot uint32
+	if n := len(sc.free); n > 0 {
+		slot = sc.free[n-1]
+		sc.free = sc.free[:n-1]
+		sc.slab[slot] = m
+	} else {
+		slot = uint32(len(sc.slab))
+		sc.slab = append(sc.slab, m)
+	}
+	i := w & ringSpan
+	b := sc.ring[i]
+	if b == nil {
+		if n := len(sc.pool); n > 0 {
+			b = sc.pool[n-1]
+			sc.pool = sc.pool[:n-1]
+		}
+	}
+	sc.ring[i] = append(b, slot)
+	sc.full |= 1 << i
+}
+
+// nextWindow returns the earliest window this shard holds an event in.
+func (sc *ShardContext) nextWindow() (int64, bool) {
+	var w int64
+	ok := sc.full != 0
+	if ok {
+		// Rotate the open window's successor slot to bit 0: the first set
+		// bit is the nearest non-empty bucket.
+		first := bits.RotateLeft64(sc.full, -int((sc.open+1)&ringSpan))
+		w = sc.open + 1 + int64(bits.TrailingZeros64(first))
+	}
+	if len(sc.heap) > 0 {
+		if hw := sc.eng.windowOf(sc.heap[0].At); !ok || hw < w {
+			w, ok = hw, true
+		}
+	}
+	return w, ok
 }
 
 // Journal records one protocol transition keyed to the message being
@@ -146,14 +227,36 @@ func (sc *ShardContext) Journal(kind uint16, node, a, b uint32) {
 	sc.sub++
 }
 
-// runWindow processes every queued event with At < barrier.
-func (sc *ShardContext) runWindow(barrier Time, h Handler) {
-	for len(sc.heap) > 0 && sc.heap[0].At < barrier {
-		m := sc.heap.pop()
+// runWindow opens window w, which no shard holds an earlier event than,
+// and processes its events: the bucket, sorted once, merged with the
+// heap's events below the window's barrier.
+func (sc *ShardContext) runWindow(w int64, h Handler) {
+	sc.open = w
+	barrier := sc.eng.barrier(w)
+	i := w & ringSpan
+	b := sc.ring[i]
+	sc.ring[i] = nil
+	sc.full &^= 1 << i
+	sortSlots(b, sc.slab, 2*bits.Len(uint(len(b))))
+	for k := 0; ; {
+		var m Msg
+		heapNext := len(sc.heap) > 0 && sc.heap[0].At < barrier
+		if k < len(b) && !(heapNext && msgLess(&sc.heap[0], &sc.slab[b[k]])) {
+			m = sc.slab[b[k]]
+			sc.free = append(sc.free, b[k])
+			k++
+		} else if heapNext {
+			m = sc.heap.pop()
+		} else {
+			break
+		}
 		sc.now = m.At
 		sc.curAt, sc.curSrc, sc.curSeq, sc.sub = m.At, m.Src, m.Seq, 0
 		h.HandleMsg(sc, m)
 		sc.events++
+	}
+	if b != nil {
+		sc.pool = append(sc.pool, b[:0])
 	}
 }
 
@@ -199,7 +302,7 @@ func NewSharded(nodes, shards int, lookahead Time, affinity []uint32, h Handler)
 	}
 	e.shards = make([]*ShardContext, shards)
 	for s := range e.shards {
-		sc := &ShardContext{Metrics: NewMetrics(), eng: e, shard: s}
+		sc := &ShardContext{Metrics: NewMetrics(), eng: e, shard: s, open: -1}
 		sc.outbox = make([][]Msg, shards)
 		e.shards[s] = sc
 	}
@@ -215,12 +318,30 @@ func (e *ShardedEngine) ownerOf(node uint32) int {
 	return int(a % uint32(e.nshards))
 }
 
+// barrier returns the end of window w: an event is in window w when its
+// At is below barrier(w) and not below barrier(w-1).
+func (e *ShardedEngine) barrier(w int64) Time { return Time(w+1) * e.lookahead }
+
+// windowOf returns the window at falls in, by the barrier's own
+// comparison: the quotient is only a first guess, since it can round
+// across a barrier.
+func (e *ShardedEngine) windowOf(at Time) int64 {
+	w := int64(at / e.lookahead)
+	for at >= e.barrier(w) {
+		w++
+	}
+	for w > 0 && at < e.barrier(w-1) {
+		w--
+	}
+	return w
+}
+
 // EnableJournal turns on transition journaling (off by default: a
 // million-node run would record tens of millions of entries).
 func (e *ShardedEngine) EnableJournal() { e.journalOn = true }
 
 // Prime enqueues an initial event before Run, directly into the owner
-// shard's heap. The same inter-node Lookahead clamp as Send applies.
+// shard's queue. The same inter-node Lookahead clamp as Send applies.
 // Prime must not be called after Run has started.
 func (e *ShardedEngine) Prime(delay Time, m Msg) {
 	if delay < 0 {
@@ -232,59 +353,58 @@ func (e *ShardedEngine) Prime(delay Time, m Msg) {
 	m.At = delay
 	m.Seq = e.seqOf[m.Src]
 	e.seqOf[m.Src]++
-	e.shards[e.ownerOf(m.Dst)].heap.push(m)
+	e.shards[e.ownerOf(m.Dst)].enqueue(m)
 }
 
 // Run drains every shard to quiescence and returns the final barrier
 // time. Windows advance in multiples of Lookahead; empty stretches of
 // virtual time are skipped in one step. Within a window the shards run
 // in parallel across the worker pool; between windows the engine
-// sequentially drains every outbox into the destination heaps (the
-// order is irrelevant to the result — heap order is the total
+// sequentially drains every outbox into the destination queues (the
+// order is irrelevant to the result — a window is read in the total
 // (At, Src, Seq) key — but draining serially keeps the exchange
-// race-free by construction). A drained run releases every heap and
+// race-free by construction). A drained run releases every queue and
 // outbox array: nothing reads them again.
 func (e *ShardedEngine) Run() Time {
 	for {
-		min, ok := e.minPending()
+		w, ok := e.minPending()
 		if !ok {
 			for _, sc := range e.shards {
+				// Each bucket left the ring for the pool when its window
+				// opened.
+				sc.slab, sc.free, sc.pool = nil, nil, nil
 				sc.heap, sc.outbox = nil, nil
 			}
 			return e.now
 		}
-		barrier := Time(math.Floor(float64(min/e.lookahead))+1) * e.lookahead
 		ForEach(e.workers, e.nshards, func(s int) {
-			e.shards[s].runWindow(barrier, e.handler)
+			e.shards[s].runWindow(w, e.handler)
 		})
 		e.exchange()
-		e.now = barrier
+		e.now = e.barrier(w)
 	}
 }
 
-// exchange drains every shard's outboxes into the destination heaps.
+// exchange drains every shard's outboxes into the destination queues.
 func (e *ShardedEngine) exchange() {
 	for _, dst := range e.shards {
 		for _, src := range e.shards {
 			box := src.outbox[dst.shard]
 			for i := range box {
-				dst.heap.push(box[i])
+				dst.enqueue(box[i])
 			}
 			src.outbox[dst.shard] = box[:0]
 		}
 	}
 }
 
-// minPending returns the earliest queued event time across all shards.
-func (e *ShardedEngine) minPending() (Time, bool) {
-	var min Time
+// minPending returns the earliest window any shard holds an event in.
+func (e *ShardedEngine) minPending() (int64, bool) {
+	var min int64
 	found := false
 	for _, sc := range e.shards {
-		if len(sc.heap) == 0 {
-			continue
-		}
-		if !found || sc.heap[0].At < min {
-			min, found = sc.heap[0].At, true
+		if w, ok := sc.nextWindow(); ok && (!found || w < min) {
+			min, found = w, true
 		}
 	}
 	return min, found
@@ -295,6 +415,16 @@ func (e *ShardedEngine) minPending() (Time, bool) {
 func (e *ShardedEngine) Events() (n int64) {
 	for _, sc := range e.shards {
 		n += sc.events
+	}
+	return n
+}
+
+// HeapPathEvents returns how many events took the heap rather than a
+// window bucket, summed over shards: those sent into the window being
+// read, or more than ringSpan windows ahead.
+func (e *ShardedEngine) HeapPathEvents() (n int64) {
+	for _, sc := range e.shards {
+		n += sc.heapPath
 	}
 	return n
 }
@@ -350,12 +480,68 @@ func SplitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// --- slab-backed event heap ----------------------------------------------
+// sortSlots sorts a bucket's slab slots by their messages' (At, Src, Seq)
+// key: a quicksort with the key compare inlined, handing a range to the
+// library sort when its partitions keep coming out lopsided.
+func sortSlots(b []uint32, slab []Msg, depth int) {
+	for len(b) > 12 {
+		if depth == 0 {
+			slices.SortFunc(b, func(x, y uint32) int {
+				if x == y {
+					return 0
+				}
+				if msgLess(&slab[x], &slab[y]) {
+					return -1
+				}
+				return 1 // (Src, Seq) is unique
+			})
+			return
+		}
+		depth--
+		mid, last := len(b)/2, len(b)-1
+		if msgLess(&slab[b[mid]], &slab[b[0]]) {
+			b[mid], b[0] = b[0], b[mid]
+		}
+		if msgLess(&slab[b[last]], &slab[b[mid]]) {
+			b[last], b[mid] = b[mid], b[last]
+			if msgLess(&slab[b[mid]], &slab[b[0]]) {
+				b[mid], b[0] = b[0], b[mid]
+			}
+		}
+		p := slab[b[mid]]
+		i, j := -1, len(b)
+		for {
+			for i++; msgLess(&slab[b[i]], &p); i++ {
+			}
+			for j--; msgLess(&p, &slab[b[j]]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			b[i], b[j] = b[j], b[i]
+		}
+		if lo, hi := b[:j+1], b[j+1:]; len(lo) < len(hi) {
+			sortSlots(lo, slab, depth)
+			b = hi
+		} else {
+			sortSlots(hi, slab, depth)
+			b = lo
+		}
+	}
+	for i := 1; i < len(b); i++ {
+		for j := i; j > 0 && msgLess(&slab[b[j]], &slab[b[j-1]]); j-- {
+			b[j], b[j-1] = b[j-1], b[j]
+		}
+	}
+}
+
+// --- the exact-path event heap -------------------------------------------
 
 // msgHeap is a monomorphic binary min-heap of Msgs ordered by
-// (At, Src, Seq). container/heap would box every event into an
-// interface{}; storing values in one growing slab keeps the steady
-// state allocation-free (the backing array is reused across the run).
+// (At, Src, Seq): the queue of the events no window bucket takes.
+// container/heap would box every event into an interface{}; storing
+// values in one growing array keeps the steady state allocation-free
+// (the backing array is reused across the run).
 type msgHeap []Msg
 
 func msgLess(a, b *Msg) bool {

@@ -183,10 +183,11 @@ func TestShardedEventCount(t *testing.T) {
 	}
 }
 
-// TestRunReleasesQueues: once Run drains, no shard holds heap or outbox
-// capacity, and what a run is read for afterwards — Events, Journal and
-// MergedMetrics — is what the handler saw: one event per handled
-// message, and the same journal and metrics at 1, 2 and 8 shards.
+// TestRunReleasesQueues: once Run drains, no shard holds heap, slab,
+// free-list, bucket, bucket-pool or outbox capacity, and what a run is
+// read for afterwards — Events, Journal and MergedMetrics — is what the
+// handler saw: one event per handled message, and the same journal and
+// metrics at 1, 2 and 8 shards.
 func TestRunReleasesQueues(t *testing.T) {
 	const nodes = 37
 	var ref string
@@ -205,6 +206,15 @@ func TestRunReleasesQueues(t *testing.T) {
 		for _, sc := range e.shards {
 			if cap(sc.heap) != 0 {
 				t.Errorf("%d shards: shard %d holds heap capacity %d after Run", shards, sc.shard, cap(sc.heap))
+			}
+			if cap(sc.slab) != 0 || cap(sc.free) != 0 || cap(sc.pool) != 0 {
+				t.Errorf("%d shards: shard %d holds slab %d, free-list %d and pool %d capacity after Run",
+					shards, sc.shard, cap(sc.slab), cap(sc.free), cap(sc.pool))
+			}
+			for w, b := range sc.ring {
+				if cap(b) != 0 {
+					t.Errorf("%d shards: shard %d holds bucket %d capacity %d after Run", shards, sc.shard, w, cap(b))
+				}
 			}
 			for d, box := range sc.outbox {
 				if cap(box) != 0 {
@@ -285,9 +295,11 @@ func TestShardedHeapOrder(t *testing.T) {
 	}
 }
 
-// TestShardedSteadyStateAllocs: after the first window has sized the
-// heaps and outboxes, the event loop must not allocate: Send, ownerOf,
-// the heap's push and pop, and the toy handler's SplitMix64 draws.
+// TestShardedSteadyStateAllocs: after the first windows have sized the
+// slab, buckets, heap and outboxes, the event loop must not allocate:
+// Send, ownerOf, filing an event under its window, sorting and reading
+// a bucket, the heap's push and pop, and the toy handler's SplitMix64
+// draws.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	p := newToy(64, 7)
 	e := NewSharded(64, 1, 1, nil, p)
@@ -295,19 +307,17 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		e.Prime(Time(u)/100, Msg{Src: uint32(u), Dst: uint32(u), Kind: tpTimer, Hop: 64})
 	}
 	// Warm up: run a slice of the schedule so slabs reach steady size.
-	min, _ := e.minPending()
 	for i := 0; i < 64; i++ {
-		barrier := min + Time(i+1)
-		ForEach(1, e.nshards, func(s int) { e.shards[s].runWindow(barrier, e.handler) })
+		w, _ := e.minPending()
+		ForEach(1, e.nshards, func(s int) { e.shards[s].runWindow(w, e.handler) })
 		e.exchange()
 	}
 	avg := testing.AllocsPerRun(20, func() {
-		min, ok := e.minPending()
+		w, ok := e.minPending()
 		if !ok {
 			t.Fatal("workload drained during alloc measurement; lengthen it")
 		}
-		barrier := min + 1
-		e.shards[0].runWindow(barrier, e.handler)
+		e.shards[0].runWindow(w, e.handler)
 		e.exchange()
 	})
 	// Metrics sampling appends to map-held slices that legitimately

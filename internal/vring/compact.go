@@ -25,8 +25,9 @@ import (
 //     instead of 16-byte labels, and all per-node state is
 //     struct-of-arrays indexed by handle — no per-node heap objects.
 //  2. Slab allocation. Events are value Msgs in the sharded engine's
-//     reused heaps; parked ephemeral state and its packed source
-//     routes are append-only slabs; caches are bucketed slot arrays.
+//     reused slabs and window buckets; parked ephemeral state and its
+//     packed source routes are append-only slabs; caches are bucketed
+//     slot arrays.
 //     The event path allocates only by amortised append to one pointer
 //     deposit list per router, which Run reads and releases (guarded
 //     by TestWarmCachesBoundedMemory's mallocs-per-message budget).
@@ -539,16 +540,22 @@ func (r *CompactRing) onSuccList(sc *sim.ShardContext, m sim.Msg) {
 	}
 
 	// Selection-sort the pool by clockwise distance from u and keep the
-	// nearest SuccessorGroup entries.
+	// nearest SuccessorGroup entries. Each distance is computed once and
+	// moves with its candidate; distinct IDs have distinct distances.
 	uid := r.ids[u]
+	var dist [len(cand)]ident.ID
+	for i := 0; i < nc; i++ {
+		dist[i] = uid.Distance(r.ids[cand[i]])
+	}
 	for i := 0; i < nc-1; i++ {
 		min := i
 		for j := i + 1; j < nc; j++ {
-			if uid.Distance(r.ids[cand[j]]).Cmp(uid.Distance(r.ids[cand[min]])) < 0 {
+			if dist[j].Less(dist[min]) {
 				min = j
 			}
 		}
 		cand[i], cand[min] = cand[min], cand[i]
+		dist[i], dist[min] = dist[min], dist[i]
 	}
 	keep := nc
 	if keep > r.cfg.SuccessorGroup {

@@ -339,10 +339,10 @@ func TestWarmCachesBoundedMemory(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	gotBytes := after.TotalAlloc - before.TotalAlloc
 	// HandleMsg runs once per event on pre-sized slabs; only the deposit
-	// lists grow, by amortised append. Run measured ~9.0k mallocs over
-	// 3,138,984 control messages, 0.003 per message: the lists' growth
-	// and one cache slab per router. One allocation per handled event
-	// would add at least 0.37.
+	// lists grow, by amortised append. Run measured ~9.4k mallocs over
+	// 3,138,984 control messages, 0.003 per message: the lists' growth,
+	// one cache slab per router and the engine's slab and bucket arrays.
+	// One allocation per handled event would add at least 0.37.
 	const mallocsPerMsgBudget = 0.01
 	ctl := r.Metrics().Counter(MsgCompactControl)
 	mallocsPerMsg := float64(after.Mallocs-before.Mallocs) / float64(ctl)
@@ -354,7 +354,8 @@ func TestWarmCachesBoundedMemory(t *testing.T) {
 	// (~3.2 MB, which append growth about doubles), one warm-up block's
 	// lists (~8192 x 40 handles, ~1.3 MB; unblocked, 100k hosts would
 	// queue ~4 M handles, ~32 MB), the 318 cache slabs (~20.8 MB) and
-	// the engine's heaps.
+	// the engine's heaps. The engine's window buckets, with their slab,
+	// free list and pooled bucket arrays, allocate ~3.8 MB more: 40.1 MB.
 	const runBytes, slack = 36.3e6, 8 << 20
 	t.Logf("Run allocated %.2f MB; reference %.1f MB", float64(gotBytes)/1e6, runBytes/1e6)
 	if gotBytes > runBytes+slack {
@@ -368,6 +369,41 @@ func TestWarmCachesBoundedMemory(t *testing.T) {
 	refWarmCaches(ref)
 	if d := diffCaches(r, ref); d != "" {
 		t.Fatalf("caches differ from the serial reference at 100k hosts\n%s", d)
+	}
+}
+
+// TestCompactRunBucketsEveryEvent: every event of a compact ring's run
+// is sent 1 to 63 windows ahead (a stabilize timer 10-20, a control
+// message at least one), so none takes the sharded engine's heap path,
+// at any shard count. A zero-delay timer does take it, so the count
+// cannot read 0 for want of counting.
+func TestCompactRunBucketsEveryEvent(t *testing.T) {
+	isp := topology.GenISP(topology.AS1221)
+	cfg := DefaultCompactConfig()
+	cfg.EphemeralEvery = 100
+	for _, shards := range []int{1, 2, 8} {
+		cfg.Shards = shards
+		r := NewCompactRing(isp, cfg)
+		r.Run()
+		if n, ev := r.eng.HeapPathEvents(), r.eng.Events(); n != 0 || ev == 0 {
+			t.Errorf("%d shards: %d of %d events took the heap path, want 0", shards, n, ev)
+		}
+	}
+	const timers = 5
+	e := sim.NewSharded(1, 1, compactLookahead, nil, zeroDelayTimer{rounds: timers})
+	e.Prime(0, sim.Msg{})
+	e.Run()
+	if n := e.HeapPathEvents(); n != timers {
+		t.Errorf("%d zero-delay timers, %d heap-path events", timers, n)
+	}
+}
+
+// zeroDelayTimer re-arms node 0's timer with no delay, rounds times.
+type zeroDelayTimer struct{ rounds uint16 }
+
+func (z zeroDelayTimer) HandleMsg(sc *sim.ShardContext, m sim.Msg) {
+	if m.Hop < z.rounds {
+		sc.Send(0, sim.Msg{Hop: m.Hop + 1})
 	}
 }
 
