@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzArithmeticMatchesReference -fuzztime=10s ./internal/ident
 	$(GO) test -run FuzzCacheMatchesModel -fuzz=FuzzCacheMatchesModel -fuzztime=10s ./internal/vring
 	$(GO) test -run FuzzCompactCacheBuild -fuzz=FuzzCompactCacheBuild -fuzztime=10s ./internal/vring
+	$(GO) test -run FuzzCompactCacheLookup -fuzz=FuzzCompactCacheLookup -fuzztime=10s ./internal/vring
 	$(GO) test -run FuzzShardedQueueOrder -fuzz=FuzzShardedQueueOrder -fuzztime=10s ./internal/sim
 
 # Sharded single-network smoke: converge a 100k-host compact ring

@@ -26,8 +26,8 @@ import (
 //     struct-of-arrays indexed by handle — no per-node heap objects.
 //  2. Slab allocation. Events are value Msgs in the sharded engine's
 //     reused slabs and window buckets; parked ephemeral state and its
-//     packed source routes are append-only slabs; caches are bucketed
-//     slot arrays.
+//     packed source routes are append-only slabs; each router's cache
+//     is one slab of keyed slots, bucketed by span words.
 //     The event path allocates only by amortised append to one pointer
 //     deposit list per router, which Run reads and releases (guarded
 //     by TestWarmCachesBoundedMemory's mallocs-per-message budget).
@@ -118,29 +118,44 @@ func DefaultCompactConfig() CompactConfig {
 }
 
 // cacheSlot is one pointer-cache entry: an interned member handle plus
-// an LRU stamp. 8 bytes, versus the 24-byte ID, router and stamp entry
-// of PointerCache.
+// its search key, the 32 ID bits directly below the bucket's prefix
+// bits. Within a bucket the prefix is shared, so (key, ID) order is ID
+// order and a lookup compares keys, reading a full ID only when a key
+// ties. 8 bytes, versus the 24-byte ID, router and stamp entry of
+// PointerCache. Caches are written only before Run returns and read only
+// after, so a slot keeps no recency.
 type cacheSlot struct {
-	h     ident.Handle
-	stamp uint32
+	h   ident.Handle
+	key uint32
 }
 
-// compactCache is a bucketed approximate-LRU pointer cache over
-// interned handles. Entries hash into buckets by ID prefix (IDs are
-// uniform, so buckets stay balanced); each bucket is a small slab of at
-// most bucketCap slots, in ID order for O(log bucket) lookup, and built
-// once by Run (warmCaches). Eviction is LRU *within the insertion
-// bucket* — a documented approximation of global LRU that keeps every
-// operation bucket-local and deterministic.
+// compactCache is a bucketed pointer cache over interned handles.
+// Entries hash into buckets by ID prefix (IDs are uniform, so buckets
+// stay balanced); each bucket is a run of at most bucketCap slots of one
+// per-router slab, in ID order, found through its span word. It is built
+// once by Run (warmCaches) as if every deposit had been inserted with
+// eviction LRU *within the insertion bucket*: a documented approximation
+// of global LRU that keeps every operation bucket-local and
+// deterministic.
 type compactCache struct {
-	buckets   [][]cacheSlot
+	slots     []cacheSlot
+	buckets   []uint32 // one span word per bucket: slab offset<<spanLenBits | length
 	bucketCap int
 	shift     uint // bucket = uint32(id[0:4]) >> shift
-	clock     uint32
 	size      int
 }
 
 const cacheBucketTarget = 16
+
+// spanLenBits holds a bucket's length, at most cacheBucketTarget, in the
+// low bits of its span word; the offset takes the other 27, room for
+// slabs of 2^27 slots (capacities up to 2^26 entries).
+const spanLenBits = 5
+
+// span decodes a span word into its bucket's slab offset and length.
+func span(w uint32) (off, n int) {
+	return int(w >> spanLenBits), int(w & (1<<spanLenBits - 1))
+}
 
 func newCompactCache(capacity int) compactCache {
 	if capacity <= 0 {
@@ -159,7 +174,7 @@ func newCompactCache(capacity int) compactCache {
 		bc = 4
 	}
 	return compactCache{
-		buckets:   make([][]cacheSlot, nb),
+		buckets:   make([]uint32, nb),
 		bucketCap: bc,
 		shift:     shift,
 	}
@@ -602,8 +617,14 @@ func (r *CompactRing) addCandidate(pool []ident.Handle, n int, owner, c ident.Ha
 
 // --- pointer cache over handles -------------------------------------------
 
+// bucketOf returns id's bucket, its top 32 - shift bits.
 func (r *CompactRing) bucketOf(c *compactCache, id ident.ID) int {
 	return int(binary.BigEndian.Uint32(id[:4]) >> c.shift)
+}
+
+// keyOf returns id's search key, the 32 bits below its bucket bits.
+func (c *compactCache) keyOf(id ident.ID) uint32 {
+	return uint32(binary.BigEndian.Uint64(id[:8]) << (32 - c.shift) >> 32)
 }
 
 // capFor[n] is the capacity of a slice appended to one slot at a time.
@@ -617,117 +638,113 @@ var capFor = func() (caps [cacheBucketTarget + 1]int) {
 }()
 
 // startBuild begins a newest-first build (then takeOlder, finishBuild):
-// one slab per router, each bucket its own capFor[bucketCap] stretch.
+// one slab per router, each bucket an empty run at the start of its own
+// capFor[bucketCap] stretch.
 func (c *compactCache) startBuild() {
 	stride := capFor[c.bucketCap]
-	slab := make([]cacheSlot, len(c.buckets)*stride)
+	c.slots = make([]cacheSlot, len(c.buckets)*stride)
 	for b := range c.buckets {
-		c.buckets[b] = slab[b*stride : b*stride : (b+1)*stride]
+		c.buckets[b] = uint32(b*stride) << spanLenBits
 	}
 }
 
 // takeOlder offers list's deposits, last to first, as the next-older
 // ones. LRU leaves a bucket its bucketCap most recent distinct handles,
-// so a handle is kept if its bucket has room and lacks it, stamped with
-// its position counted from the newest; once all are full, only count.
+// so a handle is kept, with its key, if its bucket has room and lacks
+// it; once all are full, the rest are dropped unread.
 func (r *CompactRing) takeOlder(c *compactCache, list []ident.Handle) {
 	full := len(c.buckets) * c.bucketCap
-	for i := len(list) - 1; i >= 0 && c.buckets != nil; i-- {
-		if c.size == full {
-			c.clock += uint32(i + 1)
-			return
-		}
+	for i := len(list) - 1; i >= 0 && c.size < full; i-- {
 		h := list[i]
-		c.clock++
-		b := r.bucketOf(c, r.ids[h])
-		bkt := c.buckets[b]
-		if len(bkt) == c.bucketCap || slices.ContainsFunc(bkt, func(s cacheSlot) bool { return s.h == h }) {
+		id := r.ids[h]
+		b := r.bucketOf(c, id)
+		off, n := span(c.buckets[b])
+		if n == c.bucketCap || slices.ContainsFunc(c.slots[off:off+n], func(s cacheSlot) bool { return s.h == h }) {
 			continue
 		}
-		c.buckets[b] = append(bkt, cacheSlot{h: h, stamp: c.clock})
+		c.slots[off+n] = cacheSlot{h: h, key: c.keyOf(id)}
+		c.buckets[b]++
 		c.size++
 	}
 }
 
-// finishBuild sorts and restamps each bucket and caps one of n slots at
-// capFor[n]. A cache over an eighth empty moves to a slab of exactly
-// those capacities; a fuller one keeps its slab, the spare slots of its
-// few short buckets held but not charged.
+// finishBuild sorts each bucket and charges one of n slots capFor[n]. A
+// cache over an eighth empty moves to a slab of exactly those
+// capacities; a fuller one keeps its slab, the spare slots of its few
+// short buckets held but not charged.
 func (r *CompactRing) finishBuild(c *compactCache) {
 	need := 0
-	for _, bkt := range c.buckets {
-		r.finishBucket(bkt, c.clock)
-		need += capFor[len(bkt)]
+	for _, w := range c.buckets {
+		off, n := span(w)
+		r.finishBucket(c.slots[off : off+n])
+		need += capFor[n]
 	}
-	var slab []cacheSlot
-	if held := len(c.buckets) * capFor[c.bucketCap]; (held-need)*8 > held {
-		slab = make([]cacheSlot, need)
+	if held := len(c.slots); (held-need)*8 <= held {
+		return
 	}
-	for b, bkt := range c.buckets {
-		n := len(bkt)
-		if slab != nil {
-			copy(slab, bkt)
-			bkt, slab = slab, slab[capFor[n]:]
-		}
-		c.buckets[b] = bkt[:n:capFor[n]]
+	slab := make([]cacheSlot, need)
+	at := 0
+	for b, w := range c.buckets {
+		off, n := span(w)
+		copy(slab[at:], c.slots[off:off+n])
+		c.buckets[b] = uint32(at)<<spanLenBits | uint32(n)
+		at += capFor[n]
 	}
+	c.slots = slab
 }
 
-// finishBucket makes each stamp its deposit's 1-based position in the
-// router's sequence of clock deposits, and insertion-sorts the bucket
-// by 64-bit ID prefix, comparing full IDs only when prefixes tie.
-func (r *CompactRing) finishBucket(bkt []cacheSlot, clock uint32) {
-	var keys [cacheBucketTarget]uint64
-	for i := range bkt {
-		bkt[i].stamp = clock + 1 - bkt[i].stamp
-		keys[i] = binary.BigEndian.Uint64(r.ids[bkt[i].h][:8])
-		for j := i; j > 0 && (keys[j] < keys[j-1] || keys[j] == keys[j-1] && r.ids[bkt[j].h].Less(r.ids[bkt[j-1].h])); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+// finishBucket insertion-sorts a bucket by slot key, comparing full IDs
+// only when keys tie.
+func (r *CompactRing) finishBucket(bkt []cacheSlot) {
+	for i := 1; i < len(bkt); i++ {
+		for j := i; j > 0 && (bkt[j].key < bkt[j-1].key || bkt[j].key == bkt[j-1].key && r.ids[bkt[j].h].Less(r.ids[bkt[j-1].h])); j-- {
 			bkt[j], bkt[j-1] = bkt[j-1], bkt[j]
 		}
 	}
 }
 
-// cacheLookup returns the cached member closest to dst without
+// testHookKeyTie, when set, is called each time a lookup in dst's own
+// bucket reads a full ID because a slot's key equals dst's (tests only).
+var testHookKeyTie func()
+
+// cacheFloor returns the cached member closest to dst without
 // overshooting the current position: the largest cached ID at or below
-// dst, circularly. It walks the buckets counter-clockwise from dst's
-// once round the ring; the last step re-reads dst's own bucket whole,
-// for when every cached ID lies above dst. Used by measurement probes
-// (serial).
-func (r *CompactRing) cacheLookup(router uint32, pos, dst ident.ID) (ident.Handle, bool) {
+// dst, circularly. dstH is dst's handle when dst is interned (else
+// NoHandle), so a slot holding dst itself needs no ID read. In dst's own
+// bucket it compares keys and reads a slot's full ID only when the key
+// ties dst's. Used by measurement probes (serial).
+func (r *CompactRing) cacheFloor(router uint32, pos, dst ident.ID, dstH ident.Handle) (ident.Handle, bool) {
 	c := &r.caches[router]
-	if c.buckets == nil || c.size == 0 {
+	if c.size == 0 {
 		return ident.NoHandle, false
 	}
-	nb := len(c.buckets)
-	b := r.bucketOf(c, dst)
-	for step := 0; step <= nb; step++ {
-		bi := b - step
-		if bi < 0 {
-			bi += nb
-		}
-		bkt := c.buckets[bi]
-		if len(bkt) == 0 {
-			continue
-		}
-		var cand ident.Handle
-		if step == 0 {
-			// Largest cached ID <= dst within dst's own bucket; if the
-			// whole bucket is above dst, keep walking down.
-			i := ident.Floor(len(bkt), func(k int) *ident.ID { return &r.ids[bkt[k].h] }, dst)
-			if i < 0 {
-				continue
-			}
-			cand = bkt[i].h
-		} else {
-			cand = bkt[len(bkt)-1].h
-		}
-		if !ident.Progress(pos, dst, r.ids[cand]) {
-			return ident.NoHandle, false
-		}
-		return cand, true
+	b, k := r.bucketOf(c, dst), c.keyOf(dst)
+	off, n := span(c.buckets[b])
+	bkt := c.slots[off : off+n]
+	i := n
+	for i > 0 && bkt[i-1].key > k {
+		i--
 	}
-	return ident.NoHandle, false
+	for i > 0 && bkt[i-1].key == k && bkt[i-1].h != dstH {
+		if testHookKeyTie != nil {
+			testHookKeyTie()
+		}
+		if !dst.Less(r.ids[bkt[i-1].h]) {
+			break
+		}
+		i--
+	}
+	// Every slot of dst's bucket above dst: take the last slot of the
+	// next nonempty bucket counter-clockwise, at worst dst's own again.
+	for step := 1; i == 0; step++ {
+		off, n := span(c.buckets[(b-step)&(len(c.buckets)-1)])
+		bkt, i = c.slots[off:off+n], n
+	}
+	cand := bkt[i-1].h
+	if !ident.Progress(pos, dst, r.ids[cand]) {
+		return ident.NoHandle, false
+	}
+	return cand, true
 }
 
 // --- measurement probes (serial, post-convergence) ------------------------
@@ -749,6 +766,9 @@ type ProbeResult struct {
 // predecessor's packed source route.
 func (r *CompactRing) Probe(from ident.Handle, dst ident.ID) (ProbeResult, error) {
 	t, resident := r.intern.Lookup(dst)
+	if !resident {
+		t = ident.NoHandle
+	}
 	res := ProbeResult{}
 	pos := from
 	cur := r.router[from]
@@ -758,7 +778,7 @@ func (r *CompactRing) Probe(from ident.Handle, dst ident.ID) (ProbeResult, error
 			r.finishProbe(&res, from, t)
 			return res, nil
 		}
-		best, ok := r.selectCompact(pos, cur, dst)
+		best, ok := r.selectCompact(pos, cur, dst, t)
 		if !ok {
 			// Stuck: pos is dst's ring predecessor. An ephemeral
 			// destination is parked here with a source route.
@@ -797,11 +817,12 @@ func (r *CompactRing) finishProbe(res *ProbeResult, from, to ident.Handle) {
 	r.probeMx.Sample(SampleCompactStretch, res.Stretch)
 }
 
-// selectCompact picks the known candidate closest to dst without
-// overshooting: the position's successor group and predecessor, then
-// the current router's cache (cache wins only when strictly closer —
-// ring pointers are scanned first and ties keep the incumbent).
-func (r *CompactRing) selectCompact(pos ident.Handle, cur uint32, dst ident.ID) (ident.Handle, bool) {
+// selectCompact picks the known candidate closest to dst (whose handle
+// is dstH, or NoHandle) without overshooting: the position's successor
+// group and predecessor, then the current router's cache (cache wins
+// only when strictly closer — ring pointers are scanned first and ties
+// keep the incumbent).
+func (r *CompactRing) selectCompact(pos ident.Handle, cur uint32, dst ident.ID, dstH ident.Handle) (ident.Handle, bool) {
 	posID := r.ids[pos]
 	best := ident.NoHandle
 	sel := ident.NewScan(posID, dst)
@@ -815,7 +836,7 @@ func (r *CompactRing) selectCompact(pos ident.Handle, cur uint32, dst ident.ID) 
 		consider(r.succs[base+k])
 	}
 	consider(r.pred[pos])
-	if ch, ok := r.cacheLookup(cur, posID, dst); ok {
+	if ch, ok := r.cacheFloor(cur, posID, dst, dstH); ok {
 		r.probeMx.Count(CtrCompactCacheHit, 1)
 		consider(ch)
 	} else {
@@ -833,7 +854,7 @@ func (r *CompactRing) ProbeJoin(from ident.Handle, joining ident.ID) (int, error
 	cur := r.router[from]
 	msgs := 0
 	for ttl := compactTTL; ttl > 0; ttl-- {
-		best, ok := r.selectCompact(pos, cur, joining)
+		best, ok := r.selectCompact(pos, cur, joining, ident.NoHandle)
 		if !ok {
 			// pos is the joining ID's predecessor; complete the splice
 			// legs: reply to the gateway, notify pos's successor, ack.
@@ -931,8 +952,9 @@ func (r *CompactRing) Footprint() Footprint {
 	for i := range r.caches {
 		c := &r.caches[i]
 		f.CacheSlots += c.size
-		for _, b := range c.buckets {
-			f.Caches += cap(b) * 8
+		for _, w := range c.buckets {
+			_, n := span(w)
+			f.Caches += capFor[n] * 8
 		}
 	}
 	f.Intern = r.intern.Bytes()

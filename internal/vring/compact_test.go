@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -47,23 +48,30 @@ func compactState(r *CompactRing) string {
 	return b.String()
 }
 
-// cacheText renders one router's cache exactly: clock and size, then
-// each bucket's capacity and (handle, stamp) slots in slot order.
+// cacheText renders one router's cache exactly: size, then each
+// nonempty bucket's charged capacity and handles in slot order.
 func cacheText(r *CompactRing, router int) string {
 	c := &r.caches[router]
 	var b strings.Builder
-	fmt.Fprintf(&b, "cache %d clock=%d size=%d\n", router, c.clock, c.size)
-	for i, bkt := range c.buckets {
-		if cap(bkt) == 0 {
+	fmt.Fprintf(&b, "cache %d size=%d\n", router, c.size)
+	for i, w := range c.buckets {
+		off, n := span(w)
+		if capFor[n] == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, " b%d cap=%d", i, cap(bkt))
-		for _, s := range bkt {
-			fmt.Fprintf(&b, " %d@%d", s.h, s.stamp)
+		fmt.Fprintf(&b, " b%d cap=%d", i, capFor[n])
+		for _, s := range c.slots[off : off+n] {
+			fmt.Fprintf(&b, " %d", s.h)
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// cacheLookup is cacheFloor for a destination the ring has not interned:
+// every key tie reads the slot's full ID.
+func (r *CompactRing) cacheLookup(router uint32, pos, dst ident.ID) (ident.Handle, bool) {
+	return r.cacheFloor(router, pos, dst, ident.NoHandle)
 }
 
 // journalText renders the convergence journal (enabled via
@@ -84,19 +92,41 @@ func journalText(r *CompactRing) string {
 	return b.String()
 }
 
+// refCache is the reference beside a compactCache of the same capacity:
+// the same bucketing, each bucket an ID-sorted slice of (handle, stamp)
+// slots grown by append, and a clock counting its inserts. Exact LRU
+// within a bucket needs the stamps here; the newest-first build, which
+// sees a cache's whole deposit sequence at once, needs none.
+type refCache struct {
+	buckets   [][]refSlot
+	bucketCap int
+	shift     uint
+	clock     uint32
+	size      int
+}
+
+type refSlot struct {
+	h     ident.Handle
+	stamp uint32
+}
+
+func newRefCache(capacity int) *refCache {
+	c := newCompactCache(capacity)
+	return &refCache{buckets: make([][]refSlot, len(c.buckets)), bucketCap: c.bucketCap, shift: c.shift}
+}
+
 // refCacheInsert is the insert rule the newest-first build must
 // reproduce: every bucket kept in ID order at every insert, a refresh
 // restamping its slot in place, an eviction removing the oldest stamp
 // wherever it sits.
-func (r *CompactRing) refCacheInsert(router uint32, h ident.Handle) {
-	c := &r.caches[router]
-	if c.buckets == nil {
+func refCacheInsert(c *refCache, ids []ident.ID, h ident.Handle) {
+	if len(c.buckets) == 0 {
 		return
 	}
-	id := r.ids[h]
-	b := r.bucketOf(c, id)
+	id := ids[h]
+	b := int(binary.BigEndian.Uint32(id[:4]) >> c.shift)
 	bkt := c.buckets[b]
-	i := ident.Search(len(bkt), func(k int) *ident.ID { return &r.ids[bkt[k].h] }, id)
+	i := ident.Search(len(bkt), func(k int) *ident.ID { return &ids[bkt[k].h] }, id)
 	c.clock++
 	if i < len(bkt) && bkt[i].h == h {
 		bkt[i].stamp = c.clock
@@ -117,22 +147,45 @@ func (r *CompactRing) refCacheInsert(router uint32, h ident.Handle) {
 			i--
 		}
 	}
-	bkt = append(bkt, cacheSlot{})
+	bkt = append(bkt, refSlot{})
 	copy(bkt[i+1:], bkt[i:])
-	bkt[i] = cacheSlot{h: h, stamp: c.clock}
+	bkt[i] = refSlot{h: h, stamp: c.clock}
 	c.buckets[b] = bkt
 	c.size++
+}
+
+// text renders the reference as cacheText renders a compact cache, each
+// bucket's capacity the one append growth gave it.
+func (c *refCache) text(router int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cache %d size=%d\n", router, c.size)
+	for i, bkt := range c.buckets {
+		if cap(bkt) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, " b%d cap=%d", i, cap(bkt))
+		for _, s := range bkt {
+			fmt.Fprintf(&b, " %d", s.h)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // refWarmCaches is the serial warm-up the blocked, sharded warmCaches
 // must reproduce: the event run's deposits, router by router, then
 // every member's stabilize round-trip deposits in handle order, then
 // every member's join-epoch residue, each inserted through
-// refCacheInsert the moment it is generated.
-func refWarmCaches(r *CompactRing) {
+// refCacheInsert the moment it is generated. It returns one reference
+// cache per router.
+func refWarmCaches(r *CompactRing) []*refCache {
+	refs := make([]*refCache, r.nrouters)
+	for rt := range refs {
+		refs[rt] = newRefCache(r.cfg.CacheCapacity)
+	}
 	for rt, list := range r.deposits {
 		for _, h := range list {
-			r.refCacheInsert(uint32(rt), h)
+			refCacheInsert(refs[rt], r.ids, h)
 		}
 	}
 	r.deposits = nil
@@ -141,7 +194,7 @@ func refWarmCaches(r *CompactRing) {
 			return
 		}
 		for _, node := range r.ls.Path(topology.NodeID(a), topology.NodeID(b))[1:] {
-			r.refCacheInsert(uint32(node), h)
+			refCacheInsert(refs[node], r.ids, h)
 		}
 	}
 	for u := 0; u < r.members; u++ {
@@ -155,9 +208,10 @@ func refWarmCaches(r *CompactRing) {
 	for u := 0; u < r.members; u++ {
 		st := uint64(r.cfg.Seed)<<20 ^ uint64(u)*0x9e3779b97f4a7c15
 		for t := 0; t < joinResidueDeposits; t++ {
-			r.refCacheInsert(uint32(sim.SplitMix64(&st)%uint64(r.nrouters)), ident.Handle(u))
+			refCacheInsert(refs[sim.SplitMix64(&st)%uint64(r.nrouters)], r.ids, ident.Handle(u))
 		}
 	}
+	return refs
 }
 
 // buildCache builds router's cache newest-first from seq, its deposits
@@ -173,8 +227,8 @@ func (r *CompactRing) buildCache(router uint32, seq []ident.Handle, chunk int) {
 }
 
 // TestCacheInsertMatchesReference: the newest-first build leaves a
-// cache exactly as refCacheInsert's inserts do — slots, stamps, bucket
-// capacities, clock and size — for seeded handle sequences with
+// cache exactly as refCacheInsert's inserts do — handles in slot order,
+// charged bucket capacities and size — for seeded handle sequences with
 // repeats, handed over whole, one deposit at a time and in pieces, on a
 // cache that never fills, on caches that evict, and on one whose
 // bucketCap (12) is not a capacity append growth gives.
@@ -194,20 +248,20 @@ func TestCacheInsertMatchesReference(t *testing.T) {
 	} {
 		cfg.CacheCapacity = tc.capacity
 		for seed := uint64(1); seed <= 3; seed++ {
-			got, ref := NewCompactRing(isp, cfg), NewCompactRing(isp, cfg)
+			got, ref := NewCompactRing(isp, cfg), newRefCache(cfg.CacheCapacity)
 			distinct := map[ident.Handle]bool{}
 			seq := make([]ident.Handle, 20*tc.pool)
 			st := seed
 			for i := range seq {
 				seq[i] = ident.Handle(sim.SplitMix64(&st) % uint64(tc.pool))
 				distinct[seq[i]] = true
-				ref.refCacheInsert(0, seq[i])
+				refCacheInsert(ref, got.ids, seq[i])
 			}
 			got.buildCache(0, seq, []int{len(seq), 1, 97}[seed-1])
-			if evicted := ref.caches[0].size < len(distinct); evicted != tc.evicts {
+			if evicted := ref.size < len(distinct); evicted != tc.evicts {
 				t.Fatalf("capacity=%d pool=%d: evicted=%v, want %v", tc.capacity, tc.pool, evicted, tc.evicts)
 			}
-			if x, y := cacheText(got, 0), cacheText(ref, 0); x != y {
+			if x, y := cacheText(got, 0), ref.text(0); x != y {
 				t.Fatalf("capacity=%d pool=%d seed=%d: cache differs from the reference\ngot:\n%.600s\nwant:\n%.600s",
 					tc.capacity, tc.pool, seed, x, y)
 			}
@@ -218,26 +272,27 @@ func TestCacheInsertMatchesReference(t *testing.T) {
 // FuzzCompactCacheBuild holds the newest-first build to refCacheInsert
 // on arbitrary deposit streams (two bytes a handle, so repeats are
 // common) at arbitrary capacities, handed over in arbitrary pieces:
-// every slot, stamp, bucket capacity, clock and size must match.
+// every bucket's handles in slot order, its charged capacity and the
+// size must match.
 func FuzzCompactCacheBuild(f *testing.F) {
 	isp := compactTestISP()
 	cfg := smallCompactConfig()
 	cfg.Hosts, cfg.EphemeralEvery = 2000, 0
-	got, ref := NewCompactRing(isp, cfg), NewCompactRing(isp, cfg)
+	got := NewCompactRing(isp, cfg)
 	f.Add(uint16(48), uint8(5), []byte("\x00\x01\x00\x02\x00\x01\x07\xcf\x00\x02"))
 	f.Add(uint16(16), uint8(1), []byte("abcdabcdefghijklmnopqrstuvwxyzab"))
 	f.Add(uint16(0), uint8(3), []byte("\x01\x02\x03\x04"))
 	f.Add(uint16(1000), uint8(0), []byte("\xff\xff\x00\x00\x12\x34\x00\x00"))
 	f.Fuzz(func(t *testing.T, capacity uint16, chunk uint8, stream []byte) {
 		got.caches[0] = newCompactCache(int(capacity % 2048))
-		ref.caches[0] = newCompactCache(int(capacity % 2048))
+		ref := newRefCache(int(capacity % 2048))
 		seq := make([]ident.Handle, len(stream)/2)
 		for i := range seq {
 			seq[i] = ident.Handle(int(stream[2*i])<<8|int(stream[2*i+1])) % ident.Handle(cfg.Hosts)
-			ref.refCacheInsert(0, seq[i])
+			refCacheInsert(ref, got.ids, seq[i])
 		}
 		got.buildCache(0, seq, int(chunk)+1)
-		if x, y := cacheText(got, 0), cacheText(ref, 0); x != y {
+		if x, y := cacheText(got, 0), ref.text(0); x != y {
 			t.Fatalf("capacity=%d chunk=%d: cache differs from the reference\ngot:\n%.600s\nwant:\n%.600s",
 				capacity%2048, int(chunk)+1, x, y)
 		}
@@ -245,8 +300,8 @@ func FuzzCompactCacheBuild(f *testing.F) {
 }
 
 // TestCompactStateDigest pins the complete post-Run state — every
-// successor group, predecessor, cache slot, stamp, bucket capacity,
-// clock and size — to the digests of the state built when every
+// successor group, predecessor, cached handle in slot order, charged
+// bucket capacity and cache size — to the digests of the state built when every
 // deposit went straight through refCacheInsert's rule, at 1 and 8
 // shards, on a ring whose caches never fill and on one that evicts.
 func TestCompactStateDigest(t *testing.T) {
@@ -257,8 +312,8 @@ func TestCompactStateDigest(t *testing.T) {
 		cfg  CompactConfig
 		want string
 	}{
-		{smallCompactConfig(), "6b5230be0acea616acb490208a83081272ad8ab9a447805ce38a34696ce79865"},
-		{evicting, "0b7ae66ad206ab3f88b3d7d1198d312296d89b15e626bc813c98832007942b1c"},
+		{smallCompactConfig(), "fb005ab0647c6b044a4605ade39c34acbe45348d11fc0f71a05042c2f94d9ad3"},
+		{evicting, "2e2d2eabda6608bcdcf5af8a9eeb930596b7022d684c1a5f64cdd1829343a2f9"},
 	} {
 		for _, shards := range []int{1, 8} {
 			cfg := tc.cfg
@@ -281,20 +336,29 @@ func converged(isp *topology.ISP, cfg CompactConfig) *CompactRing {
 	return r
 }
 
-// diffCaches returns the first router whose cache differs between a
-// and b, rendered both ways, or "" when every cache is identical.
-func diffCaches(a, b *CompactRing) string {
-	for rt := range a.caches {
-		if x, y := cacheText(a, rt), cacheText(b, rt); x != y {
+// diffCaches returns the first router whose cache differs from its
+// reference, rendered both ways, or a mismatch between the cache bytes
+// Footprint charges and the capacity append growth gave the reference's
+// buckets, or "" when every cache is identical.
+func diffCaches(r *CompactRing, refs []*refCache) string {
+	held := 0
+	for rt := range r.caches {
+		if x, y := cacheText(r, rt), refs[rt].text(rt); x != y {
 			return fmt.Sprintf("got:\n%.600s\nwant:\n%.600s", x, y)
 		}
+		for _, bkt := range refs[rt].buckets {
+			held += cap(bkt) * 8
+		}
+	}
+	if got := r.Footprint().Caches; got != held {
+		return fmt.Sprintf("Footprint charges %d cache bytes, the reference's buckets hold %d", got, held)
 	}
 	return ""
 }
 
 // TestWarmCachesMatchesSerialReference: the blocked, sharded warm-up
-// leaves every router's cache — slots, stamps, bucket capacities, clock
-// and size — exactly as the serial reference does, at every shard count,
+// leaves every router's cache — handles in slot order, charged bucket
+// capacities and size — exactly as the serial reference does, at every shard count,
 // on a ring whose caches never fill and on one that evicts.
 func TestWarmCachesMatchesSerialReference(t *testing.T) {
 	isp := compactTestISP()
@@ -304,13 +368,12 @@ func TestWarmCachesMatchesSerialReference(t *testing.T) {
 		for _, seed := range []int64{7, 11} {
 			cfg := base
 			cfg.Seed = seed
-			ref := converged(isp, cfg)
-			refWarmCaches(ref)
+			refs := refWarmCaches(converged(isp, cfg))
 			for _, shards := range []int{1, 2, 3, 8} {
 				cfg.Shards = shards
 				r := converged(isp, cfg)
 				r.warmCaches()
-				if d := diffCaches(r, ref); d != "" {
+				if d := diffCaches(r, refs); d != "" {
 					t.Fatalf("hosts=%d capacity=%d seed=%d shards=%d: caches differ from the serial reference\n%s",
 						cfg.Hosts, cfg.CacheCapacity, seed, shards, d)
 				}
@@ -365,9 +428,7 @@ func TestWarmCachesBoundedMemory(t *testing.T) {
 	if r.deposits != nil {
 		t.Error("Run returned with its deposit lists still held")
 	}
-	ref := converged(isp, cfg)
-	refWarmCaches(ref)
-	if d := diffCaches(r, ref); d != "" {
+	if d := diffCaches(r, refWarmCaches(converged(isp, cfg))); d != "" {
 		t.Fatalf("caches differ from the serial reference at 100k hosts\n%s", d)
 	}
 }
@@ -731,6 +792,156 @@ func TestCompactCacheLookupExactFloor(t *testing.T) {
 	if !ok || got != maxH {
 		t.Fatalf("every entry above dst: got %d ok=%v, want the bucket maximum %d", got, ok, maxH)
 	}
+}
+
+// TestCompactCacheKeyTies pins the full IDs a lookup reads in dst's own
+// bucket to none over a 10k-host probe pass. A slot holding dst itself
+// matches by handle, and two distinct IDs share a key (41 leading bits
+// at 512 buckets) with odds ~10^4 in 2^41. The pass must include probes
+// whose first lookup finds dst cached, so the handle match is what keeps
+// the count at 0; and the tie branch is live: two planted IDs sharing
+// their first 41 bits, looked up from between them, are both read.
+func TestCompactCacheKeyTies(t *testing.T) {
+	ties := 0
+	testHookKeyTie = func() { ties++ }
+	defer func() { testHookKeyTie = nil }()
+
+	cfg := DefaultCompactConfig()
+	cfg.EphemeralEvery = 100
+	r := NewCompactRing(topology.GenISP(topology.AS1221), cfg)
+	r.Run()
+	cached := func(c *compactCache, h ident.Handle) bool {
+		for _, w := range c.buckets {
+			off, n := span(w)
+			if slices.ContainsFunc(c.slots[off:off+n], func(s cacheSlot) bool { return s.h == h }) {
+				return true
+			}
+		}
+		return false
+	}
+	const probes = 20000
+	dstCached := 0
+	st := uint64(3)
+	for i := 0; i < probes; i++ {
+		from := ident.Handle(sim.SplitMix64(&st) % uint64(r.Members()))
+		to := ident.Handle(sim.SplitMix64(&st) % uint64(r.Members()))
+		if r.router[to] != r.router[from] && cached(&r.caches[r.router[from]], to) {
+			dstCached++
+		}
+		if res, err := r.Probe(from, r.IDOf(to)); err != nil || !res.Delivered {
+			t.Fatalf("probe %d->%d: delivered=%v err=%v", from, to, res.Delivered, err)
+		}
+	}
+	hits := r.ProbeMetrics().Counter(CtrCompactCacheHit)
+	t.Logf("%d probes, %d cache hits, %d probes whose first lookup finds dst cached, %d tie reads", probes, hits, dstCached, ties)
+	if hits == 0 || dstCached == 0 {
+		t.Fatalf("%d cache hits, %d probes whose first lookup finds dst cached; the pass tests nothing", hits, dstCached)
+	}
+	if ties != 0 {
+		t.Errorf("%d full-ID reads on key ties over %d probes, want 0", ties, probes)
+	}
+
+	// a, mid and b share bucket 5 and key 0xdeadbeef of a 512-bucket cache
+	// (shift 23) and differ only in the bits below.
+	prefix := uint64(5)<<55 | uint64(0xdeadbeef)<<23
+	var a, mid, b ident.ID
+	binary.BigEndian.PutUint64(a[:8], prefix|1)
+	binary.BigEndian.PutUint64(mid[:8], prefix|2)
+	binary.BigEndian.PutUint64(b[:8], prefix|3)
+	p := &CompactRing{ids: []ident.ID{a, b}, caches: []compactCache{newCompactCache(8192)}}
+	if c := &p.caches[0]; c.shift != 23 || p.bucketOf(c, a) != 5 || c.keyOf(a) != 0xdeadbeef {
+		t.Fatalf("shift %d: a in bucket %d with key %#x, want 23, 5, 0xdeadbeef", c.shift, p.bucketOf(c, a), c.keyOf(a))
+	}
+	p.buildCache(0, []ident.Handle{1, 0}, 2)
+	ties = 0
+	if got, ok := p.cacheLookup(0, ident.ID{}, mid); !ok || got != 0 || ties != 2 {
+		t.Errorf("dst between two tied keys: got %d ok=%v after %d tie reads, want 0 after 2", got, ok, ties)
+	}
+	ties = 0
+	if got, ok := p.cacheFloor(0, ident.ID{}, a, 0); !ok || got != 0 || ties != 1 {
+		t.Errorf("dst a by handle: got %d ok=%v after %d tie reads, want 0 after 1 (b's)", got, ok, ties)
+	}
+}
+
+// fuzzKeys are the only keys FuzzCompactCacheLookup gives its IDs, so
+// keys tie often; the first two differ in their lowest bit only.
+var fuzzKeys = [4]uint32{0, 0x80000000, 0x80000001, 0xffffffff}
+
+// FuzzCompactCacheLookup holds cacheFloor to an exhaustive circular
+// floor over full IDs, plus Progress, on caches built from arbitrary
+// IDs: three bytes an ID pick its bucket, one of fuzzKeys and the bits
+// below, so keys tie often, most buckets stay empty, and destinations
+// anywhere make lookups wrap. Each lookup runs with dst's handle when
+// dst is a ring ID and without it; the build must also match
+// refCacheInsert, whose order reads full IDs only.
+func FuzzCompactCacheLookup(f *testing.F) {
+	// Two IDs of one bucket and key, dst between them (8 buckets).
+	f.Add(uint8(48), []byte("\x02\x01\x30\x02\x01\x10\x02\x02\x00"), uint32(0x20010200), uint32(0))
+	// Entries in buckets 1 and 6 only, dst in bucket 4: the walk goes down.
+	f.Add(uint8(48), []byte("\x01\x00\x00\x06\x03\x00"), uint32(0x00000400), uint32(0))
+	// Every entry above dst in dst's bucket: the walk wraps to it.
+	f.Add(uint8(0), []byte("\x00\x01\x01\x00\x02\x02\x00\x01\x01"), uint32(0x00000000), uint32(0x00010000))
+	// dst a ring ID whose key ties its neighbours' (one bucket).
+	f.Add(uint8(0), []byte("\x00\x01\x50\x00\x01\x60\x00\x01\x40\x00\x03\xff"), uint32(3), uint32(0x02000000))
+	f.Fuzz(func(t *testing.T, capSel uint8, stream []byte, dstSel, posSel uint32) {
+		c := newCompactCache(4 + int(capSel)*2)
+		nb := len(c.buckets)
+		mk := func(bucket, key, low byte) ident.ID {
+			var id ident.ID
+			hi := uint64(int(bucket)%nb)<<(32+c.shift) | uint64(fuzzKeys[key%4])<<c.shift | uint64(key>>2)<<8&(1<<c.shift-1) | uint64(low>>4)
+			binary.BigEndian.PutUint64(id[:8], hi)
+			id[15] = low & 15
+			return id
+		}
+		var ids []ident.ID
+		var seq []ident.Handle
+		handle := map[ident.ID]ident.Handle{}
+		for i := 0; i+2 < len(stream); i += 3 {
+			id := mk(stream[i], stream[i+1], stream[i+2])
+			h, ok := handle[id]
+			if !ok {
+				h = ident.Handle(len(ids))
+				handle[id] = h
+				ids = append(ids, id)
+			}
+			seq = append(seq, h)
+		}
+		r := &CompactRing{ids: ids, caches: []compactCache{c}}
+		r.buildCache(0, seq, 7)
+		ref := newRefCache(4 + int(capSel)*2)
+		for _, h := range seq {
+			refCacheInsert(ref, ids, h)
+		}
+		if x, y := cacheText(r, 0), ref.text(0); x != y {
+			t.Fatalf("cache differs from the reference\ngot:\n%s\nwant:\n%s", x, y)
+		}
+		pick := func(sel uint32) (ident.ID, ident.Handle) {
+			if sel&1 == 1 && len(ids) > 0 {
+				h := ident.Handle(sel >> 1 % uint32(len(ids)))
+				return ids[h], h
+			}
+			return mk(byte(sel>>8), byte(sel>>16), byte(sel>>24)), ident.NoHandle
+		}
+		dst, dstH := pick(dstSel)
+		pos, _ := pick(posSel)
+		want, best := ident.NoHandle, ident.ID{}
+		for _, bkt := range ref.buckets {
+			for _, s := range bkt {
+				if d := ids[s.h].Distance(dst); want == ident.NoHandle || d.Less(best) {
+					want, best = s.h, d
+				}
+			}
+		}
+		if want != ident.NoHandle && !ident.Progress(pos, dst, ids[want]) {
+			want = ident.NoHandle
+		}
+		for _, h := range []ident.Handle{dstH, ident.NoHandle} {
+			if got, ok := r.cacheFloor(0, pos, dst, h); got != want || ok != (want != ident.NoHandle) {
+				t.Fatalf("dst %s (handle %d) pos %s over %d buckets: got %d ok=%v, want %d\n%s",
+					dst.Short(), h, pos.Short(), nb, got, ok, want, cacheText(r, 0))
+			}
+		}
+	})
 }
 
 // BenchmarkCompactConverge measures building and converging a compact
