@@ -6,13 +6,14 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // orderProto is a random schedule for the queue-order oracle. Each
 // handled message sends up to two more while its node's budget lasts,
 // with delays drawn from the node's own stream:
 //   - zero-delay self-timers, sent only from a timer, so that every
-//     shard's handling order stays strictly ascending;
+//     group's handling order stays strictly ascending;
 //   - sub-Lookahead self-timers;
 //   - sends to any node at or a few windows past Lookahead, on a grid
 //     of quarter windows, so that At values tie across sources;
@@ -22,12 +23,7 @@ type orderProto struct {
 	rngs      []uint64
 	budget    []int
 	handled   [][]Msg // per node, in handling order
-
-	// Per shard, engine runs only: the last handled key, and the first
-	// pair handled out of order.
-	last  []Msg
-	seen  []bool
-	fault []string
+	shardSeq  [][]Msg // per shard, in handling order (engine runs only)
 }
 
 const orderBudget = 24
@@ -38,9 +34,7 @@ func newOrderProto(nodes, shards int, lookahead Time, seed uint64) *orderProto {
 		rngs:      make([]uint64, nodes),
 		budget:    make([]int, nodes),
 		handled:   make([][]Msg, nodes),
-		last:      make([]Msg, shards),
-		seen:      make([]bool, shards),
-		fault:     make([]string, shards),
+		shardSeq:  make([][]Msg, shards),
 	}
 	for u := range p.rngs {
 		p.rngs[u] = seed*0x9e3779b97f4a7c15 ^ uint64(u)
@@ -97,14 +91,12 @@ func (p *orderProto) react(env orderEnv, m Msg) {
 	}
 }
 
-// HandleMsg is the engine side: it checks the shard's order, then
-// reacts.
+// HandleMsg is the engine side: it records the shard's order, then
+// reacts. The group the engine filed m under is cleared, so that m
+// compares with the reference's messages.
 func (p *orderProto) HandleMsg(sc *ShardContext, m Msg) {
-	s := sc.Shard()
-	if p.seen[s] && !msgLess(&p.last[s], &m) && p.fault[s] == "" {
-		p.fault[s] = fmt.Sprintf("shard %d handled %+v after %+v", s, m, p.last[s])
-	}
-	p.last[s], p.seen[s] = m, true
+	m.grp = 0
+	p.shardSeq[sc.Shard()] = append(p.shardSeq[sc.Shard()], m)
 	p.react(sc, m)
 }
 
@@ -120,6 +112,7 @@ type refQueue struct {
 	seq       []uint64
 	q         refHeap
 	journal   []JournalEntry
+	order     []Msg // every handled message, in handling order
 }
 
 type refHeap []Msg
@@ -183,10 +176,10 @@ func (r *refQueue) Journal(kind uint16, node, a, b uint32) {
 	r.sub++
 }
 
-// runRef runs the schedule on the reference queue and returns its
-// journal, sorted, and the end of the last window anything was handled
+// runRef runs the schedule on the reference queue and returns it, its
+// journal sorted, and the end of the last window anything was handled
 // in.
-func runRef(p *orderProto) ([]JournalEntry, Time) {
+func runRef(p *orderProto) (*refQueue, Time) {
 	r := &refQueue{lookahead: p.lookahead, seq: make([]uint64, len(p.rngs))}
 	for _, m := range p.primes() {
 		m.Seq = r.seq[m.Src]
@@ -197,6 +190,7 @@ func runRef(p *orderProto) ([]JournalEntry, Time) {
 	for r.q.Len() > 0 {
 		m := heap.Pop(&r.q).(Msg)
 		r.now, r.cur, r.sub = m.At, m, 0
+		r.order = append(r.order, m)
 		p.react(r, m)
 		end = r.windowEnd(m.At)
 	}
@@ -213,33 +207,81 @@ func runRef(p *orderProto) ([]JournalEntry, Time) {
 		}
 		return a.Sub < b.Sub
 	})
-	return r.journal, end
+	return r, end
+}
+
+// shardOrder returns the messages the reference handled for shard s's
+// nodes in the order s must handle them: by window, then by group (the
+// affinity key's bits above the engine's group shift), then by
+// (At, Src, Seq).
+func (r *refQueue) shardOrder(s, shards int, affinity []uint32, grpShift uint) []Msg {
+	keyOf := func(m *Msg) uint32 {
+		if affinity == nil {
+			return m.Dst
+		}
+		return affinity[m.Dst]
+	}
+	var out []Msg
+	for _, m := range r.order {
+		if int(keyOf(&m)%uint32(shards)) == s {
+			out = append(out, m)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if wa, wb := r.windowEnd(a.At), r.windowEnd(b.At); wa != wb {
+			return wa < wb
+		}
+		if ga, gb := keyOf(a)>>grpShift, keyOf(b)>>grpShift; ga != gb {
+			return ga < gb
+		}
+		return msgLess(a, b)
+	})
+	return out
 }
 
 // orderCoverage counts what a schedule exercised, so the oracle cannot
-// pass vacuously.
+// pass vacuously: regrouped counts the events a shard handled before
+// one of smaller (At, Src, Seq) key, which a later group held.
 type orderCoverage struct {
-	events, heapPath, zeroDelay, ties int64
+	events, heapPath, zeroDelay, ties, regrouped int64
+}
+
+func (c *orderCoverage) add(o orderCoverage) {
+	c.events += o.events
+	c.heapPath += o.heapPath
+	c.zeroDelay += o.zeroDelay
+	c.ties += o.ties
+	c.regrouped += o.regrouped
 }
 
 // checkQueueOrder runs one schedule on the engine and on the reference
 // and reports the first difference.
-func checkQueueOrder(nodes, shards int, lookahead Time, seed uint64) (orderCoverage, error) {
+func checkQueueOrder(nodes, shards int, lookahead Time, affinity []uint32, seed uint64) (orderCoverage, error) {
 	p := newOrderProto(nodes, shards, lookahead, seed)
 	ref := newOrderProto(nodes, shards, lookahead, seed)
-	e := NewSharded(nodes, shards, lookahead, nil, p)
+	e := NewSharded(nodes, shards, lookahead, affinity, p)
 	e.EnableJournal()
 	for _, m := range p.primes() {
 		e.Prime(m.At, m)
 	}
 	end := e.Run()
-	refJournal, refEnd := runRef(ref)
+	r, refEnd := runRef(ref)
 
 	var cov orderCoverage
 	cov.events, cov.heapPath = e.Events(), e.HeapPathEvents()
-	for _, f := range p.fault {
-		if f != "" {
-			return cov, fmt.Errorf("out of order: %s", f)
+	for s, got := range p.shardSeq {
+		want := r.shardOrder(s, shards, affinity, e.grpShift)
+		if len(got) != len(want) {
+			return cov, fmt.Errorf("shard %d handled %d messages, reference %d", s, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return cov, fmt.Errorf("shard %d message %d: %+v, reference order %+v", s, i, got[i], want[i])
+			}
+			if i > 0 && msgLess(&got[i], &got[i-1]) {
+				cov.regrouped++
+			}
 		}
 	}
 	for u := range p.handled {
@@ -260,7 +302,7 @@ func checkQueueOrder(nodes, shards int, lookahead Time, seed uint64) (orderCover
 			}
 		}
 	}
-	journal := e.Journal()
+	journal, refJournal := e.Journal(), r.journal
 	if len(journal) != len(refJournal) {
 		return cov, fmt.Errorf("journal has %d entries, reference %d", len(journal), len(refJournal))
 	}
@@ -275,49 +317,76 @@ func checkQueueOrder(nodes, shards int, lookahead Time, seed uint64) (orderCover
 	return cov, nil
 }
 
+// orderAffinities returns the oracle's two node groupings: none (each
+// node its own key) and several nodes on each of more keys than shards.
+func orderAffinities(nodes int) [][]uint32 {
+	return [][]uint32{nil, makeAffinity(nodes, max(4, nodes/3))}
+}
+
 // TestShardedQueueOrder holds the bucketed queue to a heap-only
 // reference on random schedules at Lookahead 1 and 0.3, on 1, 2 and 3
-// shards: every shard handles its events in strictly ascending
-// (At, Src, Seq) order, and each node's handled sequence, the sorted
-// journal and the final time equal the reference's.
+// shards, without and with an affinity grouping, and on more nodes than
+// groups: every shard handles exactly the reference's messages for its
+// nodes in (window, group, At, Src, Seq) order, and each node's handled
+// sequence, the sorted journal and the final time equal the reference's.
 func TestShardedQueueOrder(t *testing.T) {
 	var cov orderCoverage
 	for seed := uint64(1); seed <= 12; seed++ {
+		nodes := 5 + int(seed)*3
 		for _, lookahead := range []Time{1, 0.3} {
-			for shards := 1; shards <= 3; shards++ {
-				c, err := checkQueueOrder(5+int(seed)*3, shards, lookahead, seed)
-				if err != nil {
-					t.Fatalf("seed %d, Lookahead %v, %d shards: %v", seed, lookahead, shards, err)
+			for _, affinity := range orderAffinities(nodes) {
+				for shards := 1; shards <= 3; shards++ {
+					c, err := checkQueueOrder(nodes, shards, lookahead, affinity, seed)
+					if err != nil {
+						t.Fatalf("seed %d, Lookahead %v, affinity %v, %d shards: %v", seed, lookahead, affinity != nil, shards, err)
+					}
+					cov.add(c)
 				}
-				cov.events += c.events
-				cov.heapPath += c.heapPath
-				cov.zeroDelay += c.zeroDelay
-				cov.ties += c.ties
 			}
 		}
 	}
-	t.Logf("%d events, %d through the heap, %d zero-delay timers, %d At ties across sources",
-		cov.events, cov.heapPath, cov.zeroDelay, cov.ties)
-	if cov.heapPath == 0 || cov.heapPath == cov.events || cov.zeroDelay == 0 || cov.ties == 0 {
-		t.Fatalf("schedules do not cover both queue paths, zero delays and ties: %+v", cov)
+	// More nodes than maxGroups: each group holds several keys.
+	c, err := checkQueueOrder(3*maxGroups, 2, 1, nil, 99)
+	if err != nil {
+		t.Fatalf("%d nodes: %v", 3*maxGroups, err)
+	}
+	cov.add(c)
+	t.Logf("%d events, %d through the heap, %d zero-delay timers, %d At ties across sources, %d read ahead of a smaller key in a later group",
+		cov.events, cov.heapPath, cov.zeroDelay, cov.ties, cov.regrouped)
+	if cov.heapPath == 0 || cov.heapPath == cov.events || cov.zeroDelay == 0 || cov.ties == 0 || cov.regrouped == 0 {
+		t.Fatalf("schedules do not cover both queue paths, zero delays, ties and group order: %+v", cov)
 	}
 }
 
 // FuzzShardedQueueOrder runs the oracle of TestShardedQueueOrder on
 // arbitrary schedules.
 func FuzzShardedQueueOrder(f *testing.F) {
-	f.Add(uint64(1), uint8(7), uint8(1), false)
-	f.Add(uint64(2), uint8(30), uint8(2), true)
-	f.Add(uint64(3), uint8(1), uint8(3), true)
-	f.Fuzz(func(t *testing.T, seed uint64, nodes, shards uint8, fine bool) {
+	f.Add(uint64(1), uint8(7), uint8(1), false, false)
+	f.Add(uint64(2), uint8(30), uint8(2), true, true)
+	f.Add(uint64(3), uint8(1), uint8(3), true, false)
+	f.Add(uint64(4), uint8(40), uint8(3), false, true)
+	f.Fuzz(func(t *testing.T, seed uint64, nodes, shards uint8, fine, grouped bool) {
 		lookahead := Time(1)
 		if fine {
 			lookahead = 0.3
 		}
-		if _, err := checkQueueOrder(1+int(nodes%48), 1+int(shards%3), lookahead, seed); err != nil {
+		n := 1 + int(nodes%48)
+		affinity := orderAffinities(n)[0]
+		if grouped {
+			affinity = orderAffinities(n)[1]
+		}
+		if _, err := checkQueueOrder(n, 1+int(shards%3), lookahead, affinity, seed); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestMsgSize: the group Send and Prime file an event under sits in
+// what was Msg's tail padding, so an event still takes 48 bytes of slab.
+func TestMsgSize(t *testing.T) {
+	if n := unsafe.Sizeof(Msg{}); n != 48 {
+		t.Fatalf("Msg is %d bytes, want 48", n)
+	}
 }
 
 // TestWindowOfMatchesBarrier: an event is filed under the window whose

@@ -22,15 +22,17 @@ import (
 //   - Events are plain value Msgs — no closures, no pointers. A shard
 //     files each event under its window: one 1 to ringSpan windows
 //     past the open one is stored once in the shard's slab, its slot
-//     appended unsorted to that window's bucket, and a bucket is sorted
-//     once, when its window opens. A binary heap is the exact path for
-//     the rest: an event in the window already open (a sub-Lookahead
-//     self-timer) or beyond the ring's reach. The window's reader
-//     merges the heap with the sorted bucket under one key. Slab,
-//     buckets, heap and outboxes reuse their backing arrays for the
-//     lifetime of the run, so after warm-up the event loop performs no
-//     allocation (TestShardedSteadyStateAllocs guards the Send, filing,
-//     sort and read path).
+//     appended unsorted to that window's bucket. A binary heap is the
+//     exact path for the rest: an event in the window already open (a
+//     sub-Lookahead self-timer) or beyond the ring's reach. When a
+//     window opens, the heap's events for it join the bucket, and the
+//     bucket is counting-sorted by affinity group, each group's run
+//     then sorted by its own key. The window's reader merges the heap
+//     with that order under one key. Slab, buckets, heap, the sort's
+//     count and scratch arrays and the outboxes reuse their backing
+//     arrays for the lifetime of the run, so after warm-up the event
+//     loop performs no allocation (TestShardedSteadyStateAllocs guards
+//     the Send, filing, sort and read path).
 //   - Every message between *different* nodes takes at least Lookahead
 //     virtual time; self-messages (timers) may use any delay. The run
 //     advances in windows of Lookahead, with a barrier between windows
@@ -38,11 +40,15 @@ import (
 //     another node is therefore always delivered in window k+1 or
 //     later, so no shard can receive an event in its past.
 //   - Messages carry a (Src, Seq) pair — Seq from a per-node send
-//     counter — and each shard processes its queue in (At, Src, Seq)
-//     order, a total order independent of sharding. A node therefore
-//     sees exactly the same delivery sequence at any shard count, which
-//     is what makes merged metrics, final state, and the sorted journal
-//     byte-identical for 1, 2, or 64 shards.
+//     counter — and each shard reads a window one affinity group at a
+//     time, each group in (At, Src, Seq) order, a total order
+//     independent of sharding. Nodes that share a resource share an
+//     affinity key and so a group, and a handler touches only its
+//     node's state, so nothing observes the order across groups. A node
+//     and every resource therefore see exactly the same delivery
+//     sequence at any shard count, which is what makes merged metrics,
+//     final state, and the sorted journal byte-identical for 1, 2, or
+//     64 shards.
 
 // Msg is one simulated event: a message between nodes, or a self-timer
 // when Src == Dst. It is a pure value — the event slab, heap and
@@ -60,6 +66,7 @@ type Msg struct {
 	Kind uint16 // handler-defined discriminator
 	Hop  uint16 // free for handler use (TTLs, round numbers)
 	Args [4]uint32
+	grp  uint32 // Dst's affinity group, filled by Send/Prime; fits the tail padding, so Msg stays 48 B
 }
 
 // Handler processes one delivered event. Implementations must only
@@ -71,7 +78,7 @@ type Handler interface {
 }
 
 // JournalEntry is one handler-recorded protocol transition. Entries
-// sort by (At, Src, Seq, Sub) — the same total order events are
+// sort by (At, Src, Seq, Sub) — the total order every group's events are
 // processed in — so the merged journal of a sharded run is
 // byte-identical to the single-shard run.
 type JournalEntry struct {
@@ -109,7 +116,8 @@ type ShardContext struct {
 	// An event 1 to ringSpan windows past it sits in slab, its slot in
 	// ring[window%len(ring)], and bit window%len(ring) of full is set
 	// while that bucket is non-empty; pool holds drained bucket arrays.
-	// Every other event takes heap, and heapPath counts those.
+	// Every other event takes heap, and heapPath counts those. count
+	// (one per group) and scratch are the group sort's.
 	open     int64
 	slab     []Msg
 	free     []uint32 // slab slots free for reuse
@@ -118,6 +126,8 @@ type ShardContext struct {
 	pool     [][]uint32
 	heap     msgHeap
 	heapPath int64
+	count    []int32
+	scratch  []uint32
 
 	outbox  [][]Msg // per-destination-shard send buffers, reused
 	journal []JournalEntry
@@ -157,7 +167,7 @@ func (sc *ShardContext) Send(delay Time, m Msg) {
 	}
 	m.Seq = e.seqOf[m.Src]
 	e.seqOf[m.Src]++
-	d := e.ownerOf(m.Dst)
+	d := e.route(&m)
 	if d == sc.shard {
 		sc.enqueue(m)
 		return
@@ -228,20 +238,26 @@ func (sc *ShardContext) Journal(kind uint16, node, a, b uint32) {
 }
 
 // runWindow opens window w, which no shard holds an earlier event than,
-// and processes its events: the bucket, sorted once, merged with the
-// heap's events below the window's barrier.
+// and processes its events: the heap's events for w join the bucket, the
+// bucket is put in (group, At, Src, Seq) order, and it is merged with the
+// heap's events below the window's barrier — sub-Lookahead self-timers
+// its own handlers send, each in the group being read.
 func (sc *ShardContext) runWindow(w int64, h Handler) {
-	sc.open = w
 	barrier := sc.eng.barrier(w)
+	sc.open = w - 1 // so that enqueue files the heap's events for w under w
+	for len(sc.heap) > 0 && sc.heap[0].At < barrier {
+		sc.enqueue(sc.heap.pop())
+	}
+	sc.open = w
 	i := w & ringSpan
 	b := sc.ring[i]
 	sc.ring[i] = nil
 	sc.full &^= 1 << i
-	sortSlots(b, sc.slab, 2*bits.Len(uint(len(b))))
+	b = sc.sortByGroup(b)
 	for k := 0; ; {
 		var m Msg
 		heapNext := len(sc.heap) > 0 && sc.heap[0].At < barrier
-		if k < len(b) && !(heapNext && msgLess(&sc.heap[0], &sc.slab[b[k]])) {
+		if k < len(b) && !(heapNext && groupLess(&sc.heap[0], &sc.slab[b[k]])) {
 			m = sc.slab[b[k]]
 			sc.free = append(sc.free, b[k])
 			k++
@@ -260,6 +276,45 @@ func (sc *ShardContext) runWindow(w int64, h Handler) {
 	}
 }
 
+// sortByGroup returns b's slots in (group, At, Src, Seq) order: a
+// counting sort by group into the scratch array, then sortSlots on each
+// group's run. b's array becomes the next window's scratch.
+func (sc *ShardContext) sortByGroup(b []uint32) []uint32 {
+	if len(b) == 0 {
+		return b
+	}
+	count := sc.count
+	for _, s := range b {
+		count[sc.slab[s].grp]++
+	}
+	start := int32(0)
+	for g, n := range count {
+		count[g], start = start, start+n
+	}
+	out := slices.Grow(sc.scratch[:0], len(b))[:len(b)]
+	for _, s := range b {
+		g := sc.slab[s].grp
+		out[count[g]] = s
+		count[g]++
+	}
+	lo := int32(0)
+	for g, end := range count {
+		if n := int(end - lo); n > 0 {
+			if testHookSortRun != nil {
+				testHookSortRun(n)
+			}
+			sortSlots(out[lo:end], sc.slab, 2*bits.Len(uint(n)))
+		}
+		lo, count[g] = end, 0
+	}
+	sc.scratch = b[:0]
+	return out
+}
+
+// testHookSortRun, nil outside tests, is called with the length of each
+// run sortByGroup hands to sortSlots.
+var testHookSortRun func(n int)
+
 // ShardedEngine coordinates the windows and barriers of one sharded
 // single-network run. Construct with NewSharded, seed initial events
 // with Prime, then Run. The engine is not reusable after Run returns.
@@ -269,6 +324,7 @@ type ShardedEngine struct {
 	nshards   int
 	lookahead Time
 	affinity  []uint32
+	grpShift  uint     // a node's group is its affinity key >> grpShift
 	seqOf     []uint64 // per-node send counters; only the owner shard touches a node's slot
 	journalOn bool
 	workers   int
@@ -284,7 +340,9 @@ type ShardedEngine struct {
 // shares a mutable resource — e.g. all virtual nodes hosted by one
 // router, sharing its pointer cache — onto one affinity key keeps that
 // resource shard-private at every shard count, which is what lets
-// handlers touch it without locks and without breaking invariance.
+// handlers touch it without locks and without breaking invariance. A
+// window is read one group at a time, a group being the keys that agree
+// above their low grpShift bits: at most maxGroups groups.
 func NewSharded(nodes, shards int, lookahead Time, affinity []uint32, h Handler) *ShardedEngine {
 	if shards < 1 {
 		shards = 1
@@ -300,21 +358,34 @@ func NewSharded(nodes, shards int, lookahead Time, affinity []uint32, h Handler)
 		seqOf:     make([]uint64, nodes),
 		workers:   shards,
 	}
+	maxKey := uint32(max(nodes-1, 0))
+	if len(affinity) > 0 {
+		maxKey = slices.Max(affinity)
+	}
+	for maxKey>>e.grpShift >= maxGroups {
+		e.grpShift++
+	}
 	e.shards = make([]*ShardContext, shards)
 	for s := range e.shards {
 		sc := &ShardContext{Metrics: NewMetrics(), eng: e, shard: s, open: -1}
 		sc.outbox = make([][]Msg, shards)
+		sc.count = make([]int32, maxKey>>e.grpShift+1)
 		e.shards[s] = sc
 	}
 	return e
 }
 
-// ownerOf maps a node to its owning shard.
-func (e *ShardedEngine) ownerOf(node uint32) int {
-	a := node
+// maxGroups bounds the groups a window is read in, and so the count
+// array each window's group sort walks.
+const maxGroups = 1024
+
+// route fills in m's group and returns the shard that owns m.Dst.
+func (e *ShardedEngine) route(m *Msg) int {
+	a := m.Dst
 	if e.affinity != nil {
-		a = e.affinity[node]
+		a = e.affinity[m.Dst]
 	}
+	m.grp = a >> e.grpShift
 	return int(a % uint32(e.nshards))
 }
 
@@ -353,7 +424,7 @@ func (e *ShardedEngine) Prime(delay Time, m Msg) {
 	m.At = delay
 	m.Seq = e.seqOf[m.Src]
 	e.seqOf[m.Src]++
-	e.shards[e.ownerOf(m.Dst)].enqueue(m)
+	e.shards[e.route(&m)].enqueue(m)
 }
 
 // Run drains every shard to quiescence and returns the final barrier
@@ -361,10 +432,10 @@ func (e *ShardedEngine) Prime(delay Time, m Msg) {
 // virtual time are skipped in one step. Within a window the shards run
 // in parallel across the worker pool; between windows the engine
 // sequentially drains every outbox into the destination queues (the
-// order is irrelevant to the result — a window is read in the total
-// (At, Src, Seq) key — but draining serially keeps the exchange
-// race-free by construction). A drained run releases every queue and
-// outbox array: nothing reads them again.
+// order is irrelevant to the result — a window is read by group, each
+// group in the total (At, Src, Seq) key — but draining serially keeps
+// the exchange race-free by construction). A drained run releases every
+// queue, sort and outbox array: nothing reads them again.
 func (e *ShardedEngine) Run() Time {
 	for {
 		w, ok := e.minPending()
@@ -374,6 +445,7 @@ func (e *ShardedEngine) Run() Time {
 				// opened.
 				sc.slab, sc.free, sc.pool = nil, nil, nil
 				sc.heap, sc.outbox = nil, nil
+				sc.count, sc.scratch = nil, nil
 			}
 			return e.now
 		}
@@ -443,8 +515,8 @@ func (e *ShardedEngine) MergedMetrics() Metrics {
 }
 
 // Journal returns every recorded transition sorted by (At, Src, Seq,
-// Sub) — the global processing order — so the rendered journal of a
-// run is byte-identical at any shard count.
+// Sub) — each group's processing order, made global — so the rendered
+// journal of a run is byte-identical at any shard count.
 func (e *ShardedEngine) Journal() []JournalEntry {
 	var out []JournalEntry
 	for _, sc := range e.shards {
@@ -480,9 +552,10 @@ func SplitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// sortSlots sorts a bucket's slab slots by their messages' (At, Src, Seq)
-// key: a quicksort with the key compare inlined, handing a range to the
-// library sort when its partitions keep coming out lopsided.
+// sortSlots sorts one group's run of a bucket's slab slots by their
+// messages' (At, Src, Seq) key: a quicksort with the key compare inlined,
+// handing a range to the library sort when its partitions keep coming
+// out lopsided.
 func sortSlots(b []uint32, slab []Msg, depth int) {
 	for len(b) > 12 {
 		if depth == 0 {
@@ -543,6 +616,15 @@ func sortSlots(b []uint32, slab []Msg, depth int) {
 // values in one growing array keeps the steady state allocation-free
 // (the backing array is reused across the run).
 type msgHeap []Msg
+
+// groupLess orders the events of one window as it is read: by group,
+// then by (At, Src, Seq).
+func groupLess(a, b *Msg) bool {
+	if a.grp != b.grp {
+		return a.grp < b.grp
+	}
+	return msgLess(a, b)
+}
 
 func msgLess(a, b *Msg) bool {
 	if a.At != b.At {

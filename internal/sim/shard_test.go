@@ -184,7 +184,8 @@ func TestShardedEventCount(t *testing.T) {
 }
 
 // TestRunReleasesQueues: once Run drains, no shard holds heap, slab,
-// free-list, bucket, bucket-pool or outbox capacity, and what a run is
+// free-list, bucket, bucket-pool, group-sort count and scratch or outbox
+// capacity, and what a run is
 // read for afterwards — Events, Journal and MergedMetrics — is what the
 // handler saw: one event per handled message, and the same journal and
 // metrics at 1, 2 and 8 shards.
@@ -210,6 +211,10 @@ func TestRunReleasesQueues(t *testing.T) {
 			if cap(sc.slab) != 0 || cap(sc.free) != 0 || cap(sc.pool) != 0 {
 				t.Errorf("%d shards: shard %d holds slab %d, free-list %d and pool %d capacity after Run",
 					shards, sc.shard, cap(sc.slab), cap(sc.free), cap(sc.pool))
+			}
+			if cap(sc.count) != 0 || cap(sc.scratch) != 0 {
+				t.Errorf("%d shards: shard %d holds group-sort count %d and scratch %d capacity after Run",
+					shards, sc.shard, cap(sc.count), cap(sc.scratch))
 			}
 			for w, b := range sc.ring {
 				if cap(b) != 0 {
@@ -296,9 +301,10 @@ func TestShardedHeapOrder(t *testing.T) {
 }
 
 // TestShardedSteadyStateAllocs: after the first windows have sized the
-// slab, buckets, heap and outboxes, the event loop must not allocate:
-// Send, ownerOf, filing an event under its window, sorting and reading
-// a bucket, the heap's push and pop, and the toy handler's SplitMix64
+// slab, buckets, group-sort scratch, heap and outboxes, the event loop
+// must not allocate: Send, route, filing an event under its window,
+// moving the heap's events into the bucket, sorting it by group and
+// reading it, the heap's push and pop, and the toy handler's SplitMix64
 // draws.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	p := newToy(64, 7)
@@ -321,9 +327,12 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		e.exchange()
 	})
 	// Metrics sampling appends to map-held slices that legitimately
-	// regrow; everything else (heap, outboxes, journal off) must be
-	// slab-steady. Allow a tiny growth budget rather than zero.
-	if avg > 1 {
-		t.Fatalf("steady-state window averaged %.1f allocs; event path is allocating", avg)
+	// regrow; everything else (heap, outboxes, the group sort's scratch,
+	// journal off) must be slab-steady. Allow a tiny growth budget
+	// rather than zero, under the one allocation a window makes when an
+	// array is not reused.
+	t.Logf("steady-state window: %.2f allocs", avg)
+	if avg > 0.5 {
+		t.Fatalf("steady-state window averaged %.2f allocs; event path is allocating", avg)
 	}
 }

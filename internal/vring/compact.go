@@ -399,11 +399,12 @@ func (r *CompactRing) Run() sim.Time {
 const joinResidueDeposits = 32
 
 // warmCaches fills the pointer caches and leaves them readable. A
-// router's deposits are, oldest first: the event run's, in its shard's
-// (At, Src, Seq) order; the §3.1 on-path deposits of one stabilize round
-// (the run deposits only at endpoint routers, which its shard owns); the
-// join-epoch residue. A cache depends only on that sequence, so it is
-// built newest-first, every list read backward.
+// router's deposits are, oldest first: the event run's, in its router's
+// (At, Src, Seq) order (the router is its nodes' affinity key, and the
+// engine reads each group in that order); the §3.1 on-path deposits of
+// one stabilize round (the run deposits only at endpoint routers, which
+// its shard owns); the join-epoch residue. A cache depends only on that
+// sequence, so it is built newest-first, every list read backward.
 func (r *CompactRing) warmCaches() {
 	const warmBlock = 8192
 	// onShards runs f for every router on the shard that owns it
