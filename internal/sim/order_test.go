@@ -12,9 +12,9 @@ import (
 // orderProto is a random schedule for the queue-order oracle. Each
 // handled message sends up to two more while its node's budget lasts,
 // with delays drawn from the node's own stream:
-//   - zero-delay self-timers, sent only from a timer, so that every
-//     group's handling order stays strictly ascending;
-//   - sub-Lookahead self-timers;
+//   - zero-delay and sub-Lookahead self-timers, which Send clamps to
+//     Lookahead, so that a node's own events tie on At;
+//   - sends to any node below Lookahead, clamped to it;
 //   - sends to any node at or a few windows past Lookahead, on a grid
 //     of quarter windows, so that At values tie across sources;
 //   - self-timers and sends further ahead than the bucket ring reaches.
@@ -24,6 +24,7 @@ type orderProto struct {
 	budget    []int
 	handled   [][]Msg // per node, in handling order
 	shardSeq  [][]Msg // per shard, in handling order (engine runs only)
+	clamped   []int64 // per node, sends requested below Lookahead
 }
 
 const orderBudget = 24
@@ -33,6 +34,7 @@ func newOrderProto(nodes, shards int, lookahead Time, seed uint64) *orderProto {
 		lookahead: lookahead,
 		rngs:      make([]uint64, nodes),
 		budget:    make([]int, nodes),
+		clamped:   make([]int64, nodes),
 		handled:   make([][]Msg, nodes),
 		shardSeq:  make([][]Msg, shards),
 	}
@@ -84,8 +86,8 @@ func (p *orderProto) react(env orderEnv, m Msg) {
 			out.Dst = uint32(r >> 8 % nodes)
 			delay = p.lookahead * Time(ringSpan+r>>24%40)
 		}
-		if out.Dst == u && delay == 0 && m.Src != m.Dst {
-			delay = p.lookahead / 8 // zero delay only from a timer
+		if delay < p.lookahead {
+			p.clamped[u]++
 		}
 		env.Send(delay, out)
 	}
@@ -101,9 +103,8 @@ func (p *orderProto) HandleMsg(sc *ShardContext, m Msg) {
 }
 
 // refQueue is the reference: one global heap, no shards, no windows. It
-// applies Send's rules itself: delays clamp at zero, a message to
-// another node clamps to Lookahead and never lands before the end of
-// the window its sender is handled in.
+// applies Send's rules itself: every delay clamps to Lookahead, and no
+// event lands before the end of the window its sender is handled in.
 type refQueue struct {
 	lookahead Time
 	now       Time
@@ -153,14 +154,11 @@ func (r *refQueue) windowEnd(at Time) Time {
 func (r *refQueue) Now() Time { return r.now }
 
 func (r *refQueue) Send(delay Time, m Msg) {
-	if delay < 0 {
-		delay = 0
-	}
-	if m.Dst != m.Src && delay < r.lookahead {
+	if delay < r.lookahead {
 		delay = r.lookahead
 	}
 	m.At = r.now + delay
-	if end := r.windowEnd(r.now); m.Dst != m.Src && m.At < end {
+	if end := r.windowEnd(r.now); m.At < end {
 		m.At = end
 	}
 	m.Seq = r.seq[m.Src]
@@ -241,16 +239,17 @@ func (r *refQueue) shardOrder(s, shards int, affinity []uint32, grpShift uint) [
 }
 
 // orderCoverage counts what a schedule exercised, so the oracle cannot
-// pass vacuously: regrouped counts the events a shard handled before
-// one of smaller (At, Src, Seq) key, which a later group held.
+// pass vacuously: clamped counts the sends requested below Lookahead,
+// and regrouped the events a shard handled before one of smaller
+// (At, Src, Seq) key, which a later group held.
 type orderCoverage struct {
-	events, heapPath, zeroDelay, ties, regrouped int64
+	events, heapPath, clamped, ties, regrouped int64
 }
 
 func (c *orderCoverage) add(o orderCoverage) {
 	c.events += o.events
 	c.heapPath += o.heapPath
-	c.zeroDelay += o.zeroDelay
+	c.clamped += o.clamped
 	c.ties += o.ties
 	c.regrouped += o.regrouped
 }
@@ -285,6 +284,7 @@ func checkQueueOrder(nodes, shards int, lookahead Time, affinity []uint32, seed 
 		}
 	}
 	for u := range p.handled {
+		cov.clamped += p.clamped[u]
 		got, want := p.handled[u], ref.handled[u]
 		if len(got) != len(want) {
 			return cov, fmt.Errorf("node %d handled %d messages, reference %d", u, len(got), len(want))
@@ -293,12 +293,8 @@ func checkQueueOrder(nodes, shards int, lookahead Time, affinity []uint32, seed 
 			if got[i] != want[i] {
 				return cov, fmt.Errorf("node %d message %d: %+v, reference %+v", u, i, got[i], want[i])
 			}
-			if i > 0 && want[i].At == want[i-1].At {
-				if want[i].Src != want[i-1].Src {
-					cov.ties++
-				} else if want[i].Src == uint32(u) {
-					cov.zeroDelay++
-				}
+			if i > 0 && want[i].At == want[i-1].At && want[i].Src != want[i-1].Src {
+				cov.ties++
 			}
 		}
 	}
@@ -324,7 +320,7 @@ func orderAffinities(nodes int) [][]uint32 {
 }
 
 // TestShardedQueueOrder holds the bucketed queue to a heap-only
-// reference on random schedules at Lookahead 1 and 0.3, on 1, 2 and 3
+// reference on random schedules at Lookahead 1 and 0.25, on 1, 2 and 3
 // shards, without and with an affinity grouping, and on more nodes than
 // groups: every shard handles exactly the reference's messages for its
 // nodes in (window, group, At, Src, Seq) order, and each node's handled
@@ -333,7 +329,7 @@ func TestShardedQueueOrder(t *testing.T) {
 	var cov orderCoverage
 	for seed := uint64(1); seed <= 12; seed++ {
 		nodes := 5 + int(seed)*3
-		for _, lookahead := range []Time{1, 0.3} {
+		for _, lookahead := range []Time{1, 0.25} {
 			for _, affinity := range orderAffinities(nodes) {
 				for shards := 1; shards <= 3; shards++ {
 					c, err := checkQueueOrder(nodes, shards, lookahead, affinity, seed)
@@ -351,10 +347,10 @@ func TestShardedQueueOrder(t *testing.T) {
 		t.Fatalf("%d nodes: %v", 3*maxGroups, err)
 	}
 	cov.add(c)
-	t.Logf("%d events, %d through the heap, %d zero-delay timers, %d At ties across sources, %d read ahead of a smaller key in a later group",
-		cov.events, cov.heapPath, cov.zeroDelay, cov.ties, cov.regrouped)
-	if cov.heapPath == 0 || cov.heapPath == cov.events || cov.zeroDelay == 0 || cov.ties == 0 || cov.regrouped == 0 {
-		t.Fatalf("schedules do not cover both queue paths, zero delays, ties and group order: %+v", cov)
+	t.Logf("%d events, %d through the heap, %d sends clamped to Lookahead, %d At ties across sources, %d read ahead of a smaller key in a later group",
+		cov.events, cov.heapPath, cov.clamped, cov.ties, cov.regrouped)
+	if cov.heapPath == 0 || cov.heapPath == cov.events || cov.clamped == 0 || cov.ties == 0 || cov.regrouped == 0 {
+		t.Fatalf("schedules do not cover both queue paths, the clamp, ties and group order: %+v", cov)
 	}
 }
 
@@ -368,7 +364,7 @@ func FuzzShardedQueueOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, nodes, shards uint8, fine, grouped bool) {
 		lookahead := Time(1)
 		if fine {
-			lookahead = 0.3
+			lookahead = 0.25
 		}
 		n := 1 + int(nodes%48)
 		affinity := orderAffinities(n)[0]
@@ -389,14 +385,13 @@ func TestMsgSize(t *testing.T) {
 	}
 }
 
-// TestWindowOfMatchesBarrier: an event is filed under the window whose
-// barrier comparison holds it, At < barrier(w) and not At < barrier(w-1),
-// on both sides of every barrier, also where the quotient At/Lookahead
-// rounds across one; and Run reaches an event that sits on such a
-// barrier.
+// TestWindowOfMatchesBarrier: at a power-of-two Lookahead an event is
+// filed under the window whose barrier comparison holds it, At <
+// barrier(w) and not At < barrier(w-1), on both sides of every barrier;
+// Run reaches an event that sits exactly on a barrier; and NewSharded
+// refuses any other Lookahead.
 func TestWindowOfMatchesBarrier(t *testing.T) {
-	var crossed int
-	for _, lookahead := range []Time{1, 0.3, 0.1} {
+	for _, lookahead := range []Time{1, 0.25, 1.0 / 1024, 4} {
 		e := NewSharded(1, 1, lookahead, nil, handlerFunc(func(*ShardContext, Msg) {}))
 		for w := int64(0); w < 5000; w++ {
 			at, below := e.barrier(w), Time(math.Nextafter(float64(e.barrier(w)), 0))
@@ -406,22 +401,23 @@ func TestWindowOfMatchesBarrier(t *testing.T) {
 			if got := e.windowOf(below); got != w {
 				t.Fatalf("Lookahead %v: windowOf(%v, just below barrier(%d)) = %d, want %d", lookahead, below, w, got, w)
 			}
-			if int64(at/lookahead) != w+1 || int64(below/lookahead) != w {
-				crossed++
-			}
+		}
+		handled := 0
+		e = NewSharded(1, 1, lookahead, nil, handlerFunc(func(*ShardContext, Msg) { handled++ }))
+		e.Prime(31*lookahead, Msg{})
+		if end := e.Run(); handled != 1 || end != 32*lookahead {
+			t.Fatalf("Lookahead %v: an event on barrier(30) handled %d times, run ended at %v", lookahead, handled, end)
 		}
 	}
-	if crossed == 0 {
-		t.Fatal("no quotient rounded across a barrier; the check is vacuous")
-	}
-	// 31·0.3 is barrier(30), whose quotient rounds to 30.999…: a Run
-	// whose window index is that quotient's floor reopens window 30 for
-	// ever and never reaches the event.
-	handled := 0
-	e := NewSharded(1, 1, 0.3, nil, handlerFunc(func(*ShardContext, Msg) { handled++ }))
-	e.Prime(Time(31)*0.3, Msg{})
-	if end := e.Run(); handled != 1 || end != Time(32)*0.3 {
-		t.Fatalf("an event on barrier(30): handled %d times, run ended at %v", handled, end)
+	for _, lookahead := range []Time{0.3, 0.1, 3, 0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSharded accepted Lookahead %v", lookahead)
+				}
+			}()
+			NewSharded(1, 1, lookahead, nil, handlerFunc(func(*ShardContext, Msg) {}))
+		}()
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -20,25 +21,26 @@ import (
 //     All mutable protocol state is owned by exactly one node, and a
 //     node is owned by exactly one shard, so no locks are needed.
 //   - Events are plain value Msgs — no closures, no pointers. A shard
-//     files each event under its window: one 1 to ringSpan windows
+//     files each event under its window: one at most ringSpan windows
 //     past the open one is stored once in the shard's slab, its slot
-//     appended unsorted to that window's bucket. A binary heap is the
-//     exact path for the rest: an event in the window already open (a
-//     sub-Lookahead self-timer) or beyond the ring's reach. When a
-//     window opens, the heap's events for it join the bucket, and the
-//     bucket is counting-sorted by affinity group, each group's run
-//     then sorted by its own key. The window's reader merges the heap
-//     with that order under one key. Slab, buckets, heap, the sort's
-//     count and scratch arrays and the outboxes reuse their backing
-//     arrays for the lifetime of the run, so after warm-up the event
-//     loop performs no allocation (TestShardedSteadyStateAllocs guards
-//     the Send, filing, sort and read path).
-//   - Every message between *different* nodes takes at least Lookahead
-//     virtual time; self-messages (timers) may use any delay. The run
-//     advances in windows of Lookahead, with a barrier between windows
-//     at which shards exchange outboxes. A message sent in window k to
-//     another node is therefore always delivered in window k+1 or
-//     later, so no shard can receive an event in its past.
+//     appended unsorted to that window's bucket. A binary heap holds
+//     the rest, the events beyond the ring's reach. When a window
+//     opens, the heap's events for it join the bucket, and the bucket
+//     is counting-sorted by affinity group, each group's run then
+//     sorted by its own key. Slab, buckets, heap, the sort's count and
+//     scratch arrays and the outboxes reuse their backing arrays for
+//     the lifetime of the run, so after warm-up the event loop performs
+//     no allocation (TestShardedSteadyStateAllocs guards the Send,
+//     filing, sort and read path).
+//   - Lookahead is a power of two, and every Send takes at least
+//     Lookahead virtual time, a self-timer as much as a message to
+//     another node. The run advances in windows of Lookahead, with a
+//     barrier between windows at which shards exchange outboxes. An
+//     event sent in window k is therefore always delivered in window
+//     k+1 or later: no shard receives an event in its past, nor one in
+//     the window it is reading. With a power-of-two Lookahead every
+//     barrier and every quotient At/Lookahead is exact, so the float
+//     sum Now+delay never rounds back into the window being read.
 //   - Messages carry a (Src, Seq) pair — Seq from a per-node send
 //     counter — and each shard reads a window one affinity group at a
 //     time, each group in (At, Src, Seq) order, a total order
@@ -146,25 +148,18 @@ func (sc *ShardContext) Now() Time { return sc.now }
 func (sc *ShardContext) Shard() int { return sc.shard }
 
 // Send schedules m after delay. m.Src must be a node owned by this
-// shard (its own per-node send counter provides the Seq). Messages to a
-// different node are clamped to at least the engine's Lookahead —
-// uniformly, whether or not the destination happens to live on the same
-// shard, so timing never depends on the node→shard assignment.
+// shard (its own per-node send counter provides the Seq). Every delay is
+// clamped to at least the engine's Lookahead — self-timers too, and
+// whether or not the destination lives on the same shard — so an event
+// never lands in the window being read, and timing never depends on the
+// node→shard assignment. The window being read starts at or before now,
+// and now+delay rounds to no less than the exact barrier that ends it.
 func (sc *ShardContext) Send(delay Time, m Msg) {
 	e := sc.eng
-	if delay < 0 {
-		delay = 0
-	}
-	if m.Dst != m.Src && delay < e.lookahead {
+	if delay < e.lookahead {
 		delay = e.lookahead
 	}
 	m.At = sc.now + delay
-	// now + Lookahead can round below the open window's barrier when
-	// Lookahead is not a binary fraction; another node's message never
-	// lands in the window being read.
-	if m.Dst != m.Src && m.At < e.barrier(sc.open) {
-		m.At = e.barrier(sc.open)
-	}
 	m.Seq = e.seqOf[m.Src]
 	e.seqOf[m.Src]++
 	d := e.route(&m)
@@ -175,11 +170,11 @@ func (sc *ShardContext) Send(delay Time, m Msg) {
 	sc.outbox[d] = append(sc.outbox[d], m)
 }
 
-// enqueue files m under its window: into the bucket ring when the
-// window is 1 to ringSpan past the open one, else onto the heap.
+// enqueue files m under its window, which is past the open one: into
+// the bucket ring when it is at most ringSpan past, else onto the heap.
 func (sc *ShardContext) enqueue(m Msg) {
 	w := sc.eng.windowOf(m.At)
-	if ahead := w - sc.open; ahead < 1 || ahead > ringSpan {
+	if w-sc.open > ringSpan {
 		sc.heap.push(m)
 		sc.heapPath++
 		return
@@ -238,10 +233,9 @@ func (sc *ShardContext) Journal(kind uint16, node, a, b uint32) {
 }
 
 // runWindow opens window w, which no shard holds an earlier event than,
-// and processes its events: the heap's events for w join the bucket, the
-// bucket is put in (group, At, Src, Seq) order, and it is merged with the
-// heap's events below the window's barrier — sub-Lookahead self-timers
-// its own handlers send, each in the group being read.
+// and processes its events: the heap's events for w join the bucket, and
+// the bucket is read in (group, At, Src, Seq) order. Its handlers' sends
+// all land in later windows.
 func (sc *ShardContext) runWindow(w int64, h Handler) {
 	barrier := sc.eng.barrier(w)
 	sc.open = w - 1 // so that enqueue files the heap's events for w under w
@@ -250,22 +244,12 @@ func (sc *ShardContext) runWindow(w int64, h Handler) {
 	}
 	sc.open = w
 	i := w & ringSpan
-	b := sc.ring[i]
+	b := sc.sortByGroup(sc.ring[i])
 	sc.ring[i] = nil
 	sc.full &^= 1 << i
-	b = sc.sortByGroup(b)
-	for k := 0; ; {
-		var m Msg
-		heapNext := len(sc.heap) > 0 && sc.heap[0].At < barrier
-		if k < len(b) && !(heapNext && groupLess(&sc.heap[0], &sc.slab[b[k]])) {
-			m = sc.slab[b[k]]
-			sc.free = append(sc.free, b[k])
-			k++
-		} else if heapNext {
-			m = sc.heap.pop()
-		} else {
-			break
-		}
+	for _, slot := range b {
+		m := sc.slab[slot]
+		sc.free = append(sc.free, slot)
 		sc.now = m.At
 		sc.curAt, sc.curSrc, sc.curSeq, sc.sub = m.At, m.Src, m.Seq, 0
 		h.HandleMsg(sc, m)
@@ -327,13 +311,14 @@ type ShardedEngine struct {
 	grpShift  uint     // a node's group is its affinity key >> grpShift
 	seqOf     []uint64 // per-node send counters; only the owner shard touches a node's slot
 	journalOn bool
-	workers   int
 	now       Time
 }
 
 // NewSharded builds an engine for nodes dense handles [0, nodes) split
-// across the given number of shards. lookahead is the minimum
-// inter-node message delay and the barrier window length.
+// across the given number of shards. lookahead is the minimum delay of
+// every Send and the barrier window length; it must be a power of two
+// (1, 0.25, 4, …), so that window arithmetic is exact, and NewSharded
+// panics on any other value.
 //
 // affinity optionally groups nodes: node n is owned by shard
 // affinity[n] % shards (nil means n % shards). Grouping every node that
@@ -347,8 +332,8 @@ func NewSharded(nodes, shards int, lookahead Time, affinity []uint32, h Handler)
 	if shards < 1 {
 		shards = 1
 	}
-	if lookahead <= 0 {
-		lookahead = 1
+	if frac, _ := math.Frexp(float64(lookahead)); frac != 0.5 {
+		panic("sim: Lookahead must be a power of two")
 	}
 	e := &ShardedEngine{
 		handler:   h,
@@ -356,7 +341,6 @@ func NewSharded(nodes, shards int, lookahead Time, affinity []uint32, h Handler)
 		lookahead: lookahead,
 		affinity:  affinity,
 		seqOf:     make([]uint64, nodes),
-		workers:   shards,
 	}
 	maxKey := uint32(max(nodes-1, 0))
 	if len(affinity) > 0 {
@@ -393,27 +377,18 @@ func (e *ShardedEngine) route(m *Msg) int {
 // At is below barrier(w) and not below barrier(w-1).
 func (e *ShardedEngine) barrier(w int64) Time { return Time(w+1) * e.lookahead }
 
-// windowOf returns the window at falls in, by the barrier's own
-// comparison: the quotient is only a first guess, since it can round
-// across a barrier.
-func (e *ShardedEngine) windowOf(at Time) int64 {
-	w := int64(at / e.lookahead)
-	for at >= e.barrier(w) {
-		w++
-	}
-	for w > 0 && at < e.barrier(w-1) {
-		w--
-	}
-	return w
-}
+// windowOf returns the window at falls in. Dividing by a power of two is
+// exact, so the quotient never rounds across a barrier.
+func (e *ShardedEngine) windowOf(at Time) int64 { return int64(at / e.lookahead) }
 
 // EnableJournal turns on transition journaling (off by default: a
 // million-node run would record tens of millions of entries).
 func (e *ShardedEngine) EnableJournal() { e.journalOn = true }
 
 // Prime enqueues an initial event before Run, directly into the owner
-// shard's queue. The same inter-node Lookahead clamp as Send applies.
-// Prime must not be called after Run has started.
+// shard's queue. No window is open yet, so a self-timer keeps any delay
+// of at least 0; a message to another node is clamped to Lookahead, as
+// in Send. Prime must not be called after Run has started.
 func (e *ShardedEngine) Prime(delay Time, m Msg) {
 	if delay < 0 {
 		delay = 0
@@ -449,7 +424,7 @@ func (e *ShardedEngine) Run() Time {
 			}
 			return e.now
 		}
-		ForEach(e.workers, e.nshards, func(s int) {
+		ForEach(e.nshards, e.nshards, func(s int) {
 			e.shards[s].runWindow(w, e.handler)
 		})
 		e.exchange()
@@ -492,8 +467,8 @@ func (e *ShardedEngine) Events() (n int64) {
 }
 
 // HeapPathEvents returns how many events took the heap rather than a
-// window bucket, summed over shards: those sent into the window being
-// read, or more than ringSpan windows ahead.
+// window bucket, summed over shards: those filed more than ringSpan
+// windows past the open one.
 func (e *ShardedEngine) HeapPathEvents() (n int64) {
 	for _, sc := range e.shards {
 		n += sc.heapPath
@@ -608,7 +583,7 @@ func sortSlots(b []uint32, slab []Msg, depth int) {
 	}
 }
 
-// --- the exact-path event heap -------------------------------------------
+// --- the far-future event heap ------------------------------------------
 
 // msgHeap is a monomorphic binary min-heap of Msgs ordered by
 // (At, Src, Seq): the queue of the events no window bucket takes.
@@ -616,15 +591,6 @@ func sortSlots(b []uint32, slab []Msg, depth int) {
 // values in one growing array keeps the steady state allocation-free
 // (the backing array is reused across the run).
 type msgHeap []Msg
-
-// groupLess orders the events of one window as it is read: by group,
-// then by (At, Src, Seq).
-func groupLess(a, b *Msg) bool {
-	if a.grp != b.grp {
-		return a.grp < b.grp
-	}
-	return msgLess(a, b)
-}
 
 func msgLess(a, b *Msg) bool {
 	if a.At != b.At {

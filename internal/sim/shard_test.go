@@ -9,9 +9,9 @@ import (
 // toyProto is a minimal shard-invariance workload: every node runs a
 // few gossip rounds, pinging a ring neighbor and a splitmix-chosen far
 // node, journaling every transition, counting messages, and sampling
-// delivery times. It exercises cross-node sends (clamped), self-timers
-// (sub-lookahead delays), per-node randomness, metrics, and the
-// journal — everything the invariance contract covers.
+// delivery times. It exercises cross-node sends and self-timers (both
+// clamped from sub-lookahead delays), per-node randomness, metrics, and
+// the journal — everything the invariance contract covers.
 type toyProto struct {
 	n    int
 	rngs []uint64
@@ -58,8 +58,8 @@ func (p *toyProto) HandleMsg(sc *ShardContext, m Msg) {
 	case tpPong:
 		if m.Hop > 0 {
 			u := m.Dst
-			// Deliberately sub-lookahead self-delay: timers are exempt
-			// from the clamp.
+			// Deliberately sub-lookahead self-delay: Send clamps it to
+			// the lookahead.
 			d := Time(SplitMix64(&p.rngs[u])%100) / 1000
 			sc.Send(d, Msg{Src: u, Dst: u, Kind: tpTimer, Hop: m.Hop - 1})
 		}
@@ -247,28 +247,33 @@ func TestRunReleasesQueues(t *testing.T) {
 	}
 }
 
-// TestShardedLookaheadClamp: inter-node messages are clamped to at
-// least the lookahead — uniformly, even when src and dst share a shard
-// — while self-messages keep their short delays.
+// TestShardedLookaheadClamp: every send is clamped to at least the
+// lookahead — an inter-node message uniformly, even when src and dst
+// share a shard, and a self-timer too.
 func TestShardedLookaheadClamp(t *testing.T) {
-	var times []Time
+	type event struct {
+		at   Time
+		kind uint16
+	}
+	var got []event
 	h := handlerFunc(func(sc *ShardContext, m Msg) {
-		times = append(times, sc.Now())
+		got = append(got, event{sc.Now(), m.Kind})
 		if m.Kind == 0 {
 			sc.Send(0.01, Msg{Src: m.Dst, Dst: (m.Dst + 1) % 2, Kind: 1}) // inter-node: clamps to 1
-			sc.Send(0.01, Msg{Src: m.Dst, Dst: m.Dst, Kind: 2})           // timer: stays 0.01
+			sc.Send(0.01, Msg{Src: m.Dst, Dst: m.Dst, Kind: 2})           // timer: clamps to 1
 		}
 	})
 	e := NewSharded(2, 1, 1, nil, h)
 	e.Prime(0, Msg{Src: 0, Dst: 0, Kind: 0})
 	e.Run()
-	want := []Time{0, 0.01, 1}
-	if len(times) != len(want) {
-		t.Fatalf("got %d events (%v), want %v", len(times), times, want)
+	// Window 1 is read by group: node 0's timer, then node 1's message.
+	want := []event{{0, 0}, {1, 2}, {1, 1}}
+	if len(got) != len(want) {
+		t.Fatalf("got %d events (%v), want %v", len(got), got, want)
 	}
 	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("event %d at t=%v, want %v (order %v)", i, times[i], want[i], times)
+		if got[i] != want[i] {
+			t.Fatalf("event %d is %+v, want %+v (order %v)", i, got[i], want[i], got)
 		}
 	}
 }
@@ -303,9 +308,8 @@ func TestShardedHeapOrder(t *testing.T) {
 // TestShardedSteadyStateAllocs: after the first windows have sized the
 // slab, buckets, group-sort scratch, heap and outboxes, the event loop
 // must not allocate: Send, route, filing an event under its window,
-// moving the heap's events into the bucket, sorting it by group and
-// reading it, the heap's push and pop, and the toy handler's SplitMix64
-// draws.
+// sorting the bucket by group and reading it, and the toy handler's
+// SplitMix64 draws.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	p := newToy(64, 7)
 	e := NewSharded(64, 1, 1, nil, p)
@@ -327,7 +331,7 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		e.exchange()
 	})
 	// Metrics sampling appends to map-held slices that legitimately
-	// regrow; everything else (heap, outboxes, the group sort's scratch,
+	// regrow; everything else (slab, buckets, outboxes, the group sort's scratch,
 	// journal off) must be slab-steady. Allow a tiny growth budget
 	// rather than zero, under the one allocation a window makes when an
 	// array is not reused.

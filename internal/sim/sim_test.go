@@ -11,7 +11,8 @@ import (
 // The scheduler contract below — time order, same-time FIFO, nested
 // scheduling, the negative-delay clamp, run-to-run determinism — is
 // pinned on ShardedEngine's one-shard (sequential) case with self-timers,
-// which are exempt from the lookahead clamp and so keep exact delays.
+// which Prime, unlike Send, does not clamp to the lookahead, so they keep
+// exact delays.
 
 // timers primes one self-timer per delay on node 0 of a one-shard
 // engine, Kind numbering them in priming order.
@@ -82,8 +83,8 @@ func TestNegativeDelayClamped(t *testing.T) {
 			sc.Send(-10, m)
 		}
 	}), -10).Run()
-	if len(at) != 2 || at[0] != 0 || at[1] != 0 {
-		t.Fatalf("negative delays should run at t=0 and at the sender's now: %v", at)
+	if len(at) != 2 || at[0] != 0 || at[1] != 1 {
+		t.Fatalf("a negative delay should run at t=0 when primed and one lookahead past the sender's now when sent: %v", at)
 	}
 }
 

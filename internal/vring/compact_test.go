@@ -308,12 +308,17 @@ func TestCompactStateDigest(t *testing.T) {
 	isp := compactTestISP()
 	evicting := smallCompactConfig()
 	evicting.Hosts, evicting.CacheCapacity, evicting.EphemeralEvery = 2000, 64, 20
+	// At 2,000 hosts and 2,048 entries the warm-up reaches a router's run
+	// deposits with room left in their buckets, so their order shows.
+	pressed := evicting
+	pressed.CacheCapacity = 2048
 	for _, tc := range []struct {
 		cfg  CompactConfig
 		want string
 	}{
 		{smallCompactConfig(), "fb005ab0647c6b044a4605ade39c34acbe45348d11fc0f71a05042c2f94d9ad3"},
 		{evicting, "2e2d2eabda6608bcdcf5af8a9eeb930596b7022d684c1a5f64cdd1829343a2f9"},
+		{pressed, "7e2091b2a04a1e3107ca5c60dc6f50062afd4737c837cc3ce6950b07c14ca6ed"},
 	} {
 		for _, shards := range []int{1, 8} {
 			cfg := tc.cfg
@@ -436,8 +441,9 @@ func TestWarmCachesBoundedMemory(t *testing.T) {
 // TestCompactRunBucketsEveryEvent: every event of a compact ring's run
 // is sent 1 to 63 windows ahead (a stabilize timer 10-20, a control
 // message at least one), so none takes the sharded engine's heap path,
-// at any shard count. A zero-delay timer does take it, so the count
-// cannot read 0 for want of counting.
+// at any shard count. A timer set further ahead than the engine's bucket
+// ring reaches (63 windows) does take it, so the count cannot read 0 for
+// want of counting.
 func TestCompactRunBucketsEveryEvent(t *testing.T) {
 	isp := topology.GenISP(topology.AS1221)
 	cfg := DefaultCompactConfig()
@@ -451,20 +457,20 @@ func TestCompactRunBucketsEveryEvent(t *testing.T) {
 		}
 	}
 	const timers = 5
-	e := sim.NewSharded(1, 1, compactLookahead, nil, zeroDelayTimer{rounds: timers})
+	e := sim.NewSharded(1, 1, compactLookahead, nil, farTimer{rounds: timers})
 	e.Prime(0, sim.Msg{})
 	e.Run()
 	if n := e.HeapPathEvents(); n != timers {
-		t.Errorf("%d zero-delay timers, %d heap-path events", timers, n)
+		t.Errorf("%d timers 100 windows ahead, %d heap-path events", timers, n)
 	}
 }
 
-// zeroDelayTimer re-arms node 0's timer with no delay, rounds times.
-type zeroDelayTimer struct{ rounds uint16 }
+// farTimer re-arms node 0's timer 100 windows ahead, rounds times.
+type farTimer struct{ rounds uint16 }
 
-func (z zeroDelayTimer) HandleMsg(sc *sim.ShardContext, m sim.Msg) {
+func (z farTimer) HandleMsg(sc *sim.ShardContext, m sim.Msg) {
 	if m.Hop < z.rounds {
-		sc.Send(0, sim.Msg{Hop: m.Hop + 1})
+		sc.Send(100*compactLookahead, sim.Msg{Hop: m.Hop + 1})
 	}
 }
 
