@@ -26,9 +26,10 @@ type Map struct {
 	failedLink map[[2]topology.NodeID]bool
 	failedNode []bool
 
-	// sptCache holds shortest-path trees of the current failure state;
+	// trees holds the shortest-path tree of the current failure state
+	// rooted at each router, filled on first read (nil Dist: not built);
 	// every topology change empties it.
-	sptCache map[topology.NodeID]topology.SPT
+	trees []topology.SPT
 }
 
 // MsgLinkState is the metrics counter charged for LSA flooding.
@@ -41,7 +42,7 @@ func New(g *topology.Graph, m sim.Metrics) *Map {
 		metrics:    m,
 		failedLink: make(map[[2]topology.NodeID]bool),
 		failedNode: make([]bool, g.NumNodes()),
-		sptCache:   make(map[topology.NodeID]topology.SPT),
+		trees:      make([]topology.SPT, g.NumNodes()),
 	}
 }
 
@@ -77,7 +78,7 @@ func (m *Map) floodCost() {
 // bump drops every cached tree after a topology change; recomputation
 // is lazy.
 func (m *Map) bump() {
-	clear(m.sptCache)
+	clear(m.trees)
 }
 
 // FailLink marks the a–b link down and floods the LSA.
@@ -122,13 +123,14 @@ func (m *Map) RestoreNode(n topology.NodeID) {
 	m.floodCost()
 }
 
-func (m *Map) spt(src topology.NodeID) topology.SPT {
-	if spt, ok := m.sptCache[src]; ok {
-		return spt
+// spt returns the cached src-rooted tree, building it on first read. The
+// tree is valid until the next Fail* or Restore*, which clears it.
+func (m *Map) spt(src topology.NodeID) *topology.SPT {
+	t := &m.trees[src]
+	if t.Dist == nil {
+		*t = m.g.Dijkstra(src, m.Up)
 	}
-	spt := m.g.Dijkstra(src, m.Up)
-	m.sptCache[src] = spt
-	return spt
+	return t
 }
 
 // Reachable reports whether dst is reachable from src in the current
@@ -149,10 +151,18 @@ func (m *Map) Path(src, dst topology.NodeID) []topology.NodeID {
 	return m.spt(src).PathTo(dst)
 }
 
+// AppendPath appends Path(src, dst)[1:] to path and returns it, without
+// building the path. An unreachable dst (a failed src or dst is one)
+// appends nothing.
+func (m *Map) AppendPath(path []topology.NodeID, src, dst topology.NodeID) []topology.NodeID {
+	return m.spt(src).AppendPath(path, dst)
+}
+
 // Parents returns the parent array of the current src-rooted
 // shortest-path tree: walking parent[n] from dst reaches src along
 // Path(src, dst) reversed, without building the path. The array is the
-// map's cached tree; callers must not write to it.
+// map's cached tree, valid until the next Fail* or Restore*; callers must
+// not write to it.
 func (m *Map) Parents(src topology.NodeID) []topology.NodeID {
 	return m.spt(src).Parent
 }
@@ -167,7 +177,7 @@ func (m *Map) Hops(src, dst topology.NodeID) int {
 	if !spt.Reachable(dst) {
 		return -1
 	}
-	return spt.Hops[dst]
+	return int(spt.Hops[dst])
 }
 
 // Latency returns the weighted length of the shortest src→dst path in
@@ -186,19 +196,12 @@ func (m *Map) Latency(src, dst topology.NodeID) float64 {
 // NextHop returns the first router after src on the shortest path to
 // dst, and whether one exists. Forwarding in Algorithm 2 resolves the
 // chosen virtual-node pointer to a physical next hop through this, once
-// per physical hop: it climbs the src-rooted tree from dst until the
-// parent is src — Path(src, dst)[1] without building the path.
+// per physical hop: one read of the src-rooted tree's First column, the
+// next-hop entry an OSPF router holds per destination. A failed router's
+// links are all down, so its tree reaches nothing and no tree reaches it.
 func (m *Map) NextHop(src, dst topology.NodeID) (topology.NodeID, bool) {
-	if m.failedNode[src] || m.failedNode[dst] {
-		return 0, false
-	}
-	parent := m.spt(src).Parent
-	for hop := dst; hop != -1; hop = parent[hop] {
-		if parent[hop] == src {
-			return hop, true
-		}
-	}
-	return 0, false // dst is src itself, or outside its partition
+	hop := m.spt(src).First[dst]
+	return topology.NodeID(hop), hop >= 0
 }
 
 // Component returns the set of routers reachable from start under the

@@ -9,6 +9,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -124,19 +125,20 @@ type LinkFilter func(a, b NodeID) bool
 
 // Dijkstra computes single-source shortest paths from src over links
 // accepted by up (nil = all). Unreachable nodes get Dist = +Inf and
-// Parent = -1.
+// Hops, First and Parent = -1.
 func (g *Graph) Dijkstra(src NodeID, up LinkFilter) SPT {
 	n := g.NumNodes()
+	cols := make([]int32, 2*n)
 	t := SPT{
 		Src:    src,
 		Dist:   make([]float64, n),
-		Hops:   make([]int, n),
+		Hops:   cols[:n:n],
+		First:  cols[n:],
 		Parent: make([]NodeID, n),
 	}
 	for i := range t.Dist {
 		t.Dist[i] = math.Inf(1)
-		t.Parent[i] = -1
-		t.Hops[i] = -1
+		t.Parent[i], t.Hops[i], t.First[i] = -1, -1, -1
 	}
 	t.Dist[src] = 0
 	t.Hops[src] = 0
@@ -159,6 +161,11 @@ func (g *Graph) Dijkstra(src NodeID, up LinkFilter) SPT {
 				t.Dist[e.To] = nd
 				t.Hops[e.To] = t.Hops[u] + 1
 				t.Parent[e.To] = u
+				if u == src {
+					t.First[e.To] = int32(e.To)
+				} else {
+					t.First[e.To] = t.First[u]
+				}
 				pq.push(distItem{node: e.To, dist: nd})
 			}
 		}
@@ -166,28 +173,40 @@ func (g *Graph) Dijkstra(src NodeID, up LinkFilter) SPT {
 	return t
 }
 
-// SPT is a shortest-path tree rooted at Src.
+// SPT is a shortest-path tree rooted at Src. First[n] is the node after
+// Src on the path to n — the next hop a router holds per destination —
+// so it follows Parent; Hops and First share one backing array.
 type SPT struct {
 	Src    NodeID
 	Dist   []float64
-	Hops   []int
+	Hops   []int32
+	First  []int32
 	Parent []NodeID
 }
 
 // PathTo reconstructs the src→dst node sequence, inclusive of both
 // endpoints, or nil if dst is unreachable.
 func (t SPT) PathTo(dst NodeID) []NodeID {
-	if math.IsInf(t.Dist[dst], 1) {
+	if !t.Reachable(dst) {
 		return nil
 	}
-	var rev []NodeID
-	for n := dst; n != -1; n = t.Parent[n] {
-		rev = append(rev, n)
+	return t.AppendPath(append(make([]NodeID, 0, t.Hops[dst]+1), t.Src), dst)
+}
+
+// AppendPath appends the src→dst path after its first node to path,
+// filling it back to front up Parent, and returns it; an unreachable
+// dst, or Src itself, appends nothing.
+func (t SPT) AppendPath(path []NodeID, dst NodeID) []NodeID {
+	if !t.Reachable(dst) {
+		return path
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	i := len(path) + int(t.Hops[dst])
+	path = slices.Grow(path, int(t.Hops[dst]))[:i]
+	for n := dst; n != t.Src; n = t.Parent[n] {
+		path[i-1] = n
+		i--
 	}
-	return rev
+	return path
 }
 
 // Reachable reports whether dst has a path from the tree's source.
@@ -292,14 +311,11 @@ func (g *Graph) DiameterHops(samples int, rng *rand.Rand) int {
 			srcs = append(srcs, NodeID(rng.Intn(n)))
 		}
 	}
-	max := 0
+	diam := 0
 	for _, s := range srcs {
-		t := g.Dijkstra(s, nil)
-		for _, h := range t.Hops {
-			if h > max {
-				max = h
-			}
+		for _, h := range g.Dijkstra(s, nil).Hops {
+			diam = max(diam, int(h))
 		}
 	}
-	return max
+	return diam
 }

@@ -52,7 +52,7 @@ func TestDijkstraLine(t *testing.T) {
 	g := line(5)
 	spt := g.Dijkstra(0, nil)
 	for i := 0; i < 5; i++ {
-		if spt.Dist[i] != float64(i) || spt.Hops[i] != i {
+		if spt.Dist[i] != float64(i) || spt.Hops[i] != int32(i) {
 			t.Fatalf("node %d: dist=%v hops=%d", i, spt.Dist[i], spt.Hops[i])
 		}
 	}
@@ -247,7 +247,7 @@ func refDijkstra(g *Graph, src NodeID, up LinkFilter) SPT {
 	t := SPT{
 		Src:    src,
 		Dist:   make([]float64, n),
-		Hops:   make([]int, n),
+		Hops:   make([]int32, n),
 		Parent: make([]NodeID, n),
 	}
 	for i := range t.Dist {
@@ -298,7 +298,8 @@ func (h *refHeap) Pop() interface{} {
 // TestDijkstraMatchesReference: the monomorphic heap pops equal distances
 // in container/heap's order, so every tree of every evaluation ISP, from
 // every source, healthy and with links and routers failed, is the
-// reference's to the last parent.
+// reference's to the last parent, and each node's First is the first hop
+// read off the reference's parents.
 func TestDijkstraMatchesReference(t *testing.T) {
 	for _, cfg := range EvalISPs() {
 		g := GenISP(cfg).Graph
@@ -321,6 +322,18 @@ func TestDijkstraMatchesReference(t *testing.T) {
 				got, want := g.Dijkstra(src, up), refDijkstra(g, src, up)
 				if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Hops, want.Hops) || !slices.Equal(got.Parent, want.Parent) {
 					t.Fatalf("%s from %d (failures %v): tree differs from the reference", cfg.Name, src, up != nil)
+				}
+				for dst, first := range got.First {
+					hop, n := NodeID(-1), NodeID(dst)
+					for ; n != src && n != -1; n = want.Parent[n] {
+						hop = n
+					}
+					if n == -1 {
+						hop = -1 // unreachable
+					}
+					if first != int32(hop) {
+						t.Fatalf("%s from %d (failures %v): First[%d] = %d, the reference's parents give %d", cfg.Name, src, up != nil, dst, first, hop)
+					}
 				}
 			}
 		}

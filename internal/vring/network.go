@@ -315,18 +315,20 @@ func (n *Network) Traversals() []int64 { return n.traversals }
 // hop moves a message from router a to router b over current shortest
 // paths, charging counter and recording traversals / cache fills.
 // Returns physical hop count and latency, or ok=false if unreachable.
+// It climbs the a-rooted tree from b without building the path: each
+// router on it has its own counter and cache, so the order changes nothing.
 func (n *Network) hop(a, b RouterID, counter string, learn []Pointer, countTraversals bool) (int, float64, bool) {
 	if a == b {
 		return 0, 0, true
 	}
-	path := n.LS.Path(a, b)
-	if path == nil {
+	hops := n.LS.Hops(a, b)
+	if hops < 0 {
 		return 0, 0, false
 	}
-	hops := len(path) - 1
 	n.Metrics.Count(counter, int64(hops))
 	lat := n.LS.Latency(a, b)
-	for _, node := range path[1:] {
+	parent := n.LS.Parents(a)
+	for node := b; node != a; node = parent[node] {
 		if countTraversals {
 			n.traversals[node]++
 		}
@@ -375,7 +377,9 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 	if !n.LS.NodeUp(from) {
 		return Outcome{}, ErrRouterDown
 	}
-	out := Outcome{Final: from, Path: []RouterID{from}}
+	// Room for a typical route's path: ~7 hops, 8 routers, on the
+	// benchmark ring.
+	out := Outcome{Final: from, Path: append(make([]RouterID, 0, 8), from)}
 	cur := from
 	pos := n.Routers[from].ID
 	posRouter := from
@@ -410,7 +414,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 			if up {
 				out.Msgs += h
 				out.Latency += lat
-				out.Path = appendHopPath(out.Path, n.LS.Path(cur, p.Router))
+				out.Path = n.LS.AppendPath(out.Path, cur, p.Router)
 				vn := n.Routers[p.Router].Resident(dst)
 				out.Delivered, out.VN, out.Final, out.FinalPos = true, vn, p.Router, dst
 				return out, nil
@@ -455,7 +459,7 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 				if up {
 					out.Msgs += h
 					out.Latency += lat
-					out.Path = appendHopPath(out.Path, n.LS.Path(cur, posRouter))
+					out.Path = n.LS.AppendPath(out.Path, cur, posRouter)
 					cur = posRouter
 					out.Final = cur
 					continue
@@ -851,13 +855,4 @@ func (n *Network) Lookup(from RouterID, dst ident.ID) (Outcome, error) {
 // its own group must not terminate at itself).
 func (n *Network) RouteMatch(from RouterID, dst ident.ID, accept Accept, avoid ...ident.ID) (Outcome, error) {
 	return n.greedyAccept(from, dst, MsgData, nil, true, accept, avoid...)
-}
-
-// appendHopPath extends a traversal record with the intermediate routers
-// of one forwarding leg (the leg's first router is already recorded).
-func appendHopPath(path []RouterID, leg []topology.NodeID) []RouterID {
-	if len(leg) > 1 {
-		path = append(path, leg[1:]...)
-	}
-	return path
 }

@@ -559,3 +559,40 @@ func TestRouteHeapIndependentOfPasses(t *testing.T) {
 		t.Fatalf("live heap %d B after 1 pass, %d B after 20: routing must not retain memory", one, twenty)
 	}
 }
+
+// TestWalkAllocations pins the fidelity walk's allocations on the
+// benchmark's ring (AS1221, 4,000 joins placed by HostsAt, seed 1): no
+// leg builds a path of its own, and a route's recorded path starts with
+// room for a typical route, so AllocsPerRun, which truncates, reads 1
+// per route and 6 per join (4 and 19 when each leg built and reversed a
+// path and the recorded path grew from one router).
+func TestWalkAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation moves values to the heap")
+	}
+	isp := topology.GenISP(topology.AS1221)
+	n := New(isp.Graph, sim.NewMetrics(), DefaultOptions())
+	rng := rand.New(rand.NewSource(1))
+	ids := joinBenchRing(t, n, isp, rng, 4000)
+	const runs = 1000
+	route := testing.AllocsPerRun(runs, func() {
+		if _, err := n.Route(isp.Access[rng.Intn(len(isp.Access))], ids[rng.Intn(len(ids))]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	joins, at := benchHosts(isp, rng, runs+1)
+	i := 0
+	join := testing.AllocsPerRun(runs, func() {
+		if _, err := n.JoinHost(joins[i], at[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%.2f allocations per Route, %.2f per JoinHost", route, join)
+	if route > 1 {
+		t.Errorf("Route: %.2f allocations, want at most 1", route)
+	}
+	if join > 6 {
+		t.Errorf("JoinHost: %.2f allocations, want at most 6", join)
+	}
+}

@@ -81,20 +81,30 @@ func checkSelections(t *testing.T) *selectCalls {
 // their total would.
 func joinBenchRing(t *testing.T, n *Network, isp *topology.ISP, rng *rand.Rand, count int) []ident.ID {
 	t.Helper()
+	ids, at := benchHosts(isp, rng, count)
+	for i, id := range ids {
+		if _, err := n.JoinHost(id, at[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
+}
+
+// benchHosts draws count random identifiers and their gateways, placed
+// by HostsAt.
+func benchHosts(isp *topology.ISP, rng *rand.Rand, count int) ([]ident.ID, []RouterID) {
 	var cum []int
 	total := 0
 	for _, h := range isp.HostsAt {
 		total += max(h, 1)
 		cum = append(cum, total)
 	}
-	ids := make([]ident.ID, count)
+	ids, at := make([]ident.ID, count), make([]RouterID, count)
 	for i := range ids {
 		ids[i] = ident.Random(rng)
-		if _, err := n.JoinHost(ids[i], isp.Access[sort.SearchInts(cum, rng.Intn(total)+1)]); err != nil {
-			t.Fatal(err)
-		}
+		at[i] = isp.Access[sort.SearchInts(cum, rng.Intn(total)+1)]
 	}
-	return ids
+	return ids, at
 }
 
 // TestSelectNextHopMatchesExhaustiveScan compares selectNextHop with the
