@@ -18,7 +18,7 @@ build:
 # the target.
 test:
 	$(GO) test -shuffle=on ./...
-	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|TestRouteFollowsPlannedSegment|TestSegmentHopsMatchFreshSearch|TestInterdomainSoakReplays|TestChurnSoakReplays|TestJoinLevelsMatchRootsFor|TestJoinAllocations|Anycast|Negotiat' ./internal/canon ./internal/delivery ./internal/vring
+	$(GO) test -count=20 -shuffle=on -run 'TestRouteRepeatsRunToRun|TestRouteFollowsPlannedSegment|TestSegmentHopsMatchFreshSearch|TestInterdomainSoakReplays|TestChurnSoakReplays|TestJoinLevelsMatchRootsFor|TestJoinAllocations|TestRouteOutcomeDigest|TestRouteAllocations|Anycast|Negotiat' ./internal/canon ./internal/delivery ./internal/vring
 	$(GO) test -count=20 -shuffle=on -run 'TestForward|TestProbeReply|TestPeerSetBestProgress|TestCrossDriverJournalEquivalence' ./internal/proto
 	$(GO) test -count=20 -shuffle=on -run 'TestMetricsCounters' ./internal/sim
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzHandleRequest -fuzztime=10s ./internal/overlay
 	$(GO) test -fuzz=FuzzArithmeticMatchesReference -fuzztime=10s ./internal/ident
+	$(GO) test -run FuzzColumnsMatchFloor -fuzz=FuzzColumnsMatchFloor -fuzztime=10s ./internal/ident
 	$(GO) test -run FuzzCacheMatchesModel -fuzz=FuzzCacheMatchesModel -fuzztime=10s ./internal/vring
 	$(GO) test -run FuzzCompactCacheBuild -fuzz=FuzzCompactCacheBuild -fuzztime=10s ./internal/vring
 	$(GO) test -run FuzzCompactCacheLookup -fuzz=FuzzCompactCacheLookup -fuzztime=10s ./internal/vring

@@ -748,9 +748,9 @@ func TestCheckIsolationStateCatchesCorruption(t *testing.T) {
 	// the undo.
 	lv := in.level(asRoot(4))
 	plant := func(p Ptr) (undo func()) {
-		i := lv.search(p.ID)
-		lv.ring = slices.Insert(lv.ring, i, p)
-		return func() { lv.ring = slices.Delete(lv.ring, i, i+1) }
+		i := lv.ring.Floor(p.ID) + 1
+		lv.ring.Insert(i, p.ID, p.AS)
+		return func() { lv.ring.Delete(i) }
 	}
 
 	// A foreign member: a's neighbour at level AS4 becomes the node in
@@ -779,8 +779,7 @@ func TestCheckIsolationStateCatchesCorruption(t *testing.T) {
 	clean()
 
 	// The converse: a node that joined a level whose ring has lost it.
-	i := lv.search(a)
-	lv.ring = slices.Delete(lv.ring, i, i+1)
+	lv.ring.Delete(lv.ring.Floor(a))
 	if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) || !strings.Contains(err.Error(), "does not hold it") {
 		t.Fatalf("node missing from a ring it joined not caught: %v", err)
 	}
@@ -841,7 +840,7 @@ func TestAccessorsAndStrings(t *testing.T) {
 	if in.NumJoined() != 1 {
 		t.Fatalf("NumJoined = %d", in.NumJoined())
 	}
-	if n := len(in.levels[Top].ring); n != 1 {
+	if n := in.levels[Top].ring.Len(); n != 1 {
 		t.Fatalf("Top ring holds %d, want 1", n)
 	}
 	vn := in.vnOf(a)

@@ -121,13 +121,13 @@ func (in *Internet) sweepFingers(gone func(Finger) bool) {
 func (in *Internet) unlink(vn *VNode, counter string) {
 	self := Ptr{ID: vn.ID, AS: vn.AS}
 	for _, lv := range vn.levels {
-		i := lv.search(vn.ID)
-		if !(i < len(lv.ring) && lv.ring[i] == self) {
+		i := lv.ring.Floor(vn.ID)
+		if i < 0 || lv.at(i) != self {
 			continue
 		}
 		pred, succ := lv.neighbours(vn.ID)
-		lv.ring = slices.Delete(lv.ring, i, i+1)
-		if len(lv.ring) == 0 {
+		lv.ring.Delete(i)
+		if lv.ring.Len() == 0 {
 			continue
 		}
 		if h := in.hopsWithin(lv.root, pred.AS, succ.AS); h > 0 {
@@ -158,7 +158,7 @@ func (in *Internet) CheckRings() error {
 				return fmt.Errorf("%w: %s resident at AS %d is not hosted there", ErrRingBroken, vn.ID.Short(), as.ASN)
 			}
 			for k, lv := range vn.levels {
-				if i := lv.search(vn.ID); i == len(lv.ring) || lv.ring[i] != (Ptr{ID: vn.ID, AS: vn.AS}) {
+				if i := lv.ring.Floor(vn.ID); i < 0 || lv.at(i) != (Ptr{ID: vn.ID, AS: vn.AS}) {
 					return fmt.Errorf("%w: %s joined ring %v, which does not hold it", ErrRingBroken, vn.ID.Short(), lv.root)
 				}
 				if k > 0 && !vn.levels[k-1].below(lv) {
@@ -180,7 +180,8 @@ func (in *Internet) CheckRings() error {
 		}
 	}
 	for root, lv := range in.levels {
-		for i, p := range lv.ring {
+		for i := range lv.ring.Len() {
+			p := lv.at(i)
 			if in.failedAS[p.AS] {
 				return fmt.Errorf("%w: dead AS %d still in ring %v", ErrRingBroken, p.AS, root)
 			}
@@ -197,7 +198,7 @@ func (in *Internet) CheckRings() error {
 			if !slices.Contains(vn.levels, lv) {
 				return fmt.Errorf("%w: ring %v holds %s, which never joined it", ErrRingBroken, root, p.ID.Short())
 			}
-			if i > 0 && !lv.ring[i-1].ID.Less(p.ID) {
+			if i > 0 && !lv.at(i-1).ID.Less(p.ID) {
 				return fmt.Errorf("%w: ring %v not sorted at %d", ErrRingBroken, root, i)
 			}
 		}
@@ -216,8 +217,8 @@ func (in *Internet) CheckRings() error {
 // isolation is what bounds where traffic can go.
 func (in *Internet) CheckIsolationState() error {
 	for root, lv := range in.levels {
-		for _, p := range lv.ring {
-			if !in.inSubtree(root, p.AS) {
+		for i := range lv.ring.Len() {
+			if p := lv.at(i); !in.inSubtree(root, p.AS) {
 				return fmt.Errorf("%w: ring %v member %s at AS %d escapes the subtree",
 					ErrRingBroken, root, p.ID.Short(), p.AS)
 			}

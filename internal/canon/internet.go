@@ -154,36 +154,25 @@ func cachePointer(p Ptr) vring.Pointer {
 func ptrOf(p vring.Pointer) Ptr { return Ptr{ID: p.ID, AS: topology.ASN(p.Router)} }
 
 // level is one ring of the Canon hierarchy: the members that joined the
-// subtree under root, ascending by identifier. The ring is the level's
-// only state — a member's successor and predecessor there are the entries
-// either side of it, recorded nowhere else.
+// subtree under root, ascending by identifier, each with its hosting AS.
+// The ring is the level's only state — a member's successor and
+// predecessor there are the entries either side of it, recorded nowhere
+// else — held as ID-word columns so a search reads the high words alone.
 type level struct {
 	root Root
 	size int // ASes in root's subtree; levels are ranked lowest (smallest) first
-	ring []Ptr
+	ring ident.Columns[topology.ASN]
 }
 
-// search returns the lower bound of id in the ring.
-func (lv *level) search(id ident.ID) int {
-	return ident.Search(len(lv.ring), func(k int) *ident.ID { return &lv.ring[k].ID }, id)
-}
-
-// floor returns the index of the last member at or before id on the
-// circle: the largest one <= id, or the last one when every member is
-// above id. The ring must not be empty.
-func (lv *level) floor(id ident.ID) int {
-	if i := ident.Floor(len(lv.ring), func(k int) *ident.ID { return &lv.ring[k].ID }, id); i >= 0 {
-		return i
-	}
-	return len(lv.ring) - 1
-}
+// at returns the i-th member.
+func (lv *level) at(i int) (p Ptr) { p.ID, p.AS = lv.ring.At(i); return p }
 
 // neighbours returns the predecessor and successor of the member id: the
 // ring entries around it, which are the member itself in a ring of one.
 func (lv *level) neighbours(id ident.ID) (pred, succ Ptr) {
-	n := len(lv.ring)
-	i := lv.search(id)
-	return lv.ring[(i+n-1)%n], lv.ring[(i+1)%n]
+	n := lv.ring.Len()
+	i := lv.ring.Floor(id)
+	return lv.at((i + n - 1) % n), lv.at((i + 1) % n)
 }
 
 // below orders levels lowest first: by subtree size, then rootLess.

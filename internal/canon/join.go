@@ -123,14 +123,14 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 	seenSuccs := map[ident.ID]bool{}
 	self := Ptr{ID: id, AS: at}
 	for _, lv := range vn.levels {
-		i := lv.search(id)
+		i := lv.ring.Floor(id) + 1 // id's place: after every member below it
 		// Message accounting: route to the predecessor within this
 		// level's subtree and back, then notify the successor and get an
 		// ack. A lookup resolving to an already-seen successor is
 		// eliminated after a single confirmation (2 messages). The first
 		// member of a level has nobody to tell.
-		if n := len(lv.ring); n > 0 {
-			pred, succ := lv.ring[(i+n-1)%n], lv.ring[i%n]
+		if n := lv.ring.Len(); n > 0 {
+			pred, succ := lv.at((i+n-1)%n), lv.at(i%n)
 			if seenSuccs[succ.ID] {
 				msgs += 2
 			} else {
@@ -145,7 +145,7 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 			}
 		}
 		// Taking its sorted place in the ring is the whole splice.
-		lv.ring = slices.Insert(lv.ring, i, self)
+		lv.ring.Insert(i, id, at)
 	}
 
 	as.VNs = slices.Insert(as.VNs, as.search(id), vn)

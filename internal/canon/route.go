@@ -127,13 +127,14 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 	if in.failedAS[srcAS] {
 		return RouteResult{}, ErrASDown
 	}
-	res := RouteResult{Traversed: []topology.ASN{srcAS}}
+	// The benchmark's routes cross 16 ASes on average; 32 hold ~96 % of them.
+	res := RouteResult{Traversed: append(make([]topology.ASN, 0, 32), srcAS)}
 	cur := srcAS
 	// Staleness is per (pointer, level): a pointer can be unreachable
 	// within one level's subtree (its policy path is down) while the same
 	// target is perfectly reachable at a higher level.
 	var stale staleSet
-	checkedPeer := map[topology.ASN]bool{}
+	var checkedPeer []topology.ASN
 	var peerCrossings []Root
 	// The pointer the packet is heading for, re-evaluated at every AS it
 	// transits: border routers with richer state re-aim the packet toward
@@ -151,6 +152,13 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		seg.path = seg.path[:0]
 	}
 
+	// Each AS-level link the packet crossed is one MsgData message,
+	// counted once on whichever exit it takes.
+	defer func() {
+		if res.ASHops > 0 {
+			in.Metrics.Count(MsgData, int64(res.ASHops))
+		}
+	}()
 	deliver := func(at topology.ASN) (RouteResult, error) {
 		res.Delivered = true
 		res.FinalAS = at
@@ -168,13 +176,12 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 			res.Delivered, res.FinalAS = true, cur
 			return res, nil
 		}
-		if as.Resident(dst) != nil {
+		// One search serves delivery and the free local advance: the
+		// resident closest to dst without overshooting is dst itself when
+		// dst is joined here, and otherwise the hop to take if it is legal.
+		if i, ok := ident.Closest(len(as.VNs), func(k int) *ident.ID { return &as.VNs[k].ID }, pos, dst); len(as.VNs) > 0 && as.VNs[i].ID == dst {
 			return deliver(cur)
-		}
-
-		// Free local advance: hop to the resident virtual node closest to
-		// dst without overshooting.
-		if i, ok := ident.Closest(len(as.VNs), func(k int) *ident.ID { return &as.VNs[k].ID }, pos, dst); ok {
+		} else if ok {
 			pos = as.VNs[i].ID
 		}
 
@@ -195,8 +202,7 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		// ring, ask each peer's filter whether the destination is in its
 		// customer cone; cross the peering link on a hit.
 		if in.opts.BloomPeering && (!haveTarget || targetRoot == Top) {
-			_, delivered := in.tryBloomPeering(cur, dst, checkedPeer, &res)
-			if delivered {
+			if in.tryBloomPeering(cur, dst, &checkedPeer, &res) {
 				return deliver(res.FinalAS)
 			}
 		}
@@ -230,7 +236,6 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		}
 		seg.at++
 		res.ASHops++
-		in.Metrics.Count(MsgData, 1)
 		res.Traversed = append(res.Traversed, next)
 		if targetRoot.Kind == RootPeer &&
 			((cur == targetRoot.A && next == targetRoot.B) || (cur == targetRoot.B && next == targetRoot.A)) {
@@ -287,12 +292,13 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Pt
 			if bestSize != -1 && lv.size > bestSize {
 				break // levels ascend: nothing above the best one found can win
 			}
-			n := len(lv.ring)
-			if i := lv.floor(pos); lv.ring[i].AS == as.ASN {
-				consider(lv.ring[(i+1)%n], lv.root, lv.size) // A
+			// The last members at or before pos and dst on the circle.
+			n := lv.ring.Len()
+			if i := (lv.ring.Floor(pos) + n) % n; lv.at(i).AS == as.ASN {
+				consider(lv.at((i+1)%n), lv.root, lv.size) // A
 			}
-			if i := lv.floor(dst); lv.ring[(i+1)%n].AS == as.ASN {
-				consider(lv.ring[i], lv.root, lv.size) // B
+			if i := (lv.ring.Floor(dst) + n) % n; lv.at((i+1)%n).AS == as.ASN {
+				consider(lv.at(i), lv.root, lv.size) // B
 			}
 		}
 	}
@@ -318,49 +324,43 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Pt
 	return best, bestRoot, found
 }
 
-// tryBloomPeering checks each unexamined peer's filter for dst. On a
-// true hit the packet crosses the link and descends the peer's customer
-// cone to the destination; on a false positive it crosses, discovers the
-// miss, and is "returned via the peering link" (§2.3) — two wasted hops
-// and a backtrack. Returns (attempted, delivered).
-func (in *Internet) tryBloomPeering(cur topology.ASN, dst ident.ID, checked map[topology.ASN]bool, res *RouteResult) (bool, bool) {
+// tryBloomPeering checks the filter of each peer not in checked for dst,
+// adding the peer to checked. On a true hit the packet crosses the link
+// and descends the peer's customer cone to the destination; on a false
+// positive it crosses, discovers the miss, and is "returned via the
+// peering link" (§2.3) — two wasted hops and a backtrack. It reports
+// whether the packet was delivered.
+func (in *Internet) tryBloomPeering(cur topology.ASN, dst ident.ID, checked *[]topology.ASN, res *RouteResult) bool {
 	dstAS, joined := in.hostedAt[dst]
-	attempted := false
 	for _, q := range in.G.Peers(cur) {
-		if checked[q] || !in.linkUp(cur, q) {
+		if slices.Contains(*checked, q) || !in.linkUp(cur, q) {
 			continue
 		}
-		f := in.ases[q].Bloom
-		if f == nil || !f.Contains(dst[:]) {
-			checked[q] = true
+		*checked = append(*checked, q)
+		if f := in.ases[q].Bloom; f == nil || !f.Contains(dst[:]) {
 			continue
 		}
-		checked[q] = true
-		attempted = true
 		// Cross the peering link.
 		res.ASHops++
-		in.Metrics.Count(MsgData, 1)
 		res.Traversed = append(res.Traversed, q)
 		if joined && in.below.has(q, dstAS) {
 			// Descend q's customer cone to the destination.
 			down := in.pathWithin(asRoot(q), q, dstAS)
 			if down != nil {
 				res.ASHops += len(down) - 1
-				in.Metrics.Count(MsgData, int64(len(down)-1))
 				res.Traversed = append(res.Traversed, down[1:]...)
 				res.Delivered = true
 				res.FinalAS = dstAS
-				return true, true
+				return true
 			}
 		}
 		// False positive (or unreachable): bounce back.
 		res.ASHops++
-		in.Metrics.Count(MsgData, 1)
 		in.Metrics.Count(CtrBloomBacktracks, 1)
 		res.Backtracks++
 		res.Traversed = append(res.Traversed, cur)
 	}
-	return attempted, false
+	return false
 }
 
 // isolationOK verifies the isolation property for a delivered packet:

@@ -53,7 +53,7 @@ func TestInterdomainSoakReplays(t *testing.T) {
 func ringSizes(in *Internet) map[Root]int {
 	sizes := make(map[Root]int, len(in.levels))
 	for root, lv := range in.levels {
-		sizes[root] = len(lv.ring)
+		sizes[root] = lv.ring.Len()
 	}
 	return sizes
 }
