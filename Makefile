@@ -58,11 +58,13 @@ fuzz:
 	$(GO) test -run FuzzShardedQueueOrder -fuzz=FuzzShardedQueueOrder -fuzztime=10s ./internal/sim
 
 # Sharded single-network smoke: converge a 100k-host compact ring
-# sharded 8 ways and probe it, under a hard timeout. The full
-# million-host sweep is `go run ./cmd/roflsim -fig scaling`
+# sharded 8 ways, check its ring pointers against sorted order and
+# probe it, under a hard timeout; a ring fault fails the target. The
+# full million-host sweep is `go run ./cmd/roflsim -fig scaling`
 # (SCALING.md documents the published curves).
 scale-smoke:
-	timeout 300 $(GO) run ./cmd/roflsim -fig scaling -scalehosts 100000 -shards 8 -pairs 500
+	@out=$$(timeout 300 $(GO) run ./cmd/roflsim -fig scaling -scalehosts 100000 -shards 8 -pairs 500) || exit 1; \
+		echo "$$out"; if echo "$$out" | grep -q 'ring fault'; then echo "scale-smoke: ring fault"; exit 1; fi
 
 # Every experiment at full scale, as CSV, byte for byte against the
 # committed tables (~25 s on 2 vCPU). The scaling rows converge and

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -390,34 +389,13 @@ func (s *Supervisor) Converged() bool {
 			live = append(live, node)
 		}
 	}
-	if len(live) == 0 {
-		return false
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].ID().Less(live[j].ID()) })
-	if len(live) == 1 {
-		succ, _, ok := live[0].Successor()
-		return ok && succ == live[0].ID()
-	}
-	for i, node := range live {
-		succ, _, ok := node.Successor()
-		if !ok || succ != live[(i+1)%len(live)].ID() {
-			return false
-		}
-		pred, _, ok := node.Predecessor()
-		if !ok || pred != live[(i-1+len(live))%len(live)].ID() {
-			return false
-		}
-	}
-	return true
+	return len(live) > 0 && overlay.CheckRing(live) == nil
 }
 
 // AwaitConverged polls until the live ring is consistent or the timeout
 // elapses, counted in poll intervals.
 func (s *Supervisor) AwaitConverged(timeout time.Duration) error {
-	rounds := int(timeout / s.cfg.Poll)
-	if rounds < 1 {
-		rounds = 1
-	}
+	rounds := max(int(timeout/s.cfg.Poll), 1)
 	for i := 0; i < rounds; i++ {
 		if s.Converged() {
 			s.log.Info(eventClusterConverged, "live", s.liveCount())

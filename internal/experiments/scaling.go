@@ -54,6 +54,13 @@ func Scaling(cfg Config) Table {
 		rcfg.Seed = sim.TrialSeed(cfg.Seed, i)
 		r := vring.NewCompactRing(isp, rcfg)
 		end := r.Run()
+		exact, err := r.Check()
+		verdict := "pointers trace sorted order"
+		if err != nil {
+			verdict = "ring fault: " + err.Error()
+		}
+		tab.Note("N=%d ring checked: %s; exact successor groups %d of %d (%.5f)",
+			n, verdict, exact, r.Members(), float64(exact)/float64(r.Members()))
 
 		// Serial measurement phase: data probes between seeded member
 		// pairs, then join probes for fresh identifiers.
@@ -69,10 +76,7 @@ func Scaling(cfg Config) Table {
 				tab.Note("probe error at N=%d: %v", n, err)
 			}
 		}
-		joins := pairs / 4
-		if joins < 1 {
-			joins = 1
-		}
+		joins := max(pairs/4, 1)
 		for p := 0; p < joins; p++ {
 			from := ident.Handle(sim.SplitMix64(&state) % uint64(r.Members()))
 			if _, err := r.ProbeJoin(from, ident.FromUint64(sim.SplitMix64(&state))); err != nil {

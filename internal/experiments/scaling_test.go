@@ -1,11 +1,14 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestScalingShape checks the headline claims of the scaling study at
 // CI size: per-host ring state is flat (O(1)) across the sweep and
-// within the compact budget, stretch is sane, and the cache hit rate is
-// a valid ratio.
+// within the compact budget, stretch is sane, the cache hit rate is a
+// valid ratio, and every ring passes the ring check.
 func TestScalingShape(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Pairs = 100
@@ -28,6 +31,9 @@ func TestScalingShape(t *testing.T) {
 		if hit := cell(t, tab, i, 8); hit < 0 || hit > 1 {
 			t.Errorf("row %d cache hit rate %.2f outside [0,1]", i, hit)
 		}
+	}
+	if checked := strings.Count(strings.Join(tab.Notes, "\n"), "ring checked: pointers trace sorted order"); checked != len(tab.Rows) {
+		t.Errorf("%d of %d rings pass the ring check: %q", checked, len(tab.Rows), tab.Notes)
 	}
 }
 

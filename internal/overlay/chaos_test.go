@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -50,26 +49,6 @@ func startChaosCluster(t *testing.T, fabric *netem.Network, n int, joinTimeout t
 	return nodes, addrs
 }
 
-// ringFullyConsistent reports whether successor AND predecessor pointers
-// of every node trace the sorted identifier order.
-func ringFullyConsistent(nodes []*Node) bool {
-	sorted := append([]*Node(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID().Less(sorted[j].ID()) })
-	for i, node := range sorted {
-		wantSucc := sorted[(i+1)%len(sorted)].ID()
-		got, _, ok := node.Successor()
-		if !ok || got != wantSucc {
-			return false
-		}
-		wantPred := sorted[(i-1+len(sorted))%len(sorted)].ID()
-		gotPred, _, ok := node.Predecessor()
-		if !ok || gotPred != wantPred {
-			return false
-		}
-	}
-	return true
-}
-
 // waitMembership blocks until every node has heard of every other —
 // stabilize-time gossip disseminates membership beyond ring neighbours,
 // and partition recovery depends on each side knowing its own members.
@@ -97,7 +76,7 @@ func waitMembership(t *testing.T, nodes []*Node, timeout time.Duration) {
 func waitConverged(t *testing.T, nodes []*Node, timeout time.Duration, phase string) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	for !ringFullyConsistent(nodes) {
+	for !ringIsConsistent(nodes) {
 		if time.Now().After(deadline) {
 			for _, n := range nodes {
 				t.Logf("%s: %v", n.ID().Short(), n.Ring())
@@ -136,7 +115,7 @@ func TestChaosClusterLossPartitionHeal(t *testing.T) {
 	// into its own consistent ring, still under loss.
 	fabric.Partition("backhoe", addrs[:4])
 	deadline := time.Now().Add(45 * time.Second)
-	for !ringFullyConsistent(nodes[:4]) || !ringFullyConsistent(nodes[4:]) {
+	for !ringIsConsistent(nodes[:4]) || !ringIsConsistent(nodes[4:]) {
 		if time.Now().After(deadline) {
 			for _, node := range nodes {
 				t.Logf("%s: %v", node.ID().Short(), node.Ring())
@@ -278,15 +257,9 @@ func TestJoinSurvivesLostReply(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("join must survive lost replies: %v", err)
 	}
-	if succ, _, ok := bootNode.Successor(); !ok || succ != joiner.ID() {
-		t.Fatal("bootstrap did not adopt the joiner")
-	}
-	if succ, _, ok := joiner.Successor(); !ok || succ != bootNode.ID() {
-		t.Fatal("joiner did not adopt the bootstrap")
-	}
 	// The replayed splices must not have corrupted the two-node ring.
-	if pred, _, ok := bootNode.Predecessor(); !ok || pred != joiner.ID() {
-		t.Fatal("bootstrap predecessor wrong after retried join")
+	if err := CheckRing([]*Node{bootNode, joiner}); err != nil {
+		t.Fatalf("two-node ring after retried join: %v", err)
 	}
 }
 

@@ -256,7 +256,7 @@ func TestLivenessSurvivesLossWithoutFalsePositive(t *testing.T) {
 	if got := reg.Counter(metricLivenessProbe).Value(); got == 0 {
 		t.Fatal("no probes were sent")
 	}
-	if !ringFullyConsistent(nodes) {
+	if !ringIsConsistent(nodes) {
 		t.Fatal("ring lost consistency under probing")
 	}
 }

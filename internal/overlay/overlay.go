@@ -428,6 +428,15 @@ func (n *Node) Predecessor() (ident.ID, string, bool) {
 	return p.ID, p.Addr, ok
 }
 
+// CheckRing holds live nodes' ring pointers to sorted identifier order
+// (ident.CheckRing) and returns the first fault.
+func CheckRing(nodes []*Node) error {
+	_, err := ident.CheckRing(len(nodes), SuccessorGroupSize, func(i int) ident.ID { return nodes[i].ID() },
+		func(id ident.ID) ident.ID { return id }, func(i int) []ident.ID { return nodes[i].SuccessorGroup() },
+		func(i int) (ident.ID, bool) { p, _, ok := nodes[i].Predecessor(); return p, ok })
+	return err
+}
+
 // Bootstrap makes this node the first ring member: it is its own
 // successor and predecessor.
 func (n *Node) Bootstrap() {

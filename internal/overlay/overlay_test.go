@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,33 +53,9 @@ func newTestNode(t *testing.T, name string, cfg Config) *Node {
 	return node
 }
 
-// ringFault describes the first node whose successor or predecessor
-// pointer departs from the sorted order, or returns "" for a consistent
-// ring.
-func ringFault(nodes []*Node) string {
-	sorted := append([]*Node(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID().Less(sorted[j].ID()) })
-	for i, node := range sorted {
-		want := sorted[(i+1)%len(sorted)].ID()
-		got, _, ok := node.Successor()
-		if !ok {
-			return fmt.Sprintf("node %s has no successor", node.ID().Short())
-		}
-		if got != want {
-			return fmt.Sprintf("node %s successor = %s want %s", node.ID().Short(), got.Short(), want.Short())
-		}
-		wantPred := sorted[(i-1+len(sorted))%len(sorted)].ID()
-		gotPred, _, ok := node.Predecessor()
-		if !ok || gotPred != wantPred {
-			return fmt.Sprintf("node %s predecessor = %s want %s", node.ID().Short(), gotPred.Short(), wantPred.Short())
-		}
-	}
-	return ""
-}
-
 // ringIsConsistent reports whether successor and predecessor pointers
 // trace the sorted order.
-func ringIsConsistent(nodes []*Node) bool { return ringFault(nodes) == "" }
+func ringIsConsistent(nodes []*Node) bool { return CheckRing(nodes) == nil }
 
 // ringConsistent asserts ringIsConsistent, polling it up to a deadline
 // first: Join returns when the predecessor's reply arrives, while that
@@ -90,8 +66,8 @@ func ringConsistent(t *testing.T, nodes []*Node) {
 	for !ringIsConsistent(nodes) && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if fault := ringFault(nodes); fault != "" {
-		t.Fatal(fault)
+	if err := CheckRing(nodes); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -103,6 +79,17 @@ func TestTwoNodeRing(t *testing.T) {
 func TestEightNodeRingConsistent(t *testing.T) {
 	nodes := startRing(t, 8)
 	ringConsistent(t, nodes)
+	// One node's ring installed with its predecessor as its successor
+	// must fail the ring check. Nothing repairs it: these nodes run no
+	// stabilization.
+	n := nodes[3]
+	n.mu.Lock()
+	pred, _ := n.core.Predecessor()
+	n.core.InstallRing([]proto.Peer{pred}, &pred)
+	n.mu.Unlock()
+	if err := CheckRing(nodes); err == nil || !strings.Contains(err.Error(), "has successor") {
+		t.Fatalf("planted successor not caught: %v", err)
+	}
 }
 
 func TestDataDeliveryAllPairs(t *testing.T) {

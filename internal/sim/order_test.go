@@ -243,12 +243,12 @@ func (r *refQueue) shardOrder(s, shards int, affinity []uint32, grpShift uint) [
 // and regrouped the events a shard handled before one of smaller
 // (At, Src, Seq) key, which a later group held.
 type orderCoverage struct {
-	events, heapPath, clamped, ties, regrouped int64
+	events, overflow, clamped, ties, regrouped int64
 }
 
 func (c *orderCoverage) add(o orderCoverage) {
 	c.events += o.events
-	c.heapPath += o.heapPath
+	c.overflow += o.overflow
 	c.clamped += o.clamped
 	c.ties += o.ties
 	c.regrouped += o.regrouped
@@ -268,7 +268,7 @@ func checkQueueOrder(nodes, shards int, lookahead Time, affinity []uint32, seed 
 	r, refEnd := runRef(ref)
 
 	var cov orderCoverage
-	cov.events, cov.heapPath = e.Events(), e.HeapPathEvents()
+	cov.events, cov.overflow = e.Events(), e.OverflowEvents()
 	for s, got := range p.shardSeq {
 		want := r.shardOrder(s, shards, affinity, e.grpShift)
 		if len(got) != len(want) {
@@ -347,9 +347,9 @@ func TestShardedQueueOrder(t *testing.T) {
 		t.Fatalf("%d nodes: %v", 3*maxGroups, err)
 	}
 	cov.add(c)
-	t.Logf("%d events, %d through the heap, %d sends clamped to Lookahead, %d At ties across sources, %d read ahead of a smaller key in a later group",
-		cov.events, cov.heapPath, cov.clamped, cov.ties, cov.regrouped)
-	if cov.heapPath == 0 || cov.heapPath == cov.events || cov.clamped == 0 || cov.ties == 0 || cov.regrouped == 0 {
+	t.Logf("%d events, %d through the overflow, %d sends clamped to Lookahead, %d At ties across sources, %d read ahead of a smaller key in a later group",
+		cov.events, cov.overflow, cov.clamped, cov.ties, cov.regrouped)
+	if cov.overflow == 0 || cov.overflow == cov.events || cov.clamped == 0 || cov.ties == 0 || cov.regrouped == 0 {
 		t.Fatalf("schedules do not cover both queue paths, the clamp, ties and group order: %+v", cov)
 	}
 }

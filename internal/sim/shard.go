@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // This file extends the discrete-event substrate from parallel *trials*
@@ -23,15 +23,16 @@ import (
 //   - Events are plain value Msgs — no closures, no pointers. A shard
 //     files each event under its window: one at most ringSpan windows
 //     past the open one is stored once in the shard's slab, its slot
-//     appended unsorted to that window's bucket. A binary heap holds
-//     the rest, the events beyond the ring's reach. When a window
-//     opens, the heap's events for it join the bucket, and the bucket
-//     is counting-sorted by affinity group, each group's run then
-//     sorted by its own key. Slab, buckets, heap, the sort's count and
-//     scratch arrays and the outboxes reuse their backing arrays for
-//     the lifetime of the run, so after warm-up the event loop performs
-//     no allocation (TestShardedSteadyStateAllocs guards the Send,
-//     filing, sort and read path).
+//     appended unsorted to that window's bucket. An unsorted overflow
+//     list holds the rest, the events beyond the ring's reach, and is
+//     re-filed as windows open and bring them within reach. When a
+//     window opens its bucket is counting-sorted by affinity group,
+//     each group's run then sorted by its own key, so the order an
+//     event was filed in never shows. Slab, buckets, overflow, the
+//     sort's count and scratch arrays and the outboxes reuse their
+//     backing arrays for the lifetime of the run, so after warm-up the
+//     event loop performs no allocation (TestShardedSteadyStateAllocs
+//     guards the Send, filing, sort and read path).
 //   - Lookahead is a power of two, and every Send takes at least
 //     Lookahead virtual time, a self-timer as much as a message to
 //     another node. The run advances in windows of Lookahead, with a
@@ -53,7 +54,7 @@ import (
 //     64 shards.
 
 // Msg is one simulated event: a message between nodes, or a self-timer
-// when Src == Dst. It is a pure value — the event slab, heap and
+// when Src == Dst. It is a pure value — the event slab, overflow and
 // cross-shard outboxes are flat []Msg arrays, never per-event
 // allocations.
 //
@@ -118,18 +119,20 @@ type ShardContext struct {
 	// An event 1 to ringSpan windows past it sits in slab, its slot in
 	// ring[window%len(ring)], and bit window%len(ring) of full is set
 	// while that bucket is non-empty; pool holds drained bucket arrays.
-	// Every other event takes heap, and heapPath counts those. count
-	// (one per group) and scratch are the group sort's.
-	open     int64
-	slab     []Msg
-	free     []uint32 // slab slots free for reuse
-	ring     [ringSpan + 1][]uint32
-	full     uint64
-	pool     [][]uint32
-	heap     msgHeap
-	heapPath int64
-	count    []int32
-	scratch  []uint32
+	// Every other event waits in overflow, unsorted, farMin the earliest
+	// window there; overflowed counts the events that left it for a
+	// bucket. count (one per group) and scratch are the group sort's.
+	open       int64
+	slab       []Msg
+	free       []uint32 // slab slots free for reuse
+	ring       [ringSpan + 1][]uint32
+	full       uint64
+	pool       [][]uint32
+	overflow   []Msg
+	farMin     int64
+	overflowed int64
+	count      []int32
+	scratch    []uint32
 
 	outbox  [][]Msg // per-destination-shard send buffers, reused
 	journal []JournalEntry
@@ -171,12 +174,15 @@ func (sc *ShardContext) Send(delay Time, m Msg) {
 }
 
 // enqueue files m under its window, which is past the open one: into
-// the bucket ring when it is at most ringSpan past, else onto the heap.
+// the bucket ring when it is at most ringSpan past, else into the
+// overflow list.
 func (sc *ShardContext) enqueue(m Msg) {
 	w := sc.eng.windowOf(m.At)
 	if w-sc.open > ringSpan {
-		sc.heap.push(m)
-		sc.heapPath++
+		if len(sc.overflow) == 0 || w < sc.farMin {
+			sc.farMin = w
+		}
+		sc.overflow = append(sc.overflow, m)
 		return
 	}
 	var slot uint32
@@ -210,10 +216,8 @@ func (sc *ShardContext) nextWindow() (int64, bool) {
 		first := bits.RotateLeft64(sc.full, -int((sc.open+1)&ringSpan))
 		w = sc.open + 1 + int64(bits.TrailingZeros64(first))
 	}
-	if len(sc.heap) > 0 {
-		if hw := sc.eng.windowOf(sc.heap[0].At); !ok || hw < w {
-			w, ok = hw, true
-		}
+	if len(sc.overflow) > 0 && (!ok || sc.farMin < w) {
+		w, ok = sc.farMin, true
 	}
 	return w, ok
 }
@@ -233,14 +237,18 @@ func (sc *ShardContext) Journal(kind uint16, node, a, b uint32) {
 }
 
 // runWindow opens window w, which no shard holds an earlier event than,
-// and processes its events: the heap's events for w join the bucket, and
-// the bucket is read in (group, At, Src, Seq) order. Its handlers' sends
-// all land in later windows.
+// and processes its events: the overflow's events the ring now reaches
+// are filed into it, and w's bucket is read in (group, At, Src, Seq)
+// order. Its handlers' sends all land in later windows.
 func (sc *ShardContext) runWindow(w int64, h Handler) {
-	barrier := sc.eng.barrier(w)
-	sc.open = w - 1 // so that enqueue files the heap's events for w under w
-	for len(sc.heap) > 0 && sc.heap[0].At < barrier {
-		sc.enqueue(sc.heap.pop())
+	sc.open = w - 1 // so that enqueue files the overflow's events for w under w
+	if len(sc.overflow) > 0 && sc.farMin-sc.open <= ringSpan {
+		far := sc.overflow
+		sc.overflow = far[:0] // enqueue writes back no faster than the loop reads
+		for _, m := range far {
+			sc.enqueue(m)
+		}
+		sc.overflowed += int64(len(far) - len(sc.overflow))
 	}
 	sc.open = w
 	i := w & ringSpan
@@ -329,9 +337,7 @@ type ShardedEngine struct {
 // window is read one group at a time, a group being the keys that agree
 // above their low grpShift bits: at most maxGroups groups.
 func NewSharded(nodes, shards int, lookahead Time, affinity []uint32, h Handler) *ShardedEngine {
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(shards, 1)
 	if frac, _ := math.Frexp(float64(lookahead)); frac != 0.5 {
 		panic("sim: Lookahead must be a power of two")
 	}
@@ -419,7 +425,7 @@ func (e *ShardedEngine) Run() Time {
 				// Each bucket left the ring for the pool when its window
 				// opened.
 				sc.slab, sc.free, sc.pool = nil, nil, nil
-				sc.heap, sc.outbox = nil, nil
+				sc.overflow, sc.outbox = nil, nil
 				sc.count, sc.scratch = nil, nil
 			}
 			return e.now
@@ -466,12 +472,12 @@ func (e *ShardedEngine) Events() (n int64) {
 	return n
 }
 
-// HeapPathEvents returns how many events took the heap rather than a
-// window bucket, summed over shards: those filed more than ringSpan
-// windows past the open one.
-func (e *ShardedEngine) HeapPathEvents() (n int64) {
+// OverflowEvents returns how many events waited in the overflow list
+// before a window bucket took them, summed over shards: those filed more
+// than ringSpan windows past the open one.
+func (e *ShardedEngine) OverflowEvents() (n int64) {
 	for _, sc := range e.shards {
-		n += sc.heapPath
+		n += sc.overflowed
 	}
 	return n
 }
@@ -497,18 +503,8 @@ func (e *ShardedEngine) Journal() []JournalEntry {
 	for _, sc := range e.shards {
 		out = append(out, sc.journal...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return a.Sub < b.Sub
+	slices.SortFunc(out, func(a, b JournalEntry) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Sub, b.Sub))
 	})
 	return out
 }
@@ -583,15 +579,8 @@ func sortSlots(b []uint32, slab []Msg, depth int) {
 	}
 }
 
-// --- the far-future event heap ------------------------------------------
-
-// msgHeap is a monomorphic binary min-heap of Msgs ordered by
-// (At, Src, Seq): the queue of the events no window bucket takes.
-// container/heap would box every event into an interface{}; storing
-// values in one growing array keeps the steady state allocation-free
-// (the backing array is reused across the run).
-type msgHeap []Msg
-
+// msgLess orders events by (At, Src, Seq), the total order every
+// group's run is read in.
 func msgLess(a, b *Msg) bool {
 	if a.At != b.At {
 		return a.At < b.At
@@ -600,44 +589,4 @@ func msgLess(a, b *Msg) bool {
 		return a.Src < b.Src
 	}
 	return a.Seq < b.Seq
-}
-
-func (h *msgHeap) push(m Msg) {
-	*h = append(*h, m)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if msgLess(&s[parent], &s[i]) {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *msgHeap) pop() Msg {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && msgLess(&s[l], &s[min]) {
-			min = l
-		}
-		if r < n && msgLess(&s[r], &s[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
 }

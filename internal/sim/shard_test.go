@@ -183,7 +183,7 @@ func TestShardedEventCount(t *testing.T) {
 	}
 }
 
-// TestRunReleasesQueues: once Run drains, no shard holds heap, slab,
+// TestRunReleasesQueues: once Run drains, no shard holds overflow, slab,
 // free-list, bucket, bucket-pool, group-sort count and scratch or outbox
 // capacity, and what a run is
 // read for afterwards — Events, Journal and MergedMetrics — is what the
@@ -205,8 +205,8 @@ func TestRunReleasesQueues(t *testing.T) {
 		}
 		e.Run()
 		for _, sc := range e.shards {
-			if cap(sc.heap) != 0 {
-				t.Errorf("%d shards: shard %d holds heap capacity %d after Run", shards, sc.shard, cap(sc.heap))
+			if cap(sc.overflow) != 0 {
+				t.Errorf("%d shards: shard %d holds overflow capacity %d after Run", shards, sc.shard, cap(sc.overflow))
 			}
 			if cap(sc.slab) != 0 || cap(sc.free) != 0 || cap(sc.pool) != 0 {
 				t.Errorf("%d shards: shard %d holds slab %d, free-list %d and pool %d capacity after Run",
@@ -282,31 +282,8 @@ type handlerFunc func(sc *ShardContext, m Msg)
 
 func (f handlerFunc) HandleMsg(sc *ShardContext, m Msg) { f(sc, m) }
 
-// TestShardedHeapOrder: events with identical delivery times are
-// processed in (Src, Seq) order, the tiebreak that makes processing
-// order a total order independent of arrival path.
-func TestShardedHeapOrder(t *testing.T) {
-	var h msgHeap
-	h.push(Msg{At: 5, Src: 2, Seq: 0})
-	h.push(Msg{At: 5, Src: 1, Seq: 1})
-	h.push(Msg{At: 5, Src: 1, Seq: 0})
-	h.push(Msg{At: 4, Src: 9, Seq: 9})
-	got := []Msg{h.pop(), h.pop(), h.pop(), h.pop()}
-	want := []Msg{
-		{At: 4, Src: 9, Seq: 9},
-		{At: 5, Src: 1, Seq: 0},
-		{At: 5, Src: 1, Seq: 1},
-		{At: 5, Src: 2, Seq: 0},
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestShardedSteadyStateAllocs: after the first windows have sized the
-// slab, buckets, group-sort scratch, heap and outboxes, the event loop
+// slab, buckets, group-sort scratch, overflow and outboxes, the event loop
 // must not allocate: Send, route, filing an event under its window,
 // sorting the bucket by group and reading it, and the toy handler's
 // SplitMix64 draws.

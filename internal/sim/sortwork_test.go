@@ -31,7 +31,7 @@ func (w *sortWork) add(n int) {
 // one run per router and window, so its largest run and its sort work
 // per event are bounded at 1, 2 and 8 shards. Every event of the run is
 // read from a bucket (vring.TestCompactRunBucketsEveryEvent pins its
-// heap path at 0), so the runs' lengths sum to the events handled.
+// overflow at 0), so the runs' lengths sum to the events handled.
 // Read the whole window as one run and the largest run is every event
 // of a window, and the work per event rises with its log.
 func TestCompactRunSortWork(t *testing.T) {

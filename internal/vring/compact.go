@@ -908,6 +908,15 @@ func (r *CompactRing) NumSucc(h ident.Handle) int { return int(r.nsucc[h]) }
 // Pred returns member h's predecessor handle.
 func (r *CompactRing) Pred(h ident.Handle) ident.Handle { return r.pred[h] }
 
+// Check holds the members' ring pointers to sorted identifier order:
+// ident.CheckRing over the successor slab and predecessors.
+func (r *CompactRing) Check() (exact int, err error) {
+	s := r.cfg.SuccessorGroup
+	return ident.CheckRing(r.members, s, func(i int) ident.Handle { return ident.Handle(i) }, r.IDOf,
+		func(i int) []ident.Handle { return r.succs[i*s : i*s+int(r.nsucc[i])] },
+		func(i int) (ident.Handle, bool) { return r.pred[i], r.pred[i] != ident.NoHandle })
+}
+
 // Metrics returns the merged convergence-phase metrics (valid after
 // Run).
 func (r *CompactRing) Metrics() sim.Metrics { return r.msgs }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -440,9 +439,9 @@ func TestWarmCachesBoundedMemory(t *testing.T) {
 
 // TestCompactRunBucketsEveryEvent: every event of a compact ring's run
 // is sent 1 to 63 windows ahead (a stabilize timer 10-20, a control
-// message at least one), so none takes the sharded engine's heap path,
-// at any shard count. A timer set further ahead than the engine's bucket
-// ring reaches (63 windows) does take it, so the count cannot read 0 for
+// message at least one), so none waits in the sharded engine's overflow
+// list, at any shard count. A timer set further ahead than the engine's
+// bucket ring reaches (63 windows) does, so the count cannot read 0 for
 // want of counting.
 func TestCompactRunBucketsEveryEvent(t *testing.T) {
 	isp := topology.GenISP(topology.AS1221)
@@ -452,16 +451,16 @@ func TestCompactRunBucketsEveryEvent(t *testing.T) {
 		cfg.Shards = shards
 		r := NewCompactRing(isp, cfg)
 		r.Run()
-		if n, ev := r.eng.HeapPathEvents(), r.eng.Events(); n != 0 || ev == 0 {
-			t.Errorf("%d shards: %d of %d events took the heap path, want 0", shards, n, ev)
+		if n, ev := r.eng.OverflowEvents(), r.eng.Events(); n != 0 || ev == 0 {
+			t.Errorf("%d shards: %d of %d events waited in the overflow, want 0", shards, n, ev)
 		}
 	}
 	const timers = 5
 	e := sim.NewSharded(1, 1, compactLookahead, nil, farTimer{rounds: timers})
 	e.Prime(0, sim.Msg{})
 	e.Run()
-	if n := e.HeapPathEvents(); n != timers {
-		t.Errorf("%d timers 100 windows ahead, %d heap-path events", timers, n)
+	if n := e.OverflowEvents(); n != timers {
+		t.Errorf("%d timers 100 windows ahead, %d overflow events", timers, n)
 	}
 }
 
@@ -496,10 +495,11 @@ func TestCompactIDsAliasIntern(t *testing.T) {
 	}
 }
 
-// TestCompactRingConverges checks the stabilized ring against the
-// sorted-order oracle: every member's successor group must be exactly
-// the next SuccessorGroup members clockwise, and every predecessor the
-// true ring predecessor.
+// TestCompactRingConverges checks the stabilized ring against sorted
+// order: every member's successor group must be exactly the next
+// SuccessorGroup members clockwise, and every predecessor the true ring
+// predecessor. A predecessor planted off sorted order must fail the
+// check.
 func TestCompactRingConverges(t *testing.T) {
 	isp := compactTestISP()
 	cfg := smallCompactConfig()
@@ -509,37 +509,19 @@ func TestCompactRingConverges(t *testing.T) {
 	if end <= 0 {
 		t.Fatal("run performed no virtual time")
 	}
-
-	m := r.Members()
-	sorted := make([]ident.Handle, m)
-	for i := range sorted {
-		sorted[i] = ident.Handle(i)
+	exact, err := r.Check()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		return r.IDOf(sorted[i]).Less(r.IDOf(sorted[j]))
-	})
-	rank := make(map[ident.Handle]int, m)
-	for i, h := range sorted {
-		rank[h] = i
+	if exact != r.Members() {
+		t.Fatalf("%d of %d members hold exactly the next %d members", exact, r.Members(), cfg.SuccessorGroup)
 	}
-	for _, h := range sorted {
-		i := rank[h]
-		want := cfg.SuccessorGroup
-		if want > m-1 {
-			want = m - 1
-		}
-		if got := r.NumSucc(h); got != want {
-			t.Fatalf("member %d has %d successors, want %d", h, got, want)
-		}
-		for k := 0; k < want; k++ {
-			if got, w := r.Succ(h, k), sorted[(i+1+k)%m]; got != w {
-				t.Fatalf("member %d successor[%d] = %d, want %d", h, k, got, w)
-			}
-		}
-		if got, w := r.Pred(h), sorted[(i-1+m)%m]; got != w {
-			t.Fatalf("member %d pred = %d, want %d", h, got, w)
-		}
+	pred := r.pred[0]
+	r.pred[0] = r.Succ(0, 0)
+	if _, err := r.Check(); err == nil || !strings.Contains(err.Error(), "has predecessor") {
+		t.Fatalf("planted predecessor not caught: %v", err)
 	}
+	r.pred[0] = pred
 	if r.Metrics().Counter(MsgCompactControl) == 0 {
 		t.Fatal("convergence charged no control messages")
 	}

@@ -64,7 +64,7 @@ func ringTargets(ms []Pointer, i, group int) (succs []Pointer, pred Pointer) {
 // (now consistent) ring, plus a direct acknowledgment back. This is how
 // the paper's "rejoin the relevant ID" costs are measured.
 func (n *Network) chargeProbe(from RouterID, target ident.ID, counter string) int {
-	out, err := n.greedy(from, target, counter, nil, false)
+	out, err := n.greedy(from, target, counter, nil, false, nil, nil)
 	if err != nil {
 		return 0
 	}
@@ -544,28 +544,19 @@ func (n *Network) CheckRing() error {
 }
 
 func (n *Network) checkComponent(comp map[RouterID]bool, ms []Pointer) error {
-	for i, p := range ms {
-		vn := n.Routers[p.Router].Resident(p.ID)
-		succs, pred := ringTargets(ms, i, n.opts.SuccessorGroup)
-		if len(ms) > 1 {
-			if len(vn.Succs) == 0 || len(succs) == 0 || vn.Succs[0] != succs[0] {
-				return fmt.Errorf("%w: %s has successor %v, want %v",
-					ErrRingCorrupted, vn.ID.Short(), vn.Succs, succs)
-			}
-			if vn.Pred != pred {
-				return fmt.Errorf("%w: %s has predecessor %s, want %s",
-					ErrRingCorrupted, vn.ID.Short(), vn.Pred.ID.Short(), pred.ID.Short())
-			}
+	if len(ms) > 1 { // a lone member holds no ring pointers
+		vn := func(i int) *VirtualNode { return n.Routers[ms[i].Router].Resident(ms[i].ID) }
+		if _, err := ident.CheckRing(len(ms), n.opts.SuccessorGroup, func(i int) Pointer { return ms[i] },
+			func(p Pointer) ident.ID { return p.ID }, func(i int) []Pointer { return vn(i).Succs },
+			func(i int) (Pointer, bool) { return vn(i).Pred, true }); err != nil {
+			return fmt.Errorf("%w: %w", ErrRingCorrupted, err)
 		}
 	}
 	// Every ephemeral host in the component must be parked at its
 	// predecessor.
 	for node := range comp {
 		for _, vn := range n.Routers[node].VNs {
-			if !vn.Ephemeral {
-				continue
-			}
-			if len(ms) == 0 {
+			if !vn.Ephemeral || len(ms) == 0 {
 				continue
 			}
 			pred := ms[predecessorIndex(ms, vn.ID)]

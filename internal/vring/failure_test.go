@@ -86,8 +86,10 @@ func TestFailEphemeralHost(t *testing.T) {
 }
 
 // TestCheckRingCatchesTableCorruption plants the faults a router's own
-// tables can hold beneath a correct ring: a resident out of identifier
-// order, and a parking no stable resident of that router owns.
+// tables can hold beneath a correct ring, a resident out of identifier
+// order and a parking no stable resident of that router owns, and one
+// the ring check shared with every ring must catch: a member's
+// successor[0] off sorted order.
 func TestCheckRingCatchesTableCorruption(t *testing.T) {
 	n, isp := newTestNet(t, DefaultOptions())
 	joinN(t, n, isp, 10)
@@ -134,6 +136,12 @@ func TestCheckRingCatchesTableCorruption(t *testing.T) {
 		n.Routers[host].unpark(func(e parking) bool { return e.ID == child.ID })
 		clean()
 	}
+
+	succs := r.VNs[0].Succs
+	succs[0], succs[1] = succs[1], succs[0]
+	caught("successor off sorted order", "has successor")
+	succs[0], succs[1] = succs[1], succs[0]
+	clean()
 }
 
 func TestMoveHost(t *testing.T) {

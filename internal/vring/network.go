@@ -352,7 +352,7 @@ type Outcome struct {
 	Latency   float64
 	// Path is the ordered sequence of physical routers the packet
 	// traversed, inclusive of the origin — multicast path-painting (§5.2)
-	// installs tree pointers along it.
+	// installs tree pointers along it. Only RouteMatch records it.
 	Path []RouterID
 }
 
@@ -368,18 +368,14 @@ type Accept func(r *Router) (*VirtualNode, bool)
 // pointers, parked ephemerals and the pointer cache (ring state takes
 // precedence on ties by being scanned first). The packet's current ring
 // position advances monotonically toward dst, which with the
-// no-overshoot rule makes forwarding loop-free.
-func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Pointer, countTraversals bool, avoid ...ident.ID) (Outcome, error) {
-	return n.greedyAccept(from, dst, counter, learn, countTraversals, nil, avoid...)
-}
-
-func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, learn []Pointer, countTraversals bool, accept Accept, avoid ...ident.ID) (Outcome, error) {
+// no-overshoot rule makes forwarding loop-free. A non-nil accept delivers
+// where it matches; a non-nil path, which starts with from, records the
+// routers the walk traverses.
+func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Pointer, countTraversals bool, accept Accept, path []RouterID, avoid ...ident.ID) (Outcome, error) {
 	if !n.LS.NodeUp(from) {
 		return Outcome{}, ErrRouterDown
 	}
-	// Room for a typical route's path: ~7 hops, 8 routers, on the
-	// benchmark ring.
-	out := Outcome{Final: from, Path: append(make([]RouterID, 0, 8), from)}
+	out := Outcome{Final: from, Path: path}
 	cur := from
 	pos := n.Routers[from].ID
 	posRouter := from
@@ -414,7 +410,9 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 			if up {
 				out.Msgs += h
 				out.Latency += lat
-				out.Path = n.LS.AppendPath(out.Path, cur, p.Router)
+				if out.Path != nil {
+					out.Path = n.LS.AppendPath(out.Path, cur, p.Router)
+				}
 				vn := n.Routers[p.Router].Resident(dst)
 				out.Delivered, out.VN, out.Final, out.FinalPos = true, vn, p.Router, dst
 				return out, nil
@@ -459,7 +457,9 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 				if up {
 					out.Msgs += h
 					out.Latency += lat
-					out.Path = n.LS.AppendPath(out.Path, cur, posRouter)
+					if out.Path != nil {
+						out.Path = n.LS.AppendPath(out.Path, cur, posRouter)
+					}
 					cur = posRouter
 					out.Final = cur
 					continue
@@ -506,7 +506,9 @@ func (n *Network) greedyAccept(from RouterID, dst ident.ID, counter string, lear
 		for _, p := range learn {
 			n.Routers[next].Cache.Insert(p)
 		}
-		out.Path = append(out.Path, next)
+		if out.Path != nil {
+			out.Path = append(out.Path, next)
+		}
 		cur = next
 		out.Final = cur
 	}
@@ -685,7 +687,7 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 		// pointer caches entirely.
 		learn = nil
 	}
-	out, err := n.greedy(at, id, MsgJoin, learn, false, id)
+	out, err := n.greedy(at, id, MsgJoin, learn, false, nil, nil, id)
 	if err != nil {
 		return JoinResult{}, fmt.Errorf("locating predecessor of %s: %w", id.Short(), err)
 	}
@@ -808,7 +810,7 @@ func (n *Network) Route(from RouterID, dst ident.ID) (RouteResult, error) {
 			learn = []Pointer{{ID: dst, Router: host}}
 		}
 	}
-	out, err := n.greedy(from, dst, MsgData, learn, true)
+	out, err := n.greedy(from, dst, MsgData, learn, true, nil, nil)
 	if err != nil {
 		return RouteResult{}, err
 	}
@@ -844,7 +846,7 @@ func (n *Network) Route(from RouterID, dst ident.ID) (RouteResult, error) {
 // accounting, returning the router where greedy routing terminates. It
 // is the primitive the interdomain layer builds on.
 func (n *Network) Lookup(from RouterID, dst ident.ID) (Outcome, error) {
-	return n.greedy(from, dst, MsgJoin, nil, false)
+	return n.greedy(from, dst, MsgJoin, nil, false, nil, nil)
 }
 
 // RouteMatch forwards a packet greedily toward dst but delivers at the
@@ -854,5 +856,7 @@ func (n *Network) Lookup(from RouterID, dst ident.ID) (Outcome, error) {
 // avoid are never used as forwarding waypoints (a group member probing
 // its own group must not terminate at itself).
 func (n *Network) RouteMatch(from RouterID, dst ident.ID, accept Accept, avoid ...ident.ID) (Outcome, error) {
-	return n.greedyAccept(from, dst, MsgData, nil, true, accept, avoid...)
+	// Room for a typical route's path: ~7 hops, 8 routers, on the
+	// benchmark ring.
+	return n.greedy(from, dst, MsgData, nil, true, accept, append(make([]RouterID, 0, 8), from), avoid...)
 }

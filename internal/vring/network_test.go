@@ -383,7 +383,7 @@ func TestStaleSetAndAvoid(t *testing.T) {
 	ms := planted.members()
 	pred := ms[predecessorIndex(ms, joining)].ID
 	for _, from := range isp.Access {
-		out, err := planted.greedy(from, joining, MsgJoin, nil, false, joining)
+		out, err := planted.greedy(from, joining, MsgJoin, nil, false, nil, nil, joining)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func TestStaleSetAndAvoid(t *testing.T) {
 	}
 	avoid := make([]ident.ID, 1, 4)
 	avoid[0] = joining
-	if _, err := planted.greedy(isp.Access[0], other, MsgJoin, nil, false, avoid...); err != nil {
+	if _, err := planted.greedy(isp.Access[0], other, MsgJoin, nil, false, nil, nil, avoid...); err != nil {
 		t.Fatal(err)
 	}
 	if _, kept := planted.Routers[broken.Router].Cache.Lookup(broken.ID.Prev(), broken.ID); kept {
@@ -562,12 +562,13 @@ func TestRouteHeapIndependentOfPasses(t *testing.T) {
 
 // TestWalkAllocations pins the fidelity walk's allocations on the
 // benchmark's ring (AS1221, 4,000 joins placed by HostsAt, seed 1), read
-// exactly from runtime.MemStats as a mean over 1,000 calls (1.40 and
-// 6.27): no leg builds a path of its own, and a route's recorded path
-// starts with room for a typical route, so a route allocates that path
-// and, past eight routers, grows it once (4 and 19 per route and join,
-// read by the truncating testing.AllocsPerRun, when each leg built and
-// reversed a path and the recorded path grew from one router).
+// exactly from runtime.MemStats as a mean over 1,000 calls (0.01 and
+// 4.42): no leg builds a path of its own, and only RouteMatch records
+// the routers a walk traverses, so Route and JoinHost build no path at
+// all (1.40 and 6.27 when every walk recorded one, and 4 and 19 per
+// route and join, read by the truncating testing.AllocsPerRun, when each
+// leg built and reversed a path and the recorded path grew from one
+// router).
 func TestWalkAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation moves values to the heap")
@@ -600,10 +601,10 @@ func TestWalkAllocations(t *testing.T) {
 		i++
 	})
 	t.Logf("%.2f mallocs per Route, %.2f per JoinHost", route, join)
-	if route > 1.4 {
-		t.Errorf("Route: %.2f mallocs, want at most 1.4", route)
+	if route > 0.02 {
+		t.Errorf("Route: %.2f mallocs, want at most 0.02", route)
 	}
-	if join > 6.3 {
-		t.Errorf("JoinHost: %.2f mallocs, want at most 6.3", join)
+	if join > 4.45 {
+		t.Errorf("JoinHost: %.2f mallocs, want at most 4.45", join)
 	}
 }
