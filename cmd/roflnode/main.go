@@ -134,7 +134,7 @@ func nodeMain() int {
 	defer closeEvents()
 	var log *rofl.EventLog
 	if eventsW != nil {
-		log = rofl.NewEventLog(eventsW, rofl.LevelInfo)
+		log = rofl.NewEventLog(eventsW)
 	}
 
 	// One construction carries the whole configuration: transport,

@@ -130,7 +130,7 @@ func New(cfg Config) *Supervisor {
 	cfg = cfg.withDefaults()
 	s := &Supervisor{cfg: cfg}
 	if cfg.Events != nil {
-		s.log = telemetry.NewEventLog(cfg.Events, telemetry.LevelInfo)
+		s.log = telemetry.NewEventLog(cfg.Events)
 	}
 	s.members = make([]*Member, cfg.N)
 	for i := range s.members {

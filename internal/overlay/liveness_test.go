@@ -121,7 +121,7 @@ func TestDeadSuccessorEmitsOneEvictionEvent(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	var buf syncBuf
-	a.setTelemetry(reg, telemetry.NewEventLog(&buf, telemetry.LevelInfo))
+	a.setTelemetry(reg, telemetry.NewEventLog(&buf))
 	waitConverged(t, nodes, 10*time.Second, "two-node convergence")
 
 	b.Close()
@@ -155,7 +155,7 @@ func TestRequestTimeoutEmitsEventAndCounter(t *testing.T) {
 	})
 	reg := telemetry.NewRegistry()
 	var buf syncBuf
-	n.setTelemetry(reg, telemetry.NewEventLog(&buf, telemetry.LevelInfo))
+	n.setTelemetry(reg, telemetry.NewEventLog(&buf))
 
 	if err := n.Join("em://void", 200*time.Millisecond); err == nil {
 		t.Fatal("join to a black hole must time out")

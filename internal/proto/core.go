@@ -12,9 +12,9 @@
 // Actions the caller executes. There are no clocks (time arrives as
 // tick events and leaves as negotiated intervals), no goroutines, no
 // I/O, and no global randomness (every sampling decision draws from a
-// generator seeded in Config). Two drivers stepping the same core with
-// the same event sequence therefore produce byte-identical behavior —
-// the property the cross-driver equivalence test pins.
+// generator seeded from the node's ID). Two drivers stepping the same
+// core with the same event sequence therefore produce byte-identical
+// behavior — the property the cross-driver equivalence test pins.
 //
 // Drivers: internal/overlay wraps a Core in a mutex, a UDP/netem read
 // loop, and real timers; internal/vring's ProtoRing steps a set of
@@ -25,6 +25,7 @@ package proto
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"rofl/internal/ident"
@@ -75,11 +76,6 @@ type Config struct {
 	ID ident.ID
 	// Addr is the node's own transport address, as peers should dial it.
 	Addr string
-	// Seed drives every sampling decision (gossip fanout, probe choice,
-	// eviction victims). Zero derives the seed from ID, so a core's
-	// sampling trace is a pure function of its identity and learn
-	// history.
-	Seed int64
 	// Liveness shapes the BFD-style failure detector; zero fields take
 	// defaults.
 	Liveness LivenessParams
@@ -108,15 +104,20 @@ type Core struct {
 	// consults on every hop: the closest remembered peer that is not
 	// suspect (see knownPeer) takes the packet when it is strictly
 	// closer to the destination than every ring pointer.
-	known *peerSet
-	rng   *rand.Rand
+	known peerSet
+	// rng drives every sampling decision (gossip fanout, probe choice,
+	// eviction victims). It is seeded from the ID, so a core's sampling
+	// trace is a pure function of its identity and learn history.
+	rng *rand.Rand
 
 	reqSeq uint64
-	// recentStab is the window of stabilize request IDs awaiting a
-	// reply; replies whose ReqID is not in the window are discarded as
-	// stale (reordered or duplicated by the network).
-	recentStab map[uint64]struct{}
-	stabFIFO   []uint64
+	// recentStab is the window of the last maxRecentStab stabilize
+	// request IDs, written round-robin at stabNext; a reply zeroes its
+	// slot. Request IDs start at 1, so 0 marks a free or answered slot.
+	// Replies whose ReqID is not in the window are discarded as stale
+	// (reordered or duplicated by the network).
+	recentStab [maxRecentStab]uint64
+	stabNext   int
 	// quar holds peers this core itself declared dead, mapped to the
 	// number of stabilize rounds the verdict still stands. While
 	// quarantined, a peer cannot be re-adopted as successor from hearsay
@@ -159,16 +160,10 @@ type Core struct {
 // New builds a core from cfg. The core starts outside any ring; call
 // Bootstrap to found one or StartJoin to enter an existing one.
 func New(cfg Config) *Core {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = int64(cfg.ID.Low64())
-	}
 	return &Core{
 		id:           cfg.ID,
 		addr:         cfg.Addr,
-		known:        newPeerSet(),
-		rng:          rand.New(rand.NewSource(seed)),
-		recentStab:   make(map[uint64]struct{}),
+		rng:          rand.New(rand.NewSource(int64(cfg.ID.Low64()))),
 		quar:         make(map[ident.ID]int),
 		pendingJoins: make(map[uint64]*joinAttempt),
 		liveness:     cfg.Liveness.normalize(),
@@ -279,7 +274,7 @@ func (c *Core) learn(e Peer) {
 
 // gossip returns the stabilize-request payload: the core's own entry
 // followed by up to gossipFanout remembered peers sampled by the
-// core's seeded RNG over the sorted peer index.
+// core's seeded RNG over the sorted peer table.
 func (c *Core) gossip(self Peer) []Peer {
 	out := append(make([]Peer, 0, 1+gossipFanout), self)
 	return c.known.sampleInto(out, gossipFanout, c.rng, nil)
@@ -294,14 +289,10 @@ func (c *Core) pickProbe() (Peer, bool) {
 }
 
 // noteStab registers a stabilize request ID in the reply window,
-// evicting the oldest entry past maxRecentStab.
+// overwriting the oldest entry.
 func (c *Core) noteStab(id uint64) {
-	c.recentStab[id] = struct{}{}
-	c.stabFIFO = append(c.stabFIFO, id)
-	if len(c.stabFIFO) > maxRecentStab {
-		delete(c.recentStab, c.stabFIFO[0])
-		c.stabFIFO = c.stabFIFO[1:]
-	}
+	c.recentStab[c.stabNext] = id
+	c.stabNext = (c.stabNext + 1) % maxRecentStab
 }
 
 // heardFrom records a packet the peer id sent about itself — a join,
@@ -794,10 +785,11 @@ func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
 		return
 	}
 	responder := Peer{ID: pkt.Src, Addr: from}
-	if _, ok := c.recentStab[pkt.ReqID]; !ok {
+	slot := slices.Index(c.recentStab[:], pkt.ReqID)
+	if pkt.ReqID == 0 || slot < 0 {
 		return // stale, duplicated, or unsolicited reply
 	}
-	delete(c.recentStab, pkt.ReqID)
+	c.recentStab[slot] = 0
 	c.heardFrom(pkt.Src) // the responder spoke for itself: proof of life
 	c.learn(responder)
 	for _, e := range es {

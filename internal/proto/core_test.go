@@ -532,7 +532,26 @@ func TestStaleStabilizeReplyIgnoredByCore(t *testing.T) {
 	}
 	var a Actions
 	c.HandlePacket(forged, "peer:evil", &a)
+	// ID 0 marks a free or answered slot, never a request.
+	forged.ReqID = 0
+	c.HandlePacket(forged, "peer:evil", &a)
+	// An answered request's second reply, and the reply to a request
+	// maxRecentStab newer ones pushed out of the window, are stale too.
+	c.HandlePacket(stabilizeReply(c, 2000, 5, 1000), "peer:2000", &a)
+	forged.ReqID = 5
+	c.HandlePacket(forged, "peer:evil", &a)
+	for id := uint64(6); id <= 6+maxRecentStab; id++ {
+		c.noteStab(id)
+	}
+	forged.ReqID = 6
+	c.HandlePacket(forged, "peer:evil", &a)
 	if s, _ := c.Successor(); s.ID != ident.FromUint64(2000) {
 		t.Fatalf("stale reply mutated successor to %v", s.ID)
+	}
+	// The oldest request still in the window is answered.
+	forged.ReqID = 7
+	c.HandlePacket(forged, "peer:evil", &a)
+	if s, _ := c.Successor(); s.ID != tempting {
+		t.Fatalf("reply to the oldest request in the window ignored: successor %v", s.ID)
 	}
 }

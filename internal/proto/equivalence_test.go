@@ -16,6 +16,7 @@ package proto_test
 // the sim driver's in-flight FIFO order, so the waves line up exactly.
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
@@ -362,4 +363,38 @@ func journalDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("length mismatch: sim %d lines, netem %d lines", len(al), len(bl))
+}
+
+// TestSimScheduleDigest pins what the shared schedule does, not only
+// that both drivers agree on it: the sha256 of the sim driver's journal
+// followed by every node's final ring view and known-peer count, then
+// the packets one more stabilize round of each node sends. Those carry
+// the gossip sample and the repair-probe target, so the digest also
+// reads each core's generator, which the journal never shows. A
+// behaviour change both drivers share moves the digest. The want
+// string was computed before peerSet became one ID-sorted table; a
+// change that is meant to move it must say why.
+func TestSimScheduleDigest(t *testing.T) {
+	d := newSimDriver()
+	runEqSchedule(d)
+	h := sha256.New()
+	h.Write([]byte(d.journal()))
+	var a proto.Actions
+	for i := 0; i < eqNodes; i++ {
+		c := d.ring.Core(i)
+		fmt.Fprintf(h, "node %d %s known=%d\n", i, strings.Join(c.Ring(), " "), c.KnownPeers())
+		c.TickStabilize(&a)
+		for _, s := range a.Sends {
+			buf, err := s.Pkt.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "send %s %x\n", s.Addr, buf)
+		}
+		a.Reset()
+	}
+	const want = "daa56401ed02c227fc8f2f48d759aa0b30052a07142d14cbc1d295de362bb47b"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("schedule digest = %s, want %s", got, want)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"rofl/internal/ident"
 )
@@ -65,20 +66,17 @@ func containsID(es []Peer, id ident.ID) bool {
 	return false
 }
 
-// peerSet is the core's memory of every peer it has heard of, indexed
-// two ways: a map for O(1) address lookup and a sorted ID slice for
-// O(log n) successor/closest-predecessor queries and for seeded-RNG
-// sampling over a stable order. Map iteration order is never used — Go
-// randomizes it per run *and* biases it, so gossip fanout, probe
-// choice, and eviction all draw from the core's own RNG over the
-// sorted slice instead, making every sampling decision a pure function
-// of the core's seed and learn history.
+// peerSet is the core's memory of every peer it has heard of: one
+// table sorted by ID, so a peer is found by one O(log n) search and
+// successor/closest-predecessor queries walk the same order. Every
+// sampling decision — gossip fanout, probe choice, eviction — draws
+// from the core's own RNG over that order, making it a pure function
+// of the core's seed and learn history. The zero value is an empty set.
 //
 // All methods assume the caller serializes access (the core is not
 // goroutine-safe by design; the driver owns the lock).
 type peerSet struct {
-	byID map[ident.ID]knownPeer
-	ids  []ident.ID // sorted ascending (linear order; used only for storage, never routing)
+	peers []knownPeer // ascending by ID (linear order; used only for storage, never routing)
 }
 
 // knownPeer is one remembered peer and its suspect mark. The core sets
@@ -92,73 +90,62 @@ type knownPeer struct {
 	suspect bool
 }
 
-func newPeerSet() *peerSet {
-	return &peerSet{byID: make(map[ident.ID]knownPeer)}
-}
+func (s *peerSet) len() int { return len(s.peers) }
 
-func (s *peerSet) len() int { return len(s.ids) }
+// idAt reads the table for ident's searches.
+func (s *peerSet) idAt(k int) *ident.ID { return &s.peers[k].ID }
+
+// find returns the position of id in the table, or where it would be
+// inserted, and whether it is there.
+func (s *peerSet) find(id ident.ID) (int, bool) {
+	i := ident.Search(len(s.peers), s.idAt, id)
+	return i, i < len(s.peers) && s.peers[i].ID == id
+}
 
 func (s *peerSet) contains(id ident.ID) bool {
-	_, ok := s.byID[id]
+	_, ok := s.find(id)
 	return ok
-}
-
-// idAt reads the sorted slice for ident's searches.
-func (s *peerSet) idAt(k int) *ident.ID { return &s.ids[k] }
-
-// search returns the position of id in the sorted slice (or where it
-// would be inserted).
-func (s *peerSet) search(id ident.ID) int {
-	return ident.Search(len(s.ids), s.idAt, id)
 }
 
 // insert adds a peer or refreshes the address of a known one; a
 // refresh keeps the suspect mark, since hearing of a peer is not
 // hearing from it.
 func (s *peerSet) insert(e Peer) {
-	if k, ok := s.byID[e.ID]; ok {
-		k.Peer = e
-		s.byID[e.ID] = k
+	i, ok := s.find(e.ID)
+	if ok {
+		s.peers[i].Peer = e
 		return
 	}
-	i := s.search(e.ID)
-	s.ids = append(s.ids, ident.ID{})
-	copy(s.ids[i+1:], s.ids[i:])
-	s.ids[i] = e.ID
-	s.byID[e.ID] = knownPeer{Peer: e}
+	s.peers = slices.Insert(s.peers, i, knownPeer{Peer: e})
 }
 
 // setSuspect sets or clears the suspect mark of a remembered peer; an
 // unknown ID is ignored.
 func (s *peerSet) setSuspect(id ident.ID, suspect bool) {
-	if k, ok := s.byID[id]; ok && k.suspect != suspect {
-		k.suspect = suspect
-		s.byID[id] = k
+	if i, ok := s.find(id); ok {
+		s.peers[i].suspect = suspect
 	}
 }
 
 func (s *peerSet) remove(id ident.ID) {
-	if _, ok := s.byID[id]; !ok {
-		return
+	if i, ok := s.find(id); ok {
+		s.peers = slices.Delete(s.peers, i, i+1)
 	}
-	delete(s.byID, id)
-	i := s.search(id)
-	s.ids = append(s.ids[:i], s.ids[i+1:]...)
 }
 
 // sampleInto appends up to k distinct random peers to out, drawn from
-// rng over the sorted slice; peers already in out (by ID) and peers
-// rejected by skip are not chosen. With the set no larger than k the
-// whole set is appended in sorted order.
+// rng over the table; peers already in out (by ID) and peers rejected
+// by skip are not chosen. With the set no larger than k the whole set
+// is appended in sorted order.
 func (s *peerSet) sampleInto(out []Peer, k int, rng *rand.Rand, skip func(ident.ID) bool) []Peer {
-	m := len(s.ids)
+	m := len(s.peers)
 	if m == 0 || k <= 0 {
 		return out
 	}
 	if m <= k {
-		for _, id := range s.ids {
-			if (skip == nil || !skip(id)) && !containsID(out, id) {
-				out = append(out, s.byID[id].Peer)
+		for _, e := range s.peers {
+			if (skip == nil || !skip(e.ID)) && !containsID(out, e.ID) {
+				out = append(out, e.Peer)
 			}
 		}
 		return out
@@ -168,11 +155,11 @@ func (s *peerSet) sampleInto(out []Peer, k int, rng *rand.Rand, skip func(ident.
 	// keeping the common case (k << m) two or three draws.
 	want := len(out) + k
 	for tries := 0; len(out) < want && tries < 8*k; tries++ {
-		id := s.ids[rng.Intn(m)]
-		if (skip != nil && skip(id)) || containsID(out, id) {
+		e := &s.peers[rng.Intn(m)]
+		if (skip != nil && skip(e.ID)) || containsID(out, e.ID) {
 			continue
 		}
-		out = append(out, s.byID[id].Peer)
+		out = append(out, e.Peer)
 	}
 	return out
 }
@@ -181,39 +168,39 @@ func (s *peerSet) sampleInto(out []Peer, k int, rng *rand.Rand, skip func(ident.
 // a seeded-random start so a contiguous run of skipped IDs cannot
 // starve anyone.
 func (s *peerSet) pick(rng *rand.Rand, skip func(ident.ID) bool) (Peer, bool) {
-	m := len(s.ids)
+	m := len(s.peers)
 	if m == 0 {
 		return Peer{}, false
 	}
 	start := rng.Intn(m)
 	for i := 0; i < m; i++ {
-		id := s.ids[(start+i)%m]
-		if skip != nil && skip(id) {
+		e := &s.peers[(start+i)%m]
+		if skip != nil && skip(e.ID) {
 			continue
 		}
-		return s.byID[id].Peer, true
+		return e.Peer, true
 	}
 	return Peer{}, false
 }
 
 // bestProgress returns the remembered peer closest to dst that makes
 // legal greedy progress from cur (candidate ∈ (cur, dst], Algorithm 2),
-// skipping exclude and suspect peers. The sorted slice turns this into
+// skipping exclude and suspect peers. The sorted table turns this into
 // ident.Closest's one O(log n) search — the same lookup vring's pointer
 // cache uses, here over the core's known set — plus one step
 // counter-clockwise per skipped peer.
 func (s *peerSet) bestProgress(cur, dst, exclude ident.ID) (Peer, bool) {
-	m := len(s.ids)
+	m := len(s.peers)
 	i, ok := ident.Closest(m, s.idAt, cur, dst)
 	// Walking counter-clockwise only ever shrinks progress, so the first
 	// peer that may take the packet is the answer; once a peer fails the
 	// progress test, none further down passes it.
 	for n := 0; ok && n < m; n++ {
-		if e := s.byID[s.ids[i]]; e.ID != exclude && !e.suspect {
+		if e := &s.peers[i]; e.ID != exclude && !e.suspect {
 			return e.Peer, true
 		}
 		i = (i - 1 + m) % m
-		ok = ident.Progress(cur, dst, s.ids[i])
+		ok = ident.Progress(cur, dst, s.peers[i].ID)
 	}
 	return Peer{}, false
 }

@@ -8,28 +8,23 @@ import (
 	"time"
 )
 
-// Level orders event severities.
+// Level is an event's severity. The program emits only these two, and
+// every one it emits is written.
 type Level uint8
 
 // Severity levels, least to most severe.
 const (
-	LevelDebug Level = iota
-	LevelInfo
+	LevelInfo Level = iota
 	LevelWarn
-	LevelError
 )
 
 // String names the level the way the JSON lines spell it.
 func (l Level) String() string {
 	switch l {
-	case LevelDebug:
-		return "debug"
 	case LevelInfo:
 		return "info"
 	case LevelWarn:
 		return "warn"
-	case LevelError:
-		return "error"
 	default:
 		return "level(" + strconv.Itoa(int(l)) + ")"
 	}
@@ -38,8 +33,7 @@ func (l Level) String() string {
 // EventLog emits structured events as JSON lines: one object per line
 // with "ts", "level", "event", then the caller's key/value fields in
 // call order (never map order — output is deterministic given a
-// deterministic clock). Events below the minimum level are dropped
-// before any formatting work.
+// deterministic clock).
 //
 // The clock is injectable so tests can pin timestamps; operational
 // deployments use NewEventLog, whose wall-clock default is the only
@@ -50,31 +44,24 @@ func (l Level) String() string {
 type EventLog struct {
 	mu    sync.Mutex
 	w     io.Writer
-	min   Level
 	clock func() time.Time
 	buf   []byte // reused line buffer, guarded by mu
 }
 
-// NewEventLog writes events at or above min to w, stamped with the wall
-// clock.
-func NewEventLog(w io.Writer, min Level) *EventLog {
-	return NewEventLogClock(w, min, time.Now)
+// NewEventLog writes events to w, stamped with the wall clock.
+func NewEventLog(w io.Writer) *EventLog {
+	return NewEventLogClock(w, time.Now)
 }
 
 // NewEventLogClock is NewEventLog with an explicit time source.
-func NewEventLogClock(w io.Writer, min Level, clock func() time.Time) *EventLog {
-	return &EventLog{w: w, min: min, clock: clock}
-}
-
-// Enabled reports whether events at lvl would be written.
-func (l *EventLog) Enabled(lvl Level) bool {
-	return l != nil && l.w != nil && lvl >= l.min
+func NewEventLogClock(w io.Writer, clock func() time.Time) *EventLog {
+	return &EventLog{w: w, clock: clock}
 }
 
 // Emit writes one event with alternating key/value fields. A trailing
 // key without a value is rendered with null.
 func (l *EventLog) Emit(lvl Level, event string, kv ...any) {
-	if !l.Enabled(lvl) {
+	if l == nil || l.w == nil {
 		return
 	}
 	l.mu.Lock()

@@ -32,11 +32,9 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	l.Info("nothing happens")
+	l.Warn("nothing happens")
 	if c.Value() != 0 {
 		t.Fatal("nil handles must read as zero")
-	}
-	if l.Enabled(LevelError) {
-		t.Fatal("nil event log must be disabled")
 	}
 }
 
@@ -104,10 +102,9 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 func TestEventLogJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	fixed := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	l := NewEventLogClock(&buf, LevelInfo, func() time.Time { return fixed })
-	l.Emit(LevelDebug, "below_threshold") // dropped
+	l := NewEventLogClock(&buf, func() time.Time { return fixed })
 	l.Info("succ_evicted", "peer", "ab12…", "misses", 4, "reason", "stabilize-timeout")
-	l.Emit(LevelError, "weird \"quote\"", "err", fmt.Errorf("boom\nline2"))
+	l.Warn("weird \"quote\"", "err", fmt.Errorf("boom\nline2"))
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -129,6 +126,9 @@ func TestEventLogJSONLines(t *testing.T) {
 	var second map[string]any
 	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
 		t.Fatalf("line 2 is not valid JSON: %v\n%s", err, lines[1])
+	}
+	if second["level"] != "warn" || second["event"] != "weird \"quote\"" {
+		t.Fatalf("unexpected fields: %v", second)
 	}
 	if second["err"] != "boom\nline2" {
 		t.Fatalf("err field = %q", second["err"])

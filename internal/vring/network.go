@@ -724,9 +724,15 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 		return JoinResult{VN: vn, Msgs: msgs, Latency: latency}, nil
 	}
 
-	// Splice: the new node inherits the predecessor's successor group;
-	// the predecessor's immediate successor becomes the new node.
-	r.setRing(vn, slices.Clone(pred.Succs[:min(len(pred.Succs), n.opts.SuccessorGroup)]), Pointer{ID: pred.ID, Router: pred.Router})
+	// Splice: the new node inherits the predecessor's successor group
+	// (a lone member holds none, so it is its own successor and the new
+	// node's); the predecessor's immediate successor becomes the new node.
+	predPtr := Pointer{ID: pred.ID, Router: pred.Router}
+	succs := pred.Succs
+	if len(succs) == 0 {
+		succs = []Pointer{predPtr}
+	}
+	r.setRing(vn, slices.Clone(succs[:min(len(succs), n.opts.SuccessorGroup)]), predPtr)
 	predRouter.setRing(pred, prependGroup(pred.Succs, self, n.opts.SuccessorGroup), pred.Pred)
 
 	// Parked ephemerals in (id, oldSuccessor) now have the new node as

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"rofl/internal/ident"
@@ -443,19 +444,74 @@ func TestGreedyPathRecorded(t *testing.T) {
 	if err != nil || !out.Delivered {
 		t.Fatalf("route: %+v %v", out, err)
 	}
+	checkPath(t, isp.Graph, isp.Backbone[0], out)
+}
+
+// checkPath holds a RouteMatch outcome's Path to the walk: one router
+// per hop, from the origin to Final, each consecutive pair a link.
+func checkPath(t *testing.T, g *topology.Graph, from RouterID, out Outcome) {
+	t.Helper()
 	if len(out.Path) != out.Msgs+1 {
 		t.Fatalf("path records %d routers for %d hops", len(out.Path), out.Msgs)
 	}
-	if out.Path[0] != isp.Backbone[0] || out.Path[len(out.Path)-1] != out.Final {
-		t.Fatal("path endpoints wrong")
+	if out.Path[0] != from || out.Path[len(out.Path)-1] != out.Final {
+		t.Fatalf("path %v runs from %d to %d, want %d to %d", out.Path, out.Path[0], out.Path[len(out.Path)-1], from, out.Final)
 	}
-	// Consecutive path entries must be physically adjacent.
-	g := isp.Graph
 	for i := 1; i < len(out.Path); i++ {
 		if !g.HasEdge(out.Path[i-1], out.Path[i]) {
 			t.Fatalf("path hop %d-%d not a physical link", out.Path[i-1], out.Path[i])
 		}
 	}
+}
+
+// TestRouteMatchPathLegs records the two legs a walk takes over a whole
+// shortest path rather than hop by hop: from the router parking an
+// ephemeral host to the router hosting it, and back from a stale
+// pointer's router to the packet's ring position.
+func TestRouteMatchPathLegs(t *testing.T) {
+	never := func(*Router) (*VirtualNode, bool) { return nil, false }
+	t.Run("parked ephemeral", func(t *testing.T) {
+		n, isp := newTestNet(t, DefaultOptions())
+		joinN(t, n, isp, 20)
+		legs := 0
+		for i := 0; i < 10; i++ {
+			id := ident.FromString(fmt.Sprintf("ephemeral-%d", i))
+			at := isp.Access[(3*i+1)%len(isp.Access)]
+			if _, err := n.JoinEphemeral(id, at); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range n.Routers {
+				if _, parked := r.parkedAt(id); !parked || r.Node == at {
+					continue
+				}
+				out, err := n.RouteMatch(r.Node, id, never)
+				if err != nil || !out.Delivered || out.Final != at {
+					t.Fatalf("route %d -> %s: %+v %v", r.Node, id.Short(), out, err)
+				}
+				checkPath(t, isp.Graph, r.Node, out)
+				legs++
+			}
+		}
+		if legs == 0 {
+			t.Fatal("no ephemeral parked away from its own router")
+		}
+	})
+	t.Run("backtrack", func(t *testing.T) {
+		// A cached pointer to an identifier no router hosts lures the
+		// packet from its position's router; finding it absent and
+		// nothing else between the position and dst, the walk backtracks
+		// and ends stuck where it started.
+		n, isp := newTestNet(t, DefaultOptions())
+		joinN(t, n, isp, 20)
+		from, lure := isp.Backbone[0], isp.Access[len(isp.Access)-1]
+		pos := n.Routers[from].ID
+		n.Routers[from].Cache.Insert(Pointer{ID: pos.Next(), Router: lure})
+		out, err := n.RouteMatch(from, pos.Next().Next(), never)
+		if err != nil || out.Delivered || out.Final != from || !slices.Contains(out.Path, lure) {
+			t.Fatalf("route: %+v %v", out, err)
+		}
+		checkPath(t, isp.Graph, from, out)
+	})
 }
 
 func TestAllPairsDeliveryAcrossSeeds(t *testing.T) {
@@ -492,6 +548,43 @@ func TestAllPairsDeliveryAcrossSeeds(t *testing.T) {
 				if res.Stretch < 1 {
 					t.Fatalf("seed %d: stretch %v < 1", seed, res.Stretch)
 				}
+			}
+		}
+	}
+}
+
+// TestOneRouterRing: on a one-router graph the lone default virtual
+// node holds no ring pointers, so the first host to join takes it as
+// its successor as well as its predecessor. The ring must check clean
+// after every join, stable and ephemeral alike, and route to each host.
+func TestOneRouterRing(t *testing.T) {
+	for _, group := range []int{1, 3} {
+		g := topology.NewGraph(1)
+		at := g.AddNode()
+		opts := DefaultOptions()
+		opts.SuccessorGroup = group
+		n := New(g, sim.NewMetrics(), opts)
+		if err := n.CheckRing(); err != nil {
+			t.Fatalf("group %d: bootstrap: %v", group, err)
+		}
+		var ids []ident.ID
+		for i := 0; i < 6; i++ {
+			id := ident.FromString(fmt.Sprintf("lone-%d", i))
+			join := n.JoinHost
+			if i%3 == 2 {
+				join = n.JoinEphemeral
+			}
+			if _, err := join(id, at); err != nil {
+				t.Fatalf("group %d: join %d: %v", group, i, err)
+			}
+			if err := n.CheckRing(); err != nil {
+				t.Fatalf("group %d: after join %d: %v", group, i, err)
+			}
+			ids = append(ids, id)
+		}
+		for _, id := range ids {
+			if res, err := n.Route(at, id); err != nil || !res.Delivered {
+				t.Fatalf("group %d: route to %s: %+v %v", group, id.Short(), res, err)
 			}
 		}
 	}

@@ -96,6 +96,9 @@ func (r *ProtoRing) AddNode(id ident.ID) int {
 // Alive reports whether slot i currently runs a core.
 func (r *ProtoRing) Alive(i int) bool { return r.slots[i].core != nil }
 
+// Core returns slot i's current core, nil while killed.
+func (r *ProtoRing) Core(i int) *proto.Core { return r.slots[i].core }
+
 // Journal returns the accumulated event journal.
 func (r *ProtoRing) Journal() string { return r.journal.String() }
 

@@ -351,22 +351,11 @@ type TelemetryRegistry = telemetry.Registry
 // NewTelemetryRegistry returns an empty metrics registry.
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
 
-// EventLog writes structured JSON-lines events with level filtering.
+// EventLog writes structured JSON-lines events.
 type EventLog = telemetry.EventLog
 
-// EventLevel orders event severities.
-type EventLevel = telemetry.Level
-
-// Event severities, least to most severe.
-const (
-	LevelDebug = telemetry.LevelDebug
-	LevelInfo  = telemetry.LevelInfo
-	LevelWarn  = telemetry.LevelWarn
-	LevelError = telemetry.LevelError
-)
-
-// NewEventLog writes events at or above min to w as JSON lines.
-func NewEventLog(w io.Writer, min EventLevel) *EventLog { return telemetry.NewEventLog(w, min) }
+// NewEventLog writes events to w as JSON lines.
+func NewEventLog(w io.Writer) *EventLog { return telemetry.NewEventLog(w) }
 
 // TelemetryServer serves /metrics, /ring, and /healthz for one node.
 type TelemetryServer = telemetry.Server
