@@ -302,9 +302,11 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Pt
 			}
 		}
 	}
-	for _, vn := range as.VNs {
-		for _, f := range vn.Fingers {
-			consider(f.Ptr, f.Root, in.level(f.Root).size)
+	if in.opts.FingerBudget > 0 { // join builds fingers only then
+		for _, vn := range as.VNs {
+			for _, f := range vn.Fingers {
+				consider(f.Ptr, f.Root, in.level(f.Root).size)
+			}
 		}
 	}
 	found := bestSize != -1

@@ -61,7 +61,7 @@ func (a *Anycast) AddMember(suffix uint32, at vring.RouterID) (vring.JoinResult,
 func (a *Anycast) Send(from vring.RouterID, rng *rand.Rand) (vring.Outcome, error) {
 	dst := a.Group.RandomMember(rng)
 	out, err := a.Net.RouteMatch(from, dst, func(r *vring.Router) (*vring.VirtualNode, bool) {
-		for _, vn := range r.VNs {
+		for _, vn := range r.VNs.All() {
 			if !vn.Default && ident.SameGroup(vn.ID, dst) {
 				return vn, true
 			}
@@ -126,12 +126,12 @@ func (m *Multicast) Join(suffix uint32, at vring.RouterID) error {
 	// ourselves as a waypoint), stopping at the first router already on
 	// the tree or hosting another member.
 	accept := func(r *vring.Router) (*vring.VirtualNode, bool) {
-		if m.inTree[r.Node] && len(r.VNs) > 0 {
+		if m.inTree[r.Node] && r.VNs.Len() > 0 {
 			// Any resident virtual node will do as the "delivery" point,
 			// so the lowest; the router itself is what matters.
-			return r.VNs[0], true
+			return *r.VNs.Val(0), true
 		}
-		for _, vn := range r.VNs {
+		for _, vn := range r.VNs.All() {
 			if !vn.Default && ident.SameGroup(vn.ID, id) && vn.ID != id {
 				return vn, true
 			}

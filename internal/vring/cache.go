@@ -30,11 +30,13 @@ type RouterID = topology.NodeID
 // shortcuts, evicted LRU when capacity is reached.
 //
 // The entries are kept ascending by ID in runs of at most runMax, so an
-// insert shifts one run, not the whole cache.
+// insert shifts one run, not the whole cache. Each run holds its IDs as
+// ident.Columns, and so does the index over runs, keyed by each run's
+// first ID: a lookup is two column floors of dst.
 type PointerCache struct {
 	cap   int
 	n     int
-	runs  []cacheRun // ascending: every ID of runs[k] precedes runs[k+1]'s
+	runs  ident.Columns[cacheRun] // every ID of a run precedes the next run's
 	clock uint32
 }
 
@@ -42,27 +44,42 @@ type PointerCache struct {
 // full run splits in half.
 const runMax = 64
 
-// cacheRun is one sorted run; first is e[0].ID, kept beside the slice
-// so the search over runs reads one array.
-type cacheRun struct {
-	first ident.ID
-	e     []cacheEntry
-}
+// cacheRun is one sorted run, its two columns filling one block: a
+// cacheBlock, or a firstBlock for a cache's first run.
+type cacheRun = ident.Columns[cacheEntry]
 
-// cacheEntry's lastUsed stamp is the only record of recency: the clock
-// advances on every touch, so stamps are unique and the entry with the
-// smallest one is the exact LRU victim. router holds a topology node
-// index or, in canon's caches, an AS number; both fit in 32 bits.
+// cacheEntry sits beside an entry's ID. Its lastUsed stamp is the only
+// record of recency: the clock advances on every touch, so stamps are
+// unique and the entry with the smallest one is the exact LRU victim.
+// router holds a topology node index or, in canon's caches, an AS
+// number; both fit in 32 bits.
 type cacheEntry struct {
-	ID       ident.ID
 	router   int32
 	lastUsed uint32
 }
 
-func (e *cacheEntry) pointer() Pointer { return Pointer{ID: e.ID, Router: RouterID(e.router)} }
+// cacheBlock is one run's storage, 24 B an entry: the high-word column,
+// then each low word with its cacheEntry, in one allocation.
+type cacheBlock struct {
+	hi   [runMax]uint64
+	rest [runMax]ident.Cell[cacheEntry]
+}
+
+func newRun() cacheRun {
+	b := new(cacheBlock)
+	return ident.ColumnsIn(b.hi[:], b.rest[:])
+}
+
+// firstBlock holds a cache's first run until it outgrows half a block:
+// two routers in three on the benchmark ring cache fewer than 64 entries.
+type firstBlock struct {
+	hi   [runMax / 2]uint64
+	rest [runMax / 2]ident.Cell[cacheEntry]
+}
 
 // testHookShift, nil outside tests, sees how many entries each Insert
-// moved: the run's tail it shifted plus the half a split copied.
+// moved: the run's tail it shifted plus what a split or a first run's
+// move to a cacheBlock copied.
 var testHookShift func(moved int)
 
 // NewPointerCache returns a cache bounded to capacity entries;
@@ -74,19 +91,19 @@ func NewPointerCache(capacity int) *PointerCache {
 // Len returns the number of cached pointers.
 func (c *PointerCache) Len() int { return c.n }
 
-// firstAt and idAt feed ident's searches over runs and within one.
-func (c *PointerCache) firstAt(k int) *ident.ID { return &c.runs[k].first }
-func (r *cacheRun) idAt(k int) *ident.ID        { return &r.e[k].ID }
-
 // find returns the run and slot where id is or would be inserted.
 func (c *PointerCache) find(id ident.ID) (r, i int, ok bool) {
-	if len(c.runs) == 0 {
+	if c.runs.Len() == 0 {
 		return 0, 0, false
 	}
-	r = max(ident.Floor(len(c.runs), c.firstAt, id), 0)
-	run := &c.runs[r]
-	i = ident.Search(len(run.e), run.idAt, id)
-	return r, i, i < len(run.e) && run.e[i].ID == id
+	k := id.Key()
+	r, _ = c.runs.Find(k)
+	r = max(r, 0)
+	i, ok = c.runs.Val(r).Find(k)
+	if !ok {
+		i++
+	}
+	return r, i, ok
 }
 
 // Has reports whether id is cached, without touching it.
@@ -103,34 +120,39 @@ func (c *PointerCache) Insert(p Pointer) {
 	}
 	r, i, ok := c.find(p.ID)
 	if ok {
-		e := &c.runs[r].e[i]
-		e.router = int32(p.Router)
-		c.touch(e)
+		s := c.runs.Val(r).Val(i)
+		s.router = int32(p.Router)
+		c.touch(s)
 		return
 	}
 	if c.n >= c.cap {
 		c.evictLRU()
 		r, i, _ = c.find(p.ID)
 	}
-	if len(c.runs) == 0 {
-		c.runs = append(c.runs, cacheRun{})
+	if c.runs.Len() == 0 {
+		b := new(firstBlock)
+		c.runs.Insert(0, p.ID, ident.ColumnsIn(b.hi[:], b.rest[:]))
 	}
 	moved := 0
-	if len(c.runs[r].e) == runMax {
+	switch run := c.runs.Val(r); run.Len() {
+	case runMax:
 		moved = c.split(r)
 		if i > runMax/2 {
 			r, i = r+1, i-runMax/2
 		}
+	case run.Cap(): // a first run outgrowing its firstBlock
+		full := newRun()
+		moved = run.Split(0, &full)
+		*run = full
 	}
-	run := &c.runs[r]
-	run.e = append(run.e, cacheEntry{})
-	moved += copy(run.e[i+1:], run.e[i:])
-	run.e[i] = cacheEntry{ID: p.ID, router: int32(p.Router)}
+	run := c.runs.Val(r)
+	moved += run.Len() - i
+	run.Insert(i, p.ID, cacheEntry{router: int32(p.Router)})
 	if i == 0 {
-		run.first = p.ID
+		c.runs.Rekey(r, p.ID)
 	}
 	c.n++
-	c.touch(&run.e[i])
+	c.touch(run.Val(i))
 	if testHookShift != nil {
 		testHookShift(moved)
 	}
@@ -139,37 +161,35 @@ func (c *PointerCache) Insert(p Pointer) {
 // split moves the upper half of the full run r into a new run after it
 // and returns the number of entries copied.
 func (c *PointerCache) split(r int) int {
-	const h = runMax / 2
-	old := c.runs[r].e
-	upper := make([]cacheEntry, runMax-h, runMax)
-	copy(upper, old[h:])
-	c.runs[r].e = old[:h]
-	c.runs = slices.Insert(c.runs, r+1, cacheRun{first: upper[0].ID, e: upper})
-	return len(upper)
+	upper := newRun()
+	moved := c.runs.Val(r).Split(runMax/2, &upper)
+	first, _ := upper.At(0)
+	c.runs.Insert(r+1, first, upper)
+	return moved
 }
 
-// touch stamps e as most recently used. Before the clock would pass
+// touch stamps s as most recently used. Before the clock would pass
 // 2^32 every stamp is replaced by its rank, which keeps their order.
-func (c *PointerCache) touch(e *cacheEntry) {
+func (c *PointerCache) touch(s *cacheEntry) {
 	if c.clock == math.MaxUint32 {
 		c.renumber()
 	}
 	c.clock++
-	e.lastUsed = c.clock
+	s.lastUsed = c.clock
 }
 
 // renumber rewrites the stamps as 1..Len in the order they had and
 // restarts the clock after them.
 func (c *PointerCache) renumber() {
 	all := make([]*cacheEntry, 0, c.n)
-	for k := range c.runs {
-		for i := range c.runs[k].e {
-			all = append(all, &c.runs[k].e[i])
+	for _, run := range c.runs.All() {
+		for i := range run.Len() {
+			all = append(all, run.Val(i))
 		}
 	}
 	slices.SortFunc(all, func(a, b *cacheEntry) int { return cmp.Compare(a.lastUsed, b.lastUsed) })
-	for rank, e := range all {
-		e.lastUsed = uint32(rank + 1)
+	for rank, s := range all {
+		s.lastUsed = uint32(rank + 1)
 	}
 	c.clock = uint32(len(all))
 }
@@ -178,11 +198,11 @@ func (c *PointerCache) renumber() {
 // on an insert into a full cache, and the capacities any driver fills
 // are at most 1,000 entries (Fig 6a, Fig 8c).
 func (c *PointerCache) evictLRU() {
-	vr, vi := 0, 0
-	for r := range c.runs {
-		for i := range c.runs[r].e {
-			if c.runs[r].e[i].lastUsed < c.runs[vr].e[vi].lastUsed {
-				vr, vi = r, i
+	vr, vi, least := 0, 0, c.runs.Val(0).Val(0).lastUsed
+	for r, run := range c.runs.All() {
+		for i := range run.Len() {
+			if s := run.Val(i); s.lastUsed < least {
+				vr, vi, least = r, i, s.lastUsed
 			}
 		}
 	}
@@ -191,14 +211,15 @@ func (c *PointerCache) evictLRU() {
 
 // deleteAt drops slot i of run r, and the run if that empties it.
 func (c *PointerCache) deleteAt(r, i int) {
-	run := &c.runs[r]
-	run.e = append(run.e[:i], run.e[i+1:]...)
+	run := c.runs.Val(r)
+	run.Delete(i)
 	c.n--
 	switch {
-	case len(run.e) == 0:
-		c.runs = slices.Delete(c.runs, r, r+1)
+	case run.Len() == 0:
+		c.runs.Delete(r)
 	case i == 0:
-		run.first = run.e[0].ID
+		first, _ := run.At(0)
+		c.runs.Rekey(r, first)
 	}
 }
 
@@ -212,57 +233,57 @@ func (c *PointerCache) Remove(id ident.ID) {
 // RemoveRouter drops every entry pointing at the given router — the
 // reaction to a link-state advertisement reporting it unreachable
 // (§3.2: "routers also monitor link-state advertisements and delete
-// pointers to IDs residing at unreachable routers").
-func (c *PointerCache) RemoveRouter(r RouterID) int {
-	keptRuns := c.runs[:0]
-	removed := 0
-	for _, run := range c.runs {
-		kept := run.e[:0]
-		for _, e := range run.e {
-			if RouterID(e.router) == r {
-				removed++
-				continue
+// pointers to IDs residing at unreachable routers"). It walks back from
+// the last entry, so a deletion moves none it has still to read.
+func (c *PointerCache) RemoveRouter(rt RouterID) int {
+	before := c.n
+	for r := c.runs.Len() - 1; r >= 0; r-- {
+		run := c.runs.Val(r)
+		for i := run.Len() - 1; i >= 0; i-- {
+			if RouterID(run.Val(i).router) == rt {
+				c.deleteAt(r, i)
 			}
-			kept = append(kept, e)
-		}
-		if len(kept) > 0 {
-			keptRuns = append(keptRuns, cacheRun{first: kept[0].ID, e: kept})
 		}
 	}
-	clear(c.runs[len(keptRuns):])
-	c.runs = keptRuns
-	c.n -= removed
-	return removed
+	return before - c.n
 }
 
 // Lookup returns the cached pointer closest to dst without overshooting,
-// given current position pos, marking it recently used. The floor of dst
-// lies in the last run whose first ID is at most dst, or, when dst
-// precedes them all, is the last entry of the last run.
+// given current position pos, marking it recently used: ident.Closest
+// over the two column floors. The floor of dst lies in the last run
+// whose first ID is at most dst, or, when dst precedes them all, is the
+// last entry of the last run.
 func (c *PointerCache) Lookup(pos, dst ident.ID) (Pointer, bool) {
-	if len(c.runs) == 0 {
+	n := c.runs.Len()
+	if n == 0 {
 		return Pointer{}, false
 	}
-	r := ident.Floor(len(c.runs), c.firstAt, dst)
+	k := dst.Key()
+	r, _ := c.runs.Find(k)
 	if r < 0 {
-		r = len(c.runs) - 1
+		r = n - 1
 	}
-	run := &c.runs[r]
-	i, ok := ident.Closest(len(run.e), run.idAt, pos, dst)
-	if !ok {
+	run := c.runs.Val(r)
+	i, _ := run.Find(k)
+	if i < 0 {
+		i = run.Len() - 1
+	}
+	id, s := run.At(i)
+	if !ident.Progress(pos, dst, id) {
 		return Pointer{}, false
 	}
-	c.touch(&run.e[i])
-	return run.e[i].pointer(), true
+	c.touch(run.Val(i))
+	return Pointer{ID: id, Router: RouterID(s.router)}, true
 }
 
 // Each returns every cached pointer in ascending ID order (for memory
-// accounting and invalidation sweeps). Callers must not mutate entries
-// through it.
+// accounting and invalidation sweeps). Callers must not mutate the
+// cache from fn.
 func (c *PointerCache) Each(fn func(Pointer) bool) {
-	for k := range c.runs {
-		for i := range c.runs[k].e {
-			if !fn(c.runs[k].e[i].pointer()) {
+	for _, run := range c.runs.All() {
+		for i := range run.Len() {
+			id, s := run.At(i)
+			if !fn(Pointer{ID: id, Router: RouterID(s.router)}) {
 				return
 			}
 		}

@@ -200,22 +200,30 @@ func (m *listLRU) removeRouter(r RouterID) (removed int) {
 }
 
 // checkCache holds c to the model after a step: entries ascending, in
-// runs of 1..runMax whose first is their first entry, as many as the
-// model holds and, when full is set, the same ones with the same routers.
+// runs of 1..runMax keyed in the index by their first entry, as many as
+// the model holds and, when full is set, the same ones with the same
+// routers.
 func checkCache(t testing.TB, step int, c *PointerCache, model *listLRU, full bool) {
 	t.Helper()
 	if c.Len() != len(model.byID) {
 		t.Fatalf("step %d: len %d != model %d", step, c.Len(), len(model.byID))
 	}
 	n := 0
-	for k, run := range c.runs {
-		if len(run.e) == 0 || len(run.e) > runMax || run.first != run.e[0].ID {
-			t.Fatalf("step %d: run %d of %d holds %d entries, first %s", step, k, len(c.runs), len(run.e), run.first.Short())
+	var prev ident.ID
+	for k := range c.runs.Len() {
+		key, run := c.runs.At(k)
+		if run.Len() == 0 || run.Len() > runMax {
+			t.Fatalf("step %d: run %d of %d holds %d entries", step, k, c.runs.Len(), run.Len())
 		}
-		for i := range run.e {
-			if n > 0 && !prevID(c, k, i).Less(run.e[i].ID) {
-				t.Fatalf("step %d: run %d slot %d: %s after %s", step, k, i, run.e[i].ID, prevID(c, k, i))
+		if first, _ := run.At(0); first != key {
+			t.Fatalf("step %d: run %d keyed %s, first %s", step, k, key.Short(), first.Short())
+		}
+		for i := range run.Len() {
+			id, _ := run.At(i)
+			if n > 0 && !prev.Less(id) {
+				t.Fatalf("step %d: run %d slot %d: %s after %s", step, k, i, id, prev)
 			}
+			prev = id
 			n++
 		}
 	}
@@ -231,16 +239,6 @@ func checkCache(t testing.TB, step int, c *PointerCache, model *listLRU, full bo
 		}
 		return true
 	})
-}
-
-// prevID is the ID before slot i of run k, in the previous run when i
-// is 0.
-func prevID(c *PointerCache, k, i int) ident.ID {
-	if i > 0 {
-		return c.runs[k].e[i-1].ID
-	}
-	prev := c.runs[k-1].e
-	return prev[len(prev)-1].ID
 }
 
 // checkLookup holds Lookup to an exhaustive closest-without-overshoot
@@ -287,7 +285,7 @@ func runModel(t *testing.T, c *PointerCache, key func(*rand.Rand) ident.ID, step
 	// invalidation drops a few entries at any capacity.
 	routers := max(50, c.cap/2)
 	for step := 0; step < steps; step++ {
-		runs := len(c.runs)
+		runs := c.runs.Len()
 		switch k := rng.Intn(1000); {
 		case k == 0:
 			removeBlock(c, model, key(rng), 1+rng.Intn(2*runMax))
@@ -310,7 +308,7 @@ func runModel(t *testing.T, c *PointerCache, key func(*rand.Rand) ident.ID, step
 			c.Insert(p)
 			model.insert(p)
 		}
-		if len(c.runs) < runs {
+		if c.runs.Len() < runs {
 			dropped++
 		}
 		// Comparing every entry with the model at every step would make
@@ -406,11 +404,11 @@ func TestCacheInsertShiftBounded(t *testing.T) {
 	}
 }
 
-// TestCacheEntrySize pins the entry at an ID, an int32 router and a
-// uint32 stamp.
+// TestCacheEntrySize pins an entry at 24 B across both columns: an ID's
+// two words, an int32 router and a uint32 stamp.
 func TestCacheEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(cacheEntry{}); got != 24 {
-		t.Fatalf("cacheEntry is %d bytes; want 24", got)
+	if got := unsafe.Sizeof(cacheBlock{}) / runMax; got != 24 {
+		t.Fatalf("a cache entry takes %d bytes across both columns; want 24", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package vring
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"rofl/internal/ident"
@@ -23,7 +22,7 @@ func (n *Network) members() []Pointer {
 		if !n.LS.NodeUp(r.Node) {
 			continue
 		}
-		for _, vn := range r.VNs {
+		for _, vn := range r.VNs.All() {
 			if vn.Ephemeral {
 				continue
 			}
@@ -108,7 +107,7 @@ func (n *Network) pointerHolders(id ident.ID) map[RouterID]bool {
 			continue
 		}
 		_, hold := r.parkedAt(id)
-		for _, vn := range r.VNs {
+		for _, vn := range r.VNs.All() {
 			if vn.Pred.ID == id {
 				hold = true
 			}
@@ -138,7 +137,7 @@ func (n *Network) scrubID(id ident.ID, counter string) {
 		}
 		r.Cache.Remove(id)
 		r.unpark(func(e parking) bool { return e.ID == id })
-		for _, vn := range r.VNs {
+		for _, vn := range r.VNs.All() {
 			// Successor groups: shift down past the dead identifier.
 			kept := vn.Succs[:0]
 			had := false
@@ -233,8 +232,8 @@ func (n *Network) removeHost(id ident.ID, counter string) error {
 	n.Metrics.Count(counter, int64(n.directedFloodCost(host, holders)))
 
 	orphans := r.unpark(func(e parking) bool { return e.parent == id })
-	i := r.search(id)
-	r.VNs = slices.Delete(r.VNs, i, i+1)
+	i, _ := r.find(id.Key())
+	r.VNs.Delete(i)
 	delete(n.hostedAt, id)
 	n.scrubID(id, counter)
 	n.reparkOrphans(orphans, counter)
@@ -302,16 +301,16 @@ func (n *Network) FailRouter(node RouterID) error {
 	// The dead router's state is gone; parked children of its virtual
 	// nodes survive at their own routers and need a new parking spot.
 	dead, orphans := r.VNs, r.parked
-	r.VNs, r.parked = nil, nil
+	r.VNs, r.parked = ident.Columns[*VirtualNode]{}, nil
 	r.Cache = NewPointerCache(n.opts.CacheCapacity)
-	for _, vn := range dead {
+	for _, vn := range dead.All() {
 		delete(n.hostedAt, vn.ID)
 	}
 
 	// Ring neighbors repair around the dead identifiers, the default
 	// virtual node's router-ID first.
 	n.scrubID(r.ID, MsgRepair)
-	for _, vn := range dead {
+	for _, vn := range dead.All() {
 		if !vn.Default {
 			n.scrubID(vn.ID, MsgRepair)
 		}
@@ -321,7 +320,7 @@ func (n *Network) FailRouter(node RouterID) error {
 
 	// Hosts fail over: the end host and remote routers deterministically
 	// pick the next alive, reachable router on the pre-agreed list.
-	for _, vn := range dead {
+	for _, vn := range dead.All() {
 		if vn.Default {
 			continue
 		}
@@ -471,7 +470,7 @@ func (n *Network) reparkEphemerals(comp map[RouterID]bool, ms []Pointer) {
 		return
 	}
 	for node := range comp {
-		for _, vn := range n.Routers[node].VNs {
+		for _, vn := range n.Routers[node].VNs.All() {
 			if !vn.Ephemeral {
 				continue
 			}
@@ -506,9 +505,10 @@ func predecessorIndex(ms []Pointer, id ident.ID) int {
 // invariants hold.
 func (n *Network) CheckRing() error {
 	for _, r := range n.Routers {
-		for i, vn := range r.VNs {
-			// A lower bound landing on each index is strict ascent.
-			if r.search(vn.ID) != i {
+		for i, vn := range r.VNs.All() {
+			// A floor landing on each index, on the ID its resident holds,
+			// is strict ascent of the residents' IDs.
+			if j, ok := r.find(vn.ID.Key()); !ok || j != i {
 				return fmt.Errorf("%w: router %d residents out of order at %s", ErrRingCorrupted, r.Node, vn.ID.Short())
 			}
 			if host, ok := n.hostedAt[vn.ID]; !ok || host != r.Node || vn.Router != r.Node {
@@ -555,7 +555,7 @@ func (n *Network) checkComponent(comp map[RouterID]bool, ms []Pointer) error {
 	// Every ephemeral host in the component must be parked at its
 	// predecessor.
 	for node := range comp {
-		for _, vn := range n.Routers[node].VNs {
+		for _, vn := range n.Routers[node].VNs.All() {
 			if !vn.Ephemeral || len(ms) == 0 {
 				continue
 			}

@@ -113,7 +113,7 @@ func TestCheckRingCatchesTableCorruption(t *testing.T) {
 
 	var r *Router
 	for _, c := range n.Routers {
-		if len(c.VNs) >= 2 {
+		if c.VNs.Len() >= 2 {
 			r = c
 			break
 		}
@@ -121,9 +121,10 @@ func TestCheckRingCatchesTableCorruption(t *testing.T) {
 	if r == nil {
 		t.Fatal("no router hosts two identifiers")
 	}
-	r.VNs[0], r.VNs[1] = r.VNs[1], r.VNs[0]
+	first, second := r.VNs.Val(0), r.VNs.Val(1)
+	*first, *second = *second, *first
 	caught("resident out of order", "out of order")
-	r.VNs[0], r.VNs[1] = r.VNs[1], r.VNs[0]
+	*first, *second = *second, *first
 	clean()
 
 	// An orphan parking at the ephemeral's router: its parent is resident
@@ -137,7 +138,7 @@ func TestCheckRingCatchesTableCorruption(t *testing.T) {
 		clean()
 	}
 
-	succs := r.VNs[0].Succs
+	succs := (*first).Succs
 	succs[0], succs[1] = succs[1], succs[0]
 	caught("successor off sorted order", "has successor")
 	succs[0], succs[1] = succs[1], succs[0]

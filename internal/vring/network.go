@@ -114,8 +114,10 @@ func (v *VirtualNode) Succ() (Pointer, bool) {
 // pointer spans.
 type Router struct {
 	Node RouterID
-	ID   ident.ID       // router-ID; doubles as the default virtual node's ID
-	VNs  []*VirtualNode // residents, ascending by ID
+	ID   ident.ID // router-ID; doubles as the default virtual node's ID
+	// VNs is the residents keyed by their IDs, which a search reads as
+	// ID-word columns without loading a virtual node.
+	VNs ident.Columns[*VirtualNode]
 	// parked holds, once each and ascending by ID, the ephemerals whose
 	// ring predecessor is resident here and keeps a source route to them
 	// (§2.2 "Ephemeral hosts").
@@ -148,15 +150,23 @@ type parking struct {
 	parent ident.ID
 }
 
-// search returns the lower bound of id among the residents.
-func (r *Router) search(id ident.ID) int {
-	return ident.Search(len(r.VNs), func(k int) *ident.ID { return &r.VNs[k].ID }, id)
+// testHookResidentSearch, nil outside tests, sees each search of a
+// router's residents.
+var testHookResidentSearch func()
+
+// find returns the index of the last resident at or below the
+// identifier k decodes, -1 if there is none, and whether it is that one.
+func (r *Router) find(k ident.Key) (int, bool) {
+	if testHookResidentSearch != nil {
+		testHookResidentSearch()
+	}
+	return r.VNs.Find(k)
 }
 
 // Resident returns the virtual node of id if id is resident here, else nil.
 func (r *Router) Resident(id ident.ID) *VirtualNode {
-	if i := r.search(id); i < len(r.VNs) && r.VNs[i].ID == id {
-		return r.VNs[i]
+	if i, ok := r.find(id.Key()); ok {
+		return *r.VNs.Val(i)
 	}
 	return nil
 }
@@ -202,7 +212,7 @@ func (r *Router) unpark(drop func(parking) bool) []parking {
 // parked routes, plus cached pointers.
 func (r *Router) MemoryEntries() int {
 	n := r.Cache.Len() + len(r.parked)
-	for _, vn := range r.VNs {
+	for _, vn := range r.VNs.All() {
 		n += len(vn.Succs)
 		if vn.Pred != (Pointer{}) {
 			n++
@@ -267,12 +277,8 @@ func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 		var b [8]byte
 		binary.BigEndian.PutUint64(b[:], uint64(i))
 		rid := ident.FromBytes(append([]byte("router"), b[:]...))
-		n.Routers[i] = &Router{
-			Node:  RouterID(i),
-			ID:    rid,
-			VNs:   []*VirtualNode{{ID: rid, Router: RouterID(i), Default: true}},
-			Cache: NewPointerCache(opts.CacheCapacity),
-		}
+		n.Routers[i] = &Router{Node: RouterID(i), ID: rid, Cache: NewPointerCache(opts.CacheCapacity)}
+		n.Routers[i].VNs.Insert(0, rid, &VirtualNode{ID: rid, Router: RouterID(i), Default: true})
 	}
 	// Default virtual nodes join by flooding (§3.1); charge one flood
 	// per router and build the converged ring directly.
@@ -289,7 +295,7 @@ func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 		for k := 1; k <= opts.SuccessorGroup && k < len(members); k++ {
 			succs = append(succs, members[(i+k)%len(members)])
 		}
-		r.setRing(r.VNs[0], succs, members[(i-1+len(members))%len(members)])
+		r.setRing(*r.VNs.Val(0), succs, members[(i-1+len(members))%len(members)])
 	}
 	// Failover order: routers sorted by router-ID (pre-agreed and
 	// deterministic).
@@ -390,6 +396,14 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 	var target Pointer
 	var targetVN *VirtualNode
 	haveTarget := false
+	key := dst.Key() // decoded once for every router's resident search
+	// The walk's single-link moves, charged to counter once it returns.
+	links := 0
+	defer func() {
+		if links > 0 {
+			n.Metrics.Count(counter, int64(links))
+		}
+	}()
 	for ttl := routeTTL; ttl > 0; ttl-- {
 		r := n.Routers[cur]
 		if accept != nil {
@@ -399,9 +413,11 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 			}
 		}
 		// Deliver: destination resident here, or parked here as an
-		// ephemeral child of a resident node.
-		if vn := r.Resident(dst); vn != nil {
-			out.Delivered, out.VN, out.Final, out.FinalPos = true, vn, cur, dst
+		// ephemeral child of a resident node. dst's floor among the
+		// residents is also where selection's window starts.
+		f, here := r.find(key)
+		if here {
+			out.Delivered, out.VN, out.Final, out.FinalPos = true, *r.VNs.Val(f), cur, dst
 			return out, nil
 		}
 		if i, ok := r.parkedAt(dst); ok {
@@ -417,16 +433,17 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 				out.Delivered, out.VN, out.Final, out.FinalPos = true, vn, p.Router, dst
 				return out, nil
 			}
-			stale.add(dst)
+			stale = stale.add(dst)
 		}
 
 		// Re-run Algorithm 2's selection at *every* router the packet
 		// transits — intermediate routers with richer caches re-aim the
 		// packet toward strictly closer identifiers, which is what pulls
 		// stretch toward 1 as caches grow (§3.3, Fig 6a).
-		best, bestVN, ok := n.selectNextHop(r, pos, dst, stale)
+		best, bestVN, ok := n.selectNextHop(r, pos, dst, f, stale)
 		if testHookSelect != nil {
-			testHookSelect(r, pos, dst, stale, best, bestVN, ok)
+			// A copy: handing the hook stale itself would put it on the heap.
+			testHookSelect(r, pos, dst, slices.Clone(stale), best, bestVN, ok)
 		}
 		if ok && best.Router == cur {
 			// Advance position locally at no cost — but only onto a ring
@@ -438,7 +455,7 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 				posRouter = cur
 				continue
 			}
-			stale.add(best.ID)
+			stale = stale.add(best.ID)
 			continue
 		}
 		if ok {
@@ -478,7 +495,7 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 				pos = target.ID
 				posRouter = cur
 			} else {
-				stale.add(target.ID)
+				stale = stale.add(target.ID)
 				if targetVN == nil {
 					r.Cache.Remove(target.ID)
 				}
@@ -489,13 +506,13 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 		next, okHop := n.LS.NextHop(cur, target.Router)
 		if !okHop {
 			// Target unreachable in the current failure state.
-			stale.add(target.ID)
+			stale = stale.add(target.ID)
 			r.Cache.Remove(target.ID)
 			haveTarget = false
 			continue
 		}
 		// Move one physical hop toward the current target.
-		n.Metrics.Count(counter, 1)
+		links++
 		out.Msgs++
 		if w, okW := n.LS.Graph().EdgeWeight(cur, next); okW {
 			out.Latency += w
@@ -524,10 +541,13 @@ type staleSet []ident.ID
 
 func (s staleSet) has(id ident.ID) bool { return slices.Contains(s, id) }
 
-func (s *staleSet) add(id ident.ID) {
-	if !s.has(id) {
-		*s = append(*s, id)
+// add returns s with id in it. It returns the set rather than write
+// through a pointer, which would put every walk's avoid list on the heap.
+func (s staleSet) add(id ident.ID) staleSet {
+	if s.has(id) {
+		return s
 	}
+	return append(s, id)
 }
 
 // learnControl gates the pointers control messages deposit in caches
@@ -545,20 +565,21 @@ func (n *Network) learnControl(learn []Pointer) []Pointer {
 var testHookSelect func(r *Router, pos, dst ident.ID, stale staleSet, got Pointer, gotVN *VirtualNode, ok bool)
 
 // selectNextHop scans the router's state for the candidate closest to
-// dst without overshooting pos→dst. Residents are scanned in identifier
-// order, and ring pointers before the cache so they win ties (pointer
-// precedence, §2.2); only the residents of window are read, which hold
-// the winner and every tie with it. Returns the chosen pointer and the
-// resident VN it came from (nil if from the cache).
-func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (Pointer, *VirtualNode, bool) {
+// dst without overshooting pos→dst, given f, dst's floor among the
+// residents. Residents are scanned in identifier order, and ring
+// pointers before the cache so they win ties (pointer precedence, §2.2);
+// only the residents of window are read, which hold the winner and every
+// tie with it. Returns the chosen pointer and the resident VN it came
+// from (nil if from the cache).
+func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, f int, stale staleSet) (Pointer, *VirtualNode, bool) {
 	var best Pointer
 	var bestVN *VirtualNode
 	sel := ident.NewScan(pos, dst)
-	head, tail := r.window(pos, dst, stale)
 	// The test is written out per site: a helper closing over sel keeps it
 	// in memory, a fifth of a join. stale is asked only of would-be winners.
-	for _, run := range [2][]*VirtualNode{head, tail} {
-		for _, vn := range run {
+	for _, run := range r.window(pos, dst, f, stale) {
+		for k := run[0]; k < run[1]; k++ {
+			vn := *r.VNs.Val(k)
 			// Ephemeral hosts "cannot serve as successor or predecessor to
 			// other IDs" (§2.2): they carry no ring pointers, so using one as
 			// a greedy waypoint would strand the packet — and a join lookup
@@ -590,7 +611,8 @@ func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (P
 }
 
 // window returns the residents whose pointers can win selectNextHop's
-// scan, as at most two runs of r.VNs that together ascend by index.
+// scan, as at most two index ranges [lo, hi) of r.VNs that together
+// ascend; f is dst's floor among the residents.
 // Let b0 be the legal resident (in (pos, dst]) closest to dst that is
 // neither ephemeral nor stale, or pos if there is none: the winner, and
 // every tie with it, is no farther from dst than b0. A resident's
@@ -600,15 +622,15 @@ func (n *Network) selectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (P
 // is no farther from dst than b0, or within back past dst. Walking back
 // from dst's floor and forward past it reads exactly those residents.
 // Nothing here assumes a consistent ring.
-func (r *Router) window(pos, dst ident.ID, stale staleSet) (head, tail []*VirtualNode) {
-	n := len(r.VNs)
+func (r *Router) window(pos, dst ident.ID, f int, stale staleSet) (runs [2][2]int) {
+	n := r.VNs.Len()
 	if n == 0 {
-		return nil, nil
+		return runs
 	}
 	// at(k) is the k-th resident back from dst's floor, wrapping: distance
 	// to dst ascends with k, and at(-1) is the first one past dst.
-	f := ident.Floor(n, func(k int) *ident.ID { return &r.VNs[k].ID }, dst) + n
-	at := func(k int) *VirtualNode { return r.VNs[(f-k)%n] }
+	f += n
+	at := func(k int) *VirtualNode { return *r.VNs.Val((f - k) % n) }
 	b0, nb := pos, 0
 	for ; nb < n; nb++ {
 		v := at(nb)
@@ -631,14 +653,14 @@ func (r *Router) window(pos, dst ident.ID, stale staleSet) (head, tail []*Virtua
 		nf++
 	}
 	if nb+nf == n {
-		return r.VNs, nil
+		return [2][2]int{{0, n}}
 	}
 	lo := (f - nb + 1) % n // the run is lo .. hi-1, wrapping
 	hi := lo + nb + nf
 	if hi <= n {
-		return r.VNs[lo:hi], nil
+		return [2][2]int{{lo, hi}}
 	}
-	return r.VNs[:hi-n], r.VNs[lo:]
+	return [2][2]int{{0, hi - n}, {lo, n}}
 }
 
 // --- Joining (Algorithm 1) ------------------------------------------------
@@ -713,7 +735,8 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 	self := Pointer{ID: id, Router: at}
 
 	r, predRouter := n.Routers[at], n.Routers[pred.Router]
-	r.VNs = slices.Insert(r.VNs, r.search(id), vn)
+	f, _ := r.find(id.Key())
+	r.VNs.Insert(f+1, id, vn)
 	n.hostedAt[id] = at
 	if ephemeral {
 		// Ephemeral hosts only park a backpointer at the predecessor.

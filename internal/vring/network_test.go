@@ -180,7 +180,7 @@ func TestEphemeralNotASuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range n.Routers {
-		for _, vn := range r.VNs {
+		for _, vn := range r.VNs.All() {
 			for _, s := range vn.Succs {
 				if s.ID == eph {
 					t.Fatal("ephemeral ID must not appear in successor lists")
@@ -275,7 +275,7 @@ func TestMemoryAccounting(t *testing.T) {
 	total := 0
 	for _, r := range n.Routers {
 		total += r.MemoryEntries()
-		if len(r.VNs) < 1 {
+		if r.VNs.Len() < 1 {
 			t.Fatal("every router hosts at least its default VN")
 		}
 	}
@@ -354,9 +354,7 @@ func TestLookupTerminatesAtPredecessor(t *testing.T) {
 func TestStaleSetAndAvoid(t *testing.T) {
 	var s staleSet
 	a, b := ident.FromString("stale-a"), ident.FromString("stale-b")
-	s.add(a)
-	s.add(b)
-	s.add(a)
+	s = s.add(a).add(b).add(a)
 	if len(s) != 2 || !s.has(a) || !s.has(b) || s.has(ident.FromString("stale-c")) {
 		t.Fatalf("an identifier added twice must be held once: %v", s)
 	}
@@ -371,10 +369,10 @@ func TestStaleSetAndAvoid(t *testing.T) {
 	// Selection: the lure is a legal, perfect candidate everywhere (it is
 	// the destination), and is refused exactly when listed.
 	for _, r := range planted.Routers {
-		if best, _, ok := planted.selectNextHop(r, r.ID, joining, nil); !ok || best != lure {
+		if best, _, ok := planted.selectNextHop(r, r.ID, joining, r.VNs.Floor(joining), nil); !ok || best != lure {
 			t.Fatalf("router %d: unguarded selection = %v ok=%v, want the planted pointer", r.Node, best, ok)
 		}
-		if best, _, ok := planted.selectNextHop(r, r.ID, joining, staleSet{joining}); ok && best.ID == joining {
+		if best, _, ok := planted.selectNextHop(r, r.ID, joining, r.VNs.Floor(joining), staleSet{joining}); ok && best.ID == joining {
 			t.Fatalf("router %d selected an avoided identifier", r.Node)
 		}
 	}
@@ -699,5 +697,33 @@ func TestWalkAllocations(t *testing.T) {
 	}
 	if join > 4.45 {
 		t.Errorf("JoinHost: %.2f mallocs, want at most 4.45", join)
+	}
+}
+
+// TestResidentSearchesPerStep pins the resident-table searches a route
+// makes per router step on the benchmark ring: one floor of dst serves
+// both delivery and the selection window, so every step searches once.
+// Searching for delivery and again for the window read 1.875 (75,072
+// searches over 40,036 steps). Every route delivers, so the steps are the
+// selections plus one delivering step per route.
+func TestResidentSearchesPerStep(t *testing.T) {
+	isp := topology.GenISP(topology.AS1221)
+	n := New(isp.Graph, sim.NewMetrics(), DefaultOptions())
+	rng := rand.New(rand.NewSource(1))
+	ids := joinBenchRing(t, n, isp, rng, 4000)
+	searches, selections := 0, 0
+	testHookResidentSearch = func() { searches++ }
+	testHookSelect = func(*Router, ident.ID, ident.ID, staleSet, Pointer, *VirtualNode, bool) { selections++ }
+	t.Cleanup(func() { testHookResidentSearch, testHookSelect = nil, nil })
+	const routes = 5000
+	for range routes {
+		if _, err := n.Route(isp.Access[rng.Intn(len(isp.Access))], ids[rng.Intn(len(ids))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := selections + routes
+	t.Logf("%d resident searches over %d router steps, %.4f per step", searches, steps, float64(searches)/float64(steps))
+	if searches != steps {
+		t.Errorf("%d resident searches over %d router steps; want one per step", searches, steps)
 	}
 }

@@ -18,7 +18,7 @@ func refSelectNextHop(r *Router, pos, dst ident.ID, stale staleSet) (Pointer, *V
 	var best Pointer
 	var bestVN *VirtualNode
 	sel := ident.NewScan(pos, dst)
-	for _, vn := range r.VNs {
+	for _, vn := range r.VNs.All() {
 		if vn.Ephemeral {
 			continue
 		}
