@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run FuzzCompactCacheLookup -fuzz=FuzzCompactCacheLookup -fuzztime=10s ./internal/vring
 	$(GO) test -run FuzzShardedQueueOrder -fuzz=FuzzShardedQueueOrder -fuzztime=10s ./internal/sim
 	$(GO) test -run FuzzPeerSetMatchesModel -fuzz=FuzzPeerSetMatchesModel -fuzztime=10s ./internal/proto
+	$(GO) test -run FuzzPolicyPathsMatchReference -fuzz=FuzzPolicyPathsMatchReference -fuzztime=10s ./internal/canon
 
 # Sharded single-network smoke: converge a 100k-host compact ring
 # sharded 8 ways, check its ring pointers against sorted order and

@@ -68,8 +68,10 @@ func (in *Internet) FailAS(a topology.ASN) int {
 	}
 	// Caches everywhere purge pointers at the dead AS (driven by
 	// reachability change).
-	for _, as := range in.ases {
-		as.Cache.RemoveRouter(vring.RouterID(a))
+	if in.opts.CacheCapacity > 0 {
+		for _, as := range in.ases {
+			as.Cache.RemoveRouter(vring.RouterID(a))
+		}
 	}
 	// Fingers pointing at dead identifiers are dropped lazily at use;
 	// sweep them here to keep state tidy.
@@ -98,8 +100,10 @@ func (in *Internet) Leave(id ident.ID) error {
 	host.dropLevels(vn.levels)
 	delete(in.hostedAt, id)
 	in.unlink(vn, MsgTeardown)
-	for _, as := range in.ases {
-		as.Cache.Remove(id)
+	if in.opts.CacheCapacity > 0 {
+		for _, as := range in.ases {
+			as.Cache.Remove(id)
+		}
 	}
 	in.sweepFingers(func(f Finger) bool { return f.ID == id })
 	delete(in.virtualHosts, id)

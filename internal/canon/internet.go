@@ -244,7 +244,7 @@ type AS struct {
 	// Cache is the AS-granularity pointer cache of §4.1: the exact-LRU
 	// cache intradomain routers keep, with the AS number in the router
 	// field. On the data path Bloom guards it, so shortcuts never violate
-	// the isolation property.
+	// the isolation property. Nil when Options.CacheCapacity is 0.
 	Cache *vring.PointerCache
 	// Bloom summarizes all identifiers joined in this AS's
 	// down-hierarchy; maintained when the Options enable Bloom peering or
@@ -343,8 +343,9 @@ type Internet struct {
 	hostedAt map[ident.ID]topology.ASN
 
 	// below is every AS's customer cone over primary links, the subtree a
-	// ring level covers; cone is the full one, backup links included,
-	// which bounds where any descent can go.
+	// ring level covers. cone holds the full cones, backup links
+	// included, which bound where any descent can go, by target: cone.has(d,
+	// b) reports whether d lies in b's full cone.
 	below, cone cones
 
 	// failedLink marks failed AS adjacencies (A < B normalized).
@@ -383,16 +384,18 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 	}
 	in.ases = make([]*AS, g.NumASes())
 	for i := range in.ases {
-		in.ases[i] = &AS{
-			ASN:   topology.ASN(i),
-			Cache: vring.NewPointerCache(opts.CacheCapacity),
+		in.ases[i] = &AS{ASN: topology.ASN(i)}
+		if opts.CacheCapacity > 0 {
+			in.ases[i].Cache = vring.NewPointerCache(opts.CacheCapacity)
 		}
 	}
 	// Subtree membership is over primary links only: joins exclude backup
 	// links, so it must too, or the isolation bookkeeping would expect
 	// rings that were never joined.
 	in.below = newCones(g, g.PrimaryCustomers)
-	in.cone = newCones(g, g.Customers)
+	// Row d of the provider closure is every AS whose full customer cone
+	// holds d, so a search reads one row per target.
+	in.cone = newCones(g, g.Providers)
 	// Bloom filters sized to each AS's expected customer-cone host count.
 	if opts.BloomPeering || opts.CacheCapacity > 0 {
 		for i := range in.ases {
@@ -421,16 +424,17 @@ func (in *Internet) HostingAS(id ident.ID) (topology.ASN, bool) {
 // NumJoined returns the number of joined identifiers.
 func (in *Internet) NumJoined() int { return len(in.hostedAt) }
 
-// cones is one customer-cone bitset per AS in one flat slice: row a has
-// bit d set when d is a or lies below it.
+// cones is one bitset per AS in one flat slice: row a has bit d set when
+// d is a or lies below it over the links newCones followed.
 type cones struct {
 	words int // uint64s per row
 	bits  []uint64
 }
 
-// newCones builds every AS's cone over the customer links customers
-// lists.
-func newCones(g *topology.ASGraph, customers func(topology.ASN) []topology.ASN) cones {
+// newCones builds every AS's cone over the links down lists: customer
+// cones over customer links, or over provider links the sets of ASes whose
+// customer cone holds each AS.
+func newCones(g *topology.ASGraph, down func(topology.ASN) []topology.ASN) cones {
 	n := g.NumASes()
 	c := cones{words: (n + 63) / 64}
 	c.bits = make([]uint64, n*c.words)
@@ -440,7 +444,7 @@ func newCones(g *topology.ASGraph, customers func(topology.ASN) []topology.ASN) 
 		c.add(root, root)
 		queue = append(queue[:0], root)
 		for k := 0; k < len(queue); k++ {
-			for _, d := range customers(queue[k]) {
+			for _, d := range down(queue[k]) {
 				if !c.has(root, d) {
 					c.add(root, d)
 					queue = append(queue, d)
@@ -457,6 +461,15 @@ func (c cones) add(a, d topology.ASN) { c.bits[int(a)*c.words+int(d)>>6] |= 1 <<
 func (c cones) has(a, d topology.ASN) bool {
 	return c.bits[int(a)*c.words+int(d)>>6]>>(uint(d)&63)&1 != 0
 }
+
+// row returns a's cone, read once for many members.
+func (c cones) row(a topology.ASN) coneRow { return c.bits[int(a)*c.words:][:c.words] }
+
+// coneRow is one row of a cones.
+type coneRow []uint64
+
+// has reports whether d lies in the row's cone.
+func (r coneRow) has(d topology.ASN) bool { return r[int(d)>>6]>>(uint(d)&63)&1 != 0 }
 
 // inSubtree reports whether AS a lies inside root r's subtree.
 func (in *Internet) inSubtree(r Root, a topology.ASN) bool {
@@ -552,18 +565,20 @@ type pathSearch struct {
 // the shortest paths from `from` to `to` and to `also` (the same AS for
 // one path) over ASes that are `inside`, ascending provider links (§4.2:
 // backup ones only while every primary one is down), crossing at most
-// one peering link that `mayCross` admits, then descending customer
-// links. It visits neighbours in ascending AS order, so ties between
-// equal-length paths are a function of the graph alone. A path is nil
-// when no such path exists, and valid only until the next search on this
-// Internet.
+// one peering link that `mayCross` admits (none when it is nil), then
+// descending customer links. It visits neighbours in ascending AS order,
+// so ties between equal-length paths are a function of the graph alone.
+// A path is nil when no such path exists, and valid only until the next
+// search on this Internet.
 //
 // A descending state at c is never pushed when neither target is inside
 // c's full customer cone: every descent from it stays in that cone, so it
 // and all its successors are dead ends. The states kept are therefore
 // closed under predecessors, which leaves the visit order among them and
 // the parent of each what the unpruned search gives: each path is the one
-// a search for its target alone returns.
+// a search for its target alone returns. The cones are held by target, so
+// the search reads each target's row once and asks every candidate its
+// bit there before any other test.
 func (in *Internet) policyPaths(from, to, also topology.ASN, inside func(topology.ASN) bool, mayCross func(a, q topology.ASN) bool) (toPath, alsoPath []topology.ASN) {
 	s := &in.search
 	// A target's end is the start when it is `from`, -2 out of reach, and
@@ -595,18 +610,33 @@ func (in *Internet) policyPaths(from, to, also topology.ASN, inside func(topolog
 	return s.path, s.alsoPath
 }
 
+// searchWork counts policy searches and the candidates they hand push.
+type searchWork struct{ searches, candidates int }
+
+// testSearchWork, nil outside tests, counts reach's work.
+var testSearchWork *searchWork
+
 // reach is policyPaths' search: it runs until both targets have an end.
 func (in *Internet) reach(from topology.ASN, inside func(topology.ASN) bool, mayCross func(a, q topology.ASN) bool) {
 	s := &in.search
+	if testSearchWork != nil {
+		testSearchWork.searches++
+	}
 	for _, st := range s.queue {
 		s.seen[st] = false
 	}
 	s.queue = s.queue[:0]
+	// The ASes whose full customer cone holds to, and also: a descent can
+	// reach a target only from them.
+	toRow, alsoRow := in.cone.row(s.to), in.cone.row(s.also)
 	cur := int32(-1) // the state being expanded (none above the start)
 	// push visits (b, phase) from cur and reports whether b is a target.
 	push := func(b topology.ASN, phase int32) bool {
+		if testSearchWork != nil {
+			testSearchWork.candidates++
+		}
 		st := int32(b)*2 + phase
-		if in.failedAS[b] || s.seen[st] || phase == 1 && !in.cone.has(b, s.to) && (s.also == s.to || !in.cone.has(b, s.also)) || !inside(b) {
+		if in.failedAS[b] || s.seen[st] || phase == 1 && !toRow.has(b) && !alsoRow.has(b) || !inside(b) {
 			return false
 		}
 		s.seen[st] = true
@@ -640,16 +670,18 @@ search:
 				}
 			}
 			for _, q := range in.G.Peers(a) {
-				if in.linkUp(a, q) && mayCross(a, q) && push(q, 1) && reached() {
+				if mayCross != nil && in.linkUp(a, q) && mayCross(a, q) && push(q, 1) && reached() {
 					break search
 				}
 			}
 		}
 		backup := in.G.CustomerIsBackup(a)
 		for i, c := range in.G.Customers(a) {
-			// A backup customer link carries traffic only while the
-			// customer's primary access links are all down (§4.2).
-			if !in.linkUp(a, c) || backup[i] && in.hasPrimaryUp(c) {
+			// push's cone test, asked first: most customers' cones hold
+			// neither target. A backup customer link carries traffic only
+			// while the customer's primary access links are all down
+			// (§4.2).
+			if !toRow.has(c) && !alsoRow.has(c) || !in.linkUp(a, c) || backup[i] && in.hasPrimaryUp(c) {
 				continue
 			}
 			if push(c, 1) && reached() {
@@ -684,18 +716,14 @@ func (in *Internet) pathWithin(root Root, from, to topology.ASN) []topology.ASN 
 
 // pathsWithin is pathWithin to two targets in one search.
 func (in *Internet) pathsWithin(root Root, from, to, also topology.ASN) (toPath, alsoPath []topology.ASN) {
-	return in.policyPaths(from, to, also,
-		func(a topology.ASN) bool { return in.inSubtree(root, a) },
-		func(a, q topology.ASN) bool {
-			switch root.Kind {
-			case RootPeer:
-				return (a == root.A && q == root.B) || (a == root.B && q == root.A)
-			case RootTop:
-				return in.G.Tier(a) == 1 && in.G.Tier(q) == 1
-			default:
-				return false
-			}
-		})
+	var mayCross func(a, q topology.ASN) bool // an AS subtree's paths cross none
+	switch root.Kind {
+	case RootPeer:
+		mayCross = func(a, q topology.ASN) bool { return (a == root.A && q == root.B) || (a == root.B && q == root.A) }
+	case RootTop:
+		mayCross = func(a, q topology.ASN) bool { return in.G.Tier(a) == 1 && in.G.Tier(q) == 1 }
+	}
+	return in.policyPaths(from, to, also, func(a topology.ASN) bool { return in.inSubtree(root, a) }, mayCross)
 }
 
 // hopsWithin is pathWithin's hop count, or -1.

@@ -120,7 +120,10 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 	as := in.ases[at]
 	vn := &VNode{ID: id, AS: at, Strategy: s, levels: as.shareLevels(in.joinLevels(at, s))}
 	msgs := 0
-	seenSuccs := map[ident.ID]bool{}
+	// The successors found so far, one a level at most: a few IDs, held
+	// on the stack while the join has no more levels than this holds.
+	var seenBuf [16]ident.ID
+	seenSuccs := seenBuf[:0]
 	self := Ptr{ID: id, AS: at}
 	for _, lv := range vn.levels {
 		i := lv.ring.Floor(id) + 1 // id's place: after every member below it
@@ -131,7 +134,7 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 		// member of a level has nobody to tell.
 		if n := lv.ring.Len(); n > 0 {
 			pred, succ := lv.at((i+n-1)%n), lv.at(i%n)
-			if seenSuccs[succ.ID] {
+			if slices.Contains(seenSuccs, succ.ID) {
 				msgs += 2
 			} else {
 				predPath, succPath := in.pathsWithin(lv.root, at, pred.AS, succ.AS)
@@ -141,7 +144,7 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 						in.cacheAlong(path, self)
 					}
 				}
-				seenSuccs[succ.ID] = true
+				seenSuccs = append(seenSuccs, succ.ID)
 			}
 		}
 		// Taking its sorted place in the ring is the whole splice.

@@ -261,6 +261,124 @@ func TestPolicyPathMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPolicySearchWork pins the candidates the policy search hands push
+// per search on routeList's Internet, over its 3,000 joins and over its
+// 1,500 routes: 9.8 and 6.8. Before the search asked each customer its
+// bit in the targets' cone rows ahead of every other test, they were 45.3
+// and 25.0.
+func TestPolicySearchWork(t *testing.T) {
+	var w searchWork
+	testSearchWork = &w
+	t.Cleanup(func() { testSearchWork = nil })
+	in, list := routeList(t)
+	joins := w
+	w = searchWork{}
+	for _, p := range list {
+		if _, err := in.Route(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		w     searchWork
+		bound float64
+	}{
+		{"join", joins, 10},
+		{"route", w, 7},
+	} {
+		per := float64(c.w.candidates) / float64(c.w.searches)
+		t.Logf("%s: %d candidates over %d searches, %.1f per search", c.name, c.w.candidates, c.w.searches, per)
+		if per > c.bound {
+			t.Errorf("%s searches hand push %.1f candidates each, want at most %v", c.name, per, c.bound)
+		}
+	}
+}
+
+// policyOps draws a FuzzPolicyPathsMatchReference operation stream.
+func policyOps(seed int64, n int) []byte {
+	ops := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(ops)
+	return ops
+}
+
+// FuzzPolicyPathsMatchReference holds the two-target search to two
+// single-target reference searches on a generated graph (the shape of
+// TestPolicyPathMatchesReference's) under a fuzzed series of link
+// failures, restores and AS failures. Each op byte's low three bits pick
+// the step: 0-1 fail the link the next byte indexes, 2 restore it, 3 fail
+// an AS, and otherwise the next three bytes pick a root, a source inside
+// it and an offset k, and every target d is searched with also d+k; ops
+// past the first 512 bytes are ignored, to keep each case short. Each
+// graph also checks the cones held by target against the customer cones.
+func FuzzPolicyPathsMatchReference(f *testing.F) {
+	f.Add(int64(30), policyOps(1, 64))
+	f.Add(int64(30), policyOps(2, 400))
+	f.Add(int64(7), policyOps(3, 200))
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		g := topology.GenAS(topology.ASGenConfig{
+			Tier1: 3, Tier2: 10, Stubs: 32,
+			Hosts: 1000, ZipfS: 1.1,
+			PeerProb: 0.25, BackupProb: 0.4, Seed: seed,
+		})
+		in := New(g, sim.NewMetrics(), DefaultOptions())
+		n := g.NumASes()
+		down := newCones(g, g.Customers)
+		for a := range n {
+			for d := range n {
+				if in.cone.has(topology.ASN(d), topology.ASN(a)) != down.has(topology.ASN(a), topology.ASN(d)) {
+					t.Fatalf("cone by target of %d holds %d: %v, customer cone says %v", d, a,
+						in.cone.has(topology.ASN(d), topology.ASN(a)), down.has(topology.ASN(a), topology.ASN(d)))
+				}
+			}
+		}
+		var links [][2]topology.ASN
+		for a := range n {
+			for _, b := range g.Neighbors(topology.ASN(a)) {
+				if topology.ASN(a) < b {
+					links = append(links, [2]topology.ASN{topology.ASN(a), b})
+				}
+			}
+		}
+		roots := allRoots(g)
+		ops = ops[:min(len(ops), 512)]
+		for len(ops) >= 4 {
+			op, x := ops[0]&7, int(ops[1])
+			switch {
+			case op < 2:
+				l := links[x%len(links)]
+				in.FailASLink(l[0], l[1])
+				ops = ops[2:]
+			case op == 2:
+				l := links[x%len(links)]
+				in.RestoreASLink(l[0], l[1])
+				ops = ops[2:]
+			case op == 3:
+				in.FailAS(topology.ASN(x % n))
+				ops = ops[2:]
+			default:
+				root := roots[x%len(roots)]
+				var inside []topology.ASN
+				for a := range n {
+					if in.inSubtree(root, topology.ASN(a)) {
+						inside = append(inside, topology.ASN(a))
+					}
+				}
+				from, k := inside[int(ops[2])%len(inside)], int(ops[3])%n
+				for d := range n {
+					to, also := topology.ASN(d), topology.ASN((d+k)%n)
+					want, wantAlso := refPathWithin(in, root, from, to), refPathWithin(in, root, from, also)
+					got, gotAlso := in.pathsWithin(root, from, to, also)
+					if !slices.Equal(got, want) || (got == nil) != (want == nil) ||
+						!slices.Equal(gotAlso, wantAlso) || (gotAlso == nil) != (wantAlso == nil) {
+						t.Fatalf("pathsWithin(%v, %d, %d, %d) = %v, %v, reference %v, %v", root, from, to, also, got, gotAlso, want, wantAlso)
+					}
+				}
+				ops = ops[4:]
+			}
+		}
+	})
+}
+
 // TestPolicyPathAllocations: a hop count allocates nothing and a path at
 // most its result, once the search state has grown to the graph.
 func TestPolicyPathAllocations(t *testing.T) {

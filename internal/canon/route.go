@@ -312,7 +312,7 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Pt
 	found := bestSize != -1
 
 	// Cache shortcut, Bloom-guarded.
-	if as.Cache.Len() > 0 {
+	if as.Cache != nil && as.Cache.Len() > 0 {
 		dstBelowUs := as.Bloom != nil && as.Bloom.Contains(dst[:])
 		if !dstBelowUs {
 			if p, ok := as.Cache.Lookup(pos, dst); ok {

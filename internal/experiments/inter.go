@@ -272,7 +272,7 @@ func Fig8c(cfg Config) Table {
 			sum += v
 		}
 		cached := 0
-		for a := 0; a < g.NumASes(); a++ {
+		for a := 0; a < g.NumASes() && sz > 0; a++ { // no cache at size 0
 			cached += in.AS(topology.ASN(a)).Cache.Len()
 		}
 		results[trial] = f8cRow{mean: sum / float64(len(vals)), p90: quantileOf(vals, 0.9), cached: cached}
