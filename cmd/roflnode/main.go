@@ -281,7 +281,6 @@ func clusterMain(args []string) int {
 		Events:         eventsW,
 	}
 	if *loss > 0 {
-		cfg.FaultsEnabled = true
 		cfg.Fault = rofl.FaultParams{Loss: *loss}
 	}
 	sup := rofl.NewCluster(cfg)

@@ -20,9 +20,10 @@ func main() {
 		Tier1: 2, Tier2: 4, Stubs: 10,
 		Hosts: 1000, ZipfS: 1.1, PeerProb: 0.3, BackupProb: 0.2, Seed: 11,
 	})
-	world := rofl.NewGlobal(asGraph, rofl.NewMetrics(), rofl.DefaultGlobalOptions())
+	world := rofl.NewGlobal(asGraph, rofl.NewMetrics())
+	d0, _ := world.Domain(0)
 	fmt.Printf("built %d ASes, each with its own %d-router network and border routers\n\n",
-		asGraph.NumASes(), rofl.DefaultGlobalOptions().ISPTemplate.Routers)
+		asGraph.NumASes(), d0.ISP.Graph.NumNodes())
 
 	// Join hosts across the stub ASes.
 	rng := rand.New(rand.NewSource(4))

@@ -21,7 +21,6 @@ package canon
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"rofl/internal/bloom"
@@ -46,13 +45,9 @@ const (
 	CtrBloomBacktracks = "canon-bloom-backtracks"
 )
 
-// Sample names recorded by this package.
-const (
-	SampleJoinMsgs = "canon-join-msgs"
-	SampleStretch  = "canon-stretch"
-	SampleBGPHops  = "canon-bgp-hops"
-	SampleROFLHops = "canon-rofl-hops"
-)
+// SampleJoinMsgs is the sample this package records: the messages one
+// join cost.
+const SampleJoinMsgs = "canon-join-msgs"
 
 // Strategy selects how much of the up-hierarchy a join covers — the four
 // modes compared in Fig 8a.
@@ -310,7 +305,8 @@ type Options struct {
 	// each slot takes an arbitrary matching identifier instead of the
 	// lowest-level, nearest one).
 	RandomFingers bool
-	// Seed feeds the deterministic RNG.
+	// Seed has no effect: no code reads it. It stays only because the
+	// repository benchmark assigns it.
 	Seed int64
 }
 
@@ -320,7 +316,6 @@ func DefaultOptions() Options {
 		FingerBudget:  0,
 		CacheCapacity: 0,
 		BloomPeering:  false,
-		Seed:          1,
 	}
 }
 
@@ -330,7 +325,6 @@ type Internet struct {
 	Metrics sim.Metrics
 
 	opts Options
-	rng  *rand.Rand
 	ases []*AS
 
 	// levels holds every ring level a join has named.
@@ -370,7 +364,6 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 		G:            g,
 		Metrics:      m,
 		opts:         opts,
-		rng:          rand.New(rand.NewSource(opts.Seed)),
 		levels:       make(map[Root]*level),
 		joinLists:    make(map[joinKey][]*level),
 		hostedAt:     make(map[ident.ID]topology.ASN),

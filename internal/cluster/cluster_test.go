@@ -81,7 +81,6 @@ func churnConfig(seed int64) Config {
 		Stabilize:      25 * time.Millisecond,
 		EnableLiveness: true,
 		Liveness:       overlay.LivenessParams{MinTx: 10 * time.Millisecond, MinRx: 5 * time.Millisecond, Multiplier: 4},
-		JoinTimeout:    15 * time.Second,
 	}
 }
 
@@ -129,9 +128,11 @@ func TestChurnReconvergesAndJournalIsReproducible(t *testing.T) {
 }
 
 // TestMetricsEndpointsServeLiveCounters scrapes every live member's
-// HTTP endpoint after traffic and checks the overlay counters moved.
+// HTTP endpoint after traffic and checks the overlay counters moved. Its
+// Fault is the zero value, so no uplink is wrapped and no netem fate
+// series may appear.
 func TestMetricsEndpointsServeLiveCounters(t *testing.T) {
-	sup := New(Config{N: 5, Seed: 99, Stabilize: 20 * time.Millisecond, JoinTimeout: 10 * time.Second})
+	sup := New(Config{N: 5, Seed: 99, Stabilize: 20 * time.Millisecond})
 	t.Cleanup(func() { sup.Close() })
 	if err := sup.Start(); err != nil {
 		t.Fatal(err)
@@ -179,6 +180,9 @@ func TestMetricsEndpointsServeLiveCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := string(body)
+		if strings.Contains(text, "rofl_netem_packet_total") {
+			t.Fatalf("node %d: a zero Fault wrapped the uplink:\n%s", m.Index, text)
+		}
 		for _, series := range []string{"rofl_overlay_forward_total", "rofl_overlay_delivered_total"} {
 			val, ok := scrapeValue(text, series)
 			if !ok {
@@ -208,7 +212,6 @@ func TestKillRestartAccounting(t *testing.T) {
 	sup := New(Config{
 		N: 4, Seed: 5, Stabilize: 20 * time.Millisecond,
 		EnableLiveness: true,
-		JoinTimeout:    10 * time.Second,
 	})
 	t.Cleanup(func() { sup.Close() })
 	if err := sup.Start(); err != nil {
@@ -445,9 +448,7 @@ func designNamespace(t *testing.T) (series, events map[string]bool) {
 func TestFaultWrappedClusterConverges(t *testing.T) {
 	sup := New(Config{
 		N: 5, Seed: 31, Stabilize: 25 * time.Millisecond,
-		FaultsEnabled: true,
-		Fault:         netem.LinkParams{Loss: 0.05, Latency: time.Millisecond},
-		JoinTimeout:   15 * time.Second,
+		Fault: netem.LinkParams{Loss: 0.05, Latency: time.Millisecond},
 	})
 	t.Cleanup(func() { sup.Close() })
 	if err := sup.Start(); err != nil {

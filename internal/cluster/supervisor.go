@@ -30,29 +30,25 @@ type Config struct {
 	Liveness overlay.LivenessParams
 	// EnableLiveness turns the adaptive failure detector on.
 	EnableLiveness bool
-	// Fault, when FaultsEnabled, wraps every node's uplink in a
+	// Fault, when not the zero value, wraps every node's uplink in a
 	// netem.Fault with these parameters, seeded from Seed and the node
 	// index — seed-reproducible chaos on real UDP sockets.
-	Fault         netem.LinkParams
-	FaultsEnabled bool
-	// JoinTimeout bounds each node's join exchange (default 10s).
-	JoinTimeout time.Duration
-	// Poll is the convergence-check interval (default 25ms).
-	Poll time.Duration
+	Fault netem.LinkParams
 	// Events receives the supervisor's structured event log; nil
 	// discards it.
 	Events io.Writer
 }
 
+const (
+	// joinTimeout bounds each node's join exchange.
+	joinTimeout = 10 * time.Second
+	// poll is the convergence-check interval.
+	poll = 25 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.Stabilize <= 0 {
 		c.Stabilize = 50 * time.Millisecond
-	}
-	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = 10 * time.Second
-	}
-	if c.Poll <= 0 {
-		c.Poll = 25 * time.Millisecond
 	}
 	return c
 }
@@ -69,12 +65,11 @@ type Member struct {
 	reg   *telemetry.Registry
 	alive atomic.Bool
 
-	mu        sync.Mutex
-	node      *overlay.Node
-	srv       *telemetry.Server
-	drained   atomic.Uint64 // data deliveries consumed by the drainer
-	faultSeq  int64         // incarnation counter, salts the fault RNG seed
-	faultStat *netem.Fault  // current incarnation's uplink, nil without faults
+	mu       sync.Mutex
+	node     *overlay.Node
+	srv      *telemetry.Server
+	drained  atomic.Uint64 // data deliveries consumed by the drainer
+	faultSeq int64         // incarnation counter, salts the fault RNG seed
 }
 
 // ID returns the member's permanent overlay identifier.
@@ -205,11 +200,10 @@ func (s *Supervisor) launchLocked(m *Member) error {
 	}
 	tr = udp
 	m.faultSeq++
-	var fault *netem.Fault
-	if s.cfg.FaultsEnabled {
+	if s.cfg.Fault != (netem.LinkParams{}) {
 		// Salt the seed with slot and incarnation so every uplink draws
 		// an independent—but reproducible—fault sequence.
-		fault = netem.WrapFault(udp, s.cfg.Fault, s.cfg.Seed^int64(m.Index)<<20^m.faultSeq)
+		fault := netem.WrapFault(udp, s.cfg.Fault, s.cfg.Seed^int64(m.Index)<<20^m.faultSeq)
 		fault.SetInstruments(netem.NewInstruments(m.reg))
 		tr = fault
 	}
@@ -243,7 +237,6 @@ func (s *Supervisor) launchLocked(m *Member) error {
 	m.mu.Lock()
 	m.node = node
 	m.srv = srv
-	m.faultStat = fault
 	m.mu.Unlock()
 	m.alive.Store(true)
 	// Drain deliveries so slow-consumer drops never mask routing
@@ -284,7 +277,7 @@ func (s *Supervisor) Start() error {
 		node := m.Node()
 		if target == nil {
 			node.Bootstrap()
-		} else if err := node.Join(target.Node().Addr(), s.cfg.JoinTimeout); err != nil {
+		} else if err := node.Join(target.Node().Addr(), joinTimeout); err != nil {
 			return fmt.Errorf("cluster: node %d join: %w", m.Index, err)
 		}
 		s.log.Info(eventNodeStarted, "node", m.Index, "id", m.id.Short(), "addr", node.Addr())
@@ -309,7 +302,7 @@ func (s *Supervisor) Kill(i int) error {
 	m.alive.Store(false)
 	m.mu.Lock()
 	node, srv := m.node, m.srv
-	m.node, m.srv, m.faultStat = nil, nil, nil
+	m.node, m.srv = nil, nil
 	m.mu.Unlock()
 	s.journalf("kill node %d (live %d/%d)", i, s.liveCountLocked(), len(s.members))
 	s.mu.Unlock()
@@ -344,7 +337,7 @@ func (s *Supervisor) Restart(i int) error {
 	node := m.Node()
 	if target == nil {
 		node.Bootstrap()
-	} else if err := node.Join(target.Node().Addr(), s.cfg.JoinTimeout); err != nil {
+	} else if err := node.Join(target.Node().Addr(), joinTimeout); err != nil {
 		return fmt.Errorf("cluster: node %d rejoin: %w", i, err)
 	}
 	s.log.Info(eventNodeRestarted, "node", i, "id", m.id.Short(), "addr", node.Addr())
@@ -395,13 +388,13 @@ func (s *Supervisor) Converged() bool {
 // AwaitConverged polls until the live ring is consistent or the timeout
 // elapses, counted in poll intervals.
 func (s *Supervisor) AwaitConverged(timeout time.Duration) error {
-	rounds := max(int(timeout/s.cfg.Poll), 1)
+	rounds := max(int(timeout/poll), 1)
 	for i := 0; i < rounds; i++ {
 		if s.Converged() {
 			s.log.Info(eventClusterConverged, "live", s.liveCount())
 			return nil
 		}
-		t := time.NewTimer(s.cfg.Poll)
+		t := time.NewTimer(poll)
 		<-t.C
 	}
 	return fmt.Errorf("cluster: %d live nodes not converged after %v", s.liveCount(), timeout)
@@ -436,7 +429,7 @@ func (s *Supervisor) Close() error {
 	for _, m := range victims {
 		m.mu.Lock()
 		node, srv := m.node, m.srv
-		m.node, m.srv, m.faultStat = nil, nil, nil
+		m.node, m.srv = nil, nil
 		m.mu.Unlock()
 		if node != nil {
 			node.Close()

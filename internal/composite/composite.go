@@ -22,7 +22,6 @@ package composite
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"rofl/internal/canon"
 	"rofl/internal/ident"
@@ -49,31 +48,15 @@ var (
 // each AS.
 const bordersPerAS = 2
 
-// Options configures the composite system.
-type Options struct {
-	// Intra configures every AS's internal network.
-	Intra vring.Options
-	// Inter configures the interdomain layer.
-	Inter canon.Options
-	// ISPTemplate shapes each AS's internal topology; Name and Seed are
-	// overridden per AS.
-	ISPTemplate topology.ISPConfig
-	Seed        int64
+// ispTemplate shapes each AS's internal topology at laptop scale; Name
+// and Seed are set per AS.
+var ispTemplate = topology.ISPConfig{
+	Routers: 24, PoPs: 4, BackbonePerPoP: 2, PoPDegree: 2,
+	IntraPoPDelay: 0.5, InterPoPDelay: 4, Hosts: 50, ZipfS: 1.2,
 }
 
-// DefaultOptions returns a laptop-scale two-level configuration: small
-// ISP topologies inside each AS.
-func DefaultOptions() Options {
-	return Options{
-		Intra: vring.DefaultOptions(),
-		Inter: canon.DefaultOptions(),
-		ISPTemplate: topology.ISPConfig{
-			Routers: 24, PoPs: 4, BackbonePerPoP: 2, PoPDegree: 2,
-			IntraPoPDelay: 0.5, InterPoPDelay: 4, Hosts: 50, ZipfS: 1.2,
-		},
-		Seed: 1,
-	}
-}
+// seed is the base of every AS's ISP topology seed.
+const seed = 1
 
 // Domain is one AS's intradomain slice of the composite system.
 type Domain struct {
@@ -91,32 +74,29 @@ type Global struct {
 
 	domains map[topology.ASN]*Domain
 	hostAS  map[ident.ID]topology.ASN
-	rng     *rand.Rand
-	opts    Options
 }
 
 // New builds the composite system over an annotated AS graph,
 // instantiating an internal router topology, a virtual-ring network and
 // border routers for every AS that hosts identifiers (plus every transit
 // AS, which needs border routers to relay). The border-router existence
-// flood inside each AS is charged to MsgBorderFlood.
-func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Global {
+// flood inside each AS is charged to MsgBorderFlood. Both layers run at
+// their packages' defaults (vring.DefaultOptions, canon.DefaultOptions).
+func New(g *topology.ASGraph, m sim.Metrics) *Global {
 	gl := &Global{
 		ASGraph: g,
-		Inter:   canon.New(g, m, opts.Inter),
+		Inter:   canon.New(g, m, canon.DefaultOptions()),
 		Metrics: m,
 		domains: make(map[topology.ASN]*Domain),
 		hostAS:  make(map[ident.ID]topology.ASN),
-		rng:     rand.New(rand.NewSource(opts.Seed)),
-		opts:    opts,
 	}
 	for a := 0; a < g.NumASes(); a++ {
 		asn := topology.ASN(a)
-		cfg := opts.ISPTemplate
+		cfg := ispTemplate
 		cfg.Name = fmt.Sprintf("AS%d", a)
-		cfg.Seed = opts.Seed + int64(a)*7919
+		cfg.Seed = seed + int64(a)*7919
 		isp := topology.GenISP(cfg)
-		net := vring.New(isp.Graph, m, opts.Intra)
+		net := vring.New(isp.Graph, m, vring.DefaultOptions())
 		d := &Domain{ASN: asn, ISP: isp, Net: net}
 		// Border routers: the first backbone routers, deterministic.
 		nb := min(bordersPerAS, len(isp.Backbone))

@@ -20,7 +20,7 @@ func smallWorld(t *testing.T) (*Global, *topology.ASGraph) {
 		Tier1: 2, Tier2: 3, Stubs: 5,
 		Hosts: 500, ZipfS: 1.1, PeerProb: 0.3, BackupProb: 0.2, Seed: 7,
 	})
-	return New(g, sim.NewMetrics(), DefaultOptions()), g
+	return New(g, sim.NewMetrics()), g
 }
 
 // joinAcross joins n hosts spread over the stub ASes' access routers.
@@ -173,7 +173,7 @@ func TestCompositeDeterministic(t *testing.T) {
 			Tier1: 2, Tier2: 3, Stubs: 5,
 			Hosts: 500, ZipfS: 1.1, PeerProb: 0.3, BackupProb: 0.2, Seed: 7,
 		})
-		gl := New(g, sim.NewMetrics(), DefaultOptions())
+		gl := New(g, sim.NewMetrics())
 		total := 0
 		rng := rand.New(rand.NewSource(3))
 		stubs := g.Stubs()

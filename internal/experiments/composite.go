@@ -32,19 +32,15 @@ func Composite(cfg Config) Table {
 		Seed: cfg.Seed,
 	})
 	m := sim.NewMetrics()
-	gl := composite.New(g, m, composite.DefaultOptions())
+	gl := composite.New(g, m)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	stubs := g.Stubs()
-	type host struct {
-		id ident.ID
-		as topology.ASN
-	}
 	count := cfg.InterHosts / 10
 	if count < 30 {
 		count = 30
 	}
-	hosts := make([]host, 0, count)
+	hosts := make([]ident.ID, 0, count)
 	var intraJoin, interJoin float64
 	for i := 0; i < count; i++ {
 		id := ident.FromString(fmt.Sprintf("composite-%d", i))
@@ -57,7 +53,7 @@ func Composite(cfg Config) Table {
 		}
 		intraJoin += float64(res.IntraMsgs)
 		interJoin += float64(res.InterMsgs)
-		hosts = append(hosts, host{id, as})
+		hosts = append(hosts, id)
 	}
 	if err := gl.CheckAll(); err != nil {
 		panic(fmt.Sprintf("composite invariants: %v", err))
@@ -68,10 +64,10 @@ func Composite(cfg Config) Table {
 	for i := 0; i < cfg.Pairs; i++ {
 		a := hosts[rng.Intn(len(hosts))]
 		b := hosts[rng.Intn(len(hosts))]
-		if a.id == b.id {
+		if a == b {
 			continue
 		}
-		res, err := gl.Route(a.id, b.id)
+		res, err := gl.Route(a, b)
 		if err != nil {
 			panic(err)
 		}

@@ -43,7 +43,7 @@ func Scaling(cfg Config) Table {
 	isp := topology.GenISP(topology.AS1221)
 
 	type point struct {
-		ringPerHost, totalPerHost, p50, p99 float64
+		ringPerHost, p50, p99 float64
 	}
 	var pts []point
 	for i, n := range sweep {
@@ -95,14 +95,13 @@ func Scaling(cfg Config) Table {
 			hitRate = float64(hit) / float64(hit+miss)
 		}
 		ringPerHost := f.RingBytesPerHost(r.Members())
-		totalPerHost := float64(f.Total()) / float64(f.Hosts)
 		tab.AddRow(
 			n, shards, float64(end),
 			float64(r.Metrics().Counter(vring.MsgCompactControl))/float64(n),
-			ringPerHost, totalPerHost,
+			ringPerHost, float64(f.Total())/float64(f.Hosts),
 			stretch.P50, stretch.P99, hitRate, join.P50,
 		)
-		pts = append(pts, point{ringPerHost, totalPerHost, stretch.P50, stretch.P99})
+		pts = append(pts, point{ringPerHost, stretch.P50, stretch.P99})
 	}
 
 	if len(pts) >= 2 {

@@ -244,11 +244,8 @@ func (id ID) Digit(i int) int {
 // member of G, because all members are contiguous on the circle.
 
 // GroupPrefixLen is the number of bits identifying the group; the
-// remaining SuffixLen bits are the member suffix.
+// remaining Bits - GroupPrefixLen bits are the member suffix.
 const GroupPrefixLen = 96
-
-// SuffixLen is the number of bits in a group-member suffix.
-const SuffixLen = Bits - GroupPrefixLen
 
 // Group is the shared prefix of an anycast/multicast group.
 type Group [GroupPrefixLen / 8]byte

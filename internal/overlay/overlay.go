@@ -86,13 +86,10 @@ const SuccessorGroupSize = proto.SuccessorGroupSize
 // maintenance loop. Everything is fixed at construction; there are no
 // setters.
 type Config struct {
-	// Bind is the UDP listen address ("127.0.0.1:0" picks a free port).
-	// Mutually exclusive with Transport; when both are empty, Bind
-	// defaults to "127.0.0.1:0".
-	Bind string
-	// Transport attaches the node to an existing transport (a netem
-	// endpoint, a fault-wrapped socket, …). The node owns it and closes
-	// it on Close.
+	// Transport attaches the node to an existing transport (a UDP
+	// socket on a chosen address, a netem endpoint, a fault-wrapped
+	// socket, …); nil binds a UDP socket on "127.0.0.1:0". The node owns
+	// it and closes it on Close.
 	Transport netem.Transport
 	// Retry shapes control-request retransmission; the zero value means
 	// DefaultRetryPolicy().
@@ -160,16 +157,9 @@ type Node struct {
 // stabilize and liveness loops when the config asks for them).
 func New(id ident.ID, cfg Config) (*Node, error) {
 	tr := cfg.Transport
-	if tr != nil && cfg.Bind != "" {
-		return nil, fmt.Errorf("overlay: config sets both Bind and Transport")
-	}
 	if tr == nil {
-		bind := cfg.Bind
-		if bind == "" {
-			bind = "127.0.0.1:0"
-		}
 		var err error
-		tr, err = netem.ListenUDP(bind)
+		tr, err = netem.ListenUDP("127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("overlay: %w", err)
 		}

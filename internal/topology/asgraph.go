@@ -56,36 +56,32 @@ func (r Relation) String() string {
 // obtained earlier keeps its contents.
 type ASGraph struct {
 	n     int
-	rel   []map[ASN]Relation // rel[a][b] = relation of b as seen from a
-	adj   []adjacency        // rel[a] split by relation, each list ascending
-	hosts []int              // skitter-substitute host counts
-	tier  []int              // 1 = core clique, 2 = transit, 3 = stub
+	adj   []adjacency // the only record of each AS's relations
+	hosts []int       // skitter-substitute host counts
+	tier  []int       // 1 = core clique, 2 = transit, 3 = stub
 }
 
-// adjacency is one AS's neighbours by relation.
+// adjacency is one AS's neighbours: all of them with the relation each
+// has, and the same split by relation, each list ascending.
 type adjacency struct {
-	providers        []ASN // primary, then backup
-	primary          int   // providers[:primary] are the primary ones
+	all              []ASN
+	rels             []Relation // parallel to all: how this AS sees all[i]
+	providers        []ASN      // primary, then backup
+	primary          int        // providers[:primary] are the primary ones
 	customers        []ASN
 	customerIsBackup []bool // parallel to customers: the customer's backup link
 	primaryCustomers []ASN
 	peers            []ASN
-	all              []ASN
 }
 
 // NewASGraph returns an empty AS graph with n ASes and no adjacencies.
 func NewASGraph(n int) *ASGraph {
-	g := &ASGraph{
+	return &ASGraph{
 		n:     n,
-		rel:   make([]map[ASN]Relation, n),
 		adj:   make([]adjacency, n),
 		hosts: make([]int, n),
 		tier:  make([]int, n),
 	}
-	for i := range g.rel {
-		g.rel[i] = make(map[ASN]Relation)
-	}
-	return g
 }
 
 // NumASes returns the number of ASes.
@@ -98,28 +94,47 @@ func (g *ASGraph) SetRelation(a, b ASN, rel Relation) {
 	if a == b {
 		panic("topology: AS self-adjacency")
 	}
-	g.rel[a][b] = rel
-	g.rel[b][a] = inverse(rel)
+	g.link(a, b, rel)
+	g.link(b, a, inverse(rel))
 	g.reindex(a)
 	g.reindex(b)
 }
 
-// reindex rebuilds a's adjacency from rel[a], in fresh slices.
-func (g *ASGraph) reindex(a ASN) {
-	x := adjacency{all: make([]ASN, 0, len(g.rel[a]))}
-	for b := range g.rel[a] {
-		x.all = append(x.all, b)
+// link records that a sees b as rel, in fresh slices.
+func (g *ASGraph) link(a, b ASN, rel Relation) {
+	x := &g.adj[a]
+	i, found := slices.BinarySearch(x.all, b)
+	if found {
+		x.rels = slices.Clone(x.rels)
+		x.rels[i] = rel
+		return
 	}
-	slices.Sort(x.all)
+	x.all = insertAt(x.all, i, b)
+	x.rels = insertAt(x.rels, i, rel)
+}
+
+// insertAt returns a fresh, exactly sized copy of s with v at index i.
+func insertAt[T any](s []T, i int, v T) []T {
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = v
+	copy(out[i+1:], s[i:])
+	return out
+}
+
+// reindex rebuilds a's lists by relation from its relation column, in
+// fresh slices.
+func (g *ASGraph) reindex(a ASN) {
+	x := adjacency{all: g.adj[a].all, rels: g.adj[a].rels}
 	var backup []ASN
-	for _, b := range x.all {
-		switch g.rel[a][b] {
+	for i, b := range x.all {
+		switch x.rels[i] {
 		case RelProvider:
 			x.providers = append(x.providers, b)
 		case RelBackup:
 			backup = append(backup, b)
 		case RelCustomer:
-			viaBackup := g.rel[b][a] == RelBackup
+			viaBackup := g.Relation(b, a) == RelBackup
 			x.customers = append(x.customers, b)
 			x.customerIsBackup = append(x.customerIsBackup, viaBackup)
 			if !viaBackup {
@@ -149,8 +164,14 @@ func inverse(r Relation) Relation {
 	}
 }
 
-// Relation returns how a sees b.
-func (g *ASGraph) Relation(a, b ASN) Relation { return g.rel[a][b] }
+// Relation returns how a sees b, RelNone when they are not adjacent.
+func (g *ASGraph) Relation(a, b ASN) Relation {
+	x := &g.adj[a]
+	if i, ok := slices.BinarySearch(x.all, b); ok {
+		return x.rels[i]
+	}
+	return RelNone
+}
 
 // Providers returns a's providers, primary ones ascending and then the
 // backup ones ascending. Like every neighbour accessor, read-only.

@@ -242,9 +242,11 @@ func TestASSelfAdjacencyPanics(t *testing.T) {
 	g.SetRelation(1, 1, RelPeer)
 }
 
-// checkAdjacency compares every neighbour accessor of every AS with what
-// the relation map says, scanning it in ascending AS order.
-func checkAdjacency(t *testing.T, g *ASGraph, stage string) {
+// checkAdjacency compares every neighbour accessor of every AS, and
+// Relation for every pair, with the reference relation rel (rel(a, b) is
+// how a sees b, RelNone when not adjacent), scanning it in ascending AS
+// order.
+func checkAdjacency(t *testing.T, g *ASGraph, rel func(a, b ASN) Relation, stage string) {
 	t.Helper()
 	for i := 0; i < g.NumASes(); i++ {
 		a := ASN(i)
@@ -252,8 +254,11 @@ func checkAdjacency(t *testing.T, g *ASGraph, stage string) {
 		var isBackup []bool
 		for j := 0; j < g.NumASes(); j++ {
 			b := ASN(j)
-			r, ok := g.rel[a][b]
-			if !ok {
+			r := rel(a, b)
+			if got := g.Relation(a, b); got != r {
+				t.Fatalf("%s: Relation(%d, %d) = %v, the reference says %v", stage, a, b, got, r)
+			}
+			if r == RelNone {
 				continue
 			}
 			all = append(all, b)
@@ -266,8 +271,8 @@ func checkAdjacency(t *testing.T, g *ASGraph, stage string) {
 				peers = append(peers, b)
 			case RelCustomer:
 				customers = append(customers, b)
-				isBackup = append(isBackup, g.rel[b][a] == RelBackup)
-				if g.rel[b][a] == RelProvider {
+				isBackup = append(isBackup, rel(b, a) == RelBackup)
+				if rel(b, a) == RelProvider {
 					primaryCustomers = append(primaryCustomers, b)
 				}
 			}
@@ -284,22 +289,30 @@ func checkAdjacency(t *testing.T, g *ASGraph, stage string) {
 			{"Neighbors", g.Neighbors(a), all},
 		} {
 			if !slices.Equal(c.got, c.want) {
-				t.Fatalf("%s: %s(%d) = %v, the relation map says %v", stage, c.name, a, c.got, c.want)
+				t.Fatalf("%s: %s(%d) = %v, the reference says %v", stage, c.name, a, c.got, c.want)
 			}
 		}
 		if got := g.CustomerIsBackup(a); !slices.Equal(got, isBackup) {
-			t.Fatalf("%s: CustomerIsBackup(%d) = %v, the relation map says %v", stage, a, got, isBackup)
+			t.Fatalf("%s: CustomerIsBackup(%d) = %v, the reference says %v", stage, a, got, isBackup)
 		}
 	}
 }
 
 // TestAdjacencyIndexFollowsSetRelation interleaves SetRelation calls —
 // new links and links whose relation changes — with full comparisons of
-// the index against the map.
+// the index against a relation map the test keeps from its own calls.
+// The generated graph is then held to its own Relation answers, so its
+// lists by relation agree with the relation column they are built from.
 func TestAdjacencyIndexFollowsSetRelation(t *testing.T) {
 	const n = 24
 	g := NewASGraph(n)
-	checkAdjacency(t, g, "empty")
+	ref := make([]map[ASN]Relation, n)
+	for i := range ref {
+		ref[i] = map[ASN]Relation{}
+	}
+	refRel := func(a, b ASN) Relation { return ref[a][b] }
+	back := map[Relation]Relation{RelProvider: RelCustomer, RelCustomer: RelProvider, RelPeer: RelPeer, RelBackup: RelCustomer}
+	checkAdjacency(t, g, refRel, "empty")
 	rng := rand.New(rand.NewSource(5))
 	rels := []Relation{RelProvider, RelCustomer, RelPeer, RelBackup}
 	var held, heldWas []ASN
@@ -312,16 +325,19 @@ func TestAdjacencyIndexFollowsSetRelation(t *testing.T) {
 		if a == b {
 			continue
 		}
-		g.SetRelation(a, b, rels[rng.Intn(len(rels))])
+		r := rels[rng.Intn(len(rels))]
+		g.SetRelation(a, b, r)
+		ref[a][b], ref[b][a] = r, back[r]
 		if step%20 == 0 {
-			checkAdjacency(t, g, "interleaved")
+			checkAdjacency(t, g, refRel, "interleaved")
 		}
 	}
-	checkAdjacency(t, g, "final")
+	checkAdjacency(t, g, refRel, "final")
 	if len(held) == 0 || !slices.Equal(held, heldWas) {
 		t.Fatalf("a slice obtained as %v reads %v after later SetRelation calls", heldWas, held)
 	}
-	checkAdjacency(t, GenAS(DefaultASGen()), "GenAS")
+	gen := GenAS(DefaultASGen())
+	checkAdjacency(t, gen, gen.Relation, "GenAS")
 }
 
 // TestFinishedGraphIsSafeToReadConcurrently is for the race detector: a
@@ -361,5 +377,17 @@ func BenchmarkASGraphCustomers(b *testing.B) {
 	}
 	if n < 0 {
 		b.Fatal(n)
+	}
+}
+
+// BenchmarkGenAS builds the AS graph of the repository benchmark's canon
+// workloads (DefaultASGen with 1,000 hosts), whose build time is part of
+// their setup_s.
+func BenchmarkGenAS(b *testing.B) {
+	cfg := DefaultASGen()
+	cfg.Hosts = 1000
+	b.ReportAllocs()
+	for b.Loop() {
+		GenAS(cfg)
 	}
 }

@@ -89,9 +89,6 @@ type CompactConfig struct {
 	Shards int
 	// Seed feeds ID generation, placement, and per-node jitter.
 	Seed int64
-	// Journal records convergence transitions (tests only: a 1M-host
-	// run would journal tens of millions of entries).
-	Journal bool
 }
 
 const (
@@ -225,7 +222,6 @@ type CompactRing struct {
 	eng     *sim.ShardedEngine
 	msgs    sim.Metrics // merged engine metrics after Run
 	probeMx sim.Metrics // measurement-phase sink (serial)
-	ran     bool
 }
 
 // NewCompactRing builds a primed, unconverged ring of cfg.Hosts member
@@ -370,9 +366,6 @@ func NewCompactRing(isp *topology.ISP, cfg CompactConfig) *CompactRing {
 	// cache is shard-private; prime one jittered stabilize timer per
 	// member.
 	r.eng = sim.NewSharded(n, cfg.Shards, compactLookahead, r.router, r)
-	if cfg.Journal {
-		r.eng.EnableJournal()
-	}
 	if m > 1 {
 		for h := 0; h < m; h++ {
 			jitter := sim.Time(sim.SplitMix64(&r.rngs[h])%1024) / 1024 * compactStabilizeEvery
@@ -389,7 +382,6 @@ func (r *CompactRing) Run() sim.Time {
 	t := r.eng.Run()
 	r.msgs = r.eng.MergedMetrics()
 	r.warmCaches()
-	r.ran = true
 	return t
 }
 

@@ -73,8 +73,8 @@ func (r *CompactRing) cacheLookup(router uint32, pos, dst ident.ID) (ident.Handl
 	return r.cacheFloor(router, pos, dst, ident.NoHandle)
 }
 
-// journalText renders the convergence journal (enabled via
-// CompactConfig.Journal) in global processing order, for the
+// journalText renders the convergence journal (enabled with
+// r.eng.EnableJournal before Run) in global processing order, for the
 // shard-invariance test to byte-compare across shard counts.
 func journalText(r *CompactRing) string {
 	var b strings.Builder
@@ -503,8 +503,8 @@ func TestCompactIDsAliasIntern(t *testing.T) {
 func TestCompactRingConverges(t *testing.T) {
 	isp := compactTestISP()
 	cfg := smallCompactConfig()
-	cfg.Journal = true
 	r := NewCompactRing(isp, cfg)
+	r.eng.EnableJournal()
 	end := r.Run()
 	if end <= 0 {
 		t.Fatal("run performed no virtual time")
@@ -540,8 +540,8 @@ func TestCompactShardInvariance(t *testing.T) {
 	run := func(shards int) (string, string, string, int64, sim.Time) {
 		cfg := smallCompactConfig()
 		cfg.Shards = shards
-		cfg.Journal = true
 		r := NewCompactRing(isp, cfg)
+		r.eng.EnableJournal()
 		end := r.Run()
 		return journalText(r), compactMetricsTable(r.Metrics()), compactState(r), r.eng.Events(), end
 	}

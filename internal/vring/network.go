@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -66,7 +65,8 @@ type Options struct {
 	// SnoopData additionally fills caches from delivered data packets —
 	// off in the paper's runs; exposed for the ablation benches.
 	SnoopData bool
-	// Seed feeds the deterministic RNG.
+	// Seed has no effect: no code reads it. It stays only because the
+	// repository benchmark assigns it.
 	Seed int64
 }
 
@@ -77,7 +77,6 @@ func DefaultOptions() Options {
 		CacheCapacity:  70000, // ≈9 Mbit of 128-bit IDs (§6.2)
 		CacheControl:   true,
 		SnoopData:      false,
-		Seed:           1,
 	}
 }
 
@@ -228,7 +227,6 @@ type Network struct {
 	Routers []*Router
 
 	opts Options
-	rng  *rand.Rand
 
 	// hostedAt is the experimenter's oracle — used only to compute
 	// stretch denominators and to verify invariants, never consulted by
@@ -268,7 +266,6 @@ func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 		LS:         linkstate.New(g, m),
 		Metrics:    m,
 		opts:       opts,
-		rng:        rand.New(rand.NewSource(opts.Seed)),
 		hostedAt:   make(map[ident.ID]RouterID),
 		traversals: make([]int64, g.NumNodes()),
 	}

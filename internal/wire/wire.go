@@ -93,8 +93,6 @@ const (
 	// FlagPeered records that the packet traversed a peering link and may
 	// no longer travel up the hierarchy (§4.2, bloom-filter peering).
 	FlagPeered uint8 = 1 << iota
-	// FlagBacktrack marks a packet returning from a bloom false positive.
-	FlagBacktrack
 )
 
 // DefaultTTL bounds forwarding hops; greedy routing is loop-free in

@@ -139,8 +139,8 @@ type VirtualNode = vring.VirtualNode
 
 // DefaultNetworkOptions mirrors the paper's simulation defaults:
 // successor groups of 3, 70k-entry pointer caches (≈9 Mbit of 128-bit
-// IDs, §6.2) filled from control traffic only (no data snooping),
-// seed 1. Every Default* constructor in this package follows
+// IDs, §6.2) filled from control traffic only (no data snooping).
+// Every Default* constructor in this package follows
 // the same convention: the returned struct is the reference
 // configuration, and any field may be overridden before use.
 func DefaultNetworkOptions() NetworkOptions { return vring.DefaultOptions() }
@@ -175,8 +175,8 @@ const (
 
 // DefaultInternetOptions mirrors the paper's baseline configuration:
 // no finger budget, no pointer caches, Bloom peering off (1% target
-// false-positive rate when enabled), seed 1 — the floor the Fig 8
-// ablations improve on.
+// false-positive rate when enabled) — the floor the Fig 8 ablations
+// improve on.
 func DefaultInternetOptions() InternetOptions { return canon.DefaultOptions() }
 
 // Negotiation is an endpoint path-negotiation outcome (paper §5.1): the
@@ -203,20 +203,15 @@ func NewInternet(g *ASGraph, m Metrics, opts InternetOptions) *Internet {
 // legs.
 type GlobalSystem = composite.Global
 
-// GlobalOptions configures the composed system.
-type GlobalOptions = composite.Options
-
 // GlobalRouteResult reports a composed route's per-layer breakdown.
 type GlobalRouteResult = composite.RouteResult
 
-// DefaultGlobalOptions returns a laptop-scale two-level configuration:
-// the intradomain and interdomain defaults above, 2 border routers per
-// AS, a 24-router ISP template per domain, seed 1.
-func DefaultGlobalOptions() GlobalOptions { return composite.DefaultOptions() }
-
-// NewGlobal assembles the two-level system over an AS graph.
-func NewGlobal(g *ASGraph, m Metrics, opts GlobalOptions) *GlobalSystem {
-	return composite.New(g, m, opts)
+// NewGlobal assembles the two-level system over an AS graph at
+// laptop scale: the intradomain and interdomain defaults above, a
+// generated 24-router ISP network in every AS, and 2 border routers per
+// AS. Join hosts with JoinHost and route between them with Route.
+func NewGlobal(g *ASGraph, m Metrics) *GlobalSystem {
+	return composite.New(g, m)
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +277,7 @@ func UnmarshalCapability(b []byte) (Capability, error) {
 type OverlayNode = overlay.Node
 
 // NodeConfig configures an overlay node. Like the other option structs
-// (NetworkOptions, InternetOptions, GlobalOptions), the zero value is
+// (NetworkOptions, InternetOptions), the zero value is
 // usable: it binds a UDP socket on a random loopback port
 // ("127.0.0.1:0"), retries control requests with the default policy
 // (120ms first retry, doubling to a 2s cap), installs no admission

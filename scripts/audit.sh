@@ -2,12 +2,15 @@
 # Union-coverage audit: which functions does nothing in the repository
 # reach? Builds every command, every example and the repository
 # benchmark with coverage instrumentation, drives each of them end to
-# end, adds the tier-1 tests' -coverpkg profile, and prints two lists:
+# end, adds the tier-1 tests' -coverpkg profile, and prints three lists:
 #
 #   1. the functions that stay at 0 % in the union — the candidates for
 #      deletion or for the test or figure that justifies them;
 #   2. the functions at 0 % in the runs' profile alone but reached by a
-#      test — code that only tests reach.
+#      test — code that only tests reach;
+#   3. the unexported struct fields that no non-test code reads
+#      (TestWriteOnlyFields in audit_test.go, a go/types scan behind the
+#      audit build tag).
 #
 # Everything it builds or writes goes to a temporary directory.
 #
@@ -48,3 +51,6 @@ zero "$tmp/union.out" | tee "$tmp/union.txt"
 echo
 echo "# Reached only by tests (0 % in the runs' profile, not in the list above):"
 zero "$tmp/runs-only.out" | grep -vxF -f "$tmp/union.txt" || true
+echo
+echo "# Unexported struct fields no non-test code reads:"
+go test -tags audit -count=1 -run '^TestWriteOnlyFields$' . | sed -n 's/^ *audit_test.go:[0-9]*: //p' || true

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	pathpkg "path"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -12,18 +13,21 @@ import (
 	"testing"
 )
 
-// The tests below hold source rules over the module's non-test Go files
-// (benchmarks/, a nested module, and testdata/ excluded). They parse
-// only: a call like atomic.AddUint64 is recognised through the name its
-// file imports the package under, so no type-check is needed. DESIGN.md
-// §8 lists each rule with the mutation that fails it.
+// The tests below hold source rules over the module's Go files
+// (testdata/ excluded). They parse only: a call like atomic.AddUint64 is
+// recognised through the name its file imports the package under, so no
+// type-check is needed. DESIGN.md §8 lists each rule with the mutation
+// that fails it.
 
-// sourceFile is one parsed non-test file and the local names it gives
-// its imports. Positions name it by its slash-separated path from the
-// module root.
+// sourceFile is one parsed file and the local names it gives its
+// imports. Positions name it by its slash-separated path from the module
+// root. A test file, or any file of benchmarks/ (a nested module), only
+// counts as a reader of the module's names: the code rules skip it.
 type sourceFile struct {
 	ast     *ast.File
 	imports map[string]string // local name -> import path
+	dir     string
+	test    bool
 }
 
 var (
@@ -35,15 +39,16 @@ var (
 				return err
 			}
 			if d.IsDir() {
-				if path == "benchmarks" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
 					return filepath.SkipDir
 				}
 				return nil
 			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			if !strings.HasSuffix(path, ".go") {
 				return nil
 			}
-			f, err := parser.ParseFile(sourceFset, filepath.ToSlash(path), nil, parser.SkipObjectResolution)
+			path = filepath.ToSlash(path)
+			f, err := parser.ParseFile(sourceFset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
@@ -59,12 +64,22 @@ var (
 				}
 				imports[name] = p
 			}
-			out = append(out, sourceFile{f, imports})
+			test := strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "benchmarks/")
+			out = append(out, sourceFile{f, imports, pathpkg.Dir(path), test})
 			return nil
 		})
 		return out, err
 	})
 )
+
+// importPath is the import path of the package in the module directory
+// dir.
+func importPath(dir string) string {
+	if dir == "." {
+		return "rofl"
+	}
+	return "rofl/" + dir
+}
 
 // eachNode calls fn for every node of the module's non-test files, with
 // its position and its file.
@@ -75,6 +90,9 @@ func eachNode(t *testing.T, fn func(f sourceFile, at token.Position, n ast.Node)
 		t.Fatal(err)
 	}
 	for _, f := range files {
+		if f.test {
+			continue
+		}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			if n != nil {
 				fn(f, sourceFset.Position(n.Pos()), n)
@@ -170,4 +188,74 @@ func TestNoBytesCompareOutsideIdent(t *testing.T) {
 			t.Errorf("%s: bytes.Compare imposes linear order; compare identifiers by clockwise distance", at)
 		}
 	})
+}
+
+// A package-level const, var, func or type declared in a non-test file
+// under internal/ must be named somewhere besides its declaration: by
+// its own package, tests included, or as pkg.Name from any file of the
+// module, benchmarks/ included. CI's staticcheck counts every exported
+// name as used, so an exported name nothing reads would otherwise stay
+// unnoticed. Names match by spelling within their package, so a local
+// that shadows one counts as a use. Methods are out of scope: an
+// interface can need a method no code calls by name.
+func TestDeclaredNamesAreReferenced(t *testing.T) {
+	files, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type name struct{ pkg, name string } // pkg is the import path
+	decls := map[*ast.Ident]string{}     // declaring identifier -> its package
+	var declared []*ast.Ident            // the same, in file order
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		add := func(id *ast.Ident) {
+			if id.Name != "_" && id.Name != "init" {
+				decls[id] = importPath(f.dir)
+				declared = append(declared, id)
+			}
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	used := map[name]bool{}
+	for _, f := range files {
+		own := !strings.HasSuffix(f.ast.Name.Name, "_test")
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+					used[name{f.imports[x.Name], n.Sel.Name}] = true
+				}
+			case *ast.Ident:
+				if _, decl := decls[n]; own && !decl {
+					used[name{importPath(f.dir), n.Name}] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, id := range declared {
+		if !used[name{decls[id], id.Name}] {
+			t.Errorf("%s: %s is declared and never named; delete it", sourceFset.Position(id.Pos()), id.Name)
+		}
+	}
 }
