@@ -24,7 +24,7 @@ test:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 race:
-	$(GO) test -race -shuffle=on ./internal/sim/... ./internal/experiments/... ./internal/vring/... ./internal/canon/... ./internal/topology/...
+	$(GO) test -race -shuffle=on ./internal/sim/... ./internal/experiments/... ./internal/vring/... ./internal/canon/... ./internal/topology/... ./internal/linkstate/...
 	$(GO) test -race -shuffle=on ./internal/proto/... ./internal/netem/... ./internal/overlay/...
 	$(GO) test -race -shuffle=on ./internal/telemetry/... ./internal/cluster/...
 

@@ -110,6 +110,21 @@ func ExampleGroupFromString() {
 	// true
 }
 
+// ExampleIDFromBytes derives a label by hashing bytes and round-trips
+// its 32-hex-digit text through ParseID.
+func ExampleIDFromBytes() {
+	id := rofl.IDFromBytes([]byte{1, 2, 3})
+	fmt.Println(id)
+	parsed, err := rofl.ParseID(id.String())
+	fmt.Println(parsed == id, err)
+	_, err = rofl.ParseID("not-hex")
+	fmt.Println(err != nil)
+	// Output:
+	// 039058c6f2c0cb492c533b0a4d14ef77
+	// true <nil>
+	// true
+}
+
 // ExampleGrantCapability shows the §5.3 capability flow: the destination
 // signs an authorization that any verifier can check against the
 // destination's label alone.

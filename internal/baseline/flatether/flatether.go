@@ -23,8 +23,8 @@ import (
 // MsgJoin is the Metrics counter charged for join floods.
 const MsgJoin = "flatether-join"
 
-// ErrDuplicateID is returned when a host joins twice.
-var ErrDuplicateID = errors.New("flatether: identifier already joined")
+// errDuplicateID is returned when a host joins twice.
+var errDuplicateID = errors.New("flatether: identifier already joined")
 
 // Network is a CMU-ETHERNET-style flat routing domain.
 type Network struct {
@@ -51,7 +51,7 @@ func New(g *topology.Graph, m sim.Metrics) *Network {
 // source of the 37–181x gap to ROFL's ~4·diameter joins.
 func (n *Network) JoinHost(id ident.ID, at topology.NodeID) (int, error) {
 	if _, dup := n.hostAt[id]; dup {
-		return 0, fmt.Errorf("%w: %s", ErrDuplicateID, id.Short())
+		return 0, fmt.Errorf("%w: %s", errDuplicateID, id.Short())
 	}
 	n.hostAt[id] = at
 	msgs := 2 * n.LS.Graph().NumEdges()

@@ -30,7 +30,7 @@ func TestJoinFloodsEverything(t *testing.T) {
 	if n.Metrics.Counter(MsgJoin) != int64(msgs) {
 		t.Fatal("counter mismatch")
 	}
-	if _, err := n.JoinHost(ident.FromString("h"), isp.Access[1]); !errors.Is(err, ErrDuplicateID) {
+	if _, err := n.JoinHost(ident.FromString("h"), isp.Access[1]); !errors.Is(err, errDuplicateID) {
 		t.Fatalf("dup join: %v", err)
 	}
 }

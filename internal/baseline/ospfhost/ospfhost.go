@@ -18,11 +18,11 @@ import (
 	"rofl/internal/topology"
 )
 
-// MsgData is the metrics counter charged per physical hop.
-const MsgData = "ospfhost-data"
+// msgData is the metrics counter charged per physical hop.
+const msgData = "ospfhost-data"
 
-// ErrUnknownID reports a destination with no attachment point.
-var ErrUnknownID = errors.New("ospfhost: identifier unknown")
+// errUnknownID reports a destination with no attachment point.
+var errUnknownID = errors.New("ospfhost: identifier unknown")
 
 // Network routes host traffic over shortest paths.
 type Network struct {
@@ -54,7 +54,7 @@ func (n *Network) Attach(id ident.ID, at topology.NodeID) {
 func (n *Network) Route(from topology.NodeID, dst ident.ID) (int, error) {
 	at, ok := n.hostAt[dst]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownID, dst.Short())
+		return 0, fmt.Errorf("%w: %s", errUnknownID, dst.Short())
 	}
 	path := n.LS.Path(from, at)
 	if path == nil {
@@ -64,7 +64,7 @@ func (n *Network) Route(from topology.NodeID, dst ident.ID) (int, error) {
 		n.traversals[node]++
 	}
 	h := len(path) - 1
-	n.Metrics.Count(MsgData, int64(h))
+	n.Metrics.Count(msgData, int64(h))
 	return h, nil
 }
 

@@ -36,14 +36,14 @@ func TestRouteAndTraversals(t *testing.T) {
 	if sum != int64(h) {
 		t.Fatalf("traversals = %d want %d", sum, h)
 	}
-	if n.Metrics.Counter(MsgData) != int64(h) {
+	if n.Metrics.Counter(msgData) != int64(h) {
 		t.Fatal("data counter mismatch")
 	}
 }
 
 func TestRouteUnknown(t *testing.T) {
 	n, isp := testNet(t)
-	if _, err := n.Route(isp.Access[0], ident.FromString("ghost")); !errors.Is(err, ErrUnknownID) {
+	if _, err := n.Route(isp.Access[0], ident.FromString("ghost")); !errors.Is(err, errUnknownID) {
 		t.Fatalf("want ErrUnknownID, got %v", err)
 	}
 }

@@ -22,9 +22,9 @@ type Filter struct {
 	k    uint   // number of hash functions
 }
 
-// New creates a filter with m bits and k hash functions. m is rounded up
+// newFilter creates a filter with m bits and k hash functions. m is rounded up
 // to a multiple of 64; m and k must be positive.
-func New(m uint64, k uint) *Filter {
+func newFilter(m uint64, k uint) *Filter {
 	if m == 0 || k == 0 {
 		panic("bloom: m and k must be positive")
 	}
@@ -49,7 +49,7 @@ func NewForCapacity(n int, p float64) *Filter {
 	if k == 0 {
 		k = 1
 	}
-	return New(m, k)
+	return newFilter(m, k)
 }
 
 func (f *Filter) hashes(key []byte) (uint64, uint64) {

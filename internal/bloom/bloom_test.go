@@ -22,7 +22,7 @@ func TestNoFalseNegatives(t *testing.T) {
 }
 
 func TestNoFalseNegativesProperty(t *testing.T) {
-	f := New(1<<12, 4)
+	f := newFilter(1<<12, 4)
 	fn := func(key []byte) bool {
 		f.Add(key)
 		return f.Contains(key)
@@ -53,14 +53,14 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 }
 
 func TestEmptyFilterContainsNothing(t *testing.T) {
-	f := New(1024, 3)
+	f := newFilter(1024, 3)
 	if f.Contains([]byte("anything")) {
 		t.Fatal("empty filter must be empty")
 	}
 }
 
 func TestSizeBitsRoundedUp(t *testing.T) {
-	f := New(100, 2)
+	f := newFilter(100, 2)
 	if f.SizeBits()%64 != 0 || f.SizeBits() < 100 {
 		t.Fatalf("size = %d", f.SizeBits())
 	}
@@ -68,8 +68,8 @@ func TestSizeBitsRoundedUp(t *testing.T) {
 
 func TestNewPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { New(0, 3) },
-		func() { New(100, 0) },
+		func() { newFilter(0, 3) },
+		func() { newFilter(100, 0) },
 		func() { NewForCapacity(10, 0) },
 		func() { NewForCapacity(10, 1) },
 	} {

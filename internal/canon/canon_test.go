@@ -84,7 +84,7 @@ func TestJoinFigure3Successors(t *testing.T) {
 	}
 	// At the global level the first ID clockwise of 8 overall is 14
 	// (hosted in AS 3).
-	if got, _ := vn8.Succ(Top); got.ID != id14 {
+	if got, _ := vn8.Succ(top); got.ID != id14 {
 		t.Fatalf("succ at Top = %s want 14", got.ID.Short())
 	}
 	if err := in.CheckRings(); err != nil {
@@ -123,7 +123,7 @@ func TestJoinDuplicateRejected(t *testing.T) {
 	if _, err := in.Join(id, 4, Multihomed); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.Join(id, 5, Multihomed); !errors.Is(err, ErrDuplicateID) {
+	if _, err := in.Join(id, 5, Multihomed); !errors.Is(err, errDuplicateID) {
 		t.Fatalf("want ErrDuplicateID, got %v", err)
 	}
 }
@@ -244,7 +244,7 @@ func TestRouteDeliversAndIsolates(t *testing.T) {
 	}
 	// Per-packet minimal-subtree isolation is a diagnostic on DAGs; it
 	// must at least hold for a majority of pairs here.
-	miss := in.Metrics.Counter(CtrIsolationViolations)
+	miss := in.Metrics.Counter(ctrIsolationViolations)
 	t.Logf("strict per-packet isolation misses: %d", miss)
 }
 
@@ -475,7 +475,7 @@ func TestLeave(t *testing.T) {
 	if err := in.CheckRings(); err != nil {
 		t.Fatalf("rings broken after leaves: %v", err)
 	}
-	if err := in.Leave(ids[0]); !errors.Is(err, ErrUnknownID) {
+	if err := in.Leave(ids[0]); !errors.Is(err, errUnknownID) {
 		t.Fatalf("double leave: %v", err)
 	}
 	for i := 10; i < 30; i++ {
@@ -542,7 +542,7 @@ func TestBackupLinkActivatesOnlyOnFailure(t *testing.T) {
 	g.SetTier(4, 3)
 	in := New(g, sim.NewMetrics(), DefaultOptions())
 	// With the primary up, upward paths go via 2.
-	p := in.pathWithin(Top, 4, 3)
+	p := in.pathWithin(top, 4, 3)
 	if p == nil {
 		t.Fatal("no path 4->3")
 	}
@@ -551,7 +551,7 @@ func TestBackupLinkActivatesOnlyOnFailure(t *testing.T) {
 	}
 	// Fail the primary: backup 4–3 activates.
 	in.FailASLink(4, 2)
-	p = in.pathWithin(Top, 4, 3)
+	p = in.pathWithin(top, 4, 3)
 	if p == nil {
 		t.Fatal("backup path missing")
 	}
@@ -627,14 +627,14 @@ func TestRouteFromAS(t *testing.T) {
 	if err != nil || !res.Delivered {
 		t.Fatalf("RouteFromAS: %+v %v", res, err)
 	}
-	if _, err := in.RouteFromAS(3, b); !errors.Is(err, ErrUnknownID) {
+	if _, err := in.RouteFromAS(3, b); !errors.Is(err, errUnknownID) {
 		t.Fatalf("empty AS should fail: %v", err)
 	}
 }
 
 func TestRouteUnknownSource(t *testing.T) {
 	in := newSmall(t, DefaultOptions())
-	if _, err := in.Route(ident.FromString("nope"), ident.FromString("x")); !errors.Is(err, ErrUnknownID) {
+	if _, err := in.Route(ident.FromString("nope"), ident.FromString("x")); !errors.Is(err, errUnknownID) {
 		t.Fatalf("want ErrUnknownID, got %v", err)
 	}
 }
@@ -712,7 +712,7 @@ func TestTreeHierarchyStrictIsolationAlwaysHolds(t *testing.T) {
 			}
 		}
 	}
-	if in.Metrics.Counter(CtrIsolationViolations) != 0 {
+	if in.Metrics.Counter(ctrIsolationViolations) != 0 {
 		t.Fatal("tree hierarchies must never violate per-packet isolation")
 	}
 	if err := in.CheckIsolationState(); err != nil {
@@ -756,10 +756,10 @@ func TestCheckIsolationStateCatchesCorruption(t *testing.T) {
 	// A foreign member: a's neighbour at level AS4 becomes the node in
 	// AS 3 — outside subtree(4).
 	undo := plant(Ptr{ID: b, AS: 3})
-	if err := in.CheckIsolationState(); !errors.Is(err, ErrRingBroken) {
+	if err := in.CheckIsolationState(); !errors.Is(err, errRingBroken) {
 		t.Fatalf("member outside the subtree not caught: %v", err)
 	}
-	if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) {
+	if err := in.CheckRings(); !errors.Is(err, errRingBroken) {
 		t.Fatalf("member outside the subtree not caught by CheckRings: %v", err)
 	}
 	undo()
@@ -772,7 +772,7 @@ func TestCheckIsolationStateCatchesCorruption(t *testing.T) {
 	if err := in.CheckIsolationState(); err != nil {
 		t.Fatalf("a member inside the subtree breaks no isolation: %v", err)
 	}
-	if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) || !strings.Contains(err.Error(), "never joined") {
+	if err := in.CheckRings(); !errors.Is(err, errRingBroken) || !strings.Contains(err.Error(), "never joined") {
 		t.Fatalf("ring holding a member that never joined it not caught: %v", err)
 	}
 	undo()
@@ -780,7 +780,7 @@ func TestCheckIsolationStateCatchesCorruption(t *testing.T) {
 
 	// The converse: a node that joined a level whose ring has lost it.
 	lv.ring.Delete(lv.ring.Floor(a))
-	if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) || !strings.Contains(err.Error(), "does not hold it") {
+	if err := in.CheckRings(); !errors.Is(err, errRingBroken) || !strings.Contains(err.Error(), "does not hold it") {
 		t.Fatalf("node missing from a ring it joined not caught: %v", err)
 	}
 }
@@ -807,7 +807,7 @@ func TestCheckRingsCatchesResidentCorruption(t *testing.T) {
 	}
 	caught := func(what, msg string) {
 		t.Helper()
-		if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) || !strings.Contains(err.Error(), msg) {
+		if err := in.CheckRings(); !errors.Is(err, errRingBroken) || !strings.Contains(err.Error(), msg) {
 			t.Fatalf("%s not caught: %v", what, err)
 		}
 	}
@@ -840,18 +840,18 @@ func TestAccessorsAndStrings(t *testing.T) {
 	if in.NumJoined() != 1 {
 		t.Fatalf("NumJoined = %d", in.NumJoined())
 	}
-	if n := in.levels[Top].ring.Len(); n != 1 {
+	if n := in.levels[top].ring.Len(); n != 1 {
 		t.Fatalf("Top ring holds %d, want 1", n)
 	}
 	vn := in.vnOf(a)
 	roots := vn.Roots()
-	if len(roots) == 0 || roots[len(roots)-1] != Top {
+	if len(roots) == 0 || roots[len(roots)-1] != top {
 		t.Fatalf("Roots = %v (Top must sort last)", roots)
 	}
 	if _, ok := vn.Succ(asRoot(3)); ok {
 		t.Fatal("a node under AS 2 has no successor in AS 3's ring")
 	}
-	for _, r := range []Root{asRoot(7), peerRoot(9, 3), Top, {Kind: RootKind(9)}} {
+	for _, r := range []Root{asRoot(7), peerRoot(9, 3), top, {Kind: RootKind(9)}} {
 		if r.String() == "" {
 			t.Fatal("Root.String must render")
 		}
@@ -935,7 +935,7 @@ func TestVirtualServerSurvivesOutage(t *testing.T) {
 	if err := in.HostVirtual(srv, 3); err == nil {
 		t.Fatal("AS 3 is not in srv's up-hierarchy")
 	}
-	if err := in.HostVirtual(ident.FromString("ghost"), 2); !errors.Is(err, ErrUnknownID) {
+	if err := in.HostVirtual(ident.FromString("ghost"), 2); !errors.Is(err, errUnknownID) {
 		t.Fatalf("unknown id: %v", err)
 	}
 

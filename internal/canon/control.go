@@ -69,11 +69,11 @@ func (in *Internet) Negotiate(src, dst ident.ID, keep func(topology.ASN) bool) (
 func (in *Internet) RouteNegotiated(n Negotiation) ([]topology.ASN, error) {
 	srcAS, ok := in.hostedAt[n.Src]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownID, n.Src.Short())
+		return nil, fmt.Errorf("%w: %s", errUnknownID, n.Src.Short())
 	}
 	dstAS, ok := in.hostedAt[n.Dst]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownID, n.Dst.Short())
+		return nil, fmt.Errorf("%w: %s", errUnknownID, n.Dst.Short())
 	}
 	// Any peering link inside the negotiated set may be crossed.
 	path, _ := in.policyPaths(srcAS, dstAS, dstAS,
@@ -82,7 +82,7 @@ func (in *Internet) RouteNegotiated(n Negotiation) ([]topology.ASN, error) {
 	if path == nil {
 		return nil, fmt.Errorf("%w: negotiated set has no working path", ErrNoRoute)
 	}
-	in.Metrics.Count(MsgData, int64(len(path)-1))
+	in.Metrics.Count(msgData, int64(len(path)-1))
 	return slices.Clone(path), nil
 }
 
@@ -148,7 +148,7 @@ func (in *Internet) joinVia(id ident.ID, at, provider topology.ASN) (JoinResult,
 func (in *Internet) RouteAnycast(src ident.ID, g ident.Group, rng *rand.Rand) (RouteResult, ident.ID, error) {
 	srcAS, ok := in.hostedAt[src]
 	if !ok {
-		return RouteResult{}, ident.ID{}, fmt.Errorf("%w: %s", ErrUnknownID, src.Short())
+		return RouteResult{}, ident.ID{}, fmt.Errorf("%w: %s", errUnknownID, src.Short())
 	}
 	// An ordinary route toward (G, r) that stops at the first AS hosting
 	// any group member; of several at one AS, the smallest identifier.

@@ -169,7 +169,7 @@ func TestRouteAnycastInterdomain(t *testing.T) {
 		}
 	}
 	// Unknown source errors.
-	if _, _, err := in.RouteAnycast(ident.FromString("nobody"), grp, rng); !errors.Is(err, ErrUnknownID) {
+	if _, _, err := in.RouteAnycast(ident.FromString("nobody"), grp, rng); !errors.Is(err, errUnknownID) {
 		t.Fatalf("unknown source: %v", err)
 	}
 }

@@ -34,7 +34,7 @@ func (in *Internet) RestoreASLink(a, b topology.ASN) {
 func (in *Internet) HostVirtual(id ident.ID, provider topology.ASN) error {
 	at, ok := in.hostedAt[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
+		return fmt.Errorf("%w: %s", errUnknownID, id.Short())
 	}
 	if !in.G.InUpHierarchy(at, provider, true) {
 		return fmt.Errorf("canon: AS %d is not a provider of %s's AS %d", provider, id.Short(), at)
@@ -91,7 +91,7 @@ func (in *Internet) FailAS(a topology.ASN) int {
 func (in *Internet) Leave(id ident.ID) error {
 	a, ok := in.hostedAt[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
+		return fmt.Errorf("%w: %s", errUnknownID, id.Short())
 	}
 	host := in.ases[a]
 	i := host.search(id)
@@ -99,7 +99,7 @@ func (in *Internet) Leave(id ident.ID) error {
 	host.VNs = slices.Delete(host.VNs, i, i+1)
 	host.dropLevels(vn.levels)
 	delete(in.hostedAt, id)
-	in.unlink(vn, MsgTeardown)
+	in.unlink(vn, msgTeardown)
 	if in.opts.CacheCapacity > 0 {
 		for _, as := range in.ases {
 			as.Cache.Remove(id)
@@ -156,30 +156,30 @@ func (in *Internet) CheckRings() error {
 		for i, vn := range as.VNs {
 			// A lower bound landing on each index is strict ascent.
 			if as.search(vn.ID) != i {
-				return fmt.Errorf("%w: AS %d residents out of order at %s", ErrRingBroken, as.ASN, vn.ID.Short())
+				return fmt.Errorf("%w: AS %d residents out of order at %s", errRingBroken, as.ASN, vn.ID.Short())
 			}
 			if host, ok := in.hostedAt[vn.ID]; !ok || host != as.ASN || vn.AS != as.ASN {
-				return fmt.Errorf("%w: %s resident at AS %d is not hosted there", ErrRingBroken, vn.ID.Short(), as.ASN)
+				return fmt.Errorf("%w: %s resident at AS %d is not hosted there", errRingBroken, vn.ID.Short(), as.ASN)
 			}
 			for k, lv := range vn.levels {
 				if i := lv.ring.Floor(vn.ID); i < 0 || lv.at(i) != (Ptr{ID: vn.ID, AS: vn.AS}) {
-					return fmt.Errorf("%w: %s joined ring %v, which does not hold it", ErrRingBroken, vn.ID.Short(), lv.root)
+					return fmt.Errorf("%w: %s joined ring %v, which does not hold it", errRingBroken, vn.ID.Short(), lv.root)
 				}
 				if k > 0 && !vn.levels[k-1].below(lv) {
-					return fmt.Errorf("%w: %s lists ring %v out of order", ErrRingBroken, vn.ID.Short(), lv.root)
+					return fmt.Errorf("%w: %s lists ring %v out of order", errRingBroken, vn.ID.Short(), lv.root)
 				}
 			}
 			if k := slices.IndexFunc(as.levelLists, func(l []*level) bool { return slices.Equal(l, vn.levels) }); k < 0 ||
 				len(vn.levels) > 0 && &as.levelLists[k][0] != &vn.levels[0] {
-				return fmt.Errorf("%w: AS %d does not share %s's level list", ErrRingBroken, as.ASN, vn.ID.Short())
+				return fmt.Errorf("%w: AS %d does not share %s's level list", errRingBroken, as.ASN, vn.ID.Short())
 			}
 		}
 		for k, l := range as.levelLists {
 			if !slices.ContainsFunc(as.VNs, func(vn *VNode) bool { return slices.Equal(vn.levels, l) }) {
-				return fmt.Errorf("%w: AS %d keeps a level list no resident joined", ErrRingBroken, as.ASN)
+				return fmt.Errorf("%w: AS %d keeps a level list no resident joined", errRingBroken, as.ASN)
 			}
 			if slices.ContainsFunc(as.levelLists[k+1:], func(o []*level) bool { return slices.Equal(o, l) }) {
-				return fmt.Errorf("%w: AS %d stores one level list twice", ErrRingBroken, as.ASN)
+				return fmt.Errorf("%w: AS %d stores one level list twice", errRingBroken, as.ASN)
 			}
 		}
 	}
@@ -187,23 +187,23 @@ func (in *Internet) CheckRings() error {
 		for i := range lv.ring.Len() {
 			p := lv.at(i)
 			if in.failedAS[p.AS] {
-				return fmt.Errorf("%w: dead AS %d still in ring %v", ErrRingBroken, p.AS, root)
+				return fmt.Errorf("%w: dead AS %d still in ring %v", errRingBroken, p.AS, root)
 			}
 			if host, ok := in.hostedAt[p.ID]; !ok || host != p.AS {
-				return fmt.Errorf("%w: ring %v member %s not hosted at AS %d", ErrRingBroken, root, p.ID.Short(), p.AS)
+				return fmt.Errorf("%w: ring %v member %s not hosted at AS %d", errRingBroken, root, p.ID.Short(), p.AS)
 			}
 			if !in.inSubtree(root, p.AS) {
-				return fmt.Errorf("%w: ring %v member %s outside subtree", ErrRingBroken, root, p.ID.Short())
+				return fmt.Errorf("%w: ring %v member %s outside subtree", errRingBroken, root, p.ID.Short())
 			}
 			vn := in.ases[p.AS].Resident(p.ID)
 			if vn == nil {
-				return fmt.Errorf("%w: ring %v member %s missing VNode", ErrRingBroken, root, p.ID.Short())
+				return fmt.Errorf("%w: ring %v member %s missing VNode", errRingBroken, root, p.ID.Short())
 			}
 			if !slices.Contains(vn.levels, lv) {
-				return fmt.Errorf("%w: ring %v holds %s, which never joined it", ErrRingBroken, root, p.ID.Short())
+				return fmt.Errorf("%w: ring %v holds %s, which never joined it", errRingBroken, root, p.ID.Short())
 			}
 			if i > 0 && !lv.at(i-1).ID.Less(p.ID) {
-				return fmt.Errorf("%w: ring %v not sorted at %d", ErrRingBroken, root, i)
+				return fmt.Errorf("%w: ring %v not sorted at %d", errRingBroken, root, i)
 			}
 		}
 	}
@@ -224,7 +224,7 @@ func (in *Internet) CheckIsolationState() error {
 		for i := range lv.ring.Len() {
 			if p := lv.at(i); !in.inSubtree(root, p.AS) {
 				return fmt.Errorf("%w: ring %v member %s at AS %d escapes the subtree",
-					ErrRingBroken, root, p.ID.Short(), p.AS)
+					errRingBroken, root, p.ID.Short(), p.AS)
 			}
 		}
 	}
@@ -233,7 +233,7 @@ func (in *Internet) CheckIsolationState() error {
 			for _, f := range vn.Fingers {
 				if !in.inSubtree(f.Root, vn.AS) || !in.inSubtree(f.Root, f.AS) {
 					return fmt.Errorf("%w: finger %s→%s escapes subtree %v",
-						ErrRingBroken, vn.ID.Short(), f.ID.Short(), f.Root)
+						errRingBroken, vn.ID.Short(), f.ID.Short(), f.Root)
 				}
 			}
 		}

@@ -32,14 +32,14 @@ import (
 
 // Metrics counter names charged by this package.
 const (
-	MsgJoin     = "canon-join"
-	MsgData     = "canon-data"
+	msgJoin     = "canon-join"
+	msgData     = "canon-data"
 	MsgRepair   = "canon-repair"
-	MsgTeardown = "canon-teardown"
-	// CtrIsolationViolations counts delivered packets whose path escaped
+	msgTeardown = "canon-teardown"
+	// ctrIsolationViolations counts delivered packets whose path escaped
 	// the lowest joined common subtree. Zero on tree hierarchies; on
 	// multihomed DAGs a diagnostic rate (see RouteResult.StrictlyIsolated).
-	CtrIsolationViolations = "canon-strict-isolation-miss"
+	ctrIsolationViolations = "canon-strict-isolation-miss"
 	// CtrBloomBacktracks counts peering-link crossings that had to be
 	// returned because the Bloom filter false-positived.
 	CtrBloomBacktracks = "canon-bloom-backtracks"
@@ -85,14 +85,14 @@ func (s Strategy) String() string {
 type RootKind uint8
 
 const (
-	// RootAS is the sub-hierarchy rooted at one AS.
-	RootAS RootKind = iota
-	// RootPeer is the virtual AS covering one peering link (Fig 4a).
-	RootPeer
-	// RootTop is the single virtual AS covering the tier-1 clique — and
+	// rootAS is the sub-hierarchy rooted at one AS.
+	rootAS RootKind = iota
+	// rootPeer is the virtual AS covering one peering link (Fig 4a).
+	rootPeer
+	// rootTop is the single virtual AS covering the tier-1 clique — and
 	// therefore the whole Internet ("if several ASes are all peered
 	// together in a clique, we only need a single virtual AS", §4.2).
-	RootTop
+	rootTop
 )
 
 // Root identifies one ring level: an AS sub-hierarchy, a peering virtual
@@ -105,29 +105,29 @@ type Root struct {
 // String renders a root for logs: "AS7", "peer(3,9)" or "top".
 func (r Root) String() string {
 	switch r.Kind {
-	case RootAS:
+	case rootAS:
 		return fmt.Sprintf("AS%d", r.A)
-	case RootPeer:
+	case rootPeer:
 		return fmt.Sprintf("peer(%d,%d)", r.A, r.B)
-	case RootTop:
+	case rootTop:
 		return "top"
 	default:
 		return "root(?)"
 	}
 }
 
-// Top is the global ring's root.
-var Top = Root{Kind: RootTop}
+// top is the global ring's root.
+var top = Root{Kind: rootTop}
 
 // asRoot builds an AS-subtree root.
-func asRoot(a topology.ASN) Root { return Root{Kind: RootAS, A: a} }
+func asRoot(a topology.ASN) Root { return Root{Kind: rootAS, A: a} }
 
 // peerRoot builds the virtual AS for a peering link, normalizing order.
 func peerRoot(a, b topology.ASN) Root {
 	if b < a {
 		a, b = b, a
 	}
-	return Root{Kind: RootPeer, A: a, B: b}
+	return Root{Kind: rootPeer, A: a, B: b}
 }
 
 // Ptr is one interdomain routing-state entry: a flat label and the AS
@@ -467,11 +467,11 @@ func (r coneRow) has(d topology.ASN) bool { return r[int(d)>>6]>>(uint(d)&63)&1 
 // inSubtree reports whether AS a lies inside root r's subtree.
 func (in *Internet) inSubtree(r Root, a topology.ASN) bool {
 	switch r.Kind {
-	case RootTop:
+	case rootTop:
 		return true
-	case RootAS:
+	case rootAS:
 		return in.below.has(r.A, a)
-	case RootPeer:
+	case rootPeer:
 		return in.below.has(r.A, a) || in.below.has(r.B, a)
 	default:
 		return false
@@ -699,7 +699,7 @@ func (s *pathSearch) walk(buf []topology.ASN, end int32) []topology.ASN {
 
 // pathWithin returns the shortest policy-compliant AS path from `from`
 // to `to` that never leaves root's subtree; the only peering link it may
-// cross is the root's own (RootPeer) or one between tier-1s (RootTop).
+// cross is the root's own (rootPeer) or one between tier-1s (rootTop).
 // Nil when no such path exists — e.g. across a partition. Like
 // policyPaths', the result is valid until the next search.
 func (in *Internet) pathWithin(root Root, from, to topology.ASN) []topology.ASN {
@@ -711,9 +711,9 @@ func (in *Internet) pathWithin(root Root, from, to topology.ASN) []topology.ASN 
 func (in *Internet) pathsWithin(root Root, from, to, also topology.ASN) (toPath, alsoPath []topology.ASN) {
 	var mayCross func(a, q topology.ASN) bool // an AS subtree's paths cross none
 	switch root.Kind {
-	case RootPeer:
+	case rootPeer:
 		mayCross = func(a, q topology.ASN) bool { return (a == root.A && q == root.B) || (a == root.B && q == root.A) }
-	case RootTop:
+	case rootTop:
 		mayCross = func(a, q topology.ASN) bool { return in.G.Tier(a) == 1 && in.G.Tier(q) == 1 }
 	}
 	return in.policyPaths(from, to, also, func(a topology.ASN) bool { return in.inSubtree(root, a) }, mayCross)

@@ -12,12 +12,12 @@ import (
 
 // Errors returned by Internet operations.
 var (
-	ErrDuplicateID = errors.New("canon: identifier already joined")
-	ErrUnknownID   = errors.New("canon: identifier not joined")
-	ErrASDown      = errors.New("canon: AS is down")
+	errDuplicateID = errors.New("canon: identifier already joined")
+	errUnknownID   = errors.New("canon: identifier not joined")
+	errASDown      = errors.New("canon: AS is down")
 	ErrNoRoute     = errors.New("canon: no policy-compliant route")
-	ErrTTL         = errors.New("canon: TTL exceeded")
-	ErrRingBroken  = errors.New("canon: ring invariant violated")
+	errTTL         = errors.New("canon: TTL exceeded")
+	errRingBroken  = errors.New("canon: ring invariant violated")
 )
 
 // JoinResult reports the cost of one interdomain join — the Fig 8a
@@ -40,7 +40,7 @@ type JoinResult struct {
 func (in *Internet) rootsFor(x topology.ASN, s Strategy) []Root {
 	switch s {
 	case Ephemeral:
-		return []Root{Top}
+		return []Root{top}
 	case SingleHomed:
 		roots := []Root{asRoot(x)}
 		cur := x
@@ -52,7 +52,7 @@ func (in *Internet) rootsFor(x topology.ASN, s Strategy) []Root {
 			cur = provs[0]
 			roots = append(roots, asRoot(cur))
 		}
-		return append(roots, Top)
+		return append(roots, top)
 	case Multihomed, Peering:
 		var roots []Root // UpHierarchyLevels lists each AS once
 		for _, level := range in.G.UpHierarchyLevels(x, false) {
@@ -72,9 +72,9 @@ func (in *Internet) rootsFor(x topology.ASN, s Strategy) []Root {
 				}
 			}
 		}
-		return append(roots, Top)
+		return append(roots, top)
 	default:
-		return []Root{Top}
+		return []Root{top}
 	}
 }
 
@@ -112,10 +112,10 @@ func (in *Internet) joinLevels(x topology.ASN, s Strategy) []*level {
 // multihomed joins close to single-homed cost (§6.3).
 func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, error) {
 	if in.failedAS[at] {
-		return JoinResult{}, ErrASDown
+		return JoinResult{}, errASDown
 	}
 	if _, dup := in.hostedAt[id]; dup {
-		return JoinResult{}, fmt.Errorf("%w: %s", ErrDuplicateID, id.Short())
+		return JoinResult{}, fmt.Errorf("%w: %s", errDuplicateID, id.Short())
 	}
 	as := in.ases[at]
 	vn := &VNode{ID: id, AS: at, Strategy: s, levels: as.shareLevels(in.joinLevels(at, s))}
@@ -176,7 +176,7 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 		msgs += in.backInsertFinger(vn)
 	}
 
-	in.Metrics.Count(MsgJoin, int64(msgs))
+	in.Metrics.Count(msgJoin, int64(msgs))
 	in.Metrics.Sample(SampleJoinMsgs, float64(msgs))
 	return JoinResult{VN: vn, Msgs: msgs, Levels: len(vn.levels)}, nil
 }

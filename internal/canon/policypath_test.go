@@ -99,9 +99,9 @@ func refPathWithin(in *Internet, root Root, from, to topology.ASN) []topology.AS
 				for _, q := range refUp(in, a, topology.RelPeer) {
 					allowed := false
 					switch root.Kind {
-					case RootPeer:
+					case rootPeer:
 						allowed = (a == root.A && q == root.B) || (a == root.B && q == root.A)
-					case RootTop:
+					case rootTop:
 						allowed = in.G.Tier(a) == 1 && in.G.Tier(q) == 1
 					}
 					if allowed {
@@ -144,7 +144,7 @@ func refPathWithin(in *Internet, root Root, from, to topology.ASN) []topology.AS
 // allRoots lists every AS root, the virtual AS of every peering link and
 // Top.
 func allRoots(g *topology.ASGraph) []Root {
-	roots := []Root{Top}
+	roots := []Root{top}
 	for a := 0; a < g.NumASes(); a++ {
 		roots = append(roots, asRoot(topology.ASN(a)))
 		for _, q := range g.Peers(topology.ASN(a)) {
@@ -385,13 +385,13 @@ func TestPolicyPathAllocations(t *testing.T) {
 	in, g := genInternet(t, DefaultOptions())
 	stubs := g.Stubs()
 	from, to := stubs[0], stubs[len(stubs)-1]
-	if in.hopsWithin(Top, from, to) < 2 {
+	if in.hopsWithin(top, from, to) < 2 {
 		t.Fatalf("stubs %d and %d should be some hops apart", from, to)
 	}
-	if n := testing.AllocsPerRun(100, func() { in.hopsWithin(Top, from, to) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { in.hopsWithin(top, from, to) }); n != 0 {
 		t.Errorf("hopsWithin allocates %v times per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { in.pathWithin(Top, from, to) }); n > 1 {
+	if n := testing.AllocsPerRun(100, func() { in.pathWithin(top, from, to) }); n > 1 {
 		t.Errorf("pathWithin allocates %v times per call, want at most the result", n)
 	}
 }
@@ -504,7 +504,7 @@ func BenchmarkPolicyPath(b *testing.B) {
 		root Root
 		ases []topology.ASN
 	}{
-		{Top, g.Stubs()},
+		{top, g.Stubs()},
 		{asRoot(tier2), g.DownHierarchyPrimary(tier2)},
 	} {
 		b.Run(fmt.Sprint(bc.root), func(b *testing.B) {

@@ -177,7 +177,7 @@ func TestNeighboursMatchReferenceSplice(t *testing.T) {
 	for i := 0; i < 160; i++ {
 		join("join")
 	}
-	if n := in.levels[Top].ring.Len(); n != 160 {
+	if n := in.levels[top].ring.Len(); n != 160 {
 		t.Fatalf("Top ring holds %d of 160", n)
 	}
 

@@ -105,7 +105,7 @@ func (s *segment) next(root Root, to, cur topology.ASN) (topology.ASN, bool) {
 func (in *Internet) Route(src, dst ident.ID) (RouteResult, error) {
 	srcAS, ok := in.hostedAt[src]
 	if !ok {
-		return RouteResult{}, fmt.Errorf("%w: source %s", ErrUnknownID, src.Short())
+		return RouteResult{}, fmt.Errorf("%w: source %s", errUnknownID, src.Short())
 	}
 	return in.route(srcAS, src, dst, nil)
 }
@@ -115,7 +115,7 @@ func (in *Internet) Route(src, dst ident.ID) (RouteResult, error) {
 func (in *Internet) RouteFromAS(from topology.ASN, dst ident.ID) (RouteResult, error) {
 	vns := in.ases[from].VNs
 	if len(vns) == 0 {
-		return RouteResult{}, fmt.Errorf("%w: AS %d hosts no identifiers to route from", ErrUnknownID, from)
+		return RouteResult{}, fmt.Errorf("%w: AS %d hosts no identifiers to route from", errUnknownID, from)
 	}
 	return in.route(from, vns[0].ID, dst, nil)
 }
@@ -125,7 +125,7 @@ func (in *Internet) RouteFromAS(from topology.ASN, dst ident.ID) (RouteResult, e
 // reaches whether to deliver there instead of at dst's host.
 func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS) bool) (RouteResult, error) {
 	if in.failedAS[srcAS] {
-		return RouteResult{}, ErrASDown
+		return RouteResult{}, errASDown
 	}
 	// The benchmark's routes cross 16 ASes on average; 32 hold ~96 % of them.
 	res := RouteResult{Traversed: append(make([]topology.ASN, 0, 32), srcAS)}
@@ -152,11 +152,11 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		seg.path = seg.path[:0]
 	}
 
-	// Each AS-level link the packet crossed is one MsgData message,
+	// Each AS-level link the packet crossed is one msgData message,
 	// counted once on whichever exit it takes.
 	defer func() {
 		if res.ASHops > 0 {
-			in.Metrics.Count(MsgData, int64(res.ASHops))
+			in.Metrics.Count(msgData, int64(res.ASHops))
 		}
 	}()
 	deliver := func(at topology.ASN) (RouteResult, error) {
@@ -164,7 +164,7 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		res.FinalAS = at
 		res.StrictlyIsolated = in.isolationOK(srcAS, dst, res.Traversed, peerCrossings)
 		if !res.StrictlyIsolated {
-			in.Metrics.Count(CtrIsolationViolations, 1)
+			in.Metrics.Count(ctrIsolationViolations, 1)
 		}
 		in.fillCachesOnDelivery(res.Traversed, Ptr{ID: dst, AS: at})
 		return res, nil
@@ -201,7 +201,7 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		// Bloom peering (§4.2 option 2): before escalating to the global
 		// ring, ask each peer's filter whether the destination is in its
 		// customer cone; cross the peering link on a hit.
-		if in.opts.BloomPeering && (!haveTarget || targetRoot == Top) {
+		if in.opts.BloomPeering && (!haveTarget || targetRoot == top) {
 			if in.tryBloomPeering(cur, dst, &checkedPeer, &res) {
 				return deliver(res.FinalAS)
 			}
@@ -237,13 +237,13 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		seg.at++
 		res.ASHops++
 		res.Traversed = append(res.Traversed, next)
-		if targetRoot.Kind == RootPeer &&
+		if targetRoot.Kind == rootPeer &&
 			((cur == targetRoot.A && next == targetRoot.B) || (cur == targetRoot.B && next == targetRoot.A)) {
 			peerCrossings = append(peerCrossings, targetRoot)
 		}
 		cur = next
 	}
-	return res, ErrTTL
+	return res, errTTL
 }
 
 // selectPointer implements the level-disciplined candidate choice: scan
@@ -317,8 +317,8 @@ func (in *Internet) selectPointer(as *AS, pos, dst ident.ID, stale staleSet) (Pt
 		if !dstBelowUs {
 			if p, ok := as.Cache.Lookup(pos, dst); ok {
 				c := ptrOf(p)
-				if !stale.has(staleKey{c, Top}) && (!found || ident.Closer(dst, c.ID, best.ID)) {
-					return c, Top, true
+				if !stale.has(staleKey{c, top}) && (!found || ident.Closer(dst, c.ID, best.ID)) {
+					return c, top, true
 				}
 			}
 		}

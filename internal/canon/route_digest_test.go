@@ -54,7 +54,7 @@ func TestRouteOutcomeDigest(t *testing.T) {
 			switch {
 			case errors.Is(err, ErrNoRoute):
 				noRoute++
-			case errors.Is(err, ErrUnknownID):
+			case errors.Is(err, errUnknownID):
 				unknown++
 			}
 		}
@@ -64,7 +64,7 @@ func TestRouteOutcomeDigest(t *testing.T) {
 	}
 	pass()
 	t.Logf("%d AS hops, %d join messages, %d strict-isolation misses", hops,
-		in.Metrics.Counter(MsgJoin), in.Metrics.Counter(CtrIsolationViolations))
+		in.Metrics.Counter(msgJoin), in.Metrics.Counter(ctrIsolationViolations))
 	for _, a := range []topology.ASN{9, 10, 30, 100} {
 		in.FailAS(a)
 	}

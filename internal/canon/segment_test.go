@@ -228,7 +228,7 @@ func TestCheckRingsCatchesLevelListCorruption(t *testing.T) {
 	as := in.AS(4)
 	caught := func(what, msg string) {
 		t.Helper()
-		if err := in.CheckRings(); !errors.Is(err, ErrRingBroken) || !strings.Contains(err.Error(), msg) {
+		if err := in.CheckRings(); !errors.Is(err, errRingBroken) || !strings.Contains(err.Error(), msg) {
 			t.Fatalf("%s not caught: %v", what, err)
 		}
 	}

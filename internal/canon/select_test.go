@@ -56,8 +56,8 @@ func refSelectPointer(in *Internet, as *AS, pos, dst ident.ID, stale staleSet) (
 		if !dstBelowUs {
 			if p, ok := as.Cache.Lookup(pos, dst); ok {
 				c := ptrOf(p)
-				if !stale.has(staleKey{c, Top}) && (!found || ident.Closer(dst, c.ID, best.ID)) {
-					return c, Top, true
+				if !stale.has(staleKey{c, top}) && (!found || ident.Closer(dst, c.ID, best.ID)) {
+					return c, top, true
 				}
 			}
 		}

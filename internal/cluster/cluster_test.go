@@ -51,13 +51,13 @@ func TestScheduleDeterministicAndWellFormed(t *testing.T) {
 	count := n
 	for _, ev := range a {
 		switch ev.Kind {
-		case KindKill:
+		case kindKill:
 			if !live[ev.Node] {
 				t.Fatalf("%v targets a dead node", ev)
 			}
 			live[ev.Node] = false
 			count--
-		case KindRestart:
+		case kindRestart:
 			if live[ev.Node] {
 				t.Fatalf("%v targets a live node", ev)
 			}

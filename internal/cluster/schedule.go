@@ -15,20 +15,20 @@ import (
 type EventKind uint8
 
 const (
-	// KindKill terminates a live node abruptly (no teardown message —
+	// kindKill terminates a live node abruptly (no teardown message —
 	// the failure detectors must notice on their own).
-	KindKill EventKind = iota + 1
-	// KindRestart brings a previously killed node back with the same
+	kindKill EventKind = iota + 1
+	// kindRestart brings a previously killed node back with the same
 	// identifier on a fresh port, rejoining through a live member.
-	KindRestart
+	kindRestart
 )
 
 // String names the action.
 func (k EventKind) String() string {
 	switch k {
-	case KindKill:
+	case kindKill:
 		return "kill"
-	case KindRestart:
+	case kindRestart:
 		return "restart"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
@@ -100,12 +100,12 @@ func Schedule(seed int64, n, steps int) []Event {
 		}
 		ev := Event{Step: step}
 		if kill {
-			ev.Kind = KindKill
+			ev.Kind = kindKill
 			ev.Node = pick(true)
 			live[ev.Node] = false
 			liveCount--
 		} else {
-			ev.Kind = KindRestart
+			ev.Kind = kindRestart
 			ev.Node = pick(false)
 			live[ev.Node] = true
 			liveCount++

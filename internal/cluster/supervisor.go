@@ -347,9 +347,9 @@ func (s *Supervisor) Restart(i int) error {
 // Apply executes one schedule event.
 func (s *Supervisor) Apply(ev Event) error {
 	switch ev.Kind {
-	case KindKill:
+	case kindKill:
 		return s.Kill(ev.Node)
-	case KindRestart:
+	case kindRestart:
 		return s.Restart(ev.Node)
 	default:
 		return fmt.Errorf("cluster: unknown event %v", ev)

@@ -32,16 +32,16 @@ import (
 
 // Metrics counter names charged by this package.
 const (
-	// MsgBorderFlood is the §4.1 internal flood announcing border
+	// msgBorderFlood is the §4.1 internal flood announcing border
 	// routers.
-	MsgBorderFlood = "composite-border-flood"
+	msgBorderFlood = "composite-border-flood"
 )
 
 // Errors returned by Global operations.
 var (
-	ErrUnknownAS   = errors.New("composite: AS not part of this system")
-	ErrUnknownHost = errors.New("composite: host not joined")
-	ErrNoBorder    = errors.New("composite: AS has no border routers")
+	errUnknownAS   = errors.New("composite: AS not part of this system")
+	errUnknownHost = errors.New("composite: host not joined")
+	errNoBorder    = errors.New("composite: AS has no border routers")
 )
 
 // bordersPerAS is how many backbone routers act as border routers in
@@ -80,7 +80,7 @@ type Global struct {
 // instantiating an internal router topology, a virtual-ring network and
 // border routers for every AS that hosts identifiers (plus every transit
 // AS, which needs border routers to relay). The border-router existence
-// flood inside each AS is charged to MsgBorderFlood. Both layers run at
+// flood inside each AS is charged to msgBorderFlood. Both layers run at
 // their packages' defaults (vring.DefaultOptions, canon.DefaultOptions).
 func New(g *topology.ASGraph, m sim.Metrics) *Global {
 	gl := &Global{
@@ -103,7 +103,7 @@ func New(g *topology.ASGraph, m sim.Metrics) *Global {
 		d.Borders = append(d.Borders, isp.Backbone[:nb]...)
 		// §4.1: "we have border routers flood their existence
 		// internally" — one flood per border router.
-		m.Count(MsgBorderFlood, int64(2*isp.Graph.NumEdges()*nb))
+		m.Count(msgBorderFlood, int64(2*isp.Graph.NumEdges()*nb))
 		gl.domains[asn] = d
 	}
 	return gl
@@ -129,7 +129,7 @@ func (d *Domain) nearestBorder(from vring.RouterID) (vring.RouterID, int, error)
 		}
 	}
 	if bestH == -1 {
-		return 0, 0, ErrNoBorder
+		return 0, 0, errNoBorder
 	}
 	return best, bestH, nil
 }
@@ -150,7 +150,7 @@ type JoinResult struct {
 func (g *Global) JoinHost(id ident.ID, as topology.ASN, at vring.RouterID, s canon.Strategy) (JoinResult, error) {
 	d, ok := g.domains[as]
 	if !ok {
-		return JoinResult{}, fmt.Errorf("%w: %d", ErrUnknownAS, as)
+		return JoinResult{}, fmt.Errorf("%w: %d", errUnknownAS, as)
 	}
 	intra, err := d.Net.JoinHost(id, at)
 	if err != nil {
@@ -197,11 +197,11 @@ type RouteResult struct {
 func (g *Global) Route(src ident.ID, dst ident.ID) (RouteResult, error) {
 	srcAS, ok := g.hostAS[src]
 	if !ok {
-		return RouteResult{}, fmt.Errorf("%w: %s", ErrUnknownHost, src.Short())
+		return RouteResult{}, fmt.Errorf("%w: %s", errUnknownHost, src.Short())
 	}
 	dstAS, ok := g.hostAS[dst]
 	if !ok {
-		return RouteResult{}, fmt.Errorf("%w: %s", ErrUnknownHost, dst.Short())
+		return RouteResult{}, fmt.Errorf("%w: %s", errUnknownHost, dst.Short())
 	}
 	sd := g.domains[srcAS]
 	srcRouter, _ := sd.Net.HostingRouter(src)
@@ -235,7 +235,7 @@ func (g *Global) Route(src ident.ID, dst ident.ID) (RouteResult, error) {
 	// router, over the destination AS's internal ring.
 	dd := g.domains[dstAS]
 	if len(dd.Borders) == 0 {
-		return RouteResult{}, ErrNoBorder
+		return RouteResult{}, errNoBorder
 	}
 	last, err := dd.Net.Route(dd.Borders[0], dst)
 	if err != nil {

@@ -63,7 +63,7 @@ func TestCompositeJoinChargesBothLayers(t *testing.T) {
 	if res2.InterMsgs <= 0 {
 		t.Fatalf("second join inter msgs = %d", res2.InterMsgs)
 	}
-	if gl.Metrics.Counter(MsgBorderFlood) == 0 {
+	if gl.Metrics.Counter(msgBorderFlood) == 0 {
 		t.Fatal("border flood not charged")
 	}
 	if len(gl.hostAS) != 2 {
@@ -134,10 +134,10 @@ func TestCompositeCrossASRouting(t *testing.T) {
 
 func TestCompositeErrors(t *testing.T) {
 	gl, g := smallWorld(t)
-	if _, err := gl.JoinHost(ident.FromString("x"), topology.ASN(g.NumASes()+5), 0, canon.Multihomed); !errors.Is(err, ErrUnknownAS) {
+	if _, err := gl.JoinHost(ident.FromString("x"), topology.ASN(g.NumASes()+5), 0, canon.Multihomed); !errors.Is(err, errUnknownAS) {
 		t.Fatalf("unknown AS: %v", err)
 	}
-	if _, err := gl.Route(ident.FromString("ghost"), ident.FromString("ghost2")); !errors.Is(err, ErrUnknownHost) {
+	if _, err := gl.Route(ident.FromString("ghost"), ident.FromString("ghost2")); !errors.Is(err, errUnknownHost) {
 		t.Fatalf("unknown host: %v", err)
 	}
 }

@@ -21,16 +21,14 @@ import (
 	"rofl/internal/vring"
 )
 
-// Metrics counter names charged by this package.
-const (
-	MsgMulticast = "delivery-multicast"
-	MsgPaint     = "delivery-paint"
-)
+// msgPaint is the metrics counter this package charges: the hops of the
+// probe each multicast join routes toward the tree.
+const msgPaint = "delivery-paint"
 
 // Errors returned by delivery operations.
 var (
-	ErrEmptyGroup = errors.New("delivery: group has no members")
-	ErrNotMember  = errors.New("delivery: host is not a group member")
+	errEmptyGroup = errors.New("delivery: group has no members")
+	errNotMember  = errors.New("delivery: host is not a group member")
 )
 
 // Anycast wraps a group prefix for anycast sends over a ring network.
@@ -72,7 +70,7 @@ func (a *Anycast) Send(from vring.RouterID, rng *rand.Rand) (vring.Outcome, erro
 		return out, err
 	}
 	if !out.Delivered {
-		return out, fmt.Errorf("%w: %s", ErrEmptyGroup, a.Group.Member(0).Short())
+		return out, fmt.Errorf("%w: %s", errEmptyGroup, a.Group.Member(0).Short())
 	}
 	return out, nil
 }
@@ -172,7 +170,7 @@ func (m *Multicast) Join(suffix uint32, at vring.RouterID) error {
 	}
 	// Paint the reverse path up to (and including) the intersection.
 	path := out.Path
-	m.Metrics.Count(MsgPaint, int64(len(path)-1))
+	m.Metrics.Count(msgPaint, int64(len(path)-1))
 	for i := 1; i < len(path); i++ {
 		m.link(path[i-1], path[i])
 		if m.inTree[path[i]] && i < len(path)-1 {
@@ -215,7 +213,7 @@ func (m *Multicast) TreeRouters() int { return len(m.inTree) }
 func (m *Multicast) Send(from ident.ID) (map[ident.ID]bool, int, error) {
 	root, ok := m.members[from]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotMember, from.Short())
+		return nil, 0, fmt.Errorf("%w: %s", errNotMember, from.Short())
 	}
 	reachedRouters := map[vring.RouterID]bool{root: true}
 	queue := []vring.RouterID{root}
@@ -232,7 +230,6 @@ func (m *Multicast) Send(from ident.ID) (map[ident.ID]bool, int, error) {
 			queue = append(queue, next)
 		}
 	}
-	m.Metrics.Count(MsgMulticast, int64(msgs))
 	reached := make(map[ident.ID]bool)
 	for id, r := range m.members {
 		if reachedRouters[r] {
@@ -247,7 +244,7 @@ func (m *Multicast) Send(from ident.ID) (map[ident.ID]bool, int, error) {
 func (m *Multicast) Leave(id ident.ID) error {
 	at, ok := m.members[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotMember, id.Short())
+		return fmt.Errorf("%w: %s", errNotMember, id.Short())
 	}
 	delete(m.members, id)
 	if err := m.Net.LeaveHost(id); err != nil {

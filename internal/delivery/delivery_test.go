@@ -132,7 +132,7 @@ func TestMulticastTreeReachesAllMembers(t *testing.T) {
 			t.Fatalf("msgs %d >= tree routers %d (tree should be a tree)", msgs, mc.TreeRouters())
 		}
 	}
-	if m.Counter(MsgPaint) == 0 {
+	if m.Counter(msgPaint) == 0 {
 		t.Fatal("painting must cost messages")
 	}
 }
@@ -155,7 +155,7 @@ func TestMulticastSingleMember(t *testing.T) {
 func TestMulticastNonMemberSend(t *testing.T) {
 	n, _, m := testNet(t)
 	mc := NewMulticast(n, ident.GroupFromString("x"), m)
-	if _, _, err := mc.Send(ident.FromString("outsider")); !errors.Is(err, ErrNotMember) {
+	if _, _, err := mc.Send(ident.FromString("outsider")); !errors.Is(err, errNotMember) {
 		t.Fatalf("want ErrNotMember, got %v", err)
 	}
 }
@@ -187,7 +187,7 @@ func TestMulticastLeaveAndPrune(t *testing.T) {
 	if len(reached) != 3 {
 		t.Fatalf("reached %d/3 after prune", len(reached))
 	}
-	if err := mc.Leave(g.Member(4)); !errors.Is(err, ErrNotMember) {
+	if err := mc.Leave(g.Member(4)); !errors.Is(err, errNotMember) {
 		t.Fatalf("double leave: %v", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"rofl/internal/vring"
 )
 
-// Ablations exercises the design choices DESIGN.md calls out, one
+// ablations exercises the design choices DESIGN.md calls out, one
 // sub-table per knob:
 //
 //   - successor-group size: join cost vs resilience to host failure;
@@ -23,7 +23,7 @@ import (
 // Each knob's arms run as parallel trials; arms of the same knob share
 // that knob's trial-group seed (groups 0-3 in the order above) so every
 // comparison stays paired.
-func Ablations(cfg Config) Table {
+func ablations(cfg Config) Table {
 	t := Table{
 		ID:      "ablation",
 		Title:   "Design-choice ablations",

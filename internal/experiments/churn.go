@@ -11,7 +11,7 @@ import (
 	"rofl/internal/wire"
 )
 
-// Churn quantifies §6.2's churn claims: "join overhead is a one-time
+// churn quantifies §6.2's churn claims: "join overhead is a one-time
 // cost in the absence of churn", "the overhead triggered by host failure
 // and mobility [is] comparable to join overhead", and ephemeral joins
 // cost less than stable joins. The driver runs a sustained churn
@@ -21,7 +21,7 @@ import (
 // The whole point is one network mutating through an interleaved event
 // sequence, so this driver is inherently a single sequential trial and
 // runs identically at any Workers setting.
-func Churn(cfg Config) Table {
+func churn(cfg Config) Table {
 	t := Table{
 		ID:      "churn",
 		Title:   "Per-event control cost under sustained churn [messages]",
@@ -118,12 +118,12 @@ func Churn(cfg Config) Table {
 	return t
 }
 
-// MsgSizes reproduces the paper's control-message size analysis (§6.3):
+// msgSizes reproduces the paper's control-message size analysis (§6.3):
 // "with 256 fingers the message size increases to 1638 bytes. If we
 // assume an MTU of 1500 bytes, a 256-finger single-homed join requires
 // 258 IP packets" [sic — the paper's fragment accounting]. We build the
 // actual join messages with the wire format and measure them.
-func MsgSizes(cfg Config) Table {
+func msgSizes(cfg Config) Table {
 	t := Table{
 		ID:      "msgsizes",
 		Title:   "Join-message sizes vs finger count (wire format)",

@@ -11,7 +11,7 @@ import (
 	"rofl/internal/topology"
 )
 
-// Composite exercises the paper's full two-level architecture end to
+// compositeFig exercises the paper's full two-level architecture end to
 // end (Algorithm 1 composed with §4): per-AS virtual-ring networks,
 // border-router relays, and the Canon hierarchy, reporting the per-layer
 // cost split for joins and routes and the isolation corollary ("traffic
@@ -20,7 +20,7 @@ import (
 // Joins and probe routes all mutate the one assembled two-level system
 // (its rings and caches), so this driver is a single sequential trial
 // and runs identically at any Workers setting.
-func Composite(cfg Config) Table {
+func compositeFig(cfg Config) Table {
 	t := Table{
 		ID:      "composite",
 		Title:   "Two-level system: per-layer join and route costs",

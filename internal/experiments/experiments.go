@@ -177,24 +177,24 @@ type Runner struct {
 // All lists every reproduced figure in paper order plus the ablations.
 func All() []Runner {
 	return []Runner{
-		{"fig5a", "Intradomain cumulative join overhead vs IDs (+CMU-ETHERNET)", Fig5a},
-		{"fig5b", "Intradomain per-join overhead CDF", Fig5b},
-		{"fig5c", "Intradomain join latency CDF", Fig5c},
-		{"fig6a", "Intradomain stretch vs pointer-cache size", Fig6a},
-		{"fig6b", "Intradomain load balance vs OSPF", Fig6b},
-		{"fig6c", "Intradomain per-router memory vs IDs (+CMU-ETHERNET)", Fig6c},
-		{"fig7", "Partition repair overhead vs IDs per PoP", Fig7},
-		{"fig8a", "Interdomain join overhead by strategy", Fig8a},
-		{"fig8b", "Interdomain stretch by finger budget (+BGP baseline)", Fig8b},
-		{"fig8c", "Interdomain stretch vs per-AS pointer cache", Fig8c},
-		{"stubfail", "Stub-AS failure impact and repair (§6.3)", StubFail},
-		{"bloompeering", "Bloom-filter peering vs virtual-AS peering (§6.4)", BloomPeering},
-		{"extensions", "§5 extensions: anycast, multicast, path negotiation", Extensions},
-		{"churn", "Per-event control cost under sustained churn (§6.2)", Churn},
-		{"msgsizes", "Join-message sizes vs finger count (§6.3)", MsgSizes},
-		{"composite", "Two-level system end to end (Alg. 1 + §4)", Composite},
-		{"ablation", "Design-choice ablations (successor groups, caching, fingers)", Ablations},
-		{"scaling", "Routing state, stretch, and cache hits vs N (compact sharded ring)", Scaling},
+		{"fig5a", "Intradomain cumulative join overhead vs IDs (+CMU-ETHERNET)", fig5a},
+		{"fig5b", "Intradomain per-join overhead CDF", fig5b},
+		{"fig5c", "Intradomain join latency CDF", fig5c},
+		{"fig6a", "Intradomain stretch vs pointer-cache size", fig6a},
+		{"fig6b", "Intradomain load balance vs OSPF", fig6b},
+		{"fig6c", "Intradomain per-router memory vs IDs (+CMU-ETHERNET)", fig6c},
+		{"fig7", "Partition repair overhead vs IDs per PoP", fig7},
+		{"fig8a", "Interdomain join overhead by strategy", fig8a},
+		{"fig8b", "Interdomain stretch by finger budget (+BGP baseline)", fig8b},
+		{"fig8c", "Interdomain stretch vs per-AS pointer cache", fig8c},
+		{"stubfail", "Stub-AS failure impact and repair (§6.3)", stubFail},
+		{"bloompeering", "Bloom-filter peering vs virtual-AS peering (§6.4)", bloomPeering},
+		{"extensions", "§5 extensions: anycast, multicast, path negotiation", extensions},
+		{"churn", "Per-event control cost under sustained churn (§6.2)", churn},
+		{"msgsizes", "Join-message sizes vs finger count (§6.3)", msgSizes},
+		{"composite", "Two-level system end to end (Alg. 1 + §4)", compositeFig},
+		{"ablation", "Design-choice ablations (successor groups, caching, fingers)", ablations},
+		{"scaling", "Routing state, stretch, and cache hits vs N (compact sharded ring)", scaling},
 	}
 }
 

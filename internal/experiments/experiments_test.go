@@ -85,7 +85,7 @@ func TestByID(t *testing.T) {
 
 func TestFig5aShape(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Fig5a(cfg)
+	tab := fig5a(cfg)
 	// Ether must dominate ROFL at the final sweep point for every ISP,
 	// by a large factor (paper: 37x-181x).
 	last := len(tab.Rows) - 1
@@ -110,7 +110,7 @@ func TestFig5aShape(t *testing.T) {
 }
 
 func TestFig5bMonotoneCDF(t *testing.T) {
-	tab := Fig5b(QuickConfig())
+	tab := fig5b(QuickConfig())
 	for c := 1; c < len(tab.Columns); c++ {
 		for r := 1; r < len(tab.Rows); r++ {
 			if cell(t, tab, r, c) < cell(t, tab, r-1, c) {
@@ -122,7 +122,7 @@ func TestFig5bMonotoneCDF(t *testing.T) {
 
 func TestFig6aCachingHelps(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Fig6a(cfg)
+	tab := fig6a(cfg)
 	first, last := 0, len(tab.Rows)-1
 	for c := 1; c < len(tab.Columns); c++ {
 		noCache := cell(t, tab, first, c)
@@ -137,7 +137,7 @@ func TestFig6aCachingHelps(t *testing.T) {
 }
 
 func TestFig6cEtherDominates(t *testing.T) {
-	tab := Fig6c(QuickConfig())
+	tab := fig6c(QuickConfig())
 	last := len(tab.Rows) - 1
 	etherCol := len(tab.Columns) - 1
 	ether := cell(t, tab, last, etherCol)
@@ -150,7 +150,7 @@ func TestFig6cEtherDominates(t *testing.T) {
 
 func TestFig7GrowsWithPoPPopulation(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Fig7(cfg)
+	tab := fig7(cfg)
 	// Repair cost at the largest IDs-per-PoP must exceed the smallest.
 	first, last := 0, len(tab.Rows)-1
 	grew := false
@@ -166,7 +166,7 @@ func TestFig7GrowsWithPoPPopulation(t *testing.T) {
 
 func TestFig8aOrdering(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Fig8a(cfg)
+	tab := fig8a(cfg)
 	last := len(tab.Rows) - 1
 	eph := cell(t, tab, last, 1)
 	single := cell(t, tab, last, 2)
@@ -185,7 +185,7 @@ func TestFig8aOrdering(t *testing.T) {
 
 func TestFig8bFingersReduceStretch(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Fig8b(cfg)
+	tab := fig8b(cfg)
 	// Median row (p50 is the 5th row: p10..p50).
 	var p50 int
 	for i, row := range tab.Rows {
@@ -202,7 +202,7 @@ func TestFig8bFingersReduceStretch(t *testing.T) {
 
 func TestFig8cCachingHelps(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Fig8c(cfg)
+	tab := fig8c(cfg)
 	first := cell(t, tab, 0, 1)
 	last := cell(t, tab, len(tab.Rows)-1, 1)
 	if !(last < first) {
@@ -212,7 +212,7 @@ func TestFig8cCachingHelps(t *testing.T) {
 
 func TestStubFailMostPathsUnaffected(t *testing.T) {
 	cfg := QuickConfig()
-	tab := StubFail(cfg)
+	tab := stubFail(cfg)
 	for r := range tab.Rows {
 		frac := cell(t, tab, r, 3)
 		if frac > 0.15 {
@@ -223,7 +223,7 @@ func TestStubFailMostPathsUnaffected(t *testing.T) {
 
 func TestBloomPeeringCheaperJoins(t *testing.T) {
 	cfg := QuickConfig()
-	tab := BloomPeering(cfg)
+	tab := bloomPeering(cfg)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -236,7 +236,7 @@ func TestBloomPeeringCheaperJoins(t *testing.T) {
 
 func TestExtensionsShape(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Extensions(cfg)
+	tab := extensions(cfg)
 	vals := map[string]map[string]string{}
 	for _, row := range tab.Rows {
 		if vals[row[0]] == nil {
@@ -259,7 +259,7 @@ func TestExtensionsShape(t *testing.T) {
 
 func TestChurnShape(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Churn(cfg)
+	tab := churn(cfg)
 	vals := map[string]float64{}
 	for _, row := range tab.Rows {
 		v, err := strconv.ParseFloat(row[2], 64)
@@ -281,7 +281,7 @@ func TestChurnShape(t *testing.T) {
 }
 
 func TestMsgSizesShape(t *testing.T) {
-	tab := MsgSizes(QuickConfig())
+	tab := msgSizes(QuickConfig())
 	var at256 float64
 	prev := -1.0
 	for _, row := range tab.Rows {
@@ -312,7 +312,7 @@ func mustF(t *testing.T, s string) float64 {
 
 func TestCompositeShape(t *testing.T) {
 	cfg := QuickConfig()
-	tab := Composite(cfg)
+	tab := compositeFig(cfg)
 	vals := map[string]string{}
 	for _, row := range tab.Rows {
 		vals[row[0]] = row[1]
@@ -333,7 +333,7 @@ func TestAblationsCover(t *testing.T) {
 	cfg.HostsPerISP = 80
 	cfg.Pairs = 80
 	cfg.InterHosts = 160
-	tab := Ablations(cfg)
+	tab := ablations(cfg)
 	knobs := map[string]bool{}
 	for _, row := range tab.Rows {
 		knobs[row[0]] = true

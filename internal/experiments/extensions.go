@@ -12,12 +12,12 @@ import (
 	"rofl/internal/vring"
 )
 
-// Extensions quantifies the §5 extensions the paper describes
+// extensions quantifies the §5 extensions the paper describes
 // qualitatively: anycast delivery without extra state, multicast tree
 // efficiency vs unicast fan-out, and endpoint path negotiation cutting
 // post-first-packet stretch to ~1 (§5.1/§5.2/§6.3 "stretch for remaining
 // packets can be reduced to one").
-func Extensions(cfg Config) Table {
+func extensions(cfg Config) Table {
 	t := Table{
 		ID:      "extensions",
 		Title:   "§5 extensions: anycast, multicast, path negotiation",

@@ -54,13 +54,13 @@ func joinInter(in *canon.Internet, g *topology.ASGraph, count int, s canon.Strat
 	return ids, nil
 }
 
-// Fig8a reproduces the join-strategy comparison: moving-average join
+// fig8a reproduces the join-strategy comparison: moving-average join
 // overhead as identifiers accumulate, for ephemeral, single-homed,
 // recursively multihomed and peering joins. Paper shape: ephemeral ≪
 // single-homed ≈ multihomed < peering, with the multihomed join "not
 // significantly larger than single-homed" thanks to redundant-lookup
 // elimination.
-func Fig8a(cfg Config) Table {
+func fig8a(cfg Config) Table {
 	t := Table{
 		ID:      "fig8a",
 		Title:   "Interdomain join overhead [messages] by strategy (moving average)",
@@ -137,12 +137,12 @@ func shortestASHops(g *topology.ASGraph, src, dst topology.ASN) int {
 	return -1
 }
 
-// Fig8b reproduces the interdomain stretch comparison: ROFL stretch
+// fig8b reproduces the interdomain stretch comparison: ROFL stretch
 // (vs the BGP path, the paper's definition) for several proximity-finger
 // budgets, plus the stretch BGP policies themselves impose relative to
 // policy-free shortest paths. Paper shape: stretch ~2.8 with 60 fingers
 // falling to ~2.3 with 160+.
-func Fig8b(cfg Config) Table {
+func fig8b(cfg Config) Table {
 	t := Table{
 		ID:      "fig8b",
 		Title:   "Interdomain stretch CDF (ROFL vs BGP path; BGP-policy vs shortest)",
@@ -215,10 +215,10 @@ func Fig8b(cfg Config) Table {
 	return t
 }
 
-// Fig8c reproduces "Effect of pointer caching": mean interdomain stretch
+// fig8c reproduces "Effect of pointer caching": mean interdomain stretch
 // as per-AS pointer caches grow, with caches warmed by a first traffic
 // pass. Paper: 20M entries/AS pull stretch from 2 to 1.33.
-func Fig8c(cfg Config) Table {
+func fig8c(cfg Config) Table {
 	t := Table{
 		ID:      "fig8c",
 		Title:   "Interdomain stretch vs per-AS pointer-cache size [entries]",
@@ -285,7 +285,7 @@ func Fig8c(cfg Config) Table {
 	return t
 }
 
-// StubFail reproduces the §6.3 failure experiment: fail random stub
+// stubFail reproduces the §6.3 failure experiment: fail random stub
 // ASes; measure the fraction of paths affected (paper: 99.998%%
 // unaffected) and the repair cost (paper: ≈ the number of identifiers
 // the stub hosted).
@@ -294,7 +294,7 @@ func Fig8c(cfg Config) Table {
 // trial's population is what the previous failures left alive), so this
 // driver is inherently sequential and runs as a single trial at any
 // Workers setting.
-func StubFail(cfg Config) Table {
+func stubFail(cfg Config) Table {
 	t := Table{
 		ID:      "stubfail",
 		Title:   "Stub-AS failure: affected paths and repair cost",
@@ -370,11 +370,11 @@ func StubFail(cfg Config) Table {
 	return t
 }
 
-// BloomPeering reproduces the §6.4 comparison of the two peering
+// bloomPeering reproduces the §6.4 comparison of the two peering
 // mechanisms: virtual-AS joins (option 1) vs Bloom filters with
 // backtracking (option 2) — join overhead, filter state, stretch, and
 // backtrack rate.
-func BloomPeering(cfg Config) Table {
+func bloomPeering(cfg Config) Table {
 	t := Table{
 		ID:      "bloompeering",
 		Title:   "Peering via virtual ASes vs Bloom filters",

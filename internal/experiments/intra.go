@@ -89,12 +89,12 @@ func sweepPoints(max int) []int {
 	return out
 }
 
-// Fig5a reproduces "Cumulative overhead to construct the network":
+// fig5a reproduces "Cumulative overhead to construct the network":
 // total join messages as a function of the number of IDs joined, per
 // ISP, with the CMU-ETHERNET flood-everything baseline alongside. The
 // paper's claims: ROFL scales linearly, and CMU-ETHERNET needs 37–181×
 // more messages.
-func Fig5a(cfg Config) Table {
+func fig5a(cfg Config) Table {
 	t := Table{
 		ID:      "fig5a",
 		Title:   "Intradomain total join overhead [messages] vs IDs per AS",
@@ -227,9 +227,9 @@ func runJoinSamples(cfg Config) (msgs, lat map[string][]float64, order []string)
 	return msgs, lat, order
 }
 
-// Fig5b reproduces the per-host join overhead CDF (paper: under ~45
+// fig5b reproduces the per-host join overhead CDF (paper: under ~45
 // messages per join, roughly 4× the network diameter).
-func Fig5b(cfg Config) Table {
+func fig5b(cfg Config) Table {
 	t := Table{
 		ID:      "fig5b",
 		Title:   "CDF of per-host join overhead [messages]",
@@ -249,9 +249,9 @@ func Fig5b(cfg Config) Table {
 	return t
 }
 
-// Fig5c reproduces the join latency CDF (paper: typically <40 ms, on the
+// fig5c reproduces the join latency CDF (paper: typically <40 ms, on the
 // order of the network diameter because control messages overlap).
-func Fig5c(cfg Config) Table {
+func fig5c(cfg Config) Table {
 	t := Table{
 		ID:      "fig5c",
 		Title:   "CDF of join latency [ms]",
@@ -271,11 +271,11 @@ func Fig5c(cfg Config) Table {
 	return t
 }
 
-// Fig6a reproduces "Effect of pointer cache size on stretch": average
+// fig6a reproduces "Effect of pointer cache size on stretch": average
 // data-plane stretch as the per-router pointer cache grows. The paper's
 // knee: caches of ~70k entries (9 Mbit of 128-bit IDs) bring stretch
 // down to ~1.2–2.
-func Fig6a(cfg Config) Table {
+func fig6a(cfg Config) Table {
 	t := Table{
 		ID:      "fig6a",
 		Title:   "Stretch vs per-router pointer-cache size [entries]",
@@ -328,14 +328,14 @@ func Fig6a(cfg Config) Table {
 	return t
 }
 
-// Fig6b reproduces the load-balance comparison: fraction of data
+// fig6b reproduces the load-balance comparison: fraction of data
 // messages traversing each router, ranked by OSPF load, for ROFL and
 // OSPF. The paper finds "the difference from OSPF is fairly slight."
 //
 // This driver is a single trial — every probe pair mutates the same
 // network's caches and traversal counters — so it runs serially at any
 // Workers setting.
-func Fig6b(cfg Config) Table {
+func fig6b(cfg Config) Table {
 	t := Table{
 		ID:      "fig6b",
 		Title:   "Load balance: fraction of messages per router (ranked by OSPF load)",
@@ -391,14 +391,14 @@ func Fig6b(cfg Config) Table {
 	return t
 }
 
-// Fig6c reproduces per-router memory vs resident IDs, with the
+// fig6c reproduces per-router memory vs resident IDs, with the
 // CMU-ETHERNET everyone-stores-everything baseline (paper: 34–1200×
 // more memory than ROFL). Two ROFL columns are reported: the mandatory
 // ring state (successor groups, predecessors, parked routes — what must
 // exist for correctness and what the paper's ratios compare against) and
 // the total including opportunistic cache fill, which is budget-bounded
 // rather than required.
-func Fig6c(cfg Config) Table {
+func fig6c(cfg Config) Table {
 	t := Table{
 		ID:      "fig6c",
 		Title:   "Average per-router memory [entries] vs IDs",
@@ -469,12 +469,12 @@ func Fig6c(cfg Config) Table {
 	return t
 }
 
-// Fig7 reproduces the partition-repair experiment: disconnect a PoP,
+// fig7 reproduces the partition-repair experiment: disconnect a PoP,
 // let both sides reconverge, reconnect, and measure total repair
 // overhead as IDs per PoP grow. The paper: repair is "roughly on the
 // same order of magnitude of rejoining all the hosts in the PoP", and
 // the ring always reconverges (consistency-checked).
-func Fig7(cfg Config) Table {
+func fig7(cfg Config) Table {
 	t := Table{
 		ID:      "fig7",
 		Title:   "Partition repair overhead [messages] vs IDs per PoP",

@@ -9,7 +9,7 @@ import (
 	"rofl/internal/vring"
 )
 
-// Scaling sweeps ring population N over Config.ScaleSweep on one fixed
+// scaling sweeps ring population N over Config.ScaleSweep on one fixed
 // AS1221-like router fabric and reports how routing state, stretch, and
 // pointer-cache effectiveness move with N — the question the
 // compact-routing literature (PAPERS.md: Krioukov et al.) says decides
@@ -22,7 +22,7 @@ import (
 // core count: sharded runs are byte-identical at any shard count, and
 // tables must be byte-identical at any Workers value, so neither may
 // leak into the output. Probes run serially after convergence.
-func Scaling(cfg Config) Table {
+func scaling(cfg Config) Table {
 	sweep := cfg.ScaleSweep
 	if len(sweep) == 0 {
 		sweep = []int{10000, 100000, 1000000}

@@ -12,7 +12,7 @@ import (
 func TestScalingShape(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Pairs = 100
-	tab := Scaling(cfg)
+	tab := scaling(cfg)
 	if len(tab.Rows) != len(cfg.ScaleSweep) {
 		t.Fatalf("%d rows for %d sweep points", len(tab.Rows), len(cfg.ScaleSweep))
 	}
@@ -48,7 +48,7 @@ func TestScalingShardInvariance(t *testing.T) {
 	eight.Shards = 8
 	// The shard count is a table column; mask it before comparing.
 	render := func(cfg Config) string {
-		tab := Scaling(cfg)
+		tab := scaling(cfg)
 		for i := range tab.Rows {
 			tab.Rows[i][1] = "-"
 		}

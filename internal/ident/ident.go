@@ -26,21 +26,21 @@ import (
 // 128-bit ID").
 const Size = 16
 
-// Bits is the identifier length in bits.
-const Bits = Size * 8
+// idBits is the identifier length in bits.
+const idBits = Size * 8
 
 // ID is a flat label: an opaque 128-bit value interpreted as a point on a
 // circular namespace of size 2^128. IDs have no semantics (no location,
 // no hierarchy); all routing operates on clockwise namespace distance.
 type ID [Size]byte
 
-// Zero is the all-zero identifier, the origin of the circular namespace.
-// Partition repair (paper §3.2) distributes the live ID closest to Zero.
-var Zero ID
+// zero is the all-zero identifier, the origin of the circular namespace.
+// Partition repair (paper §3.2) distributes the live ID closest to zero.
+var zero ID
 
-// Max is the all-ones identifier, the immediate predecessor of Zero on
+// maxID is the all-ones identifier, the immediate predecessor of zero on
 // the circle.
-var Max = ID{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+var maxID = ID{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
 // FromBytes derives an ID by hashing arbitrary bytes with SHA-256 and
 // truncating to 128 bits. This is how self-certifying labels are minted
@@ -204,7 +204,7 @@ func Progress(cur, dst, candidate ID) bool {
 }
 
 // CommonPrefixLen returns the number of leading bits shared by a and b,
-// in [0, Bits]. Prefix finger tables (paper §4.1) key their rows on this
+// in [0, idBits]. Prefix finger tables (paper §4.1) key their rows on this
 // value.
 func CommonPrefixLen(a, b ID) int {
 	x, y := a.words(), b.words()
@@ -220,7 +220,7 @@ func CommonPrefixLen(a, b ID) int {
 const DigitBits = 4
 
 // Digits is the number of digit positions per identifier.
-const Digits = Bits / DigitBits
+const Digits = idBits / DigitBits
 
 // Digit returns the i-th most significant DigitBits-wide digit of id,
 // with i in [0, Digits).
@@ -238,17 +238,17 @@ func (id ID) Digit(i int) int {
 // --- Group identifiers (paper §5.1–5.2) ---------------------------------
 //
 // Anycast and multicast reuse the flat namespace by giving every member
-// of a group G an ID of the form (G, x): a shared GroupPrefixLen-bit
+// of a group G an ID of the form (G, x): a shared groupPrefixLen-bit
 // prefix derived from the group name and a per-member suffix x. Routers
 // need no special state: routing toward any (G, y) greedily lands on some
 // member of G, because all members are contiguous on the circle.
 
-// GroupPrefixLen is the number of bits identifying the group; the
-// remaining Bits - GroupPrefixLen bits are the member suffix.
-const GroupPrefixLen = 96
+// groupPrefixLen is the number of bits identifying the group; the
+// remaining idBits - groupPrefixLen bits are the member suffix.
+const groupPrefixLen = 96
 
 // Group is the shared prefix of an anycast/multicast group.
-type Group [GroupPrefixLen / 8]byte
+type Group [groupPrefixLen / 8]byte
 
 // GroupFromString derives a Group by hashing a name.
 func GroupFromString(name string) Group {
@@ -284,11 +284,11 @@ func SameGroup(a, b ID) bool { return GroupOf(a) == GroupOf(b) }
 
 // Suffix returns the member suffix of an identifier.
 func Suffix(id ID) uint32 {
-	return binary.BigEndian.Uint32(id[GroupPrefixLen/8:])
+	return binary.BigEndian.Uint32(id[groupPrefixLen/8:])
 }
 
-// ErrBadID reports a malformed identifier encoding.
-var ErrBadID = errors.New("ident: malformed identifier")
+// errBadID reports a malformed identifier encoding.
+var errBadID = errors.New("ident: malformed identifier")
 
 // MarshalText implements encoding.TextMarshaler (lowercase hex).
 func (id ID) MarshalText() ([]byte, error) {
@@ -315,7 +315,7 @@ func (id ID) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (id *ID) UnmarshalBinary(b []byte) error {
 	if len(b) != Size {
-		return fmt.Errorf("%w: %d bytes, want %d", ErrBadID, len(b), Size)
+		return fmt.Errorf("%w: %d bytes, want %d", errBadID, len(b), Size)
 	}
 	copy(id[:], b)
 	return nil

@@ -14,9 +14,9 @@ func TestCmpAndLess(t *testing.T) {
 		a, b ID
 		want int
 	}{
-		{Zero, Zero, 0},
-		{Zero, Max, -1},
-		{Max, Zero, 1},
+		{zero, zero, 0},
+		{zero, maxID, -1},
+		{maxID, zero, 1},
 		{id64(1), id64(2), -1},
 		{id64(2), id64(1), 1},
 		{id64(7), id64(7), 0},
@@ -42,17 +42,17 @@ func TestAddSubRoundTrip(t *testing.T) {
 }
 
 func TestAddCarriesAcrossBytes(t *testing.T) {
-	a := Max
-	if got := a.Add(one); got != Zero {
+	a := maxID
+	if got := a.Add(one); got != zero {
 		t.Fatalf("Max+1 = %s, want Zero", got)
 	}
-	if got := Zero.Sub(one); got != Max {
+	if got := zero.Sub(one); got != maxID {
 		t.Fatalf("0-1 = %s, want Max", got)
 	}
-	if got := Zero.Prev(); got != Max {
+	if got := zero.Prev(); got != maxID {
 		t.Fatalf("Prev(0) = %s, want Max", got)
 	}
-	if got := Max.Next(); got != Zero {
+	if got := maxID.Next(); got != zero {
 		t.Fatalf("Next(Max) = %s, want 0", got)
 	}
 }
@@ -62,9 +62,9 @@ func TestDistance(t *testing.T) {
 		a, b, want ID
 	}{
 		{id64(5), id64(9), id64(4)},
-		{id64(9), id64(5), Max.Sub(id64(3))}, // wraps: 2^128 - 4
-		{id64(7), id64(7), Zero},
-		{Zero, Max, Max},
+		{id64(9), id64(5), maxID.Sub(id64(3))}, // wraps: 2^128 - 4
+		{id64(7), id64(7), zero},
+		{zero, maxID, maxID},
 	}
 	for _, c := range cases {
 		if got := c.a.Distance(c.b); got != c.want {
@@ -79,9 +79,9 @@ func TestDistanceAsymmetryProperty(t *testing.T) {
 		x, y := ID(a), ID(b)
 		sum := x.Distance(y).Add(y.Distance(x))
 		if x == y {
-			return sum == Zero && x.Distance(y) == Zero
+			return sum == zero && x.Distance(y) == zero
 		}
-		return sum == Zero && x.Distance(y) != Zero
+		return sum == zero && x.Distance(y) != zero
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestBetween(t *testing.T) {
 		{id64(0), id64(9), id64(1), true},
 		{id64(1), id64(9), id64(1), true},
 		{id64(5), id64(9), id64(1), false},
-		{Max, id64(9), id64(1), true},
+		{maxID, id64(9), id64(1), true},
 		// degenerate interval (a, a] is the whole circle minus a
 		{id64(3), id64(7), id64(7), true},
 		{id64(7), id64(7), id64(7), false},
@@ -182,8 +182,8 @@ func TestProgressStrictlyDecreasesDistance(t *testing.T) {
 
 func TestCommonPrefixLen(t *testing.T) {
 	a := id64(0)
-	if got := CommonPrefixLen(a, a); got != Bits {
-		t.Fatalf("CommonPrefixLen(x,x) = %d want %d", got, Bits)
+	if got := CommonPrefixLen(a, a); got != idBits {
+		t.Fatalf("CommonPrefixLen(x,x) = %d want %d", got, idBits)
 	}
 	b := a
 	b[0] = 0x80
@@ -218,7 +218,7 @@ func TestDigitPanicsOutOfRange(t *testing.T) {
 			t.Fatal("Digit should panic on out-of-range index")
 		}
 	}()
-	Zero.Digit(Digits)
+	zero.Digit(Digits)
 }
 
 func TestParseAndString(t *testing.T) {
@@ -408,7 +408,7 @@ func refBetween(x, a, b ID) bool {
 	}
 	da := refSub(x, a)
 	db := refSub(b, a)
-	return refCmp(da, Zero) > 0 && refCmp(da, db) <= 0
+	return refCmp(da, zero) > 0 && refCmp(da, db) <= 0
 }
 
 func refProgress(cur, dst, candidate ID) bool {
@@ -432,7 +432,7 @@ func refCommonPrefixLen(a, b ID) int {
 			n++
 		}
 	}
-	return Bits
+	return idBits
 }
 
 // checkArithmetic holds every rewritten function to the reference on one
@@ -485,7 +485,7 @@ func checkArithmetic(t *testing.T, a, b, c ID) {
 // 2^127, each with its two neighbours.
 func arithmeticBoundaries() []ID {
 	pow64 := ID{7: 1}
-	centres := []ID{Zero, one, Max, id64(^uint64(0)), pow64, pow64.Next(), {0: 0x80}}
+	centres := []ID{zero, one, maxID, id64(^uint64(0)), pow64, pow64.Next(), {0: 0x80}}
 	var out []ID
 	for _, c := range centres {
 		out = append(out, refSub(c, one), c, refAdd(c, one))
@@ -545,20 +545,20 @@ func FuzzArithmeticMatchesReference(f *testing.F) {
 // bit followed by agreement, disagreement and noise.
 func TestCommonPrefixLenEveryLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	for n := 0; n <= Bits; n++ {
+	for n := 0; n <= idBits; n++ {
 		for trial := 0; trial < 64; trial++ {
 			a := Random(rng)
 			b := a
-			if n < Bits {
+			if n < idBits {
 				b[n/8] ^= 0x80 >> (n % 8)
 				switch trial % 3 { // what follows the first differing bit
 				case 1:
-					for i := n + 1; i < Bits; i++ {
+					for i := n + 1; i < idBits; i++ {
 						b[i/8] ^= 0x80 >> (i % 8)
 					}
 				case 2:
 					noise := Random(rng)
-					for i := n + 1; i < Bits; i++ {
+					for i := n + 1; i < idBits; i++ {
 						b[i/8] ^= noise[i/8] & (0x80 >> (i % 8))
 					}
 				}

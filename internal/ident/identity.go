@@ -65,13 +65,13 @@ func (i *Identity) Prove(nonce []byte) Proof {
 // (§2.1), and end-to-end the same check catches a misbehaving router.
 func VerifyProof(claimed ID, nonce []byte, proof Proof) error {
 	if len(proof.Pub) != ed25519.PublicKeySize {
-		return fmt.Errorf("%w: bad public key length %d", ErrBadID, len(proof.Pub))
+		return fmt.Errorf("%w: bad public key length %d", errBadID, len(proof.Pub))
 	}
 	if idOfKey(proof.Pub) != claimed {
-		return fmt.Errorf("%w: public key does not hash to claimed label %s", ErrBadID, claimed.Short())
+		return fmt.Errorf("%w: public key does not hash to claimed label %s", errBadID, claimed.Short())
 	}
 	if !ed25519.Verify(proof.Pub, nonce, proof.Sig) {
-		return fmt.Errorf("%w: signature does not verify", ErrBadID)
+		return fmt.Errorf("%w: signature does not verify", errBadID)
 	}
 	return nil
 }

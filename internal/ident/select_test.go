@@ -226,7 +226,7 @@ func TestScanMatchesReference(t *testing.T) {
 		case 3:
 			dst = cur.Prev() // the widest: everything but cur is legal
 		case 4:
-			cur, dst = Max.Sub(id64(uint64(rng.Intn(8)))), id64(uint64(rng.Intn(8))) // straddles zero
+			cur, dst = maxID.Sub(id64(uint64(rng.Intn(8)))), id64(uint64(rng.Intn(8))) // straddles zero
 		}
 		cands := make([]ID, 1+rng.Intn(16))
 		for j := range cands {

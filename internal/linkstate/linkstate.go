@@ -32,8 +32,8 @@ type Map struct {
 	trees []topology.SPT
 }
 
-// MsgLinkState is the metrics counter charged for LSA flooding.
-const MsgLinkState = "linkstate-flood"
+// msgLinkState is the metrics counter charged for LSA flooding.
+const msgLinkState = "linkstate-flood"
 
 // New wraps g in a fully-up link-state map charging flood costs to m.
 func New(g *topology.Graph, m sim.Metrics) *Map {
@@ -72,7 +72,7 @@ func (m *Map) NodeUp(n topology.NodeID) bool { return !m.failedNode[n] }
 // floodCost charges one LSA flood: every live router re-floods the
 // advertisement on each of its links once, so the cost is ~2·|E| hops.
 func (m *Map) floodCost() {
-	m.metrics.Count(MsgLinkState, int64(2*m.g.NumEdges()))
+	m.metrics.Count(msgLinkState, int64(2*m.g.NumEdges()))
 }
 
 // bump drops every cached tree after a topology change; recomputation
@@ -113,8 +113,8 @@ func (m *Map) FailNode(n topology.NodeID) {
 	m.floodCost()
 }
 
-// RestoreNode brings router n back.
-func (m *Map) RestoreNode(n topology.NodeID) {
+// restoreNode brings router n back.
+func (m *Map) restoreNode(n topology.NodeID) {
 	if !m.failedNode[n] {
 		return
 	}

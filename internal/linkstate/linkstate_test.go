@@ -57,13 +57,13 @@ func TestFailLinkReroutes(t *testing.T) {
 	if before != 1 || after != 3 {
 		t.Fatalf("hops before=%d after=%d want 1 then 3", before, after)
 	}
-	if m.Counter(MsgLinkState) == 0 {
+	if m.Counter(msgLinkState) == 0 {
 		t.Fatal("LSA flood must be charged")
 	}
 	// Idempotent re-fail: no double flood.
-	c := m.Counter(MsgLinkState)
+	c := m.Counter(msgLinkState)
 	ls.FailLink(1, 0)
-	if m.Counter(MsgLinkState) != c {
+	if m.Counter(msgLinkState) != c {
 		t.Fatal("re-failing same link must be a no-op")
 	}
 	ls.RestoreLink(0, 1)
@@ -88,7 +88,7 @@ func TestFailNode(t *testing.T) {
 	if ls.Path(0, 1) != nil || ls.Hops(0, 1) != -1 || ls.Latency(0, 1) != -1 {
 		t.Fatal("queries to failed node must fail cleanly")
 	}
-	ls.RestoreNode(1)
+	ls.restoreNode(1)
 	if !ls.Reachable(0, 1) {
 		t.Fatal("restored node reachable")
 	}

@@ -68,7 +68,7 @@ func (f *Fault) Send(addr string, p []byte) error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	// The wall clock is only the delivery base time; every fate draw
 	// comes from f.rng.

@@ -43,7 +43,7 @@ func TestUDPCloseUnblocksRecv(t *testing.T) {
 	a.Close()
 	select {
 	case err := <-done:
-		if err != ErrClosed {
+		if err != errClosed {
 			t.Fatalf("recv after close = %v", err)
 		}
 	case <-time.After(time.Second):
@@ -112,7 +112,7 @@ func TestFaultCloseCancelsPending(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal("Close must be idempotent")
 	}
-	if err := f.Send(b.LocalAddr(), []byte("x")); err != ErrClosed {
+	if err := f.Send(b.LocalAddr(), []byte("x")); err != errClosed {
 		t.Fatalf("send after close = %v", err)
 	}
 	// The delayed packet must not arrive.

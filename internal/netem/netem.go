@@ -29,8 +29,8 @@ import (
 	"time"
 )
 
-// ErrClosed reports an operation on a closed transport.
-var ErrClosed = errors.New("netem: transport closed")
+// errClosed reports an operation on a closed transport.
+var errClosed = errors.New("netem: transport closed")
 
 // Transport is the datagram surface an overlay node binds to: fire and
 // forget sends, blocking receives. Implementations must make Send and

@@ -59,7 +59,7 @@ func TestPerfectLinkDeliversInOrder(t *testing.T) {
 			t.Fatalf("packet %d = %v (out of order on a perfect link)", i, p)
 		}
 	}
-	s := net.Stats("a", "b")
+	s := net.stats("a", "b")
 	if s.Sent != 10 || s.Delivered != 10 || s.Lost != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -96,13 +96,13 @@ func TestLossIsDeterministicGivenSeed(t *testing.T) {
 		// Zero-latency deliveries ride timers; give them a moment.
 		deadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(deadline) {
-			s := net.Stats("a", "b")
+			s := net.stats("a", "b")
 			if s.Delivered+s.InboxDropped == s.Sent-s.Lost+s.Duplicated {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		return net.Stats("a", "b")
+		return net.stats("a", "b")
 	}
 	s1, s2 := run(), run()
 	if s1 != s2 {
@@ -126,7 +126,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			a.Send("b", []byte("x"))
 		}
-		return net.Stats("a", "b")
+		return net.stats("a", "b")
 	}
 	if run(1) == run(2) {
 		t.Fatal("different seeds produced identical fates (suspicious)")
@@ -164,7 +164,7 @@ func TestReorderOvertakes(t *testing.T) {
 	if len(got) != 2 || !bytes.Equal(got[0], []byte("second")) {
 		t.Fatalf("reordering did not overtake: %q", got)
 	}
-	if s := net.Stats("a", "b"); s.Reordered != 1 {
+	if s := net.stats("a", "b"); s.Reordered != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -205,10 +205,10 @@ func TestPartitionSplitsAndHeals(t *testing.T) {
 	if got := collect(t, c, 1, time.Second); len(got) != 1 {
 		t.Fatal("same-side traffic must flow during a partition")
 	}
-	if s := net.Stats("a", "b"); s.PartitionDropped != 1 {
+	if s := net.stats("a", "b"); s.PartitionDropped != 1 {
 		t.Fatalf("a→b stats = %+v", s)
 	}
-	if s := net.Stats("b", "a"); s.PartitionDropped != 1 {
+	if s := net.stats("b", "a"); s.PartitionDropped != 1 {
 		t.Fatalf("b→a stats = %+v", s)
 	}
 
@@ -233,12 +233,12 @@ func TestComposedPartitions(t *testing.T) {
 	a.Send("b", []byte("x"))
 	net.Heal("p1")
 	a.Send("b", []byte("x"))
-	if s := net.Stats("a", "b"); s.PartitionDropped != 2 {
+	if s := net.stats("a", "b"); s.PartitionDropped != 2 {
 		t.Fatalf("both partitions must block a→b independently: %+v", s)
 	}
 	net.Heal("p2")
 	a.Send("b", []byte("x"))
-	waitFor(t, time.Second, func() bool { return net.Stats("a", "b").Delivered == 1 })
+	waitFor(t, time.Second, func() bool { return net.stats("a", "b").Delivered == 1 })
 }
 
 func TestUnroutedAndClosedEndpoints(t *testing.T) {
@@ -247,18 +247,18 @@ func TestUnroutedAndClosedEndpoints(t *testing.T) {
 	a, _ := net.Endpoint("a")
 	b, _ := net.Endpoint("b")
 	a.Send("nobody", []byte("x"))
-	if s := net.Stats("a", "nobody"); s.Unrouted != 1 {
+	if s := net.stats("a", "nobody"); s.Unrouted != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 	b.Close()
 	a.Send("b", []byte("x"))
-	if s := net.Stats("a", "b"); s.Unrouted != 1 {
+	if s := net.stats("a", "b"); s.Unrouted != 1 {
 		t.Fatalf("send to closed endpoint must be unrouted: %+v", s)
 	}
-	if _, _, err := b.Recv(); err != ErrClosed {
+	if _, _, err := b.Recv(); err != errClosed {
 		t.Fatalf("recv on closed endpoint = %v", err)
 	}
-	if err := b.Send("a", nil); err != ErrClosed {
+	if err := b.Send("a", nil); err != errClosed {
 		t.Fatalf("send on closed endpoint = %v", err)
 	}
 }
@@ -272,12 +272,12 @@ func TestInboxOverflowDropsAndCounts(t *testing.T) {
 		a.Send("b", []byte("x"))
 	}
 	waitFor(t, 2*time.Second, func() bool {
-		s := net.Stats("a", "b")
+		s := net.stats("a", "b")
 		return s.Delivered+s.InboxDropped == uint64(inboxDepth+50)
 	})
-	s := net.Stats("a", "b")
-	if s.InboxDropped != 50 || b.InboxDrops() != 50 {
-		t.Fatalf("expected 50 inbox drops: link=%+v endpoint=%d", s, b.InboxDrops())
+	s := net.stats("a", "b")
+	if s.InboxDropped != 50 || b.inboxDrops() != 50 {
+		t.Fatalf("expected 50 inbox drops: link=%+v endpoint=%d", s, b.inboxDrops())
 	}
 }
 
@@ -295,10 +295,10 @@ func TestNetworkCloseUnblocksAndRejects(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Recv did not unblock on network close")
 	}
-	if err := a.Send("a", nil); err != ErrClosed {
+	if err := a.Send("a", nil); err != errClosed {
 		t.Fatalf("send after close = %v", err)
 	}
-	if _, err := net.Endpoint("late"); err != ErrClosed {
+	if _, err := net.Endpoint("late"); err != errClosed {
 		t.Fatalf("endpoint after close = %v", err)
 	}
 }
@@ -328,13 +328,13 @@ func TestPerLinkOverride(t *testing.T) {
 		a.Send("b", []byte("x"))
 		a.Send("c", []byte("x"))
 	}
-	if s := net.Stats("a", "b"); s.Lost != 5 {
+	if s := net.stats("a", "b"); s.Lost != 5 {
 		t.Fatalf("override not applied: %+v", s)
 	}
-	waitFor(t, time.Second, func() bool { return net.Stats("a", "c").Delivered == 5 })
+	waitFor(t, time.Second, func() bool { return net.stats("a", "c").Delivered == 5 })
 	net.ClearLink("a", "b")
 	a.Send("b", []byte("x"))
-	waitFor(t, time.Second, func() bool { return net.Stats("a", "b").Delivered == 1 })
+	waitFor(t, time.Second, func() bool { return net.stats("a", "b").Delivered == 1 })
 	_ = b
 }
 

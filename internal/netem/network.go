@@ -183,8 +183,8 @@ func (n *Network) Heal(name string) {
 	n.mu.Unlock()
 }
 
-// Stats returns a snapshot of the directed link src→dst counters.
-func (n *Network) Stats(src, dst string) LinkStats {
+// stats returns a snapshot of the directed link src→dst counters.
+func (n *Network) stats(src, dst string) LinkStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if l, ok := n.links[linkKey{src, dst}]; ok {
@@ -205,7 +205,7 @@ func (n *Network) TotalStats() LinkStats {
 }
 
 // Close tears down the fabric: all endpoints close, pending deliveries
-// are cancelled, and subsequent sends fail with ErrClosed.
+// are cancelled, and subsequent sends fail with errClosed.
 func (n *Network) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -260,7 +260,7 @@ func (n *Network) Endpoint(addr string) (*Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	if _, dup := n.eps[addr]; dup {
 		return nil, fmt.Errorf("netem: address %q already attached", addr)
@@ -301,9 +301,9 @@ type Endpoint struct {
 // LocalAddr returns the endpoint's attachment name.
 func (e *Endpoint) LocalAddr() string { return e.addr }
 
-// InboxDrops returns how many arrived packets were discarded because
+// inboxDrops returns how many arrived packets were discarded because
 // this endpoint's inbox was full (a stalled consumer).
-func (e *Endpoint) InboxDrops() uint64 { return e.drops.Load() }
+func (e *Endpoint) inboxDrops() uint64 { return e.drops.Load() }
 
 // Send offers one datagram to the fabric. The fault schedule of the
 // directed link decides its fate; like UDP, an unreachable or absent
@@ -313,12 +313,12 @@ func (e *Endpoint) Send(addr string, p []byte) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	select {
 	case <-e.closed:
 		n.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	default:
 	}
 	l := n.linkLocked(e.addr, addr)
@@ -378,7 +378,7 @@ func (e *Endpoint) Recv() ([]byte, string, error) {
 			return d.payload, d.from, nil
 		default:
 		}
-		return nil, "", ErrClosed
+		return nil, "", errClosed
 	}
 }
 

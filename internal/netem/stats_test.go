@@ -27,13 +27,13 @@ func waitDrained(t *testing.T, net *Network, src, dst string, deadline time.Dura
 	t.Helper()
 	var s LinkStats
 	for end := time.Now().Add(deadline); time.Now().Before(end); {
-		s = net.Stats(src, dst)
+		s = net.stats(src, dst)
 		if s.Sent+s.Duplicated == accounted(s) {
 			return s
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return net.Stats(src, dst)
+	return net.stats(src, dst)
 }
 
 // TestPartitionCountersAccountEveryPacket sends across a named
@@ -141,11 +141,11 @@ func TestPartitionCountersUnderLossAndDuplication(t *testing.T) {
 		s := waitDrained(t, net, "src", dst, 5*time.Second)
 		checkConservation(t, fmt.Sprintf("src->%s", dst), s)
 	}
-	toA := net.Stats("src", "a")
+	toA := net.stats("src", "a")
 	if toA.PartitionDropped == 0 || toA.Delivered != 0 {
 		t.Fatalf("src->a: PartitionDropped=%d Delivered=%d; the island must drop everything", toA.PartitionDropped, toA.Delivered)
 	}
-	toNowhere := net.Stats("src", "nowhere")
+	toNowhere := net.stats("src", "nowhere")
 	if toNowhere.Unrouted == 0 {
 		t.Fatalf("src->nowhere: Unrouted=%d, want >0", toNowhere.Unrouted)
 	}

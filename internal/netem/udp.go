@@ -52,7 +52,7 @@ func unmapped(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// Recv blocks for one datagram; it returns ErrClosed once the socket is
+// Recv blocks for one datagram; it returns errClosed once the socket is
 // closed.
 func (u *UDP) Recv() ([]byte, string, error) {
 	buf := make([]byte, 64*1024)
@@ -69,7 +69,7 @@ func (u *UDP) Recv() ([]byte, string, error) {
 func (u *UDP) RecvInto(buf []byte) (int, string, error) {
 	n, from, err := u.conn.ReadFromUDPAddrPort(buf)
 	if err != nil {
-		return 0, "", ErrClosed
+		return 0, "", errClosed
 	}
 	return n, unmapped(from).String(), nil // a dual-stack socket maps IPv4 peers
 }

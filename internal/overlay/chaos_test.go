@@ -300,7 +300,7 @@ func TestDroppedDeliveriesCounter(t *testing.T) {
 }
 
 // TestRequestTableBounded pins the in-flight cap: the 65th concurrent
-// request must fail fast with ErrBusy instead of growing the table.
+// request must fail fast with errBusy instead of growing the table.
 func TestRequestTableBounded(t *testing.T) {
 	fabric := netem.NewNetwork(1)
 	defer fabric.Close()
@@ -317,7 +317,7 @@ func TestRequestTableBounded(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if _, _, err := n.register(); err != ErrBusy {
+	if _, _, err := n.register(); err != errBusy {
 		t.Fatalf("table overflow = %v, want ErrBusy", err)
 	}
 	n.unregister(ids[0])

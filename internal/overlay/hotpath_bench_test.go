@@ -71,7 +71,7 @@ func (n *Node) forward(pkt *wire.Packet) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	n.core.ForwardData(pkt, a)
 	n.mu.Unlock()

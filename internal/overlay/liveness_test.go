@@ -139,7 +139,7 @@ func TestDeadSuccessorEmitsOneEvictionEvent(t *testing.T) {
 }
 
 // TestRequestTimeoutEmitsEventAndCounter pins the retry-exhaustion
-// path: a join toward a black hole must fail with ErrTimeout AND leave
+// path: a join toward a black hole must fail with errTimeout AND leave
 // a structured trace — the timeout counter, the retransmit counter, and
 // a request_timeout event.
 func TestRequestTimeoutEmitsEventAndCounter(t *testing.T) {
@@ -190,7 +190,7 @@ func TestJoinRetriesWithMultiplierBelowOne(t *testing.T) {
 	n.setTelemetry(reg, nil)
 
 	start := time.Now()
-	if err := n.Join("em://silent", budget); !errors.Is(err, ErrTimeout) {
+	if err := n.Join("em://silent", budget); !errors.Is(err, errTimeout) {
 		t.Fatalf("join through a silent address = %v, want ErrTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed < budget/2 {

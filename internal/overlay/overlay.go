@@ -35,14 +35,14 @@ import (
 	"rofl/internal/wire"
 )
 
-// ErrTimeout reports a request that received no answer in time.
-var ErrTimeout = errors.New("overlay: request timed out")
+// errTimeout reports a request that received no answer in time.
+var errTimeout = errors.New("overlay: request timed out")
 
-// ErrClosed reports an operation on a closed node.
-var ErrClosed = errors.New("overlay: node closed")
+// errClosed reports an operation on a closed node.
+var errClosed = errors.New("overlay: node closed")
 
-// ErrBusy reports that the in-flight request table is full.
-var ErrBusy = errors.New("overlay: too many in-flight requests")
+// errBusy reports that the in-flight request table is full.
+var errBusy = errors.New("overlay: too many in-flight requests")
 
 // Delivery is handed to the application when a data packet arrives.
 type Delivery struct {
@@ -67,14 +67,14 @@ type RetryPolicy struct {
 	Multiplier float64
 }
 
-// DefaultRetryPolicy is tuned for LAN/loopback latencies: fast first
+// defaultRetryPolicy is tuned for LAN/loopback latencies: fast first
 // retry, doubling to a 2s cap.
-func DefaultRetryPolicy() RetryPolicy {
+func defaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{Initial: 120 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2}
 }
 
 // maxInFlight bounds the request table; register past this fails with
-// ErrBusy instead of growing without limit.
+// errBusy instead of growing without limit.
 const maxInFlight = 64
 
 // SuccessorGroupSize is the number of successors an overlay node keeps.
@@ -92,7 +92,7 @@ type Config struct {
 	// it and closes it on Close.
 	Transport netem.Transport
 	// Retry shapes control-request retransmission; the zero value means
-	// DefaultRetryPolicy().
+	// defaultRetryPolicy().
 	Retry RetryPolicy
 	// Gate, when set, is consulted before any data packet is delivered
 	// locally; packets it rejects are dropped silently, as a default-off
@@ -166,7 +166,7 @@ func New(id ident.ID, cfg Config) (*Node, error) {
 	}
 	retry := cfg.Retry
 	if retry == (RetryPolicy{}) {
-		retry = DefaultRetryPolicy()
+		retry = defaultRetryPolicy()
 	}
 	depth := cfg.DeliveryBuffer
 	if depth <= 0 {
@@ -441,10 +441,10 @@ func (n *Node) register() (uint64, chan error, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return 0, nil, ErrClosed
+		return 0, nil, errClosed
 	}
 	if len(n.pending) >= maxInFlight {
-		return 0, nil, ErrBusy
+		return 0, nil, errBusy
 	}
 	id := n.core.NextReqID()
 	ch := make(chan error, 1)
@@ -489,7 +489,7 @@ func (n *Node) Join(via string, timeout time.Duration) error {
 		ins.RequestTimeouts.Inc()
 		ins.Events.Warn(eventRequestTimeout,
 			"type", wire.TypeJoinRequest.String(), "to", via, "attempts", attempt, "timeout", timeout)
-		return fmt.Errorf("overlay: join via %s: %w after %d attempts", via, ErrTimeout, attempt)
+		return fmt.Errorf("overlay: join via %s: %w after %d attempts", via, errTimeout, attempt)
 	}
 	for attempt := 1; ; attempt++ {
 		if attempt > 1 {
@@ -517,7 +517,7 @@ func (n *Node) Join(via string, timeout time.Duration) error {
 			return err // nil on success; the core's decode error otherwise
 		case <-n.done:
 			t.Stop()
-			return fmt.Errorf("overlay: join via %s: %w", via, ErrClosed)
+			return fmt.Errorf("overlay: join via %s: %w", via, errClosed)
 		case <-t.C:
 			if !time.Now().Before(deadline) {
 				return exhausted(attempt)
@@ -546,7 +546,7 @@ func (n *Node) SendWithCapability(dst ident.ID, payload, capability []byte) erro
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	n.core.Originate(dst, payload, capability, a)
 	n.mu.Unlock()

@@ -217,11 +217,11 @@ func TestCloseThenLateEventsAreNoOps(t *testing.T) {
 	default:
 	}
 
-	// Public API surfaces report ErrClosed instead of acting.
-	if err := a.Send(b.ID(), []byte("x")); !errors.Is(err, ErrClosed) {
+	// Public API surfaces report errClosed instead of acting.
+	if err := a.Send(b.ID(), []byte("x")); !errors.Is(err, errClosed) {
 		t.Fatalf("Send after Close = %v, want ErrClosed", err)
 	}
-	if err := a.Join(b.Addr(), 100*time.Millisecond); !errors.Is(err, ErrClosed) {
+	if err := a.Join(b.Addr(), 100*time.Millisecond); !errors.Is(err, errClosed) {
 		t.Fatalf("Join after Close = %v, want ErrClosed", err)
 	}
 	if err := a.Close(); err != nil {

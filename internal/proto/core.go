@@ -596,7 +596,7 @@ func (c *Core) forwardExcept(pkt *wire.Packet, exclude ident.ID, a *Actions) {
 // idempotent: a retransmitted request from a joiner we already adopted
 // produces the same reply again and mutates nothing.
 func (c *Core) handleJoin(pkt *wire.Packet, a *Actions) {
-	src, err := DecodePeers(pkt.Payload)
+	src, err := decodePeers(pkt.Payload)
 	if err != nil || len(src) != 1 {
 		return
 	}
@@ -675,7 +675,7 @@ func (c *Core) handleJoinReply(pkt *wire.Packet, a *Actions) {
 // applyJoinReply installs the predecessor and successor set from a join
 // reply: predecessor first, then successors (§3.1's splice answer).
 func (c *Core) applyJoinReply(pkt *wire.Packet) error {
-	es, err := DecodePeers(pkt.Payload)
+	es, err := decodePeers(pkt.Payload)
 	if err != nil || len(es) < 1 {
 		return fmt.Errorf("proto: malformed join reply")
 	}
@@ -708,7 +708,7 @@ func (c *Core) applyJoinReply(pkt *wire.Packet) error {
 // handleNotify processes the ring-splice notification a predecessor
 // sends its old successor after adopting a joiner.
 func (c *Core) handleNotify(pkt *wire.Packet) {
-	es, err := DecodePeers(pkt.Payload)
+	es, err := decodePeers(pkt.Payload)
 	if err != nil || len(es) != 1 {
 		return
 	}
@@ -730,7 +730,7 @@ func (c *Core) handleNotify(pkt *wire.Packet) {
 // gossip, adopt the asker as predecessor or successor where it
 // improves the ring, and reply with our predecessor and successor set.
 func (c *Core) handleStabilize(pkt *wire.Packet, a *Actions) {
-	es, err := DecodePeers(pkt.Payload)
+	es, err := decodePeers(pkt.Payload)
 	if err != nil || len(es) < 1 {
 		return
 	}
@@ -780,7 +780,7 @@ func (c *Core) handleStabilize(pkt *wire.Packet, a *Actions) {
 // Replies outside the recent-request window are stale and ignored;
 // quarantined peers cannot be resurrected by hearsay.
 func (c *Core) handleStabilizeReply(pkt *wire.Packet, from string) {
-	es, err := DecodePeers(pkt.Payload)
+	es, err := decodePeers(pkt.Payload)
 	if err != nil || len(es) < 1 {
 		return
 	}

@@ -33,16 +33,16 @@ type LivenessParams struct {
 	Multiplier int
 }
 
-// DefaultLivenessParams detects a dead successor in roughly
+// defaultLivenessParams detects a dead successor in roughly
 // (Multiplier+1)×MinTx ≈ 40ms on a LAN — two orders of magnitude under
 // the stabilize-timer epochs it fronts.
-func DefaultLivenessParams() LivenessParams {
+func defaultLivenessParams() LivenessParams {
 	return LivenessParams{MinTx: 10 * time.Millisecond, MinRx: 5 * time.Millisecond, Multiplier: 3}
 }
 
 // normalize fills zero fields with defaults.
 func (p LivenessParams) normalize() LivenessParams {
-	d := DefaultLivenessParams()
+	d := defaultLivenessParams()
 	if p.MinTx <= 0 {
 		p.MinTx = d.MinTx
 	}

@@ -30,8 +30,8 @@ func EncodePeers(es []Peer) []byte {
 	return buf
 }
 
-// DecodePeers parses an EncodePeers payload.
-func DecodePeers(b []byte) ([]Peer, error) {
+// decodePeers parses an EncodePeers payload.
+func decodePeers(b []byte) ([]Peer, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("proto: short entry list")
 	}

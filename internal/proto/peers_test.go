@@ -18,17 +18,17 @@ func TestPeerCodecRoundTrip(t *testing.T) {
 		{ID: ident.FromString("a"), Addr: "127.0.0.1:1000"},
 		{ID: ident.FromString("b"), Addr: "[::1]:2000"},
 	}
-	out, err := DecodePeers(EncodePeers(in))
+	out, err := decodePeers(EncodePeers(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
 		t.Fatalf("round trip: %v", out)
 	}
-	if _, err := DecodePeers([]byte{0}); err == nil {
+	if _, err := decodePeers([]byte{0}); err == nil {
 		t.Fatal("short buffer must fail")
 	}
-	if _, err := DecodePeers([]byte{0, 5, 1, 2}); err == nil {
+	if _, err := decodePeers([]byte{0, 5, 1, 2}); err == nil {
 		t.Fatal("truncated entries must fail")
 	}
 }

@@ -17,13 +17,13 @@ import (
 
 // Errors returned by the admission checks.
 var (
-	ErrNotRegistered   = errors.New("secure: destination not registered with its provider")
-	ErrNotAuthorized   = errors.New("secure: source not authorized by destination filter")
-	ErrBadCapability   = errors.New("secure: capability invalid")
-	ErrExpired         = errors.New("secure: capability expired")
-	ErrQuotaExceeded   = errors.New("secure: router identifier quota exceeded")
-	ErrBadAuthProof    = errors.New("secure: join authentication failed")
-	ErrUnknownReceiver = errors.New("secure: unknown receiver identity")
+	errNotRegistered   = errors.New("secure: destination not registered with its provider")
+	errNotAuthorized   = errors.New("secure: source not authorized by destination filter")
+	errBadCapability   = errors.New("secure: capability invalid")
+	errExpired         = errors.New("secure: capability expired")
+	errQuotaExceeded   = errors.New("secure: router identifier quota exceeded")
+	errBadAuthProof    = errors.New("secure: join authentication failed")
+	errUnknownReceiver = errors.New("secure: unknown receiver identity")
 )
 
 // Authenticator performs the join-time check of §2.1: "before its ID can
@@ -45,7 +45,7 @@ func (a *Authenticator) Challenge(claimed ident.ID) []byte {
 // Verify validates the host's proof over the challenge.
 func (a *Authenticator) Verify(claimed ident.ID, challenge []byte, proof ident.Proof) error {
 	if err := ident.VerifyProof(claimed, challenge, proof); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadAuthProof, err)
+		return fmt.Errorf("%w: %v", errBadAuthProof, err)
 	}
 	return nil
 }
@@ -81,7 +81,7 @@ func (g *Registry) Register(id ident.ID, router int) error {
 		g.perRouter[old]--
 	}
 	if g.quota > 0 && g.perRouter[router] >= g.quota {
-		return fmt.Errorf("%w: router %d at %d identifiers", ErrQuotaExceeded, router, g.quota)
+		return fmt.Errorf("%w: router %d at %d identifiers", errQuotaExceeded, router, g.quota)
 	}
 	g.registered[id] = router
 	g.perRouter[router]++
@@ -143,13 +143,13 @@ func Grant(dst *ident.Identity, src ident.ID, expiry uint64) Capability {
 // expiry), and the token must not be expired.
 func (c Capability) Verify(src, dst ident.ID, now uint64) error {
 	if c.Src != src || c.Dst != dst {
-		return fmt.Errorf("%w: endpoints do not match", ErrBadCapability)
+		return fmt.Errorf("%w: endpoints do not match", errBadCapability)
 	}
 	if now > c.Expiry {
-		return fmt.Errorf("%w: at %d, expired %d", ErrExpired, now, c.Expiry)
+		return fmt.Errorf("%w: at %d, expired %d", errExpired, now, c.Expiry)
 	}
 	if err := ident.VerifyProof(dst, capabilityBody(src, dst, c.Expiry), ident.Proof{Pub: c.DstPub, Sig: c.Sig}); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadCapability, err)
+		return fmt.Errorf("%w: %v", errBadCapability, err)
 	}
 	return nil
 }
@@ -170,7 +170,7 @@ func (c Capability) Marshal() []byte {
 func UnmarshalCapability(b []byte) (Capability, error) {
 	want := 2*ident.Size + 8 + ed25519.PublicKeySize + ed25519.SignatureSize
 	if len(b) != want {
-		return Capability{}, fmt.Errorf("%w: %d bytes, want %d", ErrBadCapability, len(b), want)
+		return Capability{}, fmt.Errorf("%w: %d bytes, want %d", errBadCapability, len(b), want)
 	}
 	var c Capability
 	copy(c.Src[:], b[:ident.Size])
@@ -222,12 +222,12 @@ func (g *Gate) RegisterOwner(id ident.ID, pub ed25519.PublicKey) {
 func (g *Gate) InstallFilter(dst *ident.Identity, src ident.ID) error {
 	pub, ok := g.owners[dst.ID()]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownReceiver, dst.ID().Short())
+		return fmt.Errorf("%w: %s", errUnknownReceiver, dst.ID().Short())
 	}
 	body := capabilityBody(src, dst.ID(), 0)
 	sig := dst.Sign(body)
 	if !ed25519.Verify(pub, body, sig) {
-		return fmt.Errorf("%w: filter request signature", ErrBadCapability)
+		return fmt.Errorf("%w: filter request signature", errBadCapability)
 	}
 	if g.allow[dst.ID()] == nil {
 		g.allow[dst.ID()] = make(map[ident.ID]bool)
@@ -246,13 +246,13 @@ func (g *Gate) RemoveFilter(dst, src ident.ID) {
 // hold either a standing filter entry or a valid capability.
 func (g *Gate) Admit(src, dst ident.ID, cap *Capability, now uint64) error {
 	if !g.registry.Registered(dst) {
-		return fmt.Errorf("%w: %s", ErrNotRegistered, dst.Short())
+		return fmt.Errorf("%w: %s", errNotRegistered, dst.Short())
 	}
 	if g.allow[dst][src] {
 		return nil
 	}
 	if cap == nil {
-		return fmt.Errorf("%w: %s → %s", ErrNotAuthorized, src.Short(), dst.Short())
+		return fmt.Errorf("%w: %s → %s", errNotAuthorized, src.Short(), dst.Short())
 	}
 	return cap.Verify(src, dst, now)
 }

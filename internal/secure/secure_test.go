@@ -35,7 +35,7 @@ func TestAuthenticatorRejectsSpoof(t *testing.T) {
 	honest := newIdentity(t, 1)
 	attacker := newIdentity(t, 2)
 	ch := a.Challenge(honest.ID())
-	if err := a.Verify(honest.ID(), ch, attacker.Prove(ch)); !errors.Is(err, ErrBadAuthProof) {
+	if err := a.Verify(honest.ID(), ch, attacker.Prove(ch)); !errors.Is(err, errBadAuthProof) {
 		t.Fatalf("spoof accepted: %v", err)
 	}
 }
@@ -59,7 +59,7 @@ func TestRegistryQuota(t *testing.T) {
 	if err := reg.Register(b, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(c, 1); !errors.Is(err, ErrQuotaExceeded) {
+	if err := reg.Register(c, 1); !errors.Is(err, errQuotaExceeded) {
 		t.Fatalf("quota not enforced: %v", err)
 	}
 	if err := reg.Register(c, 2); err != nil {
@@ -95,14 +95,14 @@ func TestCapabilityLifecycle(t *testing.T) {
 	if err := cap.Verify(src, dst.ID(), 500); err != nil {
 		t.Fatalf("valid capability rejected: %v", err)
 	}
-	if err := cap.Verify(src, dst.ID(), 1001); !errors.Is(err, ErrExpired) {
+	if err := cap.Verify(src, dst.ID(), 1001); !errors.Is(err, errExpired) {
 		t.Fatalf("expired capability accepted: %v", err)
 	}
 	other := ident.FromString("other")
-	if err := cap.Verify(other, dst.ID(), 500); !errors.Is(err, ErrBadCapability) {
+	if err := cap.Verify(other, dst.ID(), 500); !errors.Is(err, errBadCapability) {
 		t.Fatalf("wrong source accepted: %v", err)
 	}
-	if err := cap.Verify(src, other, 500); !errors.Is(err, ErrBadCapability) {
+	if err := cap.Verify(src, other, 500); !errors.Is(err, errBadCapability) {
 		t.Fatalf("wrong destination accepted: %v", err)
 	}
 }
@@ -114,13 +114,13 @@ func TestCapabilityForgery(t *testing.T) {
 	// Attacker signs a capability claiming dst's label.
 	forged := Grant(attacker, src, 1000)
 	forged.Dst = dst.ID()
-	if err := forged.Verify(src, dst.ID(), 500); !errors.Is(err, ErrBadCapability) {
+	if err := forged.Verify(src, dst.ID(), 500); !errors.Is(err, errBadCapability) {
 		t.Fatalf("forged capability accepted: %v", err)
 	}
 	// Tampered expiry breaks the signature.
 	cap := Grant(dst, src, 1000)
 	cap.Expiry = 1 << 60
-	if err := cap.Verify(src, dst.ID(), 500); !errors.Is(err, ErrBadCapability) {
+	if err := cap.Verify(src, dst.ID(), 500); !errors.Is(err, errBadCapability) {
 		t.Fatalf("tampered expiry accepted: %v", err)
 	}
 }
@@ -138,7 +138,7 @@ func TestCapabilityMarshalRoundTrip(t *testing.T) {
 	if err := got.Verify(cap.Src, cap.Dst, 10); err != nil {
 		t.Fatalf("unmarshaled capability invalid: %v", err)
 	}
-	if _, err := UnmarshalCapability(cap.Marshal()[:10]); !errors.Is(err, ErrBadCapability) {
+	if _, err := UnmarshalCapability(cap.Marshal()[:10]); !errors.Is(err, errBadCapability) {
 		t.Fatalf("short token accepted: %v", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestGateDefaultOff(t *testing.T) {
 
 	// Unregistered destination: dropped even with a capability.
 	cap := Grant(dst, src, 1000)
-	if err := gate.Admit(src, dst.ID(), &cap, 10); !errors.Is(err, ErrNotRegistered) {
+	if err := gate.Admit(src, dst.ID(), &cap, 10); !errors.Is(err, errNotRegistered) {
 		t.Fatalf("unregistered dst reachable: %v", err)
 	}
 
@@ -159,7 +159,7 @@ func TestGateDefaultOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Registered but no authorization: default off.
-	if err := gate.Admit(src, dst.ID(), nil, 10); !errors.Is(err, ErrNotAuthorized) {
+	if err := gate.Admit(src, dst.ID(), nil, 10); !errors.Is(err, errNotAuthorized) {
 		t.Fatalf("default-off not enforced: %v", err)
 	}
 	// Capability admits.
@@ -167,7 +167,7 @@ func TestGateDefaultOff(t *testing.T) {
 		t.Fatalf("capability not honored: %v", err)
 	}
 	// Expired capability drops again.
-	if err := gate.Admit(src, dst.ID(), &cap, 2000); !errors.Is(err, ErrExpired) {
+	if err := gate.Admit(src, dst.ID(), &cap, 2000); !errors.Is(err, errExpired) {
 		t.Fatalf("expired capability admitted: %v", err)
 	}
 }
@@ -181,7 +181,7 @@ func TestGateStandingFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Filter installation requires a known owner.
-	if err := gate.InstallFilter(dst, src); !errors.Is(err, ErrUnknownReceiver) {
+	if err := gate.InstallFilter(dst, src); !errors.Is(err, errUnknownReceiver) {
 		t.Fatalf("unknown owner accepted: %v", err)
 	}
 	gate.RegisterOwner(dst.ID(), dst.PublicKey())
@@ -192,7 +192,7 @@ func TestGateStandingFilter(t *testing.T) {
 		t.Fatalf("standing filter not honored: %v", err)
 	}
 	gate.RemoveFilter(dst.ID(), src)
-	if err := gate.Admit(src, dst.ID(), nil, 10); !errors.Is(err, ErrNotAuthorized) {
+	if err := gate.Admit(src, dst.ID(), nil, 10); !errors.Is(err, errNotAuthorized) {
 		t.Fatalf("removed filter still admits: %v", err)
 	}
 }

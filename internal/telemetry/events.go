@@ -50,11 +50,11 @@ type EventLog struct {
 
 // NewEventLog writes events to w, stamped with the wall clock.
 func NewEventLog(w io.Writer) *EventLog {
-	return NewEventLogClock(w, time.Now)
+	return newEventLogClock(w, time.Now)
 }
 
-// NewEventLogClock is NewEventLog with an explicit time source.
-func NewEventLogClock(w io.Writer, clock func() time.Time) *EventLog {
+// newEventLogClock is NewEventLog with an explicit time source.
+func newEventLogClock(w io.Writer, clock func() time.Time) *EventLog {
 	return &EventLog{w: w, clock: clock}
 }
 

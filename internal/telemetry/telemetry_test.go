@@ -102,7 +102,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 func TestEventLogJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	fixed := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	l := NewEventLogClock(&buf, func() time.Time { return fixed })
+	l := newEventLogClock(&buf, func() time.Time { return fixed })
 	l.Info("succ_evicted", "peer", "ab12…", "misses", 4, "reason", "stabilize-timeout")
 	l.Warn("weird \"quote\"", "err", fmt.Errorf("boom\nline2"))
 

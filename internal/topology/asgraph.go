@@ -405,7 +405,7 @@ func GenAS(cfg ASGenConfig) *ASGraph {
 	for i := 0; i < cfg.Stubs; i++ {
 		edges = append(edges, ASN(cfg.Tier1+cfg.Tier2+i))
 	}
-	for i, c := range ZipfSpread(cfg.Hosts, len(edges), cfg.ZipfS, rng) {
+	for i, c := range zipfSpread(cfg.Hosts, len(edges), cfg.ZipfS, rng) {
 		g.SetHosts(edges[i], c)
 	}
 	return g

@@ -217,7 +217,7 @@ func TestGenISPInfeasiblePanics(t *testing.T) {
 
 func TestZipfSpread(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	out := ZipfSpread(1000, 10, 1.2, rng)
+	out := zipfSpread(1000, 10, 1.2, rng)
 	sum := 0
 	max := 0
 	for _, v := range out {
@@ -235,7 +235,7 @@ func TestZipfSpread(t *testing.T) {
 	if max < 200 {
 		t.Fatalf("Zipf head too light: max=%d", max)
 	}
-	if ZipfSpread(10, 0, 1.2, rng) != nil {
+	if zipfSpread(10, 0, 1.2, rng) != nil {
 		t.Fatal("zero bins should return nil")
 	}
 }
@@ -343,7 +343,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 // TestDijkstraAllocations: a tree costs its three result slices, the
 // done marks and one heap, not an allocation per relaxed edge.
 func TestDijkstraAllocations(t *testing.T) {
-	g := GenISP(AS1239).Graph
+	g := GenISP(as1239).Graph
 	src := NodeID(0)
 	allocs := testing.AllocsPerRun(20, func() {
 		g.Dijkstra(src, nil)
@@ -355,7 +355,7 @@ func TestDijkstraAllocations(t *testing.T) {
 }
 
 func BenchmarkDijkstraAS1239(b *testing.B) {
-	isp := GenISP(AS1239)
+	isp := GenISP(as1239)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

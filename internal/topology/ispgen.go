@@ -33,14 +33,14 @@ type ISPConfig struct {
 // is swept explicitly by the experiment driver.
 var (
 	AS1221 = ISPConfig{Name: "AS1221", Routers: 318, PoPs: 28, BackbonePerPoP: 2, PoPDegree: 5, IntraPoPDelay: 0.5, InterPoPDelay: 6, Hosts: 2600, ZipfS: 1.2, Seed: 1221}
-	AS1239 = ISPConfig{Name: "AS1239", Routers: 604, PoPs: 43, BackbonePerPoP: 3, PoPDegree: 7, IntraPoPDelay: 0.4, InterPoPDelay: 8, Hosts: 10000, ZipfS: 1.2, Seed: 1239}
+	as1239 = ISPConfig{Name: "AS1239", Routers: 604, PoPs: 43, BackbonePerPoP: 3, PoPDegree: 7, IntraPoPDelay: 0.4, InterPoPDelay: 8, Hosts: 10000, ZipfS: 1.2, Seed: 1239}
 	AS3257 = ISPConfig{Name: "AS3257", Routers: 240, PoPs: 24, BackbonePerPoP: 2, PoPDegree: 5, IntraPoPDelay: 0.5, InterPoPDelay: 7, Hosts: 500, ZipfS: 1.2, Seed: 3257}
 	AS3967 = ISPConfig{Name: "AS3967", Routers: 201, PoPs: 21, BackbonePerPoP: 2, PoPDegree: 5, IntraPoPDelay: 0.5, InterPoPDelay: 6, Hosts: 2100, ZipfS: 1.2, Seed: 3967}
 )
 
 // EvalISPs returns the paper's four evaluation topologies in figure
 // order.
-func EvalISPs() []ISPConfig { return []ISPConfig{AS1221, AS1239, AS3257, AS3967} }
+func EvalISPs() []ISPConfig { return []ISPConfig{AS1221, as1239, AS3257, AS3967} }
 
 // ISP is a generated intradomain topology: the router graph plus the
 // access routers hosts attach to and the host spread across them.
@@ -127,14 +127,14 @@ func GenISP(cfg ISPConfig) *ISP {
 		isp.Access = append(isp.Access, n)
 	}
 
-	isp.HostsAt = ZipfSpread(cfg.Hosts, len(isp.Access), cfg.ZipfS, rng)
+	isp.HostsAt = zipfSpread(cfg.Hosts, len(isp.Access), cfg.ZipfS, rng)
 	return isp
 }
 
-// ZipfSpread distributes total units over n bins with Zipf(s) weights in
+// zipfSpread distributes total units over n bins with Zipf(s) weights in
 // a random bin order, modeling skitter's "highly uneven distribution of
 // hosts" (§6.3). The counts sum exactly to total.
-func ZipfSpread(total, n int, s float64, rng *rand.Rand) []int {
+func zipfSpread(total, n int, s float64, rng *rand.Rand) []int {
 	if n <= 0 {
 		return nil
 	}

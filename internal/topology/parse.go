@@ -29,7 +29,7 @@ import (
 // ParseRocketfuel reads a Rocketfuel .cch router-level map into an ISP.
 // Backbone routers are those flagged "bb"; every other router is access.
 // Link weights default to weight (ms) since .cch files carry no
-// latencies; hosts are spread over access routers with ZipfSpread-like
+// latencies; hosts are spread over access routers with zipfSpread-like
 // proportionality left to the caller (HostsAt is zeroed).
 func ParseRocketfuel(r io.Reader, name string, weight float64) (*ISP, error) {
 	if weight <= 0 {

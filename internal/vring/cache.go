@@ -106,8 +106,8 @@ func (c *PointerCache) find(id ident.ID) (r, i int, ok bool) {
 	return r, i, ok
 }
 
-// Has reports whether id is cached, without touching it.
-func (c *PointerCache) Has(id ident.ID) bool {
+// has reports whether id is cached, without touching it.
+func (c *PointerCache) has(id ident.ID) bool {
 	_, _, ok := c.find(id)
 	return ok
 }
@@ -276,10 +276,10 @@ func (c *PointerCache) Lookup(pos, dst ident.ID) (Pointer, bool) {
 	return Pointer{ID: id, Router: RouterID(s.router)}, true
 }
 
-// Each returns every cached pointer in ascending ID order (for memory
+// each returns every cached pointer in ascending ID order (for memory
 // accounting and invalidation sweeps). Callers must not mutate the
 // cache from fn.
-func (c *PointerCache) Each(fn func(Pointer) bool) {
+func (c *PointerCache) each(fn func(Pointer) bool) {
 	for _, run := range c.runs.All() {
 		for i := range run.Len() {
 			id, s := run.At(i)

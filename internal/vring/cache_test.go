@@ -114,7 +114,7 @@ func TestCacheEach(t *testing.T) {
 		c.Insert(Pointer{ID: id64(i * 10), Router: RouterID(i)})
 	}
 	var seen []ident.ID
-	c.Each(func(p Pointer) bool {
+	c.each(func(p Pointer) bool {
 		seen = append(seen, p.ID)
 		return len(seen) < 3
 	})
@@ -233,7 +233,7 @@ func checkCache(t testing.TB, step int, c *PointerCache, model *listLRU, full bo
 	if !full {
 		return
 	}
-	c.Each(func(p Pointer) bool {
+	c.each(func(p Pointer) bool {
 		if e, ok := model.byID[p.ID]; !ok || e.Value.(Pointer) != p {
 			t.Fatalf("step %d: cache holds %v, model does not", step, p)
 		}
@@ -242,11 +242,11 @@ func checkCache(t testing.TB, step int, c *PointerCache, model *listLRU, full bo
 }
 
 // checkLookup holds Lookup to an exhaustive closest-without-overshoot
-// scan over Each, and touches the winner in the model.
+// scan over each, and touches the winner in the model.
 func checkLookup(t testing.TB, step int, c *PointerCache, model *listLRU, pos, dst ident.ID) {
 	t.Helper()
 	sel := ident.NewScan(pos, dst)
-	c.Each(func(p Pointer) bool { sel.Offer(p.ID); return true })
+	c.each(func(p Pointer) bool { sel.Offer(p.ID); return true })
 	want, wantOK := sel.Best()
 	p, ok := c.Lookup(pos, dst)
 	if ok != wantOK || ok && p.ID != want {
@@ -261,7 +261,7 @@ func checkLookup(t testing.TB, step int, c *PointerCache, model *listLRU, pos, d
 // after from, the deletion pattern that empties whole runs.
 func removeBlock(c *PointerCache, model *listLRU, from ident.ID, count int) {
 	var ids []ident.ID
-	c.Each(func(p Pointer) bool {
+	c.each(func(p Pointer) bool {
 		if !p.ID.Less(from) {
 			ids = append(ids, p.ID)
 		}
@@ -538,7 +538,7 @@ func TestCacheStressSortedInvariant(t *testing.T) {
 	}
 	var prev ident.ID
 	first := true
-	c.Each(func(p Pointer) bool {
+	c.each(func(p Pointer) bool {
 		if !first && !prev.Less(p.ID) {
 			t.Fatal("entries out of order")
 		}

@@ -63,14 +63,14 @@ const (
 // Journal kinds recorded during convergence (sharded-run invariance is
 // proven over these).
 const (
-	CJPredAdopt uint16 = iota // Node adopted A as predecessor
-	CJSuccAdopt               // Node's successor group changed after merging from A
-	CJStable                  // Node reached a stable successor group of size A
+	cjPredAdopt uint16 = iota // Node adopted A as predecessor
+	cjSuccAdopt               // Node's successor group changed after merging from A
+	cjStable                  // Node reached a stable successor group of size A
 )
 
-// MaxCompactSuccessors is the successor-group ceiling: a group must fit
+// maxCompactSuccessors is the successor-group ceiling: a group must fit
 // one sim.Msg advertisement (len(Msg.Args)).
-const MaxCompactSuccessors = 4
+const maxCompactSuccessors = 4
 
 // CompactConfig sizes one compact-ring simulation.
 type CompactConfig struct {
@@ -237,8 +237,8 @@ func NewCompactRing(isp *topology.ISP, cfg CompactConfig) *CompactRing {
 	if cfg.SuccessorGroup < 1 {
 		cfg.SuccessorGroup = 1
 	}
-	if cfg.SuccessorGroup > MaxCompactSuccessors {
-		cfg.SuccessorGroup = MaxCompactSuccessors
+	if cfg.SuccessorGroup > maxCompactSuccessors {
+		cfg.SuccessorGroup = maxCompactSuccessors
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -510,7 +510,7 @@ func (r *CompactRing) onGetSucc(sc *sim.ShardContext, m sim.Msg) {
 	p := r.pred[v]
 	if p == ident.NoHandle || ident.BetweenOpen(r.ids[u], r.ids[p], r.ids[v]) {
 		r.pred[v] = u
-		sc.Journal(CJPredAdopt, uint32(v), uint32(u), 0)
+		sc.Journal(cjPredAdopt, uint32(v), uint32(u), 0)
 	}
 	reply := sim.Msg{Src: uint32(v), Dst: uint32(u), Kind: cmSuccList}
 	base := int(v) * r.cfg.SuccessorGroup
@@ -535,7 +535,7 @@ func (r *CompactRing) onSuccList(sc *sim.ShardContext, m sim.Msg) {
 
 	// Candidate pool: current group, the replying successor, and its
 	// advertised group — at most 4+1+4 handles, in fixed storage.
-	var cand [2*MaxCompactSuccessors + 1]ident.Handle
+	var cand [2*maxCompactSuccessors + 1]ident.Handle
 	nc := 0
 	base := int(u) * r.cfg.SuccessorGroup
 	for k := 0; k < int(r.nsucc[u]); k++ {
@@ -580,7 +580,7 @@ func (r *CompactRing) onSuccList(sc *sim.ShardContext, m sim.Msg) {
 
 	if changed {
 		r.stable[u] = 0
-		sc.Journal(CJSuccAdopt, uint32(u), uint32(v), uint32(keep))
+		sc.Journal(cjSuccAdopt, uint32(u), uint32(v), uint32(keep))
 	} else if r.stable[u] < 2 {
 		r.stable[u]++
 	}
@@ -588,7 +588,7 @@ func (r *CompactRing) onSuccList(sc *sim.ShardContext, m sim.Msg) {
 		jitter := sim.Time(sim.SplitMix64(&r.rngs[u])%1024) / 1024 * compactStabilizeEvery
 		sc.Send(compactStabilizeEvery+jitter, sim.Msg{Src: uint32(u), Dst: uint32(u), Kind: cmTimer})
 	} else {
-		sc.Journal(CJStable, uint32(u), uint32(keep), 0)
+		sc.Journal(cjStable, uint32(u), uint32(keep), 0)
 	}
 }
 
@@ -795,7 +795,7 @@ func (r *CompactRing) Probe(from ident.Handle, dst ident.ID) (ProbeResult, error
 		res.Latency += float64(r.latM[int(cur)*r.nrouters+int(nr)])
 		pos, cur = best, nr
 	}
-	return res, ErrTTLExceeded
+	return res, errTTLExceeded
 }
 
 // finishProbe computes stretch against the direct physical latency and
@@ -867,7 +867,7 @@ func (r *CompactRing) ProbeJoin(from ident.Handle, joining ident.ID) (int, error
 		msgs += int(r.hopM[int(cur)*r.nrouters+int(nr)])
 		pos, cur = best, nr
 	}
-	return msgs, ErrTTLExceeded
+	return msgs, errTTLExceeded
 }
 
 // --- accessors, accounting, journal ---------------------------------------

@@ -80,11 +80,11 @@ func journalText(r *CompactRing) string {
 	var b strings.Builder
 	for _, e := range r.eng.Journal() {
 		switch e.Kind {
-		case CJPredAdopt:
+		case cjPredAdopt:
 			fmt.Fprintf(&b, "t=%.3f %s pred-adopt %s\n", float64(e.At), r.ids[e.Node].Short(), r.ids[e.A].Short())
-		case CJSuccAdopt:
+		case cjSuccAdopt:
 			fmt.Fprintf(&b, "t=%.3f %s succ-merge from=%s n=%d\n", float64(e.At), r.ids[e.Node].Short(), r.ids[e.A].Short(), e.B)
-		case CJStable:
+		case cjStable:
 			fmt.Fprintf(&b, "t=%.3f %s stable n=%d\n", float64(e.At), r.ids[e.Node].Short(), e.A)
 		}
 	}
@@ -172,28 +172,33 @@ func (c *refCache) text(router int) string {
 }
 
 // refWarmCaches is the serial warm-up the blocked, sharded warmCaches
-// must reproduce: the event run's deposits, router by router, then
-// every member's stabilize round-trip deposits in handle order, then
-// every member's join-epoch residue, each inserted through
-// refCacheInsert the moment it is generated. It returns one reference
-// cache per router.
+// must reproduce: each router's refSequences deposits, each inserted
+// through refCacheInsert in turn. It returns one reference cache per
+// router.
 func refWarmCaches(r *CompactRing) []*refCache {
 	refs := make([]*refCache, r.nrouters)
-	for rt := range refs {
+	for rt, seq := range refSequences(r) {
 		refs[rt] = newRefCache(r.cfg.CacheCapacity)
-	}
-	for rt, list := range r.deposits {
-		for _, h := range list {
+		for _, h := range seq {
 			refCacheInsert(refs[rt], r.ids, h)
 		}
 	}
+	return refs
+}
+
+// refSequences returns every router's warm-up deposits, oldest first:
+// the event run's, then every member's stabilize round-trip deposits in
+// handle order, then every member's join-epoch residue. It consumes
+// r.deposits.
+func refSequences(r *CompactRing) [][]ident.Handle {
+	seqs := r.deposits
 	r.deposits = nil
 	depositAlong := func(a, b uint32, h ident.Handle) {
 		if a == b {
 			return
 		}
 		for _, node := range r.ls.Path(topology.NodeID(a), topology.NodeID(b))[1:] {
-			refCacheInsert(refs[node], r.ids, h)
+			seqs[node] = append(seqs[node], h)
 		}
 	}
 	for u := 0; u < r.members; u++ {
@@ -207,10 +212,11 @@ func refWarmCaches(r *CompactRing) []*refCache {
 	for u := 0; u < r.members; u++ {
 		st := uint64(r.cfg.Seed)<<20 ^ uint64(u)*0x9e3779b97f4a7c15
 		for t := 0; t < joinResidueDeposits; t++ {
-			refCacheInsert(refs[sim.SplitMix64(&st)%uint64(r.nrouters)], r.ids, ident.Handle(u))
+			rt := sim.SplitMix64(&st) % uint64(r.nrouters)
+			seqs[rt] = append(seqs[rt], ident.Handle(u))
 		}
 	}
-	return refs
+	return seqs
 }
 
 // buildCache builds router's cache newest-first from seq, its deposits
@@ -329,6 +335,92 @@ func TestCompactStateDigest(t *testing.T) {
 					cfg.Hosts, cfg.CacheCapacity, shards, got, tc.want)
 			}
 		}
+	}
+}
+
+// TestCompactStateDigestSeesPerturbations holds TestCompactStateDigest's
+// configurations (built the same way here) to what they guard: for each
+// perturbation of a fact the digest pins, at least one configuration's
+// digest must change, or the digest has gone blind to it.
+//   - Reverse one router's run-deposit list between the engine run and
+//     the warm-up. Each router is tried in turn.
+//   - Drop one run deposit. Every run exchange repeats until the ring is
+//     stable, so each dropped handle is deposited again, and a drop can
+//     show only where a bucket fills while the run's deposits are read:
+//     at a router whose reversal showed. Its deposits are tried newest
+//     first, the warm-up's read order.
+//   - Swap two members of one successor group after Run.
+//
+// A router's cache depends only on its own deposits, so the search
+// builds the one cache a try changes from refSequences; each hit is then
+// confirmed through warmCaches and the digest.
+func TestCompactStateDigestSeesPerturbations(t *testing.T) {
+	isp := compactTestISP()
+	evicting := smallCompactConfig()
+	evicting.Hosts, evicting.CacheCapacity, evicting.EphemeralEvery = 2000, 64, 20
+	pressed := evicting
+	pressed.CacheCapacity = 2048
+	seen := map[string][]string{}
+	for _, cfg := range []CompactConfig{smallCompactConfig(), evicting, pressed} {
+		name := fmt.Sprintf("%d×%d", cfg.Hosts, cfg.CacheCapacity)
+		ref := NewCompactRing(isp, cfg)
+		ref.Run()
+		want := sha256.Sum256([]byte(compactState(ref)))
+		r := NewCompactRing(isp, cfg)
+		r.eng.Run()
+		run := slices.Clone(r.deposits)
+		seqs := refSequences(r)
+		// shows reports whether router rt's cache, built from its
+		// sequence with the run part replaced by list, differs from Run's.
+		shows := func(rt int, list []ident.Handle) bool {
+			r.caches[rt] = newCompactCache(cfg.CacheCapacity)
+			r.buildCache(uint32(rt), append(slices.Clip(list), seqs[rt][len(run[rt]):]...), len(seqs[rt]))
+			return cacheText(r, rt) != cacheText(ref, rt)
+		}
+		// digestShows confirms a hit: the whole warm-up from the run's
+		// deposits, router rt's list replaced by list, moves the digest.
+		digestShows := func(rt int, list []ident.Handle) bool {
+			for i := range r.caches {
+				r.caches[i] = newCompactCache(cfg.CacheCapacity)
+			}
+			r.deposits = slices.Clone(run)
+			r.deposits[rt] = list
+			r.warmCaches()
+			return sha256.Sum256([]byte(compactState(r))) != want
+		}
+		for rt, list := range run {
+			if shows(rt, list) {
+				t.Fatalf("%s: router %d's cache built from its deposits differs from Run's", name, rt)
+			}
+			reversed := slices.Clone(list)
+			slices.Reverse(reversed)
+			if !shows(rt, reversed) {
+				continue
+			}
+			if digestShows(rt, reversed) {
+				seen["reverse"] = append(seen["reverse"], fmt.Sprintf("%s router %d", name, rt))
+			}
+			for i := len(list) - 1; i >= 0; i-- {
+				if dropped := slices.Delete(slices.Clone(list), i, i+1); shows(rt, dropped) {
+					if digestShows(rt, dropped) {
+						seen["drop"] = append(seen["drop"], fmt.Sprintf("%s router %d deposit %d of %d", name, rt, i, len(list)))
+					}
+					break
+				}
+			}
+		}
+		u := slices.IndexFunc(ref.nsucc, func(n uint8) bool { return n >= 2 })
+		g := ref.succs[u*cfg.SuccessorGroup:]
+		g[0], g[1] = g[1], g[0]
+		if sha256.Sum256([]byte(compactState(ref))) != want {
+			seen["swap"] = append(seen["swap"], name)
+		}
+	}
+	for _, p := range []string{"reverse", "drop", "swap"} {
+		if len(seen[p]) == 0 {
+			t.Errorf("%s: no configuration's state digest changed", p)
+		}
+		t.Logf("%s: digest changed at %v", p, seen[p])
 	}
 }
 

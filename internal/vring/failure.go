@@ -117,7 +117,7 @@ func (n *Network) pointerHolders(id ident.ID) map[RouterID]bool {
 				}
 			}
 		}
-		if hold || r.Cache.Has(id) {
+		if hold || r.Cache.has(id) {
 			holders[r.Node] = true
 		}
 	}
@@ -216,13 +216,13 @@ func (n *Network) FailHost(id ident.ID) error {
 func (n *Network) removeHost(id ident.ID, counter string) error {
 	host, ok := n.hostedAt[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
+		return fmt.Errorf("%w: %s", errUnknownID, id.Short())
 	}
 	r := n.Routers[host]
 	vn := r.Resident(id)
 	if vn == nil {
 		delete(n.hostedAt, id)
-		return fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
+		return fmt.Errorf("%w: %s", errUnknownID, id.Short())
 	}
 	if vn.Default {
 		return fmt.Errorf("vring: cannot remove default virtual node %s", id.Short())
@@ -267,7 +267,7 @@ func (n *Network) reparkOrphans(orphans []parking, counter string) {
 func (n *Network) MoveHost(id ident.ID, to RouterID) (JoinResult, error) {
 	host, ok := n.hostedAt[id]
 	if !ok {
-		return JoinResult{}, fmt.Errorf("%w: %s", ErrUnknownID, id.Short())
+		return JoinResult{}, fmt.Errorf("%w: %s", errUnknownID, id.Short())
 	}
 	eph := n.Routers[host].Resident(id).Ephemeral
 	if err := n.removeHost(id, MsgTeardown); err != nil {
@@ -286,7 +286,7 @@ func (n *Network) MoveHost(id ident.ID, to RouterID) (JoinResult, error) {
 // referencing the dead router's identifiers is repaired.
 func (n *Network) FailRouter(node RouterID) error {
 	if !n.LS.NodeUp(node) {
-		return ErrRouterDown
+		return errRouterDown
 	}
 	r := n.Routers[node]
 	n.LS.FailNode(node) // LSA flood charged by linkstate
@@ -405,6 +405,18 @@ func (n *Network) PartitionPoP(pop int) [][2]RouterID {
 // validates over 10 million partition events.
 func (n *Network) RepairPartitions() int {
 	before := n.Metrics.Counter(MsgRepair)
+	n.eachComponent(func(comp map[RouterID]bool, ms []Pointer) error {
+		n.repairComponent(comp, ms)
+		return nil
+	})
+	return int(n.Metrics.Counter(MsgRepair) - before)
+}
+
+// eachComponent calls fn for each connected component of live routers,
+// in n.Routers order of its first router, with the component's routers
+// and the ring members resident in it (taken from the members before the
+// first call). It stops at fn's first error and returns it.
+func (n *Network) eachComponent(fn func(comp map[RouterID]bool, ms []Pointer) error) error {
 	ms := n.members()
 	seen := map[RouterID]bool{}
 	for _, r := range n.Routers {
@@ -417,9 +429,11 @@ func (n *Network) RepairPartitions() int {
 			seen[c] = true
 			comp[c] = true
 		}
-		n.repairComponent(comp, membersIn(ms, comp))
+		if err := fn(comp, membersIn(ms, comp)); err != nil {
+			return err
+		}
 	}
-	return int(n.Metrics.Counter(MsgRepair) - before)
+	return nil
 }
 
 // repairComponent re-establishes a single consistent ring over the
@@ -450,7 +464,7 @@ func (n *Network) repairComponent(comp map[RouterID]bool, ms []Pointer) {
 		r := n.Routers[node]
 		r.unpark(func(e parking) bool { return !comp[e.Router] })
 		var purge []ident.ID
-		r.Cache.Each(func(p Pointer) bool {
+		r.Cache.each(func(p Pointer) bool {
 			if !comp[p.Router] {
 				purge = append(purge, p.ID)
 			}
@@ -509,38 +523,22 @@ func (n *Network) CheckRing() error {
 			// A floor landing on each index, on the ID its resident holds,
 			// is strict ascent of the residents' IDs.
 			if j, ok := r.find(vn.ID.Key()); !ok || j != i {
-				return fmt.Errorf("%w: router %d residents out of order at %s", ErrRingCorrupted, r.Node, vn.ID.Short())
+				return fmt.Errorf("%w: router %d residents out of order at %s", errRingCorrupted, r.Node, vn.ID.Short())
 			}
 			if host, ok := n.hostedAt[vn.ID]; !ok || host != r.Node || vn.Router != r.Node {
-				return fmt.Errorf("%w: %s resident at router %d is not hosted there", ErrRingCorrupted, vn.ID.Short(), r.Node)
+				return fmt.Errorf("%w: %s resident at router %d is not hosted there", errRingCorrupted, vn.ID.Short(), r.Node)
 			}
 		}
 		for i, e := range r.parked {
 			if j, _ := r.parkedAt(e.ID); j != i {
-				return fmt.Errorf("%w: router %d parkings out of order at %s", ErrRingCorrupted, r.Node, e.ID.Short())
+				return fmt.Errorf("%w: router %d parkings out of order at %s", errRingCorrupted, r.Node, e.ID.Short())
 			}
 			if p := r.Resident(e.parent); p == nil || p.Ephemeral {
-				return fmt.Errorf("%w: %s parked at router %d, no stable resident %s there", ErrRingCorrupted, e.ID.Short(), r.Node, e.parent.Short())
+				return fmt.Errorf("%w: %s parked at router %d, no stable resident %s there", errRingCorrupted, e.ID.Short(), r.Node, e.parent.Short())
 			}
 		}
 	}
-	ms := n.members()
-	seen := map[RouterID]bool{}
-	for _, r := range n.Routers {
-		if !n.LS.NodeUp(r.Node) || seen[r.Node] {
-			continue
-		}
-		compList := n.LS.Component(r.Node)
-		comp := make(map[RouterID]bool, len(compList))
-		for _, c := range compList {
-			seen[c] = true
-			comp[c] = true
-		}
-		if err := n.checkComponent(comp, membersIn(ms, comp)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return n.eachComponent(n.checkComponent)
 }
 
 func (n *Network) checkComponent(comp map[RouterID]bool, ms []Pointer) error {
@@ -549,7 +547,7 @@ func (n *Network) checkComponent(comp map[RouterID]bool, ms []Pointer) error {
 		if _, err := ident.CheckRing(len(ms), n.opts.SuccessorGroup, func(i int) Pointer { return ms[i] },
 			func(p Pointer) ident.ID { return p.ID }, func(i int) []Pointer { return vn(i).Succs },
 			func(i int) (Pointer, bool) { return vn(i).Pred, true }); err != nil {
-			return fmt.Errorf("%w: %w", ErrRingCorrupted, err)
+			return fmt.Errorf("%w: %w", errRingCorrupted, err)
 		}
 	}
 	// Every ephemeral host in the component must be parked at its
@@ -563,7 +561,7 @@ func (n *Network) checkComponent(comp map[RouterID]bool, ms []Pointer) error {
 			pr := n.Routers[pred.Router]
 			if i, ok := pr.parkedAt(vn.ID); !ok || pr.parked[i].parent != pred.ID {
 				return fmt.Errorf("%w: ephemeral %s not parked at predecessor %s",
-					ErrRingCorrupted, vn.ID.Short(), pred.ID.Short())
+					errRingCorrupted, vn.ID.Short(), pred.ID.Short())
 			}
 		}
 	}

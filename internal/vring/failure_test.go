@@ -30,7 +30,7 @@ func TestLeaveHostMaintainsRing(t *testing.T) {
 		}
 	}
 	// Departed hosts are gone.
-	if _, err := n.Route(isp.Backbone[0], ids[0]); !errors.Is(err, ErrUnknownID) {
+	if _, err := n.Route(isp.Backbone[0], ids[0]); !errors.Is(err, errUnknownID) {
 		t.Fatalf("departed host still routable: %v", err)
 	}
 }
@@ -52,7 +52,7 @@ func TestFailHostTeardownCharged(t *testing.T) {
 
 func TestFailUnknownHost(t *testing.T) {
 	n, _ := newTestNet(t, DefaultOptions())
-	if err := n.FailHost(ident.FromString("ghost")); !errors.Is(err, ErrUnknownID) {
+	if err := n.FailHost(ident.FromString("ghost")); !errors.Is(err, errUnknownID) {
 		t.Fatalf("want ErrUnknownID, got %v", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestCheckRingCatchesTableCorruption(t *testing.T) {
 	}
 	caught := func(what, msg string) {
 		t.Helper()
-		if err := n.CheckRing(); !errors.Is(err, ErrRingCorrupted) || !strings.Contains(err.Error(), msg) {
+		if err := n.CheckRing(); !errors.Is(err, errRingCorrupted) || !strings.Contains(err.Error(), msg) {
 			t.Fatalf("%s not caught: %v", what, err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestFailRouterTwiceErrors(t *testing.T) {
 	if err := n.FailRouter(isp.Access[2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.FailRouter(isp.Access[2]); !errors.Is(err, ErrRouterDown) {
+	if err := n.FailRouter(isp.Access[2]); !errors.Is(err, errRouterDown) {
 		t.Fatalf("want ErrRouterDown, got %v", err)
 	}
 }
@@ -486,7 +486,7 @@ func TestMoveEphemeralHost(t *testing.T) {
 
 func TestMoveUnknownHost(t *testing.T) {
 	n, isp := newTestNet(t, DefaultOptions())
-	if _, err := n.MoveHost(ident.FromString("nope"), isp.Access[0]); !errors.Is(err, ErrUnknownID) {
+	if _, err := n.MoveHost(ident.FromString("nope"), isp.Access[0]); !errors.Is(err, errUnknownID) {
 		t.Fatalf("want ErrUnknownID: %v", err)
 	}
 }

@@ -33,9 +33,9 @@ import (
 // Metrics counter names charged by this package. One control message
 // traversing k physical links counts k (paper §6.1 methodology).
 const (
-	MsgBootstrap = "vring-bootstrap"
+	msgBootstrap = "vring-bootstrap"
 	MsgJoin      = "vring-join"
-	MsgData      = "vring-data"
+	msgData      = "vring-data"
 	MsgTeardown  = "vring-teardown"
 	MsgRepair    = "vring-repair"
 )
@@ -44,7 +44,6 @@ const (
 const (
 	SampleJoinMsgs    = "vring-join-msgs"
 	SampleJoinLatency = "vring-join-latency-ms"
-	SampleStretch     = "vring-stretch"
 )
 
 // routeTTL bounds forwarding hops per packet.
@@ -244,19 +243,19 @@ type Network struct {
 
 // Errors returned by Network operations.
 var (
-	ErrDuplicateID   = errors.New("vring: identifier already resident")
-	ErrUnknownID     = errors.New("vring: identifier not resident anywhere")
-	ErrRouterDown    = errors.New("vring: router is down")
+	errDuplicateID   = errors.New("vring: identifier already resident")
+	errUnknownID     = errors.New("vring: identifier not resident anywhere")
+	errRouterDown    = errors.New("vring: router is down")
 	ErrNoRoute       = errors.New("vring: greedy routing could not deliver")
-	ErrTTLExceeded   = errors.New("vring: TTL exceeded")
-	ErrNotReachable  = errors.New("vring: destination not reachable in this partition")
-	ErrRingCorrupted = errors.New("vring: ring invariant violated")
+	errTTLExceeded   = errors.New("vring: TTL exceeded")
+	errNotReachable  = errors.New("vring: destination not reachable in this partition")
+	errRingCorrupted = errors.New("vring: ring invariant violated")
 )
 
 // New constructs a network over g: one router per topology node, each
 // bootstrapping a default virtual node into a ring of router-IDs. The
 // bootstrap flood each default virtual node performs (§3.1) is charged
-// to the MsgBootstrap counter; the resulting ring is built directly
+// to the msgBootstrap counter; the resulting ring is built directly
 // since the paper treats construction as a one-time cost.
 func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 	if opts.SuccessorGroup < 1 {
@@ -279,7 +278,7 @@ func New(g *topology.Graph, m sim.Metrics, opts Options) *Network {
 	}
 	// Default virtual nodes join by flooding (§3.1); charge one flood
 	// per router and build the converged ring directly.
-	m.Count(MsgBootstrap, int64(2*g.NumEdges()*g.NumNodes()))
+	m.Count(msgBootstrap, int64(2*g.NumEdges()*g.NumNodes()))
 	members := make([]Pointer, 0, len(n.Routers))
 	for _, r := range n.Routers {
 		n.hostedAt[r.ID] = r.Node
@@ -376,7 +375,7 @@ type Accept func(r *Router) (*VirtualNode, bool)
 // routers the walk traverses.
 func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Pointer, countTraversals bool, accept Accept, path []RouterID, avoid ...ident.ID) (Outcome, error) {
 	if !n.LS.NodeUp(from) {
-		return Outcome{}, ErrRouterDown
+		return Outcome{}, errRouterDown
 	}
 	out := Outcome{Final: from, Path: path}
 	cur := from
@@ -526,7 +525,7 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 		cur = next
 		out.Final = cur
 	}
-	return out, ErrTTLExceeded
+	return out, errTTLExceeded
 }
 
 // staleSet is the identifiers one routing attempt must not select. It
@@ -691,10 +690,10 @@ func (n *Network) JoinEphemeral(id ident.ID, at RouterID) (JoinResult, error) {
 
 func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, error) {
 	if !n.LS.NodeUp(at) {
-		return JoinResult{}, ErrRouterDown
+		return JoinResult{}, errRouterDown
 	}
 	if _, dup := n.hostedAt[id]; dup {
-		return JoinResult{}, fmt.Errorf("%w: %s", ErrDuplicateID, id.Short())
+		return JoinResult{}, fmt.Errorf("%w: %s", errDuplicateID, id.Short())
 	}
 	// Authentication (§2.1): host proves key possession to the hosting
 	// router over the local attachment link — no network-level messages.
@@ -711,11 +710,11 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 		return JoinResult{}, fmt.Errorf("locating predecessor of %s: %w", id.Short(), err)
 	}
 	if out.Delivered {
-		return JoinResult{}, fmt.Errorf("%w: %s", ErrDuplicateID, id.Short())
+		return JoinResult{}, fmt.Errorf("%w: %s", errDuplicateID, id.Short())
 	}
 	pred := out.StuckVN
 	if pred == nil {
-		return JoinResult{}, fmt.Errorf("%w: no predecessor found for %s", ErrRingCorrupted, id.Short())
+		return JoinResult{}, fmt.Errorf("%w: no predecessor found for %s", errRingCorrupted, id.Short())
 	}
 	msgs := out.Msgs
 	latency := out.Latency
@@ -724,7 +723,7 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 	replyLearn := n.learnControl([]Pointer{{ID: pred.ID, Router: pred.Router}})
 	h2, l2, up := n.hop(pred.Router, at, MsgJoin, replyLearn, false)
 	if !up {
-		return JoinResult{}, ErrNotReachable
+		return JoinResult{}, errNotReachable
 	}
 	msgs += h2
 
@@ -836,13 +835,13 @@ func (n *Network) Route(from RouterID, dst ident.ID) (RouteResult, error) {
 			learn = []Pointer{{ID: dst, Router: host}}
 		}
 	}
-	out, err := n.greedy(from, dst, MsgData, learn, true, nil, nil)
+	out, err := n.greedy(from, dst, msgData, learn, true, nil, nil)
 	if err != nil {
 		return RouteResult{}, err
 	}
 	if !out.Delivered {
 		if !known {
-			return RouteResult{}, fmt.Errorf("%w: %s", ErrUnknownID, dst.Short())
+			return RouteResult{}, fmt.Errorf("%w: %s", errUnknownID, dst.Short())
 		}
 		return RouteResult{}, fmt.Errorf("%w: %s stuck at router %d", ErrNoRoute, dst.Short(), out.Final)
 	}
@@ -863,7 +862,6 @@ func (n *Network) Route(from RouterID, dst ident.ID) (RouteResult, error) {
 		} else {
 			res.Stretch = res.Latency / direct
 		}
-		n.Metrics.Sample(SampleStretch, res.Stretch)
 	}
 	return res, nil
 }
@@ -884,5 +882,5 @@ func (n *Network) Lookup(from RouterID, dst ident.ID) (Outcome, error) {
 func (n *Network) RouteMatch(from RouterID, dst ident.ID, accept Accept, avoid ...ident.ID) (Outcome, error) {
 	// Room for a typical route's path: ~7 hops, 8 routers, on the
 	// benchmark ring.
-	return n.greedy(from, dst, MsgData, nil, true, accept, append(make([]RouterID, 0, 8), from), avoid...)
+	return n.greedy(from, dst, msgData, nil, true, accept, append(make([]RouterID, 0, 8), from), avoid...)
 }

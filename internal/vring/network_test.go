@@ -54,7 +54,7 @@ func TestBootstrapRingConsistent(t *testing.T) {
 	if err := n.CheckRing(); err != nil {
 		t.Fatalf("bootstrap ring inconsistent: %v", err)
 	}
-	if n.Metrics.Counter(MsgBootstrap) == 0 {
+	if n.Metrics.Counter(msgBootstrap) == 0 {
 		t.Fatal("bootstrap flood not charged")
 	}
 	if numHosts(n) != 0 {
@@ -79,7 +79,7 @@ func TestJoinDuplicateRejected(t *testing.T) {
 	if _, err := n.JoinHost(id, isp.Access[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.JoinHost(id, isp.Access[1]); !errors.Is(err, ErrDuplicateID) {
+	if _, err := n.JoinHost(id, isp.Access[1]); !errors.Is(err, errDuplicateID) {
 		t.Fatalf("want ErrDuplicateID, got %v", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestRouteUnknownID(t *testing.T) {
 	n, isp := newTestNet(t, DefaultOptions())
 	joinN(t, n, isp, 5)
 	_, err := n.Route(isp.Access[0], ident.FromString("ghost"))
-	if !errors.Is(err, ErrUnknownID) {
+	if !errors.Is(err, errUnknownID) {
 		t.Fatalf("want ErrUnknownID, got %v", err)
 	}
 }
@@ -305,7 +305,7 @@ func TestTraversalsCounted(t *testing.T) {
 func TestJoinAtDownRouter(t *testing.T) {
 	n, isp := newTestNet(t, DefaultOptions())
 	n.LS.FailNode(isp.Access[0])
-	if _, err := n.JoinHost(ident.FromString("x"), isp.Access[0]); !errors.Is(err, ErrRouterDown) {
+	if _, err := n.JoinHost(ident.FromString("x"), isp.Access[0]); !errors.Is(err, errRouterDown) {
 		t.Fatalf("want ErrRouterDown, got %v", err)
 	}
 }

@@ -16,7 +16,7 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 	f.Add(buf)
 	f.Add(append(append([]byte{}, buf...), 0x00)) // trailing byte must be rejected
 	f.Add([]byte{})
-	f.Add([]byte{Version, byte(TypeData)})
+	f.Add([]byte{version, byte(TypeData)})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Packet
 		if err := p.DecodeFromBytes(data); err != nil {

@@ -24,8 +24,8 @@ import (
 	"rofl/internal/ident"
 )
 
-// Version is the format version emitted by this package.
-const Version = 1
+// version is the format version emitted by this package.
+const version = 1
 
 // Type discriminates packet kinds.
 type Type uint8
@@ -90,20 +90,20 @@ func (t Type) String() string {
 
 // Header flag bits.
 const (
-	// FlagPeered records that the packet traversed a peering link and may
+	// flagPeered records that the packet traversed a peering link and may
 	// no longer travel up the hierarchy (§4.2, bloom-filter peering).
-	FlagPeered uint8 = 1 << iota
+	flagPeered uint8 = 1 << iota
 )
 
 // DefaultTTL bounds forwarding hops; greedy routing is loop-free in
 // steady state but transients during churn justify a TTL.
 const DefaultTTL = 255
 
-// MaxASRoute bounds the AS-level source route length.
-const MaxASRoute = 64
+// maxASRoute bounds the AS-level source route length.
+const maxASRoute = 64
 
-// MaxCapability bounds the capability token length.
-const MaxCapability = 512
+// maxCapability bounds the capability token length.
+const maxCapability = 512
 
 // Packet is a decoded ROFL packet.
 type Packet struct {
@@ -128,14 +128,14 @@ const fixedHeaderLen = 4 + 2*ident.Size + 8 + 1 + 2 + 2
 
 // Errors returned by DecodeFromBytes.
 var (
-	ErrTruncated  = errors.New("wire: truncated packet")
-	ErrBadVersion = errors.New("wire: unsupported version")
-	ErrBadType    = errors.New("wire: unknown packet type")
-	ErrTooLong    = errors.New("wire: field exceeds limit")
-	// ErrTrailing reports bytes after the declared payload: the encoding
+	errTruncated  = errors.New("wire: truncated packet")
+	errBadVersion = errors.New("wire: unsupported version")
+	errBadType    = errors.New("wire: unknown packet type")
+	errTooLong    = errors.New("wire: field exceeds limit")
+	// errTrailing reports bytes after the declared payload: the encoding
 	// is exact-length, so trailing garbage means a corrupt or hostile
 	// datagram, not padding to be ignored.
-	ErrTrailing = errors.New("wire: trailing bytes after packet")
+	errTrailing = errors.New("wire: trailing bytes after packet")
 )
 
 // EncodedLen returns the exact size AppendTo will produce.
@@ -147,18 +147,18 @@ func (p *Packet) EncodedLen() int {
 // slice. It validates field limits before writing.
 func (p *Packet) AppendTo(dst []byte) ([]byte, error) {
 	if p.Type == 0 || p.Type >= typeMax {
-		return nil, fmt.Errorf("%w: %d", ErrBadType, p.Type)
+		return nil, fmt.Errorf("%w: %d", errBadType, p.Type)
 	}
-	if len(p.ASRoute) > MaxASRoute {
-		return nil, fmt.Errorf("%w: AS route %d > %d", ErrTooLong, len(p.ASRoute), MaxASRoute)
+	if len(p.ASRoute) > maxASRoute {
+		return nil, fmt.Errorf("%w: AS route %d > %d", errTooLong, len(p.ASRoute), maxASRoute)
 	}
-	if len(p.Capability) > MaxCapability {
-		return nil, fmt.Errorf("%w: capability %d > %d", ErrTooLong, len(p.Capability), MaxCapability)
+	if len(p.Capability) > maxCapability {
+		return nil, fmt.Errorf("%w: capability %d > %d", errTooLong, len(p.Capability), maxCapability)
 	}
 	if len(p.Payload) > 0xffff {
-		return nil, fmt.Errorf("%w: payload %d > %d", ErrTooLong, len(p.Payload), 0xffff)
+		return nil, fmt.Errorf("%w: payload %d > %d", errTooLong, len(p.Payload), 0xffff)
 	}
-	dst = append(dst, Version, byte(p.Type), p.Flags, p.TTL)
+	dst = append(dst, version, byte(p.Type), p.Flags, p.TTL)
 	dst = append(dst, p.Dst[:]...)
 	dst = append(dst, p.Src[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, p.ReqID)
@@ -182,19 +182,19 @@ func (p *Packet) Marshal() ([]byte, error) {
 
 // DecodeFromBytes parses b into p, copying the variable-length sections
 // so p does not alias b after return. The encoding is exact-length:
-// b must contain one whole packet and nothing else, or ErrTrailing is
+// b must contain one whole packet and nothing else, or errTrailing is
 // returned. Decoding reuses p's slice capacity, so a packet reused
 // across datagrams decodes without allocating in steady state.
 func (p *Packet) DecodeFromBytes(b []byte) error {
 	if len(b) < fixedHeaderLen {
-		return fmt.Errorf("%w: %d < %d header bytes", ErrTruncated, len(b), fixedHeaderLen)
+		return fmt.Errorf("%w: %d < %d header bytes", errTruncated, len(b), fixedHeaderLen)
 	}
-	if b[0] != Version {
-		return fmt.Errorf("%w: %d", ErrBadVersion, b[0])
+	if b[0] != version {
+		return fmt.Errorf("%w: %d", errBadVersion, b[0])
 	}
 	typ := Type(b[1])
 	if typ == 0 || typ >= typeMax {
-		return fmt.Errorf("%w: %d", ErrBadType, b[1])
+		return fmt.Errorf("%w: %d", errBadType, b[1])
 	}
 	p.Type = typ
 	p.Flags = b[2]
@@ -206,22 +206,22 @@ func (p *Packet) DecodeFromBytes(b []byte) error {
 	off += 8
 	nRoute := int(b[off])
 	off++
-	if nRoute > MaxASRoute {
-		return fmt.Errorf("%w: AS route %d > %d", ErrTooLong, nRoute, MaxASRoute)
+	if nRoute > maxASRoute {
+		return fmt.Errorf("%w: AS route %d > %d", errTooLong, nRoute, maxASRoute)
 	}
 	nCap := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2
-	if nCap > MaxCapability {
-		return fmt.Errorf("%w: capability %d > %d", ErrTooLong, nCap, MaxCapability)
+	if nCap > maxCapability {
+		return fmt.Errorf("%w: capability %d > %d", errTooLong, nCap, maxCapability)
 	}
 	nPay := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2
 	need := off + 4*nRoute + nCap + nPay
 	if len(b) < need {
-		return fmt.Errorf("%w: have %d bytes, need %d", ErrTruncated, len(b), need)
+		return fmt.Errorf("%w: have %d bytes, need %d", errTruncated, len(b), need)
 	}
 	if len(b) > need {
-		return fmt.Errorf("%w: %d bytes after the %d-byte packet", ErrTrailing, len(b)-need, need)
+		return fmt.Errorf("%w: %d bytes after the %d-byte packet", errTrailing, len(b)-need, need)
 	}
 	p.ASRoute = p.ASRoute[:0]
 	for i := 0; i < nRoute; i++ {

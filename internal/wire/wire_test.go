@@ -14,7 +14,7 @@ import (
 func samplePacket() *Packet {
 	return &Packet{
 		Type:       TypeData,
-		Flags:      FlagPeered,
+		Flags:      flagPeered,
 		TTL:        200,
 		Dst:        ident.FromString("dst"),
 		Src:        ident.FromString("src"),
@@ -94,11 +94,11 @@ func TestRoundTripEveryField(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(flags, ttl uint8, reqID uint64, route []uint32, capab, payload []byte) bool {
-		if len(route) > MaxASRoute {
-			route = route[:MaxASRoute]
+		if len(route) > maxASRoute {
+			route = route[:maxASRoute]
 		}
-		if len(capab) > MaxCapability {
-			capab = capab[:MaxCapability]
+		if len(capab) > maxCapability {
+			capab = capab[:maxCapability]
 		}
 		if len(payload) > 1000 {
 			payload = payload[:1000]
@@ -139,26 +139,26 @@ func TestDecodeErrors(t *testing.T) {
 	buf, _ := p.Marshal()
 
 	var q Packet
-	if err := q.DecodeFromBytes(buf[:3]); !errors.Is(err, ErrTruncated) {
+	if err := q.DecodeFromBytes(buf[:3]); !errors.Is(err, errTruncated) {
 		t.Fatalf("short header: %v", err)
 	}
-	if err := q.DecodeFromBytes(buf[:len(buf)-1]); !errors.Is(err, ErrTruncated) {
+	if err := q.DecodeFromBytes(buf[:len(buf)-1]); !errors.Is(err, errTruncated) {
 		t.Fatalf("short body: %v", err)
 	}
 
 	bad := append([]byte(nil), buf...)
 	bad[0] = 99
-	if err := q.DecodeFromBytes(bad); !errors.Is(err, ErrBadVersion) {
+	if err := q.DecodeFromBytes(bad); !errors.Is(err, errBadVersion) {
 		t.Fatalf("bad version: %v", err)
 	}
 
 	bad = append([]byte(nil), buf...)
 	bad[1] = 0
-	if err := q.DecodeFromBytes(bad); !errors.Is(err, ErrBadType) {
+	if err := q.DecodeFromBytes(bad); !errors.Is(err, errBadType) {
 		t.Fatalf("bad type 0: %v", err)
 	}
 	bad[1] = byte(typeMax)
-	if err := q.DecodeFromBytes(bad); !errors.Is(err, ErrBadType) {
+	if err := q.DecodeFromBytes(bad); !errors.Is(err, errBadType) {
 		t.Fatalf("bad type max: %v", err)
 	}
 }
@@ -177,22 +177,22 @@ func TestDecodeNeverPanicsOnGarbage(t *testing.T) {
 func TestMarshalValidation(t *testing.T) {
 	p := samplePacket()
 	p.Type = 0
-	if _, err := p.Marshal(); !errors.Is(err, ErrBadType) {
+	if _, err := p.Marshal(); !errors.Is(err, errBadType) {
 		t.Fatalf("zero type: %v", err)
 	}
 	p = samplePacket()
-	p.ASRoute = make([]uint32, MaxASRoute+1)
-	if _, err := p.Marshal(); !errors.Is(err, ErrTooLong) {
+	p.ASRoute = make([]uint32, maxASRoute+1)
+	if _, err := p.Marshal(); !errors.Is(err, errTooLong) {
 		t.Fatalf("long route: %v", err)
 	}
 	p = samplePacket()
-	p.Capability = make([]byte, MaxCapability+1)
-	if _, err := p.Marshal(); !errors.Is(err, ErrTooLong) {
+	p.Capability = make([]byte, maxCapability+1)
+	if _, err := p.Marshal(); !errors.Is(err, errTooLong) {
 		t.Fatalf("long capability: %v", err)
 	}
 	p = samplePacket()
 	p.Payload = make([]byte, 0x10000)
-	if _, err := p.Marshal(); !errors.Is(err, ErrTooLong) {
+	if _, err := p.Marshal(); !errors.Is(err, errTooLong) {
 		t.Fatalf("long payload: %v", err)
 	}
 }
@@ -300,7 +300,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	for _, extra := range [][]byte{{0x00}, {0xff}, make([]byte, 100)} {
 		bad := append(append([]byte{}, buf...), extra...)
 		err := p.DecodeFromBytes(bad)
-		if !errors.Is(err, ErrTrailing) {
+		if !errors.Is(err, errTrailing) {
 			t.Fatalf("%d trailing bytes: want ErrTrailing, got %v", len(extra), err)
 		}
 	}

@@ -190,6 +190,62 @@ func TestNoBytesCompareOutsideIdent(t *testing.T) {
 	})
 }
 
+// eachDeclared calls fn for every package-level name that a non-test
+// file under internal/ declares, in file order: each func, method, type,
+// const and var. recv is a method's receiver type name, "" for the rest;
+// decl is the *ast.FuncDecl, *ast.TypeSpec or *ast.ValueSpec.
+func eachDeclared(t *testing.T, fn func(f sourceFile, id *ast.Ident, recv string, decl ast.Node)) {
+	t.Helper()
+	files, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				fn(f, d.Name, receiverName(d), d)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						fn(f, spec.Name, "", spec)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							fn(f, id, "", spec)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// receiverName is the name of d's receiver type, "" for a function.
+func receiverName(d *ast.FuncDecl) string {
+	if d.Recv == nil {
+		return ""
+	}
+	x := d.Recv.List[0].Type
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
 // A package-level const, var, func or type declared in a non-test file
 // under internal/ must be named somewhere besides its declaration: by
 // its own package, tests included, or as pkg.Name from any file of the
@@ -199,43 +255,16 @@ func TestNoBytesCompareOutsideIdent(t *testing.T) {
 // that shadows one counts as a use. Methods are out of scope: an
 // interface can need a method no code calls by name.
 func TestDeclaredNamesAreReferenced(t *testing.T) {
-	files, err := parseModule()
-	if err != nil {
-		t.Fatal(err)
-	}
 	type name struct{ pkg, name string } // pkg is the import path
 	decls := map[*ast.Ident]string{}     // declaring identifier -> its package
 	var declared []*ast.Ident            // the same, in file order
-	for _, f := range files {
-		if f.test || !strings.HasPrefix(f.dir, "internal/") {
-			continue
+	eachDeclared(t, func(f sourceFile, id *ast.Ident, recv string, _ ast.Node) {
+		if recv == "" && id.Name != "_" && id.Name != "init" {
+			decls[id] = importPath(f.dir)
+			declared = append(declared, id)
 		}
-		add := func(id *ast.Ident) {
-			if id.Name != "_" && id.Name != "init" {
-				decls[id] = importPath(f.dir)
-				declared = append(declared, id)
-			}
-		}
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						add(spec.Name)
-					case *ast.ValueSpec:
-						for _, id := range spec.Names {
-							add(id)
-						}
-					}
-				}
-			}
-		}
-	}
+	})
+	files, _ := parseModule()
 	used := map[name]bool{}
 	for _, f := range files {
 		own := !strings.HasSuffix(f.ast.Name.Name, "_test")
@@ -256,6 +285,148 @@ func TestDeclaredNamesAreReferenced(t *testing.T) {
 	for _, id := range declared {
 		if !used[name{decls[id], id.Name}] {
 			t.Errorf("%s: %s is declared and never named; delete it", sourceFset.Position(id.Pos()), id.Name)
+		}
+	}
+}
+
+// exportedKeep lists the exported names under internal/ that no other
+// package names and that stay exported anyway, "pkg.Name" to the reason.
+// Each is one member of an enumeration whose other members other
+// packages name: the set stays exported together.
+var exportedKeep = map[string]string{
+	"wire.TypeTeardown":            wireType,
+	"wire.TypeZeroID":              wireType,
+	"wire.TypeCapGrant":            wireType,
+	"proto.NoteJoinDone":           "a proto.NoteKind; overlay switches on the others",
+	"proto.ReasonStabilizeTimeout": protoReason,
+	"proto.ReasonStabilizeSilence": protoReason,
+	"telemetry.LevelInfo":          "a telemetry.Level, the argument of the facade's EventLog.Emit",
+	"telemetry.LevelWarn":          "a telemetry.Level, the argument of the facade's EventLog.Emit",
+	"topology.RelNone":             "the zero topology.Relation; every package that reads the AS graph names the others",
+}
+
+const (
+	wireType    = "a wire.Type packet kind; overlay, experiments and benchmarks/ name the others"
+	protoReason = "an eviction reason in proto.Note.Reason; overlay names ReasonLivenessTimeout"
+)
+
+// An exported name under internal/ is one another package names: CI's
+// staticcheck counts every exported name as used, so only a name it can
+// see as unexported can be reported dead. A package-level func, const,
+// var or type must be named as pkg.Name by a file of another package
+// (tests, cmd/, examples/, the facade and benchmarks/ all count). A type
+// is exempt when an exported func, method or struct field of its own
+// package mentions it: callers reach it as a value. A method must be
+// selected by its spelling in a file of another package, unless rofl.go
+// aliases its receiver type (the facade's API), an interface in the
+// module declares its name, or a standard interface does (String, Error,
+// sort and heap, the encodings). exportedKeep lists the rest, each with
+// its reason.
+func TestExportedNamesUsedAcrossPackages(t *testing.T) {
+	type name struct{ pkg, name string } // pkg is the import path
+	files, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[name]bool{}                   // pkg.Name selectors
+	selectedIn := map[string]map[string]bool{} // selector spelling -> the packages that select it
+	aliased := map[name]bool{}                 // types rofl.go aliases
+	mentioned := map[name]bool{}               // types an exported func, method or field mentions
+	ifaceMethods := map[string]bool{
+		"String": true, "Error": true, "Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+		"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+		"MarshalBinary": true, "UnmarshalBinary": true,
+	}
+	for _, f := range files {
+		pkg := importPath(f.dir)
+		if strings.HasSuffix(f.ast.Name.Name, "_test") {
+			pkg += "_test"
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+					named[name{f.imports[x.Name], n.Sel.Name}] = true
+				} else if selectedIn[n.Sel.Name] == nil {
+					selectedIn[n.Sel.Name] = map[string]bool{pkg: true}
+				} else {
+					selectedIn[n.Sel.Name][pkg] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						ifaceMethods[id.Name] = true
+					}
+				}
+			case *ast.TypeSpec:
+				if sel, ok := n.Type.(*ast.SelectorExpr); ok && n.Assign.IsValid() && f.dir == "." && !f.test {
+					if x, ok := sel.X.(*ast.Ident); ok {
+						aliased[name{f.imports[x.Name], sel.Sel.Name}] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	mention := func(pkg string, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				mentioned[name{pkg, id.Name}] = true
+			}
+			_, qualified := n.(*ast.SelectorExpr) // pkg.Name: another package's name
+			return !qualified
+		})
+	}
+	type decl struct {
+		id        *ast.Ident
+		pkg, recv string
+		isType    bool
+	}
+	var exported []decl
+	eachDeclared(t, func(f sourceFile, id *ast.Ident, recv string, d ast.Node) {
+		pkg := importPath(f.dir)
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if id.IsExported() {
+				mention(pkg, d.Type)
+			}
+		case *ast.TypeSpec:
+			if st, ok := d.Type.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					if len(fld.Names) == 0 || fld.Names[0].IsExported() {
+						mention(pkg, fld.Type)
+					}
+				}
+			}
+		}
+		if id.IsExported() {
+			_, isType := d.(*ast.TypeSpec)
+			exported = append(exported, decl{id, pkg, recv, isType})
+		}
+	})
+	kept := map[string]bool{}
+	for _, d := range exported {
+		key := d.pkg[strings.LastIndex(d.pkg, "/")+1:] + "." + d.id.Name
+		used := named[name{d.pkg, d.id.Name}] || d.isType && mentioned[name{d.pkg, d.id.Name}]
+		if d.recv != "" {
+			key = strings.TrimSuffix(key, d.id.Name) + d.recv + "." + d.id.Name
+			in := selectedIn[d.id.Name]
+			used = aliased[name{d.pkg, d.recv}] || ifaceMethods[d.id.Name] || len(in) > 1 || len(in) == 1 && !in[d.pkg]
+		}
+		if _, ok := exportedKeep[key]; ok {
+			kept[key] = true
+			if used {
+				t.Errorf("exportedKeep lists %s, which another package already uses; drop the entry", key)
+			}
+			continue
+		}
+		if !used {
+			t.Errorf("%s: %s is exported and no other package names it; unexport it", sourceFset.Position(d.id.Pos()), key)
+		}
+	}
+	for key := range exportedKeep {
+		if !kept[key] {
+			t.Errorf("exportedKeep lists %s, which is not an exported name under internal/", key)
 		}
 	}
 }
