@@ -82,7 +82,6 @@ func (in *Internet) RouteNegotiated(n Negotiation) ([]topology.ASN, error) {
 	if path == nil {
 		return nil, fmt.Errorf("%w: negotiated set has no working path", ErrNoRoute)
 	}
-	in.Metrics.Count(msgData, int64(len(path)-1))
 	return slices.Clone(path), nil
 }
 

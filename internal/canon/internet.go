@@ -33,7 +33,6 @@ import (
 // Metrics counter names charged by this package.
 const (
 	msgJoin     = "canon-join"
-	msgData     = "canon-data"
 	MsgRepair   = "canon-repair"
 	msgTeardown = "canon-teardown"
 	// ctrIsolationViolations counts delivered packets whose path escaped
@@ -44,10 +43,6 @@ const (
 	// returned because the Bloom filter false-positived.
 	CtrBloomBacktracks = "canon-bloom-backtracks"
 )
-
-// SampleJoinMsgs is the sample this package records: the messages one
-// join cost.
-const SampleJoinMsgs = "canon-join-msgs"
 
 // Strategy selects how much of the up-hierarchy a join covers — the four
 // modes compared in Fig 8a.

@@ -177,7 +177,6 @@ func (in *Internet) Join(id ident.ID, at topology.ASN, s Strategy) (JoinResult, 
 	}
 
 	in.Metrics.Count(msgJoin, int64(msgs))
-	in.Metrics.Sample(SampleJoinMsgs, float64(msgs))
 	return JoinResult{VN: vn, Msgs: msgs, Levels: len(vn.levels)}, nil
 }
 

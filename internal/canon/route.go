@@ -11,7 +11,8 @@ import (
 // RouteResult reports one interdomain packet's fate.
 type RouteResult struct {
 	Delivered bool
-	// ASHops is the number of AS-level links traversed.
+	// ASHops is the number of AS-level links traversed, one data message
+	// each (§6.1).
 	ASHops int
 	// Traversed is the AS-level path, source AS first.
 	Traversed []topology.ASN
@@ -152,13 +153,6 @@ func (in *Internet) route(srcAS topology.ASN, pos, dst ident.ID, accept func(*AS
 		seg.path = seg.path[:0]
 	}
 
-	// Each AS-level link the packet crossed is one msgData message,
-	// counted once on whichever exit it takes.
-	defer func() {
-		if res.ASHops > 0 {
-			in.Metrics.Count(msgData, int64(res.ASHops))
-		}
-	}()
 	deliver := func(at topology.ASN) (RouteResult, error) {
 		res.Delivered = true
 		res.FinalAS = at

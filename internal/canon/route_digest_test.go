@@ -74,7 +74,7 @@ func TestRouteOutcomeDigest(t *testing.T) {
 	if noRoute == 0 || unknown == 0 || staleSeen == 0 {
 		t.Error("the failures left no stale mark, no-route exit or unknown source to cover")
 	}
-	const want = "4e16e20e5974d35f82b8ddbcde8e2372c1ad48a479ac01c743d5fbd70c5d75c9"
+	const want = "be1f7acacdfa97f9ea4b296c9fa3ad0a96ed31cae04248654e5257bd41b5a3a3"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("route outcome digest %s, want %s", got, want)
 	}

@@ -51,11 +51,11 @@ func ablSuccessorGroup(cfg Config, t *Table) {
 		opts.SuccessorGroup = groups[trial]
 		n := vring.New(isp.Graph, m, opts)
 		rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, 0)))
-		ids, err := joinHosts(n, isp, ic.Hosts, rng)
+		ids, joins, err := joinHosts(n, isp, ic.Hosts, rng)
 		if err != nil {
 			panic(err)
 		}
-		joinAvgs[trial] = avg(m.Samples(vring.SampleJoinMsgs))
+		joinAvgs[trial] = meanJoinMsgs(joins)
 		// Fail a batch of hosts; with a larger group more repairs resolve
 		// by shift-down instead of rejoin probes.
 		before := m.Counter(vring.MsgTeardown) + m.Counter(vring.MsgRepair)
@@ -98,7 +98,7 @@ func ablCachePolicy(cfg Config, t *Table) {
 		opts.SnoopData = s.snoop
 		n := vring.New(isp.Graph, m, opts)
 		rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, 1)))
-		ids, err := joinHosts(n, isp, ic.Hosts, rng)
+		ids, _, err := joinHosts(n, isp, ic.Hosts, rng)
 		if err != nil {
 			panic(err)
 		}
@@ -134,7 +134,7 @@ func ablFingerSelection(cfg Config, t *Table) {
 		opts.FingerBudget = 160
 		opts.RandomFingers = random
 		in := canon.New(g, sim.NewMetrics(), opts)
-		ids, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, sim.TrialSeed(cfg.Seed, 2), fmt.Sprintf("abl-f-%v", random))
+		ids, _, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, sim.TrialSeed(cfg.Seed, 2), fmt.Sprintf("abl-f-%v", random))
 		if err != nil {
 			panic(err)
 		}
@@ -175,7 +175,7 @@ func ablDirectedFlood(cfg Config, t *Table) {
 	m := sim.NewMetrics()
 	n := vring.New(isp.Graph, m, vring.DefaultOptions())
 	rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, 3)))
-	ids, err := joinHosts(n, isp, ic.Hosts, rng)
+	ids, _, err := joinHosts(n, isp, ic.Hosts, rng)
 	if err != nil {
 		panic(err)
 	}
@@ -194,13 +194,14 @@ func ablDirectedFlood(cfg Config, t *Table) {
 		float64(fullFlood)/directed)
 }
 
-func avg(vs []float64) float64 {
-	if len(vs) == 0 {
+// meanJoinMsgs is the mean message cost of joins.
+func meanJoinMsgs(joins []vring.JoinResult) float64 {
+	if len(joins) == 0 {
 		return 0
 	}
 	var s float64
-	for _, v := range vs {
-		s += v
+	for _, j := range joins {
+		s += float64(j.Msgs)
 	}
-	return s / float64(len(vs))
+	return s / float64(len(joins))
 }

@@ -37,12 +37,12 @@ func churn(cfg Config) Table {
 	rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, 0)))
 
 	// Baseline population.
-	ids, err := joinHosts(n, isp, ic.Hosts, rng)
+	ids, joins, err := joinHosts(n, isp, ic.Hosts, rng)
 	if err != nil {
 		panic(err)
 	}
 	picker := newHostPicker(isp)
-	baselineJoin := avg(m.Samples(vring.SampleJoinMsgs))
+	baselineJoin := meanJoinMsgs(joins)
 
 	type bucket struct {
 		count int

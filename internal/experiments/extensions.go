@@ -46,7 +46,7 @@ func extAnycast(cfg Config, t *Table) {
 	m := sim.NewMetrics()
 	n := vring.New(isp.Graph, m, vring.DefaultOptions())
 	rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, 0)))
-	if _, err := joinHosts(n, isp, ic.Hosts/2, rng); err != nil {
+	if _, _, err := joinHosts(n, isp, ic.Hosts/2, rng); err != nil {
 		panic(err)
 	}
 	g := ident.GroupFromString("ext-anycast")
@@ -97,7 +97,7 @@ func extMulticast(cfg Config, t *Table) {
 	m := sim.NewMetrics()
 	n := vring.New(isp.Graph, m, vring.DefaultOptions())
 	rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, 1)))
-	if _, err := joinHosts(n, isp, ic.Hosts/2, rng); err != nil {
+	if _, _, err := joinHosts(n, isp, ic.Hosts/2, rng); err != nil {
 		panic(err)
 	}
 	g := ident.GroupFromString("ext-multicast")
@@ -130,7 +130,7 @@ func extMulticast(cfg Config, t *Table) {
 func extNegotiation(cfg Config, t *Table) {
 	g := genASGraph(cfg)
 	in := canon.New(g, sim.NewMetrics(), canon.DefaultOptions())
-	ids, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, sim.TrialSeed(cfg.Seed, 2), "ext-neg")
+	ids, _, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, sim.TrialSeed(cfg.Seed, 2), "ext-neg")
 	if err != nil {
 		panic(err)
 	}

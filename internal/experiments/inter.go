@@ -38,20 +38,23 @@ func hostASes(g *topology.ASGraph) []topology.ASN {
 }
 
 // joinInter joins count identifiers with the given strategy, spread over
-// the host-populated ASes.
-func joinInter(in *canon.Internet, g *topology.ASGraph, count int, s canon.Strategy, seed int64, tag string) ([]ident.ID, error) {
+// the host-populated ASes, and returns them with each join's result.
+func joinInter(in *canon.Internet, g *topology.ASGraph, count int, s canon.Strategy, seed int64, tag string) ([]ident.ID, []canon.JoinResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	pool := hostASes(g)
 	ids := make([]ident.ID, 0, count)
+	joins := make([]canon.JoinResult, 0, count)
 	for i := 0; i < count; i++ {
 		id := ident.FromString(fmt.Sprintf("%s-%d", tag, i))
 		at := pool[rng.Intn(len(pool))]
-		if _, err := in.Join(id, at, s); err != nil {
-			return nil, fmt.Errorf("join %d: %w", i, err)
+		res, err := in.Join(id, at, s)
+		if err != nil {
+			return nil, nil, fmt.Errorf("join %d: %w", i, err)
 		}
 		ids = append(ids, id)
+		joins = append(joins, res)
 	}
-	return ids, nil
+	return ids, joins, nil
 }
 
 // fig8a reproduces the join-strategy comparison: moving-average join
@@ -151,9 +154,9 @@ func fig8b(cfg Config) Table {
 	budgets := []int{0, 60, 160, 280}
 	order := []string{"rofl-0f", "rofl-60f", "rofl-160f", "rofl-280f", "bgp-policy"}
 	// One trial per finger budget, all arms on trial group 0's workload.
-	// Each trial samples its stretch series into a private Metrics sink
-	// under its own series name; the sinks merge in budget order below.
-	sinks := make([]sim.Metrics, len(budgets))
+	// Each trial fills its own series slot (the first also the
+	// BGP-policy one), read in budget order below.
+	series := make([][]float64, len(order))
 	means := make([]float64, len(budgets))
 	forTrials(cfg, len(budgets), func(bi int) {
 		budget := budgets[bi]
@@ -161,14 +164,12 @@ func fig8b(cfg Config) Table {
 		opts := canon.DefaultOptions()
 		opts.FingerBudget = budget
 		in := canon.New(g, sim.NewMetrics(), opts)
-		ids, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, sim.TrialSeed(cfg.Seed, 0), fmt.Sprintf("f8b-%d", budget))
+		ids, _, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, sim.TrialSeed(cfg.Seed, 0), fmt.Sprintf("f8b-%d", budget))
 		if err != nil {
 			panic(err)
 		}
 		bgp := bgppolicy.New(g)
 		rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, 0) + 1))
-		sink := sim.NewMetrics()
-		name := order[bi]
 		var total float64
 		var count int
 		for p := 0; p < cfg.Pairs; p++ {
@@ -187,27 +188,22 @@ func fig8b(cfg Config) Table {
 				continue
 			}
 			s := float64(res.ASHops) / float64(base)
-			sink.Sample(name, s)
+			series[bi] = append(series[bi], s)
 			total += s
 			count++
 			if bi == 0 {
 				// BGP-policy curve measured once.
 				free := shortestASHops(g, srcAS, dstAS)
 				if free > 0 {
-					sink.Sample("bgp-policy", float64(base)/float64(free))
+					series[len(budgets)] = append(series[len(budgets)], float64(base)/float64(free))
 				}
 			}
 		}
 		means[bi] = total / float64(count)
-		sinks[bi] = sink
 	})
-	merged := sim.NewMetrics()
-	for _, s := range sinks {
-		merged.Merge(s)
-	}
 	samples := make(map[string][]float64)
-	for _, name := range order {
-		samples[name] = merged.Samples(name)
+	for i, name := range order {
+		samples[name] = series[i]
 	}
 	cdfRows(&t, samples, order)
 	t.Note("mean ROFL stretch: %.2f (0 fingers) → %.2f (60) → %.2f (160) → %.2f (280); paper: 2.8 @60 → 2.3 @160",
@@ -238,7 +234,7 @@ func fig8c(cfg Config) Table {
 		opts.CacheCapacity = sz
 		opts.FingerBudget = 60
 		in := canon.New(g, sim.NewMetrics(), opts)
-		ids, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, sim.TrialSeed(cfg.Seed, 0), fmt.Sprintf("f8c-%d", sz))
+		ids, _, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, sim.TrialSeed(cfg.Seed, 0), fmt.Sprintf("f8c-%d", sz))
 		if err != nil {
 			panic(err)
 		}
@@ -302,7 +298,7 @@ func stubFail(cfg Config) Table {
 	}
 	g := genASGraph(cfg)
 	in := canon.New(g, sim.NewMetrics(), canon.DefaultOptions())
-	ids, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, cfg.Seed, "sf")
+	ids, _, err := joinInter(in, g, cfg.InterHosts/4, canon.Multihomed, cfg.Seed, "sf")
 	if err != nil {
 		panic(err)
 	}
@@ -396,15 +392,15 @@ func bloomPeering(cfg Config) Table {
 		opts.BloomPeering = bloom
 		opts.FingerBudget = 60
 		in := canon.New(g, sim.NewMetrics(), opts)
-		ids, err := joinInter(in, g, cfg.InterHosts/4, canon.Peering, sim.TrialSeed(cfg.Seed, 0), fmt.Sprintf("bp-%v", bloom))
+		ids, joins, err := joinInter(in, g, cfg.InterHosts/4, canon.Peering, sim.TrialSeed(cfg.Seed, 0), fmt.Sprintf("bp-%v", bloom))
 		if err != nil {
 			panic(err)
 		}
 		joinAvg := 0.0
-		for _, v := range in.Metrics.Samples(canon.SampleJoinMsgs) {
-			joinAvg += v
+		for _, j := range joins {
+			joinAvg += float64(j.Msgs)
 		}
-		joinAvg /= float64(len(in.Metrics.Samples(canon.SampleJoinMsgs)))
+		joinAvg /= float64(len(joins))
 
 		bgp := bgppolicy.New(g)
 		rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, 0) + 4))

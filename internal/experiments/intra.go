@@ -61,18 +61,21 @@ func (p *hostPicker) pick(rng *rand.Rand) topology.NodeID {
 }
 
 // joinHosts joins count deterministic identifiers, Zipf-spread over the
-// ISP's access routers, and returns them.
-func joinHosts(n *vring.Network, isp *topology.ISP, count int, rng *rand.Rand) ([]ident.ID, error) {
+// ISP's access routers, and returns them with each join's result.
+func joinHosts(n *vring.Network, isp *topology.ISP, count int, rng *rand.Rand) ([]ident.ID, []vring.JoinResult, error) {
 	picker := newHostPicker(isp)
 	ids := make([]ident.ID, 0, count)
+	joins := make([]vring.JoinResult, 0, count)
 	for i := 0; i < count; i++ {
 		id := ident.FromString(fmt.Sprintf("%s-host-%d", isp.Name, i))
-		if _, err := n.JoinHost(id, picker.pick(rng)); err != nil {
-			return nil, fmt.Errorf("joining host %d: %w", i, err)
+		res, err := n.JoinHost(id, picker.pick(rng))
+		if err != nil {
+			return nil, nil, fmt.Errorf("joining host %d: %w", i, err)
 		}
 		ids = append(ids, id)
+		joins = append(joins, res)
 	}
-	return ids, nil
+	return ids, joins, nil
 }
 
 func sweepPoints(max int) []int {
@@ -188,40 +191,30 @@ func quantileOf(vs []float64, q float64) float64 {
 }
 
 // runJoinSamples joins the workload on each ISP in parallel and returns
-// the per-join message and latency samples. Each trial records into its
-// own Metrics sink, re-keyed by ISP name; the sinks are folded together
-// with Metrics.Merge in trial order, so the result is independent of the
+// each join's messages and latency, keyed by ISP name. Each trial fills
+// its own slot, read in trial order, so the result is independent of the
 // worker count.
 func runJoinSamples(cfg Config) (msgs, lat map[string][]float64, order []string) {
 	isps := evalISPs(cfg)
-	sinks := make([]sim.Metrics, len(isps))
+	trials := make([][]vring.JoinResult, len(isps))
 	forTrials(cfg, len(isps), func(i int) {
 		ic := isps[i]
 		isp := topology.GenISP(ic)
-		m := sim.NewMetrics()
-		n := vring.New(isp.Graph, m, vring.DefaultOptions())
+		n := vring.New(isp.Graph, sim.NewMetrics(), vring.DefaultOptions())
 		rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, i)))
-		if _, err := joinHosts(n, isp, ic.Hosts, rng); err != nil {
+		_, joins, err := joinHosts(n, isp, ic.Hosts, rng)
+		if err != nil {
 			panic(err)
 		}
-		sink := sim.NewMetrics()
-		for _, v := range m.Samples(vring.SampleJoinMsgs) {
-			sink.Sample(ic.Name+"/join-msgs", v)
-		}
-		for _, v := range m.Samples(vring.SampleJoinLatency) {
-			sink.Sample(ic.Name+"/join-latency", v)
-		}
-		sinks[i] = sink
+		trials[i] = joins
 	})
-	merged := sim.NewMetrics()
-	for _, s := range sinks {
-		merged.Merge(s)
-	}
 	msgs = map[string][]float64{}
 	lat = map[string][]float64{}
-	for _, ic := range isps {
-		msgs[ic.Name] = merged.Samples(ic.Name + "/join-msgs")
-		lat[ic.Name] = merged.Samples(ic.Name + "/join-latency")
+	for i, ic := range isps {
+		for _, j := range trials[i] {
+			msgs[ic.Name] = append(msgs[ic.Name], float64(j.Msgs))
+			lat[ic.Name] = append(lat[ic.Name], j.Latency)
+		}
 		order = append(order, ic.Name)
 	}
 	return msgs, lat, order
@@ -298,7 +291,7 @@ func fig6a(cfg Config) Table {
 		opts.CacheCapacity = sz
 		n := vring.New(isp.Graph, m, opts)
 		rng := rand.New(rand.NewSource(sim.TrialSeed(cfg.Seed, trial/len(sizes))))
-		ids, err := joinHosts(n, isp, ic.Hosts, rng)
+		ids, _, err := joinHosts(n, isp, ic.Hosts, rng)
 		if err != nil {
 			panic(err)
 		}
@@ -348,7 +341,7 @@ func fig6b(cfg Config) Table {
 	om := sim.NewMetrics()
 	ospf := ospfhost.New(isp.Graph, om)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ids, err := joinHosts(n, isp, ic.Hosts, rng)
+	ids, _, err := joinHosts(n, isp, ic.Hosts, rng)
 	if err != nil {
 		panic(err)
 	}

@@ -77,17 +77,21 @@ func scaling(cfg Config) Table {
 			}
 		}
 		joins := max(pairs/4, 1)
+		joinMsgs := make([]float64, 0, joins)
 		for p := 0; p < joins; p++ {
 			from := ident.Handle(sim.SplitMix64(&state) % uint64(r.Members()))
-			if _, err := r.ProbeJoin(from, ident.FromUint64(sim.SplitMix64(&state))); err != nil {
+			msgs, err := r.ProbeJoin(from, ident.FromUint64(sim.SplitMix64(&state)))
+			if err != nil {
 				tab.Note("join probe error at N=%d: %v", n, err)
+				continue
 			}
+			joinMsgs = append(joinMsgs, float64(msgs))
 		}
 
 		f := r.Footprint()
 		pm := r.ProbeMetrics()
 		stretch := sim.Summarize(pm.Samples(vring.SampleCompactStretch))
-		join := sim.Summarize(pm.Samples(vring.SampleCompactJoinMsgs))
+		join := sim.Summarize(joinMsgs)
 		hit := pm.Counter(vring.CtrCompactCacheHit)
 		miss := pm.Counter(vring.CtrCompactCacheMiss)
 		hitRate := 0.0

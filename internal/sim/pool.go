@@ -14,8 +14,7 @@ import (
 // indices, and any state it touches must be private to the index (its
 // own Metrics sink, its own RNG seeded via TrialSeed). Results should be
 // written into index-addressed slots so the caller can assemble them
-// deterministically afterwards, typically folding per-trial Metrics
-// together with Metrics.Merge in index order.
+// deterministically afterwards, reading the slots in index order.
 //
 // A panic inside any trial is captured and re-raised on the calling
 // goroutine after the remaining workers drain, matching the serial

@@ -8,7 +8,7 @@ import (
 )
 
 // This file extends the discrete-event substrate from parallel *trials*
-// (ForEach + Metrics.Merge, one independent seed per trial) to a
+// (ForEach, one independent seed per trial) to a
 // parallel *single network*: one simulated system whose nodes are
 // sharded across per-core workers, exchanging events at virtual-clock
 // barriers, with results provably independent of the shard count.
@@ -485,8 +485,7 @@ func (e *ShardedEngine) OverflowEvents() (n int64) {
 // MergedMetrics folds the per-shard sinks into a fresh Metrics in shard
 // order. Counter totals and sample multisets are shard-count invariant;
 // sample *order* within a set is not, and every consumer (Summarize,
-// Quantile) sorts first — the same contract Metrics.Merge
-// documents for the trial pool.
+// Quantile) sorts first, as Metrics.Merge documents.
 func (e *ShardedEngine) MergedMetrics() Metrics {
 	m := NewMetrics()
 	for _, sc := range e.shards {

@@ -6,14 +6,17 @@
 // "network-level messages" — one control message traversing k physical
 // links counts as k packets (§6.1) — and join latency as the critical
 // path of parallel control messages over weighted links (§6.2, Fig 5c).
-// Metrics holds exactly those quantities, so every experiment driver is
-// a pure function of (topology, workload, seed).
+// Metrics holds the running totals of those quantities; each operation's
+// own cost (a join's messages and latency, a route's hops) is in the
+// result it returns. Every experiment driver is a pure function of
+// (topology, workload, seed).
 //
 // Two parallel execution modes keep that purity:
 //
-//   - ForEach + Metrics.Merge run independent trials (one seed each)
-//     across a worker pool; tables are byte-identical at any worker
-//     count because trial seeds derive from the trial index.
+//   - ForEach runs independent trials (one seed each) across a worker
+//     pool, each writing its results into its own index-addressed slot;
+//     tables are byte-identical at any worker count because trial seeds
+//     derive from the trial index and slots are read in index order.
 //   - ShardedEngine (shard.go) parallelizes a single network: nodes are
 //     sharded across workers that exchange messages at virtual-clock
 //     barriers every Lookahead window, and runs are byte-identical at
@@ -31,9 +34,12 @@ type Time float64
 
 // --- Metrics -------------------------------------------------------------
 
-// Metrics accumulates the quantities the paper's figures report:
-// per-category message counts (join, teardown, repair, data, ...) and
-// arbitrary sample sets for CDFs (per-join overhead, latency, stretch).
+// Metrics accumulates the aggregate quantities the paper's figures
+// report: per-category message counts (join, teardown, repair, data,
+// ...). Per-operation costs are not kept here but in each operation's
+// result. The sample sets have one writer left, the compact ring's probe
+// stretch (each ProbeResult also carries it), kept because the
+// repository benchmark reads it from the probe sink.
 type Metrics struct {
 	counters map[string]int64
 	samples  map[string][]float64
@@ -95,12 +101,11 @@ func (m Metrics) SampleNames() []string {
 // Merge folds other into m: counters add, sample sets concatenate in
 // other's recording order. Keys are visited in sorted order, so merging
 // the same set of sinks in the same sequence always produces identical
-// internal state — the contract the parallel experiment harness relies
-// on when it folds per-worker sinks together in trial-index order.
-// Counter totals and sample multisets are independent of the merge
-// order; only the position of samples within a set depends on it, and
-// every consumer (Summarize, Quantile) sorts first. other is not
-// modified.
+// internal state — the contract ShardedEngine.MergedMetrics relies on
+// when it folds per-shard sinks together in shard order. Counter totals
+// and sample multisets are independent of the merge order; only the
+// position of samples within a set depends on it, and every consumer
+// (Summarize, Quantile) sorts first. other is not modified.
 func (m Metrics) Merge(other Metrics) {
 	for _, k := range other.CounterNames() {
 		m.counters[k] += other.counters[k]

@@ -47,11 +47,9 @@ const (
 	CtrCompactCacheMiss = "cring-cache-miss"
 )
 
-// Sample names recorded by the compact ring's measurement probes.
-const (
-	SampleCompactStretch  = "cring-stretch"
-	SampleCompactJoinMsgs = "cring-join-msgs"
-)
+// SampleCompactStretch is the sample the compact ring's measurement
+// probes record: each delivered probe's stretch.
+const SampleCompactStretch = "cring-stretch"
 
 // Protocol message kinds on the sharded engine.
 const (
@@ -841,7 +839,7 @@ func (r *CompactRing) selectCompact(pos ident.Handle, cur uint32, dst ident.ID, 
 // ProbeJoin measures the control cost of splicing a fresh identifier
 // into the converged ring from gateway member `from`, without mutating
 // it: the predecessor walk plus the reply/notify/ack legs of Algorithm
-// 1. Returns total physical messages.
+// 1. Returns total physical messages, the probe's only record of them.
 func (r *CompactRing) ProbeJoin(from ident.Handle, joining ident.ID) (int, error) {
 	pos := from
 	cur := r.router[from]
@@ -860,7 +858,6 @@ func (r *CompactRing) ProbeJoin(from ident.Handle, joining ident.ID) (int, error
 				msgs += int(r.hopM[p*r.nrouters+sr])
 				msgs += int(r.hopM[sr*r.nrouters+g])
 			}
-			r.probeMx.Sample(SampleCompactJoinMsgs, float64(msgs))
 			return msgs, nil
 		}
 		nr := r.router[best]
@@ -913,8 +910,8 @@ func (r *CompactRing) Check() (exact int, err error) {
 // Run).
 func (r *CompactRing) Metrics() sim.Metrics { return r.msgs }
 
-// ProbeMetrics returns the measurement-phase sink (stretch samples,
-// cache hit/miss counters, join-cost samples).
+// ProbeMetrics returns the measurement-phase sink (stretch samples and
+// cache hit/miss counters).
 func (r *CompactRing) ProbeMetrics() sim.Metrics { return r.probeMx }
 
 // Footprint itemizes resident memory by subsystem, in bytes. Slab

@@ -304,44 +304,52 @@ func FuzzCompactCacheBuild(f *testing.F) {
 	})
 }
 
-// TestCompactStateDigest pins the complete post-Run state — every
-// successor group, predecessor, cached handle in slot order, charged
-// bucket capacity and cache size — to the digests of the state built when every
-// deposit went straight through refCacheInsert's rule, at 1 and 8
-// shards, on a ring whose caches never fill and on one that evicts.
-func TestCompactStateDigest(t *testing.T) {
-	isp := compactTestISP()
+// digestConfigs are TestCompactStateDigest's configurations: a ring
+// whose caches never fill, one that evicts, and two where the warm-up
+// reaches a router's run deposits with room left in their buckets, so
+// their order shows (2,000 hosts with 2,048 entries at router 17; 1,000
+// with 1,024 at routers 8 and 17).
+func digestConfigs() []CompactConfig {
 	evicting := smallCompactConfig()
 	evicting.Hosts, evicting.CacheCapacity, evicting.EphemeralEvery = 2000, 64, 20
-	// At 2,000 hosts and 2,048 entries the warm-up reaches a router's run
-	// deposits with room left in their buckets, so their order shows.
 	pressed := evicting
 	pressed.CacheCapacity = 2048
-	for _, tc := range []struct {
-		cfg  CompactConfig
-		want string
-	}{
-		{smallCompactConfig(), "fb005ab0647c6b044a4605ade39c34acbe45348d11fc0f71a05042c2f94d9ad3"},
-		{evicting, "2e2d2eabda6608bcdcf5af8a9eeb930596b7022d684c1a5f64cdd1829343a2f9"},
-		{pressed, "7e2091b2a04a1e3107ca5c60dc6f50062afd4737c837cc3ce6950b07c14ca6ed"},
-	} {
+	half := smallCompactConfig()
+	half.Hosts, half.CacheCapacity = 1000, 1024
+	return []CompactConfig{smallCompactConfig(), evicting, pressed, half}
+}
+
+// TestCompactStateDigest pins the complete post-Run state — every
+// successor group, predecessor, cached handle in slot order, charged
+// bucket capacity and cache size — of each of digestConfigs at 1 and 8
+// shards to the digests of the state built when every deposit went
+// straight through refCacheInsert's rule.
+func TestCompactStateDigest(t *testing.T) {
+	isp := compactTestISP()
+	wants := []string{
+		"fb005ab0647c6b044a4605ade39c34acbe45348d11fc0f71a05042c2f94d9ad3",
+		"2e2d2eabda6608bcdcf5af8a9eeb930596b7022d684c1a5f64cdd1829343a2f9",
+		"7e2091b2a04a1e3107ca5c60dc6f50062afd4737c837cc3ce6950b07c14ca6ed",
+		"f0d4b4b1669fa550645c518d1e6b896fb65c8d144dbf44b0d98d450359867b04",
+	}
+	for i, base := range digestConfigs() {
 		for _, shards := range []int{1, 8} {
-			cfg := tc.cfg
+			cfg := base
 			cfg.Shards = shards
 			r := NewCompactRing(isp, cfg)
 			r.Run()
-			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(compactState(r)))); got != tc.want {
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(compactState(r)))); got != wants[i] {
 				t.Errorf("hosts=%d capacity=%d shards=%d: state digest %s, want %s",
-					cfg.Hosts, cfg.CacheCapacity, shards, got, tc.want)
+					cfg.Hosts, cfg.CacheCapacity, shards, got, wants[i])
 			}
 		}
 	}
 }
 
-// TestCompactStateDigestSeesPerturbations holds TestCompactStateDigest's
-// configurations (built the same way here) to what they guard: for each
-// perturbation of a fact the digest pins, at least one configuration's
-// digest must change, or the digest has gone blind to it.
+// TestCompactStateDigestSeesPerturbations holds digestConfigs to what
+// they guard: for each perturbation of a fact the digest pins, at least
+// two configurations' digests must change, so that none rests on a
+// single configuration.
 //   - Reverse one router's run-deposit list between the engine run and
 //     the warm-up. Each router is tried in turn.
 //   - Drop one run deposit. Every run exchange repeats until the ring is
@@ -356,12 +364,14 @@ func TestCompactStateDigest(t *testing.T) {
 // confirmed through warmCaches and the digest.
 func TestCompactStateDigestSeesPerturbations(t *testing.T) {
 	isp := compactTestISP()
-	evicting := smallCompactConfig()
-	evicting.Hosts, evicting.CacheCapacity, evicting.EphemeralEvery = 2000, 64, 20
-	pressed := evicting
-	pressed.CacheCapacity = 2048
-	seen := map[string][]string{}
-	for _, cfg := range []CompactConfig{smallCompactConfig(), evicting, pressed} {
+	seen := map[string]map[string][]string{} // perturbation -> configuration -> where
+	see := func(p, name, where string) {
+		if seen[p] == nil {
+			seen[p] = map[string][]string{}
+		}
+		seen[p][name] = append(seen[p][name], where)
+	}
+	for _, cfg := range digestConfigs() {
 		name := fmt.Sprintf("%d×%d", cfg.Hosts, cfg.CacheCapacity)
 		ref := NewCompactRing(isp, cfg)
 		ref.Run()
@@ -398,12 +408,12 @@ func TestCompactStateDigestSeesPerturbations(t *testing.T) {
 				continue
 			}
 			if digestShows(rt, reversed) {
-				seen["reverse"] = append(seen["reverse"], fmt.Sprintf("%s router %d", name, rt))
+				see("reverse", name, fmt.Sprintf("router %d", rt))
 			}
 			for i := len(list) - 1; i >= 0; i-- {
 				if dropped := slices.Delete(slices.Clone(list), i, i+1); shows(rt, dropped) {
 					if digestShows(rt, dropped) {
-						seen["drop"] = append(seen["drop"], fmt.Sprintf("%s router %d deposit %d of %d", name, rt, i, len(list)))
+						see("drop", name, fmt.Sprintf("router %d deposit %d of %d", rt, i, len(list)))
 					}
 					break
 				}
@@ -413,12 +423,12 @@ func TestCompactStateDigestSeesPerturbations(t *testing.T) {
 		g := ref.succs[u*cfg.SuccessorGroup:]
 		g[0], g[1] = g[1], g[0]
 		if sha256.Sum256([]byte(compactState(ref))) != want {
-			seen["swap"] = append(seen["swap"], name)
+			see("swap", name, "successor group")
 		}
 	}
 	for _, p := range []string{"reverse", "drop", "swap"} {
-		if len(seen[p]) == 0 {
-			t.Errorf("%s: no configuration's state digest changed", p)
+		if len(seen[p]) < 2 {
+			t.Errorf("%s: %d configurations' state digests changed, want at least 2", p, len(seen[p]))
 		}
 		t.Logf("%s: digest changed at %v", p, seen[p])
 	}

@@ -63,12 +63,12 @@ func ringTargets(ms []Pointer, i, group int) (succs []Pointer, pred Pointer) {
 // (now consistent) ring, plus a direct acknowledgment back. This is how
 // the paper's "rejoin the relevant ID" costs are measured.
 func (n *Network) chargeProbe(from RouterID, target ident.ID, counter string) int {
-	out, err := n.greedy(from, target, counter, nil, false, nil, nil)
+	out, err := n.greedy(from, target, counter, nil, nil, nil)
 	if err != nil {
 		return 0
 	}
 	msgs := out.Msgs
-	if h, _, ok := n.hop(out.Final, from, counter, nil, false); ok {
+	if h, _, ok := n.hop(out.Final, from, counter, nil); ok {
 		msgs += h
 	}
 	return msgs
@@ -158,7 +158,7 @@ func (n *Network) scrubID(id ident.ID, counter string) {
 					_, pred := ringTargets(ms, i, n.opts.SuccessorGroup)
 					r.setRing(vn, vn.Succs, pred)
 					if pred != (Pointer{}) {
-						n.hop(pred.Router, r.Node, counter, nil, false)
+						n.hop(pred.Router, r.Node, counter, nil)
 					}
 				} else {
 					r.setRing(vn, vn.Succs, Pointer{})
@@ -256,7 +256,7 @@ func (n *Network) reparkOrphans(orphans []parking, counter string) {
 		}
 		pred := ms[predecessorIndex(ms, e.ID)]
 		if n.Routers[pred.Router].park(pred.ID, e.Pointer) {
-			n.hop(e.Router, pred.Router, counter, nil, false)
+			n.hop(e.Router, pred.Router, counter, nil)
 		}
 	}
 }

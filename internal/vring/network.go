@@ -40,12 +40,6 @@ const (
 	MsgRepair    = "vring-repair"
 )
 
-// Sample names recorded by this package.
-const (
-	SampleJoinMsgs    = "vring-join-msgs"
-	SampleJoinLatency = "vring-join-latency-ms"
-)
-
 // routeTTL bounds forwarding hops per packet.
 const routeTTL = 1024
 
@@ -315,11 +309,12 @@ func (n *Network) Traversals() []int64 { return n.traversals }
 // --- Greedy forwarding (Algorithm 2) -------------------------------------
 
 // hop moves a message from router a to router b over current shortest
-// paths, charging counter and recording traversals / cache fills.
-// Returns physical hop count and latency, or ok=false if unreachable.
-// It climbs the a-rooted tree from b without building the path: each
-// router on it has its own counter and cache, so the order changes nothing.
-func (n *Network) hop(a, b RouterID, counter string, learn []Pointer, countTraversals bool) (int, float64, bool) {
+// paths, charging counter and recording cache fills, and traversals when
+// counter is msgData (Fig 6b counts data packets only). Returns physical
+// hop count and latency, or ok=false if unreachable. It climbs the
+// a-rooted tree from b without building the path: each router on it has
+// its own counter and cache, so the order changes nothing.
+func (n *Network) hop(a, b RouterID, counter string, learn []Pointer) (int, float64, bool) {
 	if a == b {
 		return 0, 0, true
 	}
@@ -330,8 +325,9 @@ func (n *Network) hop(a, b RouterID, counter string, learn []Pointer, countTrave
 	n.Metrics.Count(counter, int64(hops))
 	lat := n.LS.Latency(a, b)
 	parent := n.LS.Parents(a)
+	data := counter == msgData
 	for node := b; node != a; node = parent[node] {
-		if countTraversals {
+		if data {
 			n.traversals[node]++
 		}
 		if learn != nil {
@@ -372,8 +368,8 @@ type Accept func(r *Router) (*VirtualNode, bool)
 // position advances monotonically toward dst, which with the
 // no-overshoot rule makes forwarding loop-free. A non-nil accept delivers
 // where it matches; a non-nil path, which starts with from, records the
-// routers the walk traverses.
-func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Pointer, countTraversals bool, accept Accept, path []RouterID, avoid ...ident.ID) (Outcome, error) {
+// routers the walk traverses. Like hop, a msgData walk counts traversals.
+func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Pointer, accept Accept, path []RouterID, avoid ...ident.ID) (Outcome, error) {
 	if !n.LS.NodeUp(from) {
 		return Outcome{}, errRouterDown
 	}
@@ -393,6 +389,7 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 	var targetVN *VirtualNode
 	haveTarget := false
 	key := dst.Key() // decoded once for every router's resident search
+	data := counter == msgData
 	// The walk's single-link moves, charged to counter once it returns.
 	links := 0
 	defer func() {
@@ -418,7 +415,7 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 		}
 		if i, ok := r.parkedAt(dst); ok {
 			p := r.parked[i]
-			h, lat, up := n.hop(cur, p.Router, counter, learn, countTraversals)
+			h, lat, up := n.hop(cur, p.Router, counter, learn)
 			if up {
 				out.Msgs += h
 				out.Latency += lat
@@ -466,7 +463,7 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 			// left us elsewhere, backtrack to the position's router and
 			// re-select there.
 			if cur != posRouter {
-				h, lat, up := n.hop(cur, posRouter, counter, learn, countTraversals)
+				h, lat, up := n.hop(cur, posRouter, counter, learn)
 				if up {
 					out.Msgs += h
 					out.Latency += lat
@@ -513,7 +510,7 @@ func (n *Network) greedy(from RouterID, dst ident.ID, counter string, learn []Po
 		if w, okW := n.LS.Graph().EdgeWeight(cur, next); okW {
 			out.Latency += w
 		}
-		if countTraversals {
+		if data {
 			n.traversals[next]++
 		}
 		for _, p := range learn {
@@ -662,7 +659,8 @@ func (r *Router) window(pos, dst ident.ID, f int, stale staleSet) (runs [2][2]in
 // --- Joining (Algorithm 1) ------------------------------------------------
 
 // JoinResult reports the cost of one host join — the quantities Figures
-// 5a–5c are built from.
+// 5a–5c are built from. It is the join's only record of them; the
+// MsgJoin counter keeps the total.
 type JoinResult struct {
 	VN      *VirtualNode
 	Msgs    int
@@ -705,7 +703,7 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 		// pointer caches entirely.
 		learn = nil
 	}
-	out, err := n.greedy(at, id, MsgJoin, learn, false, nil, nil, id)
+	out, err := n.greedy(at, id, MsgJoin, learn, nil, nil, id)
 	if err != nil {
 		return JoinResult{}, fmt.Errorf("locating predecessor of %s: %w", id.Short(), err)
 	}
@@ -721,7 +719,7 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 
 	// Predecessor replies to the gateway with the successor set.
 	replyLearn := n.learnControl([]Pointer{{ID: pred.ID, Router: pred.Router}})
-	h2, l2, up := n.hop(pred.Router, at, MsgJoin, replyLearn, false)
+	h2, l2, up := n.hop(pred.Router, at, MsgJoin, replyLearn)
 	if !up {
 		return JoinResult{}, errNotReachable
 	}
@@ -738,8 +736,6 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 		// Ephemeral hosts only park a backpointer at the predecessor.
 		predRouter.park(pred.ID, self)
 		latency += l2
-		n.Metrics.Sample(SampleJoinMsgs, float64(msgs))
-		n.Metrics.Sample(SampleJoinLatency, latency)
 		return JoinResult{VN: vn, Msgs: msgs, Latency: latency}, nil
 	}
 
@@ -771,11 +767,11 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 	var l34 float64
 	if s, ok := vn.Succ(); ok {
 		if svn := n.vnAt(s); svn != nil {
-			h3, l3, up3 := n.hop(pred.Router, s.Router, MsgJoin, learn, false)
+			h3, l3, up3 := n.hop(pred.Router, s.Router, MsgJoin, learn)
 			if up3 {
 				msgs += h3
 				n.Routers[s.Router].setRing(svn, svn.Succs, self)
-				h4, l4, up4 := n.hop(s.Router, at, MsgJoin, nil, false)
+				h4, l4, up4 := n.hop(s.Router, at, MsgJoin, nil)
 				if up4 {
 					msgs += h4
 				}
@@ -784,9 +780,6 @@ func (n *Network) join(id ident.ID, at RouterID, ephemeral bool) (JoinResult, er
 		}
 	}
 	latency += max(l2, l34)
-
-	n.Metrics.Sample(SampleJoinMsgs, float64(msgs))
-	n.Metrics.Sample(SampleJoinLatency, latency)
 	return JoinResult{VN: vn, Msgs: msgs, Latency: latency}, nil
 }
 
@@ -835,7 +828,7 @@ func (n *Network) Route(from RouterID, dst ident.ID) (RouteResult, error) {
 			learn = []Pointer{{ID: dst, Router: host}}
 		}
 	}
-	out, err := n.greedy(from, dst, msgData, learn, true, nil, nil)
+	out, err := n.greedy(from, dst, msgData, learn, nil, nil)
 	if err != nil {
 		return RouteResult{}, err
 	}
@@ -870,7 +863,7 @@ func (n *Network) Route(from RouterID, dst ident.ID) (RouteResult, error) {
 // accounting, returning the router where greedy routing terminates. It
 // is the primitive the interdomain layer builds on.
 func (n *Network) Lookup(from RouterID, dst ident.ID) (Outcome, error) {
-	return n.greedy(from, dst, MsgJoin, nil, false, nil, nil)
+	return n.greedy(from, dst, MsgJoin, nil, nil, nil)
 }
 
 // RouteMatch forwards a packet greedily toward dst but delivers at the
@@ -882,5 +875,5 @@ func (n *Network) Lookup(from RouterID, dst ident.ID) (Outcome, error) {
 func (n *Network) RouteMatch(from RouterID, dst ident.ID, accept Accept, avoid ...ident.ID) (Outcome, error) {
 	// Room for a typical route's path: ~7 hops, 8 routers, on the
 	// benchmark ring.
-	return n.greedy(from, dst, msgData, nil, true, accept, append(make([]RouterID, 0, 8), from), avoid...)
+	return n.greedy(from, dst, msgData, nil, accept, append(make([]RouterID, 0, 8), from), avoid...)
 }

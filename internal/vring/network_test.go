@@ -37,17 +37,40 @@ func newTestNet(t *testing.T, opts Options) (*Network, *topology.ISP) {
 // joinN joins n deterministic host IDs at round-robin access routers.
 func joinN(t *testing.T, n *Network, isp *topology.ISP, count int) []ident.ID {
 	t.Helper()
-	ids := make([]ident.ID, 0, count)
-	for i := 0; i < count; i++ {
-		id := ident.FromString(fmt.Sprintf("host-%d", i))
-		at := isp.Access[i%len(isp.Access)]
-		if _, err := n.JoinHost(id, at); err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
-		ids = append(ids, id)
+	joins := joinResults(t, n, isp, count)
+	ids := make([]ident.ID, len(joins))
+	for i, j := range joins {
+		ids[i] = j.VN.ID
 	}
 	return ids
 }
+
+// joinResults joins like joinN and returns each join's result.
+func joinResults(t *testing.T, n *Network, isp *topology.ISP, count int) []JoinResult {
+	t.Helper()
+	joins := make([]JoinResult, 0, count)
+	for i := 0; i < count; i++ {
+		id := ident.FromString(fmt.Sprintf("host-%d", i))
+		at := isp.Access[i%len(isp.Access)]
+		res, err := n.JoinHost(id, at)
+		if err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+		joins = append(joins, res)
+	}
+	return joins
+}
+
+// joinSummary summarizes one quantity of each join's result.
+func joinSummary(joins []JoinResult, of func(JoinResult) float64) sim.Summary {
+	vs := make([]float64, len(joins))
+	for i, j := range joins {
+		vs[i] = of(j)
+	}
+	return sim.Summarize(vs)
+}
+
+func joinMsgs(j JoinResult) float64 { return float64(j.Msgs) }
 
 func TestBootstrapRingConsistent(t *testing.T) {
 	n, _ := newTestNet(t, DefaultOptions())
@@ -88,8 +111,7 @@ func TestJoinOverheadBounded(t *testing.T) {
 	// Paper §6.2: join overhead ≈ 4 messages × network diameter.
 	n, isp := newTestNet(t, DefaultOptions())
 	diam := isp.Graph.DiameterHops(0, nil)
-	joinN(t, n, isp, 40)
-	s := sim.Summarize(n.Metrics.Samples(SampleJoinMsgs))
+	s := joinSummary(joinResults(t, n, isp, 40), joinMsgs)
 	if s.Mean > float64(6*diam) {
 		t.Fatalf("mean join overhead %.1f exceeds 6x diameter (%d)", s.Mean, diam)
 	}
@@ -98,6 +120,29 @@ func TestJoinOverheadBounded(t *testing.T) {
 	}
 	if s.Mean <= 0 {
 		t.Fatal("join overhead must be positive")
+	}
+}
+
+// TestJoinResultsSumToJoinCounter: a join's result is the only per-join
+// record of its cost, so on a healthy ring the results' messages, stable
+// and ephemeral joins alike, add up to exactly the MsgJoin counter's rise.
+func TestJoinResultsSumToJoinCounter(t *testing.T) {
+	n, isp := newTestNet(t, DefaultOptions())
+	before := n.Metrics.Counter(MsgJoin)
+	joins := joinResults(t, n, isp, 300)
+	for i := 0; i < 30; i++ {
+		res, err := n.JoinEphemeral(ident.FromString(fmt.Sprintf("eph-%d", i)), isp.Access[(7*i)%len(isp.Access)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		joins = append(joins, res)
+	}
+	sum := 0
+	for _, j := range joins {
+		sum += j.Msgs
+	}
+	if rise := n.Metrics.Counter(MsgJoin) - before; rise != int64(sum) || sum == 0 {
+		t.Fatalf("%d joins' results sum to %d messages, the %s counter rose %d", len(joins), sum, MsgJoin, rise)
 	}
 }
 
@@ -149,7 +194,7 @@ func TestRouteUnknownID(t *testing.T) {
 
 func TestEphemeralJoinAndRoute(t *testing.T) {
 	n, isp := newTestNet(t, DefaultOptions())
-	joinN(t, n, isp, 20)
+	joins := joinResults(t, n, isp, 20)
 	eph := ident.FromString("laptop")
 	res, err := n.JoinEphemeral(eph, isp.Access[3])
 	if err != nil {
@@ -159,7 +204,7 @@ func TestEphemeralJoinAndRoute(t *testing.T) {
 		t.Fatalf("ephemeral join broke ring: %v", err)
 	}
 	// Ephemeral joins are cheaper: they only contact the predecessor.
-	stable := sim.Summarize(n.Metrics.Samples(SampleJoinMsgs))
+	stable := joinSummary(joins, joinMsgs)
 	if float64(res.Msgs) > stable.Max {
 		t.Logf("ephemeral join %d msgs vs stable max %.0f", res.Msgs, stable.Max)
 	}
@@ -312,8 +357,7 @@ func TestJoinAtDownRouter(t *testing.T) {
 
 func TestJoinLatencyPositive(t *testing.T) {
 	n, isp := newTestNet(t, DefaultOptions())
-	joinN(t, n, isp, 20)
-	lat := sim.Summarize(n.Metrics.Samples(SampleJoinLatency))
+	lat := joinSummary(joinResults(t, n, isp, 20), func(j JoinResult) float64 { return j.Latency })
 	if lat.Mean <= 0 {
 		t.Fatal("join latency must be positive for non-local joins")
 	}
@@ -382,7 +426,7 @@ func TestStaleSetAndAvoid(t *testing.T) {
 	ms := planted.members()
 	pred := ms[predecessorIndex(ms, joining)].ID
 	for _, from := range isp.Access {
-		out, err := planted.greedy(from, joining, MsgJoin, nil, false, nil, nil, joining)
+		out, err := planted.greedy(from, joining, MsgJoin, nil, nil, nil, joining)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +448,7 @@ func TestStaleSetAndAvoid(t *testing.T) {
 	}
 	avoid := make([]ident.ID, 1, 4)
 	avoid[0] = joining
-	if _, err := planted.greedy(isp.Access[0], other, MsgJoin, nil, false, nil, nil, avoid...); err != nil {
+	if _, err := planted.greedy(isp.Access[0], other, MsgJoin, nil, nil, nil, avoid...); err != nil {
 		t.Fatal(err)
 	}
 	if _, kept := planted.Routers[broken.Router].Cache.Lookup(broken.ID.Prev(), broken.ID); kept {

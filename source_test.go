@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	pathpkg "path"
 	"path/filepath"
 	"strconv"
@@ -429,4 +430,40 @@ func TestExportedNamesUsedAcrossPackages(t *testing.T) {
 			t.Errorf("exportedKeep lists %s, which is not an exported name under internal/", key)
 		}
 	}
+}
+
+// The Makefile's header says its targets mirror CI, and a developer runs
+// them to learn what CI will say. So every `$(GO) test` command in a
+// Makefile recipe, read to the end of its line or the next `&&`, must
+// appear verbatim in .github/workflows/ci.yml, spelt with `go` for
+// `$(GO)` and `$` for make's `$$`.
+func TestMakefileTestsRunInCI(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(mk), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			continue
+		}
+		for _, cmd := range strings.Split(line, "&&") {
+			cmd = strings.TrimSpace(cmd)
+			if !strings.HasPrefix(cmd, "$(GO) test ") {
+				continue
+			}
+			n++
+			if want := strings.ReplaceAll("go"+strings.TrimPrefix(cmd, "$(GO)"), "$$", "$"); !strings.Contains(string(ci), want) {
+				t.Errorf("the Makefile runs %q, which ci.yml does not", want)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("found no $(GO) test command in the Makefile")
+	}
+	t.Logf("%d $(GO) test commands checked", n)
 }
